@@ -135,6 +135,30 @@ WriteResult write_file_atomic(const std::string& path,
   return result;
 }
 
+int create_with_prologue(const std::string& path, std::string_view prologue,
+                         std::string* error) {
+  const std::string tmp = temp_path_for(path);
+  const int fd = ::open(tmp.c_str(),
+                        O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC,
+                        0644);
+  if (fd < 0) {
+    *error = errno_message("open", tmp);
+    return -1;
+  }
+  const ssize_t n = ::write(fd, prologue.data(), prologue.size());
+  if (n != static_cast<ssize_t>(prologue.size()) || ::fsync(fd) != 0) {
+    *error = errno_message("write prologue", tmp);
+  } else if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    *error = errno_message("rename", tmp + " -> " + path);
+  } else {
+    fsync_directory(parent_dir(path));
+    return fd;
+  }
+  ::close(fd);
+  ::unlink(tmp.c_str());
+  return -1;
+}
+
 namespace {
 
 /// Extracts the `<pid>` of a `<path>.tmp.<pid>.<seq>` temp name.

@@ -49,6 +49,16 @@ WriteResult write_file_atomic(const std::string& path,
                               std::string_view data,
                               const WriteOptions& options = {});
 
+/// Creates `path` holding exactly `prologue` (replacing any old file) and
+/// returns a write-only O_APPEND descriptor on it, or -1 with `*error`
+/// naming the failed step. The prologue is written and fsync'd under a
+/// temp name and renamed into place, so a crash at any instant leaves
+/// either no file at `path` (plus a stale temp) or the whole prologue:
+/// append-only logs built on this can treat an empty file as damage,
+/// never as a crash before the first write.
+int create_with_prologue(const std::string& path, std::string_view prologue,
+                         std::string* error);
+
 /// Unlinks leftover `*.tmp.*` files in `dir` from crashed writers.
 /// Returns the number removed; an unopenable directory removes nothing.
 ///

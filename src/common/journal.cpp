@@ -258,11 +258,11 @@ Outcome<JournalReplay> read_journal(const std::string& path) {
                                              path + "'");
   }
   if (bytes.empty()) {
-    // create() writes magic + header in a single write before returning,
-    // so no crash leaves a zero-byte journal behind: an empty file means
-    // external truncation (or an unrelated file at the journal's path),
-    // and treating it as a fresh run would silently discard whatever the
-    // journal once recorded.
+    // create() renames the journal into place only once magic + header
+    // are durable under a temp name, so no crash leaves a zero-byte
+    // journal behind: an empty file means external truncation (or an
+    // unrelated file at the journal's path), and treating it as a fresh
+    // run would silently discard whatever the journal once recorded.
     return Outcome<JournalReplay>::malformed(
         "journal '" + path +
         "' exists but is empty — refusing to treat it as a fresh run "
@@ -392,33 +392,16 @@ Outcome<Journal> Journal::create(const std::string& path,
       return Outcome<Journal>::malformed(
           errno_message("mkdir for journal", path));
     }
-    const int fd = ::open(path.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC | O_APPEND |
-                              O_CLOEXEC,
-                          0644);
-    if (fd < 0) {
-      return Outcome<Journal>::malformed(errno_message("open", path));
-    }
-    journal.impl_->fd = fd;
     std::string prologue = kMagicLine;
     prologue += '\n';
     prologue += format_line('H', header_payload(header));
-    const ssize_t n = ::write(fd, prologue.data(), prologue.size());
-    if (n != static_cast<ssize_t>(prologue.size()) || ::fsync(fd) != 0) {
-      return Outcome<Journal>::malformed(
-          errno_message("write header", path));
-    }
+    std::string error;
+    const int fd = atomic_io::create_with_prologue(path, prologue, &error);
+    if (fd < 0) return Outcome<Journal>::malformed(error);
+    journal.impl_->fd = fd;
   } catch (const std::exception& e) {
     return Outcome<Journal>::malformed(
         "injected fault creating journal '" + path + "': " + e.what());
-  }
-  // Make the journal's *name* durable too: a run that crashes right
-  // after create must find the file on resume.
-  const int dir_fd = ::open(parent_dir(path).c_str(),
-                            O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dir_fd >= 0) {
-    (void)::fsync(dir_fd);
-    ::close(dir_fd);
   }
   log::info("journal.created")
       .field("path", path)

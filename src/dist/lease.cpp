@@ -250,28 +250,14 @@ Outcome<LeaseJournal> LeaseJournal::create(const std::string& path,
     return Outcome<LeaseJournal>::malformed(
         errno_message("mkdir for lease journal", path));
   }
-  const int fd = ::open(
-      path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC,
-      0644);
-  if (fd < 0) {
-    return Outcome<LeaseJournal>::malformed(errno_message("open", path));
-  }
-  lj.impl_->fd = fd;
   std::string prologue(kMagicLine);
   prologue += '\n';
   prologue +=
       journal_wire::format_line('H', journal_wire::header_payload(header));
-  const ssize_t n = ::write(fd, prologue.data(), prologue.size());
-  if (n != static_cast<ssize_t>(prologue.size()) || ::fsync(fd) != 0) {
-    return Outcome<LeaseJournal>::malformed(
-        errno_message("write header", path));
-  }
-  const int dir_fd = ::open(parent_dir(path).c_str(),
-                            O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dir_fd >= 0) {
-    (void)::fsync(dir_fd);
-    ::close(dir_fd);
-  }
+  std::string error;
+  const int fd = atomic_io::create_with_prologue(path, prologue, &error);
+  if (fd < 0) return Outcome<LeaseJournal>::malformed(error);
+  lj.impl_->fd = fd;
   return Outcome<LeaseJournal>::success(std::move(lj));
 }
 

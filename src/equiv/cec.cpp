@@ -302,6 +302,37 @@ CecResult check_equivalence_portfolio(const Netlist& a, const Netlist& b,
   return result;
 }
 
+namespace {
+
+/// Random-simulation words (64 patterns each) behind every signature the
+/// session compares, and the seed of their patterns. Signatures only pick
+/// which nets get a sweep query: a collision costs one SAT answer, never
+/// a wrong merge. Those SAT answers are the expensive queries (the solver
+/// must find the rare pattern the simulation missed), and on c1908 they
+/// keep shrinking up to 32 words while simulation stays cheap.
+constexpr std::size_t kSigWords = 32;
+constexpr std::uint64_t kSigSeed = 0x0dc5'1ee9'5eed'0001ull;
+
+/// Evaluates one gate over whole signatures: out[w] = f(ins[0][w], ...,
+/// ins[k-1][w]) for every word w. Row-major so the word loops vectorize.
+void eval_signature(const TruthTable& tt,
+                    const std::vector<const std::uint64_t*>& ins,
+                    std::uint64_t* out) {
+  std::fill(out, out + kSigWords, 0);
+  std::uint64_t term[kSigWords];
+  for (unsigned p = 0; p < tt.num_rows(); ++p) {
+    if (!tt.eval(p)) continue;
+    std::fill(term, term + kSigWords, ~0ull);
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+      const std::uint64_t flip = ((p >> i) & 1) ? 0 : ~0ull;
+      for (std::size_t w = 0; w < kSigWords; ++w) term[w] &= ins[i][w] ^ flip;
+    }
+    for (std::size_t w = 0; w < kSigWords; ++w) out[w] |= term[w];
+  }
+}
+
+}  // namespace
+
 IncrementalCecSession::IncrementalCecSession(const Netlist& golden,
                                              const Options& options)
     : golden_(golden), options_(options), solver_(options.solver_config) {
@@ -315,45 +346,27 @@ IncrementalCecSession::IncrementalCecSession(const Netlist& golden,
   // story: each verdict depends only on the clause database, which the
   // batch layer makes a pure function of the buyer index.
   golden_enc_.emplace(solver_, golden_);
-}
 
-IncrementalCecSession::StampedCone IncrementalCecSession::stamp_edition(
-    const Netlist& edition) {
-  const InterfaceMap map = match_interfaces(golden_, edition);
-
-  // Stamp the edition's cone behind a fresh activation literal, reusing
-  // the golden encoding for every structurally unchanged gate.
-  const sat::Var act = solver_.push_activation();
-  sat::TseitinOptions topts;
-  // The edition shares the golden PI variables, permuted into ITS PI
-  // order by the name-matched map (identity for the clone editions batch
-  // verification produces, but a name-permuted same-interface netlist
-  // must not be wired positionally).
-  std::vector<sat::Var> b_inputs(edition.inputs().size(), sat::kUndefVar);
-  for (std::size_t i = 0; i < golden_.inputs().size(); ++i) {
-    b_inputs[map.b_pi_for_a_pi[i]] = golden_enc_->input_vars()[i];
+  // Simulate the golden once; every edition is simulated on the same
+  // patterns, gate by gate as its fresh cone is encoded.
+  golden_sigs_.assign(
+      static_cast<std::size_t>(solver_.num_vars()) * kSigWords, 0);
+  const auto sig_of = [&](NetId net) {
+    return &golden_sigs_[static_cast<std::size_t>(golden_enc_->var_of(net)) *
+                         kSigWords];
+  };
+  Rng rng(kSigSeed);
+  for (const NetId pi : golden_.inputs()) {
+    std::uint64_t* sig = sig_of(pi);
+    for (std::size_t w = 0; w < kSigWords; ++w) sig[w] = rng.next_u64();
   }
-  topts.share_inputs = &b_inputs;
-  topts.activation = act;
-  topts.base = &golden_;
-  topts.base_encoding = &*golden_enc_;
-  const sat::TseitinEncoding enc_b(solver_, edition, topts);
-  gates_reused_ += enc_b.reused_gates();
-  gates_encoded_ += enc_b.encoded_gates();
-
-  std::vector<sat::Var> diffs;
-  for (std::size_t i = 0; i < golden_.outputs().size(); ++i) {
-    const sat::Var va = golden_enc_->var_of(golden_.outputs()[i].net);
-    const sat::Var vb =
-        enc_b.var_of(edition.outputs()[map.b_po_for_a_po[i]].net);
-    // Outputs whose whole cone was reused resolve to the very same
-    // variable — identical by construction, no XOR needed.
-    if (va == vb) continue;
-    const sat::Var d = solver_.new_var();
-    sat::encode_xor(solver_, va, vb, d, act);
-    diffs.push_back(d);
+  std::vector<const std::uint64_t*> ins;
+  for (const GateId g : golden_.topo_order()) {
+    const Gate& gt = golden_.gate(g);
+    ins.clear();
+    for (const NetId in : gt.fanins) ins.push_back(sig_of(in));
+    eval_signature(golden_.cell_of(g).function, ins, sig_of(gt.output));
   }
-  return {act, std::move(diffs)};
 }
 
 CecResult IncrementalCecSession::check(const Netlist& edition,
@@ -372,89 +385,146 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
     result.method = "sat-incremental-unhealthy";
     return result;
   }
+  const InterfaceMap map = match_interfaces(golden_, edition);
 
-  const StampedCone cone = stamp_edition(edition);
-  if (cone.diffs.empty()) {
-    // Empty edit cone: every output reuses the golden variable. This is
-    // the second degenerate-miter shape; answer it before the solver
-    // ever sees an empty disjunction.
-    retire_scope(cone.act);
+  // One conflict quota for every query of this check: the session's own,
+  // tightened by the budget's. A query that finds it spent answers
+  // kUnknown without running, so a zero quota can never yield a verdict.
+  std::int64_t remaining = options_.conflict_limit;
+  if (budget != nullptr && budget->conflicts() >= 0 &&
+      (remaining < 0 || budget->conflicts() < remaining)) {
+    remaining = budget->conflicts();
+  }
+  const bool limited = remaining >= 0;
+
+  // Everything this check adds sits behind a fresh activation literal.
+  const sat::Var act = solver_.push_activation();
+  result.method = "sat-incremental";
+  // Solves {act, diff} against the shared quota; the solver is back at
+  // level 0 afterwards unless the answer is kSat (the caller reads the
+  // model first).
+  const auto prove = [&](sat::Var diff) {
+    if (limited && remaining <= 0) return sat::Solver::Result::kUnknown;
+    const sat::Solver::Result r = solver_.solve(
+        {sat::pos_lit(act), sat::pos_lit(diff)}, remaining, budget);
+    result.sat_stats += solver_.last_call_stats();
+    if (limited) {
+      remaining -=
+          static_cast<std::int64_t>(solver_.last_call_stats().conflicts);
+    }
+    if (r != sat::Solver::Result::kSat) solver_.backtrack_to_root();
+    return r;
+  };
+
+  // Simulation signatures: golden variables carry the golden simulation,
+  // this check's fresh variables (all above `act`) the edition's, on the
+  // same patterns.
+  std::vector<std::uint64_t> fresh_sigs;
+  const auto signature = [&](sat::Var v) -> std::uint64_t* {
+    const std::size_t at = static_cast<std::size_t>(v) * kSigWords;
+    if (at < golden_sigs_.size()) return &golden_sigs_[at];
+    return &fresh_sigs[static_cast<std::size_t>(v - act) * kSigWords];
+  };
+
+  // Sweep: every fresh gate gets its signature; one whose signature
+  // matches its golden twin's is a cut-point candidate, merged on UNSAT.
+  // A quota or budget death stops the sweep (the rest encodes fresh) and
+  // ends the check kUnknown.
+  bool exhausted = false;
+  std::vector<const std::uint64_t*> ins;
+  sat::TseitinOptions topts;
+  topts.on_fresh_gate = [&](GateId g, sat::Var fresh,
+                            const std::vector<sat::Var>& fanins) {
+    if (exhausted) return fresh;
+    fresh_sigs.resize(static_cast<std::size_t>(fresh - act + 1) *
+                      kSigWords);
+    std::uint64_t* sig = signature(fresh);
+    ins.clear();
+    for (const sat::Var in : fanins) ins.push_back(signature(in));
+    eval_signature(edition.cell_of(g).function, ins, sig);
+    const sat::Var twin = golden_enc_->var_or_undef(edition.gate(g).output);
+    if (twin == sat::kUndefVar ||
+        !std::equal(sig, sig + kSigWords, signature(twin))) {
+      return fresh;
+    }
+    const sat::Var diff = solver_.new_var();
+    sat::encode_xor(solver_, twin, fresh, diff, act);
+    switch (prove(diff)) {
+      case sat::Solver::Result::kUnsat:
+        ++merges_;
+        return twin;
+      case sat::Solver::Result::kSat:
+        // A signature collision: the nets differ on some pattern the
+        // simulation missed. Keep the fresh variable.
+        solver_.backtrack_to_root();
+        return fresh;
+      case sat::Solver::Result::kUnknown:
+        exhausted = true;
+        return fresh;
+    }
+    return fresh;
+  };
+  // The edition shares the golden PI variables, permuted into ITS PI
+  // order by the name-matched map (identity for the clone editions batch
+  // verification produces, but a name-permuted same-interface netlist
+  // must not be wired positionally).
+  std::vector<sat::Var> b_inputs(edition.inputs().size(), sat::kUndefVar);
+  for (std::size_t i = 0; i < golden_.inputs().size(); ++i) {
+    b_inputs[map.b_pi_for_a_pi[i]] = golden_enc_->input_vars()[i];
+  }
+  topts.share_inputs = &b_inputs;
+  topts.activation = act;
+  topts.base = &golden_;
+  topts.base_encoding = &*golden_enc_;
+  const sat::TseitinEncoding enc(solver_, edition, topts);
+  gates_reused_ += enc.reused_gates();
+  gates_encoded_ += enc.encoded_gates();
+
+  if (exhausted) {
+    result.status = CecResult::Status::kUnknown;
+    retire_scope(act);
+    return result;
+  }
+  if (enc.encoded_gates() == 0) {
+    // Nothing fresh at all: every output reuses the golden variable.
+    // This is the second degenerate-miter shape; answer it before the
+    // solver ever sees an empty disjunction.
+    retire_scope(act);
     return trivially_equivalent("trivial-identical-cone");
   }
 
-  result.method = "sat-incremental";
-  if (options_.per_output_proofs) {
-    // One focused sub-query per changed output, in PO order, sharing the
-    // activation literal — so lemmas learned refuting output i (they
-    // carry neg_lit(act)) stay live for outputs i+1..n within this
-    // check. The per-check conflict quota is spent across sub-queries.
-    result.status = CecResult::Status::kEquivalent;
-    std::int64_t remaining = options_.conflict_limit;
-    for (const sat::Var d : cone.diffs) {
-      if (options_.conflict_limit >= 0 && remaining <= 0) {
-        result.status = CecResult::Status::kUnknown;
-        break;
+  // Outputs the sweep did not merge are proven one by one, in PO order,
+  // sharing the activation literal so lemmas learned refuting output i
+  // stay live for the later ones.
+  result.status = CecResult::Status::kEquivalent;
+  for (std::size_t po = 0; po < golden_.outputs().size(); ++po) {
+    const sat::Var va = golden_enc_->var_of(golden_.outputs()[po].net);
+    const sat::Var vb =
+        enc.var_of(edition.outputs()[map.b_po_for_a_po[po]].net);
+    if (va == vb) continue;
+    const sat::Var d = solver_.new_var();
+    sat::encode_xor(solver_, va, vb, d, act);
+    const sat::Solver::Result r = prove(d);
+    if (r == sat::Solver::Result::kSat) {
+      result.status = CecResult::Status::kDifferent;
+      // Extract the model before retirement backtracks it away.
+      for (std::size_t i = 0; i < golden_.inputs().size(); ++i) {
+        result.counterexample.push_back(
+            solver_.model_value(golden_enc_->input_vars()[i]));
       }
-      const sat::Solver::Result r = solver_.solve(
-          {sat::pos_lit(cone.act), sat::pos_lit(d)}, remaining, budget);
-      result.sat_stats += solver_.last_call_stats();
-      if (options_.conflict_limit >= 0) {
-        remaining -= static_cast<std::int64_t>(
-            solver_.last_call_stats().conflicts);
-      }
-      if (r == sat::Solver::Result::kSat) {
-        result.status = CecResult::Status::kDifferent;
-        for (std::size_t i = 0; i < golden_.inputs().size(); ++i) {
-          result.counterexample.push_back(
-              solver_.model_value(golden_enc_->input_vars()[i]));
-        }
-        break;
-      }
-      if (r == sat::Solver::Result::kUnknown) {
-        result.status = CecResult::Status::kUnknown;
-        break;
-      }
+      break;
     }
-  } else {
-    const sat::Var any_diff = solver_.new_var();
-    sat::encode_or(solver_, cone.diffs, any_diff, cone.act);
-    const sat::Solver::Result r =
-        solver_.solve({sat::pos_lit(cone.act), sat::pos_lit(any_diff)},
-                      options_.conflict_limit, budget);
-    switch (r) {
-      case sat::Solver::Result::kUnsat:
-        result.status = CecResult::Status::kEquivalent;
-        break;
-      case sat::Solver::Result::kSat:
-        result.status = CecResult::Status::kDifferent;
-        // Extract the model before retirement backtracks it away.
-        for (std::size_t i = 0; i < golden_.inputs().size(); ++i) {
-          result.counterexample.push_back(
-              solver_.model_value(golden_enc_->input_vars()[i]));
-        }
-        break;
-      case sat::Solver::Result::kUnknown:
-        result.status = CecResult::Status::kUnknown;
-        break;
+    if (r == sat::Solver::Result::kUnknown) {
+      result.status = CecResult::Status::kUnknown;
+      break;
     }
-    // Per-call delta, not the session's cumulative stats: the whole
-    // point of last_call_stats is attributing proof effort to this
-    // edition.
-    result.sat_stats = solver_.last_call_stats();
   }
-  retire_scope(cone.act);
+  retire_scope(act);
   return result;
 }
 
 void IncrementalCecSession::retire_scope(sat::Var act) {
-  solver_.retire_activation(act);
-  // Sweeping retired cones out of the clause database rebuilds every
-  // watch list — worth paying once every few checks, not per check.
-  if (++checks_since_simplify_ >=
-      std::max<std::size_t>(1, options_.simplify_interval)) {
-    solver_.simplify();
-    checks_since_simplify_ = 0;
-  }
+  solver_.pop_activation(act);
   // The base formula alone is satisfiable, so a healthy session can never
   // become globally UNSAT; if it did, stop answering from it.
   healthy_ = solver_.ok();

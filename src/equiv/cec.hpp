@@ -10,8 +10,9 @@
 //  * check_equivalence    — SAT-based proof on a shared-PI miter;
 //  * IncrementalCecSession — one long-lived solver holding the golden
 //                           circuit's encoding; each edition stamps only
-//                           its edited cone behind an activation literal
-//                           and is answered by an assumption solve;
+//                           its edited cones behind an activation literal
+//                           and is proven at the cut points where their
+//                           effect re-merges with the golden;
 //  * check_equivalence_portfolio — 2–3 solver configurations racing one
 //                           query in deterministic round-robin slices.
 //
@@ -93,36 +94,37 @@ CecResult check_equivalence_portfolio(
     const PortfolioCecOptions& options = {}, const Budget* budget = nullptr);
 
 /// Shared-miter incremental CEC: encodes the golden netlist once, then
-/// answers each edition with an assumption solve that only pays for the
-/// edition's edited cone (and its transitive fanout). The edition's delta
-/// clauses are guarded by a fresh activation literal and retracted after
-/// the verdict, so the solver — and everything it learned about the base
-/// circuit — stays warm for the next edition.
+/// answers each edition with assumption solves that only pay for the
+/// edition's edited cones. The edition's delta clauses are guarded by a
+/// fresh activation literal and retracted after the verdict, so the
+/// solver — and everything it learned about the base circuit — stays
+/// warm for the next edition.
 ///
-/// Contract: editions must be structural clones of the golden netlist
+/// The edition is swept while it is encoded, in topological order: a
+/// freshly encoded net whose simulation signature matches the golden net
+/// with the same id is tested with one assumption query, and once proven
+/// equal it becomes a cut point — its readers use the golden variable and
+/// so reuse the golden encoding downstream. A fingerprint change hidden
+/// by its trigger's ODC re-merges at the primary gate, so for a
+/// fingerprinted edition every output resolves to the golden variable
+/// and no per-output proof is left. Outputs that still differ in
+/// variable are proven one by one, in PO order.
+///
+/// Contract: editions should be structural clones of the golden netlist
 /// (same gate/net id space), which is exactly what batch_fingerprint
 /// produces. An arbitrary same-interface netlist still verifies correctly
-/// — it just encodes fresh (reuse degrades to zero, not to wrong).
-/// Not thread-safe; one session per thread.
+/// — it just encodes fresh (reuse degrades to zero, not to wrong). The
+/// session sees only the two netlists: candidates come from simulation
+/// and every merge from an UNSAT answer, never from metadata about where
+/// the edits are. Not thread-safe; one session per thread.
 class IncrementalCecSession {
  public:
   struct Options {
-    /// Per-check conflict quota (< 0 = unlimited). A check that blows it
-    /// returns kUnknown; the batch layer escalates to the portfolio.
+    /// Per-check conflict quota (< 0 = unlimited), shared by the sweep
+    /// queries and the per-output queries together with the Budget's own
+    /// conflict quota. A check that blows it returns kUnknown; the batch
+    /// layer escalates to the portfolio.
     std::int64_t conflict_limit = -1;
-    /// Retired edition cones are swept from the clause database every
-    /// this-many checks (1 = after every check). A sweep rebuilds every
-    /// watch list, which costs more than letting a few already-satisfied
-    /// cones sit in the database — propagation skips them via their
-    /// false activation guard. The schedule is a pure function of the
-    /// check count, so deferral never disturbs determinism.
-    std::size_t simplify_interval = 1;
-    /// Prove each changed output with its own focused assumption solve
-    /// (in PO order, sharing the activation literal so lemmas carry
-    /// across sub-queries) instead of one solve over the OR of all
-    /// output differences. The per-check conflict quota is shared across
-    /// the sub-queries either way.
-    bool per_output_proofs = true;
     sat::Solver::Config solver_config;
   };
 
@@ -138,9 +140,10 @@ class IncrementalCecSession {
 
   /// Proves or refutes golden == edition. kUnknown on quota/budget
   /// exhaustion (escalate) or when the session solver is no longer
-  /// healthy. Degenerate checks (no outputs, or an edit cone that is
-  /// empty after structural reuse) are trivially equivalent with methods
-  /// "trivial-no-outputs" / "trivial-identical-cone".
+  /// healthy. Degenerate checks are trivially equivalent: method
+  /// "trivial-no-outputs" when there is nothing to compare, and
+  /// "trivial-identical-cone" when the edition encodes no fresh gate at
+  /// all. Every other verdict has method "sat-incremental".
   CecResult check(const Netlist& edition, const Budget* budget = nullptr);
 
   std::size_t checks() const { return checks_; }
@@ -148,36 +151,27 @@ class IncrementalCecSession {
   /// layer turns these into the cec.incremental.* telemetry counters.
   std::size_t gates_reused() const { return gates_reused_; }
   std::size_t gates_encoded() const { return gates_encoded_; }
+  /// Cut points proven across all checks (fresh nets merged back onto
+  /// their golden twin).
+  std::size_t merges() const { return merges_; }
 
  private:
-  struct StampedCone {
-    sat::Var act = sat::kUndefVar;
-    /// One "this output differs" variable per output whose edition cone
-    /// did not resolve to the golden variable (empty = nothing to
-    /// prove: the edit cone vanished under structural reuse).
-    std::vector<sat::Var> diffs;
-  };
-
-  /// Validates the edition's interface (throws CheckError on mismatch),
-  /// opens a fresh activation scope, and stamps the edition's edited
-  /// cone into it, reusing the golden encoding for every structurally
-  /// unchanged gate.
-  StampedCone stamp_edition(const Netlist& edition);
-
-  /// Retires a check's activation scope, runs the periodic database
-  /// sweep (every Options::simplify_interval checks), and refreshes the
-  /// session health flag.
+  /// Retires a check's activation scope, sweeps the retired cone out of
+  /// the clause database, and refreshes the session health flag.
   void retire_scope(sat::Var act);
 
   const Netlist& golden_;
   Options options_;
   sat::Solver solver_;
   std::optional<sat::TseitinEncoding> golden_enc_;
+  /// Simulation signature words of the golden encoding, indexed by
+  /// golden variable (the sweep's candidate filter).
+  std::vector<std::uint64_t> golden_sigs_;
   bool healthy_ = true;
-  std::size_t checks_since_simplify_ = 0;
   std::size_t checks_ = 0;
   std::size_t gates_reused_ = 0;
   std::size_t gates_encoded_ = 0;
+  std::size_t merges_ = 0;
 };
 
 /// The composed checker: random simulation, then exhaustive (<= 20 PIs) or

@@ -196,6 +196,12 @@ class Solver {
   /// Model access after Result::kSat.
   bool model_value(Var v) const;
 
+  /// Undoes the assignment the last solve() left on the trail (its model,
+  /// or the assumption levels of an assumption-refuted kUnsat) and
+  /// returns to decision level 0, so add_clause may be called again.
+  /// model_value() is meaningless afterwards: read the model first.
+  void backtrack_to_root() { backtrack(0); }
+
   /// Cumulative effort across every solve() on this solver.
   const Stats& stats() const { return stats_; }
   /// Effort delta of the most recent solve() alone — what the caller

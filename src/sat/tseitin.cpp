@@ -90,6 +90,9 @@ TseitinEncoding::TseitinEncoding(Solver& solver, const Netlist& nl,
       if (act != kUndefVar) clause.push_back(neg_lit(act));
       solver.add_clause(std::move(clause));
     }
+    if (options.on_fresh_gate) {
+      var_of_[gt.output] = options.on_fresh_gate(g, out, in_vars);
+    }
   }
 }
 
@@ -118,20 +121,14 @@ void encode_xor(Solver& solver, Var a, Var b, Var out, Var activation) {
   solver.add_clause({neg_lit(a), pos_lit(b), pos_lit(out), g});
 }
 
-void encode_or(Solver& solver, const std::vector<Var>& ins, Var out,
-               Var activation) {
+void encode_or(Solver& solver, const std::vector<Var>& ins, Var out) {
   std::vector<Lit> big;
-  big.reserve(ins.size() + 2);
+  big.reserve(ins.size() + 1);
   for (Var v : ins) {
-    if (activation == kUndefVar) {
-      solver.add_clause(neg_lit(v), pos_lit(out));
-    } else {
-      solver.add_clause({neg_lit(v), pos_lit(out), neg_lit(activation)});
-    }
+    solver.add_clause(neg_lit(v), pos_lit(out));
     big.push_back(pos_lit(v));
   }
   big.push_back(neg_lit(out));
-  if (activation != kUndefVar) big.push_back(neg_lit(activation));
   solver.add_clause(std::move(big));
 }
 

@@ -4,19 +4,25 @@
 // count, k <= 6 by construction of TruthTable) asserting out == F(inputs)
 // row by row. Small and simple; the solver's propagation handles the rest.
 //
-// Two features support the incremental shared-miter CEC sessions:
+// Three features support the incremental shared-miter CEC sessions:
 //  * Structural reuse: when an edition netlist is encoded against the
 //    base circuit's existing encoding, every gate that is bit-for-bit
 //    identical to its base counterpart (same cell, output, fanins — and
 //    whose fanins all resolved to the base's variables) reuses the base's
 //    output variable instead of being re-encoded. Only the edited cone
-//    and its transitive fanout get fresh variables and clauses.
+//    and its transitive fanout (up to any cut point, below) get fresh
+//    variables and clauses.
+//  * Cut points: a caller hook sees every freshly encoded gate in
+//    topological order and may answer with a base variable it has proven
+//    equal, so the gates downstream of that net reuse the base encoding
+//    again instead of inheriting the edit's fanout.
 //  * Activation guards: all clauses emitted for the fresh cone can carry
 //    a negated activation literal, making the cone retractable via
 //    Solver::pop_activation once the edition's query is answered.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -41,6 +47,13 @@ struct TseitinOptions {
   /// space (editions are clones of the base, so ids align).
   const Netlist* base = nullptr;
   const TseitinEncoding* base_encoding = nullptr;
+  /// Called after each freshly encoded gate, in topological order, with
+  /// the gate, its fresh output variable and its fanin variables (pin
+  /// order). Returns the variable every later reader of the gate's
+  /// output net uses: `fresh` itself, or a variable the caller proved
+  /// equal to it. The solver must be back at decision level 0 on return.
+  std::function<Var(GateId gate, Var fresh, const std::vector<Var>& fanins)>
+      on_fresh_gate = nullptr;
 };
 
 /// Maps NetId -> SAT variable for one encoded netlist.
@@ -65,7 +78,8 @@ class TseitinEncoding {
 
   /// Gates whose base variable was reused verbatim (no clauses emitted).
   std::size_t reused_gates() const { return reused_gates_; }
-  /// Gates encoded fresh (the edited cone and its transitive fanout).
+  /// Gates encoded fresh (the edited cone and its fanout up to the cut
+  /// points).
   std::size_t encoded_gates() const { return encoded_gates_; }
 
  private:
@@ -81,8 +95,6 @@ void encode_xor(Solver& solver, Var a, Var b, Var out,
                 Var activation = kUndefVar);
 
 /// Adds clauses asserting out == OR(ins); ins may be empty (out = false).
-/// When `activation` is valid the constraint is guarded.
-void encode_or(Solver& solver, const std::vector<Var>& ins, Var out,
-               Var activation = kUndefVar);
+void encode_or(Solver& solver, const std::vector<Var>& ins, Var out);
 
 }  // namespace odcfp::sat

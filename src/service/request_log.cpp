@@ -256,20 +256,12 @@ void RequestLog::close() {
 Outcome<RequestLog> RequestLog::create(const std::string& path) {
   RequestLog log;
   log.impl_->path = path;
-  const int fd = ::open(
-      path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC,
-      0644);
-  if (fd < 0) {
-    return Outcome<RequestLog>::malformed(errno_message("open", path));
-  }
-  log.impl_->fd = fd;
   std::string prologue = kMagicLine;
   prologue += '\n';
-  const ssize_t n = ::write(fd, prologue.data(), prologue.size());
-  if (n != static_cast<ssize_t>(prologue.size()) || ::fsync(fd) != 0) {
-    return Outcome<RequestLog>::malformed(
-        errno_message("write magic", path));
-  }
+  std::string error;
+  const int fd = atomic_io::create_with_prologue(path, prologue, &error);
+  if (fd < 0) return Outcome<RequestLog>::malformed(error);
+  log.impl_->fd = fd;
   return Outcome<RequestLog>::success(std::move(log));
 }
 

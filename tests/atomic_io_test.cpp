@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #include <utime.h>
@@ -133,6 +134,41 @@ TEST(AtomicIo, RemoveStaleTempsSkipsLiveOwners) {
                                           3600),
             1u);
   EXPECT_FALSE(atomic_io::exists(live_temp));
+}
+
+TEST(AtomicIo, CreateWithPrologueNeverExposesAPartialLog) {
+  // Append-only logs start here: the name must appear holding the whole
+  // prologue (an empty log is treated as damage on replay), appends land
+  // after it, and a failed create leaves neither the log nor a temp.
+  const std::string dir = temp_path("prologue");
+  ASSERT_TRUE(atomic_io::make_dirs(dir));
+  const std::string path = dir + "/log";
+  ASSERT_TRUE(atomic_io::write_file_atomic(path, "stale old log\n").ok);
+  std::string error;
+  const int fd = atomic_io::create_with_prologue(path, "MAGIC\n", &error);
+  ASSERT_GE(fd, 0) << error;
+  std::string back;
+  ASSERT_TRUE(atomic_io::read_file(path, &back));
+  EXPECT_EQ(back, "MAGIC\n");
+  ASSERT_EQ(::write(fd, "r1\n", 3), 3);
+  ::close(fd);
+  ASSERT_TRUE(atomic_io::read_file(path, &back));
+  EXPECT_EQ(back, "MAGIC\nr1\n");
+
+  // A directory at the log's path makes the rename fail.
+  const std::string blocked = dir + "/blocked";
+  ASSERT_TRUE(atomic_io::make_dirs(blocked));
+  EXPECT_LT(atomic_io::create_with_prologue(blocked, "MAGIC\n", &error), 0);
+  EXPECT_NE(error.find("rename"), std::string::npos) << error;
+  const std::string my_temp = "blocked.tmp." + std::to_string(::getpid());
+  std::size_t temps = 0;
+  DIR* d = ::opendir(dir.c_str());
+  ASSERT_NE(d, nullptr);
+  while (const dirent* e = ::readdir(d)) {
+    if (std::string(e->d_name).rfind(my_temp, 0) == 0) ++temps;
+  }
+  ::closedir(d);
+  EXPECT_EQ(temps, 0u);
 }
 
 TEST(AtomicIo, Crc32KnownVectors) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -92,10 +93,12 @@ TEST(IncrementalCec, SessionProvesCloneEditionsEquivalent) {
     EXPECT_EQ(r.method, "sat-incremental");
   }
   EXPECT_EQ(session.checks(), batch.editions.size());
-  // Edits re-encode their whole transitive fanout, so reuse is partial —
-  // but it must be substantial, or the session degraded to fresh
-  // per-edition encoding.
-  EXPECT_GT(4 * session.gates_reused(), session.gates_encoded());
+  // Each edit re-merges with the golden at its cut point, so only the
+  // gates between an edit and its cut point are encoded fresh: reuse must
+  // outweigh fresh encoding, or the sweep stopped merging and every edit
+  // fell back to re-encoding its whole transitive fanout.
+  EXPECT_GT(session.merges(), 0u);
+  EXPECT_GT(session.gates_reused(), session.gates_encoded());
 }
 
 TEST(IncrementalCec, SessionFindsRealCounterexamples) {
@@ -147,9 +150,9 @@ TEST(IncrementalCec, NoOutputsIsTriviallyEquivalent) {
 
 TEST(IncrementalCec, ZeroConflictQuotaReturnsUnknown) {
   // A quota the first sub-query cannot even start is an escalation
-  // signal, never a fabricated verdict. The edition is a structurally
-  // different implementation, so the check cannot short-circuit through
-  // structural reuse.
+  // signal, never a fabricated verdict. The first edition is a
+  // structurally different implementation, so the check cannot
+  // short-circuit through structural reuse.
   Netlist golden(&default_cell_library(), "flat");
   {
     const NetId a = golden.add_input("a");
@@ -180,6 +183,60 @@ TEST(IncrementalCec, ZeroConflictQuotaReturnsUnknown) {
   // session stays healthy after a quota-exhausted answer.
   IncrementalCecSession generous(golden);
   EXPECT_EQ(generous.check(tree).status, CecResult::Status::kEquivalent);
+
+  // A fingerprinted clone resolves every output through cut points, so
+  // its only queries are sweep queries: they draw on the same spent
+  // quota and must escalate too.
+  Fixture f;
+  const BatchResult batch = f.stamp();
+  ASSERT_FALSE(batch.editions.empty());
+  const Netlist& edition = batch.editions[0].netlist;
+  IncrementalCecSession clone_session(f.golden, options);
+  EXPECT_EQ(clone_session.check(edition).status,
+            CecResult::Status::kUnknown);
+  EXPECT_EQ(clone_session.merges(), 0u);
+  IncrementalCecSession clone_generous(f.golden);
+  const CecResult proven = clone_generous.check(edition);
+  EXPECT_EQ(proven.status, CecResult::Status::kEquivalent);
+  EXPECT_EQ(proven.method, "sat-incremental");
+}
+
+TEST(IncrementalCec, SignatureCollisionIsRefutedNotMerged) {
+  // The clone replaces a 32-input AND with constant 0. The two differ
+  // only on the all-ones input, which random patterns miss, so their
+  // simulation signatures match and the sweep asks the solver: SAT must
+  // keep the fresh net unmerged and the check must refute the edition.
+  Netlist golden(&default_cell_library(), "wide_and");
+  std::vector<NetId> level;
+  for (int i = 0; i < 32; ++i) {
+    std::string name = "x";
+    name += std::to_string(i);
+    level.push_back(golden.add_input(name));
+  }
+  GateId root = kInvalidGate;
+  while (level.size() > 1) {
+    std::vector<NetId> next;
+    for (std::size_t i = 0; i < level.size(); i += 4) {
+      const std::size_t n = std::min<std::size_t>(4, level.size() - i);
+      const std::vector<NetId> ins(level.begin() + i, level.begin() + i + n);
+      root = golden.add_gate_kind(CellKind::kAnd, ins);
+      next.push_back(golden.gate(root).output);
+    }
+    level = std::move(next);
+  }
+  golden.add_output(level[0], "f");
+
+  Netlist clone = golden;
+  clone.rewire_gate(root, clone.library().find_kind(CellKind::kConst0, 0),
+                    {});
+  ASSERT_TRUE(random_sim_equal(golden, clone, 64, 7));
+
+  IncrementalCecSession session(golden);
+  const CecResult r = session.check(clone);
+  ASSERT_EQ(r.status, CecResult::Status::kDifferent);
+  EXPECT_EQ(r.method, "sat-incremental");
+  EXPECT_TRUE(cex_distinguishes(golden, clone, r.counterexample));
+  EXPECT_EQ(session.merges(), 0u);
 }
 
 TEST(IncrementalCec, PermutedInterfaceVerifiesByName) {

@@ -124,13 +124,17 @@ struct Fixture {
   }
 };
 
-/// The uninterrupted reference artifacts, computed once.
+/// The uninterrupted reference artifacts, computed once per process.
+/// The directory carries the pid: ctest runs every case of this suite as
+/// its own process, and a shared reference dir would let one process
+/// wipe another's run mid-flight.
 const std::vector<std::string>& reference_bytes(const Fixture& f) {
   static std::vector<std::string>* bytes = [] {
     return new std::vector<std::string>();
   }();
   if (bytes->empty()) {
-    const std::string dir = chaos_base() + "reference";
+    const std::string dir =
+        chaos_base() + "reference_" + std::to_string(::getpid());
     atomic_io::make_dirs(dir);
     wipe_dir(dir);
     const ResumableBatchResult ref = f.run(dir);

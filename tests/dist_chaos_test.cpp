@@ -158,10 +158,14 @@ RunArtifacts collect(const std::string& run_dir, const DistResult& r) {
   return a;
 }
 
-/// The uninterrupted 1-shard reference artifacts, computed once.
+/// The uninterrupted 1-shard reference artifacts, computed once per
+/// process. The directory carries the pid: ctest runs every case of this
+/// suite as its own process, and a shared reference dir would let one
+/// process wipe another's run mid-flight.
 const RunArtifacts& reference() {
   static RunArtifacts* ref = [] {
-    const std::string dir = fresh_dir("reference");
+    const std::string dir =
+        fresh_dir("reference_" + std::to_string(::getpid()));
     const DistResult r =
         run_supervised_batch(chaos_spec(), base_options(dir, 1));
     EXPECT_EQ(r.status, Status::kOk) << r.message;
@@ -224,10 +228,12 @@ TEST(DistChaos, SupervisorSigkillAtEverySiteRecovers) {
   };
   // grant: before any lease lands / between grants; tick: workers are
   // mid-flight; lease.append: mid-WAL-write; merge.publish: all work
-  // done, merged outputs half-published.
+  // done, merged outputs half-published. Tick #2 is the first tick after
+  // every lease is granted, so it fires on any host; later ticks race
+  // the workers, which can finish a small run within three polls.
   const Schedule schedules[] = {{"dist.lease.grant", 1},
                                 {"dist.lease.grant", 3},
-                                {"dist.tick", 4},
+                                {"dist.tick", 2},
                                 {"dist.lease.append", 5},
                                 {"dist.merge.publish", 2}};
   for (const Schedule& s : schedules) {

@@ -216,6 +216,32 @@ TEST(Solver, ActivationScopeEnforcesOnlyWhileAssumed) {
   EXPECT_EQ(s.solve({neg_lit(x)}), Solver::Result::kSat);
 }
 
+TEST(Solver, BacktrackToRootReopensClauseAdditionAfterSolve) {
+  // Incremental CEC sessions add the next gate's clauses between
+  // assumption solves. The model stays readable until the caller itself
+  // backtracks to the root.
+  Solver s;
+  const Var x = s.new_var();
+  const Var y = s.new_var();
+  const Var act = s.push_activation();
+  s.add_clause(neg_lit(act), pos_lit(x), pos_lit(y));  // act -> x | y
+
+  ASSERT_EQ(s.solve({pos_lit(act), neg_lit(x)}), Solver::Result::kSat);
+  EXPECT_FALSE(s.model_value(x));
+  EXPECT_TRUE(s.model_value(y));
+  s.backtrack_to_root();
+  EXPECT_TRUE(s.add_clause(neg_lit(act), neg_lit(y)));  // act -> !y
+
+  // A kUnsat that refutes the assumptions leaves their levels on the
+  // trail; backtracking to the root clears them too.
+  ASSERT_EQ(s.solve({pos_lit(act), neg_lit(x)}), Solver::Result::kUnsat);
+  s.backtrack_to_root();
+  EXPECT_TRUE(s.add_clause(neg_lit(act), pos_lit(x)));
+  EXPECT_TRUE(s.ok());
+  EXPECT_EQ(s.solve({pos_lit(act)}), Solver::Result::kSat);
+  EXPECT_TRUE(s.model_value(x));
+}
+
 TEST(Solver, RetireActivationBatchesIntoOneSimplify) {
   Solver s;
   const Var x = s.new_var();
