@@ -54,12 +54,20 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_main() {
+  // A worker joins each published loop at most once: after it drains the
+  // indices it sleeps until the next loop instead of re-joining this one
+  // while the caller finishes its own last item.
+  std::uint64_t joined = 0;
   for (;;) {
     ForLoop* loop = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return stopping_ || loop_ != nullptr; });
-      if (loop_ == nullptr) return;  // stopping_ with no work left
+      const auto fresh_loop = [&] {
+        return loop_ != nullptr && generation_ != joined;
+      };
+      work_cv_.wait(lock, [&] { return stopping_ || fresh_loop(); });
+      if (!fresh_loop()) return;  // stopping_ with no work left
+      joined = generation_;
       loop = loop_;
       ++loop->active;
     }
@@ -122,6 +130,7 @@ Status ThreadPool::parallel_for(
       return run_serial(n, body, budget);
     }
     loop_ = &loop;
+    ++generation_;
   }
   work_cv_.notify_all();
 

@@ -30,6 +30,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -80,6 +81,7 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable work_cv_;
   ForLoop* loop_ = nullptr;  ///< In-flight loop; guarded by mu_.
+  std::uint64_t generation_ = 0;  ///< Loops published; guarded by mu_.
   bool stopping_ = false;
 };
 

@@ -264,18 +264,23 @@ DistResult run_supervised_batch(const RunSpec& spec,
     atomic_io::write_file_atomic(run_status_path(options.run_dir),
                                  render_run_status_json(view));
   };
-  auto last_status_pub = std::chrono::steady_clock::time_point::min();
+  // The first tick always publishes; time_point::min() as a "never"
+  // sentinel would overflow now() - last_status_pub.
+  bool status_published = false;
+  std::chrono::steady_clock::time_point last_status_pub;
 
   // ------------------------------------------------ supervision loop
   while (result.shards_done < ranges.size()) {
     ODCFP_FAULT_POINT("dist.tick");
     if (options.status_interval_ms > 0 &&
-        std::chrono::steady_clock::now() - last_status_pub >=
-            std::chrono::milliseconds(options.status_interval_ms)) {
+        (!status_published ||
+         std::chrono::steady_clock::now() - last_status_pub >=
+             std::chrono::milliseconds(options.status_interval_ms))) {
       publish_live_status();
       // Same cadence for trace durability: a supervisor SIGKILLed later
       // loses at most one status interval of its own timeline.
       if (run_trace.active()) trace::flush();
+      status_published = true;
       last_status_pub = std::chrono::steady_clock::now();
     }
     if (budget_exhausted(options.budget)) {

@@ -333,6 +333,16 @@ void eval_signature(const TruthTable& tt,
 
 }  // namespace
 
+std::size_t IncrementalCecSession::MemoKeyHash::operator()(
+    const MemoKey& key) const {
+  std::uint64_t h = key.function.bits() * 0x9e3779b97f4a7c15ull +
+                    static_cast<std::uint64_t>(key.function.num_inputs());
+  for (const sat::Var v : key.fanins) {
+    h = (h ^ static_cast<std::uint32_t>(v)) * 0xff51afd7ed558ccdull;
+  }
+  return static_cast<std::size_t>(h ^ (h >> 32));
+}
+
 IncrementalCecSession::IncrementalCecSession(const Netlist& golden,
                                              const Options& options)
     : golden_(golden), options_(options), solver_(options.solver_config) {
@@ -418,33 +428,65 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
 
   // Simulation signatures: golden variables carry the golden simulation,
   // this check's fresh variables (all above `act`) the edition's, on the
-  // same patterns.
+  // same patterns. Memo ids likewise: a golden variable is its own id, a
+  // fresh one has the id of the memo node its gate was keyed to.
+  const auto golden_vars =
+      static_cast<sat::Var>(golden_sigs_.size() / kSigWords);
   std::vector<std::uint64_t> fresh_sigs;
+  std::vector<sat::Var> fresh_ids;
   const auto signature = [&](sat::Var v) -> std::uint64_t* {
-    const std::size_t at = static_cast<std::size_t>(v) * kSigWords;
-    if (at < golden_sigs_.size()) return &golden_sigs_[at];
+    if (v < golden_vars) {
+      return &golden_sigs_[static_cast<std::size_t>(v) * kSigWords];
+    }
     return &fresh_sigs[static_cast<std::size_t>(v - act) * kSigWords];
   };
+  const auto memo_id = [&](sat::Var v) {
+    return v < golden_vars ? v : fresh_ids[static_cast<std::size_t>(v - act)];
+  };
 
-  // Sweep: every fresh gate gets its signature; one whose signature
-  // matches its golden twin's is a cut-point candidate, merged on UNSAT.
-  // A quota or budget death stops the sweep (the rest encodes fresh) and
-  // ends the check kUnknown.
+  // Sweep: every fresh gate gets its memo node and, unless the memo
+  // already merged it, its signature; one whose signature matches its
+  // golden twin's is a cut-point candidate, answered by the memo when it
+  // can and otherwise by a query, merged on UNSAT. A quota or budget
+  // death stops the sweep (the rest encodes fresh) and ends the check
+  // kUnknown.
   bool exhausted = false;
   std::vector<const std::uint64_t*> ins;
   sat::TseitinOptions topts;
   topts.on_fresh_gate = [&](GateId g, sat::Var fresh,
                             const std::vector<sat::Var>& fanins) {
     if (exhausted) return fresh;
-    fresh_sigs.resize(static_cast<std::size_t>(fresh - act + 1) *
-                      kSigWords);
+    const auto slot = static_cast<std::size_t>(fresh - act);
+    fresh_sigs.resize((slot + 1) * kSigWords);
+    fresh_ids.resize(slot + 1, sat::kUndefVar);
+    const TruthTable& function = edition.cell_of(g).function;
+    MemoKey key{function, {}};
+    key.fanins.fill(sat::kUndefVar);
+    std::transform(fanins.begin(), fanins.end(), key.fanins.begin(),
+                   memo_id);
+    auto [it, inserted] = memo_.try_emplace(key);
+    MemoNode& node = it->second;
+    if (inserted) {
+      node.id = golden_vars + static_cast<sat::Var>(memo_.size() - 1);
+    }
+    fresh_ids[slot] = node.id;
+    if (node.merged_into != sat::kUndefVar) {
+      ++memo_hits_;
+      return node.merged_into;
+    }
+
     std::uint64_t* sig = signature(fresh);
     ins.clear();
     for (const sat::Var in : fanins) ins.push_back(signature(in));
-    eval_signature(edition.cell_of(g).function, ins, sig);
+    eval_signature(function, ins, sig);
     const sat::Var twin = golden_enc_->var_or_undef(edition.gate(g).output);
     if (twin == sat::kUndefVar ||
         !std::equal(sig, sig + kSigWords, signature(twin))) {
+      return fresh;
+    }
+    if (std::find(node.refuted.begin(), node.refuted.end(), twin) !=
+        node.refuted.end()) {
+      ++memo_hits_;
       return fresh;
     }
     const sat::Var diff = solver_.new_var();
@@ -452,10 +494,12 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
     switch (prove(diff)) {
       case sat::Solver::Result::kUnsat:
         ++merges_;
+        node.merged_into = twin;
         return twin;
       case sat::Solver::Result::kSat:
         // A signature collision: the nets differ on some pattern the
         // simulation missed. Keep the fresh variable.
+        node.refuted.push_back(twin);
         solver_.backtrack_to_root();
         return fresh;
       case sat::Solver::Result::kUnknown:

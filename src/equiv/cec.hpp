@@ -23,13 +23,16 @@
 // throw CheckError.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/budget.hpp"
+#include "library/truth_table.hpp"
 #include "netlist/netlist.hpp"
 #include "sat/solver.hpp"
 #include "sat/tseitin.hpp"
@@ -110,6 +113,16 @@ CecResult check_equivalence_portfolio(
 /// and no per-output proof is left. Outputs that still differ in
 /// variable are proven one by one, in PO order.
 ///
+/// Sweep verdicts are memoized for the session's lifetime, keyed by what
+/// a fresh gate computes: its cell's truth table over its fanins' memo
+/// ids (a golden variable is its own id; a fresh fanin has the id of the
+/// memo node its gate was keyed to). Equal keys compute the same function
+/// of the PIs in every edition, so once a query proves a node equal to
+/// golden variable X, every later gate with that key merges to X without
+/// a query, and once a query refutes it against twin Y, later gates with
+/// that key skip the query against Y. Only proven answers are stored; a
+/// memo hit runs no solve and charges no quota.
+///
 /// Contract: editions should be structural clones of the golden netlist
 /// (same gate/net id space), which is exactly what batch_fingerprint
 /// produces. An arbitrary same-interface netlist still verifies correctly
@@ -151,11 +164,32 @@ class IncrementalCecSession {
   /// layer turns these into the cec.incremental.* telemetry counters.
   std::size_t gates_reused() const { return gates_reused_; }
   std::size_t gates_encoded() const { return gates_encoded_; }
-  /// Cut points proven across all checks (fresh nets merged back onto
-  /// their golden twin).
+  /// Cut points proven by a query across all checks (fresh nets merged
+  /// back onto their golden twin).
   std::size_t merges() const { return merges_; }
+  /// Sweep candidates the memo answered without a query across all
+  /// checks (merged, or skipped as already refuted).
+  std::size_t memo_hits() const { return memo_hits_; }
 
  private:
+  /// A fresh gate's memo key: its cell's function over the memo ids of
+  /// its fanins, in pin order (unused slots stay kUndefVar).
+  struct MemoKey {
+    TruthTable function;
+    std::array<sat::Var, TruthTable::kMaxInputs> fanins;
+    bool operator==(const MemoKey&) const = default;
+  };
+  struct MemoKeyHash {
+    std::size_t operator()(const MemoKey& key) const;
+  };
+  /// One Boolean function of the PIs and the sweep verdicts proven about
+  /// it. Ids start above every golden variable, so the two never clash.
+  struct MemoNode {
+    sat::Var id = sat::kUndefVar;
+    sat::Var merged_into = sat::kUndefVar;  ///< Golden var proven equal.
+    std::vector<sat::Var> refuted;          ///< Golden vars proven unequal.
+  };
+
   /// Retires a check's activation scope, sweeps the retired cone out of
   /// the clause database, and refreshes the session health flag.
   void retire_scope(sat::Var act);
@@ -167,11 +201,13 @@ class IncrementalCecSession {
   /// Simulation signature words of the golden encoding, indexed by
   /// golden variable (the sweep's candidate filter).
   std::vector<std::uint64_t> golden_sigs_;
+  std::unordered_map<MemoKey, MemoNode, MemoKeyHash> memo_;
   bool healthy_ = true;
   std::size_t checks_ = 0;
   std::size_t gates_reused_ = 0;
   std::size_t gates_encoded_ = 0;
   std::size_t merges_ = 0;
+  std::size_t memo_hits_ = 0;
 };
 
 /// The composed checker: random simulation, then exhaustive (<= 20 PIs) or

@@ -542,7 +542,8 @@ std::vector<Outcome<CecResult>> batch_verify_equivalence(
         std::max<std::size_t>(1, options.session_buyers);
     const std::size_t num_sessions =
         (editions.size() + per_session - 1) / per_session;
-    std::atomic<std::size_t> checks{0}, reused{0}, encoded{0}, merges{0};
+    std::atomic<std::size_t> checks{0}, reused{0}, encoded{0}, merges{0},
+        memo_hits{0};
     parallel_for(
         options.pool, num_sessions,
         [&](std::size_t s) {
@@ -579,6 +580,8 @@ std::vector<Outcome<CecResult>> batch_verify_equivalence(
           encoded.fetch_add(session.gates_encoded(),
                             std::memory_order_relaxed);
           merges.fetch_add(session.merges(), std::memory_order_relaxed);
+          memo_hits.fetch_add(session.memo_hits(),
+                              std::memory_order_relaxed);
         },
         options.budget);
     // Emitted from the calling thread after the join, so the values are
@@ -586,8 +589,9 @@ std::vector<Outcome<CecResult>> batch_verify_equivalence(
     // encoded counter is the bench gate: a regression that silently
     // stops reusing the golden encoding inflates it and fails the
     // baseline diff; reuse_ratio (permille) states the same health as a
-    // scale-free number, and merges counts the cut points the sessions
-    // proved.
+    // scale-free number, merges counts the cut points the sessions
+    // proved by a query, and memo_hits the sweep candidates their memos
+    // answered without one.
     const std::size_t r = reused.load(), n = encoded.load();
     TELEM_COUNT("cec.incremental.checks",
                 static_cast<std::int64_t>(checks.load()));
@@ -597,6 +601,8 @@ std::vector<Outcome<CecResult>> batch_verify_equivalence(
                 static_cast<std::int64_t>(n));
     TELEM_COUNT("cec.incremental.merges",
                 static_cast<std::int64_t>(merges.load()));
+    TELEM_COUNT("cec.incremental.memo_hits",
+                static_cast<std::int64_t>(memo_hits.load()));
     TELEM_COUNT("cec.incremental.reuse_ratio",
                 r + n == 0 ? 0
                            : static_cast<std::int64_t>(

@@ -6,12 +6,14 @@ namespace odcfp::sat {
 
 namespace {
 
-/// True when gate `g` of `nl` is bit-for-bit identical to its counterpart
-/// in `base` AND every fanin already resolved to the base's variable, so
-/// the base's clauses for it are already in the solver. Editions are
-/// clones of the base (gate/net ids align), which is what makes the
-/// id-wise comparison meaningful; for unrelated netlists this simply
-/// never fires and the whole circuit is encoded fresh — still correct.
+/// True when gate `g` of `nl` computes the same function of the same nets
+/// as its counterpart in `base` AND every fanin already resolved to the
+/// base's variable, so the base's clauses for it are already in the
+/// solver. Editions are clones of the base (gate/net ids align), which is
+/// what makes the id-wise comparison meaningful; for unrelated netlists
+/// this simply never fires and the whole circuit is encoded fresh — still
+/// correct. Cells compare by truth table: a CellId indexes its own
+/// netlist's library, so equal ids across libraries prove nothing.
 bool gate_reusable(const Netlist& nl, GateId g, const Gate& gt,
                    const std::vector<Var>& var_of,
                    const TseitinOptions& options) {
@@ -22,8 +24,8 @@ bool gate_reusable(const Netlist& nl, GateId g, const Gate& gt,
   if (static_cast<std::size_t>(g) >= base.num_gates()) return false;
   const Gate& bg = base.gate(g);
   if (bg.is_dead()) return false;
-  if (bg.cell != gt.cell || bg.output != gt.output ||
-      bg.fanins != gt.fanins) {
+  if (bg.output != gt.output || bg.fanins != gt.fanins ||
+      base.cell_of(g).function != nl.cell_of(g).function) {
     return false;
   }
   // The base must actually have encoded this output net.
@@ -36,7 +38,6 @@ bool gate_reusable(const Netlist& nl, GateId g, const Gate& gt,
   for (NetId in : gt.fanins) {
     if (var_of[in] != options.base_encoding->var_or_undef(in)) return false;
   }
-  (void)nl;
   return true;
 }
 

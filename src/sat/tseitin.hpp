@@ -6,9 +6,9 @@
 //
 // Three features support the incremental shared-miter CEC sessions:
 //  * Structural reuse: when an edition netlist is encoded against the
-//    base circuit's existing encoding, every gate that is bit-for-bit
-//    identical to its base counterpart (same cell, output, fanins — and
-//    whose fanins all resolved to the base's variables) reuses the base's
+//    base circuit's existing encoding, every gate that matches its base
+//    counterpart (same cell truth table, output, fanins — and whose
+//    fanins all resolved to the base's variables) reuses the base's
 //    output variable instead of being re-encoded. Only the edited cone
 //    and its transitive fanout (up to any cut point, below) get fresh
 //    variables and clauses.

@@ -9,8 +9,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <ctime>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 
 #include "benchgen/benchmarks.hpp"
 #include "common/parallel.hpp"
@@ -115,6 +118,24 @@ TEST(ParallelFor, NestedLoopDegradesToSerial) {
                               }),
             Status::kOk);
   EXPECT_EQ(total.load(), 32);
+}
+
+TEST(ParallelFor, IdleWorkerDoesNotSpin) {
+  // One 200 ms item leaves the pool's worker with nothing to do: it must
+  // sleep until the next loop, not re-join this one in a busy loop while
+  // the item runs. The item itself sleeps, so the process burns (almost)
+  // no CPU time.
+  ThreadPool pool(2);
+  const std::clock_t before = std::clock();
+  ASSERT_EQ(pool.parallel_for(1,
+                              [](std::size_t) {
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(200));
+                              }),
+            Status::kOk);
+  const double cpu_ms = 1000.0 * static_cast<double>(std::clock() - before) /
+                        CLOCKS_PER_SEC;
+  EXPECT_LT(cpu_ms, 50.0);
 }
 
 // ------------------------------------------- thread-count invariance

@@ -69,6 +69,22 @@ bool cex_distinguishes(const Netlist& a, const Netlist& b,
   return false;
 }
 
+/// The default cells with the ids of AND2 and OR2 swapped, so one CellId
+/// names AND2 in the default library and OR2 here.
+const CellLibrary& and_or_swapped_library() {
+  static const CellLibrary lib = [] {
+    const CellLibrary& base = default_cell_library();
+    const CellId and2 = base.find_kind(CellKind::kAnd, 2);
+    const CellId or2 = base.find_kind(CellKind::kOr, 2);
+    CellLibrary swapped;
+    for (CellId id = 0; id < base.size(); ++id) {
+      swapped.add(base.cell(id == and2 ? or2 : id == or2 ? and2 : id));
+    }
+    return swapped;
+  }();
+  return lib;
+}
+
 struct Fixture {
   Netlist golden = make_benchmark("c880");
   StaticTimingAnalyzer sta;
@@ -99,6 +115,32 @@ TEST(IncrementalCec, SessionProvesCloneEditionsEquivalent) {
   // fell back to re-encoding its whole transitive fanout.
   EXPECT_GT(session.merges(), 0u);
   EXPECT_GT(session.gates_reused(), session.gates_encoded());
+}
+
+TEST(IncrementalCec, RepeatedEditionIsAnsweredByTheMemo) {
+  // The second check of the same edition repeats every sweep candidate
+  // of the first, so the memo answers all of them: no solve runs, no new
+  // merge is proven, and the verdict and method stay those of a proof.
+  Fixture f;
+  const BatchResult batch = f.stamp();
+  ASSERT_FALSE(batch.editions.empty());
+  const Netlist& edition = batch.editions[0].netlist;
+  IncrementalCecSession session(f.golden);
+  const CecResult first = session.check(edition);
+  ASSERT_EQ(first.status, CecResult::Status::kEquivalent);
+  ASSERT_GT(session.merges(), 0u);
+  const std::size_t merges = session.merges();
+  const std::size_t hits = session.memo_hits();
+
+  const CecResult second = session.check(edition);
+  EXPECT_EQ(second.status, CecResult::Status::kEquivalent);
+  EXPECT_EQ(second.method, "sat-incremental");
+  const sat::Solver::Stats& stats = second.sat_stats;
+  EXPECT_EQ(stats.decisions + stats.propagations + stats.conflicts +
+                stats.restarts + stats.learned_clauses,
+            0u);
+  EXPECT_EQ(session.merges(), merges);
+  EXPECT_GT(session.memo_hits(), hits);
 }
 
 TEST(IncrementalCec, SessionFindsRealCounterexamples) {
@@ -237,6 +279,97 @@ TEST(IncrementalCec, SignatureCollisionIsRefutedNotMerged) {
   EXPECT_EQ(r.method, "sat-incremental");
   EXPECT_TRUE(cex_distinguishes(golden, clone, r.counterexample));
   EXPECT_EQ(session.merges(), 0u);
+  EXPECT_EQ(session.memo_hits(), 0u);
+
+  // The memo remembers the refutation, not a merge: the second check
+  // skips the sweep query and still refutes the clone at the output.
+  const CecResult again = session.check(clone);
+  ASSERT_EQ(again.status, CecResult::Status::kDifferent);
+  EXPECT_TRUE(cex_distinguishes(golden, clone, again.counterexample));
+  EXPECT_EQ(session.merges(), 0u);
+  EXPECT_EQ(session.memo_hits(), 1u);
+}
+
+TEST(IncrementalCec, EqualCellIdsAcrossLibrariesAreNotReused) {
+  // A CellId indexes its own netlist's library. The edition's gate has
+  // the golden AND2's id, but in its library that id is OR2: the edition
+  // must be encoded fresh and refuted, on the session and batch paths.
+  Netlist golden(&default_cell_library(), "and2");
+  {
+    const NetId a = golden.add_input("a");
+    const NetId b = golden.add_input("b");
+    const GateId g = golden.add_gate_kind(CellKind::kAnd, {a, b});
+    golden.add_output(golden.gate(g).output, "y");
+  }
+  BuyerEdition e;
+  e.netlist = Netlist(&and_or_swapped_library(), "or2");
+  {
+    Netlist& nl = e.netlist;
+    const NetId a = nl.add_input("a");
+    const NetId b = nl.add_input("b");
+    const GateId g = nl.add_gate_kind(CellKind::kOr, {a, b});
+    nl.add_output(nl.gate(g).output, "y");
+    ASSERT_EQ(nl.gate(g).cell, golden.gate(g).cell);
+  }
+  ASSERT_EQ(verify_equivalence(golden, e.netlist).status,
+            CecResult::Status::kDifferent);
+
+  IncrementalCecSession session(golden);
+  const CecResult r = session.check(e.netlist);
+  ASSERT_EQ(r.status, CecResult::Status::kDifferent);
+  EXPECT_EQ(r.method, "sat-incremental");
+  EXPECT_TRUE(cex_distinguishes(golden, e.netlist, r.counterexample));
+
+  const std::vector<Outcome<CecResult>> verdicts =
+      batch_verify_equivalence(golden, {e}, BatchCecOptions{});
+  ASSERT_EQ(verdicts.size(), 1u);
+  ASSERT_TRUE(verdicts[0].ok());
+  ASSERT_EQ(verdicts[0].value().status, CecResult::Status::kDifferent);
+  EXPECT_TRUE(cex_distinguishes(golden, e.netlist,
+                                verdicts[0].value().counterexample));
+}
+
+TEST(IncrementalCec, MemoKeysByFunctionNotCellId) {
+  // Golden: y = AND2(a, ~~b), z = AND2(a, c). Edition one (default
+  // library) computes y as AND2(a, b), a fresh gate the sweep merges into
+  // golden y, and breaks z. Edition two (AND2/OR2 ids swapped) computes y
+  // as OR2(a, b) through the very CellId of edition one's AND2. A memo
+  // keyed by CellId would merge it from edition one's verdict; keyed by
+  // function it gets its own node, and the edition is refuted.
+  const auto build = [](const CellLibrary* lib, CellKind y_kind,
+                        CellKind z_kind, bool y_reads_b) {
+    Netlist nl(lib, "two_outputs");
+    const NetId a = nl.add_input("a");
+    const NetId b = nl.add_input("b");
+    const NetId c = nl.add_input("c");
+    const GateId nb = nl.add_gate_kind(CellKind::kInv, {b});
+    const GateId bb = nl.add_gate_kind(CellKind::kInv, {nl.gate(nb).output});
+    const GateId y = nl.add_gate_kind(
+        y_kind, {a, y_reads_b ? b : nl.gate(bb).output});
+    const GateId z = nl.add_gate_kind(z_kind, {a, c});
+    nl.add_output(nl.gate(y).output, "y");
+    nl.add_output(nl.gate(z).output, "z");
+    return nl;
+  };
+  const Netlist golden = build(&default_cell_library(), CellKind::kAnd,
+                               CellKind::kAnd, false);
+  const Netlist merges_y = build(&default_cell_library(), CellKind::kAnd,
+                                 CellKind::kNand, true);
+  const Netlist swapped_y = build(&and_or_swapped_library(), CellKind::kOr,
+                                  CellKind::kAnd, true);
+  const GateId y_gate = 2;
+  ASSERT_EQ(merges_y.gate(y_gate).cell, swapped_y.gate(y_gate).cell);
+
+  IncrementalCecSession session(golden);
+  const CecResult first = session.check(merges_y);
+  ASSERT_EQ(first.status, CecResult::Status::kDifferent);
+  EXPECT_TRUE(cex_distinguishes(golden, merges_y, first.counterexample));
+  ASSERT_EQ(session.merges(), 1u);
+
+  const CecResult second = session.check(swapped_y);
+  ASSERT_EQ(second.status, CecResult::Status::kDifferent);
+  EXPECT_TRUE(cex_distinguishes(golden, swapped_y, second.counterexample));
+  EXPECT_EQ(session.memo_hits(), 0u);
 }
 
 TEST(IncrementalCec, PermutedInterfaceVerifiesByName) {
