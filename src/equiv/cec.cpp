@@ -1,7 +1,6 @@
 #include "equiv/cec.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 #include <unordered_map>
 
@@ -209,99 +208,6 @@ CecResult check_equivalence_sat(const Netlist& a, const Netlist& b,
   return result;
 }
 
-std::vector<sat::Solver::Config> default_portfolio_configs() {
-  return {
-      // Classic MiniSat-style defaults — the same search the plain
-      // single-solver path runs, so the portfolio never loses to it.
-      sat::Solver::Config{},
-      // Positive phases + slow restarts: favors SAT answers (models).
-      sat::Solver::Config{.default_phase = true,
-                          .restart_base = 256,
-                          .branch_seed = 0x9e3779b97f4a7c15ull},
-      // Seeded branching order + fast restarts: favors UNSAT proofs that
-      // need a different variable order than index/VSIDS-from-zero.
-      sat::Solver::Config{.default_phase = false,
-                          .restart_base = 32,
-                          .branch_seed = 0x6a09e667f3bcc909ull},
-  };
-}
-
-CecResult check_equivalence_portfolio(const Netlist& a, const Netlist& b,
-                                      const PortfolioCecOptions& options,
-                                      const Budget* budget) {
-  TELEM_SPAN("cec.portfolio");
-  const InterfaceMap map = match_interfaces(a, b);
-  if (a.outputs().empty()) return trivially_equivalent("trivial-no-outputs");
-
-  const std::vector<sat::Solver::Config> configs =
-      options.configs.empty() ? default_portfolio_configs()
-                              : options.configs;
-  struct Entrant {
-    explicit Entrant(const sat::Solver::Config& config) : solver(config) {}
-    sat::Solver solver;
-    std::vector<sat::Var> a_inputs;
-  };
-  std::vector<std::unique_ptr<Entrant>> entrants;
-  entrants.reserve(configs.size());
-  for (const sat::Solver::Config& config : configs) {
-    auto e = std::make_unique<Entrant>(config);
-    // Each entrant continues its own search across slices; the carried
-    // state is per-entrant and the slicing is sequential, so the race
-    // stays deterministic.
-    e->solver.set_heuristic_policy(
-        sat::Solver::HeuristicPolicy::kCarryAcrossCalls);
-    e->a_inputs = encode_miter(e->solver, a, b, map);
-    entrants.push_back(std::move(e));
-  }
-
-  CecResult result;
-  result.method = "sat-portfolio";
-  sat::Solver::Stats combined;
-  std::int64_t spent = 0;
-  for (;;) {
-    for (std::size_t i = 0; i < entrants.size(); ++i) {
-      Entrant& e = *entrants[i];
-      std::int64_t slice = options.slice_conflicts;
-      if (options.total_conflict_limit >= 0) {
-        slice = std::min(slice, options.total_conflict_limit - spent);
-        if (slice <= 0) break;
-      }
-      const sat::Solver::Result r = e.solver.solve({}, slice, budget);
-      combined += e.solver.last_call_stats();
-      spent +=
-          static_cast<std::int64_t>(e.solver.last_call_stats().conflicts);
-      if (r == sat::Solver::Result::kSat) {
-        result.status = CecResult::Status::kDifferent;
-        for (std::size_t k = 0; k < a.inputs().size(); ++k) {
-          result.counterexample.push_back(
-              e.solver.model_value(e.a_inputs[k]));
-        }
-        result.sat_stats = combined;
-        TELEM_COUNT("cec.portfolio_won", 1);
-        return result;
-      }
-      if (r == sat::Solver::Result::kUnsat) {
-        result.status = CecResult::Status::kEquivalent;
-        result.sat_stats = combined;
-        TELEM_COUNT("cec.portfolio_won", 1);
-        return result;
-      }
-      if (budget_exhausted(budget)) {
-        result.status = CecResult::Status::kUnknown;
-        result.sat_stats = combined;
-        return result;
-      }
-    }
-    if (options.total_conflict_limit >= 0 &&
-        spent >= options.total_conflict_limit) {
-      break;
-    }
-  }
-  result.status = CecResult::Status::kUnknown;
-  result.sat_stats = combined;
-  return result;
-}
-
 namespace {
 
 /// Random-simulation words (64 patterns each) behind every signature the
@@ -345,10 +251,10 @@ std::size_t IncrementalCecSession::MemoKeyHash::operator()(
 
 IncrementalCecSession::IncrementalCecSession(const Netlist& golden,
                                              const Options& options)
-    : golden_(golden), options_(options), solver_(options.solver_config) {
+    : golden_(golden), options_(options) {
   // The session keeps the solver's CLAUSES warm (the golden encoding and
   // every base-circuit lemma learned along the way) but runs each check
-  // with pristine HEURISTICS: the default kResetPerCall policy stands.
+  // with pristine HEURISTICS, which the solver resets at every solve().
   // Measured on the batch-throughput workload, VSIDS activity carried
   // from one edition's proof misdirects the next one — the hot variables
   // of a retired cone are free nonsense to its successor — and reset

@@ -12,12 +12,12 @@
 //                           circuit's encoding; each edition stamps only
 //                           its edited cones behind an activation literal
 //                           and is proven at the cut points where their
-//                           effect re-merges with the golden;
-//  * check_equivalence_portfolio — 2–3 solver configurations racing one
-//                           query in deterministic round-robin slices.
+//                           effect re-merges with the golden.
 //
 // verify_equivalence() composes the first three: simulation first (cheap
 // refutation), then exhaustive or SAT proof depending on input count.
+// verify_equivalence_budgeted() is its degradation-aware variant and the
+// one rung a session check escalates to when it exhausts its quota.
 //
 // Circuits are matched by PI name and PO port name; mismatched interfaces
 // throw CheckError.
@@ -71,31 +71,6 @@ CecResult check_equivalence_sat(const Netlist& a, const Netlist& b,
                                 std::int64_t conflict_limit = -1,
                                 const Budget* budget = nullptr);
 
-/// Deterministic solver portfolio racing one query: each configuration
-/// gets its own solver + miter encoding, and they take turns solving in
-/// fixed-size conflict slices on the calling thread. First verdict wins;
-/// ties (two configs finishing in the same round) break by configuration
-/// order. Time-sliced rather than thread-raced on purpose — the winner is
-/// a pure function of the inputs, never of the scheduler.
-struct PortfolioCecOptions {
-  /// Configurations in race order (empty = default_portfolio_configs()).
-  std::vector<sat::Solver::Config> configs;
-  /// Conflicts per round-robin slice per configuration.
-  std::int64_t slice_conflicts = 2048;
-  /// Total conflicts across all configurations before giving up
-  /// (< 0 = race until a verdict or the budget dies).
-  std::int64_t total_conflict_limit = -1;
-};
-
-/// The three stock configurations: classic MiniSat-style defaults, a
-/// positive-phase/slow-restart variant, and a seeded-branching/fast-
-/// restart variant.
-std::vector<sat::Solver::Config> default_portfolio_configs();
-
-CecResult check_equivalence_portfolio(
-    const Netlist& a, const Netlist& b,
-    const PortfolioCecOptions& options = {}, const Budget* budget = nullptr);
-
 /// Shared-miter incremental CEC: encodes the golden netlist once, then
 /// answers each edition with assumption solves that only pay for the
 /// edition's edited cones. The edition's delta clauses are guarded by a
@@ -136,9 +111,8 @@ class IncrementalCecSession {
     /// Per-check conflict quota (< 0 = unlimited), shared by the sweep
     /// queries and the per-output queries together with the Budget's own
     /// conflict quota. A check that blows it returns kUnknown; the batch
-    /// layer escalates to the portfolio.
+    /// layer escalates to verify_equivalence_budgeted.
     std::int64_t conflict_limit = -1;
-    sat::Solver::Config solver_config;
   };
 
   explicit IncrementalCecSession(const Netlist& golden)

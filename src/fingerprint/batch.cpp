@@ -495,27 +495,21 @@ ResumableBatchResult batch_fingerprint_resumable(
 
 namespace {
 
-/// One edition through the incremental escalation chain: in-session
-/// assumption solve, then the portfolio race, then the legacy budgeted
-/// checker (whose simulation fallback owns the kExhausted confidence
-/// accounting). Verdicts agree with the legacy path on every edition;
-/// only the proof effort differs.
-Outcome<CecResult> incremental_verify_one(const Netlist& golden,
-                                          IncrementalCecSession& session,
-                                          const BuyerEdition& e,
-                                          const BatchCecOptions& options) {
+/// Editions per IncrementalCecSession.
+constexpr std::size_t kSessionBuyers = 16;
+
+/// One edition through the session, escalated to the budgeted checker
+/// (whose simulation fallback owns the kExhausted confidence accounting)
+/// when the session check exhausts its quota.
+Outcome<CecResult> verify_one(const Netlist& golden,
+                              IncrementalCecSession& session,
+                              const BuyerEdition& e,
+                              const BatchCecOptions& options) {
   CecResult r = session.check(e.netlist, options.budget);
   if (r.status != CecResult::Status::kUnknown) {
     return Outcome<CecResult>::success(std::move(r));
   }
   TELEM_COUNT("cec.incremental.escalations", 1);
-  if (!budget_exhausted(options.budget)) {
-    CecResult p = check_equivalence_portfolio(
-        golden, e.netlist, options.portfolio, options.budget);
-    if (p.status != CecResult::Status::kUnknown) {
-      return Outcome<CecResult>::success(std::move(p));
-    }
-  }
   BudgetedCecOptions cec = options.cec;
   cec.seed = e.seed;  // per-buyer stream, not per-worker
   return verify_equivalence_budgeted(golden, e.netlist, options.budget,
@@ -533,100 +527,68 @@ std::vector<Outcome<CecResult>> batch_verify_equivalence(
       Outcome<CecResult>::exhausted("edition skipped: batch budget died"));
 
   const std::vector<const char*> tpath = telemetry::current_path();
-  if (options.incremental) {
-    // Chunk buyers into sessions by index only: session composition (and
-    // therefore every solver's clause/heuristic history) is invariant to
-    // the pool size, which is what keeps verdicts byte-identical at any
-    // thread count.
-    const std::size_t per_session =
-        std::max<std::size_t>(1, options.session_buyers);
-    const std::size_t num_sessions =
-        (editions.size() + per_session - 1) / per_session;
-    std::atomic<std::size_t> checks{0}, reused{0}, encoded{0}, merges{0},
-        memo_hits{0};
-    parallel_for(
-        options.pool, num_sessions,
-        [&](std::size_t s) {
-          const telemetry::AttachScope attach(tpath);
-          IncrementalCecSession::Options sopts;
-          sopts.conflict_limit = options.session_conflict_limit >= 0
-                                     ? options.session_conflict_limit
-                                     : options.cec.sat_conflict_limit;
-          IncrementalCecSession session(golden, sopts);
-          const std::size_t begin = s * per_session;
-          const std::size_t end =
-              std::min(editions.size(), begin + per_session);
-          for (std::size_t i = begin; i < end; ++i) {
-            const BuyerEdition& e = editions[i];
-            if (e.status == Status::kExhausted) {
-              verdicts[i] = Outcome<CecResult>::exhausted(
-                  "edition was never stamped (batch budget died)");
-              continue;
-            }
-            // Leave the prefilled exhausted slot standing for editions
-            // the dead budget never let us reach.
-            if (budget_exhausted(options.budget)) break;
-            try {
-              TELEM_HIST_TIMER("cec.check_ns");
-              verdicts[i] =
-                  incremental_verify_one(golden, session, e, options);
-            } catch (const CheckError& err) {
-              verdicts[i] = Outcome<CecResult>::malformed(err.what());
-            }
-          }
-          checks.fetch_add(session.checks(), std::memory_order_relaxed);
-          reused.fetch_add(session.gates_reused(),
-                           std::memory_order_relaxed);
-          encoded.fetch_add(session.gates_encoded(),
-                            std::memory_order_relaxed);
-          merges.fetch_add(session.merges(), std::memory_order_relaxed);
-          memo_hits.fetch_add(session.memo_hits(),
-                              std::memory_order_relaxed);
-        },
-        options.budget);
-    // Emitted from the calling thread after the join, so the values are
-    // whole-batch totals — deterministic at any thread count. The
-    // encoded counter is the bench gate: a regression that silently
-    // stops reusing the golden encoding inflates it and fails the
-    // baseline diff; reuse_ratio (permille) states the same health as a
-    // scale-free number, merges counts the cut points the sessions
-    // proved by a query, and memo_hits the sweep candidates their memos
-    // answered without one.
-    const std::size_t r = reused.load(), n = encoded.load();
-    TELEM_COUNT("cec.incremental.checks",
-                static_cast<std::int64_t>(checks.load()));
-    TELEM_COUNT("cec.incremental.gates_reused",
-                static_cast<std::int64_t>(r));
-    TELEM_COUNT("cec.incremental.gates_encoded",
-                static_cast<std::int64_t>(n));
-    TELEM_COUNT("cec.incremental.merges",
-                static_cast<std::int64_t>(merges.load()));
-    TELEM_COUNT("cec.incremental.memo_hits",
-                static_cast<std::int64_t>(memo_hits.load()));
-    TELEM_COUNT("cec.incremental.reuse_ratio",
-                r + n == 0 ? 0
-                           : static_cast<std::int64_t>(
-                                 r * 1000 / (r + n)));
-  } else {
-    parallel_for(
-        options.pool, editions.size(),
-        [&](std::size_t i) {
-          const telemetry::AttachScope attach(tpath);
+  // Chunk buyers into sessions by index only: session composition (and
+  // therefore every solver's clause/heuristic history) is invariant to
+  // the pool size, which is what keeps verdicts byte-identical at any
+  // thread count.
+  const std::size_t num_sessions =
+      (editions.size() + kSessionBuyers - 1) / kSessionBuyers;
+  std::atomic<std::size_t> checks{0}, reused{0}, encoded{0}, merges{0},
+      memo_hits{0};
+  parallel_for(
+      options.pool, num_sessions,
+      [&](std::size_t s) {
+        const telemetry::AttachScope attach(tpath);
+        IncrementalCecSession::Options sopts;
+        sopts.conflict_limit = options.cec.sat_conflict_limit;
+        IncrementalCecSession session(golden, sopts);
+        const std::size_t begin = s * kSessionBuyers;
+        const std::size_t end =
+            std::min(editions.size(), begin + kSessionBuyers);
+        for (std::size_t i = begin; i < end; ++i) {
           const BuyerEdition& e = editions[i];
           if (e.status == Status::kExhausted) {
             verdicts[i] = Outcome<CecResult>::exhausted(
                 "edition was never stamped (batch budget died)");
-            return;
+            continue;
           }
-          BudgetedCecOptions cec = options.cec;
-          cec.seed = e.seed;  // per-buyer stream, not per-worker
-          TELEM_HIST_TIMER("cec.check_ns");
-          verdicts[i] =
-              verify_equivalence_budgeted(golden, e.netlist,
-                                          options.budget, cec);
-        },
-        options.budget);
-  }
+          // Leave the prefilled exhausted slot standing for editions the
+          // dead budget never let us reach.
+          if (budget_exhausted(options.budget)) break;
+          try {
+            TELEM_HIST_TIMER("cec.check_ns");
+            verdicts[i] = verify_one(golden, session, e, options);
+          } catch (const CheckError& err) {
+            verdicts[i] = Outcome<CecResult>::malformed(err.what());
+          }
+        }
+        checks.fetch_add(session.checks(), std::memory_order_relaxed);
+        reused.fetch_add(session.gates_reused(), std::memory_order_relaxed);
+        encoded.fetch_add(session.gates_encoded(),
+                          std::memory_order_relaxed);
+        merges.fetch_add(session.merges(), std::memory_order_relaxed);
+        memo_hits.fetch_add(session.memo_hits(), std::memory_order_relaxed);
+      },
+      options.budget);
+  // Emitted from the calling thread after the join, so the values are
+  // whole-batch totals — deterministic at any thread count. The encoded
+  // counter is the bench gate: a regression that silently stops reusing
+  // the golden encoding inflates it and fails the baseline diff;
+  // reuse_ratio (permille) states the same health as a scale-free number,
+  // merges counts the cut points the sessions proved by a query, and
+  // memo_hits the sweep candidates their memos answered without one.
+  const std::size_t r = reused.load(), n = encoded.load();
+  TELEM_COUNT("cec.incremental.checks",
+              static_cast<std::int64_t>(checks.load()));
+  TELEM_COUNT("cec.incremental.gates_reused", static_cast<std::int64_t>(r));
+  TELEM_COUNT("cec.incremental.gates_encoded", static_cast<std::int64_t>(n));
+  TELEM_COUNT("cec.incremental.merges",
+              static_cast<std::int64_t>(merges.load()));
+  TELEM_COUNT("cec.incremental.memo_hits",
+              static_cast<std::int64_t>(memo_hits.load()));
+  TELEM_COUNT("cec.incremental.reuse_ratio",
+              r + n == 0 ? 0
+                         : static_cast<std::int64_t>(r * 1000 / (r + n)));
   std::size_t proven = 0, exhausted = 0;
   for (const Outcome<CecResult>& v : verdicts) {
     if (v.ok()) {

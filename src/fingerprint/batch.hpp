@@ -10,7 +10,9 @@
 //    the delay incrementally with a per-buyer ArrivalTracker (one
 //    event-driven update per applied site instead of a full STA pass).
 //  * batch_verify_equivalence — fan CEC of all editions against the
-//    golden netlist across the pool via verify_equivalence_budgeted.
+//    golden netlist across the pool in shared-miter
+//    IncrementalCecSessions, escalating a check that exhausts its quota
+//    to verify_equivalence_budgeted.
 //
 // Determinism contract: results are byte-identical for any pool size
 // (including none). Editions never share mutable state; any randomness
@@ -111,30 +113,12 @@ struct BatchCecOptions {
   /// BatchOptions::budget). Editions never checked return
   /// Outcome::exhausted with no value.
   const Budget* budget = nullptr;
-  /// Per-check options. The simulation seed is re-derived per edition
-  /// from BuyerEdition::seed, so verdicts do not depend on which worker
-  /// ran the check. On the incremental path this is the legacy-fallback
-  /// configuration (sim_words also caps the escalation chain's last
-  /// resort); sat_conflict_limit is the default per-check quota.
+  /// Per-check options. sat_conflict_limit is the conflict quota of each
+  /// session check and of its escalation alike; the rest configures the
+  /// escalation. The simulation seed is re-derived per edition from
+  /// BuyerEdition::seed, so verdicts do not depend on which worker ran
+  /// the check.
   BudgetedCecOptions cec;
-
-  // ---- shared-miter incremental sessions (the default path) ----
-
-  /// Encode the golden circuit once per session and answer every edition
-  /// in the session with an assumption solve against it (plus a
-  /// portfolio + legacy escalation chain for checks that blow the
-  /// quota). false = the legacy per-edition verify_equivalence_budgeted
-  /// fan-out, re-encoding the full miter per buyer.
-  bool incremental = true;
-  /// Editions per incremental session. Sessions are chunks of
-  /// consecutive buyer indices — a pure function of the index, never of
-  /// the pool size — so verdicts are identical at any thread count.
-  std::size_t session_buyers = 16;
-  /// Per-check conflict quota inside a session before escalating to the
-  /// portfolio (< 0: use cec.sat_conflict_limit).
-  std::int64_t session_conflict_limit = -1;
-  /// The escape hatch for checks that exhaust the session quota.
-  PortfolioCecOptions portfolio;
 };
 
 /// Checks every stamped edition against the golden netlist. Editions that
@@ -142,12 +126,12 @@ struct BatchCecOptions {
 /// as exhausted outcomes without running a check. The returned vector is
 /// index-aligned with `editions`.
 ///
-/// Default (incremental) path: editions are chunked into shared-miter
-/// IncrementalCecSessions; a check that exhausts its in-session conflict
-/// quota escalates to check_equivalence_portfolio and finally to the
-/// legacy verify_equivalence_budgeted (whose simulation fallback and
-/// confidence accounting then apply). Verdicts are the same as the
-/// legacy path's on every edition; only the proof effort differs.
+/// Editions are chunked into shared-miter IncrementalCecSessions of 16
+/// consecutive buyer indices — a pure function of the index, never of
+/// the pool size, so verdicts are identical at any thread count. A check
+/// that exhausts cec.sat_conflict_limit escalates to
+/// verify_equivalence_budgeted under the same limit, whose simulation
+/// fallback and confidence accounting then apply.
 std::vector<Outcome<CecResult>> batch_verify_equivalence(
     const Netlist& golden, const std::vector<BuyerEdition>& editions,
     const BatchCecOptions& options = {});

@@ -9,10 +9,17 @@
 
 namespace odcfp::sat {
 
+namespace {
+
+/// Luby restart multiplier: conflicts before the first restart.
+constexpr std::uint64_t kRestartBase = 64;
+
+}  // namespace
+
 Var Solver::new_var() {
   const Var v = static_cast<Var>(assigns_.size());
   assigns_.push_back(LBool::kUndef);
-  phase_.push_back(config_.default_phase);
+  phase_.push_back(false);
   level_.push_back(0);
   reason_.push_back(kNoReason);
   activity_.push_back(0.0);
@@ -311,32 +318,10 @@ std::uint64_t Solver::luby(std::uint64_t i) {
   return 1ull << (k - 1);
 }
 
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 void Solver::reset_heuristics() {
   var_inc_ = 1.0;
-  std::uint64_t state = config_.branch_seed;
-  for (Var v = 0; v < num_vars(); ++v) {
-    // With a branch seed, each variable starts with a tiny distinct
-    // activity so the initial branching order is a deterministic shuffle
-    // instead of index order — the diversification knob the portfolio
-    // configurations use. The values are far below any bumped activity,
-    // so they only break ties among never-bumped variables.
-    activity_[v] =
-        config_.branch_seed == 0
-            ? 0.0
-            : static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53 * 1e-6;
-    phase_[v] = config_.default_phase;
-  }
+  std::fill(activity_.begin(), activity_.end(), 0.0);
+  std::fill(phase_.begin(), phase_.end(), false);
   heap_.clear();
   std::fill(heap_pos_.begin(), heap_pos_.end(), -1);
   for (Var v = 0; v < num_vars(); ++v) {
@@ -353,8 +338,8 @@ Solver::Result Solver::solve(const std::vector<Lit>& assumptions,
   last_call_stats_ = stats_ - before;
   const Stats& d = last_call_stats_;
   // Verdict-gated commit: aborted calls (kUnknown) go to sat.aborted_* so
-  // cumulative counters never double-count work a retry or portfolio
-  // escalation is about to redo. Everything a retry re-earns lands in the
+  // cumulative counters never double-count work a retry or an escalation
+  // is about to redo. Everything a retry re-earns lands in the
   // plain sat.* counters exactly once — on the call that returns the
   // verdict.
   if (result == Result::kUnknown) {
@@ -386,25 +371,23 @@ Solver::Result Solver::solve_internal(const std::vector<Lit>& assumptions,
                                       const Budget* budget) {
   if (!ok_) return Result::kUnsat;
   backtrack(0);
-  if (policy_ == HeuristicPolicy::kResetPerCall || !heuristics_primed_) {
-    // Default policy: every call starts from the pristine heuristic state
-    // a fresh solver with this Config would have, so logically
-    // independent queries cannot influence each other's search through
-    // leaked activities or saved phases. kCarryAcrossCalls still primes
-    // once so the Config's seed/phase apply to the first call.
-    reset_heuristics();
-    heuristics_primed_ = true;
-  }
+  // Every call starts from the pristine heuristic state a fresh solver
+  // would have, so logically independent queries cannot influence each
+  // other's search through leaked activities or saved phases.
+  reset_heuristics();
   // Fold the budget's conflict quota into the explicit limit (tighter
-  // wins); the deadline / cancellation axes are checked per conflict.
+  // wins); the deadline / cancellation axes are checked per conflict. A
+  // spent quota answers before the search reaches its first conflict.
   if (budget != nullptr && budget->conflicts() >= 0 &&
       (conflict_limit < 0 || budget->conflicts() < conflict_limit)) {
     conflict_limit = budget->conflicts();
   }
-  if (budget_exhausted(budget)) return Result::kUnknown;
+  if (conflict_limit == 0 || budget_exhausted(budget)) {
+    return Result::kUnknown;
+  }
 
   std::uint64_t restart_count = 0;
-  std::uint64_t restart_budget = config_.restart_base * luby(restart_count);
+  std::uint64_t restart_budget = kRestartBase * luby(restart_count);
   std::uint64_t conflicts_since_restart = 0;
   std::int64_t total_conflicts = 0;
 
@@ -463,7 +446,7 @@ Solver::Result Solver::solve_internal(const std::vector<Lit>& assumptions,
       if (conflicts_since_restart >= restart_budget) {
         ++stats_.restarts;
         ++restart_count;
-        restart_budget = config_.restart_base * luby(restart_count);
+        restart_budget = kRestartBase * luby(restart_count);
         conflicts_since_restart = 0;
         backtrack(0);
         trace::instant("sat.restart");

@@ -13,11 +13,9 @@
 //    sessions rely on proofs about the base circuit carrying over to
 //    every subsequent edition query.
 //  * Heuristic state (VSIDS activities, saved phases, the decision heap)
-//    is governed by an explicit policy. The default, kResetPerCall,
-//    re-initializes it at every solve() entry so logically independent
+//    is re-initialized at every solve() entry, so logically independent
 //    queries cannot observe each other through heuristic state — under a
-//    conflict limit, verdicts become order-invariant. Incremental
-//    sessions opt into kCarryAcrossCalls to keep the search warm.
+//    conflict limit, verdicts become order-invariant.
 //  * push_activation()/pop_activation() give MiniSat-style retractable
 //    scopes: clauses guarded by an activation literal are enforced only
 //    while the literal is assumed, and pop_activation retires the scope
@@ -72,26 +70,6 @@ class Solver {
  public:
   enum class Result { kSat, kUnsat, kUnknown };
 
-  /// Search configuration. The portfolio layer in src/equiv races a few
-  /// of these on one query; every knob is deterministic.
-  struct Config {
-    /// Initial saved phase of every variable (and the phase restored by
-    /// reset_heuristics). false matches the classic MiniSat default.
-    bool default_phase = false;
-    /// Luby restart multiplier (conflicts before the first restart).
-    std::uint32_t restart_base = 64;
-    /// When nonzero, reset_heuristics seeds each variable's activity with
-    /// a tiny splitmix64-derived value, diversifying the initial branching
-    /// order. 0 keeps the classic all-zero start (index order).
-    std::uint64_t branch_seed = 0;
-  };
-
-  /// Cross-call heuristic-state policy (see file header).
-  enum class HeuristicPolicy : std::uint8_t {
-    kResetPerCall = 0,   ///< Default: pristine heuristics at solve() entry.
-    kCarryAcrossCalls,   ///< Incremental sessions: keep the search warm.
-  };
-
   struct Stats {
     std::uint64_t decisions = 0;
     std::uint64_t propagations = 0;
@@ -126,14 +104,6 @@ class Solver {
       return a;
     }
   };
-
-  Solver() = default;
-  explicit Solver(const Config& config) : config_(config) {}
-
-  const Config& config() const { return config_; }
-
-  void set_heuristic_policy(HeuristicPolicy policy) { policy_ = policy; }
-  HeuristicPolicy heuristic_policy() const { return policy_; }
 
   /// Creates a fresh variable and returns it.
   Var new_var();
@@ -183,7 +153,8 @@ class Solver {
   /// cancellation token checked alongside the conflict limit; its own
   /// conflict quota (Budget::conflicts()) combines with `conflict_limit`
   /// by taking the tighter of the two. kUnknown is only returned when a
-  /// limit or the budget is hit.
+  /// limit or the budget is hit; an effective limit of 0 returns it
+  /// before any search.
   ///
   /// Telemetry: stats deltas of calls that return a verdict (kSat/kUnsat)
   /// are committed to the sat.* counters; a call aborted by a limit or
@@ -254,14 +225,11 @@ class Solver {
   void heap_down(int i);
   bool heap_contains(Var v) const;
 
-  /// Re-initializes activities, saved phases, var_inc, and the decision
-  /// heap to the state a fresh solver with this Config would have.
+  /// Re-initializes activities (zero), saved phases (false), var_inc,
+  /// and the decision heap to the state a fresh solver would have.
   void reset_heuristics();
 
   static std::uint64_t luby(std::uint64_t i);
-
-  Config config_;
-  HeuristicPolicy policy_ = HeuristicPolicy::kResetPerCall;
 
   std::vector<Clause> clauses_;
   std::vector<std::vector<Watcher>> watches_;  // indexed by lit code
@@ -281,9 +249,6 @@ class Solver {
   std::vector<bool> seen_;  // scratch for analyze()
 
   bool ok_ = true;  // false once UNSAT at level 0
-  // Whether reset_heuristics has run at least once, so kCarryAcrossCalls
-  // still applies the Config's phase/seed to the first call.
-  bool heuristics_primed_ = false;
   Stats stats_;
   Stats last_call_stats_;
 };

@@ -1,12 +1,14 @@
 // IncrementalCecSession and the batch verification paths built on it.
 //
 // The load-bearing property (and the reason this suite is in the TSan
-// regex): for every (circuit, edition) pair, the shared-miter incremental
-// path, the solver portfolio, and the legacy per-buyer path must produce
-// identical verdict statuses at any thread count — and every reported
+// regex): for every (circuit, edition) pair, the batch sessions at any
+// thread count and the budgeted checker run edition by edition must
+// produce identical verdict statuses — and every reported
 // counterexample, whichever path found it, must actually distinguish the
 // two circuits under simulation. (Counterexample bits may legitimately
-// differ between paths: distinct searches find distinct models.)
+// differ between paths: distinct searches find distinct models.) A
+// session check that exhausts its quota escalates to that same budgeted
+// checker under the same quota.
 #include "equiv/cec.hpp"
 
 #include <gtest/gtest.h>
@@ -85,6 +87,19 @@ const CellLibrary& and_or_swapped_library() {
   return lib;
 }
 
+/// Turns the first NAND2 of `nl` into a NOR2: a real functional change.
+void corrupt_first_nand2(Netlist& nl) {
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    if (nl.gate(g).is_dead()) continue;
+    if (nl.cell_of(g).kind == CellKind::kNand &&
+        nl.cell_of(g).num_inputs() == 2) {
+      nl.rewire_gate(g, nl.library().find_kind(CellKind::kNor, 2),
+                     nl.gate(g).fanins);
+      return;
+    }
+  }
+}
+
 struct Fixture {
   Netlist golden = make_benchmark("c880");
   StaticTimingAnalyzer sta;
@@ -152,15 +167,7 @@ TEST(IncrementalCec, SessionFindsRealCounterexamples) {
   IncrementalCecSession session(f.golden);
   for (const BuyerEdition& e : batch.editions) {
     Netlist bad = e.netlist;
-    for (GateId g = 0; g < bad.num_gates(); ++g) {
-      if (bad.gate(g).is_dead()) continue;
-      if (bad.cell_of(g).kind == CellKind::kNand &&
-          bad.cell_of(g).num_inputs() == 2) {
-        bad.rewire_gate(g, bad.library().find_kind(CellKind::kNor, 2),
-                        bad.gate(g).fanins);
-        break;
-      }
-    }
+    corrupt_first_nand2(bad);
     const CecResult r = session.check(bad);
     ASSERT_EQ(r.status, CecResult::Status::kDifferent);
     EXPECT_TRUE(cex_distinguishes(f.golden, bad, r.counterexample));
@@ -413,75 +420,92 @@ TEST(IncrementalCec, PermutedInterfaceStillRefutesRealDifferences) {
 }
 
 TEST(IncrementalCec, VerdictsIdenticalAcrossPathsAndThreadCounts) {
-  // The property test from the issue: every (circuit, edition) pair
-  // yields the same verdict status from the incremental path, the
-  // portfolio, and the legacy per-buyer path, at 1/2/8 threads. One
-  // edition is corrupted so both verdict polarities are exercised.
+  // Every (circuit, edition) pair yields the same verdict status from the
+  // batch sessions at 1/2/8 threads as from verify_equivalence_budgeted
+  // run edition by edition on the buyer's own seed. One edition is
+  // corrupted so both verdict polarities are exercised.
   Fixture f;
   BatchResult batch = f.stamp();
   ASSERT_GE(batch.editions.size(), 4u);
-  Netlist& victim = batch.editions[2].netlist;
-  for (GateId g = 0; g < victim.num_gates(); ++g) {
-    if (victim.gate(g).is_dead()) continue;
-    if (victim.cell_of(g).kind == CellKind::kNand &&
-        victim.cell_of(g).num_inputs() == 2) {
-      victim.rewire_gate(g, victim.library().find_kind(CellKind::kNor, 2),
-                         victim.gate(g).fanins);
-      break;
-    }
-  }
+  corrupt_first_nand2(batch.editions[2].netlist);
 
   std::vector<CecResult::Status> reference;
-  const auto check_statuses =
-      [&](const std::vector<Outcome<CecResult>>& verdicts,
-          const char* label) {
-        std::vector<CecResult::Status> statuses;
-        for (std::size_t i = 0; i < verdicts.size(); ++i) {
-          const CecResult& r = verdicts[i].value();
-          statuses.push_back(r.status);
-          if (r.status == CecResult::Status::kDifferent) {
-            EXPECT_TRUE(cex_distinguishes(f.golden,
-                                          batch.editions[i].netlist,
-                                          r.counterexample))
-                << label << " edition " << i;
-          }
-        }
-        if (reference.empty()) {
-          reference = statuses;
-          EXPECT_EQ(statuses[2], CecResult::Status::kDifferent);
-        } else {
-          EXPECT_EQ(statuses, reference) << label;
-        }
-      };
-
-  for (const bool incremental : {false, true}) {
-    for (const int threads : {1, 2, 8}) {
-      ThreadPool pool(threads);
-      BatchCecOptions opt;
-      opt.pool = &pool;
-      opt.incremental = incremental;
-      const auto verdicts =
-          batch_verify_equivalence(f.golden, batch.editions, opt);
-      ASSERT_EQ(verdicts.size(), batch.editions.size());
-      check_statuses(verdicts,
-                     incremental ? "incremental" : "legacy");
-    }
-  }
-
-  // The portfolio path, edition by edition (its race is single-threaded
-  // by design).
-  std::vector<CecResult::Status> portfolio;
   for (std::size_t i = 0; i < batch.editions.size(); ++i) {
-    const CecResult r =
-        check_equivalence_portfolio(f.golden, batch.editions[i].netlist);
-    portfolio.push_back(r.status);
-    if (r.status == CecResult::Status::kDifferent) {
-      EXPECT_TRUE(cex_distinguishes(f.golden, batch.editions[i].netlist,
-                                    r.counterexample))
-          << "portfolio edition " << i;
+    const BuyerEdition& e = batch.editions[i];
+    BudgetedCecOptions cec;
+    cec.seed = e.seed;
+    const Outcome<CecResult> v =
+        verify_equivalence_budgeted(f.golden, e.netlist, nullptr, cec);
+    ASSERT_TRUE(v.ok()) << "budgeted edition " << i;
+    reference.push_back(v.value().status);
+    if (v.value().status == CecResult::Status::kDifferent) {
+      EXPECT_TRUE(cex_distinguishes(f.golden, e.netlist,
+                                    v.value().counterexample))
+          << "budgeted edition " << i;
     }
   }
-  EXPECT_EQ(portfolio, reference);
+  EXPECT_EQ(reference[2], CecResult::Status::kDifferent);
+
+  for (const int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    BatchCecOptions opt;
+    opt.pool = &pool;
+    const auto verdicts =
+        batch_verify_equivalence(f.golden, batch.editions, opt);
+    ASSERT_EQ(verdicts.size(), batch.editions.size());
+    std::vector<CecResult::Status> statuses;
+    for (std::size_t i = 0; i < verdicts.size(); ++i) {
+      ASSERT_TRUE(verdicts[i].ok()) << threads << " threads, edition " << i;
+      const CecResult& r = verdicts[i].value();
+      statuses.push_back(r.status);
+      if (r.status == CecResult::Status::kDifferent) {
+        EXPECT_TRUE(cex_distinguishes(f.golden, batch.editions[i].netlist,
+                                      r.counterexample))
+            << threads << " threads, edition " << i;
+      }
+    }
+    EXPECT_EQ(statuses, reference) << threads << " threads";
+  }
+}
+
+TEST(IncrementalCec, QuotaDeathEscalatesToBudgetedChecker) {
+  // A zero conflict quota lets no session check prove anything, so every
+  // edition escalates to verify_equivalence_budgeted under the same
+  // quota. Its SAT stage cannot run either: clean editions end in the
+  // simulation fallback with a partial confidence, and the corrupted one
+  // is refuted by the up-front simulation filter.
+  Fixture f;
+  BatchResult batch = f.stamp();
+  ASSERT_GE(batch.editions.size(), 4u);
+  corrupt_first_nand2(batch.editions[2].netlist);
+
+  for (const int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    BatchCecOptions opt;
+    opt.pool = &pool;
+    opt.cec.sat_conflict_limit = 0;
+    const auto verdicts =
+        batch_verify_equivalence(f.golden, batch.editions, opt);
+    ASSERT_EQ(verdicts.size(), batch.editions.size());
+    for (std::size_t i = 0; i < verdicts.size(); ++i) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, edition " +
+                   std::to_string(i));
+      const Outcome<CecResult>& v = verdicts[i];
+      ASSERT_TRUE(v.has_value());
+      if (i == 2) {
+        ASSERT_TRUE(v.ok());
+        EXPECT_EQ(v.value().status, CecResult::Status::kDifferent);
+        EXPECT_EQ(v.value().method, "random-sim");
+        EXPECT_TRUE(cex_distinguishes(f.golden, batch.editions[i].netlist,
+                                      v.value().counterexample));
+      } else {
+        EXPECT_EQ(v.status(), Status::kExhausted);
+        EXPECT_EQ(v.value().method, "sat+sim-fallback");
+        EXPECT_GT(v.confidence(), 0.0);
+        EXPECT_LT(v.confidence(), 1.0);
+      }
+    }
+  }
 }
 
 TEST(IncrementalCec, SessionVerdictsMatchLegacyPerEdition) {

@@ -90,7 +90,8 @@ std::vector<std::string> list_dir(const std::string& dir) {
 void wipe_tree(const std::string& dir) {
   for (const std::string& name : list_dir(dir)) {
     const std::string path = dir + "/" + name;
-    if (::opendir(path.c_str()) != nullptr) {
+    if (DIR* d = ::opendir(path.c_str()); d != nullptr) {
+      ::closedir(d);
       wipe_tree(path);
       ::rmdir(path.c_str());
     } else {

@@ -129,66 +129,6 @@ TEST(SatCec, DegenerateNoOutputsIsTriviallyEquivalent) {
   EXPECT_EQ(r.status, CecResult::Status::kEquivalent);
   EXPECT_EQ(r.method, "trivial-no-outputs");
   EXPECT_EQ(r.sat_stats.conflicts, 0u);
-
-  const CecResult p = check_equivalence_portfolio(a, b);
-  EXPECT_EQ(p.status, CecResult::Status::kEquivalent);
-  EXPECT_EQ(p.method, "trivial-no-outputs");
-}
-
-// ---- portfolio ----
-
-TEST(Portfolio, AgreesWithSingleSolverOnBothVerdicts) {
-  const CecResult eq = check_equivalence_portfolio(and3_flat(),
-                                                  and3_tree());
-  EXPECT_EQ(eq.status, CecResult::Status::kEquivalent);
-  EXPECT_EQ(eq.method, "sat-portfolio");
-
-  const CecResult diff = check_equivalence_portfolio(and3_flat(),
-                                                     and3_wrong());
-  ASSERT_EQ(diff.status, CecResult::Status::kDifferent);
-  ASSERT_EQ(diff.counterexample.size(), 3u);
-  const auto& cex = diff.counterexample;
-  EXPECT_NE(cex[0] && cex[1] && cex[2],
-            (cex[0] && cex[1]) || cex[2]);
-}
-
-TEST(Portfolio, DeterministicAcrossRepeats) {
-  // The race is time-sliced on one thread, so the winning configuration
-  // — and therefore the full CecResult — is a pure function of the
-  // inputs. Repeat runs must agree bit for bit.
-  const Netlist golden = make_benchmark("c432");
-  Netlist bad = golden;
-  for (GateId g = 0; g < bad.num_gates(); ++g) {
-    if (bad.gate(g).is_dead()) continue;
-    if (bad.cell_of(g).kind == CellKind::kNand &&
-        bad.cell_of(g).num_inputs() == 2) {
-      bad.rewire_gate(g, bad.library().find_kind(CellKind::kNor, 2),
-                      bad.gate(g).fanins);
-      break;
-    }
-  }
-  const CecResult first = check_equivalence_portfolio(golden, bad);
-  ASSERT_EQ(first.status, CecResult::Status::kDifferent);
-  for (int rep = 0; rep < 3; ++rep) {
-    const CecResult again = check_equivalence_portfolio(golden, bad);
-    EXPECT_EQ(again.status, first.status);
-    EXPECT_EQ(again.counterexample, first.counterexample);
-    EXPECT_EQ(again.sat_stats.conflicts, first.sat_stats.conflicts);
-  }
-}
-
-TEST(Portfolio, TotalConflictLimitReturnsUnknown) {
-  const SopNetwork sop = make_benchmark_sop("c432");
-  MapperOptions o1, o2;
-  o1.seed = 1;
-  o2.seed = 999;
-  const Netlist a = map_to_cells(sop, default_cell_library(), o1);
-  const Netlist b = map_to_cells(sop, default_cell_library(), o2);
-  PortfolioCecOptions options;
-  options.slice_conflicts = 4;
-  options.total_conflict_limit = 8;  // far below what the proof needs
-  const CecResult r = check_equivalence_portfolio(a, b, options);
-  EXPECT_EQ(r.status, CecResult::Status::kUnknown);
 }
 
 TEST(VerifyEquivalence, PicksExhaustiveForSmallCircuits) {
