@@ -264,9 +264,11 @@ IncrementalCecSession::IncrementalCecSession(const Netlist& golden,
   golden_enc_.emplace(solver_, golden_);
 
   // Simulate the golden once; every edition is simulated on the same
-  // patterns, gate by gate as its fresh cone is encoded.
-  golden_sigs_.assign(
-      static_cast<std::size_t>(solver_.num_vars()) * kSigWords, 0);
+  // patterns, gate by gate as its fresh cone is encoded. The same pass
+  // records each golden gate's fanin variables, the table every query's
+  // decision cone is collected from.
+  const auto golden_vars = static_cast<std::size_t>(solver_.num_vars());
+  golden_sigs_.assign(golden_vars * kSigWords, 0);
   const auto sig_of = [&](NetId net) {
     return &golden_sigs_[static_cast<std::size_t>(golden_enc_->var_of(net)) *
                          kSigWords];
@@ -277,12 +279,60 @@ IncrementalCecSession::IncrementalCecSession(const Netlist& golden,
     for (std::size_t w = 0; w < kSigWords; ++w) sig[w] = rng.next_u64();
   }
   std::vector<const std::uint64_t*> ins;
+  std::vector<sat::Var> fanin_vars;
   for (const GateId g : golden_.topo_order()) {
     const Gate& gt = golden_.gate(g);
     ins.clear();
-    for (const NetId in : gt.fanins) ins.push_back(sig_of(in));
+    fanin_vars.clear();
+    for (const NetId in : gt.fanins) {
+      ins.push_back(sig_of(in));
+      fanin_vars.push_back(golden_enc_->var_of(in));
+    }
     eval_signature(golden_.cell_of(g).function, ins, sig_of(gt.output));
+    golden_fanins_.set(
+        static_cast<std::size_t>(golden_enc_->var_of(gt.output)), fanin_vars);
   }
+  golden_fanins_.range.resize(golden_vars);
+}
+
+void IncrementalCecSession::FaninTable::set(
+    std::size_t slot, const std::vector<sat::Var>& ins) {
+  if (range.size() <= slot) range.resize(slot + 1);
+  range[slot] = {static_cast<std::uint32_t>(fanins.size()),
+                 static_cast<std::uint32_t>(ins.size())};
+  fanins.insert(fanins.end(), ins.begin(), ins.end());
+}
+
+const std::vector<sat::Var>& IncrementalCecSession::cone_of(sat::Var a,
+                                                            sat::Var b,
+                                                            sat::Var act) {
+  visit_stamp_.resize(static_cast<std::size_t>(solver_.num_vars()), 0);
+  if (++visit_gen_ == 0) {
+    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
+    visit_gen_ = 1;
+  }
+  const auto golden_vars = static_cast<sat::Var>(golden_fanins_.range.size());
+  cone_.clear();
+  cone_stack_.assign({a, b});
+  while (!cone_stack_.empty()) {
+    const sat::Var v = cone_stack_.back();
+    cone_stack_.pop_back();
+    if (visit_stamp_[static_cast<std::size_t>(v)] == visit_gen_) continue;
+    visit_stamp_[static_cast<std::size_t>(v)] = visit_gen_;
+    cone_.push_back(v);
+    ODCFP_DCHECK(v < golden_vars || v > act);
+    const FaninTable& table = v < golden_vars ? golden_fanins_ : fresh_fanins_;
+    const auto [offset, count] =
+        table.range[static_cast<std::size_t>(v < golden_vars ? v : v - act)];
+    for (std::uint32_t i = offset; i < offset + count; ++i) {
+      const sat::Var in = table.fanins[i];
+      if (visit_stamp_[static_cast<std::size_t>(in)] != visit_gen_) {
+        cone_stack_.push_back(in);
+      }
+    }
+  }
+  std::sort(cone_.begin(), cone_.end());
+  return cone_;
 }
 
 CecResult IncrementalCecSession::check(const Netlist& edition,
@@ -315,14 +365,18 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
 
   // Everything this check adds sits behind a fresh activation literal.
   const sat::Var act = solver_.push_activation();
+  fresh_fanins_.range.clear();
+  fresh_fanins_.fanins.clear();
   result.method = "sat-incremental";
-  // Solves {act, diff} against the shared quota; the solver is back at
-  // level 0 afterwards unless the answer is kSat (the caller reads the
+  // Solves {act, diff}, diff = a XOR b, against the shared quota,
+  // branching only inside the fanin cone of a and b; the solver is back
+  // at level 0 afterwards unless the answer is kSat (the caller reads the
   // model first).
-  const auto prove = [&](sat::Var diff) {
+  const auto prove = [&](sat::Var diff, sat::Var a, sat::Var b) {
     if (limited && remaining <= 0) return sat::Solver::Result::kUnknown;
-    const sat::Solver::Result r = solver_.solve(
-        {sat::pos_lit(act), sat::pos_lit(diff)}, remaining, budget);
+    const sat::Solver::Result r =
+        solver_.solve({sat::pos_lit(act), sat::pos_lit(diff)}, remaining,
+                      budget, &cone_of(a, b, act));
     result.sat_stats += solver_.last_call_stats();
     if (limited) {
       remaining -=
@@ -361,8 +415,9 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
   sat::TseitinOptions topts;
   topts.on_fresh_gate = [&](GateId g, sat::Var fresh,
                             const std::vector<sat::Var>& fanins) {
-    if (exhausted) return fresh;
     const auto slot = static_cast<std::size_t>(fresh - act);
+    fresh_fanins_.set(slot, fanins);
+    if (exhausted) return fresh;
     fresh_sigs.resize((slot + 1) * kSigWords);
     fresh_ids.resize(slot + 1, sat::kUndefVar);
     const TruthTable& function = edition.cell_of(g).function;
@@ -397,7 +452,7 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
     }
     const sat::Var diff = solver_.new_var();
     sat::encode_xor(solver_, twin, fresh, diff, act);
-    switch (prove(diff)) {
+    switch (prove(diff, twin, fresh)) {
       case sat::Solver::Result::kUnsat:
         ++merges_;
         node.merged_into = twin;
@@ -454,7 +509,7 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
     if (va == vb) continue;
     const sat::Var d = solver_.new_var();
     sat::encode_xor(solver_, va, vb, d, act);
-    const sat::Solver::Result r = prove(d);
+    const sat::Solver::Result r = prove(d, va, vb);
     if (r == sat::Solver::Result::kSat) {
       result.status = CecResult::Status::kDifferent;
       // Extract the model before retirement backtracks it away.

@@ -4,20 +4,21 @@
 // of the paper). This module provides the verification layers used
 // throughout the tests and benches:
 //
-//  * random_sim_equal     — fast 64-way random simulation filter; finds
-//                           almost all real differences in microseconds;
-//  * exhaustive_equal     — complete for circuits with <= 24 inputs;
-//  * check_equivalence    — SAT-based proof on a shared-PI miter;
+//  * random_sim_equal      — fast 64-way random simulation filter; finds
+//                            almost all real differences in microseconds;
+//  * exhaustive_equal      — complete for circuits with <= 24 inputs;
+//  * check_equivalence_sat — SAT-based proof on a shared-PI miter;
 //  * IncrementalCecSession — one long-lived solver holding the golden
-//                           circuit's encoding; each edition stamps only
-//                           its edited cones behind an activation literal
-//                           and is proven at the cut points where their
-//                           effect re-merges with the golden.
+//                            circuit's encoding; each edition stamps only
+//                            its edited cones behind an activation
+//                            literal and is proven at the cut points
+//                            where their effect re-merges with the golden.
 //
 // verify_equivalence() composes the first three: simulation first (cheap
-// refutation), then exhaustive or SAT proof depending on input count.
-// verify_equivalence_budgeted() is its degradation-aware variant and the
-// one rung a session check escalates to when it exhausts its quota.
+// refutation), then an exhaustive proof up to 16 inputs and a SAT proof
+// above that. verify_equivalence_budgeted() is its degradation-aware
+// variant and the one rung a session check escalates to when it exhausts
+// its quota.
 //
 // Circuits are matched by PI name and PO port name; mismatched interfaces
 // throw CheckError.
@@ -87,6 +88,16 @@ CecResult check_equivalence_sat(const Netlist& a, const Netlist& b,
 /// fingerprinted edition every output resolves to the golden variable
 /// and no per-output proof is left. Outputs that still differ in
 /// variable are proven one by one, in PO order.
+///
+/// Every query, sweep or output, branches only on the transitive fanin
+/// cone of the two variables it compares (golden fanins from a table
+/// built once per session, fresh ones recorded as each fresh gate is
+/// encoded), so its heuristic reset and search cost scale with that
+/// cone, not with the session. Every live clause defines a gate or XOR
+/// output or is a lemma those definitions imply, so a conflict-free
+/// assignment of a fanin-closed set extends to a full model: UNSAT still
+/// proves, SAT still refutes, and counterexample PIs outside the cone
+/// read false.
 ///
 /// Sweep verdicts are memoized for the session's lifetime, keyed by what
 /// a fresh gate computes: its cell's truth table over its fanins' memo
@@ -168,6 +179,13 @@ class IncrementalCecSession {
   /// the clause database, and refreshes the session health flag.
   void retire_scope(sat::Var act);
 
+  /// Collects the transitive fanin cone of `a` and `b` into cone_,
+  /// ascending: the decision set of a query comparing them. Each is a
+  /// golden variable or a fresh one of the check whose activation
+  /// variable is `act`.
+  const std::vector<sat::Var>& cone_of(sat::Var a, sat::Var b,
+                                       sat::Var act);
+
   const Netlist& golden_;
   Options options_;
   sat::Solver solver_;
@@ -175,6 +193,25 @@ class IncrementalCecSession {
   /// Simulation signature words of the golden encoding, indexed by
   /// golden variable (the sweep's candidate filter).
   std::vector<std::uint64_t> golden_sigs_;
+  /// Fanin variables of the gate defining each variable of a table's
+  /// range: those of slot i are fanins[range[i].first ..
+  /// range[i].first + range[i].second). PIs, and the XOR outputs of the
+  /// queries (never a fanin), have none.
+  struct FaninTable {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> range;
+    std::vector<sat::Var> fanins;
+    void set(std::size_t slot, const std::vector<sat::Var>& ins);
+  };
+  /// Indexed by golden variable, built once per session.
+  FaninTable golden_fanins_;
+  /// Indexed by variable minus the current check's activation variable.
+  FaninTable fresh_fanins_;
+  /// cone_of working storage: a variable is visited when its stamp equals
+  /// visit_gen_, so no query pays for clearing a session-sized array.
+  std::vector<std::uint32_t> visit_stamp_;
+  std::uint32_t visit_gen_ = 0;
+  std::vector<sat::Var> cone_;
+  std::vector<sat::Var> cone_stack_;
   std::unordered_map<MemoKey, MemoNode, MemoKeyHash> memo_;
   bool healthy_ = true;
   std::size_t checks_ = 0;
@@ -184,7 +221,7 @@ class IncrementalCecSession {
   std::size_t memo_hits_ = 0;
 };
 
-/// The composed checker: random simulation, then exhaustive (<= 20 PIs) or
+/// The composed checker: random simulation, then exhaustive (<= 16 PIs) or
 /// SAT. `sat_conflict_limit` bounds the proof effort; on limit-exhaustion
 /// the result is kUnknown (treat as failure in tests).
 CecResult verify_equivalence(const Netlist& a, const Netlist& b,

@@ -574,21 +574,18 @@ std::vector<Outcome<CecResult>> batch_verify_equivalence(
   // whole-batch totals — deterministic at any thread count. The encoded
   // counter is the bench gate: a regression that silently stops reusing
   // the golden encoding inflates it and fails the baseline diff;
-  // reuse_ratio (permille) states the same health as a scale-free number,
   // merges counts the cut points the sessions proved by a query, and
   // memo_hits the sweep candidates their memos answered without one.
-  const std::size_t r = reused.load(), n = encoded.load();
   TELEM_COUNT("cec.incremental.checks",
               static_cast<std::int64_t>(checks.load()));
-  TELEM_COUNT("cec.incremental.gates_reused", static_cast<std::int64_t>(r));
-  TELEM_COUNT("cec.incremental.gates_encoded", static_cast<std::int64_t>(n));
+  TELEM_COUNT("cec.incremental.gates_reused",
+              static_cast<std::int64_t>(reused.load()));
+  TELEM_COUNT("cec.incremental.gates_encoded",
+              static_cast<std::int64_t>(encoded.load()));
   TELEM_COUNT("cec.incremental.merges",
               static_cast<std::int64_t>(merges.load()));
   TELEM_COUNT("cec.incremental.memo_hits",
               static_cast<std::int64_t>(memo_hits.load()));
-  TELEM_COUNT("cec.incremental.reuse_ratio",
-              r + n == 0 ? 0
-                         : static_cast<std::int64_t>(r * 1000 / (r + n)));
   std::size_t proven = 0, exhausted = 0;
   for (const Outcome<CecResult>& v : verdicts) {
     if (v.ok()) {

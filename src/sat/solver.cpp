@@ -24,10 +24,10 @@ Var Solver::new_var() {
   reason_.push_back(kNoReason);
   activity_.push_back(0.0);
   heap_pos_.push_back(-1);
+  decision_stamp_.push_back(0);
   seen_.push_back(false);
   watches_.emplace_back();
   watches_.emplace_back();
-  heap_insert(v);
   return v;
 }
 
@@ -285,7 +285,7 @@ void Solver::backtrack(int level) {
     const Var v = trail_[i].var();
     assigns_[v] = LBool::kUndef;
     reason_[v] = kNoReason;
-    if (!heap_contains(v)) heap_insert(v);
+    if (decidable(v) && !heap_contains(v)) heap_insert(v);
   }
   trail_.resize(lim);
   trail_lim_.resize(static_cast<std::size_t>(level));
@@ -318,23 +318,38 @@ std::uint64_t Solver::luby(std::uint64_t i) {
   return 1ull << (k - 1);
 }
 
-void Solver::reset_heuristics() {
+void Solver::reset_heuristics(const std::vector<Var>* decision_vars) {
   var_inc_ = 1.0;
-  std::fill(activity_.begin(), activity_.end(), 0.0);
-  std::fill(phase_.begin(), phase_.end(), false);
+  for (const Var v : heap_) heap_pos_[v] = -1;
   heap_.clear();
-  std::fill(heap_pos_.begin(), heap_pos_.end(), -1);
-  for (Var v = 0; v < num_vars(); ++v) {
-    if (assigns_[v] == LBool::kUndef) heap_insert(v);
+  if (++decision_epoch_ == 0) {
+    std::fill(decision_stamp_.begin(), decision_stamp_.end(), 0);
+    decision_epoch_ = 1;
+  }
+  const auto admit = [this](Var v) {
+    decision_stamp_[v] = decision_epoch_;
+    activity_[v] = 0.0;
+    phase_[v] = false;
+    if (assigns_[v] == LBool::kUndef && !heap_contains(v)) heap_insert(v);
+  };
+  if (decision_vars == nullptr) {
+    for (Var v = 0; v < num_vars(); ++v) admit(v);
+    return;
+  }
+  for (const Var v : *decision_vars) {
+    ODCFP_CHECK(v >= 0 && v < num_vars());
+    admit(v);
   }
 }
 
 Solver::Result Solver::solve(const std::vector<Lit>& assumptions,
                              std::int64_t conflict_limit,
-                             const Budget* budget) {
+                             const Budget* budget,
+                             const std::vector<Var>* decision_vars) {
   TELEM_SPAN("sat.solve");
   const Stats before = stats_;
-  const Result result = solve_internal(assumptions, conflict_limit, budget);
+  const Result result =
+      solve_internal(assumptions, conflict_limit, budget, decision_vars);
   last_call_stats_ = stats_ - before;
   const Stats& d = last_call_stats_;
   // Verdict-gated commit: aborted calls (kUnknown) go to sat.aborted_* so
@@ -368,13 +383,14 @@ Solver::Result Solver::solve(const std::vector<Lit>& assumptions,
 
 Solver::Result Solver::solve_internal(const std::vector<Lit>& assumptions,
                                       std::int64_t conflict_limit,
-                                      const Budget* budget) {
+                                      const Budget* budget,
+                                      const std::vector<Var>* decision_vars) {
   if (!ok_) return Result::kUnsat;
   backtrack(0);
   // Every call starts from the pristine heuristic state a fresh solver
   // would have, so logically independent queries cannot influence each
   // other's search through leaked activities or saved phases.
-  reset_heuristics();
+  reset_heuristics(decision_vars);
   // Fold the budget's conflict quota into the explicit limit (tighter
   // wins); the deadline / cancellation axes are checked per conflict. A
   // spent quota answers before the search reaches its first conflict.
@@ -404,15 +420,9 @@ Solver::Result Solver::solve_internal(const std::vector<Lit>& assumptions,
       std::vector<Lit> learnt;
       int bt_level = 0;
       analyze(conflict, learnt, bt_level);
-      // Never backtrack past the assumptions.
-      const int floor_level =
-          std::min<int>(static_cast<int>(assumptions.size()),
-                        decision_level() - 1);
-      backtrack(std::max(bt_level, 0));
-      if (decision_level() < floor_level) {
-        // The learnt clause forces a flip below the assumption levels;
-        // re-apply assumptions on the next iterations.
-      }
+      // The learnt clause may flip a literal below the assumption levels;
+      // the loop below re-applies the assumptions the backjump undid.
+      backtrack(bt_level);
       if (learnt.size() == 1) {
         if (value(learnt[0]) == LBool::kFalse) {
           ok_ = decision_level() > 0;
@@ -474,13 +484,16 @@ Solver::Result Solver::solve_internal(const std::vector<Lit>& assumptions,
 
 bool Solver::model_value(Var v) const {
   ODCFP_CHECK(v >= 0 && v < num_vars());
-  // Unassigned vars (eliminated by simplification) default to false.
+  // Unassigned vars (outside the decision set) default to false.
   return assigns_[v] == LBool::kTrue;
 }
 
 // ---- VSIDS ----
 
 void Solver::bump_var(Var v) {
+  // A variable outside the decision set is never decided, so its activity
+  // is dead until a later solve resets it.
+  if (!decidable(v)) return;
   activity_[v] += var_inc_;
   if (activity_[v] > 1e100) {
     for (double& a : activity_) a *= 1e-100;

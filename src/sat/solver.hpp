@@ -13,9 +13,18 @@
 //    sessions rely on proofs about the base circuit carrying over to
 //    every subsequent edition query.
 //  * Heuristic state (VSIDS activities, saved phases, the decision heap)
-//    is re-initialized at every solve() entry, so logically independent
-//    queries cannot observe each other through heuristic state — under a
-//    conflict limit, verdicts become order-invariant.
+//    is re-initialized at every solve() entry over the call's decision
+//    set, so logically independent queries cannot observe each other
+//    through heuristic state — under a conflict limit, verdicts become
+//    order-invariant.
+//  * A solve() may name a decision set: only those variables are reset
+//    and branched on, so a query pays for its own cone, not for every
+//    variable the solver has accumulated. Variables outside the set are
+//    assigned only by propagation. This is complete whenever every live
+//    clause defines a gate output from its fanins (or is implied by such
+//    definitions) and the set is closed under fanin: a conflict-free
+//    assignment of the set then extends to a full model by simulating
+//    everything else, so kSat and kUnsat mean what they mean unrestricted.
 //  * push_activation()/pop_activation() give MiniSat-style retractable
 //    scopes: clauses guarded by an activation literal are enforced only
 //    while the literal is assumed, and pop_activation retires the scope
@@ -156,15 +165,27 @@ class Solver {
   /// limit or the budget is hit; an effective limit of 0 returns it
   /// before any search.
   ///
+  /// `decision_vars` (optional) restricts branching to the listed
+  /// variables; kSat is then returned once every one of them is assigned
+  /// without conflict (see "Incremental use" above for when that is a
+  /// model). nullptr branches on every variable. Heuristics are reset,
+  /// and the decision heap filled, in list order, so an ascending list
+  /// breaks activity ties in variable-index order as the full set does.
+  ///
   /// Telemetry: stats deltas of calls that return a verdict (kSat/kUnsat)
   /// are committed to the sat.* counters; a call aborted by a limit or
   /// budget (kUnknown) charges sat.aborted_* instead, so cumulative
   /// counters never double-count work that a retry will redo.
   Result solve(const std::vector<Lit>& assumptions = {},
                std::int64_t conflict_limit = -1,
-               const Budget* budget = nullptr);
+               const Budget* budget = nullptr,
+               const std::vector<Var>* decision_vars = nullptr);
 
-  /// Model access after Result::kSat.
+  /// Model access after Result::kSat. After a solve restricted to a
+  /// decision set, a variable outside the set that propagation left
+  /// unassigned reads false: a free input (a PI outside the compared
+  /// cones) may take that value, but a gate output read this way is not
+  /// part of any model.
   bool model_value(Var v) const;
 
   /// Undoes the assignment the last solve() left on the trail (its model,
@@ -203,7 +224,8 @@ class Solver {
 
   // --- core operations ---
   Result solve_internal(const std::vector<Lit>& assumptions,
-                        std::int64_t conflict_limit, const Budget* budget);
+                        std::int64_t conflict_limit, const Budget* budget,
+                        const std::vector<Var>* decision_vars);
   LBool value(Lit l) const;
   LBool value_var(Var v) const;
   void enqueue(Lit l, ClauseRef reason);
@@ -225,9 +247,15 @@ class Solver {
   void heap_down(int i);
   bool heap_contains(Var v) const;
 
-  /// Re-initializes activities (zero), saved phases (false), var_inc,
-  /// and the decision heap to the state a fresh solver would have.
-  void reset_heuristics();
+  /// Re-initializes var_inc and, over the decision set (every variable
+  /// when `decision_vars` is nullptr), activities (zero), saved phases
+  /// (false) and the decision heap to the state a fresh solver would
+  /// have. Costs O(set + previous heap), not O(num_vars), when restricted.
+  void reset_heuristics(const std::vector<Var>* decision_vars);
+  /// True when the current solve may branch on `v`.
+  bool decidable(Var v) const {
+    return decision_stamp_[v] == decision_epoch_;
+  }
 
   static std::uint64_t luby(std::uint64_t i);
 
@@ -245,6 +273,11 @@ class Solver {
   double var_inc_ = 1.0;
   std::vector<int> heap_;       // binary max-heap of vars
   std::vector<int> heap_pos_;   // var -> heap index (-1 if absent)
+
+  // Decision set of the current solve: the variables whose stamp equals
+  // the epoch that call's reset_heuristics drew.
+  std::uint32_t decision_epoch_ = 0;
+  std::vector<std::uint32_t> decision_stamp_;  // indexed by var
 
   std::vector<bool> seen_;  // scratch for analyze()
 

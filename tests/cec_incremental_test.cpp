@@ -19,6 +19,7 @@
 
 #include "benchgen/benchmarks.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "fingerprint/batch.hpp"
 #include "sim/simulator.hpp"
 
@@ -97,6 +98,29 @@ void corrupt_first_nand2(Netlist& nl) {
                      nl.gate(g).fanins);
       return;
     }
+  }
+}
+
+/// Gives one random live gate of `nl` another cell of the same arity and a
+/// different function: usually a real change, masked when an ODC hides
+/// that gate.
+void swap_random_cell(Netlist& nl, Rng& rng) {
+  const CellLibrary& lib = nl.library();
+  for (;;) {
+    const auto g = static_cast<GateId>(rng.next_below(nl.num_gates()));
+    if (nl.gate(g).is_dead()) continue;
+    const Cell& old = nl.cell_of(g);
+    std::vector<CellId> options;
+    for (CellId id = 0; id < lib.size(); ++id) {
+      if (lib.cell(id).num_inputs() == old.num_inputs() &&
+          lib.cell(id).function != old.function) {
+        options.push_back(id);
+      }
+    }
+    if (options.empty()) continue;
+    nl.rewire_gate(g, options[rng.next_below(options.size())],
+                   nl.gate(g).fanins);
+    return;
   }
 }
 
@@ -248,6 +272,43 @@ TEST(IncrementalCec, ZeroConflictQuotaReturnsUnknown) {
   const CecResult proven = clone_generous.check(edition);
   EXPECT_EQ(proven.status, CecResult::Status::kEquivalent);
   EXPECT_EQ(proven.method, "sat-incremental");
+}
+
+TEST(IncrementalCec, QueryConeFollowsFreshFaninsOutsideTheGoldenCone) {
+  // Golden f = a & b. The edition gates f with ~t, where t reads c and d,
+  // which are outside f's golden cone. With t = (c ^ d) & (c XNOR d),
+  // constant 0, the edition is equivalent, but only a search that also
+  // branches on c or d can see it: with a = b = 1 and t = 1, propagation
+  // stops at c ^ d = 1 and c XNOR d = 1 without a conflict. With
+  // t = (c ^ d) | (c XNOR d), constant 1, the edition is refuted, and any
+  // values of c and d complete the counterexample.
+  Netlist golden(&default_cell_library(), "gated_and");
+  const NetId a = golden.add_input("a");
+  const NetId b = golden.add_input("b");
+  const NetId c = golden.add_input("c");
+  const NetId d = golden.add_input("d");
+  const GateId f = golden.add_gate_kind(CellKind::kAnd, {a, b});
+  golden.add_output(golden.gate(f).output, "f");
+  const auto gated = [&](CellKind t_kind) {
+    Netlist edition = golden;
+    const NetId x = edition.gate(edition.add_gate_kind(CellKind::kXor,
+                                                       {c, d})).output;
+    const NetId y = edition.gate(edition.add_gate_kind(CellKind::kXnor,
+                                                       {c, d})).output;
+    const NetId t = edition.gate(edition.add_gate_kind(t_kind, {x, y})).output;
+    const NetId not_t =
+        edition.gate(edition.add_gate_kind(CellKind::kInv, {t})).output;
+    edition.rewire_gate(f, edition.library().find_kind(CellKind::kAnd, 3),
+                        {a, b, not_t});
+    return edition;
+  };
+  IncrementalCecSession session(golden);
+  EXPECT_EQ(session.check(gated(CellKind::kAnd)).status,
+            CecResult::Status::kEquivalent);
+  const Netlist broken = gated(CellKind::kOr);
+  const CecResult r = session.check(broken);
+  ASSERT_EQ(r.status, CecResult::Status::kDifferent);
+  EXPECT_TRUE(cex_distinguishes(golden, broken, r.counterexample));
 }
 
 TEST(IncrementalCec, SignatureCollisionIsRefutedNotMerged) {
@@ -520,6 +581,51 @@ TEST(IncrementalCec, SessionVerdictsMatchLegacyPerEdition) {
     EXPECT_EQ(inc.status, legacy.status);
   }
 }
+
+class IncrementalCecDifferential
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(IncrementalCecDifferential, SessionAgreesWithFullMiter) {
+  // Each query branches only inside the fanin cone of the two nets it
+  // compares, so a cone that missed a fanin would answer kSat on a
+  // partial assignment that no full model extends, or hand back a
+  // counterexample that does not distinguish the circuits. One session
+  // checks every stamped edition, every other one with a random cell
+  // swap, against a fresh full-miter solver.
+  const Netlist golden = make_benchmark(GetParam());
+  StaticTimingAnalyzer sta;
+  PowerAnalyzer power;
+  const std::vector<FingerprintLocation> locs = find_locations(golden);
+  const Codebook book(locs, 8, 29);
+  BatchOptions opt;
+  opt.max_delay_overhead = 0;
+  BatchResult batch = batch_fingerprint(golden, book, sta, power, opt);
+  ASSERT_EQ(batch.editions.size(), 8u);
+
+  Rng rng(0x5eed'd1ffull);
+  IncrementalCecSession session(golden);
+  std::size_t different = 0;
+  for (std::size_t i = 0; i < batch.editions.size(); ++i) {
+    SCOPED_TRACE("edition " + std::to_string(i));
+    Netlist& edition = batch.editions[i].netlist;
+    if (i % 2 == 1) swap_random_cell(edition, rng);
+    const CecResult inc = session.check(edition);
+    const CecResult ref = check_equivalence_sat(golden, edition);
+    ASSERT_NE(ref.status, CecResult::Status::kUnknown);
+    EXPECT_EQ(inc.status, ref.status);
+    if (inc.status == CecResult::Status::kDifferent) {
+      ++different;
+      EXPECT_TRUE(cex_distinguishes(golden, edition, inc.counterexample));
+    }
+    if (ref.status == CecResult::Status::kDifferent) {
+      EXPECT_TRUE(cex_distinguishes(golden, edition, ref.counterexample));
+    }
+  }
+  EXPECT_GT(different, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Circuits, IncrementalCecDifferential,
+                         ::testing::Values("c432", "c880", "c1908"));
 
 }  // namespace
 }  // namespace odcfp

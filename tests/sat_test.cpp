@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <vector>
 
+#include "benchgen/benchmarks.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
+#include "sat/tseitin.hpp"
+#include "sim/simulator.hpp"
 
 namespace odcfp::sat {
 namespace {
@@ -380,6 +383,136 @@ TEST(Solver, AbortedCallsChargeAbortedTelemetry) {
   telemetry::flush_thread();
   telemetry::reset();
   telemetry::set_enabled(was_enabled);
+}
+
+/// Adds the transitive fanin cone of `root` in `nl`, as `enc`'s variables,
+/// to `cone`; `in_cone` (indexed by variable) deduplicates across calls.
+void add_fanin_cone(const Netlist& nl, const TseitinEncoding& enc,
+                    NetId root, std::vector<bool>& in_cone,
+                    std::vector<Var>& cone) {
+  std::vector<NetId> stack = {root};
+  while (!stack.empty()) {
+    const NetId net = stack.back();
+    stack.pop_back();
+    const auto v = static_cast<std::size_t>(enc.var_of(net));
+    if (in_cone[v]) continue;
+    in_cone[v] = true;
+    cone.push_back(enc.var_of(net));
+    const GateId g = nl.net(net).driver;
+    if (g == kInvalidGate) continue;
+    for (const NetId in : nl.gate(g).fanins) stack.push_back(in);
+  }
+}
+
+/// Simulates one PI pattern on both circuits (same PI order) and reports
+/// whether output `po` disagrees.
+bool output_differs(const Netlist& a, const Netlist& b,
+                    const std::vector<bool>& pattern, std::size_t po) {
+  Simulator sa(a), sb(b);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    sa.set_input_word(i, pattern[i] ? ~0ull : 0ull);
+    sb.set_input_word(i, pattern[i] ? ~0ull : 0ull);
+  }
+  sa.run();
+  sb.run();
+  return ((sa.value(a.outputs()[po].net) ^ sb.value(b.outputs()[po].net)) &
+          1) != 0;
+}
+
+TEST(Solver, DecisionSetConfinesSearchToTheCone) {
+  // Each benchmark shares its PIs with a copy whose first NAND2 is a
+  // NOR2, next to thousands of variables no clause mentions. Every output
+  // XOR is solved confined to the pair's fanin cone, then unrestricted:
+  // the verdicts must agree, the confined call may decide each cone
+  // variable at most once between conflicts, and its model's PIs
+  // (unassigned ones read false) must show the difference in simulation.
+  // The unrestricted call must decide every unrelated variable before it
+  // can answer kSat, which breaks the confined call's bound wherever the
+  // pair's cone and conflicts are small (c17's outputs, for one).
+  constexpr int kUnrelatedVars = 4000;
+  std::size_t sat_outputs = 0;
+  std::size_t bound_broken = 0;
+  for (const char* name : {"c17", "c432", "c880"}) {
+    const Netlist golden = make_benchmark(name);
+    Netlist edited = golden;
+    for (GateId g = 0; g < edited.num_gates(); ++g) {
+      if (!edited.gate(g).is_dead() &&
+          edited.cell_of(g).kind == CellKind::kNand &&
+          edited.cell_of(g).num_inputs() == 2) {
+        edited.rewire_gate(g, edited.library().find_kind(CellKind::kNor, 2),
+                           edited.gate(g).fanins);
+        break;
+      }
+    }
+    Solver s;
+    const TseitinEncoding enc_a(s, golden);
+    const TseitinEncoding enc_b(s, edited, &enc_a.input_vars());
+    for (int i = 0; i < kUnrelatedVars; ++i) s.new_var();
+
+    for (std::size_t po = 0; po < golden.outputs().size(); ++po) {
+      const Var va = enc_a.var_of(golden.outputs()[po].net);
+      const Var vb = enc_b.var_of(edited.outputs()[po].net);
+      const Var d = s.new_var();
+      encode_xor(s, va, vb, d);
+      std::vector<bool> in_cone(static_cast<std::size_t>(s.num_vars()));
+      std::vector<Var> cone;
+      add_fanin_cone(golden, enc_a, golden.outputs()[po].net, in_cone, cone);
+      add_fanin_cone(edited, enc_b, edited.outputs()[po].net, in_cone, cone);
+      std::sort(cone.begin(), cone.end());
+
+      const Solver::Result confined = s.solve({pos_lit(d)}, -1, nullptr,
+                                              &cone);
+      const Solver::Stats cs = s.last_call_stats();
+      EXPECT_LE(cs.decisions, cone.size() * (cs.conflicts + 1))
+          << name << " output " << po;
+      if (confined == Solver::Result::kSat) {
+        std::vector<bool> pattern;
+        for (const Var pi : enc_a.input_vars()) {
+          pattern.push_back(s.model_value(pi));
+        }
+        EXPECT_TRUE(output_differs(golden, edited, pattern, po))
+            << name << " output " << po;
+      }
+      s.backtrack_to_root();
+
+      const Solver::Result full = s.solve({pos_lit(d)});
+      EXPECT_EQ(confined, full) << name << " output " << po;
+      if (full == Solver::Result::kSat) {
+        ++sat_outputs;
+        const Solver::Stats fs = s.last_call_stats();
+        EXPECT_GE(fs.decisions, static_cast<std::uint64_t>(kUnrelatedVars))
+            << name << " output " << po;
+        if (fs.decisions > cone.size() * (fs.conflicts + 1)) ++bound_broken;
+      }
+      s.backtrack_to_root();
+    }
+  }
+  EXPECT_GT(sat_outputs, 0u);
+  EXPECT_GT(bound_broken, 0u);
+}
+
+TEST(Solver, BacktrackLeavesVariablesOutsideTheDecisionSetUndecided) {
+  // Deciding x false (the reset phase) propagates every y and then a
+  // conflict on z; the learned unit x backjumps to level 0 and unassigns
+  // the ys. They are outside the decision set {x, z}, so backtracking
+  // must not queue them for branching: the kSat answer decides only x
+  // and, after the conflict, z, and leaves every y unassigned.
+  Solver s;
+  const Var x = s.new_var();
+  const Var z = s.new_var();
+  std::vector<Var> ys;
+  for (int i = 0; i < 10; ++i) {
+    ys.push_back(s.new_var());
+    s.add_clause(pos_lit(x), pos_lit(ys.back()));
+  }
+  s.add_clause(pos_lit(x), pos_lit(z));
+  s.add_clause(pos_lit(x), neg_lit(z));
+  const std::vector<Var> decide = {x, z};
+  ASSERT_EQ(s.solve({}, -1, nullptr, &decide), Solver::Result::kSat);
+  EXPECT_EQ(s.last_call_stats().conflicts, 1u);
+  EXPECT_EQ(s.last_call_stats().decisions, 2u);
+  EXPECT_TRUE(s.model_value(x));
+  for (const Var y : ys) EXPECT_FALSE(s.model_value(y));
 }
 
 /// Brute-force evaluation of a CNF over few variables.
