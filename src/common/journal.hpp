@@ -10,35 +10,20 @@
 // order across buyers depends on worker scheduling; the bit-identical
 // guarantee lives in the artifacts the records point at.
 //
-// Wire format (line-oriented, greppable on purpose):
+// Records (framing, torn-tail and durability rules: common/record_log.hpp):
 //
 //   odcfp-journal 1
 //   H <crc32-hex8> seed=<u64> buyers=<u64> config=<hex8> label=<text>
 //   R <crc32-hex8> seq=<u64> buyer=<u64> phase=<name> crc=<hex8> wall=<u64> artifact=<path>
+//   B <crc32-hex8> pid=<u64> beat=<u64> wall=<u64>
 //
-// The checksum covers the payload after the second space. `artifact` is
-// always the last field and runs to end of line (paths may contain
-// spaces). `wall=` is the writer's anchored wall clock
-// (src/common/clock.*) at append time; it is OPTIONAL on parse —
-// journals written before the field existed (and handcrafted test
-// fixtures) replay with wall_ns == 0 — so readers must treat 0 as
-// "unknown", never as the epoch. It exists solely for the cross-process
-// timeline (src/dist/stitch.*): replay/resume decisions ignore it. Every append is a single write(2) of a whole line to an
-// O_APPEND descriptor followed by fsync, so the only way a record can be
-// damaged is a torn final line from a crash mid-write.
-//
-// Recovery contract (read_journal):
-//  * a torn FINAL record — truncated line, missing newline, checksum
-//    mismatch — is tolerated: replay stops before it, torn_tail is set,
-//    and Journal::append_to truncates it away before appending;
-//  * a damaged NON-final record is corruption the protocol cannot have
-//    produced, and replay fails with Status::kMalformedInput;
-//  * a file that ends before the header was durable (crash between
-//    create() and its fsync) replays as has_header == false, and the
-//    caller starts the run from scratch — EXCEPT a zero-byte file, which
-//    the protocol cannot produce (create() writes magic + header in one
-//    write before returning) and is rejected with a distinct diagnostic
-//    instead of being silently treated as fresh.
+// `wall=` is the writer's anchored wall clock (src/common/clock.*) at
+// append time; it is OPTIONAL on parse — journals written before the
+// field existed (and handcrafted test fixtures) replay with wall_ns == 0 —
+// so readers must treat 0 as "unknown", never as the epoch. It exists
+// solely for the cross-process timeline (src/dist/stitch.*): replay and
+// resume decisions ignore it. A file holding only the magic line (no
+// header) replays as has_header == false and the caller starts over.
 //
 // Heartbeat records ("B" lines) are a sidecar liveness channel for the
 // distributed supervisor (src/dist/): they carry the writer's pid and a
@@ -49,11 +34,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/budget.hpp"
+#include "common/record_log.hpp"
 
 namespace odcfp {
 
@@ -69,13 +54,6 @@ enum class BuyerPhase : std::uint8_t {
 
 const char* to_string(BuyerPhase phase);
 bool parse_buyer_phase(const std::string& text, BuyerPhase* out);
-
-struct JournalHeader {
-  std::uint64_t seed = 0;        ///< Base seed; per-buyer seeds re-derive.
-  std::uint64_t num_buyers = 0;
-  std::uint32_t config_crc = 0;  ///< Checksum of run config + golden netlist.
-  std::string label;             ///< Human label (circuit name).
-};
 
 struct JournalEntry {
   std::uint64_t seq = 0;    ///< Writer-assigned, strictly increasing.
@@ -108,28 +86,18 @@ struct JournalReplay {
   const JournalEntry* committed(std::uint64_t buyer) const;
 };
 
-/// Replays a journal file. kMalformedInput for an unopenable file, an
-/// empty-but-existing file (which a crash cannot produce — the message
-/// names the condition so operators can tell it from mid-file
-/// corruption), a bad magic line, or mid-file corruption; a torn tail is
-/// NOT an error.
+/// Replays a journal file under the record_log torn-tail contract. A
+/// sequence regression is kMalformedInput too.
 Outcome<JournalReplay> read_journal(const std::string& path);
 
-// Shared wire-format helpers, exported so sibling journals (the dist
-// layer's lease journal) reuse the exact record framing and CRC rules
-// instead of inventing a second format.
-namespace journal_wire {
-
-/// "<tag> <crc32-hex8> <payload>\n" with the CRC covering the payload.
-std::string format_line(char tag, const std::string& payload);
-/// Validates framing + CRC of one line (no trailing newline) and hands
-/// back the payload view. False on any mismatch.
-bool checked_payload(std::string_view line, char tag,
-                     std::string_view* payload);
-std::string header_payload(const JournalHeader& header);
-bool parse_header_payload(std::string_view payload, JournalHeader* out);
-
-}  // namespace journal_wire
+/// Payload codecs of the `R` and `B` records, which the replay and the
+/// writer share and the record-log contract tests pin byte for byte.
+std::string entry_payload(const JournalEntry& entry);
+bool parse_entry_payload(std::string_view payload, JournalEntry* out);
+std::string heartbeat_payload(std::uint64_t pid, std::uint64_t beat,
+                              std::uint64_t wall_ns);
+bool parse_heartbeat_payload(std::string_view payload, std::uint64_t* pid,
+                             std::uint64_t* beat, std::uint64_t* wall_ns);
 
 /// Appending writer. Thread-safe: appends from pool workers serialize on
 /// an internal mutex (each append is one durable line). Move-only.
@@ -147,14 +115,10 @@ class Journal {
   static Outcome<Journal> create(const std::string& path,
                                  const JournalHeader& header);
 
-  /// Opens an existing journal for appending, first truncating away the
-  /// torn tail `replay` reported. Before any append can land, the magic
-  /// line and the header record's CRC are re-validated against the bytes
-  /// actually on disk — a replay computed from a file that has since
-  /// been tampered with or swapped (possible in the multi-process world)
-  /// is rejected as kMalformedInput instead of appending records onto a
-  /// header that no longer checks out. Sequence numbers continue from
-  /// replay.next_seq.
+  /// Opens an existing journal for appending (record_log::Writer::reopen:
+  /// the torn tail `replay` reported is truncated, and a magic line or
+  /// header changed on disk since the replay is kMalformedInput).
+  /// Sequence numbers continue from replay.next_seq.
   static Outcome<Journal> append_to(const std::string& path,
                                     const JournalReplay& replay);
 
@@ -179,8 +143,7 @@ class Journal {
   void close();
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  record_log::Writer writer_;
 };
 
 }  // namespace odcfp

@@ -1,8 +1,8 @@
 // Lease journal: the supervisor's durable record of shard ownership.
 //
 // Every grant, revocation, completion, and the final merge is one
-// CRC'd, fsync'd line in `run_dir/leases.odcfp`, reusing the exact wire
-// framing of the batch journal (common/journal.hpp::journal_wire):
+// record in `run_dir/leases.odcfp` (framing, torn-tail and durability
+// rules: common/record_log.hpp):
 //
 //   odcfp-leases 1
 //   H <crc8> seed=<u64> buyers=<u64> config=<hex8> label=<text>
@@ -36,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -92,16 +91,17 @@ struct LeaseReplay {
   std::vector<ShardLease> lease_states(std::size_t num_shards) const;
 };
 
-/// Replays a lease journal. Same tolerance contract as read_journal:
-/// torn FINAL line ok, anything else is kMalformedInput (including an
-/// empty-but-existing file).
+/// Replays a lease journal under the record_log torn-tail contract. A
+/// sequence regression is kMalformedInput too.
 Outcome<LeaseReplay> read_lease_journal(const std::string& path);
 
-/// Appending writer with the same durability discipline as Journal:
-/// every append is one whole-line write + fsync; a failed write is
-/// rolled back by truncation so the file never carries a mid-file torn
-/// record. Single-process use (only the supervisor writes leases), but
-/// thread-safe anyway.
+/// Payload codec of the `L` record, which the replay and the writer
+/// share and the record-log contract tests pin byte for byte.
+std::string lease_payload(const LeaseRecord& record);
+bool parse_lease_payload(std::string_view payload, LeaseRecord* out);
+
+/// Appending writer (a record_log::Writer). Single-process use (only the
+/// supervisor writes leases), but thread-safe anyway.
 class LeaseJournal {
  public:
   LeaseJournal();
@@ -115,9 +115,7 @@ class LeaseJournal {
   static Outcome<LeaseJournal> create(const std::string& path,
                                       const JournalHeader& header);
 
-  /// Opens for appending after replay, truncating a torn tail and
-  /// re-validating the header against the bytes on disk (same contract
-  /// as Journal::append_to).
+  /// Opens for appending after replay (record_log::Writer::reopen).
   static Outcome<LeaseJournal> append_to(const std::string& path,
                                          const LeaseReplay& replay);
 
@@ -130,8 +128,7 @@ class LeaseJournal {
   const std::string& path() const;
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  record_log::Writer writer_;
 };
 
 }  // namespace odcfp::dist

@@ -6,19 +6,13 @@
 #include "common/fault.hpp"
 #include "common/journal.hpp"
 #include "common/log.hpp"
+#include "common/record_log.hpp"
 #include "common/telemetry.hpp"
 #include "fingerprint/location.hpp"
 
 namespace odcfp::dist {
 
 namespace {
-
-void hex8(std::uint32_t v, std::string* out) {
-  static const char* digits = "0123456789abcdef";
-  for (int shift = 28; shift >= 0; shift -= 4) {
-    out->push_back(digits[(v >> shift) & 0xF]);
-  }
-}
 
 MergeResult fail(Status status, std::string message) {
   MergeResult r;
@@ -133,10 +127,8 @@ MergeResult merge_run(
     if (rel.rfind(run_dir + "/", 0) == 0) {
       rel = rel.substr(run_dir.size() + 1);
     }
-    std::string crc_hex;
-    hex8(crc, &crc_hex);
     verification << "    {\"buyer\": " << b << ", \"artifact\": \"" << rel
-                 << "\", \"crc32\": \"" << crc_hex
+                 << "\", \"crc32\": \"" << record_log::hex(crc, 8)
                  << "\", \"bytes\": " << bytes.size()
                  << ", \"status\": \"committed\"}"
                  << (b + 1 < n ? "," : "") << "\n";

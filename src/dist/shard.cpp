@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "common/atomic_io.hpp"
-#include "common/journal.hpp"
+#include "common/record_log.hpp"
 
 namespace odcfp::dist {
 
@@ -13,95 +13,32 @@ namespace {
 
 constexpr const char* kMagic = "odcfp-runspec 1";
 
-void hex16(std::uint64_t v, std::string* out) {
-  static const char* digits = "0123456789abcdef";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out->push_back(digits[(v >> shift) & 0xF]);
-  }
-}
-
-bool consume(std::string_view* s, const char* prefix) {
-  const std::size_t len = std::strlen(prefix);
-  if (s->size() < len || s->compare(0, len, prefix) != 0) return false;
-  s->remove_prefix(len);
-  return true;
-}
-
-bool parse_u64(std::string_view* s, std::uint64_t* out) {
-  std::uint64_t v = 0;
-  std::size_t digits = 0;
-  while (!s->empty() && (*s)[0] >= '0' && (*s)[0] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>((*s)[0] - '0');
-    s->remove_prefix(1);
-    ++digits;
-  }
-  if (digits == 0) return false;
-  if (!s->empty() && (*s)[0] == ' ') s->remove_prefix(1);
-  *out = v;
-  return true;
-}
-
-bool parse_hex64(std::string_view* s, std::uint64_t* out) {
-  std::uint64_t v = 0;
-  std::size_t digits = 0;
-  while (digits < 16 && !s->empty()) {
-    const char c = (*s)[0];
-    int d;
-    if (c >= '0' && c <= '9') d = c - '0';
-    else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-    else break;
-    v = (v << 4) | static_cast<std::uint64_t>(d);
-    s->remove_prefix(1);
-    ++digits;
-  }
-  if (digits != 16) return false;
-  if (!s->empty() && (*s)[0] == ' ') s->remove_prefix(1);
-  *out = v;
-  return true;
-}
-
 std::string spec_payload(const RunSpec& spec) {
   std::uint64_t overhead_bits;
   static_assert(sizeof(overhead_bits) == sizeof(spec.max_delay_overhead));
   std::memcpy(&overhead_bits, &spec.max_delay_overhead,
               sizeof(overhead_bits));
-  std::ostringstream os;
-  os << "circuit=" << spec.circuit << " buyers=" << spec.num_buyers
-     << " cbseed=" << spec.codebook_seed << " bseed=" << spec.batch_seed
-     << " overhead=";
-  std::string hex;
-  hex16(overhead_bits, &hex);
-  os << hex << " label=" << spec.label;
-  return os.str();
+  return "circuit=" + spec.circuit +
+         " buyers=" + std::to_string(spec.num_buyers) +
+         " cbseed=" + std::to_string(spec.codebook_seed) +
+         " bseed=" + std::to_string(spec.batch_seed) +
+         " overhead=" + record_log::hex(overhead_bits, 16) +
+         " label=" + spec.label;
 }
 
 bool parse_spec_payload(std::string_view payload, RunSpec* out) {
-  if (!consume(&payload, "circuit=")) return false;
-  const std::size_t sp = payload.find(' ');
-  if (sp == std::string_view::npos) return false;
-  out->circuit = std::string(payload.substr(0, sp));
-  payload.remove_prefix(sp + 1);
-  if (!consume(&payload, "buyers=") ||
-      !parse_u64(&payload, &out->num_buyers)) {
-    return false;
-  }
-  if (!consume(&payload, "cbseed=") ||
-      !parse_u64(&payload, &out->codebook_seed)) {
-    return false;
-  }
-  if (!consume(&payload, "bseed=") ||
-      !parse_u64(&payload, &out->batch_seed)) {
-    return false;
-  }
+  record_log::Fields in(payload);
+  std::string_view circuit;
   std::uint64_t overhead_bits = 0;
-  if (!consume(&payload, "overhead=") ||
-      !parse_hex64(&payload, &overhead_bits)) {
+  if (!in.text("circuit", &circuit) || !in.u64("buyers", &out->num_buyers) ||
+      !in.u64("cbseed", &out->codebook_seed) ||
+      !in.u64("bseed", &out->batch_seed) ||
+      !in.hex("overhead", &overhead_bits) || !in.tail("label", &out->label)) {
     return false;
   }
+  out->circuit = std::string(circuit);
   std::memcpy(&out->max_delay_overhead, &overhead_bits,
               sizeof(overhead_bits));
-  if (!consume(&payload, "label=")) return false;
-  out->label = std::string(payload);
   return true;
 }
 
@@ -109,10 +46,8 @@ bool parse_spec_payload(std::string_view payload, RunSpec* out) {
 
 Outcome<bool> write_run_spec(const std::string& path,
                              const RunSpec& spec) {
-  std::string data = kMagic;
-  data += '\n';
-  data += journal_wire::format_line('S', spec_payload(spec));
-  const atomic_io::WriteResult wr = atomic_io::write_file_atomic(path, data);
+  const atomic_io::WriteResult wr =
+      record_log::write_one(path, kMagic, 'S', spec_payload(spec));
   if (!wr.ok) {
     return Outcome<bool>::exhausted("run.spec write failed: " + wr.error);
   }
@@ -120,25 +55,13 @@ Outcome<bool> write_run_spec(const std::string& path,
 }
 
 Outcome<RunSpec> read_run_spec(const std::string& path) {
-  std::string data;
-  if (!atomic_io::read_file(path, &data)) {
-    return Outcome<RunSpec>::malformed("cannot read run spec '" + path +
-                                       "'");
-  }
-  std::istringstream is(data);
-  std::string magic, record;
-  if (!std::getline(is, magic) || magic != kMagic ||
-      !std::getline(is, record)) {
-    return Outcome<RunSpec>::malformed("'" + path +
-                                       "' is not an odcfp run spec");
-  }
-  std::string_view payload;
   RunSpec spec;
-  if (!journal_wire::checked_payload(record, 'S', &payload) ||
-      !parse_spec_payload(payload, &spec)) {
-    return Outcome<RunSpec>::malformed(
-        "run spec '" + path + "' failed its checksum or framing");
-  }
+  const Outcome<bool> read = record_log::read_one(
+      path, kMagic, 'S', "run spec",
+      [&](std::string_view payload) {
+        return parse_spec_payload(payload, &spec);
+      });
+  if (!read.ok()) return Outcome<RunSpec>::malformed(read.message());
   return Outcome<RunSpec>::success(std::move(spec));
 }
 

@@ -64,8 +64,8 @@ struct RunSpec {
   std::string label;              ///< Journal header label.
 };
 
-/// Writes `spec` to `path` (atomic publish). The format reuses the
-/// journal wire framing: a magic line, then one CRC'd "S" record.
+/// Writes `spec` to `path` (atomic publish): a magic line, then one
+/// CRC'd "S" record (record_log::write_one).
 Outcome<bool> write_run_spec(const std::string& path, const RunSpec& spec);
 
 /// Reads a run.spec back; kMalformedInput on framing/CRC damage.

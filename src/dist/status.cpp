@@ -4,12 +4,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
 #include "common/atomic_io.hpp"
 #include "common/fault.hpp"
+#include "common/record_log.hpp"
 #include "dist/shard.hpp"
 
 namespace odcfp::dist {
@@ -17,27 +17,6 @@ namespace odcfp::dist {
 namespace {
 
 constexpr const char* kMagic = "odcfp-status 1";
-
-bool consume(std::string_view* s, const char* prefix) {
-  const std::size_t len = std::strlen(prefix);
-  if (s->size() < len || s->compare(0, len, prefix) != 0) return false;
-  s->remove_prefix(len);
-  return true;
-}
-
-bool parse_u64(std::string_view* s, std::uint64_t* out) {
-  std::uint64_t v = 0;
-  std::size_t digits = 0;
-  while (!s->empty() && (*s)[0] >= '0' && (*s)[0] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>((*s)[0] - '0');
-    s->remove_prefix(1);
-    ++digits;
-  }
-  if (digits == 0) return false;
-  if (!s->empty() && (*s)[0] == ' ') s->remove_prefix(1);
-  *out = v;
-  return true;
-}
 
 std::string status_payload(const ShardStatus& st) {
   std::ostringstream os;
@@ -55,68 +34,38 @@ std::string status_payload(const ShardStatus& st) {
   return os.str();
 }
 
-bool parse_status_payload(std::string_view payload, ShardStatus* out) {
-  if (!consume(&payload, "shard=") || !parse_u64(&payload, &out->shard)) {
+/// `<count>:<sum>:<b0>,<b1>,...`
+bool parse_hist(std::string_view text, metrics::HistData* out) {
+  const std::size_t a = text.find(':');
+  const std::size_t b = a == std::string_view::npos ? a : text.find(':', a + 1);
+  if (b == std::string_view::npos ||
+      !record_log::parse_u64(text.substr(0, a), &out->count) ||
+      !record_log::parse_u64(text.substr(a + 1, b - a - 1), &out->sum)) {
     return false;
   }
-  if (!consume(&payload, "epoch=") || !parse_u64(&payload, &out->epoch)) {
-    return false;
-  }
-  if (!consume(&payload, "pid=") || !parse_u64(&payload, &out->pid)) {
-    return false;
-  }
-  if (!consume(&payload, "begin=") ||
-      !parse_u64(&payload, &out->range_begin)) {
-    return false;
-  }
-  if (!consume(&payload, "end=") ||
-      !parse_u64(&payload, &out->range_end)) {
-    return false;
-  }
-  if (!consume(&payload, "committed=") ||
-      !parse_u64(&payload, &out->committed)) {
-    return false;
-  }
-  if (!consume(&payload, "recovered=") ||
-      !parse_u64(&payload, &out->recovered)) {
-    return false;
-  }
-  if (!consume(&payload, "elapsed_ms=") ||
-      !parse_u64(&payload, &out->elapsed_ms)) {
-    return false;
-  }
-  if (!consume(&payload, "eps_milli=") ||
-      !parse_u64(&payload, &out->eps_milli)) {
-    return false;
-  }
-  if (!consume(&payload, "done=") || !parse_u64(&payload, &out->done)) {
-    return false;
-  }
-  // Optional (later wire addition): old snapshots replay wall_ns == 0.
-  if (consume(&payload, "wall=") && !parse_u64(&payload, &out->wall_ns)) {
-    return false;
-  }
-  if (!consume(&payload, "hist=")) return false;
-  if (!parse_u64(&payload, &out->edition_ns.count) || payload.empty() ||
-      payload[0] != ':') {
-    return false;
-  }
-  payload.remove_prefix(1);
-  if (!parse_u64(&payload, &out->edition_ns.sum) || payload.empty() ||
-      payload[0] != ':') {
-    return false;
-  }
-  payload.remove_prefix(1);
-  while (!payload.empty()) {
-    std::uint64_t b = 0;
-    if (!parse_u64(&payload, &b)) return false;
-    out->edition_ns.buckets.push_back(b);
-    if (!payload.empty()) {
-      if (payload[0] != ',') return false;
-      payload.remove_prefix(1);
-    }
+  for (text.remove_prefix(b + 1); !text.empty();) {
+    const std::size_t comma = text.find(',');
+    std::uint64_t bucket = 0;
+    if (!record_log::parse_u64(text.substr(0, comma), &bucket)) return false;
+    out->buckets.push_back(bucket);
+    text.remove_prefix(comma == std::string_view::npos ? text.size()
+                                                       : comma + 1);
   }
   return true;
+}
+
+bool parse_status_payload(std::string_view payload, ShardStatus* out) {
+  record_log::Fields in(payload);
+  std::string hist;
+  return in.u64("shard", &out->shard) && in.u64("epoch", &out->epoch) &&
+         in.u64("pid", &out->pid) && in.u64("begin", &out->range_begin) &&
+         in.u64("end", &out->range_end) &&
+         in.u64("committed", &out->committed) &&
+         in.u64("recovered", &out->recovered) &&
+         in.u64("elapsed_ms", &out->elapsed_ms) &&
+         in.u64("eps_milli", &out->eps_milli) && in.u64("done", &out->done) &&
+         in.optional_u64("wall", &out->wall_ns) && in.tail("hist", &hist) &&
+         parse_hist(hist, &out->edition_ns);
 }
 
 const char* shard_state_name(ShardState s) {
@@ -175,10 +124,8 @@ std::string run_status_path(const std::string& run_dir) {
 Outcome<bool> write_status_snapshot(const std::string& path,
                                     const ShardStatus& status) {
   ODCFP_FAULT_POINT("dist.status.publish");
-  std::string data = kMagic;
-  data += '\n';
-  data += journal_wire::format_line('S', status_payload(status));
-  const atomic_io::WriteResult wr = atomic_io::write_file_atomic(path, data);
+  const atomic_io::WriteResult wr =
+      record_log::write_one(path, kMagic, 'S', status_payload(status));
   if (!wr.ok) {
     return Outcome<bool>::exhausted("status snapshot write failed: " +
                                     wr.error);
@@ -187,25 +134,13 @@ Outcome<bool> write_status_snapshot(const std::string& path,
 }
 
 Outcome<ShardStatus> read_status_snapshot(const std::string& path) {
-  std::string data;
-  if (!atomic_io::read_file(path, &data)) {
-    return Outcome<ShardStatus>::malformed("cannot read status snapshot '" +
-                                           path + "'");
-  }
-  std::istringstream is(data);
-  std::string magic, record;
-  if (!std::getline(is, magic) || magic != kMagic ||
-      !std::getline(is, record)) {
-    return Outcome<ShardStatus>::malformed(
-        "'" + path + "' is not an odcfp status snapshot");
-  }
-  std::string_view payload;
   ShardStatus st;
-  if (!journal_wire::checked_payload(record, 'S', &payload) ||
-      !parse_status_payload(payload, &st)) {
-    return Outcome<ShardStatus>::malformed(
-        "status snapshot '" + path + "' failed its checksum or framing");
-  }
+  const Outcome<bool> read = record_log::read_one(
+      path, kMagic, 'S', "status snapshot",
+      [&](std::string_view payload) {
+        return parse_status_payload(payload, &st);
+      });
+  if (!read.ok()) return Outcome<ShardStatus>::malformed(read.message());
   return Outcome<ShardStatus>::success(std::move(st));
 }
 

@@ -5,8 +5,8 @@
 // Two kinds of status exist and must not be confused:
 //
 //  * LIVE status — written while the run is in flight. Each worker
-//    overwrites `run_dir/status_<shard>.snap` (one CRC'd record, same
-//    wire framing as the journals) on every heartbeat; the supervisor
+//    overwrites `run_dir/status_<shard>.snap` (one CRC'd record,
+//    record_log::write_one) on every heartbeat; the supervisor
 //    folds the snapshots into `run_dir/run_status.json` with per-shard
 //    rates, heartbeat ages, and stall flags. Live status is advisory
 //    and schedule-dependent by nature — rates and ages are wall-clock.

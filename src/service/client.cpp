@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "common/clock.hpp"
+#include "common/record_log.hpp"
 #include "service/wire.hpp"
 
 namespace odcfp::service {
@@ -124,19 +125,9 @@ Outcome<StatusReply> Client::status(std::uint64_t id) {
   out.terminal = out.state == "completed" || out.state == "degraded" ||
                  out.state == "shed_timeout" || out.state == "failed";
   wire::get_u64(payload, "committed", &out.committed);
-  const std::string crc_text = wire::get_field(payload, "crc");
-  if (crc_text.size() == 8) {
-    std::uint32_t crc = 0;
-    bool ok = true;
-    for (const char c : crc_text) {
-      crc <<= 4;
-      if (c >= '0' && c <= '9') crc |= static_cast<std::uint32_t>(c - '0');
-      else if (c >= 'a' && c <= 'f')
-        crc |= static_cast<std::uint32_t>(c - 'a' + 10);
-      else
-        ok = false;
-    }
-    if (ok) out.artifact_crc = crc;
+  std::uint64_t crc = 0;
+  if (record_log::parse_hex(wire::get_field(payload, "crc"), 8, &crc)) {
+    out.artifact_crc = static_cast<std::uint32_t>(crc);
   }
   out.detail = wire::get_tail_field(payload, "detail");
   return Result::success(std::move(out));

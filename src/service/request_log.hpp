@@ -1,9 +1,11 @@
 // Durable request log of the fingerprinting service daemon.
 //
-// The daemon's accepted-work ledger, reusing the write-ahead journal's
-// wire conventions (src/common/journal.hpp): a magic line, then one
-// CRC'd record per line, appended with a single write + fsync, torn
-// tails tolerated only at EOF. Two record kinds:
+// The daemon's accepted-work ledger (framing, torn-tail and durability
+// rules: common/record_log.hpp):
+//
+//   odcfp-requests 1
+//   A <crc8> id=<u64> tenant=<name> circuit=<name> buyers=<u64> seed=<u64> deadline=<u64> priority=<u64> verify=<0|1> wall=<u64> label=<text>
+//   T <crc8> id=<u64> committed=<u64> crc=<hex8> outcome=<name> detail=<text>
 //
 //   A — admitted. Appended (and fsynced) BEFORE the accepted reply
 //       leaves the socket, so "the client heard accepted" implies "the
@@ -25,11 +27,11 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/budget.hpp"
+#include "common/record_log.hpp"
 
 namespace odcfp::service {
 
@@ -79,12 +81,11 @@ struct RequestLogReplay {
   std::vector<AdmittedRecord> pending() const;
 };
 
-/// Reads a request log. kMalformedInput on mid-file damage (a torn
-/// FINAL record is tolerated and reported via torn_tail).
+/// Reads a request log under the record_log torn-tail contract.
 Outcome<RequestLogReplay> read_request_log(const std::string& path);
 
-/// Append-side handle. Same threading contract as Journal: appends are
-/// serialized internally; one writer process per log.
+/// Append-side handle (a record_log::Writer): appends are serialized
+/// internally; one writer process per log.
 class RequestLog {
  public:
   RequestLog();
@@ -95,8 +96,8 @@ class RequestLog {
   /// Creates a fresh log (truncating any existing file).
   static Outcome<RequestLog> create(const std::string& path);
 
-  /// Opens an existing log for appending, dropping a torn tail first
-  /// (same discipline as Journal::append_to).
+  /// Opens an existing log for appending after replay
+  /// (record_log::Writer::reopen).
   static Outcome<RequestLog> append_to(const std::string& path,
                                        const RequestLogReplay& replay);
 
@@ -109,8 +110,7 @@ class RequestLog {
   void close();
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  record_log::Writer writer_;
 };
 
 }  // namespace odcfp::service

@@ -9,12 +9,12 @@
 #include <atomic>
 #include <cerrno>
 #include <condition_variable>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "benchgen/benchmarks.hpp"
@@ -22,6 +22,7 @@
 #include "common/clock.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
+#include "common/record_log.hpp"
 #include "common/telemetry.hpp"
 #include "common/trace.hpp"
 #include "fingerprint/batch.hpp"
@@ -45,12 +46,6 @@ struct RequestState {
   std::uint64_t enqueue_steady_ns = 0;
   bool replayed = false;
 };
-
-std::string hex8(std::uint32_t v) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08x", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -86,12 +81,23 @@ struct Server::Impl {
     spec.tenant = wire::get_field(payload, "tenant");
     spec.circuit = wire::get_field(payload, "circuit");
     spec.label = wire::get_tail_field(payload, "label");
+    // A numeric field may be absent (it keeps its default), but one that
+    // is present must parse: a wrapped or garbled value is never admitted
+    // as some other number.
     std::uint64_t verify = 0;
-    wire::get_u64(payload, "verify", &verify);
+    const std::pair<const char*, std::uint64_t*> numbers[] = {
+        {"verify", &verify},
+        {"buyers", &spec.buyers},
+        {"seed", &spec.seed},
+        {"deadline_ms", &spec.deadline_ms}};
+    const char* bad_number = nullptr;
+    for (const auto& [key, out] : numbers) {
+      if (record_log::field(payload, key) &&
+          !wire::get_u64(payload, key, out)) {
+        bad_number = key;
+      }
+    }
     spec.verify = verify != 0;
-    wire::get_u64(payload, "buyers", &spec.buyers);
-    wire::get_u64(payload, "seed", &spec.seed);
-    wire::get_u64(payload, "deadline_ms", &spec.deadline_ms);
 
     // Gate 1: shape. Cheap, total, and before any accounting.
     std::string shape_error;
@@ -99,6 +105,8 @@ struct Server::Impl {
       shape_error = "missing tenant=";
     } else if (spec.circuit.empty()) {
       shape_error = "missing circuit=";
+    } else if (bad_number != nullptr) {
+      shape_error = std::string(bad_number) + "= is not a decimal u64";
     } else if (spec.buyers == 0) {
       shape_error = "buyers must be >= 1";
     } else {
@@ -201,7 +209,7 @@ struct Server::Impl {
        << " buyers=" << st.record.spec.buyers;
     if (st.terminal) {
       os << " committed=" << st.terminal_record.committed
-         << " crc=" << hex8(st.terminal_record.artifact_crc)
+         << " crc=" << record_log::hex(st.terminal_record.artifact_crc, 8)
          << " detail=" << st.terminal_record.detail;
     }
     return os.str();
@@ -321,7 +329,7 @@ struct Server::Impl {
       std::string bytes;
       if (!atomic_io::read_file(artifacts[b], &bytes)) continue;
       std::ostringstream os;
-      os << b << ':' << hex8(atomic_io::crc32(bytes)) << '\n';
+      os << b << ':' << record_log::hex(atomic_io::crc32(bytes), 8) << '\n';
       digest.update(os.str());
     }
     return digest.value();

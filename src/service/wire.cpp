@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "common/atomic_io.hpp"
+#include "common/record_log.hpp"
 
 namespace odcfp::service::wire {
 
@@ -147,51 +148,18 @@ std::string_view verb_of(std::string_view payload) {
   return sp == std::string_view::npos ? payload : payload.substr(0, sp);
 }
 
-namespace {
-
-/// Offset of the value of `key=` in `payload`, or npos. Matches only at
-/// a field start (payload begin or after a space) so `label=` never
-/// matches inside `run_label=`.
-std::size_t value_offset(std::string_view payload, std::string_view key) {
-  std::string needle(key);
-  needle += '=';
-  std::size_t pos = 0;
-  while (pos < payload.size()) {
-    const std::size_t hit = payload.find(needle, pos);
-    if (hit == std::string_view::npos) return std::string_view::npos;
-    if (hit == 0 || payload[hit - 1] == ' ') return hit + needle.size();
-    pos = hit + 1;
-  }
-  return std::string_view::npos;
-}
-
-}  // namespace
-
 std::string get_field(std::string_view payload, std::string_view key) {
-  const std::size_t at = value_offset(payload, key);
-  if (at == std::string_view::npos) return "";
-  const std::size_t end = payload.find(' ', at);
-  return std::string(payload.substr(
-      at, end == std::string_view::npos ? payload.size() - at : end - at));
+  return std::string(record_log::field(payload, key).value_or(""));
 }
 
 std::string get_tail_field(std::string_view payload, std::string_view key) {
-  const std::size_t at = value_offset(payload, key);
-  if (at == std::string_view::npos) return "";
-  return std::string(payload.substr(at));
+  return std::string(record_log::tail_field(payload, key).value_or(""));
 }
 
 bool get_u64(std::string_view payload, std::string_view key,
              std::uint64_t* out) {
-  const std::string text = get_field(payload, key);
-  if (text.empty()) return false;
-  std::uint64_t v = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  *out = v;
-  return true;
+  const std::optional<std::string_view> text = record_log::field(payload, key);
+  return text.has_value() && record_log::parse_u64(*text, out);
 }
 
 }  // namespace odcfp::service::wire

@@ -63,7 +63,8 @@ std::string get_field(std::string_view payload, std::string_view key);
 /// fields that may contain spaces); "" when absent.
 std::string get_tail_field(std::string_view payload, std::string_view key);
 
-/// Parses `key=` as decimal u64. False when absent or non-numeric.
+/// Parses `key=` as decimal u64 (record_log::parse_u64). False when
+/// absent, non-numeric, or above 2^64-1.
 bool get_u64(std::string_view payload, std::string_view key,
              std::uint64_t* out);
 

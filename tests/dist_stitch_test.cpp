@@ -219,7 +219,7 @@ std::string lease_line(std::uint64_t seq, std::uint64_t shard,
                         event + " pid=" + std::to_string(pid) +
                         " wall=" + std::to_string(wall) +
                         " detail=" + detail;
-  return journal_wire::format_line('L', payload);
+  return record_log::format_line('L', payload);
 }
 
 // A skewed workload whose wall timestamps are CHOSEN: shard 1 is killed
@@ -239,8 +239,8 @@ TEST(DistStitch, ReportNamesKilledAndCriticalPathShardOnSkewedWorkload) {
   header.config_crc = run_spec_crc(spec);
   header.label = spec.label;
   std::string journal = "odcfp-leases 1\n";
-  journal += journal_wire::format_line(
-      'H', journal_wire::header_payload(header));
+  journal += record_log::format_line(
+      'H', record_log::header_payload(header));
   journal += lease_line(0, 0, 1, "granted", 101, kBase);
   journal += lease_line(1, 1, 1, "granted", 102, kBase + 1 * kMs);
   journal += lease_line(2, 2, 1, "granted", 103, kBase + 2 * kMs);

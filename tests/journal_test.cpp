@@ -161,6 +161,24 @@ TEST(Journal, MidFileCorruptionIsMalformed) {
   EXPECT_EQ(out.status(), Status::kMalformedInput);
   EXPECT_NE(out.message().find("corrupt record"), std::string::npos)
       << out.message();
+
+  // A record whose CRC checks but whose seq overflows u64 cannot come
+  // from a crash either — even as the final line — and must never wrap
+  // around to a small, plausible seq.
+  const std::string wrapped = temp_path("seq_overflow");
+  std::remove(wrapped.c_str());
+  ASSERT_TRUE(Journal::create(wrapped, header()).ok());
+  std::string journal;
+  ASSERT_TRUE(atomic_io::read_file(wrapped, &journal));
+  journal += record_log::format_line(
+      'R',
+      "seq=18446744073709551617 buyer=0 phase=embedding crc=00000000 "
+      "artifact=");
+  ASSERT_TRUE(atomic_io::write_file_atomic(wrapped, journal).ok);
+  const Outcome<JournalReplay> overflow = read_journal(wrapped);
+  EXPECT_EQ(overflow.status(), Status::kMalformedInput);
+  EXPECT_NE(overflow.message().find("corrupt record"), std::string::npos)
+      << overflow.message();
 }
 
 // The same damage on the FINAL record is indistinguishable from a torn

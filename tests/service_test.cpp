@@ -4,8 +4,10 @@
 // ladder (completed / degraded / shed) plus cross-thread-count artifact
 // determinism.
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -161,6 +163,7 @@ TEST(ServiceWire, FieldLookupMatchesWholeKeysOnly) {
   EXPECT_EQ(v, 1u);
   EXPECT_FALSE(wire::get_u64(payload, "missing", &v));
   EXPECT_FALSE(wire::get_u64("a v=12x", "v", &v));
+  EXPECT_FALSE(wire::get_u64("a v=18446744073709551616", "v", &v));
 }
 
 // ----------------------------------------------------------- admission
@@ -500,6 +503,29 @@ ServiceConfig base_config(const std::string& dir) {
   return config;
 }
 
+/// One request frame straight onto the daemon's socket; returns the
+/// reply payload.
+std::string raw_round_trip(const std::string& socket_path,
+                           const std::string& payload) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  struct sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socket_path.c_str(),
+              std::min(socket_path.size(), sizeof(addr.sun_path) - 1));
+  EXPECT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  std::string error;
+  std::string reply;
+  EXPECT_TRUE(wire::send_frame(fd, payload, &error)) << error;
+  EXPECT_EQ(wire::recv_frame(fd, &reply, &error, 10'000),
+            wire::RecvStatus::kOk)
+      << error;
+  ::close(fd);
+  return reply;
+}
+
 RequestSpec c17_spec(std::uint64_t seed = 1) {
   RequestSpec spec;
   spec.tenant = "acme";
@@ -570,7 +596,20 @@ TEST(ServiceServer, RejectsMalformedRequests) {
   EXPECT_FALSE(reply.value().accepted);
   EXPECT_EQ(reply.value().reason, RejectReason::kMalformed);
 
-  EXPECT_EQ(server.value()->stats().rejected_malformed, 3u);
+  // Numbers the Client cannot even express: one that overflows u64 and
+  // one that is not a number. Neither may be admitted as some other value.
+  for (const char* raw :
+       {"submit tenant=acme circuit=c17 buyers=18446744073709551617 seed=1",
+        "submit tenant=acme circuit=c17 buyers=2 seed=12x"}) {
+    const std::string reply_payload =
+        raw_round_trip(server.value()->socket_path(), raw);
+    EXPECT_EQ(wire::verb_of(reply_payload), "rejected") << reply_payload;
+    EXPECT_EQ(wire::get_field(reply_payload, "reason"),
+              to_string(RejectReason::kMalformed))
+        << reply_payload;
+  }
+
+  EXPECT_EQ(server.value()->stats().rejected_malformed, 5u);
   EXPECT_EQ(server.value()->stats().admitted, 0u);
   server.value()->stop();
 }
