@@ -11,6 +11,7 @@
 
 #include "common/atomic_io.hpp"
 #include "common/check.hpp"
+#include "common/json_lite.hpp"
 #include "common/log.hpp"
 #include "common/telemetry.hpp"
 #include "common/trace.hpp"
@@ -71,44 +72,6 @@ std::vector<BenchmarkSpec> bench_circuits() {
   return specs;
 }
 
-namespace {
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-/// Full-precision number (round-trips a double exactly); JSON has no
-/// inf/nan, so non-finite values degrade to null rather than corrupting
-/// the artifact.
-void write_json_number(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
-
-}  // namespace
-
 BenchReport::BenchReport(std::string name) : name_(std::move(name)) {}
 
 BenchReport::~BenchReport() {
@@ -135,8 +98,7 @@ void BenchReport::write() {
       name_ + ".json";
 
   std::ostringstream os;
-  os << "{\n  \"bench\": ";
-  write_json_string(os, name_);
+  os << "{\n  \"bench\": " << jsonlite::quote(name_);
   os << ",\n  \"schema_version\": 3";
   os << ",\n  \"smoke\": " << (smoke() ? "true" : "false");
   // Host metadata (schema v2): labels only — tools/bench_diff.py must
@@ -169,25 +131,20 @@ void BenchReport::write() {
   os << ",\n  \"rows\": [";
   for (std::size_t r = 0; r < rows_.size(); ++r) {
     const Row& row = rows_[r];
-    os << (r == 0 ? "\n" : ",\n") << "    {\"name\": ";
-    write_json_string(os, row.name_);
-    os << ", \"labels\": {";
+    os << (r == 0 ? "\n" : ",\n") << "    {\"name\": "
+       << jsonlite::quote(row.name_) << ", \"labels\": {";
     bool first = true;
     for (const auto& [k, v] : row.labels_) {
       if (!first) os << ", ";
       first = false;
-      write_json_string(os, k);
-      os << ": ";
-      write_json_string(os, v);
+      os << jsonlite::quote(k) << ": " << jsonlite::quote(v);
     }
     os << "}, \"metrics\": {";
     first = true;
     for (const auto& [k, v] : row.metrics_) {
       if (!first) os << ", ";
       first = false;
-      write_json_string(os, k);
-      os << ": ";
-      write_json_number(os, v);
+      os << jsonlite::quote(k) << ": " << jsonlite::number(v);
     }
     os << "}}";
   }

@@ -1,20 +1,25 @@
-// Minimal recursive-descent JSON parser for small, trusted inputs.
+// The repo's one JSON codec: the string escaper and number writer every
+// JSON file it writes goes through, and the reader for every JSON file it
+// reads back (Chrome traces, telemetry trees, test assertions).
 //
-// Grown out of the test suite's JSON-validity checker: the trace
-// stitcher (src/dist/stitch.*) must read back the Chrome trace files
-// this codebase itself wrote, and the production parsers cannot —
-// telemetry::parse_json knows only the telemetry-node shape. This
-// header parses arbitrary JSON into a small DOM and throws
-// std::runtime_error with an offset on the first syntax error.
+// Writer: append_quoted()/quote() and number() spell the two format
+// decisions once, so telemetry trees, trace files, JSONL log records,
+// run reports, run_status.json, verification.json and BENCH_*.json all
+// escape and print numbers the same way.
 //
-// Deliberately NOT a general-purpose parser: no surrogate-pair decoding
-// (non-ASCII \u escapes collapse to '?'), no depth limit, whole input in
-// memory. Numbers keep their raw source text (Value::raw) alongside the
-// double, so consumers that must not lose integer precision — 64-bit
-// nanosecond timestamps — can re-parse the exact digits instead of
-// trusting a double round-trip.
+// Reader: a recursive-descent parser into a small DOM. Every syntax error
+// throws std::runtime_error with the byte offset, and so does nesting
+// deeper than kMaxDepth, so hostile bytes (a truncated or crafted trace
+// file, say) get an error instead of a stack overflow. Numbers keep their
+// raw source text (Value::raw) alongside the double, so consumers that
+// must not lose integer precision (64-bit nanosecond timestamps, u64
+// counters) re-parse the exact digits instead of trusting a double
+// round-trip. Not a general-purpose parser: no surrogate-pair decoding
+// (non-ASCII \u escapes collapse to '?') and the whole input in memory.
 #pragma once
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -23,6 +28,55 @@
 #include <vector>
 
 namespace odcfp::jsonlite {
+
+// ---- writer ----
+
+/// Appends `s` as a quoted JSON string. `"` and `\` are backslashed, \n
+/// and \t get their short escapes, every other byte below 0x20 becomes
+/// \u00xx, and every other byte (0x7f and UTF-8 included) is copied raw.
+inline void append_quoted(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+inline std::string quote(std::string_view s) {
+  std::string out;
+  append_quoted(out, s);
+  return out;
+}
+
+/// `v` with 17 significant digits, which round-trips any double. JSON has
+/// no NaN or infinity, so a non-finite value is written as null.
+inline std::string number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+// ---- reader ----
+
+/// Deepest array/object nesting the reader accepts. The repo's own files
+/// nest at most a few levels per span (Chrome traces 4, telemetry trees 2
+/// per span level); anything deeper is refused like a syntax error.
+constexpr std::size_t kMaxDepth = 256;
 
 struct Value {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -128,13 +182,22 @@ class Parser {
     return v;
   }
 
+  /// Counts one more level of nesting into an array or object.
+  void descend() {
+    if (++depth_ > kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth));
+    }
+  }
+
   Value object() {
     expect('{');
+    descend();
     Value v;
     v.type = Value::Type::kObject;
     skip_ws();
     if (peek() == '}') {
       ++i_;
+      --depth_;
       return v;
     }
     for (;;) {
@@ -149,17 +212,20 @@ class Parser {
         continue;
       }
       expect('}');
+      --depth_;
       return v;
     }
   }
 
   Value array() {
     expect('[');
+    descend();
     Value v;
     v.type = Value::Type::kArray;
     skip_ws();
     if (peek() == ']') {
       ++i_;
+      --depth_;
       return v;
     }
     for (;;) {
@@ -170,6 +236,7 @@ class Parser {
         continue;
       }
       expect(']');
+      --depth_;
       return v;
     }
   }
@@ -247,6 +314,7 @@ class Parser {
 
   std::string_view s_;
   std::size_t i_ = 0;
+  std::size_t depth_ = 0;
 };
 
 inline Value parse(std::string_view text) { return Parser(text).parse(); }

@@ -10,6 +10,7 @@
 #include <ostream>
 
 #include "common/clock.hpp"
+#include "common/json_lite.hpp"
 #include "common/telemetry.hpp"
 
 namespace odcfp::log {
@@ -83,27 +84,6 @@ Global& g() {
     return G;
   }();
   return *instance;
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 /// Stable small per-thread id for correlating lines from one thread.
@@ -183,18 +163,18 @@ Record::Record(Level lv, const char* event) : level_(lv) {
   line_ += ",\"level\":\"";
   line_ += to_string(lv);
   line_ += "\",\"event\":";
-  append_escaped(line_, event);
+  jsonlite::append_quoted(line_, event);
   line_ += ",\"tid\":";
   line_ += std::to_string(thread_id());
-  // The join key: the open telemetry span path of this thread, exactly
-  // as telemetry JSONL / the trace timeline name it.
+  // The join key: the open telemetry span path of this thread, in the
+  // span names the telemetry tree and the trace timeline use.
   line_ += ",\"span\":";
   std::string path;
   for (const char* span : telemetry::current_path()) {
     path += '/';
     path += span;
   }
-  append_escaped(line_, path);
+  jsonlite::append_quoted(line_, path);
 }
 
 Record::Record(Record&& other) noexcept
@@ -223,9 +203,9 @@ Record::~Record() {
 Record& Record::field(const char* key, std::string_view value) {
   if (!active_) return *this;
   line_ += ',';
-  append_escaped(line_, key);
+  jsonlite::append_quoted(line_, key);
   line_ += ':';
-  append_escaped(line_, value);
+  jsonlite::append_quoted(line_, value);
   return *this;
 }
 
@@ -236,7 +216,7 @@ Record& Record::field(const char* key, const char* value) {
 Record& Record::field(const char* key, std::int64_t value) {
   if (!active_) return *this;
   line_ += ',';
-  append_escaped(line_, key);
+  jsonlite::append_quoted(line_, key);
   line_ += ':';
   line_ += std::to_string(value);
   return *this;
@@ -245,7 +225,7 @@ Record& Record::field(const char* key, std::int64_t value) {
 Record& Record::field(const char* key, std::uint64_t value) {
   if (!active_) return *this;
   line_ += ',';
-  append_escaped(line_, key);
+  jsonlite::append_quoted(line_, key);
   line_ += ':';
   line_ += std::to_string(value);
   return *this;
@@ -254,23 +234,16 @@ Record& Record::field(const char* key, std::uint64_t value) {
 Record& Record::field(const char* key, double value) {
   if (!active_) return *this;
   line_ += ',';
-  append_escaped(line_, key);
+  jsonlite::append_quoted(line_, key);
   line_ += ':';
-  char buf[40];
-  if (value == value &&
-      value <= 1.7976931348623157e308 && value >= -1.7976931348623157e308) {
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-  } else {
-    std::snprintf(buf, sizeof(buf), "null");  // JSON has no NaN/Inf
-  }
-  line_ += buf;
+  line_ += jsonlite::number(value);
   return *this;
 }
 
 Record& Record::field(const char* key, bool value) {
   if (!active_) return *this;
   line_ += ',';
-  append_escaped(line_, key);
+  jsonlite::append_quoted(line_, key);
   line_ += ':';
   line_ += value ? "true" : "false";
   return *this;

@@ -1,6 +1,7 @@
 #include "common/telemetry.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -9,9 +10,11 @@
 #include <mutex>
 #include <ostream>
 #include <sstream>
+#include <system_error>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/json_lite.hpp"
 #include "common/trace.hpp"
 
 namespace odcfp::telemetry {
@@ -335,27 +338,6 @@ metrics::HistData Node::hist_total(std::string_view name) const {
 
 namespace {
 
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 void write_hist_json(std::ostream& os, const metrics::HistData& h) {
   os << "{\"count\":" << h.count << ",\"sum\":" << h.sum
      << ",\"buckets\":[";
@@ -375,8 +357,7 @@ void write_node_json(std::ostream& os, const Node& node) {
   for (const auto& [name, v] : node.counters) {
     if (!first) os << ',';
     first = false;
-    write_escaped(os, name);
-    os << ':' << v;
+    os << jsonlite::quote(name) << ':' << v;
   }
   os << '}';
   // Emitted only when present, so trees without histograms serialize
@@ -387,8 +368,7 @@ void write_node_json(std::ostream& os, const Node& node) {
     for (const auto& [name, h] : node.hists) {
       if (!first) os << ',';
       first = false;
-      write_escaped(os, name);
-      os << ':';
+      os << jsonlite::quote(name) << ':';
       write_hist_json(os, h);
     }
     os << '}';
@@ -398,45 +378,10 @@ void write_node_json(std::ostream& os, const Node& node) {
   for (const auto& [name, child] : node.children) {
     if (!first) os << ',';
     first = false;
-    write_escaped(os, name);
-    os << ':';
+    os << jsonlite::quote(name) << ':';
     write_node_json(os, child);
   }
   os << "}}";
-}
-
-void write_node_jsonl(std::ostream& os, const Node& node,
-                      const std::string& path) {
-  os << "{\"path\":";
-  write_escaped(os, path.empty() ? "/" : path);
-  os << ",\"count\":" << node.count << ",\"total_ns\":" << node.total_ns
-     << ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, v] : node.counters) {
-    if (!first) os << ',';
-    first = false;
-    write_escaped(os, name);
-    os << ':' << v;
-  }
-  os << '}';
-  if (!node.hists.empty()) {
-    os << ",\"hists\":{";
-    first = true;
-    for (const auto& [name, h] : node.hists) {
-      if (!first) os << ',';
-      first = false;
-      write_escaped(os, name);
-      const metrics::HistSummary q = metrics::summarize(h);
-      os << ":{\"count\":" << h.count << ",\"sum\":" << h.sum
-         << ",\"p50\":" << q.p50 << ",\"p90\":" << q.p90
-         << ",\"p99\":" << q.p99 << '}';
-    }
-    os << '}';
-  }
-  os << "}\n";
-  for (const auto& [name, child] : node.children) {
-    write_node_jsonl(os, child, path + "/" + name);
-  }
 }
 
 void dump_node(std::ostream& os, const Node& node, const std::string& name,
@@ -472,22 +417,8 @@ void dump_node(std::ostream& os, const Node& node, const std::string& name,
 
 }  // namespace
 
-void dump_tree(std::ostream& os) {
-  const Node root = snapshot();
-  dump_tree(os, root);
-}
-
 void dump_tree(std::ostream& os, const Node& root) {
   dump_node(os, root, "", 0);
-}
-
-void write_json(std::ostream& os) {
-  const Node root = snapshot();
-  write_node_json(os, root);
-}
-
-void write_json(std::ostream& os, const Node& root) {
-  write_node_json(os, root);
 }
 
 std::string to_json(const Node& root) {
@@ -496,208 +427,89 @@ std::string to_json(const Node& root) {
   return os.str();
 }
 
-void write_jsonl(std::ostream& os) {
-  const Node root = snapshot();
-  write_jsonl(os, root);
-}
-
-void write_jsonl(std::ostream& os, const Node& root) {
-  write_node_jsonl(os, root, "");
-}
-
-// ---- parsing (round-trip of write_json's output subset) ----
+// ---- parsing (round-trip of to_json's output) ----
 
 namespace {
 
-struct Parser {
-  std::string_view s;
-  std::size_t pos = 0;
+[[noreturn]] void parse_fail(const std::string& what) {
+  throw CheckError("telemetry JSON parse error: " + what);
+}
 
-  [[noreturn]] void fail(const char* what) const {
-    ODCFP_CHECK_MSG(false, "telemetry JSON parse error at offset "
-                               << pos << ": " << what);
-    std::abort();  // unreachable; CHECK throws
+const jsonlite::Value& object(const jsonlite::Value& v,
+                              const std::string& key) {
+  if (!v.is_object()) parse_fail("'" + key + "' is not an object");
+  return v;
+}
+
+/// The exact integer `v` spells; anything else, or a value outside Int,
+/// is a parse error.
+template <class Int>
+Int integer(const jsonlite::Value& v, const std::string& key) {
+  Int out = 0;
+  const char* end = v.raw.data() + v.raw.size();
+  const auto [ptr, ec] = std::from_chars(v.raw.data(), end, out);
+  if (!v.is_number() || ec != std::errc{} || ptr != end) {
+    parse_fail("'" + key + "' is not an integer in range");
   }
+  return out;
+}
 
-  void skip_ws() {
-    while (pos < s.size() &&
-           (s[pos] == ' ' || s[pos] == '\t' || s[pos] == '\n' ||
-            s[pos] == '\r')) {
-      ++pos;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos >= s.size()) fail("unexpected end of input");
-    return s[pos];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail("unexpected character");
-    ++pos;
-  }
-
-  bool try_consume(char c) {
-    if (pos < s.size() && peek() == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos < s.size() && s[pos] != '"') {
-      char c = s[pos++];
-      if (c == '\\') {
-        if (pos >= s.size()) fail("dangling escape");
-        const char e = s[pos++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos + 4 > s.size()) fail("short \\u escape");
-            unsigned v = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = s[pos++];
-              v <<= 4;
-              if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f')
-                v |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F')
-                v |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("bad \\u digit");
-            }
-            out += static_cast<char>(v);  // control chars only
-            break;
-          }
-          default: fail("unsupported escape");
-        }
-      } else {
-        out += c;
+metrics::HistData hist_from(const jsonlite::Value& v,
+                            const std::string& name) {
+  metrics::HistData h;
+  for (const auto& [key, field] : object(v, name).members) {
+    if (key == "count") {
+      h.count = integer<std::uint64_t>(field, key);
+    } else if (key == "sum") {
+      h.sum = integer<std::uint64_t>(field, key);
+    } else if (key == "buckets") {
+      if (!field.is_array()) parse_fail("'buckets' is not an array");
+      for (const jsonlite::Value& b : field.items) {
+        h.buckets.push_back(integer<std::uint64_t>(b, key));
       }
+    } else {
+      parse_fail("unknown hist key '" + key + "'");
     }
-    if (pos >= s.size()) fail("unterminated string");
-    ++pos;  // closing quote
-    return out;
   }
+  return h;
+}
 
-  std::int64_t parse_int() {
-    skip_ws();
-    bool neg = false;
-    if (pos < s.size() && s[pos] == '-') {
-      neg = true;
-      ++pos;
-    }
-    if (pos >= s.size() || s[pos] < '0' || s[pos] > '9') {
-      fail("expected digit");
-    }
-    std::int64_t v = 0;
-    while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-      v = v * 10 + (s[pos] - '0');
-      ++pos;
-    }
-    return neg ? -v : v;
-  }
-
-  metrics::HistData parse_hist() {
-    metrics::HistData h;
-    expect('{');
-    if (try_consume('}')) return h;
-    for (;;) {
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "count") {
-        h.count = static_cast<std::uint64_t>(parse_int());
-      } else if (key == "sum") {
-        h.sum = static_cast<std::uint64_t>(parse_int());
-      } else if (key == "buckets") {
-        expect('[');
-        if (!try_consume(']')) {
-          for (;;) {
-            h.buckets.push_back(
-                static_cast<std::uint64_t>(parse_int()));
-            if (try_consume(']')) break;
-            expect(',');
-          }
-        }
-      } else {
-        fail("unknown hist key");
+Node node_from(const jsonlite::Value& v, const std::string& name) {
+  Node node;
+  for (const auto& [key, field] : object(v, name).members) {
+    if (key == "count") {
+      node.count = integer<std::uint64_t>(field, key);
+    } else if (key == "total_ns") {
+      node.total_ns = integer<std::uint64_t>(field, key);
+    } else if (key == "counters") {
+      for (const auto& [counter, c] : object(field, key).members) {
+        node.counters[counter] = integer<std::int64_t>(c, counter);
       }
-      if (try_consume('}')) break;
-      expect(',');
-    }
-    return h;
-  }
-
-  Node parse_node() {
-    Node node;
-    expect('{');
-    if (try_consume('}')) return node;
-    for (;;) {
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "count") {
-        node.count = static_cast<std::uint64_t>(parse_int());
-      } else if (key == "total_ns") {
-        node.total_ns = static_cast<std::uint64_t>(parse_int());
-      } else if (key == "counters") {
-        expect('{');
-        if (!try_consume('}')) {
-          for (;;) {
-            const std::string name = parse_string();
-            expect(':');
-            node.counters[name] = parse_int();
-            if (try_consume('}')) break;
-            expect(',');
-          }
-        }
-      } else if (key == "hists") {
-        expect('{');
-        if (!try_consume('}')) {
-          for (;;) {
-            const std::string name = parse_string();
-            expect(':');
-            node.hists[name] = parse_hist();
-            if (try_consume('}')) break;
-            expect(',');
-          }
-        }
-      } else if (key == "children") {
-        expect('{');
-        if (!try_consume('}')) {
-          for (;;) {
-            const std::string name = parse_string();
-            expect(':');
-            node.children[name] = parse_node();
-            if (try_consume('}')) break;
-            expect(',');
-          }
-        }
-      } else {
-        fail("unknown key");
+    } else if (key == "hists") {
+      for (const auto& [hist, h] : object(field, key).members) {
+        node.hists[hist] = hist_from(h, hist);
       }
-      if (try_consume('}')) break;
-      expect(',');
+    } else if (key == "children") {
+      for (const auto& [child, c] : object(field, key).members) {
+        node.children[child] = node_from(c, child);
+      }
+    } else {
+      parse_fail("unknown key '" + key + "'");
     }
-    return node;
   }
-};
+  return node;
+}
 
 }  // namespace
 
 Node parse_json(std::string_view json) {
-  Parser p{json};
-  Node node = p.parse_node();
-  p.skip_ws();
-  ODCFP_CHECK_MSG(p.pos == json.size(),
-                  "telemetry JSON parse error: trailing data at offset "
-                      << p.pos);
-  return node;
+  jsonlite::Value doc;
+  try {
+    doc = jsonlite::parse(json);
+  } catch (const std::runtime_error& e) {
+    parse_fail(e.what());
+  }
+  return node_from(doc, "/");
 }
 
 }  // namespace odcfp::telemetry

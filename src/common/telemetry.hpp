@@ -29,11 +29,10 @@
 //    back, so results are bit-identical with telemetry on or off.
 //
 // Overhead policy:
-//  * Disabled (runtime toggle off, or ODCFP_TELEMETRY_ENABLED=0 at
-//    compile time): two relaxed atomic loads per macro (the telemetry
-//    toggle and the trace toggle — spans/counters double as trace-event
-//    sources, see common/trace.hpp), zero allocation — enforced by a
-//    test that counts operator new calls.
+//  * Disabled (runtime toggle off): two relaxed atomic loads per macro
+//    (the telemetry toggle and the trace toggle — spans/counters double
+//    as trace-event sources, see common/trace.hpp), zero allocation —
+//    enforced by a test that counts operator new calls.
 //  * Enabled: span open/close is a couple of small-map lookups in
 //    thread-local memory; counters likewise. Nodes allocate once per
 //    distinct path per thread. No locks except at merge points.
@@ -50,12 +49,6 @@
 #include <vector>
 
 #include "common/metrics.hpp"
-
-// Compile-time master switch: 0 compiles the macros down to nothing (the
-// functions remain defined so direct calls still link).
-#ifndef ODCFP_TELEMETRY_ENABLED
-#define ODCFP_TELEMETRY_ENABLED 1
-#endif
 
 namespace odcfp::telemetry {
 
@@ -183,28 +176,20 @@ void reset();
 // ---- export ----
 
 /// Human-readable indented tree: count, total ms, mean, counters.
-void dump_tree(std::ostream& os);
 void dump_tree(std::ostream& os, const Node& root);
 
 /// One JSON object for the whole tree (deterministic serialization:
 /// keys sorted, integers exact).
-void write_json(std::ostream& os);
-void write_json(std::ostream& os, const Node& root);
 std::string to_json(const Node& root);
 
-/// One JSON object per line, one line per path:
-/// {"path":"a/b","count":..,"total_ns":..,"counters":{...}}
-void write_jsonl(std::ostream& os);
-void write_jsonl(std::ostream& os, const Node& root);
-
-/// Parses the subset of JSON emitted by write_json back into a Node
+/// Reads to_json's output back into a Node through common/json_lite
 /// (round-trip: parse_json(to_json(n)) == n). Throws CheckError on
-/// malformed input.
+/// malformed input, an unknown key, and a count or counter that is not
+/// an integer in its field's range.
 Node parse_json(std::string_view json);
 
 }  // namespace odcfp::telemetry
 
-#if ODCFP_TELEMETRY_ENABLED
 #define ODCFP_TELEM_CAT2(a, b) a##b
 #define ODCFP_TELEM_CAT(a, b) ODCFP_TELEM_CAT2(a, b)
 /// Opens a span for the rest of the enclosing scope. `name` must be a
@@ -220,9 +205,3 @@ Node parse_json(std::string_view json);
 #define TELEM_HIST_TIMER(name) \
   ::odcfp::telemetry::HistTimer ODCFP_TELEM_CAT(telem_hist_, \
                                                 __LINE__)("" name)
-#else
-#define TELEM_SPAN(name) ((void)0)
-#define TELEM_COUNT(name, n) ((void)0)
-#define TELEM_HIST(name, v) ((void)0)
-#define TELEM_HIST_TIMER(name) ((void)0)
-#endif

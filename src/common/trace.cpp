@@ -14,6 +14,7 @@
 
 #include "common/atomic_io.hpp"
 #include "common/clock.hpp"
+#include "common/json_lite.hpp"
 #include "common/log.hpp"
 
 namespace odcfp::trace {
@@ -24,8 +25,6 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kDefaultLimit = std::size_t{1} << 18;  // 256Ki
 
-enum class Phase : std::uint8_t { kBegin, kEnd, kCounter, kInstant };
-
 /// One recorded event. POD so buffer slots can be rewritten across
 /// start() epochs without destructor ceremony; both pointers must have
 /// static storage duration (span-name / fault-site literals).
@@ -34,7 +33,7 @@ struct Event {
   const char* detail = nullptr;
   std::uint64_t ts_ns = 0;
   std::int64_t value = 0;
-  Phase phase = Phase::kInstant;
+  char ph = 'i';  ///< Chrome phase: B, E, C or i.
 };
 
 /// Per-thread buffer. The owner thread is the only writer: it fills slot
@@ -134,7 +133,7 @@ Sink& tls_sink() {
   return *ref.sink;
 }
 
-void emit(Phase phase, const char* name, const char* detail,
+void emit(char ph, const char* name, const char* detail,
           std::int64_t value) {
   Global& G = g();
   if (!G.enabled.load(std::memory_order_relaxed)) return;
@@ -152,43 +151,27 @@ void emit(Phase phase, const char* name, const char* detail,
                                                            G.origin)
           .count());
   ev.value = value;
-  ev.phase = phase;
+  ev.ph = ph;
   s.size.store(i + 1, std::memory_order_release);
 }
 
-void write_escaped(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
+std::uint64_t parse_u64(const std::string& text) {
+  return std::strtoull(text.c_str(), nullptr, 10);
+}
+
+/// Chrome ts ("<us>.<frac>") back to integral nanoseconds. The writer
+/// always prints exactly three fraction digits, but tolerate fewer/more
+/// (pad or truncate) so a hand-edited trace still lands near the truth.
+std::uint64_t ts_raw_to_ns(const std::string& raw) {
+  const std::size_t dot = raw.find('.');
+  const std::uint64_t us = parse_u64(raw.substr(0, dot));
+  std::uint64_t frac = 0;
+  if (dot != std::string::npos) {
+    std::string digits = raw.substr(dot + 1);
+    digits.resize(3, '0');
+    frac = parse_u64(digits);
   }
-  os << '"';
-}
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  write_escaped(os, s.c_str());
-}
-
-/// Chrome's ts unit is microseconds; print ns-resolution fractions.
-void write_ts(std::ostream& os, std::uint64_t ns) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  os << buf;
+  return us * 1000 + frac;
 }
 
 bool reserved_meta_key(const std::string& key) {
@@ -356,13 +339,13 @@ std::uint64_t flush_count() {
   return g().flushes.load(std::memory_order_relaxed);
 }
 
-void begin(const char* name) { emit(Phase::kBegin, name, nullptr, 0); }
-void end(const char* name) { emit(Phase::kEnd, name, nullptr, 0); }
+void begin(const char* name) { emit('B', name, nullptr, 0); }
+void end(const char* name) { emit('E', name, nullptr, 0); }
 void counter(const char* name, std::int64_t value) {
-  emit(Phase::kCounter, name, nullptr, value);
+  emit('C', name, nullptr, value);
 }
 void instant(const char* name, const char* detail) {
-  emit(Phase::kInstant, name, detail, 0);
+  emit('i', name, detail, 0);
 }
 
 void write(std::ostream& os) {
@@ -376,55 +359,23 @@ void write(std::ostream& os) {
   // Sinks register in first-event order, so the vector is already sorted
   // by tid; one pass emits name metadata then each track's events.
   std::uint64_t dropped = 0;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-        "\"args\":{\"name\":";
-  write_escaped(os, G.label);
-  os << "}}";
+  ChromeWriter out(os);
+  out.name("process_name", 1, 0, G.label);
   for (const auto& sink : G.sinks) {
     const std::uint64_t tid = sink->tid;
-    os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
-       << tid << ",\"args\":{\"name\":";
-    if (sink->has_name.load(std::memory_order_acquire)) {
-      write_escaped(os, sink->name);
-    } else {
-      char fallback[32];
-      std::snprintf(fallback, sizeof(fallback), "thread-%llu",
-                    static_cast<unsigned long long>(tid));
-      write_escaped(os, fallback);
-    }
-    os << "}}";
+    out.name("thread_name", 1, tid,
+             sink->has_name.load(std::memory_order_acquire)
+                 ? std::string(sink->name)
+                 : "thread-" + std::to_string(tid));
     const std::size_t n = sink->size.load(std::memory_order_acquire);
     dropped += sink->dropped.load(std::memory_order_relaxed);
     for (std::size_t i = 0; i < n; ++i) {
       const Event& ev = sink->events[i];
-      os << ",\n{\"name\":";
-      write_escaped(os, ev.name);
-      os << ",\"ph\":\"";
-      switch (ev.phase) {
-        case Phase::kBegin: os << 'B'; break;
-        case Phase::kEnd: os << 'E'; break;
-        case Phase::kCounter: os << 'C'; break;
-        case Phase::kInstant: os << 'i'; break;
-      }
-      os << "\",\"pid\":1,\"tid\":" << tid << ",\"ts\":";
-      write_ts(os, ev.ts_ns);
-      if (ev.phase == Phase::kCounter) {
-        os << ",\"args\":{\"value\":" << ev.value << "}";
-      } else if (ev.phase == Phase::kInstant) {
-        os << ",\"s\":\"t\"";
-        if (ev.detail != nullptr) {
-          os << ",\"args\":{\"detail\":";
-          write_escaped(os, ev.detail);
-          os << "}";
-        }
-      }
-      os << "}";
+      out.recorded(ev.name, ev.ph, 1, tid, ev.ts_ns, ev.value, ev.detail);
     }
   }
   // otherData: one sorted map so the rendering is deterministic and
-  // user meta can never split the fixed keys. All values are strings —
-  // u64 would lose precision as a JSON double in lenient parsers.
+  // user meta can never split the fixed keys.
   std::map<std::string, std::string> other = G.meta;
   other["clock_anchor_steady_ns"] = std::to_string(anchor.steady_ns);
   other["clock_anchor_wall_ns"] = std::to_string(anchor.wall_ns);
@@ -434,20 +385,154 @@ void write(std::ostream& os) {
   other["trace_event_limit_per_thread"] = std::to_string(G.limit);
   other["trace_flushes"] =
       std::to_string(G.flushes.load(std::memory_order_relaxed));
-  os << "\n],\"otherData\":{";
-  bool first = true;
-  for (const auto& [key, value] : other) {
-    if (!first) os << ',';
-    first = false;
-    write_escaped(os, key);
-    os << ':';
-    write_escaped(os, value);
-  }
-  os << "}}\n";
+  out.finish(other);
 }
 
 bool write_file(const std::string& path) {
   return write_path(path, /*quiet=*/false);
+}
+
+// ---- the file format ----
+
+ChromeWriter::ChromeWriter(std::ostream& os) : os_(os) {
+  os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+}
+
+ChromeWriter& ChromeWriter::event(std::string_view name, char ph,
+                                  std::uint64_t pid, std::uint64_t tid) {
+  if (events_++ != 0) os_ << (in_args_ ? "}}" : "}") << ",\n";
+  in_args_ = false;
+  os_ << "{\"name\":" << jsonlite::quote(name) << ",\"ph\":\"" << ph
+      << "\",\"pid\":" << pid << ",\"tid\":" << tid;
+  return *this;
+}
+
+ChromeWriter& ChromeWriter::time(const char* key, std::uint64_t ns) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), ",\"%s\":%llu.%03llu", key,
+                static_cast<unsigned long long>(ns / 1000),
+                static_cast<unsigned long long>(ns % 1000));
+  os_ << buf;
+  return *this;
+}
+
+ChromeWriter& ChromeWriter::thread_scope() {
+  os_ << ",\"s\":\"t\"";
+  return *this;
+}
+
+ChromeWriter& ChromeWriter::arg(const char* key, std::int64_t value) {
+  return arg_json(key, std::to_string(value));
+}
+
+ChromeWriter& ChromeWriter::arg(const char* key, std::uint64_t value) {
+  return arg_json(key, std::to_string(value));
+}
+
+ChromeWriter& ChromeWriter::arg(const char* key, std::string_view value) {
+  return arg_json(key, jsonlite::quote(value));
+}
+
+ChromeWriter& ChromeWriter::arg_json(const char* key,
+                                     const std::string& json) {
+  os_ << (in_args_ ? "," : ",\"args\":{") << jsonlite::quote(key) << ':'
+      << json;
+  in_args_ = true;
+  return *this;
+}
+
+void ChromeWriter::name(const char* kind, std::uint64_t pid,
+                        std::uint64_t tid, std::string_view name) {
+  event(kind, 'M', pid, tid).arg("name", name);
+}
+
+void ChromeWriter::recorded(std::string_view name, char ph,
+                            std::uint64_t pid, std::uint64_t tid,
+                            std::uint64_t ts_ns, std::int64_t value,
+                            const char* detail) {
+  event(name, ph, pid, tid).time("ts", ts_ns);
+  if (ph == 'C') {
+    arg("value", value);
+  } else if (ph == 'i') {
+    thread_scope();
+    if (detail != nullptr) arg("detail", detail);
+  }
+}
+
+void ChromeWriter::finish(
+    const std::map<std::string, std::string>& other_data) {
+  if (events_ != 0) os_ << (in_args_ ? "}}" : "}");
+  // All otherData values are strings: a u64 would lose precision as a
+  // JSON double in lenient parsers.
+  os_ << "\n],\"otherData\":{";
+  bool first = true;
+  for (const auto& [key, value] : other_data) {
+    if (!first) os_ << ',';
+    first = false;
+    os_ << jsonlite::quote(key) << ':' << jsonlite::quote(value);
+  }
+  os_ << "}}\n";
+}
+
+TraceFile read_file(const std::string& path) {
+  TraceFile t;
+  std::string bytes;
+  if (!atomic_io::read_file(path, &bytes)) return t;
+  t.present = true;
+  try {
+    const jsonlite::Value doc = jsonlite::parse(bytes);
+    const jsonlite::Value& events = doc.at("traceEvents");
+    if (!events.is_array()) return t;
+    for (const jsonlite::Value& ev : events.items) {
+      const std::string& ph = ev.at("ph").str;
+      const std::string& name = ev.at("name").str;
+      if (ph == "M") {
+        if (name == "process_name") {
+          t.process_label = ev.at("args").at("name").str;
+        } else if (name == "thread_name") {
+          t.thread_names.emplace_back(parse_u64(ev.at("tid").raw),
+                                      ev.at("args").at("name").str);
+        }
+        continue;
+      }
+      TraceFile::Event out;
+      out.name = name;
+      out.ph = ph.empty() ? 'i' : ph[0];
+      out.tid = parse_u64(ev.at("tid").raw);
+      out.rel_ns = ts_raw_to_ns(ev.at("ts").raw);
+      if (out.ph == 'C') {
+        out.value = std::strtoll(
+            ev.at("args").at("value").raw.c_str(), nullptr, 10);
+      } else if (out.ph == 'i' && ev.has("args")) {
+        const jsonlite::Value& args = ev.at("args");
+        if (args.has("detail")) out.detail = args.at("detail").str;
+      }
+      t.events.push_back(std::move(out));
+    }
+    if (doc.has("otherData")) {
+      const jsonlite::Value& other = doc.at("otherData");
+      if (other.has("trace_origin_wall_ns")) {
+        t.origin_wall_ns =
+            parse_u64(other.at("trace_origin_wall_ns").str);
+      }
+      t.have_anchor = other.has("clock_anchor_wall_ns") &&
+                      t.origin_wall_ns != 0;
+      if (other.has("trace_dropped_events")) {
+        t.dropped = parse_u64(other.at("trace_dropped_events").str);
+      }
+      if (other.has("trace_flushes")) {
+        t.flushes = parse_u64(other.at("trace_flushes").str);
+      }
+    }
+    t.parsed = true;
+  } catch (const std::exception&) {
+    // Present but unreadable (torn by a non-atomic writer, truncated by
+    // the filesystem, hand-damaged): reported as not parsed, never fatal.
+    t.events.clear();
+    t.thread_names.clear();
+    t.parsed = false;
+  }
+  return t;
 }
 
 }  // namespace odcfp::trace

@@ -51,6 +51,10 @@
 // is everything src/dist/stitch.* needs to align and attribute tracks
 // without out-of-band context.
 //
+// File format: only this module knows the Chrome trace_event format.
+// ChromeWriter renders write()'s files and the stitcher's timeline;
+// read_file() reads a file back for the stitcher.
+//
 // Activation: set ODCFP_TRACE=<path> to record for the whole process
 // (the path is armed, so the same incremental-durability rules apply),
 // or call start()/arm_file()/write_file() programmatically. All
@@ -62,7 +66,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 namespace odcfp::trace {
 
@@ -146,5 +154,82 @@ void counter(const char* name, std::int64_t value);
 /// Thread-scoped instant event (ph "i"), e.g. "budget.exhausted",
 /// "fault.injected", "sat.restart". `detail` lands in args.detail.
 void instant(const char* name, const char* detail = nullptr);
+
+// ---- the file format ----
+
+/// Renders one Chrome trace_event document: a traceEvents array with one
+/// {"name":..,"ph":..,"pid":..,"tid":..,...} object per line, then an
+/// otherData map. event() opens an event object and the calls after it
+/// append fields to it in call order; the next event() or finish()
+/// closes it. Times are Chrome's microseconds with a three-digit
+/// nanosecond fraction.
+class ChromeWriter {
+ public:
+  explicit ChromeWriter(std::ostream& os);
+
+  ChromeWriter& event(std::string_view name, char ph, std::uint64_t pid,
+                      std::uint64_t tid);
+  /// `key` is "ts" or "dur".
+  ChromeWriter& time(const char* key, std::uint64_t ns);
+  /// "s":"t": the instant belongs to its thread's track.
+  ChromeWriter& thread_scope();
+  /// One member of the event's "args" object.
+  ChromeWriter& arg(const char* key, std::int64_t value);
+  ChromeWriter& arg(const char* key, std::uint64_t value);
+  ChromeWriter& arg(const char* key, std::string_view value);
+
+  /// A ph "M" event: `kind` "process_name" names process `pid`,
+  /// "thread_name" names its track `tid`.
+  void name(const char* kind, std::uint64_t pid, std::uint64_t tid,
+            std::string_view name);
+  /// A B/E/C/i event as the recorder writes it: C carries `value`; i is
+  /// thread-scoped and carries `detail` unless it is null.
+  void recorded(std::string_view name, char ph, std::uint64_t pid,
+                std::uint64_t tid, std::uint64_t ts_ns, std::int64_t value,
+                const char* detail);
+
+  /// Closes the event array and writes `other_data`, sorted by key.
+  void finish(const std::map<std::string, std::string>& other_data);
+
+  /// Events written so far, M events included.
+  std::uint64_t events() const { return events_; }
+
+ private:
+  /// Appends "key":<json> to the open event's args object.
+  ChromeWriter& arg_json(const char* key, const std::string& json);
+
+  std::ostream& os_;
+  std::uint64_t events_ = 0;
+  bool in_args_ = false;  ///< The open event's args object is open.
+};
+
+/// A trace file read back, in the form the stitcher relocates onto
+/// another timeline: events keep their recorder-relative timestamps, and
+/// the otherData anchor says where that timeline starts in wall time.
+struct TraceFile {
+  bool present = false;      ///< The file existed and was readable.
+  bool parsed = false;       ///< ... and held a well-formed Chrome trace.
+  bool have_anchor = false;  ///< otherData carries the clock anchor.
+  std::uint64_t origin_wall_ns = 0;  ///< trace_origin_wall_ns.
+  std::uint64_t dropped = 0;         ///< trace_dropped_events.
+  std::uint64_t flushes = 0;         ///< trace_flushes.
+  std::string process_label;
+
+  struct Event {
+    std::string name;
+    char ph = 'i';
+    std::uint64_t tid = 0;
+    std::uint64_t rel_ns = 0;  ///< ts, from the trace origin.
+    std::int64_t value = 0;    ///< Counter value (ph 'C').
+    std::string detail;        ///< Instant detail ("" = none).
+  };
+  std::vector<Event> events;
+  /// thread_name metadata, in file order: (tid, name).
+  std::vector<std::pair<std::uint64_t, std::string>> thread_names;
+};
+
+/// Reads a trace file write() produced. Never throws: a file that is
+/// missing, torn or hand-damaged comes back not present or not parsed.
+TraceFile read_file(const std::string& path);
 
 }  // namespace odcfp::trace

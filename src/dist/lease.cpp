@@ -39,6 +39,55 @@ bool parse_lease_event(const std::string& text, LeaseEvent* out) {
   return false;
 }
 
+LeaseChains lease_chains(const std::vector<LeaseRecord>& records) {
+  LeaseChains chains;
+  std::size_t num_shards = 0;
+  for (const LeaseRecord& rec : records) {
+    if (rec.event != LeaseEvent::kMerged) {
+      num_shards = std::max(num_shards,
+                            static_cast<std::size_t>(rec.shard) + 1);
+    }
+  }
+  chains.shards.resize(num_shards);
+  for (const LeaseRecord& rec : records) {
+    if (rec.wall_ns != 0) {
+      chains.last_wall_ns = std::max(chains.last_wall_ns, rec.wall_ns);
+      if (chains.first_wall_ns == 0 || rec.wall_ns < chains.first_wall_ns) {
+        chains.first_wall_ns = rec.wall_ns;
+      }
+    }
+    switch (rec.event) {
+      case LeaseEvent::kGranted: {
+        LeaseInterval iv;
+        iv.epoch = rec.epoch;
+        iv.pid = rec.pid;
+        iv.begin_wall_ns = rec.wall_ns;
+        chains.shards[rec.shard].push_back(std::move(iv));
+        break;
+      }
+      case LeaseEvent::kRevoked:
+      case LeaseEvent::kDone: {
+        auto& ivs = chains.shards[rec.shard];
+        for (auto it = ivs.rbegin(); it != ivs.rend(); ++it) {
+          if (it->epoch == rec.epoch && !it->closed) {
+            it->closed = true;
+            it->revoked = rec.event == LeaseEvent::kRevoked;
+            it->end_wall_ns = rec.wall_ns;
+            it->detail = rec.detail;
+            break;
+          }
+        }
+        break;
+      }
+      case LeaseEvent::kMerged:
+        chains.merged = true;
+        chains.merged_wall_ns = rec.wall_ns;
+        break;
+    }
+  }
+  return chains;
+}
+
 std::vector<ShardLease> LeaseReplay::lease_states(
     std::size_t num_shards) const {
   std::vector<ShardLease> states(num_shards);

@@ -95,6 +95,38 @@ struct LeaseReplay {
 /// sequence regression is kMalformedInput too.
 Outcome<LeaseReplay> read_lease_journal(const std::string& path);
 
+/// One grant of a shard and the record that closed it, if any.
+struct LeaseInterval {
+  std::uint64_t epoch = 0;
+  std::uint64_t pid = 0;
+  std::uint64_t begin_wall_ns = 0;  ///< The grant's wall (0 = unknown).
+  std::uint64_t end_wall_ns = 0;    ///< The closing record's wall.
+  bool closed = false;   ///< A revoked or done record of its epoch landed.
+  bool revoked = false;  ///< ... and it was a revocation.
+  std::string detail;    ///< The closing record's detail.
+
+  /// "open", "revoked" or "done".
+  const char* end_name() const {
+    return !closed ? "open" : revoked ? "revoked" : "done";
+  }
+};
+
+/// Every shard's lease chain, rebuilt from a replay's records for the
+/// trace stitcher and the run report.
+struct LeaseChains {
+  /// Grants in journal order, per shard; sized one past the highest
+  /// shard a non-merge record names.
+  std::vector<std::vector<LeaseInterval>> shards;
+  std::uint64_t first_wall_ns = 0;  ///< Earliest nonzero record wall.
+  std::uint64_t last_wall_ns = 0;   ///< Latest record wall.
+  bool merged = false;              ///< A merged record landed ...
+  std::uint64_t merged_wall_ns = 0;  ///< ... at this wall (the last one).
+};
+
+/// A revoked/done record closes the newest still-open grant of its
+/// shard and epoch; a record without a matching grant closes nothing.
+LeaseChains lease_chains(const std::vector<LeaseRecord>& records);
+
 /// Payload codec of the `L` record, which the replay and the writer
 /// share and the record-log contract tests pin byte for byte.
 std::string lease_payload(const LeaseRecord& record);

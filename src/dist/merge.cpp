@@ -5,6 +5,7 @@
 #include "common/atomic_io.hpp"
 #include "common/fault.hpp"
 #include "common/journal.hpp"
+#include "common/json_lite.hpp"
 #include "common/log.hpp"
 #include "common/record_log.hpp"
 #include "common/telemetry.hpp"
@@ -103,8 +104,8 @@ MergeResult merge_run(
 
   // Pass 2: re-read every artifact and hold it to the committed CRC.
   std::ostringstream verification;
-  verification << "{\n  \"circuit\": \"" << spec.circuit
-               << "\",\n  \"buyers\": " << n << ",\n  \"editions\": [\n";
+  verification << "{\n  \"circuit\": " << jsonlite::quote(spec.circuit)
+               << ",\n  \"buyers\": " << n << ",\n  \"editions\": [\n";
   for (std::size_t b = 0; b < n; ++b) {
     std::string bytes;
     if (!atomic_io::read_file(artifact[b], &bytes)) {
@@ -127,8 +128,9 @@ MergeResult merge_run(
     if (rel.rfind(run_dir + "/", 0) == 0) {
       rel = rel.substr(run_dir.size() + 1);
     }
-    verification << "    {\"buyer\": " << b << ", \"artifact\": \"" << rel
-                 << "\", \"crc32\": \"" << record_log::hex(crc, 8)
+    verification << "    {\"buyer\": " << b
+                 << ", \"artifact\": " << jsonlite::quote(rel)
+                 << ", \"crc32\": \"" << record_log::hex(crc, 8)
                  << "\", \"bytes\": " << bytes.size()
                  << ", \"status\": \"committed\"}"
                  << (b + 1 < n ? "," : "") << "\n";

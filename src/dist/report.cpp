@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/journal.hpp"
+#include "common/json_lite.hpp"
 #include "common/metrics.hpp"
 #include "dist/lease.hpp"
 #include "dist/shard.hpp"
@@ -23,27 +24,6 @@ std::string ms_text(std::uint64_t ns) {
                 static_cast<unsigned long long>(ns / 1'000'000),
                 static_cast<unsigned long long>((ns / 1'000) % 1'000));
   return buf;
-}
-
-void json_escape(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
 }
 
 bool contains(const std::string& haystack, const char* needle) {
@@ -74,89 +54,52 @@ RunReport analyze_run(const std::string& run_dir,
     report.message = "no usable lease journal (" + leases.message() + ")";
     return report;
   }
-  const std::vector<LeaseRecord>& records = leases.value().records;
-  if (!records.empty()) {
+  if (!leases.value().records.empty()) {
     report.state = leases.value().merged ? "done" : "running";
   }
 
-  // ---- rebuild each shard's lease chain ----
-  std::size_t num_shards = 0;
-  for (const LeaseRecord& rec : records) {
-    if (rec.event != LeaseEvent::kMerged) {
-      num_shards = std::max(num_shards,
-                            static_cast<std::size_t>(rec.shard) + 1);
-    }
-  }
+  const LeaseChains chains = lease_chains(leases.value().records);
+  const std::size_t num_shards = chains.shards.size();
   report.shards.resize(num_shards);
-  std::uint64_t first_wall = 0;
-  std::uint64_t last_wall = 0;
-  for (const LeaseRecord& rec : records) {
-    if (rec.wall_ns != 0) {
-      last_wall = std::max(last_wall, rec.wall_ns);
-      if (first_wall == 0 || rec.wall_ns < first_wall) {
-        first_wall = rec.wall_ns;
-      }
-    }
-    if (rec.event == LeaseEvent::kMerged) continue;
-    ShardReportRow& row = report.shards[rec.shard];
-    row.shard = rec.shard;
-    switch (rec.event) {
-      case LeaseEvent::kGranted: {
-        row.epochs = std::max(row.epochs, rec.epoch);
-        LeaseIntervalReport iv;
-        iv.epoch = rec.epoch;
-        iv.pid = rec.pid;
-        iv.begin_wall_ns = rec.wall_ns;
-        iv.end = "open";
-        row.chain.push_back(std::move(iv));
-        break;
-      }
-      case LeaseEvent::kRevoked:
-      case LeaseEvent::kDone: {
-        for (auto it = row.chain.rbegin(); it != row.chain.rend(); ++it) {
-          if (it->epoch != rec.epoch || it->end != "open") continue;
-          it->end = rec.event == LeaseEvent::kDone ? "done" : "revoked";
-          it->detail = rec.detail;
-          if (it->begin_wall_ns != 0 && rec.wall_ns >= it->begin_wall_ns) {
-            it->duration_ns = rec.wall_ns - it->begin_wall_ns;
-          }
-          if (rec.event == LeaseEvent::kRevoked) {
-            if (contains(rec.detail, "signal")) row.killed = true;
-            if (contains(rec.detail, "heartbeat")) row.wedged = true;
-          }
-          break;
-        }
-        break;
-      }
-      case LeaseEvent::kMerged:
-        break;
-    }
-  }
-  report.makespan_ns = last_wall >= first_wall ? last_wall - first_wall : 0;
+  report.makespan_ns = chains.last_wall_ns >= chains.first_wall_ns
+                           ? chains.last_wall_ns - chains.first_wall_ns
+                           : 0;
 
-  // ---- per-shard costs, snapshots, heartbeat cadence ----
+  // ---- per-shard lease chain, costs, snapshots, heartbeat cadence ----
   for (std::size_t s = 0; s < num_shards; ++s) {
     ShardReportRow& row = report.shards[s];
     row.shard = s;
-    row.regrants = row.chain.size() > 1
-                       ? static_cast<std::uint64_t>(row.chain.size()) - 1
-                       : 0;
-    report.regrant_events += row.regrants;
-    for (LeaseIntervalReport& iv : row.chain) {
-      if (iv.end == "open") {
-        row.open = true;
-        // A still-open lease runs to the last recorded wall time.
-        if (iv.begin_wall_ns != 0 && last_wall >= iv.begin_wall_ns) {
-          iv.duration_ns = last_wall - iv.begin_wall_ns;
-        }
+    for (const LeaseInterval& lease : chains.shards[s]) {
+      row.epochs = std::max(row.epochs, lease.epoch);
+      LeaseIntervalReport iv;
+      iv.epoch = lease.epoch;
+      iv.pid = lease.pid;
+      iv.begin_wall_ns = lease.begin_wall_ns;
+      iv.end = lease.end_name();
+      iv.detail = lease.detail;
+      // A still-open lease runs to the last recorded wall time.
+      const std::uint64_t end =
+          lease.closed ? lease.end_wall_ns : chains.last_wall_ns;
+      if (iv.begin_wall_ns != 0 && end >= iv.begin_wall_ns) {
+        iv.duration_ns = end - iv.begin_wall_ns;
       }
+      if (!lease.closed) row.open = true;
       row.lease_ns += iv.duration_ns;
-      if (iv.end == "revoked") row.lost_ns += iv.duration_ns;
+      if (lease.revoked) {
+        row.lost_ns += iv.duration_ns;
+        if (contains(lease.detail, "signal")) row.killed = true;
+        if (contains(lease.detail, "heartbeat")) row.wedged = true;
+      }
       if (iv.begin_wall_ns != 0) {
         row.end_wall_ns =
             std::max(row.end_wall_ns, iv.begin_wall_ns + iv.duration_ns);
       }
+      row.chain.push_back(std::move(iv));
     }
+    row.regrants = row.chain.size() > 1
+                       ? static_cast<std::uint64_t>(row.chain.size()) - 1
+                       : 0;
+    report.regrant_events += row.regrants;
     report.lost_ns += row.lost_ns;
 
     const Outcome<ShardStatus> snap =
@@ -338,7 +281,7 @@ std::string render_report_table(const RunReport& report) {
 std::string render_report_json(const RunReport& report) {
   std::ostringstream os;
   os << "{\"odcfp_run_report\":1,\"state\":";
-  json_escape(os, report.state);
+  os << jsonlite::quote(report.state);
   os << ",\"buyers\":" << report.buyers
      << ",\"committed\":" << report.committed
      << ",\"makespan_ns\":" << report.makespan_ns
@@ -372,9 +315,9 @@ std::string render_report_json(const RunReport& report) {
       if (k != 0) os << ',';
       os << "{\"epoch\":" << iv.epoch << ",\"pid\":" << iv.pid
          << ",\"duration_ns\":" << iv.duration_ns << ",\"end\":";
-      json_escape(os, iv.end);
+      os << jsonlite::quote(iv.end);
       os << ",\"detail\":";
-      json_escape(os, iv.detail);
+      os << jsonlite::quote(iv.detail);
       os << '}';
     }
     os << "]}";
@@ -382,7 +325,7 @@ std::string render_report_json(const RunReport& report) {
   os << "],\"anomalies\":[";
   for (std::size_t i = 0; i < report.anomalies.size(); ++i) {
     if (i != 0) os << ',';
-    json_escape(os, report.anomalies[i]);
+    os << jsonlite::quote(report.anomalies[i]);
   }
   os << "]}\n";
   return os.str();

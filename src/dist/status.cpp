@@ -9,6 +9,7 @@
 
 #include "common/atomic_io.hpp"
 #include "common/fault.hpp"
+#include "common/json_lite.hpp"
 #include "common/record_log.hpp"
 #include "dist/shard.hpp"
 
@@ -146,14 +147,15 @@ Outcome<ShardStatus> read_status_snapshot(const std::string& path) {
 
 std::string render_run_status_json(const RunStatusView& view) {
   std::ostringstream os;
-  os << "{\"odcfp_run_status\":1,\"state\":\"" << view.state
-     << "\",\"buyers\":" << view.buyers
+  os << "{\"odcfp_run_status\":1,\"state\":" << jsonlite::quote(view.state)
+     << ",\"buyers\":" << view.buyers
      << ",\"committed\":" << view.committed << ",\"shards\":[";
   for (std::size_t i = 0; i < view.shards.size(); ++i) {
     const ShardStatusView& sv = view.shards[i];
     if (i > 0) os << ',';
-    os << "{\"shard\":" << sv.shard << ",\"state\":\""
-       << shard_state_name(sv.state) << "\",\"epoch\":" << sv.epoch;
+    os << "{\"shard\":" << sv.shard << ",\"state\":"
+       << jsonlite::quote(shard_state_name(sv.state))
+       << ",\"epoch\":" << sv.epoch;
     if (sv.have_snapshot) {
       os << ",\"begin\":" << sv.snap.range_begin
          << ",\"end\":" << sv.snap.range_end

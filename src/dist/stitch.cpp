@@ -1,172 +1,19 @@
 #include "dist/stitch.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/atomic_io.hpp"
 #include "common/journal.hpp"
-#include "common/json_lite.hpp"
+#include "common/trace.hpp"
 #include "dist/lease.hpp"
 #include "dist/shard.hpp"
 #include "dist/status.hpp"
 
 namespace odcfp::dist {
-
-namespace {
-
-std::uint64_t parse_u64(const std::string& text) {
-  return std::strtoull(text.c_str(), nullptr, 10);
-}
-
-/// Chrome ts ("<us>.<frac>") back to integral nanoseconds. The recorder
-/// always prints exactly three fraction digits, but tolerate fewer/more
-/// (pad or truncate) so a hand-edited trace still lands near the truth.
-std::uint64_t ts_raw_to_ns(const std::string& raw) {
-  const std::size_t dot = raw.find('.');
-  const std::uint64_t us = parse_u64(raw.substr(0, dot));
-  std::uint64_t frac = 0;
-  if (dot != std::string::npos) {
-    std::string digits = raw.substr(dot + 1);
-    digits.resize(3, '0');
-    frac = parse_u64(digits);
-  }
-  return us * 1000 + frac;
-}
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-/// Chrome's ts/dur unit is microseconds; ns-resolution fractions.
-void write_ts(std::ostream& os, std::uint64_t ns) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  os << buf;
-}
-
-/// One source trace file, decoded into relocatable form: events keep
-/// their recorder-relative ns timestamps; the file's own clock anchor
-/// (otherData) says where that timeline starts in anchored wall time.
-struct ParsedTrace {
-  bool present = false;  ///< File existed and was readable.
-  bool parsed = false;   ///< ... and held a well-formed Chrome trace.
-  bool have_anchor = false;
-  std::uint64_t origin_wall_ns = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t flushes = 0;
-  std::string process_label;
-
-  struct Ev {
-    std::string name;
-    char ph = 'i';
-    std::uint64_t tid = 0;
-    std::uint64_t rel_ns = 0;
-    long long value = 0;  ///< Counter value (ph == 'C').
-    std::string detail;   ///< Instant detail ("" = none).
-  };
-  std::vector<Ev> events;
-  /// thread_name metadata, in file order: (recorder tid, name).
-  std::vector<std::pair<std::uint64_t, std::string>> thread_names;
-};
-
-ParsedTrace parse_trace_file(const std::string& path) {
-  ParsedTrace t;
-  std::string bytes;
-  if (!atomic_io::read_file(path, &bytes)) return t;
-  t.present = true;
-  try {
-    const jsonlite::Value doc = jsonlite::parse(bytes);
-    const jsonlite::Value& events = doc.at("traceEvents");
-    if (!events.is_array()) return t;
-    for (const jsonlite::Value& ev : events.items) {
-      const std::string& ph = ev.at("ph").str;
-      const std::string& name = ev.at("name").str;
-      if (ph == "M") {
-        if (name == "process_name") {
-          t.process_label = ev.at("args").at("name").str;
-        } else if (name == "thread_name") {
-          t.thread_names.emplace_back(parse_u64(ev.at("tid").raw),
-                                      ev.at("args").at("name").str);
-        }
-        continue;
-      }
-      ParsedTrace::Ev out;
-      out.name = name;
-      out.ph = ph.empty() ? 'i' : ph[0];
-      out.tid = parse_u64(ev.at("tid").raw);
-      out.rel_ns = ts_raw_to_ns(ev.at("ts").raw);
-      if (out.ph == 'C') {
-        out.value = std::strtoll(
-            ev.at("args").at("value").raw.c_str(), nullptr, 10);
-      } else if (out.ph == 'i' && ev.has("args")) {
-        const jsonlite::Value& args = ev.at("args");
-        if (args.has("detail")) out.detail = args.at("detail").str;
-      }
-      t.events.push_back(std::move(out));
-    }
-    if (doc.has("otherData")) {
-      const jsonlite::Value& other = doc.at("otherData");
-      if (other.has("trace_origin_wall_ns")) {
-        t.origin_wall_ns =
-            parse_u64(other.at("trace_origin_wall_ns").str);
-      }
-      t.have_anchor = other.has("clock_anchor_wall_ns") &&
-                      t.origin_wall_ns != 0;
-      if (other.has("trace_dropped_events")) {
-        t.dropped = parse_u64(other.at("trace_dropped_events").str);
-      }
-      if (other.has("trace_flushes")) {
-        t.flushes = parse_u64(other.at("trace_flushes").str);
-      }
-    }
-    t.parsed = true;
-  } catch (const std::exception&) {
-    // Present but unreadable (torn by a non-atomic writer, truncated by
-    // the filesystem, hand-damaged): counted as missing, never fatal.
-    t.events.clear();
-    t.thread_names.clear();
-    t.parsed = false;
-  }
-  return t;
-}
-
-/// One grant→close lease interval reconstructed from the journal.
-struct LeaseInterval {
-  std::uint64_t epoch = 0;
-  std::uint64_t pid = 0;
-  std::uint64_t begin_wall = 0;
-  std::uint64_t end_wall = 0;
-  bool closed = false;
-  const char* end_kind = "open";  ///< "done" / "revoked" / "open".
-  std::string detail;             ///< Close reason (revocations).
-};
-
-}  // namespace
 
 StitchResult stitch_run(const std::string& run_dir,
                         const StitchOptions& options) {
@@ -179,58 +26,13 @@ StitchResult stitch_run(const std::string& run_dir,
                      "': " + leases.message();
     return result;
   }
-  const std::vector<LeaseRecord>& records = leases.value().records;
 
-  // ---- reconstruct lease intervals (primary source #1) ----
-  std::size_t num_shards = 0;
-  for (const LeaseRecord& rec : records) {
-    if (rec.event != LeaseEvent::kMerged) {
-      num_shards = std::max(num_shards,
-                            static_cast<std::size_t>(rec.shard) + 1);
-    }
-  }
-  std::vector<std::vector<LeaseInterval>> intervals(num_shards);
-  std::uint64_t last_wall = 0;
-  std::uint64_t first_wall = 0;
-  std::uint64_t merged_wall = 0;
-  bool merged = false;
-  for (const LeaseRecord& rec : records) {
-    if (rec.wall_ns != 0) {
-      last_wall = std::max(last_wall, rec.wall_ns);
-      if (first_wall == 0 || rec.wall_ns < first_wall) {
-        first_wall = rec.wall_ns;
-      }
-    }
-    switch (rec.event) {
-      case LeaseEvent::kGranted: {
-        LeaseInterval iv;
-        iv.epoch = rec.epoch;
-        iv.pid = rec.pid;
-        iv.begin_wall = rec.wall_ns;
-        intervals[rec.shard].push_back(std::move(iv));
-        break;
-      }
-      case LeaseEvent::kRevoked:
-      case LeaseEvent::kDone: {
-        auto& ivs = intervals[rec.shard];
-        for (auto it = ivs.rbegin(); it != ivs.rend(); ++it) {
-          if (it->epoch == rec.epoch && !it->closed) {
-            it->closed = true;
-            it->end_wall = rec.wall_ns;
-            it->end_kind =
-                rec.event == LeaseEvent::kDone ? "done" : "revoked";
-            it->detail = rec.detail;
-            break;
-          }
-        }
-        break;
-      }
-      case LeaseEvent::kMerged:
-        merged = true;
-        merged_wall = rec.wall_ns;
-        break;
-    }
-  }
+  // ---- lease intervals (primary source #1) ----
+  const LeaseChains chains = lease_chains(leases.value().records);
+  const std::vector<std::vector<LeaseInterval>>& intervals = chains.shards;
+  const std::size_t num_shards = intervals.size();
+  const std::uint64_t first_wall = chains.first_wall_ns;
+  const std::uint64_t last_wall = chains.last_wall_ns;
 
   // ---- parse every candidate trace file in parallel ----
   // Index 0 is the supervisor; then one slot per (shard, grant) in shard
@@ -249,13 +51,14 @@ StitchResult stitch_run(const std::string& run_dir,
   }
   auto [parsed, parse_status] = parallel_map(
       options.pool, trace_paths.size(),
-      [&](std::size_t i) { return parse_trace_file(trace_paths[i]); });
+      [&](std::size_t i) { return trace::read_file(trace_paths[i]); });
   (void)parse_status;  // no budget: always kOk
-  const ParsedTrace& sup = parsed[0];
+  const trace::TraceFile& sup = parsed[0];
   result.supervisor_trace = sup.parsed;
 
   // Per-(shard, interval) parse slots for ordered assembly below.
-  std::vector<std::vector<const ParsedTrace*>> shard_traces(num_shards);
+  std::vector<std::vector<const trace::TraceFile*>> shard_traces(
+      num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
     shard_traces[s].resize(intervals[s].size(), nullptr);
   }
@@ -289,7 +92,7 @@ StitchResult stitch_run(const std::string& run_dir,
     if (wall != 0 && (t0 == 0 || wall < t0)) t0 = wall;
   };
   fold_min(first_wall);
-  for (const ParsedTrace& t : parsed) fold_min(t.origin_wall_ns);
+  for (const trace::TraceFile& t : parsed) fold_min(t.origin_wall_ns);
   for (std::size_t s = 0; s < num_shards; ++s) {
     if (have_journal[s]) {
       for (const JournalEntry& e : journals[s].entries) {
@@ -306,72 +109,38 @@ StitchResult stitch_run(const std::string& run_dir,
 
   // ---- assemble the stitched timeline (single ordered pass) ----
   std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first_event = true;
-  const auto begin_event = [&]() {
-    if (!first_event) os << ",\n";
-    first_event = false;
-    ++result.total_events;
-    os << '{';
-  };
-  const auto name_meta = [&](const char* kind, std::size_t pid,
-                             std::uint64_t tid, const std::string& name) {
-    begin_event();
-    os << "\"name\":\"" << kind << "\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":" << tid << ",\"args\":{\"name\":";
-    write_escaped(os, name);
-    os << "}}";
-  };
+  trace::ChromeWriter out(os);
   // Re-emits one recorded event under a new (pid, tid), shifted onto the
   // stitched wall timeline via its file's anchor.
-  const auto replay_event = [&](const ParsedTrace::Ev& ev, std::size_t pid,
-                                std::uint64_t tid,
+  const auto replay_event = [&](const trace::TraceFile::Event& ev,
+                                std::size_t pid, std::uint64_t tid,
                                 std::uint64_t origin_wall) {
-    begin_event();
-    os << "\"name\":";
-    write_escaped(os, ev.name);
-    os << ",\"ph\":\"" << ev.ph << "\",\"pid\":" << pid << ",\"tid\":"
-       << tid << ",\"ts\":";
-    write_ts(os, rel(origin_wall) + ev.rel_ns);
-    if (ev.ph == 'C') {
-      os << ",\"args\":{\"value\":" << ev.value << "}";
-    } else if (ev.ph == 'i') {
-      os << ",\"s\":\"t\"";
-      if (!ev.detail.empty()) {
-        os << ",\"args\":{\"detail\":";
-        write_escaped(os, ev.detail);
-        os << "}";
-      }
-    }
-    os << '}';
+    out.recorded(ev.name, ev.ph, pid, tid, rel(origin_wall) + ev.rel_ns,
+                 ev.value, ev.detail.empty() ? nullptr : ev.detail.c_str());
   };
 
   // Supervisor process (pid 1): synthesized run track, then its own
   // recorded tracks offset to tid 1000+.
-  name_meta("process_name", 1, 0,
-            sup.parsed && !sup.process_label.empty() ? sup.process_label
-                                                     : "supervisor");
-  name_meta("thread_name", 1, 0, "run");
+  out.name("process_name", 1, 0,
+           sup.parsed && !sup.process_label.empty() ? sup.process_label
+                                                    : "supervisor");
+  out.name("thread_name", 1, 0, "run");
   if (first_wall != 0 && last_wall >= first_wall) {
-    begin_event();
-    os << "\"name\":\"run\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":";
-    write_ts(os, rel(first_wall));
-    os << ",\"dur\":";
-    write_ts(os, last_wall - first_wall);
-    os << ",\"args\":{\"shards\":" << num_shards << "}}";
+    out.event("run", 'X', 1, 0)
+        .time("ts", rel(first_wall))
+        .time("dur", last_wall - first_wall)
+        .arg("shards", num_shards);
   }
-  if (merged && merged_wall != 0) {
-    begin_event();
-    os << "\"name\":\"merged\",\"ph\":\"i\",\"pid\":1,\"tid\":0,"
-          "\"s\":\"t\",\"ts\":";
-    write_ts(os, rel(merged_wall));
-    os << '}';
+  if (chains.merged && chains.merged_wall_ns != 0) {
+    out.event("merged", 'i', 1, 0)
+        .thread_scope()
+        .time("ts", rel(chains.merged_wall_ns));
   }
   if (sup.parsed && sup.have_anchor) {
     for (const auto& [tid, name] : sup.thread_names) {
-      name_meta("thread_name", 1, 1000 + tid, name);
+      out.name("thread_name", 1, 1000 + tid, name);
     }
-    for (const ParsedTrace::Ev& ev : sup.events) {
+    for (const trace::TraceFile::Event& ev : sup.events) {
       replay_event(ev, 1, 1000 + ev.tid, sup.origin_wall_ns);
     }
   }
@@ -382,33 +151,27 @@ StitchResult stitch_run(const std::string& run_dir,
     ShardStitchInfo& info = result.shards[s];
     info.shard = s;
     const std::size_t pid = 2 + s;
-    name_meta("process_name", pid, 0, "shard-" + std::to_string(s));
-    name_meta("thread_name", pid, 0, "leases");
-    name_meta("thread_name", pid, 1, "buyers");
-    name_meta("thread_name", pid, 2, "status");
+    out.name("process_name", pid, 0, "shard-" + std::to_string(s));
+    out.name("thread_name", pid, 0, "leases");
+    out.name("thread_name", pid, 1, "buyers");
+    out.name("thread_name", pid, 2, "status");
 
     // tid 0: one span per lease interval. Open leases (still running, or
     // cut short by a supervisor SIGKILL before any close record) extend
     // to the last wall time the journal recorded.
     for (const LeaseInterval& iv : intervals[s]) {
       info.epochs_granted = std::max(info.epochs_granted, iv.epoch);
-      if (iv.begin_wall == 0) continue;  // record predates wall= field
+      const std::uint64_t begin = iv.begin_wall_ns;
+      if (begin == 0) continue;  // record predates wall= field
       const std::uint64_t end =
-          iv.closed && iv.end_wall >= iv.begin_wall ? iv.end_wall
-                                                    : last_wall;
-      begin_event();
-      os << "\"name\":\"lease\",\"ph\":\"X\",\"pid\":" << pid
-         << ",\"tid\":0,\"ts\":";
-      write_ts(os, rel(iv.begin_wall));
-      os << ",\"dur\":";
-      write_ts(os, end >= iv.begin_wall ? end - iv.begin_wall : 0);
-      os << ",\"args\":{\"epoch\":" << iv.epoch << ",\"pid\":" << iv.pid
-         << ",\"end\":\"" << iv.end_kind << '"';
-      if (!iv.detail.empty()) {
-        os << ",\"detail\":";
-        write_escaped(os, iv.detail);
-      }
-      os << "}}";
+          iv.closed && iv.end_wall_ns >= begin ? iv.end_wall_ns : last_wall;
+      out.event("lease", 'X', pid, 0)
+          .time("ts", rel(begin))
+          .time("dur", end >= begin ? end - begin : 0)
+          .arg("epoch", iv.epoch)
+          .arg("pid", iv.pid)
+          .arg("end", iv.end_name());
+      if (!iv.detail.empty()) out.arg("detail", iv.detail);
       ++info.lease_spans;
       ++result.lease_spans;
     }
@@ -426,28 +189,22 @@ StitchResult stitch_run(const std::string& run_dir,
           case BuyerPhase::kCommitted: {
             const auto it = open_embed.find(e.buyer);
             if (it == open_embed.end() || e.wall_ns < it->second) break;
-            begin_event();
-            os << "\"name\":\"buyer\",\"ph\":\"X\",\"pid\":" << pid
-               << ",\"tid\":1,\"ts\":";
-            write_ts(os, rel(it->second));
-            os << ",\"dur\":";
-            write_ts(os, e.wall_ns - it->second);
-            os << ",\"args\":{\"buyer\":" << e.buyer << "}}";
+            out.event("buyer", 'X', pid, 1)
+                .time("ts", rel(it->second))
+                .time("dur", e.wall_ns - it->second)
+                .arg("buyer", e.buyer);
             open_embed.erase(it);
             break;
           }
           case BuyerPhase::kVerified:
-          case BuyerPhase::kFailed: {
-            begin_event();
-            os << "\"name\":\""
-               << (e.phase == BuyerPhase::kVerified ? "verified"
-                                                    : "failed")
-               << "\",\"ph\":\"i\",\"pid\":" << pid
-               << ",\"tid\":1,\"s\":\"t\",\"ts\":";
-            write_ts(os, rel(e.wall_ns));
-            os << ",\"args\":{\"buyer\":" << e.buyer << "}}";
+          case BuyerPhase::kFailed:
+            out.event(e.phase == BuyerPhase::kVerified ? "verified"
+                                                       : "failed",
+                      'i', pid, 1)
+                .thread_scope()
+                .time("ts", rel(e.wall_ns))
+                .arg("buyer", e.buyer);
             break;
-          }
           case BuyerPhase::kQueued:
             break;
         }
@@ -456,17 +213,13 @@ StitchResult stitch_run(const std::string& run_dir,
 
     // tid 2: the last published snapshot as a committed-count counter.
     if (have_snap[s] && snaps[s].wall_ns != 0) {
-      begin_event();
-      os << "\"name\":\"committed\",\"ph\":\"C\",\"pid\":" << pid
-         << ",\"tid\":2,\"ts\":";
-      write_ts(os, rel(snaps[s].wall_ns));
-      os << ",\"args\":{\"value\":" << snaps[s].committed << "}}";
+      out.event("committed", 'C', pid, 2)
+          .time("ts", rel(snaps[s].wall_ns))
+          .arg("value", snaps[s].committed);
       if (snaps[s].done != 0) {
-        begin_event();
-        os << "\"name\":\"done\",\"ph\":\"i\",\"pid\":" << pid
-           << ",\"tid\":2,\"s\":\"t\",\"ts\":";
-        write_ts(os, rel(snaps[s].wall_ns));
-        os << '}';
+        out.event("done", 'i', pid, 2)
+            .thread_scope()
+            .time("ts", rel(snaps[s].wall_ns));
       }
     }
 
@@ -474,7 +227,7 @@ StitchResult stitch_run(const std::string& run_dir,
     // collide: epoch*65536 + 16 + recorder tid (0..15 reserved for the
     // synthesized tracks above).
     for (std::size_t k = 0; k < intervals[s].size(); ++k) {
-      const ParsedTrace* t = shard_traces[s][k];
+      const trace::TraceFile* t = shard_traces[s][k];
       const std::uint64_t epoch = intervals[s][k].epoch;
       if (t == nullptr || !t->parsed || !t->have_anchor) {
         ++info.missing_traces;
@@ -491,10 +244,10 @@ StitchResult stitch_run(const std::string& run_dir,
       result.dropped_events += t->dropped;
       const std::uint64_t tid_base = epoch * 65536 + 16;
       for (const auto& [tid, name] : t->thread_names) {
-        name_meta("thread_name", pid, tid_base + tid,
-                  "e" + std::to_string(epoch) + ":" + name);
+        out.name("thread_name", pid, tid_base + tid,
+                 "e" + std::to_string(epoch) + ":" + name);
       }
-      for (const ParsedTrace::Ev& ev : t->events) {
+      for (const trace::TraceFile::Event& ev : t->events) {
         replay_event(ev, pid, tid_base + ev.tid, t->origin_wall_ns);
         ++info.events;
       }
@@ -510,18 +263,10 @@ StitchResult stitch_run(const std::string& run_dir,
   other["stitch_shards"] = std::to_string(num_shards);
   other["stitch_supervisor_trace"] =
       result.supervisor_trace ? "1" : "0";
-  os << "\n],\"otherData\":{";
-  bool first_pair = true;
-  for (const auto& [key, value] : other) {
-    if (!first_pair) os << ',';
-    first_pair = false;
-    write_escaped(os, key);
-    os << ':';
-    write_escaped(os, value);
-  }
-  os << "}}\n";
+  out.finish(other);
 
   result.json = os.str();
+  result.total_events = out.events();
   result.message = "stitched " + std::to_string(num_shards) +
                    " shard(s): " + std::to_string(result.total_events) +
                    " events, " + std::to_string(result.lease_spans) +

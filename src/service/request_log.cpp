@@ -1,6 +1,8 @@
 #include "service/request_log.hpp"
 
+#include <charconv>
 #include <string>
+#include <system_error>
 
 namespace odcfp::service {
 
@@ -29,22 +31,29 @@ std::string admitted_payload(const AdmittedRecord& r) {
          " wall=" + std::to_string(r.wall_ns) + " label=" + r.spec.label;
 }
 
+/// A decimal int, sign allowed (tenant priorities may be negative).
+bool parse_int(std::string_view text, int* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc{} && ptr == end;
+}
+
 bool parse_admitted_payload(std::string_view payload, AdmittedRecord* out) {
   record_log::Fields in(payload);
-  std::string_view tenant, circuit;
-  std::uint64_t priority = 0, verify = 0;
+  std::string_view tenant, circuit, priority;
+  std::uint64_t verify = 0;
   if (!in.u64("id", &out->id) || !in.text("tenant", &tenant) ||
       !in.text("circuit", &circuit) || !in.u64("buyers", &out->spec.buyers) ||
       !in.u64("seed", &out->spec.seed) ||
       !in.u64("deadline", &out->spec.deadline_ms) ||
-      !in.u64("priority", &priority) || !in.u64("verify", &verify) ||
+      !in.text("priority", &priority) ||
+      !parse_int(priority, &out->priority) || !in.u64("verify", &verify) ||
       !in.u64("wall", &out->wall_ns) || !in.tail("label", &out->spec.label)) {
     return false;
   }
   out->spec.tenant = std::string(tenant);
   out->spec.circuit = std::string(circuit);
   out->spec.verify = verify != 0;
-  out->priority = static_cast<int>(priority);
   return !tenant.empty() && !circuit.empty();
 }
 

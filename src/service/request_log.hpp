@@ -4,7 +4,7 @@
 // rules: common/record_log.hpp):
 //
 //   odcfp-requests 1
-//   A <crc8> id=<u64> tenant=<name> circuit=<name> buyers=<u64> seed=<u64> deadline=<u64> priority=<u64> verify=<0|1> wall=<u64> label=<text>
+//   A <crc8> id=<u64> tenant=<name> circuit=<name> buyers=<u64> seed=<u64> deadline=<u64> priority=<int> verify=<0|1> wall=<u64> label=<text>
 //   T <crc8> id=<u64> committed=<u64> crc=<hex8> outcome=<name> detail=<text>
 //
 //   A — admitted. Appended (and fsynced) BEFORE the accepted reply

@@ -315,6 +315,17 @@ TEST(DistStitch, ReportNamesKilledAndCriticalPathShardOnSkewedWorkload) {
   EXPECT_FALSE(stitched.supervisor_trace);
   EXPECT_EQ(stitched.origin_wall_ns, kBase);
   EXPECT_EQ(stitch_run(dir).json, stitched.json);
+  // A hostile supervisor trace (nesting far past the reader's depth
+  // bound) counts as unreadable, exactly like an absent one.
+  ASSERT_TRUE(atomic_io::make_dirs(traces_dir(dir)));
+  ASSERT_TRUE(atomic_io::write_file_atomic(supervisor_trace_path(dir),
+                                           std::string(200'000, '['))
+                  .ok);
+  const StitchResult hostile = stitch_run(dir);
+  ASSERT_EQ(hostile.status, Status::kOk) << hostile.message;
+  EXPECT_FALSE(hostile.supervisor_trace);
+  EXPECT_EQ(hostile.missing_traces, 4u);
+  EXPECT_EQ(hostile.json, stitched.json);
   fold_stitch(stitched, &report);
   EXPECT_EQ(report.shards[1].missing_traces, 2u);
   bool saw_missing = false;

@@ -14,8 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/json_lite.hpp"
 #include "common/telemetry.hpp"
-#include "test_json_lite.hpp"
 
 namespace odcfp {
 namespace {
@@ -59,8 +59,8 @@ TEST_F(LogTest, LevelFilteringRespectsThreshold) {
   log::error("e");
   const auto emitted = lines();
   ASSERT_EQ(emitted.size(), 2u);
-  EXPECT_EQ(testjson::parse(emitted[0]).at("level").str, "warn");
-  EXPECT_EQ(testjson::parse(emitted[1]).at("level").str, "error");
+  EXPECT_EQ(jsonlite::parse(emitted[0]).at("level").str, "warn");
+  EXPECT_EQ(jsonlite::parse(emitted[1]).at("level").str, "error");
 
   EXPECT_TRUE(log::enabled(log::Level::kError));
   EXPECT_FALSE(log::enabled(log::Level::kInfo));
@@ -79,13 +79,15 @@ TEST_F(LogTest, RecordsAreWellFormedJsonl) {
       .field("ratio", 0.25)
       .field("nan", std::nan(""))
       .field("flag", true)
-      .field("null_cstr", static_cast<const char*>(nullptr));
+      .field("null_cstr", static_cast<const char*>(nullptr))
+      .field("esc", "q\" b\\ n\n t\t r\r c\x01\x1f d\x7f u\xc3\xa9")
+      .field("third", 1.0 / 3);
 
   const auto emitted = lines();
   ASSERT_EQ(emitted.size(), 2u);
   for (const std::string& line : emitted) {
-    testjson::Value rec;
-    ASSERT_NO_THROW(rec = testjson::parse(line)) << line;
+    jsonlite::Value rec;
+    ASSERT_NO_THROW(rec = jsonlite::parse(line)) << line;
     // Reserved keys lead every record.
     EXPECT_TRUE(rec.at("ts_ns").is_number());
     EXPECT_TRUE(rec.at("level").is_string());
@@ -93,14 +95,22 @@ TEST_F(LogTest, RecordsAreWellFormedJsonl) {
     EXPECT_TRUE(rec.at("tid").is_number());
     EXPECT_TRUE(rec.at("span").is_string());
   }
-  const testjson::Value rec = testjson::parse(emitted[1]);
+  const jsonlite::Value rec = jsonlite::parse(emitted[1]);
   EXPECT_EQ(rec.at("event").str, "tricky");
   EXPECT_EQ(rec.at("msg").str, "he said \"hi\"\n\tback\\slash");
   EXPECT_EQ(rec.at("neg").number, -5.0);
   EXPECT_EQ(rec.at("ratio").number, 0.25);
-  EXPECT_EQ(rec.at("nan").type, testjson::Value::Type::kNull);
+  EXPECT_EQ(rec.at("nan").type, jsonlite::Value::Type::kNull);
   EXPECT_TRUE(rec.at("flag").boolean);
   EXPECT_EQ(rec.at("null_cstr").str, "");
+  // The escaper's and the number writer's exact bytes: every escape
+  // class, DEL and a UTF-8 sequence; 17 significant digits.
+  EXPECT_NE(emitted[1].find("\"esc\":\"q\\\" b\\\\ n\\n t\\t r\\u000d "
+                            "c\\u0001\\u001f d\x7f u\xc3\xa9\""),
+            std::string::npos)
+      << emitted[1];
+  EXPECT_NE(emitted[1].find("\"third\":0.33333333333333331"),
+            std::string::npos);
 }
 
 TEST_F(LogTest, SpanJoinKeyMatchesTelemetryPath) {
@@ -114,10 +124,10 @@ TEST_F(LogTest, SpanJoinKeyMatchesTelemetryPath) {
   }
   const auto emitted = lines();
   ASSERT_EQ(emitted.size(), 2u);
-  // The join key is the slash-joined span path, exactly as telemetry
-  // JSONL names it — empty outside any span.
-  EXPECT_EQ(testjson::parse(emitted[0]).at("span").str, "");
-  EXPECT_EQ(testjson::parse(emitted[1]).at("span").str, "/a/b");
+  // The join key is the slash-joined telemetry span path — empty
+  // outside any span.
+  EXPECT_EQ(jsonlite::parse(emitted[0]).at("span").str, "");
+  EXPECT_EQ(jsonlite::parse(emitted[1]).at("span").str, "/a/b");
 }
 
 TEST_F(LogTest, MovedRecordEmitsExactlyOnce) {
@@ -149,8 +159,8 @@ TEST_F(LogTest, ConcurrentLogRecordsDoNotInterleave) {
   // from concurrent threads never interleave mid-record.
   int per_worker[kThreads] = {0};
   for (const std::string& line : emitted) {
-    testjson::Value rec;
-    ASSERT_NO_THROW(rec = testjson::parse(line)) << line;
+    jsonlite::Value rec;
+    ASSERT_NO_THROW(rec = jsonlite::parse(line)) << line;
     EXPECT_EQ(rec.at("event").str, "worker.tick");
     const int w = static_cast<int>(rec.at("worker").number);
     ASSERT_GE(w, 0);

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -352,6 +353,25 @@ TEST(RequestLog, RoundTripsRecordsAndPending) {
   ASSERT_EQ(pending.size(), 1u);
   EXPECT_EQ(pending[0].id, 2u);
   EXPECT_FALSE(replay.value().torn_tail);
+
+  // Tenant priorities are signed (`--tenant n:c:r:-1`): every int
+  // replays as written, the extremes included.
+  const std::string signed_path = dir + "/signed.odcfp";
+  auto signed_log = RequestLog::create(signed_path);
+  ASSERT_TRUE(signed_log.ok()) << signed_log.message();
+  const int priorities[] = {-1, INT_MIN, INT_MAX};
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    AdmittedRecord record = make_admitted(id);
+    record.priority = priorities[id - 1];
+    ASSERT_TRUE(signed_log.value().append_admitted(record));
+  }
+  signed_log.value().close();
+  auto signed_replay = read_request_log(signed_path);
+  ASSERT_TRUE(signed_replay.ok()) << signed_replay.message();
+  ASSERT_EQ(signed_replay.value().admitted.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(signed_replay.value().admitted[i].priority, priorities[i]);
+  }
 }
 
 TEST(RequestLog, ToleratesTornTailAndResumesAppending) {
@@ -403,6 +423,24 @@ TEST(RequestLog, RejectsMidFileCorruption) {
   }
   auto replay = read_request_log(path);
   EXPECT_FALSE(replay.ok());
+
+  // A CRC-valid admitted record whose priority does not fit an int is
+  // corrupt too, never truncated into some other priority.
+  const auto admitted_line = [](const char* id, const char* priority) {
+    return record_log::format_line(
+        'A', std::string("id=") + id +
+                 " tenant=acme circuit=c17 buyers=4 seed=99 deadline=1234 "
+                 "priority=" + priority + " verify=1 wall=777 label=x");
+  };
+  for (const char* priority : {"2147483648", "-2147483649", "1x"}) {
+    const std::string bad = dir + "/priority.odcfp";
+    {
+      std::ofstream out(bad, std::ios::trunc | std::ios::binary);
+      out << "odcfp-requests 1\n"
+          << admitted_line("1", priority) << admitted_line("2", "0");
+    }
+    EXPECT_FALSE(read_request_log(bad).ok()) << priority;
+  }
 }
 
 TEST(RequestLog, RefusesEmptyOrForeignFile) {

@@ -222,6 +222,8 @@ TEST_F(TelemetryTest, JsonExportRoundTrips) {
   }
   {
     TELEM_SPAN("c");
+    // Every escape class, DEL and a UTF-8 sequence.
+    TELEM_COUNT("q\" b\\ n\n t\t r\r c\x01\x1f d\x7f u\xc3\xa9", 1);
   }
   const Node root = telemetry::snapshot();
   const std::string json = telemetry::to_json(root);
@@ -230,10 +232,11 @@ TEST_F(TelemetryTest, JsonExportRoundTrips) {
   // Serialization is deterministic: serialize → parse → serialize is a
   // fixed point.
   EXPECT_EQ(telemetry::to_json(parsed), json);
-
-  std::ostringstream jsonl;
-  telemetry::write_jsonl(jsonl, root);
-  EXPECT_NE(jsonl.str().find("\"path\":\"/a/b\""), std::string::npos);
+  // The escaper's exact bytes.
+  EXPECT_NE(json.find("\"q\\\" b\\\\ n\\n t\\t r\\u000d c\\u0001\\u001f "
+                      "d\x7f u\xc3\xa9\":1"),
+            std::string::npos)
+      << json;
 
   std::ostringstream tree;
   telemetry::dump_tree(tree, root);
@@ -244,6 +247,16 @@ TEST_F(TelemetryTest, ParseJsonRejectsMalformedInput) {
   EXPECT_THROW(telemetry::parse_json("not json"), CheckError);
   EXPECT_THROW(telemetry::parse_json("{\"count\": }"), CheckError);
   EXPECT_THROW(telemetry::parse_json(""), CheckError);
+  // Hostile bytes get the typed error too: a count past 2^64-1, and
+  // nesting far past the reader's depth bound.
+  EXPECT_THROW(
+      telemetry::parse_json("{\"count\":99999999999999999999999,"
+                            "\"total_ns\":0,\"counters\":{},"
+                            "\"children\":{}}"),
+      CheckError);
+  std::string deep;
+  for (int i = 0; i < 100'000; ++i) deep += "{\"children\":{\"a\":";
+  EXPECT_THROW(telemetry::parse_json(deep), CheckError);
 }
 
 TEST_F(TelemetryTest, BudgetDeathIsAttributedToInnermostSpan) {

@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "common/budget.hpp"
+#include "common/json_lite.hpp"
 #include "common/parallel.hpp"
 #include "common/telemetry.hpp"
-#include "test_json_lite.hpp"
 
 namespace odcfp {
 namespace {
@@ -74,13 +74,13 @@ class TraceTest : public ::testing::Test {
 /// array of {name, ph, pid, tid} objects with well-formed per-phase args
 /// and stack-disciplined B/E nesting per track. Returns the set of
 /// thread_name metadata values.
-std::set<std::string> check_chrome_trace(const testjson::Value& root) {
+std::set<std::string> check_chrome_trace(const jsonlite::Value& root) {
   EXPECT_TRUE(root.is_object());
-  const testjson::Value& events = root.at("traceEvents");
+  const jsonlite::Value& events = root.at("traceEvents");
   EXPECT_TRUE(events.is_array());
   std::map<double, std::vector<std::string>> be_stack;  // tid -> open Bs
   std::set<std::string> track_names;
-  for (const testjson::Value& ev : events.items) {
+  for (const jsonlite::Value& ev : events.items) {
     EXPECT_TRUE(ev.is_object());
     EXPECT_TRUE(ev.at("name").is_string());
     EXPECT_TRUE(ev.at("pid").is_number());
@@ -143,14 +143,14 @@ TEST_F(TraceTest, EmitsValidChromeJsonAcrossThreadCounts) {
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE(threads);
     const std::string json = run_traced_batch(threads);
-    testjson::Value root;
-    ASSERT_NO_THROW(root = testjson::parse(json)) << json.substr(0, 400);
+    jsonlite::Value root;
+    ASSERT_NO_THROW(root = jsonlite::parse(json)) << json.substr(0, 400);
     check_chrome_trace(root);
 
     // The span names from the telemetry layer appear as duration events,
     // and TELEM_COUNT as counter samples carrying the charged delta.
     bool saw_batch = false, saw_item = false, saw_counter = false;
-    for (const testjson::Value& ev : root.at("traceEvents").items) {
+    for (const jsonlite::Value& ev : root.at("traceEvents").items) {
       const std::string& ph = ev.at("ph").str;
       if (ph == "B" && ev.at("name").str == "batch") saw_batch = true;
       if (ph == "B" && ev.at("name").str == "item") saw_item = true;
@@ -186,7 +186,7 @@ TEST_F(TraceTest, PoolWorkerTracksAreNamed) {
   trace::write(os);
   trace::stop();
 
-  const testjson::Value root = testjson::parse(os.str());
+  const jsonlite::Value root = jsonlite::parse(os.str());
   const std::set<std::string> tracks = check_chrome_trace(root);
   EXPECT_TRUE(tracks.count("pool-worker-1")) << os.str().substr(0, 400);
   EXPECT_TRUE(tracks.count("pool-worker-2"));
@@ -211,10 +211,10 @@ TEST_F(TraceTest, OverflowDropsNewestAndCountsThem) {
   // prefix and the drop count is surfaced in otherData.
   std::ostringstream os;
   trace::write(os);
-  const testjson::Value root = testjson::parse(os.str());
+  const jsonlite::Value root = jsonlite::parse(os.str());
   check_chrome_trace(root);
   std::size_t ticks = 0;
-  for (const testjson::Value& ev : root.at("traceEvents").items) {
+  for (const jsonlite::Value& ev : root.at("traceEvents").items) {
     if (ev.at("ph").str == "i") ++ticks;
   }
   EXPECT_EQ(ticks, 8u);
@@ -276,10 +276,10 @@ TEST_F(TraceTest, BudgetExhaustionEmitsInstantWithSpanDetail) {
   trace::write(os);
   trace::stop();
 
-  const testjson::Value root = testjson::parse(os.str());
+  const jsonlite::Value root = jsonlite::parse(os.str());
   check_chrome_trace(root);
   bool saw_death = false;
-  for (const testjson::Value& ev : root.at("traceEvents").items) {
+  for (const jsonlite::Value& ev : root.at("traceEvents").items) {
     if (ev.at("ph").str == "i" &&
         ev.at("name").str == "budget.exhausted") {
       saw_death = true;
@@ -303,7 +303,7 @@ TEST_F(TraceTest, WriteFileProducesLoadableJson) {
   ASSERT_TRUE(in.good());
   std::stringstream buf;
   buf << in.rdbuf();
-  const testjson::Value root = testjson::parse(buf.str());
+  const jsonlite::Value root = jsonlite::parse(buf.str());
   check_chrome_trace(root);
   EXPECT_FALSE(trace::write_file("/nonexistent-dir/trace.json"));
 }
