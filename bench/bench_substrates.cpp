@@ -6,6 +6,7 @@
 #include "common/rng.hpp"
 #include "equiv/cec.hpp"
 #include "fingerprint/embedder.hpp"
+#include "fingerprint/heuristics.hpp"
 #include "fingerprint/location.hpp"
 #include "odc/window.hpp"
 #include "power/power.hpp"
@@ -82,28 +83,13 @@ void BM_IncrementalSta(benchmark::State& state, const std::string& name) {
   const StaticTimingAnalyzer sta;
   ArrivalTracker tracker(work, sta);
   std::size_t which = 0;
-  auto seeds = [&](std::size_t f) {
-    const auto ref = e.site_ref(f);
-    std::vector<GateId> out;
-    for (GateId g : e.touched_gates(ref.loc, ref.site)) {
-      out.push_back(g);
-      for (NetId in : work.gate(g).fanins) {
-        const GateId d = work.net(in).driver;
-        if (d != kInvalidGate) out.push_back(d);
-      }
-      for (const FanoutRef& r2 : work.net(work.gate(g).output).fanouts) {
-        out.push_back(r2.gate);
-      }
-    }
-    return out;
-  };
   for (auto _ : state) {
     const std::size_t f = which++ % e.num_sites();
     const auto ref = e.site_ref(f);
     e.apply(ref.loc, ref.site, 1);
-    tracker.update(seeds(f));
+    tracker.update(timing_seeds(work, e.touched_gates(ref.loc, ref.site)));
     benchmark::DoNotOptimize(tracker.critical_delay());
-    const auto pre = seeds(f);
+    const auto pre = timing_seeds(work, e.touched_gates(ref.loc, ref.site));
     e.remove(ref.loc, ref.site);
     tracker.update(pre);
     benchmark::DoNotOptimize(tracker.critical_delay());

@@ -33,8 +33,8 @@ std::uint64_t derive_seed(std::uint64_t base, std::size_t buyer) {
   return mix.next_u64();
 }
 
-/// Stamps one buyer edition: clone, embed site-by-site with incremental
-/// arrival maintenance, measure. Pure function of (golden, book, buyer).
+/// Stamps one buyer edition: clone, embed the whole codeword, then time
+/// the edition once. Pure function of (golden, book, buyer).
 BuyerEdition make_edition(const Netlist& golden, const CodebookSource& book,
                           std::size_t buyer, const Baseline& baseline,
                           const StaticTimingAnalyzer& sta,
@@ -47,20 +47,11 @@ BuyerEdition make_edition(const Netlist& golden, const CodebookSource& book,
   edition.netlist = golden;  // private clone: workers never share state
 
   FingerprintEmbedder embedder(edition.netlist, book.locations());
-  ArrivalTracker tracker(edition.netlist, sta);
-  for (std::size_t l = 0; l < edition.code.size(); ++l) {
-    for (std::size_t s = 0; s < edition.code[l].size(); ++s) {
-      const int option = edition.code[l][s];
-      if (option == 0) continue;
-      embedder.apply(l, s, option);
-      tracker.update(
-          timing_seeds(edition.netlist, embedder.touched_gates(l, s)));
-    }
-  }
-
-  edition.critical_delay = tracker.critical_delay();
-  edition.overheads =
-      Overheads::measure(edition.netlist, baseline, sta, power);
+  embedder.apply_code(edition.code);
+  // One timing pass serves both the edition's delay and its overhead.
+  edition.critical_delay = sta.critical_delay(edition.netlist);
+  edition.overheads = Overheads::measure(edition.netlist, baseline,
+                                         edition.critical_delay, power);
   if (options.max_delay_overhead > 0 &&
       edition.overheads.delay_ratio > options.max_delay_overhead) {
     edition.status = Status::kInfeasible;

@@ -6,9 +6,9 @@
 // measure — so this module fans the per-buyer work across a ThreadPool:
 //
 //  * batch_fingerprint       — stamp one edition per codeword of a
-//    Codebook. Each worker embeds into its own netlist clone and tracks
-//    the delay incrementally with a per-buyer ArrivalTracker (one
-//    event-driven update per applied site instead of a full STA pass).
+//    Codebook. Each worker embeds the whole codeword into its own netlist
+//    clone, then times the edition with one full STA pass, which yields
+//    both its critical delay and its delay overhead.
 //  * batch_verify_equivalence — fan CEC of all editions against the
 //    golden netlist across the pool in shared-miter
 //    IncrementalCecSessions, escalating a check that exhausts its quota

@@ -39,9 +39,15 @@ double overhead_ratio(double current, double base) {
 Overheads Overheads::measure(const Netlist& nl, const Baseline& base,
                              const StaticTimingAnalyzer& sta,
                              const PowerAnalyzer& power) {
+  return measure(nl, base, sta.critical_delay(nl), power);
+}
+
+Overheads Overheads::measure(const Netlist& nl, const Baseline& base,
+                             double critical_delay,
+                             const PowerAnalyzer& power) {
   Overheads o;
   o.area_ratio = overhead_ratio(nl.total_area(), base.area);
-  o.delay_ratio = overhead_ratio(sta.critical_delay(nl), base.delay);
+  o.delay_ratio = overhead_ratio(critical_delay, base.delay);
   o.power_ratio =
       overhead_ratio(power.analyze(nl).dynamic_power, base.power);
   return o;
@@ -146,7 +152,8 @@ ReactiveRun reactive_once(FingerprintEmbedder& e,
     }
     // Applied sites whose touched gates (or the drivers feeding them) are
     // timing-critical: only their removal can shorten the critical path.
-    const TimingReport rep = sta.analyze(nl);
+    // The tracker's slacks are a full STA's, without re-timing forward.
+    const std::vector<double> slacks = tracker.gate_slack();
     ++evals;
     std::vector<std::pair<double, std::size_t>> scored;  // (slack, site)
     for (std::size_t f = 0; f < e.num_sites(); ++f) {
@@ -154,11 +161,11 @@ ReactiveRun reactive_once(FingerprintEmbedder& e,
       if (e.applied_option(ref.loc, ref.site) == 0) continue;
       double min_slack = std::numeric_limits<double>::infinity();
       for (GateId g : e.touched_gates(ref.loc, ref.site)) {
-        min_slack = std::min(min_slack, rep.gate_slack[g]);
+        min_slack = std::min(min_slack, slacks[g]);
         for (NetId in : nl.gate(g).fanins) {
           const GateId d = nl.net(in).driver;
           if (d != kInvalidGate) {
-            min_slack = std::min(min_slack, rep.gate_slack[d]);
+            min_slack = std::min(min_slack, slacks[d]);
           }
         }
       }
@@ -336,11 +343,15 @@ HeuristicOutcome proactive_insert(FingerprintEmbedder& embedder,
 
   // Arrival times on the blank circuit estimate how expensive each
   // injected source is.
-  const TimingReport rep = sta.analyze(nl);
+  ArrivalTracker tracker(nl, sta);
   ++evals;
+  std::vector<double> blank_arrival(nl.num_nets());
+  for (NetId n = 0; n < nl.num_nets(); ++n) {
+    blank_arrival[n] = tracker.arrival(n);
+  }
   auto source_arrival = [&](const ModOption& o) {
-    double a = rep.arrival[o.source];
-    if (o.source2 != kInvalidNet) a = std::max(a, rep.arrival[o.source2]);
+    double a = blank_arrival[o.source];
+    if (o.source2 != kInvalidNet) a = std::max(a, blank_arrival[o.source2]);
     return a;
   };
 
@@ -362,8 +373,6 @@ HeuristicOutcome proactive_insert(FingerprintEmbedder& embedder,
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return cost[a] < cost[b]; });
 
-  ArrivalTracker tracker(nl, sta);
-  ++evals;
   bool truncated = false;
   for (std::size_t f : order) {
     ODCFP_FAULT_POINT("heuristic.proactive.site");

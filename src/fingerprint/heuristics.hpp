@@ -49,6 +49,9 @@ struct Overheads {
   static Overheads measure(const Netlist& nl, const Baseline& base,
                            const StaticTimingAnalyzer& sta,
                            const PowerAnalyzer& power);
+  /// Same, for a netlist whose critical delay was already timed.
+  static Overheads measure(const Netlist& nl, const Baseline& base,
+                           double critical_delay, const PowerAnalyzer& power);
 };
 
 struct HeuristicOutcome {
@@ -114,8 +117,9 @@ struct ProactiveOptions {
 /// Seed set for ArrivalTracker::update after structurally modifying
 /// `gates`: the gates themselves, the drivers of their fanins (whose
 /// output loads changed), and the sinks of their outputs (which may now
-/// read different nets). Shared by the overhead heuristics and the batch
-/// edition pipeline. Dead / out-of-range gates are skipped.
+/// read different nets). The one seed rule of every tracker user: call it
+/// on touched_gates() after an apply, and before a remove. Dead /
+/// out-of-range gates are skipped.
 std::vector<GateId> timing_seeds(const Netlist& nl,
                                  const std::vector<GateId>& gates);
 

@@ -77,11 +77,7 @@ std::vector<GateId> mffc(const Netlist& nl, GateId root) {
     }
     for (GateId c : candidates) {
       const NetId out = nl.gate(c).output;
-      bool is_po = false;
-      for (const OutputPort& p : nl.outputs()) {
-        if (p.net == out) { is_po = true; break; }
-      }
-      if (is_po) continue;
+      if (nl.net(out).num_output_ports > 0) continue;
       bool all_inside = !nl.net(out).fanouts.empty();
       for (const FanoutRef& ref : nl.net(out).fanouts) {
         if (!inside.count(ref.gate)) { all_inside = false; break; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <queue>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
@@ -38,6 +39,7 @@ void Netlist::add_output(NetId net, const std::string& port_name) {
   p.net = net;
   p.name = port_name.empty() ? nets_[net].name : port_name;
   pos_.push_back(std::move(p));
+  ++nets_[net].num_output_ports;
 }
 
 GateId Netlist::add_gate(CellId cell, const std::vector<NetId>& fanins,
@@ -173,9 +175,13 @@ void Netlist::transfer_fanouts_except(NetId from, NetId to,
 }
 
 void Netlist::repoint_output_ports(NetId from, NetId to) {
+  ODCFP_CHECK(from < nets_.size() && to < nets_.size());
+  if (nets_[from].num_output_ports == 0) return;
   for (OutputPort& p : pos_) {
     if (p.net == from) p.net = to;
   }
+  nets_[to].num_output_ports +=
+      std::exchange(nets_[from].num_output_ports, 0);
 }
 
 const Gate& Netlist::gate(GateId id) const {
@@ -304,11 +310,7 @@ double Netlist::total_area() const {
 
 bool Netlist::has_single_fanout(NetId net) const {
   ODCFP_CHECK(net < nets_.size());
-  if (nets_[net].fanouts.size() != 1) return false;
-  for (const OutputPort& p : pos_) {
-    if (p.net == net) return false;
-  }
-  return true;
+  return nets_[net].fanouts.size() == 1 && nets_[net].num_output_ports == 0;
 }
 
 void Netlist::validate(bool allow_dangling) const {
@@ -351,9 +353,18 @@ void Netlist::validate(bool allow_dangling) const {
                                     << " has fanouts but no driver");
     }
   }
+  std::vector<std::uint32_t> ports(nets_.size(), 0);
   for (const OutputPort& p : pos_) {
     ODCFP_CHECK_MSG(p.net < nets_.size(), "output port " << p.name
                                                          << " bad net");
+    ++ports[p.net];
+  }
+  for (NetId n = 0; n < nets_.size(); ++n) {
+    ODCFP_CHECK_MSG(nets_[n].num_output_ports == ports[n],
+                    "net " << nets_[n].name << " counts "
+                           << nets_[n].num_output_ports
+                           << " output ports, but " << ports[n]
+                           << " reference it");
   }
   topo_order();  // throws on cycles
 }
@@ -364,14 +375,8 @@ std::size_t Netlist::sweep_dangling() {
     bool changed = false;
     for (GateId g = 0; g < gates_.size(); ++g) {
       if (gates_[g].is_dead()) continue;
-      const NetId out = gates_[g].output;
-      bool used = !nets_[out].fanouts.empty();
-      if (!used) {
-        for (const OutputPort& p : pos_) {
-          if (p.net == out) { used = true; break; }
-        }
-      }
-      if (!used) {
+      const Net& out = nets_[gates_[g].output];
+      if (out.fanouts.empty() && out.num_output_ports == 0) {
         remove_gate(g);
         ++swept;
         changed = true;

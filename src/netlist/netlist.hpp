@@ -49,6 +49,9 @@ struct Net {
   GateId driver = kInvalidGate;     ///< kInvalidGate: PI or dangling.
   bool is_pi = false;
   std::vector<FanoutRef> fanouts;   ///< Gate input pins this net feeds.
+  /// Output ports referencing this net (kept by add_output and
+  /// repoint_output_ports, the only writers of the port list).
+  std::uint32_t num_output_ports = 0;
 };
 
 /// A named primary-output port. Distinct ports may reference the same net.

@@ -7,6 +7,71 @@
 
 namespace odcfp {
 
+namespace {
+
+/// Latest arrival over the fanins of `gt`, never earlier than the PI
+/// arrival.
+double input_arrival(const Gate& gt, const std::vector<double>& arrival,
+                     double pi_arrival) {
+  double at = pi_arrival;
+  for (NetId in : gt.fanins) at = std::max(at, arrival[in]);
+  return at;
+}
+
+/// Max arrival over the output ports (0 without ports).
+double latest_output(const Netlist& nl, const std::vector<double>& arrival) {
+  double worst = 0;
+  for (const OutputPort& p : nl.outputs()) {
+    worst = std::max(worst, arrival[p.net]);
+  }
+  return worst;
+}
+
+/// Forward pass over a topological `order`: each gate's delay (by GateId)
+/// and the arrival on its output net (by NetId).
+void time_forward(const Netlist& nl, const StaticTimingAnalyzer& sta,
+                  const std::vector<GateId>& order,
+                  std::vector<double>& delay, std::vector<double>& arrival) {
+  const double pi_arrival = sta.options().pi_arrival;
+  delay.assign(nl.num_gates(), 0);
+  arrival.assign(nl.num_nets(), pi_arrival);
+  for (GateId g : order) {
+    const Gate& gt = nl.gate(g);
+    delay[g] = sta.gate_delay(nl, g);
+    arrival[gt.output] = input_arrival(gt, arrival, pi_arrival) + delay[g];
+  }
+}
+
+/// Backward pass: required times from the latest output back through a
+/// topological `order`, then each gate's slack (dead gates: +inf). Every
+/// required time is a min over the same differences in any topological
+/// order, so the result depends only on `arrival` and `delay`.
+void required_and_slack(const Netlist& nl, const std::vector<GateId>& order,
+                        const std::vector<double>& arrival,
+                        const std::vector<double>& delay,
+                        double critical_delay, std::vector<double>& required,
+                        std::vector<double>& gate_slack) {
+  const double inf = std::numeric_limits<double>::infinity();
+  required.assign(nl.num_nets(), inf);
+  for (const OutputPort& p : nl.outputs()) {
+    required[p.net] = std::min(required[p.net], critical_delay);
+  }
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const Gate& gt = nl.gate(*it);
+    const double in_required = required[gt.output] - delay[*it];
+    for (NetId in : gt.fanins) {
+      required[in] = std::min(required[in], in_required);
+    }
+  }
+  gate_slack.assign(nl.num_gates(), inf);
+  for (GateId g : order) {
+    const NetId out = nl.gate(g).output;
+    gate_slack[g] = required[out] - arrival[out];
+  }
+}
+
+}  // namespace
+
 double StaticTimingAnalyzer::net_load(const Netlist& nl, NetId net) const {
   const Net& n = nl.net(net);
   double load = 0;
@@ -14,8 +79,8 @@ double StaticTimingAnalyzer::net_load(const Netlist& nl, NetId net) const {
     load += nl.cell_of(ref.gate).input_cap;
     load += options_.wire_cap_per_fanout;
   }
-  for (const OutputPort& p : nl.outputs()) {
-    if (p.net == net) load += options_.po_load;
+  for (std::uint32_t p = 0; p < n.num_output_ports; ++p) {
+    load += options_.po_load;
   }
   return load;
 }
@@ -27,58 +92,20 @@ double StaticTimingAnalyzer::gate_delay(const Netlist& nl,
 }
 
 double StaticTimingAnalyzer::critical_delay(const Netlist& nl) const {
-  std::vector<double> arrival(nl.num_nets(), options_.pi_arrival);
-  for (GateId g : nl.topo_order_fast()) {
-    const Gate& gt = nl.gate(g);
-    double at = options_.pi_arrival;
-    for (NetId in : gt.fanins) at = std::max(at, arrival[in]);
-    arrival[gt.output] = at + gate_delay(nl, g);
-  }
-  double worst = 0;
-  for (const OutputPort& p : nl.outputs()) {
-    worst = std::max(worst, arrival[p.net]);
-  }
-  return worst;
+  std::vector<double> delay;
+  std::vector<double> arrival;
+  time_forward(nl, *this, nl.topo_order_fast(), delay, arrival);
+  return latest_output(nl, arrival);
 }
 
 TimingReport StaticTimingAnalyzer::analyze(const Netlist& nl) const {
   TimingReport rep;
-  rep.arrival.assign(nl.num_nets(), options_.pi_arrival);
-
   const std::vector<GateId> order = nl.topo_order_fast();
-  // Cache per-gate delays: they depend only on the (static) fanout loads.
-  std::vector<double> delay(nl.num_gates(), 0);
-  for (GateId g : order) delay[g] = gate_delay(nl, g);
-
-  for (GateId g : order) {
-    const Gate& gt = nl.gate(g);
-    double at = options_.pi_arrival;
-    for (NetId in : gt.fanins) at = std::max(at, rep.arrival[in]);
-    rep.arrival[gt.output] = at + delay[g];
-  }
-  for (const OutputPort& p : nl.outputs()) {
-    rep.critical_delay = std::max(rep.critical_delay, rep.arrival[p.net]);
-  }
-
-  // Required times: POs must settle by the critical delay.
-  const double inf = std::numeric_limits<double>::infinity();
-  rep.required.assign(nl.num_nets(), inf);
-  for (const OutputPort& p : nl.outputs()) {
-    rep.required[p.net] = std::min(rep.required[p.net], rep.critical_delay);
-  }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const Gate& gt = nl.gate(*it);
-    const double in_required = rep.required[gt.output] - delay[*it];
-    for (NetId in : gt.fanins) {
-      rep.required[in] = std::min(rep.required[in], in_required);
-    }
-  }
-
-  rep.gate_slack.assign(nl.num_gates(), inf);
-  for (GateId g : order) {
-    const NetId out = nl.gate(g).output;
-    rep.gate_slack[g] = rep.required[out] - rep.arrival[out];
-  }
+  std::vector<double> delay;
+  time_forward(nl, *this, order, delay, rep.arrival);
+  rep.critical_delay = latest_output(nl, rep.arrival);
+  required_and_slack(nl, order, rep.arrival, delay, rep.critical_delay,
+                     rep.required, rep.gate_slack);
 
   // One critical path: walk back from the latest output.
   NetId worst_net = kInvalidNet;
@@ -113,21 +140,14 @@ ArrivalTracker::ArrivalTracker(const Netlist& nl,
 }
 
 void ArrivalTracker::full_recompute() {
-  arrival_.assign(nl_->num_nets(), sta_->options().pi_arrival);
+  time_forward(*nl_, *sta_, nl_->topo_order_fast(), delay_, arrival_);
   queued_.assign(nl_->num_gates(), false);
-  for (GateId g : nl_->topo_order_fast()) {
-    const Gate& gt = nl_->gate(g);
-    double at = sta_->options().pi_arrival;
-    for (NetId in : gt.fanins) at = std::max(at, arrival_[in]);
-    arrival_[gt.output] = at + sta_->gate_delay(*nl_, g);
-  }
 }
 
 void ArrivalTracker::recompute_gate(GateId g, std::vector<GateId>& queue) {
   const Gate& gt = nl_->gate(g);
-  double at = sta_->options().pi_arrival;
-  for (NetId in : gt.fanins) at = std::max(at, arrival_[in]);
-  const double new_arrival = at + sta_->gate_delay(*nl_, g);
+  const double new_arrival =
+      input_arrival(gt, arrival_, sta_->options().pi_arrival) + delay_[g];
   if (new_arrival != arrival_[gt.output]) {
     arrival_[gt.output] = new_arrival;
     for (const FanoutRef& ref : nl_->net(gt.output).fanouts) {
@@ -140,17 +160,22 @@ void ArrivalTracker::recompute_gate(GateId g, std::vector<GateId>& queue) {
 }
 
 void ArrivalTracker::update(const std::vector<GateId>& seeds) {
-  // Structures may have grown (new nets/gates) since construction.
+  // Structures may have grown (new nets/gates) since the last pass; a new
+  // gate is always a seed, so its delay is filled below.
   if (arrival_.size() < nl_->num_nets()) {
     arrival_.resize(nl_->num_nets(), sta_->options().pi_arrival);
   }
   if (queued_.size() < nl_->num_gates()) {
     queued_.resize(nl_->num_gates(), false);
+    delay_.resize(nl_->num_gates(), 0);
   }
+  // Only a seed's delay can have changed; every other gate keeps the
+  // delay stored when it was last timed.
   std::vector<GateId> queue;
   for (GateId g : seeds) {
     if (g < nl_->num_gates() && !nl_->gate(g).is_dead() && !queued_[g]) {
       queued_[g] = true;
+      delay_[g] = sta_->gate_delay(*nl_, g);
       queue.push_back(g);
     }
   }
@@ -162,23 +187,23 @@ void ArrivalTracker::update(const std::vector<GateId>& seeds) {
     if (nl_->gate(g).is_dead()) continue;
     recompute_gate(g, queue);
   }
-  // Reset any still-set flags (gates queued multiple times).
-  for (GateId g : queue) {
-    if (g < queued_.size()) queued_[g] = false;
-  }
 }
 
 double ArrivalTracker::critical_delay() const {
-  double worst = 0;
-  for (const OutputPort& p : nl_->outputs()) {
-    worst = std::max(worst, arrival_[p.net]);
-  }
-  return worst;
+  return latest_output(*nl_, arrival_);
 }
 
 double ArrivalTracker::arrival(NetId net) const {
   ODCFP_CHECK(net < arrival_.size());
   return arrival_[net];
+}
+
+std::vector<double> ArrivalTracker::gate_slack() const {
+  std::vector<double> required;
+  std::vector<double> slack;
+  required_and_slack(*nl_, nl_->topo_order_fast(), arrival_, delay_,
+                     critical_delay(), required, slack);
+  return slack;
 }
 
 }  // namespace odcfp

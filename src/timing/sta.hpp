@@ -10,6 +10,8 @@
 // load = sum of sink input pin capacitances + wire_cap_per_fanout per sink
 // + po_load for output ports. Arrival times propagate in topological
 // order; required times propagate backwards from the latest output.
+// A net's load is O(its fanout): the port term reads the net's own port
+// count.
 #pragma once
 
 #include <vector>
@@ -63,18 +65,30 @@ class StaticTimingAnalyzer {
 /// makes it cheap: after a local change, call update() with the affected
 /// gates; arrivals are recomputed event-driven through the fanout cone
 /// (stopping as soon as values stop changing), instead of re-running the
-/// full STA. The overhead heuristics use it for their trial evaluations.
+/// full STA. It stores each gate's delay, so update() re-derives only the
+/// seeds' delays, and gate_slack() runs analyze()'s own required-time and
+/// slack pass over the tracked arrivals and stored delays. The overhead
+/// heuristics use it for their trial evaluations and candidate scoring.
+///
+/// While every update() names its seeds as below, arrivals, critical
+/// delay and slacks equal a fresh analyze() bit for bit: same delays,
+/// same sums, same order of additions.
 class ArrivalTracker {
  public:
   ArrivalTracker(const Netlist& nl, const StaticTimingAnalyzer& sta);
 
-  /// Recomputes everything from scratch (also resizes after growth).
+  /// Recomputes everything from scratch, stored delays included (also
+  /// resizes after growth).
   void full_recompute();
 
   /// Recomputes after a structural edit. `seeds` must contain every gate
   /// whose delay or fanin set may have changed — for a fingerprint
   /// modification: the touched gates plus the drivers of their fanins
-  /// (their output loads changed). Dead gates in `seeds` are ignored.
+  /// (their output loads changed); fingerprint/heuristics.hpp's
+  /// timing_seeds() builds exactly that set. Only the seeds'
+  /// delays are recomputed, so a missing seed leaves a stale stored delay
+  /// that later updates and gate_slack() keep reading. Dead gates in
+  /// `seeds` are ignored.
   void update(const std::vector<GateId>& seeds);
 
   /// Current critical delay (max arrival over output ports).
@@ -82,12 +96,17 @@ class ArrivalTracker {
 
   double arrival(NetId net) const;
 
+  /// Slack of every gate against the current critical delay, indexed by
+  /// GateId (dead gates: +inf); equal to analyze().gate_slack.
+  std::vector<double> gate_slack() const;
+
  private:
   void recompute_gate(GateId g, std::vector<GateId>& queue);
 
   const Netlist* nl_;
   const StaticTimingAnalyzer* sta_;
   std::vector<double> arrival_;   // by NetId
+  std::vector<double> delay_;     // by GateId, current for live gates
   std::vector<bool> queued_;      // by GateId, scratch
 };
 

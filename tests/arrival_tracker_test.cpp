@@ -3,27 +3,42 @@
 #include "benchgen/benchmarks.hpp"
 #include "common/rng.hpp"
 #include "fingerprint/embedder.hpp"
+#include "fingerprint/heuristics.hpp"
 #include "timing/sta.hpp"
 
 namespace odcfp {
 namespace {
 
-/// Seeds mirroring the heuristics' rule: gates + fanin drivers + sinks.
-std::vector<GateId> seeds_of(const Netlist& nl,
-                             const std::vector<GateId>& gates) {
-  std::vector<GateId> seeds;
-  for (GateId g : gates) {
-    if (g >= nl.num_gates() || nl.gate(g).is_dead()) continue;
-    seeds.push_back(g);
-    for (NetId in : nl.gate(g).fanins) {
-      const GateId d = nl.net(in).driver;
-      if (d != kInvalidGate) seeds.push_back(d);
-    }
-    for (const FanoutRef& ref : nl.net(nl.gate(g).output).fanouts) {
-      seeds.push_back(ref.gate);
+/// The tracker against a fresh full STA of the same netlist, bit for bit:
+/// critical delay, every live net's arrival and every live gate's slack.
+::testing::AssertionResult MatchesFreshSta(const Netlist& nl,
+                                           const StaticTimingAnalyzer& sta,
+                                           const ArrivalTracker& tracker) {
+  const TimingReport rep = sta.analyze(nl);
+  if (tracker.critical_delay() != rep.critical_delay) {
+    return ::testing::AssertionFailure()
+           << "critical delay " << tracker.critical_delay() << " vs "
+           << rep.critical_delay;
+  }
+  for (NetId n = 0; n < nl.num_nets(); ++n) {
+    const Net& net = nl.net(n);
+    if (!net.is_pi && net.driver == kInvalidGate) continue;
+    if (tracker.arrival(n) != rep.arrival[n]) {
+      return ::testing::AssertionFailure()
+             << "arrival of net " << net.name << ": " << tracker.arrival(n)
+             << " vs " << rep.arrival[n];
     }
   }
-  return seeds;
+  const std::vector<double> slack = tracker.gate_slack();
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    if (nl.gate(g).is_dead()) continue;
+    if (slack[g] != rep.gate_slack[g]) {
+      return ::testing::AssertionFailure()
+             << "slack of gate " << nl.gate(g).name << ": " << slack[g]
+             << " vs " << rep.gate_slack[g];
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 TEST(ArrivalTracker, MatchesFullStaInitially) {
@@ -39,29 +54,38 @@ TEST(ArrivalTracker, MatchesFullStaInitially) {
 }
 
 TEST(ArrivalTracker, TracksFingerprintApplyRemoveExactly) {
-  Netlist nl = make_benchmark("c432");
-  const StaticTimingAnalyzer sta;
-  const auto locs = find_locations(nl);
-  FingerprintEmbedder e(nl, locs);
-  ArrivalTracker tracker(nl, sta);
+  // Random apply/remove walks over every modification option, seeded by
+  // the heuristics' rule. Stored delays make a missing seed stick, so any
+  // gap in timing_seeds shows up as a stale arrival or slack.
+  LocationFinderOptions lopts;
+  lopts.max_sites_per_location = 4;
+  for (const char* name : {"c432", "i8", "c3540"}) {
+    Netlist nl = make_benchmark(name);
+    const StaticTimingAnalyzer sta;
+    const auto locs = find_locations(nl, lopts);
+    ASSERT_FALSE(locs.empty()) << name;
+    FingerprintEmbedder e(nl, locs);
+    ArrivalTracker tracker(nl, sta);
+    ASSERT_TRUE(MatchesFreshSta(nl, sta, tracker)) << name;
 
-  Rng rng(11);
-  for (int step = 0; step < 200; ++step) {
-    const std::size_t f =
-        static_cast<std::size_t>(rng.next_below(e.num_sites()));
-    const auto ref = e.site_ref(f);
-    if (e.applied_option(ref.loc, ref.site) == 0) {
-      const int opt = 1 + static_cast<int>(rng.next_below(
-          locs[ref.loc].sites[ref.site].options.size()));
-      e.apply(ref.loc, ref.site, opt);
-      tracker.update(seeds_of(nl, e.touched_gates(ref.loc, ref.site)));
-    } else {
-      const auto pre = seeds_of(nl, e.touched_gates(ref.loc, ref.site));
-      e.remove(ref.loc, ref.site);
-      tracker.update(pre);
+    Rng rng(11);
+    for (int step = 0; step < 200; ++step) {
+      const std::size_t f =
+          static_cast<std::size_t>(rng.next_below(e.num_sites()));
+      const auto ref = e.site_ref(f);
+      if (e.applied_option(ref.loc, ref.site) == 0) {
+        const int opt = 1 + static_cast<int>(rng.next_below(
+            locs[ref.loc].sites[ref.site].options.size()));
+        e.apply(ref.loc, ref.site, opt);
+        tracker.update(timing_seeds(nl, e.touched_gates(ref.loc, ref.site)));
+      } else {
+        const auto pre = timing_seeds(nl, e.touched_gates(ref.loc, ref.site));
+        e.remove(ref.loc, ref.site);
+        tracker.update(pre);
+      }
+      ASSERT_TRUE(MatchesFreshSta(nl, sta, tracker))
+          << name << " step " << step;
     }
-    ASSERT_DOUBLE_EQ(tracker.critical_delay(), sta.critical_delay(nl))
-        << "step " << step;
   }
 }
 

@@ -76,10 +76,22 @@ TEST(Netlist, ReconnectPinUpdatesFanoutLists) {
 TEST(Netlist, TransferFanouts) {
   SmallCircuit s;
   const NetId and_out = s.nl.gate(s.g_and).output;
+  // Ports move too: a net carrying two ports lands on one carrying one.
+  s.nl.add_output(and_out, "p");
+  s.nl.add_output(and_out, "q");
+  s.nl.add_output(s.c, "r");
+  EXPECT_EQ(s.nl.net(and_out).num_output_ports, 2u);
   s.nl.transfer_fanouts(and_out, s.c);
   s.nl.validate(/*allow_dangling=*/true);
   EXPECT_TRUE(s.nl.net(and_out).fanouts.empty());
   EXPECT_EQ(s.nl.gate(s.g_or).fanins[0], s.c);
+  EXPECT_EQ(s.nl.net(and_out).num_output_ports, 0u);
+  EXPECT_EQ(s.nl.net(s.c).num_output_ports, 3u);
+  for (const OutputPort& p : s.nl.outputs()) {
+    if (p.name != "f") {
+      EXPECT_EQ(p.net, s.c) << p.name;
+    }
+  }
 }
 
 TEST(Netlist, RemoveAndSweep) {

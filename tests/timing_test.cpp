@@ -24,6 +24,14 @@ TEST(Sta, HandComputedChain) {
   EXPECT_NEAR(sta.gate_delay(nl, g1), d1, 1e-12);
   EXPECT_NEAR(sta.gate_delay(nl, g2), d2, 1e-12);
   EXPECT_NEAR(sta.critical_delay(nl), d1 + d2, 1e-12);
+
+  // Two ports on the inner net: its load is the fanout caps plus two
+  // output pads.
+  const NetId inner = nl.gate(g1).output;
+  nl.add_output(inner, "t1");
+  nl.add_output(inner, "t2");
+  EXPECT_NEAR(sta.net_load(nl, inner),
+              inv.input_cap + 0.35 + 2 * sta.options().po_load, 1e-12);
 }
 
 TEST(Sta, ArrivalTakesMaxOverFanins) {
