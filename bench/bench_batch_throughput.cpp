@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -24,6 +25,16 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        t0)
       .count();
+}
+
+/// Counter `name` summed over every node of `node`'s subtree.
+std::int64_t counter_total(const telemetry::Node& node,
+                           std::string_view name) {
+  std::int64_t total = node.counter(name);
+  for (const auto& [child_name, child] : node.children) {
+    total += counter_total(child, name);
+  }
+  return total;
 }
 
 /// The legacy path the incremental sessions are measured against: the
@@ -129,6 +140,10 @@ int main() {
     std::vector<CecResult::Status> reference;
     bool verdicts_identical = true;
     double legacy_t1 = 0, incremental_t1 = 0;
+    // Cut points the serial incremental run proved, and the share of them
+    // window proofs made, from the counters the batch layer emits.
+    const bool count_merges = telemetry::enabled();
+    std::int64_t merges = 0, window_merges = 0;
     for (const bool incremental : {false, true}) {
       for (const int threads : {1, 2, 8}) {
         ThreadPool pool(threads);
@@ -137,6 +152,9 @@ int main() {
         // Conflict limits (not wall-clock) keep every verdict
         // deterministic regardless of machine load.
         opt.cec.sat_conflict_limit = 100000;
+        const bool sample = count_merges && incremental && threads == 1;
+        const telemetry::Node before =
+            sample ? telemetry::snapshot() : telemetry::Node{};
         const auto t0 = std::chrono::steady_clock::now();
         const auto verdicts =
             incremental
@@ -144,6 +162,14 @@ int main() {
                                            opt)
                 : verify_each(prepared.golden, batch.editions, opt);
         const double elapsed = seconds_since(t0);
+        if (sample) {
+          const telemetry::Node after = telemetry::snapshot();
+          merges = counter_total(after, "cec.incremental.merges") -
+                   counter_total(before, "cec.incremental.merges");
+          window_merges =
+              counter_total(after, "cec.incremental.window_merges") -
+              counter_total(before, "cec.incremental.window_merges");
+        }
         const double rate = static_cast<double>(kBuyers) / elapsed;
 
         std::size_t ok = 0;
@@ -174,13 +200,21 @@ int main() {
     }
     const double speedup =
         legacy_t1 > 0 ? incremental_t1 / legacy_t1 : 0.0;
-    report.add_row("c880")
-        .label("panel", "cec-summary")
-        .metric("verdicts_identical", verdicts_identical ? 1.0 : 0.0)
-        .metric("incremental_speedup_t1", speedup);
+    BenchReport::Row& summary =
+        report.add_row("c880")
+            .label("panel", "cec-summary")
+            .metric("verdicts_identical", verdicts_identical ? 1.0 : 0.0)
+            .metric("incremental_speedup_t1", speedup);
     std::printf("verdicts identical across paths and thread counts: %s\n",
                 verdicts_identical ? "yes" : "NO");
     std::printf("incremental speedup (t=1): %.2fx\n", speedup);
+    if (count_merges) {
+      summary.metric("merges", static_cast<double>(merges))
+          .metric("window_merges", static_cast<double>(window_merges));
+      std::printf("cut points proven (t=1): %lld, %lld by a window\n",
+                  static_cast<long long>(merges),
+                  static_cast<long long>(window_merges));
+    }
   }
 
   // Histogram roll-up (schema v3). Conflicts-per-call is a deterministic

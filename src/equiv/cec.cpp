@@ -212,29 +212,55 @@ namespace {
 
 /// Random-simulation words (64 patterns each) behind every signature the
 /// session compares, and the seed of their patterns. Signatures only pick
-/// which nets get a sweep query: a collision costs one SAT answer, never
+/// which nets get a sweep proof: a collision costs one SAT answer, never
 /// a wrong merge. Those SAT answers are the expensive queries (the solver
 /// must find the rare pattern the simulation missed), and on c1908 they
 /// keep shrinking up to 32 words while simulation stays cheap.
 constexpr std::size_t kSigWords = 32;
 constexpr std::uint64_t kSigSeed = 0x0dc5'1ee9'5eed'0001ull;
 
-/// Evaluates one gate over whole signatures: out[w] = f(ins[0][w], ...,
-/// ins[k-1][w]) for every word w. Row-major so the word loops vectorize.
+/// Window proof caps. A window grows through at most kWindowLevels levels
+/// of golden gates and is abandoned once it holds more than
+/// kWindowMaxNodes nodes or kWindowMaxLeaves free leaves; it is evaluated
+/// after every level with at most kWindowEvalLeaves leaves, whose
+/// 2^kWindowEvalLeaves patterns fill kWindowWords words.
+constexpr int kWindowLevels = 4;
+constexpr std::size_t kWindowMaxNodes = 128;
+constexpr std::size_t kWindowMaxLeaves = 20;
+constexpr std::size_t kWindowEvalLeaves = 12;
+constexpr std::size_t kWindowWords = std::size_t{1}
+                                     << (kWindowEvalLeaves - 6);
+
+/// Evaluates one gate over whole tables of `words` words (a signature or
+/// a window truth table): out[w] = f(ins[0][w], ..., ins[k-1][w]) for
+/// every word w. Row-major so the word loops vectorize.
 void eval_signature(const TruthTable& tt,
                     const std::vector<const std::uint64_t*>& ins,
-                    std::uint64_t* out) {
-  std::fill(out, out + kSigWords, 0);
-  std::uint64_t term[kSigWords];
+                    std::uint64_t* out, std::size_t words) {
+  constexpr std::size_t kMaxWords = std::max(kSigWords, kWindowWords);
+  ODCFP_DCHECK(words <= kMaxWords);
+  std::fill(out, out + words, 0);
+  std::uint64_t term[kMaxWords];
   for (unsigned p = 0; p < tt.num_rows(); ++p) {
     if (!tt.eval(p)) continue;
-    std::fill(term, term + kSigWords, ~0ull);
+    std::fill(term, term + words, ~0ull);
     for (std::size_t i = 0; i < ins.size(); ++i) {
       const std::uint64_t flip = ((p >> i) & 1) ? 0 : ~0ull;
-      for (std::size_t w = 0; w < kSigWords; ++w) term[w] &= ins[i][w] ^ flip;
+      for (std::size_t w = 0; w < words; ++w) term[w] &= ins[i][w] ^ flip;
     }
-    for (std::size_t w = 0; w < kSigWords; ++w) out[w] |= term[w];
+    for (std::size_t w = 0; w < words; ++w) out[w] |= term[w];
   }
+}
+
+/// Word `w` of the truth table of free leaf `i`: pattern 64 * w + bit
+/// gives leaf i the value of the pattern's bit i.
+std::uint64_t projection_word(std::size_t i, std::size_t w) {
+  static constexpr std::uint64_t kLow[6] = {
+      0xAAAA'AAAA'AAAA'AAAAull, 0xCCCC'CCCC'CCCC'CCCCull,
+      0xF0F0'F0F0'F0F0'F0F0ull, 0xFF00'FF00'FF00'FF00ull,
+      0xFFFF'0000'FFFF'0000ull, 0xFFFF'FFFF'0000'0000ull};
+  if (i < 6) return kLow[i];
+  return ((w >> (i - 6)) & 1) ? ~0ull : 0;
 }
 
 }  // namespace
@@ -261,12 +287,15 @@ IncrementalCecSession::IncrementalCecSession(const Netlist& golden,
   // checks are ~20% faster. Reset is also the stronger determinism
   // story: each verdict depends only on the clause database, which the
   // batch layer makes a pure function of the buyer index.
-  golden_enc_.emplace(solver_, golden_);
+  // Only variables: a golden gate's clauses reach the solver once a
+  // query's cone first reads it (define_cone).
+  golden_enc_.emplace(solver_, golden_,
+                      sat::TseitinOptions{.skip_clauses = true});
 
   // Simulate the golden once; every edition is simulated on the same
   // patterns, gate by gate as its fresh cone is encoded. The same pass
-  // records each golden gate's fanin variables, the table every query's
-  // decision cone is collected from.
+  // records each golden gate's function and fanin variables, the table
+  // every query's decision cone and every window is collected from.
   const auto golden_vars = static_cast<std::size_t>(solver_.num_vars());
   golden_sigs_.assign(golden_vars * kSigWords, 0);
   const auto sig_of = [&](NetId net) {
@@ -288,19 +317,43 @@ IncrementalCecSession::IncrementalCecSession(const Netlist& golden,
       ins.push_back(sig_of(in));
       fanin_vars.push_back(golden_enc_->var_of(in));
     }
-    eval_signature(golden_.cell_of(g).function, ins, sig_of(gt.output));
-    golden_fanins_.set(
-        static_cast<std::size_t>(golden_enc_->var_of(gt.output)), fanin_vars);
+    const TruthTable& function = golden_.cell_of(g).function;
+    eval_signature(function, ins, sig_of(gt.output), kSigWords);
+    golden_gates_.set(static_cast<std::size_t>(golden_enc_->var_of(gt.output)),
+                      function, fanin_vars);
   }
-  golden_fanins_.range.resize(golden_vars);
+  golden_gates_.resize(golden_vars);
 }
 
-void IncrementalCecSession::FaninTable::set(
-    std::size_t slot, const std::vector<sat::Var>& ins) {
-  if (range.size() <= slot) range.resize(slot + 1);
+void IncrementalCecSession::GateTable::set(std::size_t slot,
+                                           const TruthTable& fn,
+                                           const std::vector<sat::Var>& ins) {
+  if (range.size() <= slot) resize(slot + 1);
+  function[slot] = &fn;
   range[slot] = {static_cast<std::uint32_t>(fanins.size()),
                  static_cast<std::uint32_t>(ins.size())};
   fanins.insert(fanins.end(), ins.begin(), ins.end());
+}
+
+void IncrementalCecSession::GateTable::resize(std::size_t slots) {
+  function.resize(slots, nullptr);
+  range.resize(slots);
+  defined.resize(slots, false);
+}
+
+void IncrementalCecSession::GateTable::clear() {
+  function.clear();
+  range.clear();
+  fanins.clear();
+  defined.clear();
+}
+
+std::pair<IncrementalCecSession::GateTable*, std::size_t>
+IncrementalCecSession::gate_of(sat::Var v, sat::Var act) {
+  const auto golden_vars = static_cast<sat::Var>(golden_gates_.range.size());
+  ODCFP_DCHECK(v < golden_vars || v > act);
+  if (v < golden_vars) return {&golden_gates_, static_cast<std::size_t>(v)};
+  return {&fresh_gates_, static_cast<std::size_t>(v - act)};
 }
 
 const std::vector<sat::Var>& IncrementalCecSession::cone_of(sat::Var a,
@@ -311,7 +364,6 @@ const std::vector<sat::Var>& IncrementalCecSession::cone_of(sat::Var a,
     std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
     visit_gen_ = 1;
   }
-  const auto golden_vars = static_cast<sat::Var>(golden_fanins_.range.size());
   cone_.clear();
   cone_stack_.assign({a, b});
   while (!cone_stack_.empty()) {
@@ -320,12 +372,8 @@ const std::vector<sat::Var>& IncrementalCecSession::cone_of(sat::Var a,
     if (visit_stamp_[static_cast<std::size_t>(v)] == visit_gen_) continue;
     visit_stamp_[static_cast<std::size_t>(v)] = visit_gen_;
     cone_.push_back(v);
-    ODCFP_DCHECK(v < golden_vars || v > act);
-    const FaninTable& table = v < golden_vars ? golden_fanins_ : fresh_fanins_;
-    const auto [offset, count] =
-        table.range[static_cast<std::size_t>(v < golden_vars ? v : v - act)];
-    for (std::uint32_t i = offset; i < offset + count; ++i) {
-      const sat::Var in = table.fanins[i];
+    const auto [table, slot] = gate_of(v, act);
+    for (const sat::Var in : table->fanins_of(slot)) {
       if (visit_stamp_[static_cast<std::size_t>(in)] != visit_gen_) {
         cone_stack_.push_back(in);
       }
@@ -333,6 +381,136 @@ const std::vector<sat::Var>& IncrementalCecSession::cone_of(sat::Var a,
   }
   std::sort(cone_.begin(), cone_.end());
   return cone_;
+}
+
+void IncrementalCecSession::define_cone(const std::vector<sat::Var>& cone,
+                                        sat::Var act) {
+  for (const sat::Var v : cone) {
+    const auto [table, slot] = gate_of(v, act);
+    if (table->function[slot] == nullptr || table->defined[slot]) continue;
+    table->defined[slot] = true;
+    sat::encode_gate(solver_, *table->function[slot], table->fanins_of(slot),
+                     v, table == &fresh_gates_ ? act : sat::kUndefVar);
+  }
+}
+
+bool IncrementalCecSession::window_proves(sat::Var fresh, sat::Var twin,
+                                          sat::Var act) {
+  enum Role : std::uint8_t { kOutside = 0, kNode, kLeaf };
+  const auto num_vars = static_cast<std::size_t>(solver_.num_vars());
+  win_role_.resize(num_vars, kOutside);
+  win_slot_.resize(num_vars);
+  win_nodes_.clear();
+  win_leaves_.clear();
+  const auto role = [&](sat::Var v) -> std::uint8_t& {
+    return win_role_[static_cast<std::size_t>(v)];
+  };
+  const auto fanins = [&](sat::Var v) {
+    const auto [table, slot] = gate_of(v, act);
+    return table->fanins_of(slot);
+  };
+  const auto golden_gate = [&](sat::Var v) {
+    return static_cast<std::size_t>(v) < golden_gates_.range.size() &&
+           golden_gates_.function[static_cast<std::size_t>(v)] != nullptr;
+  };
+  // Turns `v` into a node; every fanin not in the window yet is a leaf.
+  const auto expand = [&](sat::Var v) {
+    role(v) = kNode;
+    win_nodes_.push_back(v);
+    for (const sat::Var in : fanins(v)) {
+      if (role(in) == kOutside) {
+        role(in) = kLeaf;
+        win_leaves_.push_back(in);
+      }
+    }
+  };
+
+  // Level 0: every fresh variable in `fresh`'s cone, and the twin.
+  expand(fresh);
+  for (std::size_t i = 0;
+       i < win_nodes_.size() && win_nodes_.size() <= kWindowMaxNodes; ++i) {
+    for (const sat::Var in : fanins(win_nodes_[i])) {
+      if (in > act && role(in) == kLeaf) expand(in);
+    }
+  }
+  if (golden_gate(twin)) {
+    if (role(twin) != kNode) expand(twin);
+  } else if (role(twin) == kOutside) {
+    role(twin) = kLeaf;
+    win_leaves_.push_back(twin);
+  }
+
+  std::vector<const std::uint64_t*> ins;
+  const auto tables_equal = [&] {
+    // Ascending variable order is topological: the encoders allocate
+    // golden and fresh variables gate by gate in topological order.
+    std::sort(win_nodes_.begin(), win_nodes_.end());
+    const std::size_t leaves = win_leaves_.size();
+    const std::size_t words =
+        leaves <= 6 ? 1 : std::size_t{1} << (leaves - 6);
+    win_tables_.resize((leaves + win_nodes_.size()) * words);
+    for (std::size_t i = 0; i < leaves; ++i) {
+      win_slot_[static_cast<std::size_t>(win_leaves_[i])] =
+          static_cast<std::uint32_t>(i);
+      for (std::size_t w = 0; w < words; ++w) {
+        win_tables_[i * words + w] = projection_word(i, w);
+      }
+    }
+    const auto table = [&](sat::Var v) {
+      return &win_tables_[win_slot_[static_cast<std::size_t>(v)] * words];
+    };
+    for (std::size_t j = 0; j < win_nodes_.size(); ++j) {
+      const sat::Var v = win_nodes_[j];
+      win_slot_[static_cast<std::size_t>(v)] =
+          static_cast<std::uint32_t>(leaves + j);
+      ins.clear();
+      for (const sat::Var in : fanins(v)) ins.push_back(table(in));
+      const auto [gates, slot] = gate_of(v, act);
+      eval_signature(*gates->function[slot], ins, table(v), words);
+    }
+    return std::equal(table(fresh), table(fresh) + words, table(twin));
+  };
+
+  bool proved = false;
+  for (int level = 0;; ++level) {
+    // Absorb every leaf gate whose fanins are all nodes: it adds no leaf.
+    for (bool absorbed = true; absorbed;) {
+      absorbed = false;
+      for (const sat::Var v : win_leaves_) {
+        if (role(v) != kLeaf || !golden_gate(v)) continue;
+        const auto in = fanins(v);
+        if (std::all_of(in.begin(), in.end(),
+                        [&](sat::Var x) { return role(x) == kNode; })) {
+          role(v) = kNode;
+          win_nodes_.push_back(v);
+          absorbed = true;
+        }
+      }
+    }
+    std::erase_if(win_leaves_, [&](sat::Var v) { return role(v) != kLeaf; });
+    if (win_nodes_.size() > kWindowMaxNodes ||
+        win_leaves_.size() > kWindowMaxLeaves) {
+      break;
+    }
+    if (win_leaves_.size() <= kWindowEvalLeaves && tables_equal()) {
+      proved = true;
+      break;
+    }
+    if (level == kWindowLevels) break;
+    // Grow: every leaf that is a golden gate becomes a node; the leaves
+    // this adds are appended past `n`.
+    bool grew = false;
+    for (std::size_t i = 0, n = win_leaves_.size(); i < n; ++i) {
+      if (golden_gate(win_leaves_[i])) {
+        expand(win_leaves_[i]);
+        grew = true;
+      }
+    }
+    if (!grew) break;
+  }
+  for (const sat::Var v : win_nodes_) role(v) = kOutside;
+  for (const sat::Var v : win_leaves_) role(v) = kOutside;
+  return proved;
 }
 
 CecResult IncrementalCecSession::check(const Netlist& edition,
@@ -355,7 +533,8 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
 
   // One conflict quota for every query of this check: the session's own,
   // tightened by the budget's. A query that finds it spent answers
-  // kUnknown without running, so a zero quota can never yield a verdict.
+  // kUnknown without running, and a sweep candidate that finds it spent
+  // gets no window either, so a zero quota can never yield a verdict.
   std::int64_t remaining = options_.conflict_limit;
   if (budget != nullptr && budget->conflicts() >= 0 &&
       (remaining < 0 || budget->conflicts() < remaining)) {
@@ -365,18 +544,20 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
 
   // Everything this check adds sits behind a fresh activation literal.
   const sat::Var act = solver_.push_activation();
-  fresh_fanins_.range.clear();
-  fresh_fanins_.fanins.clear();
+  fresh_gates_.clear();
   result.method = "sat-incremental";
+  const auto quota_spent = [&] { return limited && remaining <= 0; };
   // Solves {act, diff}, diff = a XOR b, against the shared quota,
-  // branching only inside the fanin cone of a and b; the solver is back
-  // at level 0 afterwards unless the answer is kSat (the caller reads the
-  // model first).
+  // branching only inside the fanin cone of a and b, whose gates are
+  // defined first; the solver is back at level 0 afterwards unless the
+  // answer is kSat (the caller reads the model first).
   const auto prove = [&](sat::Var diff, sat::Var a, sat::Var b) {
-    if (limited && remaining <= 0) return sat::Solver::Result::kUnknown;
+    if (quota_spent()) return sat::Solver::Result::kUnknown;
+    const std::vector<sat::Var>& cone = cone_of(a, b, act);
+    define_cone(cone, act);
     const sat::Solver::Result r =
         solver_.solve({sat::pos_lit(act), sat::pos_lit(diff)}, remaining,
-                      budget, &cone_of(a, b, act));
+                      budget, &cone);
     result.sat_stats += solver_.last_call_stats();
     if (limited) {
       remaining -=
@@ -407,20 +588,20 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
   // Sweep: every fresh gate gets its memo node and, unless the memo
   // already merged it, its signature; one whose signature matches its
   // golden twin's is a cut-point candidate, answered by the memo when it
-  // can and otherwise by a query, merged on UNSAT. A quota or budget
-  // death stops the sweep (the rest encodes fresh) and ends the check
-  // kUnknown.
+  // can, else merged by a window proof, else by a query's UNSAT. A quota
+  // or budget death stops the sweep (the rest encodes fresh) and ends the
+  // check kUnknown.
   bool exhausted = false;
   std::vector<const std::uint64_t*> ins;
   sat::TseitinOptions topts;
   topts.on_fresh_gate = [&](GateId g, sat::Var fresh,
                             const std::vector<sat::Var>& fanins) {
     const auto slot = static_cast<std::size_t>(fresh - act);
-    fresh_fanins_.set(slot, fanins);
+    const TruthTable& function = edition.cell_of(g).function;
+    fresh_gates_.set(slot, function, fanins);
     if (exhausted) return fresh;
     fresh_sigs.resize((slot + 1) * kSigWords);
     fresh_ids.resize(slot + 1, sat::kUndefVar);
-    const TruthTable& function = edition.cell_of(g).function;
     MemoKey key{function, {}};
     key.fanins.fill(sat::kUndefVar);
     std::transform(fanins.begin(), fanins.end(), key.fanins.begin(),
@@ -439,7 +620,7 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
     std::uint64_t* sig = signature(fresh);
     ins.clear();
     for (const sat::Var in : fanins) ins.push_back(signature(in));
-    eval_signature(function, ins, sig);
+    eval_signature(function, ins, sig, kSigWords);
     const sat::Var twin = golden_enc_->var_or_undef(edition.gate(g).output);
     if (twin == sat::kUndefVar ||
         !std::equal(sig, sig + kSigWords, signature(twin))) {
@@ -449,6 +630,16 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
         node.refuted.end()) {
       ++memo_hits_;
       return fresh;
+    }
+    if (quota_spent()) {
+      exhausted = true;
+      return fresh;
+    }
+    if (window_proves(fresh, twin, act)) {
+      ++merges_;
+      ++window_merges_;
+      node.merged_into = twin;
+      return twin;
     }
     const sat::Var diff = solver_.new_var();
     sat::encode_xor(solver_, twin, fresh, diff, act);
@@ -478,7 +669,7 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
     b_inputs[map.b_pi_for_a_pi[i]] = golden_enc_->input_vars()[i];
   }
   topts.share_inputs = &b_inputs;
-  topts.activation = act;
+  topts.skip_clauses = true;
   topts.base = &golden_;
   topts.base_encoding = &*golden_enc_;
   const sat::TseitinEncoding enc(solver_, edition, topts);

@@ -525,7 +525,7 @@ std::vector<Outcome<CecResult>> batch_verify_equivalence(
   const std::size_t num_sessions =
       (editions.size() + kSessionBuyers - 1) / kSessionBuyers;
   std::atomic<std::size_t> checks{0}, reused{0}, encoded{0}, merges{0},
-      memo_hits{0};
+      window_merges{0}, memo_hits{0};
   parallel_for(
       options.pool, num_sessions,
       [&](std::size_t s) {
@@ -558,6 +558,8 @@ std::vector<Outcome<CecResult>> batch_verify_equivalence(
         encoded.fetch_add(session.gates_encoded(),
                           std::memory_order_relaxed);
         merges.fetch_add(session.merges(), std::memory_order_relaxed);
+        window_merges.fetch_add(session.window_merges(),
+                                std::memory_order_relaxed);
         memo_hits.fetch_add(session.memo_hits(), std::memory_order_relaxed);
       },
       options.budget);
@@ -565,8 +567,9 @@ std::vector<Outcome<CecResult>> batch_verify_equivalence(
   // whole-batch totals — deterministic at any thread count. The encoded
   // counter is the bench gate: a regression that silently stops reusing
   // the golden encoding inflates it and fails the baseline diff;
-  // merges counts the cut points the sessions proved by a query, and
-  // memo_hits the sweep candidates their memos answered without one.
+  // merges counts the cut points the sessions proved, window_merges the
+  // share of them a window proved without a query, and memo_hits the
+  // sweep candidates their memos answered without a proof.
   TELEM_COUNT("cec.incremental.checks",
               static_cast<std::int64_t>(checks.load()));
   TELEM_COUNT("cec.incremental.gates_reused",
@@ -575,6 +578,8 @@ std::vector<Outcome<CecResult>> batch_verify_equivalence(
               static_cast<std::int64_t>(encoded.load()));
   TELEM_COUNT("cec.incremental.merges",
               static_cast<std::int64_t>(merges.load()));
+  TELEM_COUNT("cec.incremental.window_merges",
+              static_cast<std::int64_t>(window_merges.load()));
   TELEM_COUNT("cec.incremental.memo_hits",
               static_cast<std::int64_t>(memo_hits.load()));
   std::size_t proven = 0, exhausted = 0;

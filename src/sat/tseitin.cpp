@@ -52,7 +52,6 @@ TseitinEncoding::TseitinEncoding(Solver& solver, const Netlist& nl,
   if (options.share_inputs != nullptr) {
     ODCFP_CHECK(options.share_inputs->size() == nl.inputs().size());
   }
-  const Var act = options.activation;
   for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
     const Var v = (options.share_inputs != nullptr)
                       ? (*options.share_inputs)[i]
@@ -71,26 +70,14 @@ TseitinEncoding::TseitinEncoding(Solver& solver, const Netlist& nl,
     const Var out = solver.new_var();
     var_of_[gt.output] = out;
     ++encoded_gates_;
-    const int k = tt.num_inputs();
     std::vector<Var> in_vars;
-    in_vars.reserve(static_cast<std::size_t>(k));
+    in_vars.reserve(gt.fanins.size());
     for (NetId in : gt.fanins) {
       ODCFP_CHECK_MSG(var_of_[in] != kUndefVar,
                       "net used before being driven");
       in_vars.push_back(var_of_[in]);
     }
-    for (unsigned p = 0; p < tt.num_rows(); ++p) {
-      std::vector<Lit> clause;
-      clause.reserve(static_cast<std::size_t>(k) + 2);
-      for (int i = 0; i < k; ++i) {
-        // "input i differs from pattern bit" escapes the row.
-        const bool bit = (p >> i) & 1;
-        clause.push_back(Lit(in_vars[static_cast<std::size_t>(i)], bit));
-      }
-      clause.push_back(Lit(out, !tt.eval(p)));
-      if (act != kUndefVar) clause.push_back(neg_lit(act));
-      solver.add_clause(std::move(clause));
-    }
+    if (!options.skip_clauses) encode_gate(solver, tt, in_vars, out);
     if (options.on_fresh_gate) {
       var_of_[gt.output] = options.on_fresh_gate(g, out, in_vars);
     }
@@ -105,6 +92,22 @@ Var TseitinEncoding::var_of(NetId net) const {
 Var TseitinEncoding::var_or_undef(NetId net) const {
   if (static_cast<std::size_t>(net) >= var_of_.size()) return kUndefVar;
   return var_of_[net];
+}
+
+void encode_gate(Solver& solver, const TruthTable& function,
+                 std::span<const Var> ins, Var out, Var activation) {
+  ODCFP_DCHECK(ins.size() == static_cast<std::size_t>(function.num_inputs()));
+  for (unsigned p = 0; p < function.num_rows(); ++p) {
+    std::vector<Lit> clause;
+    clause.reserve(ins.size() + 2);
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+      // "input i differs from pattern bit" escapes the row.
+      clause.push_back(Lit(ins[i], (p >> i) & 1));
+    }
+    clause.push_back(Lit(out, !function.eval(p)));
+    if (activation != kUndefVar) clause.push_back(neg_lit(activation));
+    solver.add_clause(std::move(clause));
+  }
 }
 
 void encode_xor(Solver& solver, Var a, Var b, Var out, Var activation) {

@@ -11,20 +11,23 @@
 //    fanins all resolved to the base's variables) reuses the base's
 //    output variable instead of being re-encoded. Only the edited cone
 //    and its transitive fanout (up to any cut point, below) get fresh
-//    variables and clauses.
+//    variables.
 //  * Cut points: a caller hook sees every freshly encoded gate in
 //    topological order and may answer with a base variable it has proven
 //    equal, so the gates downstream of that net reuse the base encoding
 //    again instead of inheriting the edit's fanout.
-//  * Activation guards: all clauses emitted for the fresh cone can carry
-//    a negated activation literal, making the cone retractable via
-//    Solver::pop_activation once the edition's query is answered.
+//  * Deferred clauses: an encoding can allocate its variables without
+//    emitting any clause. The caller then defines, with encode_gate, only
+//    the gates its queries read, and may guard those definitions with an
+//    activation literal to retract them via Solver::pop_activation.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
+#include "library/truth_table.hpp"
 #include "netlist/netlist.hpp"
 #include "sat/solver.hpp"
 
@@ -38,10 +41,10 @@ struct TseitinOptions {
   /// PI variables to share (indexed by PI position) instead of fresh ones
   /// — how a miter shares primary inputs.
   const std::vector<Var>* share_inputs = nullptr;
-  /// When valid, every emitted clause is guarded by neg_lit(activation):
-  /// the encoded cone is enforced only while pos_lit(activation) is
-  /// assumed, and retractable afterwards.
-  Var activation = kUndefVar;
+  /// When set, the encoding allocates (or reuses) every variable but adds
+  /// no clause: the caller emits each gate's definition with encode_gate
+  /// when a query first reads it.
+  bool skip_clauses = false;
   /// Base netlist + its encoding to structurally reuse against. Both or
   /// neither; the edition being encoded must use the same net/gate id
   /// space (editions are clones of the base, so ids align).
@@ -78,8 +81,8 @@ class TseitinEncoding {
 
   /// Gates whose base variable was reused verbatim (no clauses emitted).
   std::size_t reused_gates() const { return reused_gates_; }
-  /// Gates encoded fresh (the edited cone and its fanout up to the cut
-  /// points).
+  /// Gates given a fresh variable (the edited cone and its fanout up to
+  /// the cut points), whether or not their clauses were emitted.
   std::size_t encoded_gates() const { return encoded_gates_; }
 
  private:
@@ -88,6 +91,13 @@ class TseitinEncoding {
   std::size_t reused_gates_ = 0;
   std::size_t encoded_gates_ = 0;
 };
+
+/// Adds the 2^k clauses asserting out == function(ins), ins in pin order,
+/// one clause per row of the truth table. When `activation` is valid every
+/// clause is guarded (enforced only under pos_lit(activation)).
+void encode_gate(Solver& solver, const TruthTable& function,
+                 std::span<const Var> ins, Var out,
+                 Var activation = kUndefVar);
 
 /// Adds clauses asserting out == (a XOR b). When `activation` is valid the
 /// constraint is guarded (enforced only under pos_lit(activation)).

@@ -358,6 +358,110 @@ TEST(IncrementalCec, SignatureCollisionIsRefutedNotMerged) {
   EXPECT_EQ(session.memo_hits(), 1u);
 }
 
+TEST(IncrementalCec, CorrelationBeyondTheWindowFallsBackToSat) {
+  // Golden f = a & b, plus two golden chains from PI p: x, six inverters
+  // deep (x = p), and y, seven deep (y = ~p). The edition ANDs x | y,
+  // constant 1, into f. Within four levels the window never reaches p, so
+  // x and y stay independent free leaves, the tables differ at
+  // x = y = 0, and the merge needs the SAT query.
+  Netlist golden(&default_cell_library(), "sdc_chains");
+  const NetId a = golden.add_input("a");
+  const NetId b = golden.add_input("b");
+  const NetId p = golden.add_input("p");
+  const auto chain = [&](int depth) {
+    NetId net = p;
+    for (int i = 0; i < depth; ++i) {
+      net = golden.gate(golden.add_gate_kind(CellKind::kInv, {net})).output;
+    }
+    return net;
+  };
+  const NetId x = chain(6);
+  const NetId y = chain(7);
+  const GateId f = golden.add_gate_kind(CellKind::kAnd, {a, b});
+  golden.add_output(golden.gate(f).output, "f");
+  golden.add_output(x, "x");
+  golden.add_output(y, "y");
+
+  Netlist edition = golden;
+  const NetId x_or_y =
+      edition.gate(edition.add_gate_kind(CellKind::kOr, {x, y})).output;
+  edition.rewire_gate(f, edition.library().find_kind(CellKind::kAnd, 3),
+                      {a, b, x_or_y});
+
+  IncrementalCecSession session(golden);
+  const CecResult r = session.check(edition);
+  EXPECT_EQ(r.status, CecResult::Status::kEquivalent);
+  EXPECT_EQ(r.method, "sat-incremental");
+  EXPECT_EQ(session.merges(), 1u);
+  EXPECT_EQ(session.window_merges(), 0u);
+}
+
+TEST(IncrementalCec, WindowKeepsEveryLeaf) {
+  // Golden f = AND4 of four 8-input ANDs; the edition drops the fourth.
+  // They differ only where three wide ANDs are 1 and the fourth is 0,
+  // which random patterns miss, so the signatures collide. The window
+  // over {w0, w1, w2, w3} must see w3 and refuse the merge: a window that
+  // dropped that leaf would compare AND3 with AND3 and merge wrongly.
+  Netlist golden(&default_cell_library(), "and4_of_wide_ands");
+  std::vector<NetId> wide;
+  for (int w = 0; w < 4; ++w) {
+    std::vector<NetId> halves;
+    for (int h = 0; h < 2; ++h) {
+      std::vector<NetId> ins;
+      for (int i = 0; i < 4; ++i) {
+        std::string name = "x";
+        name += std::to_string(8 * w + 4 * h + i);
+        ins.push_back(golden.add_input(name));
+      }
+      halves.push_back(
+          golden.gate(golden.add_gate_kind(CellKind::kAnd, ins)).output);
+    }
+    wide.push_back(
+        golden.gate(golden.add_gate_kind(CellKind::kAnd, halves)).output);
+  }
+  const GateId root = golden.add_gate_kind(CellKind::kAnd, wide);
+  golden.add_output(golden.gate(root).output, "f");
+
+  Netlist edition = golden;
+  edition.rewire_gate(root, edition.library().find_kind(CellKind::kAnd, 3),
+                      {wide[0], wide[1], wide[2]});
+  ASSERT_TRUE(random_sim_equal(golden, edition, 64, 7));
+
+  IncrementalCecSession session(golden);
+  const CecResult r = session.check(edition);
+  ASSERT_EQ(r.status, CecResult::Status::kDifferent);
+  EXPECT_TRUE(cex_distinguishes(golden, edition, r.counterexample));
+  EXPECT_EQ(session.merges(), 0u);
+  EXPECT_EQ(session.window_merges(), 0u);
+}
+
+class IncrementalCecWindowCoverage
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(IncrementalCecWindowCoverage, WindowsProveMostMerges) {
+  // Over every site at 6 buyers, windows prove at least 90% of the cut
+  // points. A window silently disabled would leave every verdict and the
+  // merges() total unchanged, so only this share can catch it.
+  const Netlist golden = make_benchmark(GetParam());
+  StaticTimingAnalyzer sta;
+  PowerAnalyzer power;
+  const std::vector<FingerprintLocation> locs = find_locations(golden);
+  const Codebook book(locs, 6, 17);
+  BatchOptions opt;
+  opt.max_delay_overhead = 0;
+  const BatchResult batch = batch_fingerprint(golden, book, sta, power, opt);
+  IncrementalCecSession session(golden);
+  for (const BuyerEdition& e : batch.editions) {
+    ASSERT_EQ(session.check(e.netlist).status, CecResult::Status::kEquivalent);
+  }
+  ASSERT_GT(session.merges(), 0u);
+  EXPECT_GE(10 * session.window_merges(), 9 * session.merges())
+      << session.window_merges() << " of " << session.merges();
+}
+
+INSTANTIATE_TEST_SUITE_P(Circuits, IncrementalCecWindowCoverage,
+                         ::testing::Values("c880", "c3540"));
+
 TEST(IncrementalCec, EqualCellIdsAcrossLibrariesAreNotReused) {
   // A CellId indexes its own netlist's library. The edition's gate has
   // the golden AND2's id, but in its library that id is OR2: the edition
@@ -625,7 +729,8 @@ TEST_P(IncrementalCecDifferential, SessionAgreesWithFullMiter) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Circuits, IncrementalCecDifferential,
-                         ::testing::Values("c432", "c880", "c1908"));
+                         ::testing::Values("c432", "c880", "c1908", "c3540",
+                                           "i8"));
 
 }  // namespace
 }  // namespace odcfp
