@@ -178,7 +178,7 @@ class Budget {
   /// Name of the telemetry span that was innermost on the thread that
   /// first observed this budget exhausted — "which phase starved the
   /// request". nullptr while the budget stands; "" when it died outside
-  /// any span or with telemetry disabled.
+  /// any span or with telemetry and tracing both off.
   const char* died_in() const {
     return died_in_.load(std::memory_order_relaxed);
   }
@@ -277,7 +277,7 @@ class Outcome {
   /// For kExhausted: the telemetry span where the budget died — taken
   /// from Budget::died_in() when the producing layer threaded it through
   /// (see with_exhausted_at), else the span that built this Outcome.
-  /// "" when unattributed (no span open, or telemetry disabled).
+  /// "" when unattributed (no span open, or telemetry and tracing off).
   const char* exhausted_at() const {
     return exhausted_at_ != nullptr ? exhausted_at_ : "";
   }

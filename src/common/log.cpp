@@ -4,13 +4,13 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <ostream>
 
 #include "common/clock.hpp"
 #include "common/json_lite.hpp"
+#include "common/recorder.hpp"
 #include "common/telemetry.hpp"
 
 namespace odcfp::log {
@@ -52,11 +52,12 @@ struct Global {
 Global& g() {
   static Global* instance = [] {
     Global* G = new Global();
+    const recorder::Config& config = recorder::config();
     G->level.store(
-        static_cast<int>(parse_level(std::getenv("ODCFP_LOG_LEVEL"))),
+        static_cast<int>(parse_level(config.log_level.c_str())),
         std::memory_order_relaxed);
-    const char* dest = std::getenv("ODCFP_LOG");
-    if (dest != nullptr && *dest != '\0') {
+    const char* dest = config.log_path.c_str();
+    if (*dest != '\0') {
       G->configured = true;
       if (std::strcmp(dest, "stderr") == 0) {
         G->file = stderr;
@@ -86,26 +87,34 @@ Global& g() {
   return *instance;
 }
 
-/// Stable small per-thread id for correlating lines from one thread.
-int thread_id() {
-  static std::atomic<int> next{0};
-  thread_local int id = next.fetch_add(1, std::memory_order_relaxed);
-  return id;
+/// A record's reserved keys, with the object left open for its fields.
+std::string open_record(Level lv, const char* event, std::string_view span) {
+  std::string line;
+  line.reserve(160);
+  // Anchored wall time: same epoch as the wall clock, but advancing on
+  // the steady clock so it orders consistently with trace timestamps
+  // and the dist layer's wall= fields (see src/common/clock.*).
+  line += "{\"ts_ns\":";
+  line += std::to_string(clocks::anchored_wall_now_ns());
+  line += ",\"level\":\"";
+  line += to_string(lv);
+  line += "\",\"event\":";
+  jsonlite::append_quoted(line, event);
+  line += ",\"tid\":";
+  line += std::to_string(recorder::thread_index());
+  line += ",\"span\":";
+  jsonlite::append_quoted(line, span);
+  return line;
 }
 
 }  // namespace
 
 std::string clock_anchor_line() {
-  // Composed by hand rather than via Record: this runs during the log
-  // global's own initialization, where a Record would re-enter g().
+  // Composed without a Record: this runs during the log global's own
+  // initialization, where a Record would re-enter g().
   const clocks::ClockAnchor& a = clocks::process_anchor();
-  std::string line;
-  line.reserve(160);
-  line += "{\"ts_ns\":";
-  line += std::to_string(clocks::anchored_wall_now_ns());
-  line += ",\"level\":\"info\",\"event\":\"clock_anchor\",\"tid\":";
-  line += std::to_string(thread_id());
-  line += ",\"span\":\"\",\"wall_ns\":";
+  std::string line = open_record(Level::kInfo, "clock_anchor", "");
+  line += ",\"wall_ns\":";
   line += std::to_string(a.wall_ns);
   line += ",\"steady_ns\":";
   line += std::to_string(a.steady_ns);
@@ -154,27 +163,14 @@ void set_stream(std::ostream* os) {
 Record::Record(Level lv, const char* event) : level_(lv) {
   if (!enabled(lv)) return;
   active_ = true;
-  line_.reserve(160);
-  // Anchored wall time: same epoch as the wall clock, but advancing on
-  // the steady clock so it orders consistently with trace timestamps
-  // and the dist layer's wall= fields (see src/common/clock.*).
-  line_ += "{\"ts_ns\":";
-  line_ += std::to_string(clocks::anchored_wall_now_ns());
-  line_ += ",\"level\":\"";
-  line_ += to_string(lv);
-  line_ += "\",\"event\":";
-  jsonlite::append_quoted(line_, event);
-  line_ += ",\"tid\":";
-  line_ += std::to_string(thread_id());
-  // The join key: the open telemetry span path of this thread, in the
+  // The join key: the recorder's open-span path of this thread, in the
   // span names the telemetry tree and the trace timeline use.
-  line_ += ",\"span\":";
   std::string path;
   for (const char* span : telemetry::current_path()) {
     path += '/';
     path += span;
   }
-  jsonlite::append_quoted(line_, path);
+  line_ = open_record(lv, event, path);
 }
 
 Record::Record(Record&& other) noexcept

@@ -1,14 +1,17 @@
 // Leveled structured logging: one JSON object per line (JSONL).
 //
-// Every record carries the current telemetry span path ("span"), so a
-// log line, the aggregate telemetry tree (src/common/telemetry.*), and
-// the event timeline (src/common/trace.*) all join on one key: the
-// span-name strings. A budget death logged by the serving layer can be
-// matched to the span where the telemetry attributed it and to the
-// budget.exhausted instant on the trace timeline without any other
+// Every record carries the thread's open-span path ("span") and index
+// ("tid") from the one recorder behind telemetry, trace and log
+// (src/common/recorder.*), so a log line, the aggregate telemetry tree
+// (src/common/telemetry.*), and the event timeline (src/common/trace.*)
+// all join on the span-name strings, and a record's tid is the tid of
+// its thread's trace track. A budget death logged by the serving layer
+// can be matched to the span where the telemetry attributed it and to
+// the budget.exhausted instant on the trace timeline without any other
 // correlation id.
 //
-// Configuration (read once, overridable programmatically):
+// Configuration (read once by recorder::config(), overridable
+// programmatically):
 //  * ODCFP_LOG=<path>|stderr|stdout|-  routes all enabled records there.
 //    When unset, only kWarn and kError records are emitted (to stderr),
 //    so libraries can log unconditionally without spamming example
@@ -18,7 +21,7 @@
 //
 // Record shape (reserved keys first, then user fields in call order):
 //   {"ts_ns":<anchored wall ns>,"level":"info","event":"batch.done",
-//    "tid":2,"span":"batch_fingerprint/batch_fingerprint.edition", ...}
+//    "tid":2,"span":"/batch_fingerprint/batch_fingerprint.edition", ...}
 //
 // Timebase: ts_ns is the *anchored* wall clock (src/common/clock.*) —
 // the process clock anchor plus the steady-clock delta — so log lines,

@@ -3,7 +3,9 @@
 #include <atomic>
 #include <cstdio>
 #include <exception>
+#include <optional>
 
+#include "common/telemetry.hpp"
 #include "common/trace.hpp"
 
 namespace odcfp {
@@ -24,7 +26,24 @@ struct ThreadPool::ForLoop {
   std::exception_ptr error;            ///< First item exception (error_mu).
   int active = 0;                      ///< Participating threads (mu_).
   std::condition_variable done_cv;     ///< Signalled when active drains.
+  std::vector<const char*> span_path;  ///< The caller's open spans.
 };
+
+namespace {
+
+/// Runs every item on the calling thread, whose open spans the items
+/// already nest under.
+Status run_serial(std::size_t n,
+                  const std::function<void(std::size_t)>& body,
+                  const Budget* budget) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (budget_exhausted(budget)) return Status::kExhausted;
+    body(i);
+  }
+  return Status::kOk;
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
@@ -71,7 +90,7 @@ void ThreadPool::worker_main() {
       loop = loop_;
       ++loop->active;
     }
-    run_items(*loop);
+    run_items(*loop, /*on_worker=*/true);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--loop->active == 0) loop->done_cv.notify_all();
@@ -79,7 +98,7 @@ void ThreadPool::worker_main() {
   }
 }
 
-void ThreadPool::run_items(ForLoop& loop) {
+void ThreadPool::run_items(ForLoop& loop, bool on_worker) {
   for (;;) {
     if (loop.abort.load(std::memory_order_relaxed)) return;
     if (budget_exhausted(loop.budget)) {
@@ -89,6 +108,8 @@ void ThreadPool::run_items(ForLoop& loop) {
     const std::size_t i = loop.next.fetch_add(1, std::memory_order_relaxed);
     if (i >= loop.n) return;
     try {
+      std::optional<telemetry::AttachScope> attach;
+      if (on_worker) attach.emplace(loop.span_path);
       (*loop.body)(i);
     } catch (...) {
       loop.abort.store(true, std::memory_order_relaxed);
@@ -97,16 +118,6 @@ void ThreadPool::run_items(ForLoop& loop) {
       return;
     }
   }
-}
-
-Status ThreadPool::run_serial(std::size_t n,
-                              const std::function<void(std::size_t)>& body,
-                              const Budget* budget) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (budget_exhausted(budget)) return Status::kExhausted;
-    body(i);
-  }
-  return Status::kOk;
 }
 
 Status ThreadPool::parallel_for(
@@ -121,6 +132,7 @@ Status ThreadPool::parallel_for(
   loop.body = &body;
   loop.n = n;
   loop.budget = budget;
+  loop.span_path = telemetry::current_path();
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (loop_ != nullptr) {
@@ -134,7 +146,7 @@ Status ThreadPool::parallel_for(
   }
   work_cv_.notify_all();
 
-  run_items(loop);  // the calling thread participates
+  run_items(loop, /*on_worker=*/false);  // the caller participates
 
   std::unique_lock<std::mutex> lock(mu_);
   loop_ = nullptr;  // workers arriving late see no work and keep waiting
@@ -151,11 +163,7 @@ Status parallel_for(ThreadPool* pool, std::size_t n,
                     const std::function<void(std::size_t)>& body,
                     const Budget* budget) {
   if (pool != nullptr) return pool->parallel_for(n, body, budget);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (budget_exhausted(budget)) return Status::kExhausted;
-    body(i);
-  }
-  return Status::kOk;
+  return run_serial(n, body, budget);
 }
 
 }  // namespace odcfp

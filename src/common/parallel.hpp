@@ -26,6 +26,12 @@
 // Exceptions: the first exception thrown by any item aborts the issue of
 // new indices, the loop joins, and the exception is rethrown on the
 // calling thread (CheckError from a worker propagates like serial code).
+//
+// Observability: parallel_for captures the calling thread's open-span
+// path (telemetry::current_path) and re-roots every item a worker runs
+// under it (telemetry::AttachScope), so an item's spans, counters and
+// log records land under the phase that issued the loop, exactly as if
+// the caller had run it. Call sites need no telemetry code of their own.
 #pragma once
 
 #include <condition_variable>
@@ -72,10 +78,9 @@ class ThreadPool {
   struct ForLoop;
 
   void worker_main();
-  static void run_items(ForLoop& loop);
-  Status run_serial(std::size_t n,
-                    const std::function<void(std::size_t)>& body,
-                    const Budget* budget);
+  /// Runs items until the loop is drained; `on_worker` re-roots each
+  /// under the caller's span path.
+  static void run_items(ForLoop& loop, bool on_worker);
 
   std::vector<std::thread> workers_;
   std::mutex mu_;

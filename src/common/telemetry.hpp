@@ -22,20 +22,24 @@
 //    wall-clock durations vary run to run. The deterministic-merge tests
 //    assert exactly this at 1/2/8 threads.
 //  * ThreadPool work items run on worker threads whose span stack is
-//    empty; AttachScope re-roots a worker's spans under the path captured
-//    on the fan-out thread (telemetry::current_path()), so per-item spans
+//    empty; parallel_for re-roots each item a worker runs under the span
+//    path open on the calling thread (AttachScope), so per-item spans
 //    nest under the phase that issued them.
 //  * Telemetry is an observer only: nothing in the pipeline reads it
 //    back, so results are bit-identical with telemetry on or off.
 //
+// Recording: spans, counters and histograms are probes of the one
+// recorder (common/recorder.*), which also feeds the event trace
+// (common/trace.hpp) from the same span stack.
+//
 // Overhead policy:
-//  * Disabled (runtime toggle off): two relaxed atomic loads per macro
-//    (the telemetry toggle and the trace toggle — spans/counters double
-//    as trace-event sources, see common/trace.hpp), zero allocation —
-//    enforced by a test that counts operator new calls.
-//  * Enabled: span open/close is a couple of small-map lookups in
-//    thread-local memory; counters likewise. Nodes allocate once per
-//    distinct path per thread. No locks except at merge points.
+//  * Disabled (telemetry and tracing off): one relaxed atomic load per
+//    macro, zero allocation — enforced by a test that counts operator
+//    new calls.
+//  * Enabled: span open/close is one clock read and a couple of
+//    small-map lookups in thread-local memory; counters likewise. Nodes
+//    allocate once per distinct path per thread. No locks except at
+//    merge points.
 //
 // Span names must be string literals (or otherwise outlive the process):
 // the registry and the Budget death-attribution hook store the pointers.
@@ -81,16 +85,17 @@ struct Node {
 };
 
 /// Runtime toggle. Initialized from the ODCFP_TELEMETRY environment
-/// variable ("0" disables; anything else, or unset, enables).
+/// variable ("0" disables; anything else, or unset, enables); see
+/// recorder::config().
 bool enabled();
 void set_enabled(bool on);
 
 /// RAII span. `name` must have static storage duration (use TELEM_SPAN,
-/// which only accepts literals). Construction when telemetry is disabled
-/// costs two atomic loads and allocates nothing. When event tracing is
-/// active (common/trace.hpp) the span additionally emits a B/E duration
-/// event pair — independently of the telemetry toggle, so a pure trace
-/// run still gets a timeline.
+/// which only accepts literals). Construction with telemetry and tracing
+/// off costs one atomic load and allocates nothing. When event tracing
+/// is active (common/trace.hpp) the span also emits a B/E duration event
+/// pair — independently of the telemetry toggle, so a pure trace run
+/// still gets a timeline and still knows its open spans.
 class Span {
  public:
   explicit Span(const char* name);
@@ -99,8 +104,7 @@ class Span {
   Span& operator=(const Span&) = delete;
 
  private:
-  bool active_ = false;
-  const char* trace_name_ = nullptr;  ///< Set when a B event was emitted.
+  bool active_ = false;  ///< A frame was pushed.
 };
 
 /// Adds `n` to counter `name` on the innermost open span of this thread
@@ -132,23 +136,24 @@ class HistTimer {
 };
 
 /// Name of the innermost open span on this thread; nullptr when no span
-/// is open or telemetry is disabled. The pointer has static storage
-/// duration (it is the literal passed to TELEM_SPAN).
+/// is open or telemetry and tracing are both off. The pointer has static
+/// storage duration (it is the literal passed to TELEM_SPAN).
 const char* current_span_name();
 
 /// The open-span path of this thread, outermost first. Pass it to
 /// AttachScope on a worker thread to nest the worker's spans under the
-/// fan-out site. Empty when telemetry is disabled.
+/// fan-out site (parallel_for does this itself). Empty when telemetry
+/// and tracing are both off.
 std::vector<const char*> current_path();
 
 /// Re-roots this thread's telemetry under `path` for the scope's
 /// lifetime: spans opened inside nest under path[0]/path[1]/...; the
-/// thread's previous span stack (if any — the pool's caller thread
-/// participates in its own loops) is suspended and restored on exit.
+/// thread's previous span stack (if any) is suspended and restored on
+/// exit.
 /// The attach frames are structural only: they add no count and no time.
-/// When event tracing is active the scope re-emits the attach path as
-/// B/E events on the worker's own track, so a pool worker's timeline
-/// shows which fan-out phase each item served.
+/// When event tracing is active they draw B/E events on the worker's own
+/// track, so a pool worker's timeline shows which fan-out phase each
+/// item served.
 class AttachScope {
  public:
   explicit AttachScope(const std::vector<const char*>& path);
@@ -157,8 +162,7 @@ class AttachScope {
   AttachScope& operator=(const AttachScope&) = delete;
 
  private:
-  bool active_ = false;
-  std::vector<const char*> traced_;  ///< Frames to E-close, outermost first.
+  bool active_ = false;  ///< The previous stack was suspended.
 };
 
 /// Merges this thread's shadow tree into the global registry now. Only

@@ -11,14 +11,18 @@
 // the timeline (and in the structured log, see src/common/log.*) without
 // re-running anything.
 //
-// Recording model:
+// Recording model (common/recorder.*, the one recorder behind
+// telemetry, trace and log):
 //  * Each thread appends events to a private fixed-capacity buffer; the
-//    hot path is one relaxed enabled() load when off, and when on a
-//    bounds check + slot write + one release store (no locks, no
-//    allocation after the buffer exists). Buffers are preallocated at
-//    first use per thread (capacity from trace::start / ODCFP_TRACE_LIMIT,
-//    default 256Ki events), so memory is bounded by
+//    hot path is one relaxed load of the recorder's enabled word when
+//    off, and when on a bounds check + slot write + one release store
+//    (no locks, no allocation after the buffer exists). Buffers are
+//    preallocated at first use per thread (capacity from trace::start /
+//    ODCFP_TRACE_LIMIT, default 256Ki events), so memory is bounded by
 //    threads x limit x sizeof(Event).
+//  * B/E events come from the same span stack as telemetry's tree, with
+//    the same clock read per span edge, so a run with only tracing on
+//    still attributes budget deaths and log records to their spans.
 //  * On overflow the *newest* events are dropped and counted — keeping
 //    the earliest prefix preserves B/E nesting (a valid truncated
 //    timeline), where overwriting the oldest would orphan end events.
@@ -27,15 +31,18 @@
 //    BENCH_*.json artifacts (schema v2).
 //  * Collection (write/write_file) reads each buffer's published prefix
 //    via an acquire load, so a post-run flush is safe while idle worker
-//    threads are still alive. The flush is deterministic: it serializes
-//    exactly the published events, sorted by thread id, in one pass.
+//    threads are still alive. The flush serializes exactly the published
+//    events, track by track, in one pass.
 //  * Tracing is an observer: like telemetry, nothing reads it back, so
 //    pipeline results are bit-identical with tracing on or off.
 //
-// Track naming: pool workers call set_thread_name("pool-worker-N")
-// (done by ThreadPool), and telemetry::AttachScope re-emits its
-// re-rooting path as B/E events on the worker's track, so a worker's
-// timeline shows which fan-out phase each item served.
+// Track naming: the track id is the recorder's thread index, the same
+// `tid` the thread's log records carry. Pool workers call
+// set_thread_name("pool-worker-N") (done by ThreadPool), and the pool
+// re-roots each item a worker runs under the caller's open spans
+// (telemetry::AttachScope), which draws that path as B/E events on the
+// worker's track, so a worker's timeline shows which fan-out phase each
+// item served.
 //
 // Durability: arm_file(path) makes the trace crash-survivable — flush()
 // atomically rewrites `path` with everything published so far, and a
@@ -57,7 +64,9 @@
 //
 // Activation: set ODCFP_TRACE=<path> to record for the whole process
 // (the path is armed, so the same incremental-durability rules apply),
-// or call start()/arm_file()/write_file() programmatically. All
+// or call start()/arm_file()/write_file() programmatically. Spans and
+// counter samples come from TELEM_SPAN / TELEM_COUNT / TELEM_HIST
+// (common/telemetry.hpp); instant() is this module's own emitter. All
 // name/detail strings passed to the emitters must have static storage
 // duration (they are the TELEM_SPAN/fault-site literals);
 // set_thread_name / set_process_label / set_meta copy their arguments.
@@ -104,7 +113,8 @@ std::uint64_t recorded_events();
 
 /// Names the calling thread's track in the emitted trace ("main",
 /// "pool-worker-3"). Copied (truncated to 47 chars); callable before
-/// start(), the name sticks to the thread for later traces.
+/// start(), the name sticks to the thread for later traces. Unnamed
+/// tracks are "thread-<tid>".
 void set_thread_name(const char* name);
 
 /// Names this process's track group in the emitted trace (the
@@ -141,18 +151,10 @@ bool flush();
 /// in flight when read from inside a flush-written file).
 std::uint64_t flush_count();
 
-// ---- emitters (no-ops unless enabled; `name`/`detail` must be
-// ---- string literals or otherwise outlive the process) ----
-
-/// Duration-begin event (ph "B"). Paired with end() by nesting order.
-void begin(const char* name);
-/// Duration-end event (ph "E").
-void end(const char* name);
-/// Counter sample (ph "C"). `value` is the sampled delta charged by the
-/// matching TELEM_COUNT, not a cumulative total.
-void counter(const char* name, std::int64_t value);
 /// Thread-scoped instant event (ph "i"), e.g. "budget.exhausted",
-/// "fault.injected", "sat.restart". `detail` lands in args.detail.
+/// "fault.injected", "sat.restart". `detail` lands in args.detail. A
+/// no-op unless enabled; `name` and `detail` must be string literals or
+/// otherwise outlive the process.
 void instant(const char* name, const char* detail = nullptr);
 
 // ---- the file format ----

@@ -78,13 +78,9 @@ BatchResult batch_fingerprint(const Netlist& golden, const CodebookSource& book,
     result.editions[b].status = Status::kExhausted;
   }
 
-  const std::vector<const char*> tpath = telemetry::current_path();
   const Status loop_status = parallel_for(
       options.pool, book.num_buyers(),
       [&](std::size_t b) {
-        // Re-root each buyer's spans under batch_fingerprint regardless
-        // of which pool worker stamps it.
-        const telemetry::AttachScope attach(tpath);
         TELEM_SPAN("batch_fingerprint.edition");
         TELEM_HIST_TIMER("batch.edition_ns");
         result.editions[b] = make_edition(golden, book, b, result.baseline,
@@ -351,7 +347,6 @@ ResumableBatchResult batch_fingerprint_resumable(
     options.progress(p);
   };
 
-  const std::vector<const char*> tpath = telemetry::current_path();
   Status loop_status = Status::kOk;
   {
     // Liveness sidecar for supervised shard workers: joined (and thus
@@ -362,7 +357,6 @@ ResumableBatchResult batch_fingerprint_resumable(
       bo.pool, re - rb,
       [&](std::size_t i) {
         const std::size_t b = rb + i;
-        const telemetry::AttachScope attach(tpath);
         TELEM_SPAN("batch_fingerprint.edition");
         BuyerEdition& slot = rr.batch.editions[b];
         if (recovered[b]) {
@@ -517,7 +511,6 @@ std::vector<Outcome<CecResult>> batch_verify_equivalence(
       editions.size(),
       Outcome<CecResult>::exhausted("edition skipped: batch budget died"));
 
-  const std::vector<const char*> tpath = telemetry::current_path();
   // Chunk buyers into sessions by index only: session composition (and
   // therefore every solver's clause/heuristic history) is invariant to
   // the pool size, which is what keeps verdicts byte-identical at any
@@ -529,7 +522,6 @@ std::vector<Outcome<CecResult>> batch_verify_equivalence(
   parallel_for(
       options.pool, num_sessions,
       [&](std::size_t s) {
-        const telemetry::AttachScope attach(tpath);
         IncrementalCecSession::Options sopts;
         sopts.conflict_limit = options.cec.sat_conflict_limit;
         IncrementalCecSession session(golden, sopts);

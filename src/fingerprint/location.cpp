@@ -248,12 +248,8 @@ std::vector<FingerprintLocation> find_locations(
 
   // Phase A (parallel): the pure per-primary analysis. Results are keyed
   // by topo position, so the vector is identical for any pool size.
-  const std::vector<const char*> tpath = telemetry::current_path();
   auto [analyses, phase_status] = parallel_map(
       options.pool, order.size(), [&](std::size_t i) {
-        // Re-root each item's counters under find_locations regardless
-        // of which worker thread runs it.
-        const telemetry::AttachScope attach(tpath);
         TELEM_SPAN("find_locations.analyze");
         return analyze_primary(nl, order[i], levels, options);
       });

@@ -196,15 +196,9 @@ std::vector<WindowOdcResult> window_odc_batch(
   std::vector<WindowOdcResult> results(nets.size());
   for (WindowOdcResult& r : results) r.status = Status::kExhausted;
   TELEM_SPAN("odc.window_batch");
-  const std::vector<const char*> tpath = telemetry::current_path();
   parallel_for(
       pool, nets.size(),
-      [&](std::size_t i) {
-        // Re-root each item's spans under this batch, whichever worker
-        // thread runs it (no-op when telemetry is disabled).
-        const telemetry::AttachScope attach(tpath);
-        results[i] = window_odc(nl, nets[i], options);
-      },
+      [&](std::size_t i) { results[i] = window_odc(nl, nets[i], options); },
       options.budget);
   return results;
 }

@@ -17,6 +17,7 @@
 
 #include "benchgen/benchmarks.hpp"
 #include "common/parallel.hpp"
+#include "common/telemetry.hpp"
 #include "fingerprint/codewords.hpp"
 #include "odc/window.hpp"
 
@@ -118,6 +119,40 @@ TEST(ParallelFor, NestedLoopDegradesToSerial) {
                               }),
             Status::kOk);
   EXPECT_EQ(total.load(), 32);
+}
+
+TEST(ParallelFor, WorkerSpansNestUnderTheCallersOpenSpans) {
+  // The body has no AttachScope of its own: the pool re-roots each item
+  // a worker runs under the spans open on the calling thread.
+  telemetry::set_enabled(true);
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(threads);
+    telemetry::flush_thread();
+    telemetry::reset();
+    ThreadPool pool(threads);
+    // Barrier workload: with exactly num_threads items, each blocking
+    // until all have started, every thread must claim one item.
+    const std::size_t n = static_cast<std::size_t>(pool.num_threads());
+    std::atomic<std::size_t> arrived{0};
+    {
+      TELEM_SPAN("phase");
+      ASSERT_EQ(parallel_for(&pool, n,
+                             [&](std::size_t) {
+                               TELEM_SPAN("item");
+                               arrived.fetch_add(1);
+                               while (arrived.load() < n) {
+                                 std::this_thread::yield();
+                               }
+                             }),
+                Status::kOk);
+    }
+    const telemetry::Node root = telemetry::snapshot();
+    const telemetry::Node* item = root.find({"phase", "item"});
+    ASSERT_NE(item, nullptr);
+    EXPECT_EQ(item->count, n);
+    ASSERT_EQ(root.children.size(), 1u);  // nothing at the root but phase
+    EXPECT_EQ(root.find({"phase"})->count, 1u);
+  }
 }
 
 TEST(ParallelFor, IdleWorkerDoesNotSpin) {

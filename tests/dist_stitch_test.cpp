@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/atomic_io.hpp"
@@ -326,6 +327,47 @@ TEST(DistStitch, ReportNamesKilledAndCriticalPathShardOnSkewedWorkload) {
   EXPECT_FALSE(hostile.supervisor_trace);
   EXPECT_EQ(hostile.missing_traces, 4u);
   EXPECT_EQ(hostile.json, stitched.json);
+  // So does a well-formed trace with one number outside its field's
+  // range: refused, never wrapped into a tid, timestamp, counter value
+  // or clock origin.
+  const std::string sound =
+      "{\"traceEvents\":[\n"
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+      "\"args\":{\"name\":\"main\"}},\n"
+      "{\"name\":\"dist.supervise\",\"ph\":\"B\",\"pid\":1,\"tid\":0,"
+      "\"ts\":1.000},\n"
+      "{\"name\":\"n\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":2.000,"
+      "\"args\":{\"value\":7}},\n"
+      "{\"name\":\"dist.supervise\",\"ph\":\"E\",\"pid\":1,\"tid\":0,"
+      "\"ts\":3.000}\n"
+      "],\"otherData\":{\"clock_anchor_wall_ns\":\"1\","
+      "\"trace_origin_wall_ns\":\"1000000000000\"}}\n";
+  ASSERT_TRUE(
+      atomic_io::write_file_atomic(supervisor_trace_path(dir), sound).ok);
+  const StitchResult read_back = stitch_run(dir);
+  EXPECT_TRUE(read_back.supervisor_trace);
+  EXPECT_NE(read_back.json, stitched.json);
+  const std::pair<const char*, const char*> out_of_range[] = {
+      {"\"tid\":0,\"ts\":1.000", "\"tid\":\"seven\",\"ts\":1.000"},
+      {"\"tid\":0,\"ts\":1.000", "\"tid\":-3,\"ts\":1.000"},
+      {"\"ts\":1.000", "\"ts\":-1.000"},
+      {"\"ts\":1.000", "\"ts\":12345678901234567890123.000"},
+      {"\"ts\":1.000", "\"ts\":18446744073709551.616"},  // us*1000+frac
+      {"\"value\":7", "\"value\":1e30"},
+      {"\"trace_origin_wall_ns\":\"1000000000000\"",
+       "\"trace_origin_wall_ns\":\"-5\""},
+  };
+  for (const auto& [field, damaged] : out_of_range) {
+    SCOPED_TRACE(damaged);
+    std::string bytes = sound;
+    bytes.replace(bytes.find(field), std::strlen(field), damaged);
+    ASSERT_TRUE(
+        atomic_io::write_file_atomic(supervisor_trace_path(dir), bytes).ok);
+    const StitchResult refused = stitch_run(dir);
+    ASSERT_EQ(refused.status, Status::kOk) << refused.message;
+    EXPECT_FALSE(refused.supervisor_trace);
+    EXPECT_EQ(refused.json, stitched.json);
+  }
   fold_stitch(stitched, &report);
   EXPECT_EQ(report.shards[1].missing_traces, 2u);
   bool saw_missing = false;

@@ -16,6 +16,7 @@
 
 #include "common/json_lite.hpp"
 #include "common/telemetry.hpp"
+#include "common/trace.hpp"
 
 namespace odcfp {
 namespace {
@@ -34,6 +35,8 @@ class LogTest : public ::testing::Test {
   void TearDown() override {
     log::set_stream(nullptr);
     log::set_level(log::Level::kInfo);
+    trace::stop();
+    telemetry::set_enabled(true);
     telemetry::flush_thread();
     telemetry::reset();
   }
@@ -114,20 +117,64 @@ TEST_F(LogTest, RecordsAreWellFormedJsonl) {
 }
 
 TEST_F(LogTest, SpanJoinKeyMatchesTelemetryPath) {
-  log::info("outside");
-  {
-    TELEM_SPAN("a");
+  // With telemetry on, and with tracing alone: the path is the one
+  // recorder's span stack, which either sink keeps.
+  for (const bool telemetry_on : {true, false}) {
+    SCOPED_TRACE(telemetry_on);
+    out_.str("");
+    telemetry::set_enabled(telemetry_on);
+    if (!telemetry_on) trace::start(64);
+    log::info("outside");
     {
-      TELEM_SPAN("b");
-      log::info("inside");
+      TELEM_SPAN("a");
+      {
+        TELEM_SPAN("b");
+        log::info("inside");
+      }
+    }
+    trace::stop();
+    const auto emitted = lines();
+    ASSERT_EQ(emitted.size(), 2u);
+    // The join key is the slash-joined telemetry span path — empty
+    // outside any span.
+    EXPECT_EQ(jsonlite::parse(emitted[0]).at("span").str, "");
+    EXPECT_EQ(jsonlite::parse(emitted[1]).at("span").str, "/a/b");
+  }
+}
+
+TEST_F(LogTest, RecordTidIsTheThreadsTraceTid) {
+  // Two threads log and exit before the trace starts; a third logs
+  // inside a span while it records.
+  for (int i = 0; i < 2; ++i) {
+    std::thread([] { log::info("before"); }).join();
+  }
+  trace::start(64);
+  std::thread([] {
+    TELEM_SPAN("traced");
+    log::info("inside");
+  }).join();
+  std::ostringstream timeline;
+  trace::write(timeline);
+  trace::stop();
+
+  double trace_tid = -1;
+  const jsonlite::Value doc = jsonlite::parse(timeline.str());
+  for (const jsonlite::Value& ev : doc.at("traceEvents").items) {
+    if (ev.at("ph").str == "B" && ev.at("name").str == "traced") {
+      trace_tid = ev.at("tid").number;
     }
   }
   const auto emitted = lines();
-  ASSERT_EQ(emitted.size(), 2u);
-  // The join key is the slash-joined telemetry span path — empty
-  // outside any span.
-  EXPECT_EQ(jsonlite::parse(emitted[0]).at("span").str, "");
-  EXPECT_EQ(jsonlite::parse(emitted[1]).at("span").str, "/a/b");
+  ASSERT_EQ(emitted.size(), 3u);
+  const jsonlite::Value inside = jsonlite::parse(emitted[2]);
+  ASSERT_EQ(inside.at("event").str, "inside");
+  EXPECT_EQ(inside.at("tid").number, trace_tid);
+  // An exited thread's index goes to the next new thread: with this
+  // thread and one worker alive at a time, every tid is 0 or 1 — far
+  // below the stitcher's per-epoch stride (epoch*65536 + 16 + tid).
+  for (const std::string& line : emitted) {
+    EXPECT_LT(jsonlite::parse(line).at("tid").number, 2.0) << line;
+  }
 }
 
 TEST_F(LogTest, MovedRecordEmitsExactlyOnce) {

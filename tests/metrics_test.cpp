@@ -242,9 +242,7 @@ Node run_hist_batch(int threads) {
   ThreadPool pool(threads);
   {
     TELEM_SPAN("batch");
-    const std::vector<const char*> path = telemetry::current_path();
     parallel_for(&pool, 64, [&](std::size_t i) {
-      const telemetry::AttachScope attach(path);
       TELEM_SPAN("item");
       TELEM_HIST("work.size", static_cast<std::uint64_t>(i * i));
     });

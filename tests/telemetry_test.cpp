@@ -144,16 +144,14 @@ TEST_F(TelemetryTest, AttachScopeReRootsWorkerThread) {
 }
 
 /// The workload the determinism test fans out: nested spans + counters
-/// per item, re-rooted under the caller's phase span.
+/// per item, which the pool re-roots under the caller's phase span.
 Node run_instrumented_batch(int threads) {
   telemetry::flush_thread();
   telemetry::reset();
   ThreadPool pool(threads);
   {
     TELEM_SPAN("batch");
-    const std::vector<const char*> path = telemetry::current_path();
     parallel_for(&pool, 64, [&](std::size_t i) {
-      const telemetry::AttachScope attach(path);
       TELEM_SPAN("item");
       TELEM_COUNT("items", 1);
       if (i % 2 == 0) {

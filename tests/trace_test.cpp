@@ -120,15 +120,13 @@ std::set<std::string> check_chrome_trace(const jsonlite::Value& root) {
 }
 
 /// The traced analogue of telemetry_test's instrumented batch: spans +
-/// counters fanned over a pool, workers re-rooted via AttachScope.
+/// counters fanned over a pool, which re-roots its workers.
 std::string run_traced_batch(int threads) {
   trace::start(std::size_t{1} << 14);
   {
     ThreadPool pool(threads);
     TELEM_SPAN("batch");
-    const std::vector<const char*> path = telemetry::current_path();
     parallel_for(&pool, 32, [&](std::size_t i) {
-      const telemetry::AttachScope attach(path);
       TELEM_SPAN("item");
       TELEM_COUNT("items", static_cast<std::int64_t>(i % 3));
     });
@@ -175,12 +173,11 @@ TEST_F(TraceTest, PoolWorkerTracksAreNamed) {
   // deterministically emits onto its own named track.
   std::atomic<int> arrived{0};
   parallel_for(&pool, static_cast<std::size_t>(n), [&](std::size_t) {
-    trace::begin("barrier.item");
+    TELEM_SPAN("barrier.item");
     arrived.fetch_add(1, std::memory_order_acq_rel);
     while (arrived.load(std::memory_order_acquire) < n) {
       std::this_thread::yield();
     }
-    trace::end("barrier.item");
   });
   std::ostringstream os;
   trace::write(os);
@@ -249,46 +246,55 @@ TEST_F(TraceTest, DisabledModeDoesNotAllocate) {
   trace::instant("warm");
   trace::stop();
 
+  // Tracing and telemetry both off: every probe is one load.
+  telemetry::set_enabled(false);
   const std::uint64_t before =
       g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
-    trace::begin("off.span");
-    trace::counter("off.count", i);
+    TELEM_SPAN("off.span");
+    TELEM_COUNT("off.count", i);
     trace::instant("off.instant");
-    trace::end("off.span");
     trace::enabled();
   }
   const std::uint64_t after =
       g_allocations.load(std::memory_order_relaxed);
+  telemetry::set_enabled(true);
   EXPECT_EQ(before, after);
 }
 
 TEST_F(TraceTest, BudgetExhaustionEmitsInstantWithSpanDetail) {
-  trace::start(std::size_t{1} << 12);
-  {
-    TELEM_SPAN("hot_loop");
-    const Budget budget = Budget::steps(3);
-    while (budget_charge(&budget)) {
+  // With telemetry on, and with tracing alone: the span stack that
+  // attributes the death is the recorder's, not the telemetry tree's.
+  for (const bool telemetry_on : {true, false}) {
+    SCOPED_TRACE(telemetry_on);
+    telemetry::set_enabled(telemetry_on);
+    trace::start(std::size_t{1} << 12);
+    {
+      TELEM_SPAN("hot_loop");
+      const Budget budget = Budget::steps(3);
+      while (budget_charge(&budget)) {
+      }
+      EXPECT_STREQ(budget.died_in(), "hot_loop");
     }
-    EXPECT_STREQ(budget.died_in(), "hot_loop");
-  }
-  std::ostringstream os;
-  trace::write(os);
-  trace::stop();
+    std::ostringstream os;
+    trace::write(os);
+    trace::stop();
 
-  const jsonlite::Value root = jsonlite::parse(os.str());
-  check_chrome_trace(root);
-  bool saw_death = false;
-  for (const jsonlite::Value& ev : root.at("traceEvents").items) {
-    if (ev.at("ph").str == "i" &&
-        ev.at("name").str == "budget.exhausted") {
-      saw_death = true;
-      // args.detail carries died_in(): the timeline names the starved
-      // phase exactly as Outcome::exhausted_at / the structured log do.
-      EXPECT_EQ(ev.at("args").at("detail").str, "hot_loop");
+    const jsonlite::Value root = jsonlite::parse(os.str());
+    check_chrome_trace(root);
+    bool saw_death = false;
+    for (const jsonlite::Value& ev : root.at("traceEvents").items) {
+      if (ev.at("ph").str == "i" &&
+          ev.at("name").str == "budget.exhausted") {
+        saw_death = true;
+        // args.detail carries died_in(): the timeline names the starved
+        // phase exactly as Outcome::exhausted_at / the structured log do.
+        EXPECT_EQ(ev.at("args").at("detail").str, "hot_loop");
+      }
     }
+    EXPECT_TRUE(saw_death);
   }
-  EXPECT_TRUE(saw_death);
+  telemetry::set_enabled(true);
 }
 
 TEST_F(TraceTest, WriteFileProducesLoadableJson) {
