@@ -1,5 +1,6 @@
 // google-benchmark micro-benchmarks of the substrates: simulation
-// throughput, STA, location finding, embedding, and SAT-based CEC.
+// throughput, STA, location finding, embedding, SAT-based CEC, and netlist
+// text I/O (one Verilog or BLIF write, one Verilog read).
 #include <benchmark/benchmark.h>
 
 #include "benchgen/benchmarks.hpp"
@@ -8,6 +9,8 @@
 #include "fingerprint/embedder.hpp"
 #include "fingerprint/heuristics.hpp"
 #include "fingerprint/location.hpp"
+#include "io/blif.hpp"
+#include "io/verilog.hpp"
 #include "odc/window.hpp"
 #include "power/power.hpp"
 #include "sim/simulator.hpp"
@@ -125,6 +128,30 @@ void BM_SatCec(benchmark::State& state, const std::string& name) {
   }
 }
 
+void BM_WriteVerilog(benchmark::State& state, const std::string& name) {
+  const Netlist& nl = circuit(name);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(to_verilog_string(nl));
+  }
+}
+
+void BM_WriteBlif(benchmark::State& state, const std::string& name) {
+  const Netlist& nl = circuit(name);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(to_blif_string(nl));
+  }
+}
+
+void BM_ReadVerilog(benchmark::State& state, const std::string& name) {
+  const Netlist& nl = circuit(name);
+  const std::string text = to_verilog_string(nl);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(read_verilog_string(text, nl.library()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -145,6 +172,14 @@ int main(int argc, char** argv) {
         BM_IncrementalSta, std::string(name));
     benchmark::RegisterBenchmark(
         ("window_odc_d3/" + std::string(name)).c_str(), BM_WindowOdc,
+        std::string(name));
+    benchmark::RegisterBenchmark(
+        ("write_verilog/" + std::string(name)).c_str(), BM_WriteVerilog,
+        std::string(name));
+    benchmark::RegisterBenchmark(("write_blif/" + std::string(name)).c_str(),
+                                 BM_WriteBlif, std::string(name));
+    benchmark::RegisterBenchmark(
+        ("read_verilog/" + std::string(name)).c_str(), BM_ReadVerilog,
         std::string(name));
   }
   for (const char* name : {"c432", "c880"}) {

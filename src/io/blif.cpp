@@ -3,7 +3,9 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/atomic_io.hpp"
 #include "common/check.hpp"
@@ -288,43 +290,79 @@ void write_blif(std::ostream& os, const SopNetwork& sop) {
   os << ".end\n";
 }
 
-void write_blif(std::ostream& os, const Netlist& nl) {
-  os << ".model " << nl.name() << "\n.inputs";
-  for (NetId pi : nl.inputs()) os << " " << nl.net(pi).name;
-  os << "\n.outputs";
-  for (const OutputPort& po : nl.outputs()) os << " " << po.name;
-  os << "\n";
-  // Output ports whose name differs from the net: emit a buffer cover.
-  for (const OutputPort& po : nl.outputs()) {
-    if (po.name != nl.net(po.net).name) {
-      os << ".names " << nl.net(po.net).name << " " << po.name << "\n1 1\n";
-    }
+namespace {
+
+/// A cell's BLIF on-set cover: one "<bits> 1" row per true minterm, input
+/// 0 first. A constant-1 cell is the row "1"; a constant-0 cell has none.
+std::string blif_cover(const TruthTable& tt) {
+  std::string rows;
+  if (tt.num_inputs() == 0) {
+    if (tt.is_constant() && tt.constant_value()) rows = "1\n";
+    return rows;
   }
-  for (GateId g : nl.topo_order()) {
-    const Gate& gt = nl.gate(g);
-    const TruthTable& tt = nl.library().cell(gt.cell).function;
-    os << ".names";
-    for (NetId in : gt.fanins) os << " " << nl.net(in).name;
-    os << " " << nl.net(gt.output).name << "\n";
-    if (tt.num_inputs() == 0) {
-      if (tt.is_constant() && tt.constant_value()) os << "1\n";
-      continue;
+  for (unsigned p = 0; p < tt.num_rows(); ++p) {
+    if (!tt.eval(p)) continue;
+    for (int i = 0; i < tt.num_inputs(); ++i) {
+      rows += ((p >> i) & 1) ? '1' : '0';
     }
-    for (unsigned p = 0; p < tt.num_rows(); ++p) {
-      if (!tt.eval(p)) continue;
-      for (int i = 0; i < tt.num_inputs(); ++i) {
-        os << (((p >> i) & 1) ? '1' : '0');
-      }
-      os << " 1\n";
-    }
+    rows += " 1\n";
   }
-  os << ".end\n";
+  return rows;
 }
 
+}  // namespace
+
 std::string to_blif_string(const Netlist& nl) {
-  std::ostringstream os;
-  write_blif(os, nl);
-  return os.str();
+  const std::vector<GateId> order = nl.topo_order();
+  const CellLibrary& lib = nl.library();
+  // Each cell's cover, formatted on its first use.
+  std::vector<std::string> cover(lib.size());
+  std::vector<bool> has_cover(lib.size(), false);
+
+  std::string out;
+  out.reserve(64 + 16 * (nl.inputs().size() + nl.outputs().size()) +
+              64 * order.size());
+  out += ".model ";
+  out += nl.name();
+  out += "\n.inputs";
+  for (NetId pi : nl.inputs()) {
+    out += ' ';
+    out += nl.net(pi).name;
+  }
+  out += "\n.outputs";
+  for (const OutputPort& po : nl.outputs()) {
+    out += ' ';
+    out += po.name;
+  }
+  out += '\n';
+  // Output ports whose name differs from the net: emit a buffer cover.
+  for (const OutputPort& po : nl.outputs()) {
+    const std::string& net_name = nl.net(po.net).name;
+    if (po.name == net_name) continue;
+    out += ".names ";
+    out += net_name;
+    out += ' ';
+    out += po.name;
+    out += "\n1 1\n";
+  }
+  for (GateId g : order) {
+    const Gate& gt = nl.gate(g);
+    out += ".names";
+    for (NetId in : gt.fanins) {
+      out += ' ';
+      out += nl.net(in).name;
+    }
+    out += ' ';
+    out += nl.net(gt.output).name;
+    out += '\n';
+    if (!has_cover[gt.cell]) {
+      cover[gt.cell] = blif_cover(lib.cell(gt.cell).function);
+      has_cover[gt.cell] = true;
+    }
+    out += cover[gt.cell];
+  }
+  out += ".end\n";
+  return out;
 }
 
 void write_blif_file(const std::string& path, const Netlist& nl) {

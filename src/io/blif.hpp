@@ -6,8 +6,11 @@
 // continuation and '#' comments. Latches are rejected (the paper's flow is
 // purely combinational).
 //
-// The writer emits a Netlist as BLIF, one .names block per gate, so that
-// mapped and fingerprinted circuits can round-trip through other tools.
+// The Netlist API is string-only: to_blif_string formats a mapped netlist
+// into one string, one .names block per gate, so that mapped and
+// fingerprinted circuits can round-trip through other tools, and
+// write_blif_file publishes that string. The SopNetwork reader and writer
+// also work on streams.
 #pragma once
 
 #include <iosfwd>
@@ -36,9 +39,8 @@ Outcome<SopNetwork> try_read_blif_file(const std::string& path);
 /// Writes a SopNetwork as BLIF.
 void write_blif(std::ostream& os, const SopNetwork& sop);
 
-/// Writes a mapped Netlist as BLIF (each gate becomes a .names block whose
+/// Formats a mapped Netlist as BLIF (each gate becomes a .names block whose
 /// cover enumerates the cell's on-set).
-void write_blif(std::ostream& os, const Netlist& nl);
 std::string to_blif_string(const Netlist& nl);
 
 /// Writes a mapped Netlist to `path` atomically (common/atomic_io temp +

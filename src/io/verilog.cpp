@@ -1,126 +1,156 @@
 #include "io/verilog.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstring>
-#include <fstream>
+#include <array>
+#include <cstdint>
 #include <functional>
-#include <ostream>
-#include <sstream>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/atomic_io.hpp"
 #include "common/check.hpp"
 
 namespace odcfp {
 
-std::string verilog_pin_name(int index) {
-  ODCFP_CHECK(index >= 0 && index < 6);
-  return std::string(1, static_cast<char>('A' + index));
-}
-
 namespace {
 
-bool is_plain_identifier(const std::string& s) {
-  if (s.empty()) return false;
-  if (!std::isalpha(static_cast<unsigned char>(s[0])) && s[0] != '_') {
-    return false;
+// Byte classes, shared by the writer's escaping test and the reader's
+// lexer.
+enum : std::uint8_t {
+  kSpace = 1 << 0,    ///< Whitespace (isspace in the C locale).
+  kPunct = 1 << 1,    ///< A one-byte token: ( ) ; , = . or NUL.
+  kEndsWord = 1 << 2, ///< Ends an unescaped word: space, punct or '\'.
+  kIdStart = 1 << 3,  ///< May start a plain identifier: a letter or '_'.
+  kIdChar = 1 << 4,   ///< May continue one: a letter, digit, '_' or '$'.
+};
+
+constexpr std::array<std::uint8_t, 256> make_byte_classes() {
+  std::array<std::uint8_t, 256> t{};
+  for (const char c : std::string_view(" \t\n\v\f\r")) {
+    t[static_cast<unsigned char>(c)] |= kSpace | kEndsWord;
   }
-  for (char c : s) {
-    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
-        c != '$') {
-      return false;
-    }
+  for (const char c : std::string_view("();,=.\0", 7)) {
+    t[static_cast<unsigned char>(c)] |= kPunct | kEndsWord;
   }
-  return true;
+  t['\\'] |= kEndsWord;
+  for (int c = 0; c < 26; ++c) {
+    t['a' + c] |= kIdStart | kIdChar;
+    t['A' + c] |= kIdStart | kIdChar;
+  }
+  for (int c = '0'; c <= '9'; ++c) t[c] |= kIdChar;
+  t['_'] |= kIdStart | kIdChar;
+  t['$'] |= kIdChar;
+  return t;
 }
 
-/// Writes `name`, escaping it if it is not a plain identifier.
-void emit_id(std::ostream& os, const std::string& name) {
+constexpr std::array<std::uint8_t, 256> kByteClass = make_byte_classes();
+
+bool is(char c, std::uint8_t classes) {
+  return (kByteClass[static_cast<unsigned char>(c)] & classes) != 0;
+}
+
+bool is_plain_identifier(std::string_view s) {
+  if (s.empty() || !is(s[0], kIdStart)) return false;
+  return std::all_of(s.begin(), s.end(),
+                     [](char c) { return is(c, kIdChar); });
+}
+
+/// Appends `name`, escaped (\name followed by a space) unless it is a
+/// plain identifier.
+void append_id(std::string& out, std::string_view name) {
   if (is_plain_identifier(name)) {
-    os << name;
-  } else {
-    os << '\\' << name << ' ';
+    out += name;
+    return;
   }
+  out += '\\';
+  out += name;
+  out += ' ';
 }
 
 }  // namespace
 
-void write_verilog(std::ostream& os, const Netlist& nl) {
-  os << "// ODC-fingerprinting structural netlist\n";
-  os << "module ";
-  emit_id(os, nl.name());
-  os << " (";
-  bool first = true;
+std::string to_verilog_string(const Netlist& nl) {
+  const std::vector<GateId> order = nl.topo_order();
+  // A net named like an output port is declared by that port, not as a
+  // wire.
+  std::vector<bool> named_by_port(nl.num_nets(), false);
+  for (const OutputPort& po : nl.outputs()) {
+    const NetId n = nl.find_net(po.name);
+    if (n != kInvalidNet) named_by_port[n] = true;
+  }
+
+  std::string out;
+  out.reserve(128 + 24 * (nl.inputs().size() + nl.outputs().size()) +
+              96 * order.size());
+  out += "// ODC-fingerprinting structural netlist\nmodule ";
+  append_id(out, nl.name());
+  out += " (";
+  const char* sep = "";
   for (NetId pi : nl.inputs()) {
-    if (!first) os << ", ";
-    emit_id(os, nl.net(pi).name);
-    first = false;
+    out += sep;
+    append_id(out, nl.net(pi).name);
+    sep = ", ";
   }
   for (const OutputPort& po : nl.outputs()) {
-    if (!first) os << ", ";
-    emit_id(os, po.name);
-    first = false;
+    out += sep;
+    append_id(out, po.name);
+    sep = ", ";
   }
-  os << ");\n";
+  out += ");\n";
 
   for (NetId pi : nl.inputs()) {
-    os << "  input ";
-    emit_id(os, nl.net(pi).name);
-    os << ";\n";
+    out += "  input ";
+    append_id(out, nl.net(pi).name);
+    out += ";\n";
   }
-  std::unordered_set<std::string> port_names;
   for (const OutputPort& po : nl.outputs()) {
-    os << "  output ";
-    emit_id(os, po.name);
-    os << ";\n";
-    port_names.insert(po.name);
+    out += "  output ";
+    append_id(out, po.name);
+    out += ";\n";
   }
-
-  // Wire declarations for every named internal net.
-  for (GateId g : nl.topo_order()) {
-    const std::string& net_name = nl.net(nl.gate(g).output).name;
-    if (!port_names.count(net_name)) {
-      os << "  wire ";
-      emit_id(os, net_name);
-      os << ";\n";
-    }
+  for (GateId g : order) {
+    const NetId n = nl.gate(g).output;
+    if (named_by_port[n]) continue;
+    out += "  wire ";
+    append_id(out, nl.net(n).name);
+    out += ";\n";
   }
-
   // Aliases for output ports whose name differs from the driving net.
   for (const OutputPort& po : nl.outputs()) {
-    if (po.name != nl.net(po.net).name) {
-      os << "  assign ";
-      emit_id(os, po.name);
-      os << " = ";
-      emit_id(os, nl.net(po.net).name);
-      os << ";\n";
-    }
+    const std::string& net_name = nl.net(po.net).name;
+    if (po.name == net_name) continue;
+    out += "  assign ";
+    append_id(out, po.name);
+    out += " = ";
+    append_id(out, net_name);
+    out += ";\n";
   }
 
-  for (GateId g : nl.topo_order()) {
+  for (GateId g : order) {
     const Gate& gt = nl.gate(g);
-    const Cell& cell = nl.library().cell(gt.cell);
-    os << "  " << cell.name << " ";
-    emit_id(os, gt.name);
-    os << " (";
-    for (int pin = 0; pin < cell.num_inputs(); ++pin) {
-      os << "." << verilog_pin_name(pin) << "(";
-      emit_id(os, nl.net(gt.fanins[static_cast<std::size_t>(pin)]).name);
-      os << "), ";
+    out += "  ";
+    out += nl.library().cell(gt.cell).name;
+    out += ' ';
+    append_id(out, gt.name);
+    out += " (";
+    char pin = 'A';
+    for (NetId in : gt.fanins) {
+      out += '.';
+      out += pin++;
+      out += '(';
+      append_id(out, nl.net(in).name);
+      out += "), ";
     }
-    os << ".Y(";
-    emit_id(os, nl.net(gt.output).name);
-    os << "));\n";
+    out += ".Y(";
+    append_id(out, nl.net(gt.output).name);
+    out += "));\n";
   }
-  os << "endmodule\n";
-}
-
-std::string to_verilog_string(const Netlist& nl) {
-  std::ostringstream os;
-  write_verilog(os, nl);
-  return os.str();
+  out += "endmodule\n";
+  return out;
 }
 
 void write_verilog_file(const std::string& path, const Netlist& nl) {
@@ -134,99 +164,101 @@ void write_verilog_file(const std::string& path, const Netlist& nl) {
 
 namespace {
 
-/// Verilog token stream over the supported subset.
+/// Tokens over the caller's text, as views into it.
 class Lexer {
  public:
-  explicit Lexer(std::istream& is) {
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    text_ = buf.str();
-  }
+  explicit Lexer(std::string_view text) : text_(text) {}
 
-  /// Returns the next token; empty string at end of input. Punctuation
-  /// characters ( ) ; , = . are single-character tokens.
-  std::string next() {
+  /// The next token; empty at end of input. ( ) ; , = . and NUL are
+  /// one-byte tokens. An escaped identifier (\ up to the next whitespace)
+  /// comes back without its backslash.
+  std::string_view next() {
     skip_space_and_comments();
-    if (pos_ >= text_.size()) return {};
-    const char c = text_[pos_];
-    if (c == '\\') {
-      // Escaped identifier: up to the next whitespace.
+    const std::size_t start = pos_;
+    if (start >= text_.size()) return {};
+    if (text_[start] == '\\') {
       ++pos_;
-      std::string id;
-      while (pos_ < text_.size() &&
-             !std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-        id.push_back(text_[pos_++]);
-      }
-      ODCFP_CHECK_MSG(!id.empty(), "empty escaped identifier");
-      return id;
+      while (pos_ < text_.size() && !is(text_[pos_], kSpace)) ++pos_;
+      ODCFP_CHECK_MSG(pos_ > start + 1, "empty escaped identifier");
+      return text_.substr(start + 1, pos_ - start - 1);
     }
-    if (std::strchr("();,=.", c)) {
-      ++pos_;
-      return std::string(1, c);
-    }
-    std::string tok;
-    while (pos_ < text_.size()) {
-      const char d = text_[pos_];
-      if (std::isspace(static_cast<unsigned char>(d)) ||
-          std::strchr("();,=.", d) || d == '\\') {
-        break;
-      }
-      tok.push_back(d);
-      ++pos_;
-    }
-    ODCFP_CHECK_MSG(!tok.empty(), "lexer stuck at position " << pos_);
-    return tok;
+    if (is(text_[start], kPunct)) return text_.substr(pos_++, 1);
+    while (pos_ < text_.size() && !is(text_[pos_], kEndsWord)) ++pos_;
+    return text_.substr(start, pos_ - start);
   }
 
  private:
   void skip_space_and_comments() {
     for (;;) {
-      while (pos_ < text_.size() &&
-             std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
+      while (pos_ < text_.size() && is(text_[pos_], kSpace)) ++pos_;
+      if (pos_ + 1 >= text_.size() || text_[pos_] != '/') return;
+      std::size_t end;
+      if (text_[pos_ + 1] == '/') {
+        end = text_.find('\n', pos_);
+      } else if (text_[pos_ + 1] == '*') {
+        end = text_.find("*/", pos_ + 2);
+        if (end != std::string_view::npos) end += 2;
+      } else {
+        return;
       }
-      if (pos_ + 1 < text_.size() && text_[pos_] == '/' &&
-          text_[pos_ + 1] == '/') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-        continue;
-      }
-      if (pos_ + 1 < text_.size() && text_[pos_] == '/' &&
-          text_[pos_ + 1] == '*') {
-        pos_ += 2;
-        while (pos_ + 1 < text_.size() &&
-               !(text_[pos_] == '*' && text_[pos_ + 1] == '/')) {
-          ++pos_;
-        }
-        pos_ = std::min(pos_ + 2, text_.size());
-        continue;
-      }
-      return;
+      pos_ = std::min(end, text_.size());
     }
   }
 
-  std::string text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
 };
 
-struct Instance {
-  std::string cell_name;
-  std::string instance_name;
-  std::unordered_map<std::string, std::string> pins;  // pin -> net name
+constexpr std::uint32_t kNoId = ~std::uint32_t{0};
+
+/// One `.pin(net)` connection; `net` is an id into ParsedModule::names.
+struct PinConn {
+  std::string_view pin;
+  std::uint32_t net;
 };
 
-}  // namespace
+struct ParsedInstance {
+  std::string_view cell;
+  std::string_view name;
+  std::uint32_t first_pin;  ///< Its pins are pins[first_pin, end_pin).
+  std::uint32_t end_pin;
+};
 
-Netlist read_verilog(std::istream& is, const CellLibrary& lib) {
-  Lexer lex(is);
-  auto expect = [&lex](const std::string& want) {
-    const std::string got = lex.next();
+/// A module as written, with every net name interned to a dense id.
+struct ParsedModule {
+  std::string_view name;
+  std::vector<std::string_view> names;  ///< Net name of each id.
+  std::vector<std::uint32_t> inputs;
+  std::vector<std::uint32_t> outputs;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> assigns;  // lhs = rhs
+  std::vector<ParsedInstance> instances;
+  std::vector<PinConn> pins;
+};
+
+/// Instances with more pins than this check pin names for duplicates in a
+/// hash set instead of by scanning.
+constexpr std::size_t kScannedPins = 16;
+
+ParsedModule parse_module(std::string_view text) {
+  Lexer lex(text);
+  auto expect = [&lex](std::string_view want) {
+    const std::string_view got = lex.next();
     ODCFP_CHECK_MSG(got == want,
                     "expected '" << want << "', got '" << got << "'");
   };
+  ParsedModule m;
+  std::unordered_map<std::string_view, std::uint32_t> ids;
+  ids.reserve(text.size() / 32);
+  auto intern = [&](std::string_view name) {
+    const auto [it, fresh] =
+        ids.try_emplace(name, static_cast<std::uint32_t>(m.names.size()));
+    if (fresh) m.names.push_back(name);
+    return it->second;
+  };
 
-  std::string tok = lex.next();
+  std::string_view tok = lex.next();
   ODCFP_CHECK_MSG(tok == "module", "expected 'module'");
-  const std::string module_name = lex.next();
+  m.name = lex.next();
   // Skip the port list — directions come from the declarations.
   tok = lex.next();
   if (tok == "(") {
@@ -239,145 +271,288 @@ Netlist read_verilog(std::istream& is, const CellLibrary& lib) {
     ODCFP_CHECK_MSG(tok == ";", "malformed module header");
   }
 
-  std::vector<std::string> input_names, output_names;
-  std::vector<Instance> instances;
-  std::vector<std::pair<std::string, std::string>> assigns;  // lhs = rhs
-
+  std::unordered_set<std::string_view> many_pins;
   for (;;) {
     tok = lex.next();
     ODCFP_CHECK_MSG(!tok.empty(), "unexpected end of file (no endmodule)");
     if (tok == "endmodule") break;
     if (tok == "input" || tok == "output" || tok == "wire") {
-      std::vector<std::string>* list = nullptr;
-      if (tok == "input") list = &input_names;
-      if (tok == "output") list = &output_names;
+      std::vector<std::uint32_t>* list = tok == "input"    ? &m.inputs
+                                         : tok == "output" ? &m.outputs
+                                                           : nullptr;
       for (;;) {
-        const std::string name = lex.next();
+        const std::string_view name = lex.next();
         ODCFP_CHECK_MSG(!name.empty(), "unterminated declaration");
-        if (list != nullptr) list->push_back(name);
-        const std::string sep = lex.next();
+        if (list != nullptr) list->push_back(intern(name));
+        const std::string_view sep = lex.next();
         if (sep == ";") break;
         ODCFP_CHECK_MSG(sep == ",", "bad declaration separator");
       }
       continue;
     }
     if (tok == "assign") {
-      const std::string lhs = lex.next();
+      const std::string_view lhs = lex.next();
       expect("=");
-      const std::string rhs = lex.next();
+      const std::string_view rhs = lex.next();
       expect(";");
-      assigns.emplace_back(lhs, rhs);
+      m.assigns.emplace_back(intern(lhs), intern(rhs));
       continue;
     }
     // Cell instance.
-    Instance inst;
-    inst.cell_name = tok;
-    inst.instance_name = lex.next();
+    ParsedInstance inst;
+    inst.cell = tok;
+    inst.name = lex.next();
+    inst.first_pin = static_cast<std::uint32_t>(m.pins.size());
     expect("(");
     for (;;) {
       tok = lex.next();
       if (tok == ")") break;
       ODCFP_CHECK_MSG(tok == ".", "expected '.pin(' in instance '"
-                                      << inst.instance_name << "'");
-      const std::string pin = lex.next();
+                                      << inst.name << "'");
+      const std::string_view pin = lex.next();
       expect("(");
-      const std::string net = lex.next();
+      const std::string_view net = lex.next();
       expect(")");
-      ODCFP_CHECK_MSG(inst.pins.emplace(pin, net).second,
-                      "duplicate pin '" << pin << "' on instance '"
-                                        << inst.instance_name << "'");
+      const auto first = m.pins.begin() + inst.first_pin;
+      const std::size_t have = m.pins.size() - inst.first_pin;
+      bool duplicate;
+      if (have < kScannedPins) {
+        duplicate = std::any_of(first, m.pins.end(), [pin](const PinConn& p) {
+          return p.pin == pin;
+        });
+      } else {
+        if (have == kScannedPins) {
+          many_pins.clear();
+          for (auto p = first; p != m.pins.end(); ++p) many_pins.insert(p->pin);
+        }
+        duplicate = !many_pins.insert(pin).second;
+      }
+      ODCFP_CHECK_MSG(!duplicate, "duplicate pin '" << pin
+                                                    << "' on instance '"
+                                                    << inst.name << "'");
+      m.pins.push_back({pin, intern(net)});
       tok = lex.next();
       if (tok == ")") break;
       ODCFP_CHECK_MSG(tok == ",", "bad pin separator");
     }
     expect(";");
-    instances.push_back(std::move(inst));
+    inst.end_pin = static_cast<std::uint32_t>(m.pins.size());
+    m.instances.push_back(inst);
   }
+  return m;
+}
 
-  // Resolve aliases to canonical names.
-  std::unordered_map<std::string, std::string> alias;
-  for (const auto& [lhs, rhs] : assigns) {
-    ODCFP_CHECK_MSG(alias.emplace(lhs, rhs).second,
-                    "net '" << lhs << "' assigned twice");
-  }
-  std::function<std::string(const std::string&)> canonical =
-      [&](const std::string& name) -> std::string {
-    auto it = alias.find(name);
-    if (it == alias.end()) return name;
-    return canonical(it->second);
-  };
-
-  Netlist nl(&lib, module_name);
-  std::unordered_map<std::string, NetId> net_of;
-  for (const std::string& in : input_names) {
-    net_of.emplace(in, nl.add_input(in));
-  }
-
-  // Kahn's algorithm over instances: create a gate once all fanins exist.
-  std::vector<bool> done(instances.size(), false);
-  std::size_t created = 0;
-  bool progress = true;
-  while (created < instances.size() && progress) {
-    progress = false;
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      if (done[i]) continue;
-      const Instance& inst = instances[i];
-      const CellId cell = lib.find(inst.cell_name);
-      ODCFP_CHECK_MSG(cell != kInvalidCell, "unknown cell '"
-                                                << inst.cell_name << "'");
-      const int arity = lib.cell(cell).num_inputs();
-      std::vector<NetId> fanins;
-      bool ready = true;
-      for (int pin = 0; pin < arity; ++pin) {
-        auto pit = inst.pins.find(verilog_pin_name(pin));
-        ODCFP_CHECK_MSG(pit != inst.pins.end(),
-                        "instance '" << inst.instance_name
-                                     << "' missing pin "
-                                     << verilog_pin_name(pin));
-        auto nit = net_of.find(canonical(pit->second));
-        if (nit == net_of.end()) { ready = false; break; }
-        fanins.push_back(nit->second);
-      }
-      if (!ready) continue;
-      auto yit = inst.pins.find("Y");
-      ODCFP_CHECK_MSG(yit != inst.pins.end(), "instance '"
-                                                  << inst.instance_name
-                                                  << "' missing pin Y");
-      const std::string out_name = canonical(yit->second);
-      ODCFP_CHECK_MSG(net_of.find(out_name) == net_of.end(),
-                      "net '" << out_name << "' driven twice");
-      const GateId g =
-          nl.add_gate(cell, fanins, inst.instance_name, out_name);
-      net_of.emplace(out_name, nl.gate(g).output);
-      done[i] = true;
-      ++created;
-      progress = true;
+/// Follows `assign` aliases to the net name each name stands for. Each
+/// alias is resolved once; a chain that loops resolves to kNoId.
+class Aliases {
+ public:
+  explicit Aliases(const ParsedModule& m)
+      : target_(m.names.size(), kNoId), canon_(m.names.size(), kUnseen) {
+    for (const auto& [lhs, rhs] : m.assigns) {
+      ODCFP_CHECK_MSG(target_[lhs] == kNoId,
+                      "net '" << m.names[lhs] << "' assigned twice");
+      target_[lhs] = rhs;
     }
   }
-  ODCFP_CHECK_MSG(created == instances.size(),
-                  "cyclic or underdriven netlist ("
-                      << (instances.size() - created)
-                      << " instances unresolved)");
 
-  for (const std::string& out : output_names) {
-    auto it = net_of.find(canonical(out));
-    ODCFP_CHECK_MSG(it != net_of.end(),
-                    "output '" << out << "' has no driver");
-    nl.add_output(it->second, out);
+  std::uint32_t canonical(std::uint32_t id) {
+    std::uint32_t x = id;
+    while (target_[x] != kNoId && canon_[x] == kUnseen) {
+      canon_[x] = kOnPath;
+      path_.push_back(x);
+      x = target_[x];
+    }
+    // x names itself, is resolved already, or closes a loop on the path.
+    const std::uint32_t result = target_[x] == kNoId    ? x
+                                 : canon_[x] == kOnPath ? kNoId
+                                                        : canon_[x];
+    for (const std::uint32_t p : path_) canon_[p] = result;
+    path_.clear();
+    return target_[id] == kNoId ? id : canon_[id];
+  }
+
+ private:
+  static constexpr std::uint32_t kOnPath = kNoId - 1;
+  static constexpr std::uint32_t kUnseen = kNoId - 2;
+
+  std::vector<std::uint32_t> target_;  ///< rhs of `assign id = rhs;`.
+  std::vector<std::uint32_t> canon_;   ///< Resolved name, once computed.
+  std::vector<std::uint32_t> path_;
+};
+
+std::string alias_cycle(std::string_view name) {
+  return "assign aliases of net '" + std::string(name) + "' form a cycle";
+}
+
+/// Why an instance cannot become a gate. The error is raised when the
+/// creation sweep reaches the instance, so of several faults in a text the
+/// one met first in creation order is reported.
+enum class Fault : std::uint8_t { kNone, kUnknownCell, kMissingPin, kCycle };
+
+/// An instance as the creation sweep sees it.
+struct Node {
+  CellId cell = kInvalidCell;
+  Fault fault = Fault::kNone;
+  std::uint32_t fault_at = 0;     ///< Missing pin index, or looping net id.
+  std::uint32_t first_fanin = 0;  ///< Its fanins: [first_fanin, end_fanin).
+  std::uint32_t end_fanin = 0;
+  std::uint32_t pending = 0;      ///< Fanins whose net has no driver yet.
+};
+
+}  // namespace
+
+Netlist read_verilog_string(std::string_view text, const CellLibrary& lib) {
+  const ParsedModule m = parse_module(text);
+  Aliases aliases(m);
+
+  Netlist nl(&lib, std::string(m.name));
+  std::vector<NetId> net_of(m.names.size(), kInvalidNet);
+  for (const std::uint32_t in : m.inputs) {
+    net_of[in] = nl.add_input(std::string(m.names[in]));
+  }
+
+  // An instance's fanins are the resolved names of its pins A, B, ... in
+  // order, up to its fault if it has one.
+  const std::size_t n = m.instances.size();
+  std::vector<Node> nodes(n);
+  std::vector<std::uint32_t> fanins;
+  std::vector<std::uint32_t> first_consumer(m.names.size() + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const ParsedInstance& inst = m.instances[i];
+    Node& node = nodes[i];
+    node.first_fanin = static_cast<std::uint32_t>(fanins.size());
+    node.cell = lib.find(std::string(inst.cell));
+    if (node.cell == kInvalidCell) node.fault = Fault::kUnknownCell;
+    const int arity =
+        node.cell == kInvalidCell ? 0 : lib.cell(node.cell).num_inputs();
+    for (int pin = 0; pin < arity; ++pin) {
+      const char letter = static_cast<char>('A' + pin);
+      const auto conn = std::find_if(
+          m.pins.begin() + inst.first_pin, m.pins.begin() + inst.end_pin,
+          [letter](const PinConn& p) {
+            return p.pin.size() == 1 && p.pin[0] == letter;
+          });
+      if (conn == m.pins.begin() + inst.end_pin) {
+        node.fault = Fault::kMissingPin;
+        node.fault_at = static_cast<std::uint32_t>(pin);
+        break;
+      }
+      const std::uint32_t net = aliases.canonical(conn->net);
+      if (net == kNoId) {
+        node.fault = Fault::kCycle;
+        node.fault_at = conn->net;
+        break;
+      }
+      fanins.push_back(net);
+      if (net_of[net] == kInvalidNet) {
+        ++node.pending;
+        ++first_consumer[net + 1];
+      }
+    }
+    node.end_fanin = static_cast<std::uint32_t>(fanins.size());
+  }
+  // consumers[first_consumer[id] .. first_consumer[id + 1]) lists the
+  // instances reading undriven name `id`, once per pin.
+  for (std::size_t id = 0; id < m.names.size(); ++id) {
+    first_consumer[id + 1] += first_consumer[id];
+  }
+  std::vector<std::uint32_t> consumers(first_consumer.back());
+  {
+    std::vector<std::uint32_t> fill(first_consumer.begin(),
+                                    first_consumer.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::uint32_t f = nodes[i].first_fanin; f < nodes[i].end_fanin;
+           ++f) {
+        if (net_of[fanins[f]] == kInvalidNet) {
+          consumers[fill[fanins[f]]++] = static_cast<std::uint32_t>(i);
+        }
+      }
+    }
+  }
+
+  // Create gates in pass order: an instance is created in the first pass
+  // over the text, in text order, that finds all its fanins driven. So an
+  // instance whose last driver d was created in pass p joins pass p if it
+  // comes after d in the text, and pass p + 1 if before. `current` is a
+  // min-heap of the instances ready in this pass; `later` holds the next
+  // pass's.
+  const auto heap_order = std::greater<std::uint32_t>();
+  std::vector<std::uint32_t> current, later;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (nodes[i].pending == 0) {
+      current.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  std::make_heap(current.begin(), current.end(), heap_order);
+  std::vector<NetId> gate_fanins;
+  std::size_t created = 0;
+  while (!current.empty()) {
+    std::pop_heap(current.begin(), current.end(), heap_order);
+    const std::uint32_t i = current.back();
+    current.pop_back();
+    const ParsedInstance& inst = m.instances[i];
+    const Node& node = nodes[i];
+    ODCFP_CHECK_MSG(node.fault != Fault::kUnknownCell,
+                    "unknown cell '" << inst.cell << "'");
+    ODCFP_CHECK_MSG(node.fault != Fault::kMissingPin,
+                    "instance '" << inst.name << "' missing pin "
+                                 << static_cast<char>('A' + node.fault_at));
+    ODCFP_CHECK_MSG(node.fault != Fault::kCycle,
+                    alias_cycle(m.names[node.fault_at]));
+    const auto y = std::find_if(
+        m.pins.begin() + inst.first_pin, m.pins.begin() + inst.end_pin,
+        [](const PinConn& p) { return p.pin == "Y"; });
+    ODCFP_CHECK_MSG(y != m.pins.begin() + inst.end_pin,
+                    "instance '" << inst.name << "' missing pin Y");
+    const std::uint32_t out = aliases.canonical(y->net);
+    ODCFP_CHECK_MSG(out != kNoId, alias_cycle(m.names[y->net]));
+    ODCFP_CHECK_MSG(net_of[out] == kInvalidNet,
+                    "net '" << m.names[out] << "' driven twice");
+    gate_fanins.clear();
+    for (std::uint32_t f = node.first_fanin; f < node.end_fanin; ++f) {
+      gate_fanins.push_back(net_of[fanins[f]]);
+    }
+    const GateId g = nl.add_gate(node.cell, gate_fanins,
+                                 std::string(inst.name),
+                                 std::string(m.names[out]));
+    net_of[out] = nl.gate(g).output;
+    ++created;
+    for (std::uint32_t c = first_consumer[out]; c < first_consumer[out + 1];
+         ++c) {
+      const std::uint32_t j = consumers[c];
+      if (--nodes[j].pending != 0) continue;
+      if (j > i) {
+        current.push_back(j);
+        std::push_heap(current.begin(), current.end(), heap_order);
+      } else {
+        later.push_back(j);
+      }
+    }
+    if (current.empty()) {
+      std::swap(current, later);
+      std::make_heap(current.begin(), current.end(), heap_order);
+    }
+  }
+  ODCFP_CHECK_MSG(created == n, "cyclic or underdriven netlist ("
+                                    << (n - created)
+                                    << " instances unresolved)");
+
+  for (const std::uint32_t out : m.outputs) {
+    const std::uint32_t net = aliases.canonical(out);
+    ODCFP_CHECK_MSG(net != kNoId, alias_cycle(m.names[out]));
+    ODCFP_CHECK_MSG(net_of[net] != kInvalidNet,
+                    "output '" << m.names[out] << "' has no driver");
+    nl.add_output(net_of[net], std::string(m.names[out]));
   }
   nl.validate(/*allow_dangling=*/true);
   return nl;
 }
 
-Netlist read_verilog_string(const std::string& text, const CellLibrary& lib) {
-  std::istringstream is(text);
-  return read_verilog(is, lib);
-}
-
 Netlist read_verilog_file(const std::string& path, const CellLibrary& lib) {
-  std::ifstream is(path);
-  ODCFP_CHECK_MSG(is.good(), "cannot open '" << path << "'");
-  return read_verilog(is, lib);
+  std::string text;
+  ODCFP_CHECK_MSG(atomic_io::read_file(path, &text),
+                  "cannot open '" << path << "'");
+  return read_verilog_string(text, lib);
 }
 
 }  // namespace odcfp

@@ -2,12 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cstddef>
+#include <string>
+#include <vector>
+
 #include "benchgen/benchmarks.hpp"
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "equiv/cec.hpp"
+#include "io/blif.hpp"
 
 namespace odcfp {
 namespace {
+
+// One NAND whose output reaches the port through an `assign`.
+const char* const kAliasText = R"(
+module top (a, b, y);
+  input a; input b;
+  output y;
+  wire n1;
+  NAND2 g1 (.A(a), .B(b), .Y(n1));
+  assign y = n1;
+endmodule
+)";
 
 TEST(VerilogWriter, EmitsParsableModule) {
   Netlist nl(&default_cell_library(), "m");
@@ -54,16 +73,7 @@ TEST(VerilogReader, EscapedIdentifiers) {
 }
 
 TEST(VerilogReader, HandlesAssignAliases) {
-  const char* text = R"(
-module top (a, b, y);
-  input a; input b;
-  output y;
-  wire n1;
-  NAND2 g1 (.A(a), .B(b), .Y(n1));
-  assign y = n1;
-endmodule
-)";
-  const Netlist nl = read_verilog_string(text, default_cell_library());
+  const Netlist nl = read_verilog_string(kAliasText, default_cell_library());
   EXPECT_EQ(nl.num_live_gates(), 1u);
   EXPECT_EQ(nl.outputs()[0].name, "y");
   // The alias resolves to the NAND output net.
@@ -106,6 +116,69 @@ TEST(VerilogReader, RejectsBadInput) {
                CheckError);  // undriven output
 }
 
+TEST(VerilogReader, RejectsAssignCycle) {
+  const auto expect_cycle = [](const char* text) {
+    try {
+      read_verilog_string(text, default_cell_library());
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("form a cycle"), std::string::npos)
+          << e.what();
+    }
+  };
+  // Reached from an instance pin.
+  expect_cycle("module m (a, f); input a; output f;\n"
+               "INV g (.A(x), .Y(f));\n"
+               "assign x = y; assign y = x;\nendmodule");
+  // Reached from an output port.
+  expect_cycle("module m (a, f); input a; output f;\n"
+               "INV g (.A(a), .Y(n));\n"
+               "assign f = x; assign x = y; assign y = x;\nendmodule");
+  // A gate output aliased to itself.
+  expect_cycle("module m (a, f); input a; output f;\n"
+               "INV g (.A(a), .Y(f));\n"
+               "assign f = f;\nendmodule");
+}
+
+TEST(VerilogReader, LongAssignChainResolves) {
+  // f = a0 = a1 = ... = a99999 = x, and x is the INV's output.
+  const int n = 100000;
+  std::string text =
+      "module m (a, f); input a; output f;\n"
+      "INV g (.A(a), .Y(x));\nassign f = a0;\n";
+  for (int i = 0; i < n; ++i) {
+    text += "assign a" + std::to_string(i) + " = ";
+    text += i + 1 < n ? 'a' + std::to_string(i + 1) : std::string("x");
+    text += ";\n";
+  }
+  text += "endmodule\n";
+  const Netlist nl = read_verilog_string(text, default_cell_library());
+  ASSERT_EQ(nl.outputs().size(), 1u);
+  EXPECT_EQ(nl.outputs()[0].name, "f");
+  EXPECT_EQ(nl.outputs()[0].net, nl.gate(nl.find_gate("g")).output);
+}
+
+TEST(VerilogReader, ConsumerFirstChainParses) {
+  // g<i> reads n<i-1> (g0 reads a); the text lists g99999 first and g0
+  // last. Each gate's only driver comes later in the text, so g<i> is
+  // created in pass i + 1 and gets id i.
+  const int n = 100000;
+  std::string text = "module m (a, f); input a; output f;\n";
+  for (int i = n - 1; i >= 0; --i) {
+    const std::string in = i == 0 ? "a" : 'n' + std::to_string(i - 1);
+    text += "INV g" + std::to_string(i) + " (.A(" + in + "), .Y(n" +
+            std::to_string(i) + "));\n";
+  }
+  text += "assign f = n" + std::to_string(n - 1) + ";\nendmodule\n";
+  const Netlist nl = read_verilog_string(text, default_cell_library());
+  ASSERT_EQ(nl.num_live_gates(), static_cast<std::size_t>(n));
+  EXPECT_EQ(nl.depth(), n);
+  for (int i = 0; i < n; ++i) {
+    ASSERT_EQ(nl.find_gate("g" + std::to_string(i)),
+              static_cast<GateId>(i));
+  }
+}
+
 TEST(VerilogWriter, FileIo) {
   const Netlist nl = make_benchmark("c17");
   const std::string path = testing::TempDir() + "/odcfp_c17.v";
@@ -114,6 +187,99 @@ TEST(VerilogWriter, FileIo) {
   EXPECT_TRUE(random_sim_equal(nl, back, 16, 3));
   EXPECT_THROW(read_verilog_file("/nonexistent/odcfp.v", nl.library()),
                CheckError);
+}
+
+// ------------------------------------------------------ hostile input
+
+/// The identifier-like words of `text`: the names an inserted `assign`
+/// draws from.
+std::vector<std::string> words_of(const std::string& text) {
+  std::vector<std::string> words;
+  std::string word;
+  for (const char c : text + " ") {
+    if (std::isalnum(static_cast<unsigned char>(c)) || c == '_') {
+      word += c;
+    } else if (!word.empty()) {
+      words.push_back(word);
+      word.clear();
+    }
+  }
+  return words;
+}
+
+/// `text` after one mutation drawn from `rng`: a flipped bit, a deleted or
+/// duplicated span, a truncation, two swapped lines, or an
+/// `assign <a> = <b>;` between two of `words` inserted at a line start.
+std::string mutate(std::string text, const std::vector<std::string>& words,
+                   Rng& rng) {
+  if (text.empty()) return text;
+  const std::size_t at = rng.next_below(text.size());
+  const std::size_t len =
+      1 + rng.next_below(std::min<std::size_t>(64, text.size() - at));
+  std::vector<std::string> lines;
+  for (std::size_t start = 0; start < text.size();) {
+    const std::size_t end = std::min(text.find('\n', start), text.size());
+    lines.push_back(text.substr(start, end + 1 - start));
+    start = end + 1;
+  }
+  switch (rng.next_below(6)) {
+    case 0:
+      text[at] = static_cast<char>(text[at] ^ (1 << rng.next_below(8)));
+      return text;
+    case 1:
+      return text.erase(at, len);
+    case 2:
+      return text.insert(at, text.substr(at, len));
+    case 3:
+      return text.substr(0, at);
+    case 4:
+      std::swap(lines[rng.next_below(lines.size())],
+                lines[rng.next_below(lines.size())]);
+      break;
+    default:
+      lines.insert(lines.begin() +
+                       static_cast<std::ptrdiff_t>(
+                           rng.next_below(lines.size() + 1)),
+                   "assign " + words[rng.next_below(words.size())] + " = " +
+                       words[rng.next_below(words.size())] + ";\n");
+      break;
+  }
+  std::string out;
+  for (const std::string& line : lines) out += line;
+  return out;
+}
+
+TEST(VerilogReaderFuzz, MutantsParseOrThrowCheckError) {
+  const CellLibrary& lib = default_cell_library();
+  const std::string texts[] = {to_verilog_string(make_benchmark("c17")),
+                               to_verilog_string(make_benchmark("c432")),
+                               kAliasText};
+  std::size_t parsed = 0, rejected = 0;
+  for (const std::string& base : texts) {
+    const std::vector<std::string> words = words_of(base);
+    Rng rng(0xf22);
+    for (int k = 0; k < 1000; ++k) {
+      std::string mutant = base;
+      for (std::uint64_t ops = 1 + rng.next_below(3); ops > 0; --ops) {
+        mutant = mutate(std::move(mutant), words, rng);
+      }
+      try {
+        const Netlist nl = read_verilog_string(mutant, lib);
+        ++parsed;
+        // Whatever the reader accepts, both writers format.
+        EXPECT_FALSE(to_verilog_string(nl).empty());
+        EXPECT_FALSE(to_blif_string(nl).empty());
+      } catch (const CheckError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "mutant " << k << " threw " << e.what() << ":\n"
+                      << mutant;
+      }
+    }
+  }
+  // Both outcomes occur: the mutants reach past the lexer.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace
