@@ -58,6 +58,12 @@ bool checked_line(std::string_view line, char* tag,
   return atomic_io::crc32(*payload) == recorded;
 }
 
+/// The diagnostic for a payload a newline would split into two lines.
+std::string newline_refusal(const std::string& path) {
+  return "refusing a record whose payload holds a newline for '" + path +
+         "'";
+}
+
 const Kind* find_kind(const Format& format, char tag) {
   for (const Kind& k : format.kinds) {
     if (k.tag == tag) return &k;
@@ -152,6 +158,10 @@ bool Fields::optional_u64(std::string_view key, std::uint64_t* out) {
   return !next_is(key) || u64(key, out);
 }
 
+bool Fields::optional_text(std::string_view key, std::string_view* out) {
+  return !next_is(key) || text(key, out);
+}
+
 bool Fields::tail(std::string_view key, std::string* out) {
   if (!take_key(key)) return false;
   *out = std::string(rest_);
@@ -188,6 +198,9 @@ bool parse_header_payload(std::string_view payload, JournalHeader* out) {
 atomic_io::WriteResult write_one(const std::string& path,
                                  std::string_view magic, char tag,
                                  std::string_view payload) {
+  if (payload.find('\n') != std::string_view::npos) {
+    return {false, newline_refusal(path)};
+  }
   std::string data(magic);
   data += '\n';
   data += format_line(tag, payload);
@@ -384,7 +397,11 @@ Outcome<Writer> Writer::create(const std::string& path, const Format& format,
     std::string prologue(format.magic);
     prologue += '\n';
     if (header != nullptr) {
-      prologue += format_line('H', header_payload(*header));
+      const std::string payload = header_payload(*header);
+      if (payload.find('\n') != std::string::npos) {
+        return Outcome<Writer>::malformed(newline_refusal(path));
+      }
+      prologue += format_line('H', payload);
     }
     std::string error;
     w.state_->fd = atomic_io::create_with_prologue(path, prologue, &error);
@@ -481,7 +498,11 @@ bool Writer::append(
     } else {
       const std::string line = make_line(s.next_seq);
       try {
-        diag = s.write_line(site, line);
+        // One record is one line: a newline inside it would leave a
+        // record that no replay can read back.
+        diag = line.find('\n') + 1 != line.size()
+                   ? newline_refusal(s.path)
+                   : s.write_line(site, line);
         if (diag.empty()) {
           if (site.sequenced) ++s.next_seq;
           if (site.fsync_fault != nullptr) ODCFP_FAULT_POINT(site.fsync_fault);

@@ -16,6 +16,10 @@
 // detail=), which runs to the end of the line. The batch and lease
 // journals carry a run header (JournalHeader) as an `H` record on line 2.
 //
+// Payloads. No writer writes a payload holding a newline: create,
+// append and write_one refuse it with a diagnostic, so no log or
+// one-record file can be written unreadable.
+//
 // Create. The magic line and header are written and fsync'd under a temp
 // name and renamed into place (atomic_io::create_with_prologue), so a
 // crash leaves either no log or the whole prologue, never an empty file.
@@ -114,6 +118,7 @@ class Fields {
   /// A field a later wire version added: when the next field is not
   /// `key=`, true with *out untouched, so older records still replay.
   bool optional_u64(std::string_view key, std::uint64_t* out);
+  bool optional_text(std::string_view key, std::string_view* out);
   /// The last field: its value is the rest of the payload.
   bool tail(std::string_view key, std::string* out);
   bool done() const { return rest_.empty(); }

@@ -85,6 +85,11 @@ LeaseChains lease_chains(const std::vector<LeaseRecord>& records) {
         break;
     }
   }
+  for (std::vector<LeaseInterval>& ivs : chains.shards) {
+    for (LeaseInterval& iv : ivs) {
+      if (!iv.closed) iv.end_wall_ns = chains.last_wall_ns;
+    }
+  }
   return chains;
 }
 

@@ -100,7 +100,9 @@ struct LeaseInterval {
   std::uint64_t epoch = 0;
   std::uint64_t pid = 0;
   std::uint64_t begin_wall_ns = 0;  ///< The grant's wall (0 = unknown).
-  std::uint64_t end_wall_ns = 0;    ///< The closing record's wall.
+  /// The closing record's wall; an open lease runs to the last wall
+  /// time the journal recorded.
+  std::uint64_t end_wall_ns = 0;
   bool closed = false;   ///< A revoked or done record of its epoch landed.
   bool revoked = false;  ///< ... and it was a revocation.
   std::string detail;    ///< The closing record's detail.
@@ -108,6 +110,12 @@ struct LeaseInterval {
   /// "open", "revoked" or "done".
   const char* end_name() const {
     return !closed ? "open" : revoked ? "revoked" : "done";
+  }
+  /// Wall time under the lease (0 when unknown).
+  std::uint64_t duration_ns() const {
+    return begin_wall_ns != 0 && end_wall_ns >= begin_wall_ns
+               ? end_wall_ns - begin_wall_ns
+               : 0;
   }
 };
 

@@ -23,7 +23,8 @@ MergeResult fail(Status status, std::string message) {
   return r;
 }
 
-std::string render_codebook(const RunSpec& spec, const Codebook& book) {
+std::string render_codebook(const RunSpec& spec,
+                            const CodebookSource& book) {
   std::ostringstream os;
   os << "odcfp-codebook 1\n"
      << "circuit=" << spec.circuit << " buyers=" << book.num_buyers()
@@ -31,7 +32,7 @@ std::string render_codebook(const RunSpec& spec, const Codebook& book) {
      << " bits=" << usable_bits(book.locations()) << "\n";
   for (std::size_t b = 0; b < book.num_buyers(); ++b) {
     os << "buyer " << b << " code";
-    const FingerprintCode& code = book.code(b);
+    const FingerprintCode code = book.code_of(b);
     for (std::size_t loc = 0; loc < code.size(); ++loc) {
       os << ' ' << loc << ':';
       for (std::size_t site = 0; site < code[loc].size(); ++site) {
@@ -47,7 +48,8 @@ std::string render_codebook(const RunSpec& spec, const Codebook& book) {
 }  // namespace
 
 MergeResult merge_run(
-    const std::string& run_dir, const RunSpec& spec, const Codebook& book,
+    const std::string& run_dir, const RunSpec& spec,
+    const CodebookSource& book,
     const std::vector<std::pair<std::size_t, std::size_t>>& ranges) {
   MergeResult result;
   const std::size_t n = spec.num_buyers;

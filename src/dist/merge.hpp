@@ -60,11 +60,12 @@ struct MergeResult {
 };
 
 /// Verifies all shards of `run_dir` (per `ranges`) and publishes the
-/// merged artifacts. `book` must be the codebook reconstructed from
-/// `spec` (the caller already has it; rebuilding here would repeat the
-/// location scan).
+/// merged artifacts. `book` must be the codebook RunInputs rebuilt
+/// from `spec` (the caller already has it; rebuilding here would repeat
+/// the location scan).
 MergeResult merge_run(
-    const std::string& run_dir, const RunSpec& spec, const Codebook& book,
+    const std::string& run_dir, const RunSpec& spec,
+    const CodebookSource& book,
     const std::vector<std::pair<std::size_t, std::size_t>>& ranges);
 
 }  // namespace odcfp::dist

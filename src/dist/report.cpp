@@ -6,11 +6,8 @@
 #include <string>
 #include <vector>
 
-#include "common/journal.hpp"
 #include "common/json_lite.hpp"
 #include "common/metrics.hpp"
-#include "dist/lease.hpp"
-#include "dist/shard.hpp"
 #include "dist/status.hpp"
 
 namespace odcfp::dist {
@@ -35,31 +32,24 @@ bool contains(const std::string& haystack, const char* needle) {
 RunReport analyze_run(const std::string& run_dir,
                       const ReportOptions& options) {
   RunReport report;
-
-  const Outcome<RunSpec> spec = read_run_spec(run_spec_path(run_dir));
-  if (spec.ok()) report.buyers = spec.value().num_buyers;
-
-  const Outcome<LeaseReplay> leases =
-      read_lease_journal(lease_journal_path(run_dir));
-  if (!leases.ok()) {
-    if (!spec.ok()) {
-      report.status = Status::kMalformedInput;
-      report.message = "report: '" + run_dir +
-                       "' has neither a readable run.spec nor a lease "
-                       "journal: " +
-                       leases.message();
-      return report;
-    }
-    // A run dir that never got to its first grant: reportable, empty.
-    report.message = "no usable lease journal (" + leases.message() + ")";
+  const RunStatusView run = load_run(run_dir);
+  report.buyers = run.buyers;
+  if (!run.have_spec && !run.have_leases) {
+    report.status = Status::kMalformedInput;
+    report.message = "report: '" + run_dir +
+                     "' has neither a readable run.spec nor a lease journal";
     return report;
   }
-  if (!leases.value().records.empty()) {
-    report.state = leases.value().merged ? "done" : "running";
+  if (!run.lease_error.empty()) {
+    // A lease journal that does not replay: reportable, empty.
+    report.message = "no usable lease journal (" + run.lease_error + ")";
+    return report;
   }
+  report.state = run.state;
+  report.committed = run.committed;
 
-  const LeaseChains chains = lease_chains(leases.value().records);
-  const std::size_t num_shards = chains.shards.size();
+  const LeaseChains& chains = run.chains;
+  const std::size_t num_shards = run.shards.size();
   report.shards.resize(num_shards);
   report.makespan_ns = chains.last_wall_ns >= chains.first_wall_ns
                            ? chains.last_wall_ns - chains.first_wall_ns
@@ -67,34 +57,23 @@ RunReport analyze_run(const std::string& run_dir,
 
   // ---- per-shard lease chain, costs, snapshots, heartbeat cadence ----
   for (std::size_t s = 0; s < num_shards; ++s) {
+    const ShardStatusView& shard = run.shards[s];
     ShardReportRow& row = report.shards[s];
     row.shard = s;
-    for (const LeaseInterval& lease : chains.shards[s]) {
+    row.chain = chains.shards[s];
+    for (const LeaseInterval& lease : row.chain) {
       row.epochs = std::max(row.epochs, lease.epoch);
-      LeaseIntervalReport iv;
-      iv.epoch = lease.epoch;
-      iv.pid = lease.pid;
-      iv.begin_wall_ns = lease.begin_wall_ns;
-      iv.end = lease.end_name();
-      iv.detail = lease.detail;
-      // A still-open lease runs to the last recorded wall time.
-      const std::uint64_t end =
-          lease.closed ? lease.end_wall_ns : chains.last_wall_ns;
-      if (iv.begin_wall_ns != 0 && end >= iv.begin_wall_ns) {
-        iv.duration_ns = end - iv.begin_wall_ns;
-      }
       if (!lease.closed) row.open = true;
-      row.lease_ns += iv.duration_ns;
+      row.lease_ns += lease.duration_ns();
       if (lease.revoked) {
-        row.lost_ns += iv.duration_ns;
+        row.lost_ns += lease.duration_ns();
         if (contains(lease.detail, "signal")) row.killed = true;
         if (contains(lease.detail, "heartbeat")) row.wedged = true;
       }
-      if (iv.begin_wall_ns != 0) {
-        row.end_wall_ns =
-            std::max(row.end_wall_ns, iv.begin_wall_ns + iv.duration_ns);
+      if (lease.begin_wall_ns != 0) {
+        row.end_wall_ns = std::max(row.end_wall_ns,
+                                   lease.begin_wall_ns + lease.duration_ns());
       }
-      row.chain.push_back(std::move(iv));
     }
     row.regrants = row.chain.size() > 1
                        ? static_cast<std::uint64_t>(row.chain.size()) - 1
@@ -102,35 +81,26 @@ RunReport analyze_run(const std::string& run_dir,
     report.regrant_events += row.regrants;
     report.lost_ns += row.lost_ns;
 
-    const Outcome<ShardStatus> snap =
-        read_status_snapshot(status_snapshot_path(run_dir, s));
-    if (snap.ok()) {
-      row.committed = snap.value().committed;
-      report.committed += snap.value().committed;
-      const metrics::HistData& h = snap.value().edition_ns;
-      if (!h.empty()) {
-        row.have_latency = true;
-        row.p50_ns = h.quantile_permille(500);
-        row.p99_ns = h.quantile_permille(990);
-      }
+    row.committed = shard.committed;
+    if (shard.have_snapshot && !shard.snap.edition_ns.empty()) {
+      const metrics::HistData& h = shard.snap.edition_ns;
+      row.have_latency = true;
+      row.p50_ns = h.quantile_permille(500);
+      row.p99_ns = h.quantile_permille(990);
     }
 
-    const Outcome<JournalReplay> jr =
-        read_journal(shard_journal_path(run_dir, s));
-    if (jr.ok()) {
-      std::vector<std::uint64_t> gaps;
-      std::uint64_t prev = 0;
-      for (const std::uint64_t hb : jr.value().heartbeat_walls) {
-        if (hb == 0) continue;
-        if (prev != 0 && hb >= prev) gaps.push_back(hb - prev);
-        prev = hb;
-        ++row.heartbeats;
-      }
-      if (!gaps.empty()) {
-        std::sort(gaps.begin(), gaps.end());
-        row.max_heartbeat_gap_ns = gaps.back();
-        row.median_heartbeat_gap_ns = gaps[gaps.size() / 2];
-      }
+    std::vector<std::uint64_t> gaps;
+    std::uint64_t prev = 0;
+    for (const std::uint64_t hb : shard.journal.heartbeat_walls) {
+      if (hb == 0) continue;
+      if (prev != 0 && hb >= prev) gaps.push_back(hb - prev);
+      prev = hb;
+      ++row.heartbeats;
+    }
+    if (!gaps.empty()) {
+      std::sort(gaps.begin(), gaps.end());
+      row.max_heartbeat_gap_ns = gaps.back();
+      row.median_heartbeat_gap_ns = gaps[gaps.size() / 2];
     }
   }
 
@@ -147,7 +117,7 @@ RunReport analyze_run(const std::string& run_dir,
   if (report.critical_path_shard != SIZE_MAX) {
     const ShardReportRow& cp = report.shards[report.critical_path_shard];
     std::uint64_t first_grant = 0;
-    for (const LeaseIntervalReport& iv : cp.chain) {
+    for (const LeaseInterval& iv : cp.chain) {
       if (iv.begin_wall_ns != 0 &&
           (first_grant == 0 || iv.begin_wall_ns < first_grant)) {
         first_grant = iv.begin_wall_ns;
@@ -171,12 +141,12 @@ RunReport analyze_run(const std::string& run_dir,
   }
   for (const ShardReportRow& row : report.shards) {
     const std::string tag = "shard " + std::to_string(row.shard);
-    for (const LeaseIntervalReport& iv : row.chain) {
-      if (iv.end == "revoked") {
+    for (const LeaseInterval& iv : row.chain) {
+      if (iv.revoked) {
         report.anomalies.push_back(
             tag + " epoch " + std::to_string(iv.epoch) + " revoked (" +
             (iv.detail.empty() ? std::string("no detail") : iv.detail) +
-            "), " + ms_text(iv.duration_ns) + " ms of work redone");
+            "), " + ms_text(iv.duration_ns()) + " ms of work redone");
       }
     }
     if (median_p99 != 0 && row.have_latency &&
@@ -236,9 +206,9 @@ std::string render_report_table(const RunReport& report) {
     os << "critical path: shard " << report.critical_path_shard << " ("
        << ms_text(report.critical_path_ns) << " ms";
     const ShardReportRow& cp = report.shards[report.critical_path_shard];
-    for (const LeaseIntervalReport& iv : cp.chain) {
-      os << "; e" << iv.epoch << " " << iv.end << " "
-         << ms_text(iv.duration_ns) << " ms";
+    for (const LeaseInterval& iv : cp.chain) {
+      os << "; e" << iv.epoch << " " << iv.end_name() << " "
+         << ms_text(iv.duration_ns()) << " ms";
     }
     os << ")\n";
   }
@@ -311,11 +281,11 @@ std::string render_report_json(const RunReport& report) {
        << ",\"trace_dropped\":" << row.trace_dropped
        << ",\"missing_traces\":" << row.missing_traces << ",\"chain\":[";
     for (std::size_t k = 0; k < row.chain.size(); ++k) {
-      const LeaseIntervalReport& iv = row.chain[k];
+      const LeaseInterval& iv = row.chain[k];
       if (k != 0) os << ',';
       os << "{\"epoch\":" << iv.epoch << ",\"pid\":" << iv.pid
-         << ",\"duration_ns\":" << iv.duration_ns << ",\"end\":";
-      os << jsonlite::quote(iv.end);
+         << ",\"duration_ns\":" << iv.duration_ns() << ",\"end\":";
+      os << jsonlite::quote(iv.end_name());
       os << ",\"detail\":";
       os << jsonlite::quote(iv.detail);
       os << '}';

@@ -1,10 +1,11 @@
-// Causal post-mortem analyzer for sharded run dirs (tools/odcfp_report).
+// Causal post-mortem analyzer for run dirs (tools/odcfp_report).
 //
 // Where src/dist/status.* answers "what is the run doing right now",
 // analyze_run answers "why did the run take as long as it did" — from
-// primary sources only (run.spec, the lease journal, shard journals,
-// status snapshots), so it works identically on a live run, a crashed
-// one, and a finished one. It derives:
+// primary sources only (run.spec, the lease journal if any, shard
+// journals, status snapshots: load_run), so it works identically on a
+// live run, a crashed one, and a finished one, sharded or a daemon
+// request. It derives:
 //
 //  * the critical path: the shard whose lease chain ends last, with the
 //    grant→regrant chain that explains the run's makespan;
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "common/budget.hpp"
+#include "dist/lease.hpp"
 #include "dist/stitch.hpp"
 
 namespace odcfp::dist {
@@ -38,18 +40,6 @@ struct ReportOptions {
   double latency_k = 3.0;
 };
 
-/// One lease interval of a shard's chain, in grant order.
-struct LeaseIntervalReport {
-  std::uint64_t epoch = 0;
-  std::uint64_t pid = 0;
-  std::uint64_t begin_wall_ns = 0;
-  std::uint64_t duration_ns = 0;
-  /// "done", "revoked", or "open" (no close record — live or the
-  /// supervisor itself died).
-  std::string end;
-  std::string detail;  ///< Close reason (revocations).
-};
-
 struct ShardReportRow {
   std::size_t shard = 0;
   std::uint64_t epochs = 0;    ///< Highest epoch granted.
@@ -57,7 +47,8 @@ struct ShardReportRow {
   bool killed = false;  ///< A revocation detail names a death signal.
   bool wedged = false;  ///< A revocation detail names a missed heartbeat.
   bool open = false;    ///< Last lease has no close record.
-  std::uint64_t committed = 0;  ///< From the last snapshot (0 if none).
+  /// From the last snapshot, or with none from the shard journal.
+  std::uint64_t committed = 0;
   std::uint64_t lease_ns = 0;   ///< Total wall time under lease.
   std::uint64_t lost_ns = 0;    ///< Lease time ending in revocation.
   std::uint64_t end_wall_ns = 0;  ///< When the shard's chain ended.
@@ -70,7 +61,8 @@ struct ShardReportRow {
   /// Folded from a StitchResult (fold_stitch); 0 until then.
   std::uint64_t trace_dropped = 0;
   std::uint64_t missing_traces = 0;
-  std::vector<LeaseIntervalReport> chain;
+  /// Its grants in order (an open one runs to the last recorded wall).
+  std::vector<LeaseInterval> chain;
 };
 
 struct RunReport {
@@ -79,11 +71,12 @@ struct RunReport {
   /// neither a readable run.spec nor a readable lease journal.
   Status status = Status::kOk;
   std::string message;
-  /// "idle" (no lease activity), "running" (in flight — or crashed; the
-  /// records cannot tell a live run from an abandoned one), "done".
+  /// RunStatusView::state: "idle", "running" (in flight — or crashed;
+  /// the records cannot tell a live run from an abandoned one), "done".
   std::string state = "idle";
   std::uint64_t buyers = 0;
-  std::uint64_t committed = 0;    ///< Sum of shard snapshot counts.
+  /// The shards' committed counts summed; every buyer once done.
+  std::uint64_t committed = 0;
   std::uint64_t makespan_ns = 0;  ///< First to last recorded wall time.
   /// The shard whose lease chain ends last — the one the run's makespan
   /// waited on. SIZE_MAX when no shard had a timestamped lease.

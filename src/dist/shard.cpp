@@ -23,20 +23,28 @@ std::string spec_payload(const RunSpec& spec) {
          " cbseed=" + std::to_string(spec.codebook_seed) +
          " bseed=" + std::to_string(spec.batch_seed) +
          " overhead=" + record_log::hex(overhead_bits, 16) +
+         (spec.codebook == CodebookKind::kStreaming ? " codebook=streaming"
+                                                    : "") +
          " label=" + spec.label;
 }
 
 bool parse_spec_payload(std::string_view payload, RunSpec* out) {
   record_log::Fields in(payload);
   std::string_view circuit;
+  std::string_view codebook = "materialized";
   std::uint64_t overhead_bits = 0;
   if (!in.text("circuit", &circuit) || !in.u64("buyers", &out->num_buyers) ||
       !in.u64("cbseed", &out->codebook_seed) ||
       !in.u64("bseed", &out->batch_seed) ||
-      !in.hex("overhead", &overhead_bits) || !in.tail("label", &out->label)) {
+      !in.hex("overhead", &overhead_bits) ||
+      !in.optional_text("codebook", &codebook) ||
+      (codebook != "materialized" && codebook != "streaming") ||
+      !in.tail("label", &out->label)) {
     return false;
   }
   out->circuit = std::string(circuit);
+  out->codebook = codebook == "streaming" ? CodebookKind::kStreaming
+                                          : CodebookKind::kMaterialized;
   std::memcpy(&out->max_delay_overhead, &overhead_bits,
               sizeof(overhead_bits));
   return true;
@@ -63,6 +71,24 @@ Outcome<RunSpec> read_run_spec(const std::string& path) {
       });
   if (!read.ok()) return Outcome<RunSpec>::malformed(read.message());
   return Outcome<RunSpec>::success(std::move(spec));
+}
+
+Outcome<bool> pin_run_spec(const std::string& run_dir, const RunSpec& spec) {
+  const std::string path = run_spec_path(run_dir);
+  if (!atomic_io::exists(path)) {
+    if (!atomic_io::make_dirs(run_dir)) {
+      return Outcome<bool>::malformed("cannot create run dir '" + run_dir +
+                                      "'");
+    }
+    return write_run_spec(path, spec);
+  }
+  const Outcome<RunSpec> on_disk = read_run_spec(path);
+  if (!on_disk.ok()) return Outcome<bool>::malformed(on_disk.message());
+  if (run_spec_crc(on_disk.value()) != run_spec_crc(spec)) {
+    return Outcome<bool>::malformed("run dir '" + run_dir +
+                                    "' already holds a different run.spec");
+  }
+  return Outcome<bool>::success(true);
 }
 
 std::uint32_t run_spec_crc(const RunSpec& spec) {

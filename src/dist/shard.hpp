@@ -1,24 +1,32 @@
-// Shard geometry and on-disk layout of a distributed fingerprinting run.
+// Shard geometry and on-disk layout of a fingerprinting run.
 //
-// A sharded run lives in one `run_dir`:
+// Every shipped order lives in one `run_dir`, whether a supervisor
+// shards it across worker processes (src/dist/supervisor.*) or the
+// daemon runs it in-process as a one-shard run (src/service/server.*,
+// `state/runs/req_<n>`):
 //
 //   run_dir/run.spec          — the run's full configuration (RunSpec),
-//                               written once by the supervisor and read
-//                               by every worker process, so workers
-//                               reconstruct the golden netlist and the
-//                               codebook themselves instead of trusting
-//                               bytes shipped over a pipe.
+//                               written (or cross-checked) once before
+//                               any shard runs, so every process rebuilds
+//                               the golden netlist and the codebook
+//                               itself (dist::RunInputs) instead of
+//                               trusting bytes shipped over a pipe.
 //   run_dir/leases.odcfp      — the supervisor's lease journal
-//                               (src/dist/lease.hpp).
+//                               (src/dist/lease.hpp). A run without one
+//                               (a daemon request) has as its shards the
+//                               shard journals on disk.
 //   run_dir/shard_<i>.journal — one write-ahead journal per shard
-//                               (src/common/journal.hpp); the worker
-//                               holding shard i appends lifecycle and
-//                               heartbeat records here.
-//   run_dir/editions/         — shared artifact directory; every worker
+//                               (src/common/journal.hpp); whoever stamps
+//                               shard i (src/dist/runner.hpp) appends
+//                               lifecycle and heartbeat records here.
+//   run_dir/status_<i>.snap   — shard i's last self-reported progress,
+//                               published only by a heartbeating runner
+//                               (src/dist/status.hpp).
+//   run_dir/editions/         — shared artifact directory; every shard
 //                               publishes `edition_<buyer>.blif` via
 //                               atomic_io into this one directory.
-//   run_dir/merged/           — deterministic merged outputs
-//                               (src/dist/merge.hpp).
+//   run_dir/merged/           — deterministic merged outputs of a
+//                               supervised run (src/dist/merge.hpp).
 //   run_dir/traces/           — Chrome-trace capture of the run (when
 //                               DistOptions::capture_traces):
 //                               `supervisor.json` plus one
@@ -47,12 +55,19 @@
 
 namespace odcfp::dist {
 
-/// Everything a worker needs to rebuild the run's inputs from scratch.
+/// How a run derives its buyers' codewords. The two kinds emit different
+/// codewords for the same seed (src/fingerprint/streaming_codebook.hpp).
+enum class CodebookKind : std::uint8_t {
+  kMaterialized,  ///< Codebook: sharded runs.
+  kStreaming,     ///< StreamingCodebook: daemon requests.
+};
+
+/// Everything a process needs to rebuild the run's inputs from scratch.
 /// The golden netlist is reconstructed via make_benchmark(circuit) — a
 /// deterministic function of the name — and the codebook via
-/// find_locations + Codebook(locs, num_buyers, codebook_seed), so every
-/// process derives bit-identical inputs without any netlist bytes
-/// crossing the process boundary.
+/// find_locations plus the codebook of `codebook`'s kind over
+/// (num_buyers, codebook_seed), so every process derives bit-identical
+/// inputs without any netlist bytes crossing the process boundary.
 struct RunSpec {
   std::string circuit;            ///< Benchmark name (make_benchmark).
   std::uint64_t num_buyers = 0;   ///< Global codebook size.
@@ -62,6 +77,9 @@ struct RunSpec {
   /// file stores the raw IEEE-754 bits, not a decimal rendering).
   double max_delay_overhead = 0;
   std::string label;              ///< Journal header label.
+  /// Stored (as `codebook=streaming`) only for a streaming spec, so a
+  /// materialized spec's bytes and run_spec_crc predate the field.
+  CodebookKind codebook = CodebookKind::kMaterialized;
 };
 
 /// Writes `spec` to `path` (atomic publish): a magic line, then one
@@ -70,6 +88,11 @@ Outcome<bool> write_run_spec(const std::string& path, const RunSpec& spec);
 
 /// Reads a run.spec back; kMalformedInput on framing/CRC damage.
 Outcome<RunSpec> read_run_spec(const std::string& path);
+
+/// Writes `spec` as `run_dir`'s run.spec (making the dir), or, when one
+/// is already there, requires it to be the same spec: a run dir never
+/// mixes two runs.
+Outcome<bool> pin_run_spec(const std::string& run_dir, const RunSpec& spec);
 
 /// CRC-32 of the spec's canonical wire payload. Stored in the lease
 /// journal header as its config checksum, so a lease journal replayed

@@ -11,7 +11,6 @@
 #include "common/fault.hpp"
 #include "common/json_lite.hpp"
 #include "common/record_log.hpp"
-#include "dist/shard.hpp"
 
 namespace odcfp::dist {
 
@@ -226,73 +225,91 @@ std::string render_run_status_table(const RunStatusView& view) {
   return os.str();
 }
 
-RunStatusView inspect_run_dir(const std::string& run_dir,
-                              std::int64_t stall_threshold_ms) {
-  RunStatusView view;
-
-  Outcome<RunSpec> spec = read_run_spec(run_spec_path(run_dir));
-  if (spec.ok()) view.buyers = spec.value().num_buyers;
-
-  // Shard ownership from the lease journal; tolerate its absence (a run
-  // dir before the first grant) and replay damage (the replay already
-  // stops at a torn tail).
-  std::vector<ShardLease> states;
-  bool merged = false;
-  bool any_lease_records = false;
-  std::size_t num_shards = 0;
+RunStatusView load_run(const std::string& run_dir) {
+  RunStatusView run;
+  const Outcome<RunSpec> spec = read_run_spec(run_spec_path(run_dir));
+  if (spec.ok()) {
+    run.have_spec = true;
+    run.buyers = spec.value().num_buyers;
+  }
+  LeaseReplay leases;
   const std::string lease_path = lease_journal_path(run_dir);
   if (atomic_io::exists(lease_path)) {
     Outcome<LeaseReplay> replayed = read_lease_journal(lease_path);
     if (replayed.ok()) {
-      const LeaseReplay& replay = replayed.value();
-      any_lease_records = !replay.records.empty();
-      for (const LeaseRecord& r : replay.records) {
-        if (r.event == LeaseEvent::kMerged) merged = true;
-        num_shards = std::max(num_shards,
-                              static_cast<std::size_t>(r.shard) + 1);
-      }
-    }
-    // Probe past the lease journal: a shard can have a journal or a
-    // snapshot before its first lease record is durable.
-    while (atomic_io::exists(shard_journal_path(run_dir, num_shards)) ||
-           atomic_io::exists(
-               status_snapshot_path(run_dir, num_shards))) {
-      ++num_shards;
-    }
-    if (replayed.ok()) {
-      states = replayed.value().lease_states(num_shards);
-    }
-  } else {
-    while (atomic_io::exists(shard_journal_path(run_dir, num_shards)) ||
-           atomic_io::exists(
-               status_snapshot_path(run_dir, num_shards))) {
-      ++num_shards;
+      run.have_leases = true;
+      leases = std::move(replayed).value();
+      run.chains = lease_chains(leases.records);
+    } else {
+      run.lease_error = replayed.message();
     }
   }
-  if (states.size() < num_shards) states.resize(num_shards);
 
-  view.state = merged ? "done" : (any_lease_records ? "running" : "idle");
-
+  // Probe past the lease journal: a shard can have a journal or a
+  // snapshot before its first lease record is durable.
+  std::size_t num_shards = run.chains.shards.size();
+  while (atomic_io::exists(shard_journal_path(run_dir, num_shards)) ||
+         atomic_io::exists(status_snapshot_path(run_dir, num_shards))) {
+    ++num_shards;
+  }
+  run.chains.shards.resize(num_shards);
+  const std::vector<ShardLease> states = leases.lease_states(num_shards);
+  bool any_journal = false;
+  run.shards.resize(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    ShardStatusView sv;
-    sv.shard = s;
-    sv.state = states[s].state;
-    sv.epoch = states[s].epoch;
+    ShardStatusView& shard = run.shards[s];
+    shard.shard = s;
+    shard.state = states[s].state;
+    shard.epoch = states[s].epoch;
+    Outcome<JournalReplay> journal =
+        read_journal(shard_journal_path(run_dir, s));
+    if (journal.ok()) {
+      any_journal = true;
+      shard.journal = std::move(journal).value();
+    }
     Outcome<ShardStatus> snap =
         read_status_snapshot(status_snapshot_path(run_dir, s));
     if (snap.ok()) {
-      sv.snap = std::move(snap).value();
-      sv.have_snapshot = true;
-      view.committed += sv.snap.committed;
+      shard.have_snapshot = true;
+      shard.snap = std::move(snap).value();
+      shard.committed = shard.snap.committed;
+    } else {
+      for (const BuyerPhase phase :
+           shard.journal.phase_of(shard.journal.header.num_buyers)) {
+        if (phase == BuyerPhase::kCommitted) ++shard.committed;
+      }
     }
-    sv.heartbeat_age_ms = mtime_age_ms(shard_journal_path(run_dir, s));
+    run.committed += shard.committed;
+  }
+
+  if (run.have_leases) {
+    if (leases.merged) {
+      run.state = "done";
+    } else if (!leases.records.empty()) {
+      run.state = "running";
+    }
+  } else if (run.lease_error.empty() && any_journal) {
+    // No supervisor: the shards are the journals on disk, done together.
+    run.state = run.buyers > 0 && run.committed == run.buyers ? "done"
+                                                              : "running";
+    if (run.state == "done") {
+      for (ShardStatusView& shard : run.shards) shard.state = ShardState::kDone;
+    }
+  }
+  // A done run has every buyer committed (a merge re-verified each);
+  // stale snapshots must not make it look partial.
+  if (run.state == "done") run.committed = run.buyers;
+  return run;
+}
+
+RunStatusView inspect_run_dir(const std::string& run_dir,
+                              std::int64_t stall_threshold_ms) {
+  RunStatusView view = load_run(run_dir);
+  for (ShardStatusView& sv : view.shards) {
+    sv.heartbeat_age_ms = mtime_age_ms(shard_journal_path(run_dir, sv.shard));
     sv.stalled = sv.state == ShardState::kLeased &&
                  sv.heartbeat_age_ms >= stall_threshold_ms;
-    view.shards.push_back(std::move(sv));
   }
-  // The merge re-verified every buyer; stale snapshots must not make a
-  // finished run look partial.
-  if (merged) view.committed = view.buyers;
   return view;
 }
 

@@ -1,6 +1,6 @@
-// Live status plane of a sharded run: per-shard snapshots, the
-// aggregated run_status.json, and the primary-source inspector behind
-// tools/odcfp_status.
+// Status plane of a run: per-shard snapshots, the aggregated
+// run_status.json of a supervised run, and the run-dir loader behind
+// tools/odcfp_status and tools/odcfp_report.
 //
 // Two kinds of status exist and must not be confused:
 //
@@ -21,9 +21,14 @@
 //    ANY shard count, thread count, and crash schedule — the chaos
 //    suite enforces this.
 //
-// inspect_run_dir() composes a RunStatusView from primary sources only
-// (run.spec, the lease journal, shard journals, snapshots) — never from
-// run_status.json itself — so it works identically on a live run, a
+// load_run() reads a run dir's records once — run.spec, the lease
+// journal if any, and every shard's journal and snapshot on disk — and is
+// the one reader behind inspect_run_dir(), analyze_run() (dist/report.*)
+// and stitch_run() (dist/stitch.*). A run without a lease journal, such
+// as a daemon request, has as its shards the shard journals on disk, so
+// all three read a request dir like any other run dir. inspect_run_dir()
+// adds only the clock-derived heartbeat ages: it reads primary sources,
+// never run_status.json itself, so it works identically on a live run, a
 // crashed one, and a finished one.
 #pragma once
 
@@ -32,8 +37,10 @@
 #include <vector>
 
 #include "common/budget.hpp"
+#include "common/journal.hpp"
 #include "common/metrics.hpp"
 #include "dist/lease.hpp"
+#include "dist/shard.hpp"
 
 namespace odcfp::dist {
 
@@ -87,7 +94,9 @@ Outcome<ShardStatus> read_status_snapshot(const std::string& path);
 
 // ---- aggregated view ----
 
-/// One shard's row in the aggregated run status.
+/// One shard of a run as its run dir records it, plus its heartbeat age
+/// and stall flag, which only a clock tells (inspect_run_dir and the
+/// supervisor fill those; load_run leaves them unknown).
 struct ShardStatusView {
   std::size_t shard = 0;
   ShardState state = ShardState::kUnassigned;
@@ -95,6 +104,10 @@ struct ShardStatusView {
   /// Last published self-report; meaningful only when have_snapshot.
   ShardStatus snap;
   bool have_snapshot = false;
+  /// Its journal replayed (empty when absent or unreadable).
+  JournalReplay journal;
+  /// The snapshot's committed count, or with no snapshot the journal's.
+  std::uint64_t committed = 0;
   /// Milliseconds since the shard journal last grew (proof of life);
   /// -1 when unknown (no journal yet).
   std::int64_t heartbeat_age_ms = -1;
@@ -103,13 +116,32 @@ struct ShardStatusView {
 };
 
 struct RunStatusView {
-  /// "running" (shards outstanding), "done" (merge record landed), or
-  /// "idle" (no lease activity — e.g. a run dir before any grant).
+  /// "done": the merge record landed or, in a run without a lease
+  /// journal, every buyer of the spec is committed. "running": the lease
+  /// journal holds records or, without one, a shard journal exists.
+  /// "idle": neither.
   std::string state = "idle";
   std::uint64_t buyers = 0;     ///< Global buyer count (run.spec).
-  std::uint64_t committed = 0;  ///< Sum of the shards' committed counts.
+  /// The shards' committed counts summed; every buyer once done.
+  std::uint64_t committed = 0;
+  /// Every shard the lease journal names, then on up while a shard
+  /// journal or snapshot exists on disk.
   std::vector<ShardStatusView> shards;
+
+  // The rest of what load_run read.
+  bool have_spec = false;
+  /// A lease journal exists and replays; its chains hold one entry per
+  /// shard (empty ones without it).
+  bool have_leases = false;
+  LeaseChains chains;
+  /// Why a lease journal that exists does not replay ("" otherwise).
+  std::string lease_error;
 };
+
+/// Reads `run_dir` once: run.spec, the lease journal if any, and every
+/// shard's journal and snapshot on disk. Unreadable or torn inputs
+/// degrade to "absent", never to an error, and no clock is read.
+RunStatusView load_run(const std::string& run_dir);
 
 /// Renders the LIVE aggregate (schedule-dependent: rates, ages, stall
 /// flags). Deterministic serialization of whatever the view holds.
@@ -126,12 +158,9 @@ std::string render_final_run_status_json(
 /// Renders the view as a fixed-width text table (tools/odcfp_status).
 std::string render_run_status_table(const RunStatusView& view);
 
-/// Builds a RunStatusView from the run dir's primary sources: run.spec
-/// (buyers), the lease journal (shard states, epochs, merge record),
-/// `status_<shard>.snap` files (progress), and shard-journal mtimes
-/// (heartbeat age). Unreadable or torn inputs degrade to "unknown",
-/// never to an error — the inspector must work on a half-dead run. A
-/// leased shard silent for >= stall_threshold_ms is flagged stalled.
+/// load_run() plus shard-journal mtimes (heartbeat age): it works on a
+/// live, a crashed and a finished run alike. A leased shard silent for
+/// >= stall_threshold_ms is flagged stalled.
 RunStatusView inspect_run_dir(const std::string& run_dir,
                               std::int64_t stall_threshold_ms = 5'000);
 

@@ -7,10 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/journal.hpp"
 #include "common/trace.hpp"
-#include "dist/lease.hpp"
-#include "dist/shard.hpp"
 #include "dist/status.hpp"
 
 namespace odcfp::dist {
@@ -18,35 +15,34 @@ namespace odcfp::dist {
 StitchResult stitch_run(const std::string& run_dir,
                         const StitchOptions& options) {
   StitchResult result;
-  const Outcome<LeaseReplay> leases =
-      read_lease_journal(lease_journal_path(run_dir));
-  if (!leases.ok()) {
+  const RunStatusView run = load_run(run_dir);
+  const std::size_t num_shards = run.shards.size();
+  if (!run.have_leases &&
+      (!run.lease_error.empty() || run.state == "idle")) {
     result.status = Status::kMalformedInput;
-    result.message = "stitch: no usable lease journal in '" + run_dir +
-                     "': " + leases.message();
+    result.message = "stitch: no usable lease journal or shard journal in '" +
+                     run_dir + "'" +
+                     (run.lease_error.empty() ? "" : ": " + run.lease_error);
     return result;
   }
 
-  // ---- lease intervals (primary source #1) ----
-  const LeaseChains chains = lease_chains(leases.value().records);
-  const std::vector<std::vector<LeaseInterval>>& intervals = chains.shards;
-  const std::size_t num_shards = intervals.size();
+  // Primary sources, read once by load_run: lease intervals, shard
+  // journals and snapshots.
+  const LeaseChains& chains = run.chains;
   const std::uint64_t first_wall = chains.first_wall_ns;
   const std::uint64_t last_wall = chains.last_wall_ns;
 
   // ---- parse every candidate trace file in parallel ----
   // Index 0 is the supervisor; then one slot per (shard, grant) in shard
-  // then epoch order. parallel_map assembles by index, so the decoded
-  // vector — and everything downstream — is thread-count invariant.
-  std::vector<std::string> trace_paths;
-  std::vector<std::pair<std::size_t, std::size_t>> trace_owner;
-  trace_paths.push_back(supervisor_trace_path(run_dir));
-  trace_owner.emplace_back(SIZE_MAX, 0);
+  // then epoch order, shard s's from first_trace[s]. parallel_map
+  // assembles by index, so the decoded vector — and everything
+  // downstream — is thread-count invariant.
+  std::vector<std::string> trace_paths = {supervisor_trace_path(run_dir)};
+  std::vector<std::size_t> first_trace(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    for (std::size_t k = 0; k < intervals[s].size(); ++k) {
-      trace_paths.push_back(
-          shard_trace_path(run_dir, s, intervals[s][k].epoch));
-      trace_owner.emplace_back(s, k);
+    first_trace[s] = trace_paths.size();
+    for (const LeaseInterval& iv : run.chains.shards[s]) {
+      trace_paths.push_back(shard_trace_path(run_dir, s, iv.epoch));
     }
   }
   auto [parsed, parse_status] = parallel_map(
@@ -56,36 +52,6 @@ StitchResult stitch_run(const std::string& run_dir,
   const trace::TraceFile& sup = parsed[0];
   result.supervisor_trace = sup.parsed;
 
-  // Per-(shard, interval) parse slots for ordered assembly below.
-  std::vector<std::vector<const trace::TraceFile*>> shard_traces(
-      num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    shard_traces[s].resize(intervals[s].size(), nullptr);
-  }
-  for (std::size_t i = 1; i < parsed.size(); ++i) {
-    shard_traces[trace_owner[i].first][trace_owner[i].second] = &parsed[i];
-  }
-
-  // ---- shard journals + snapshots (primary sources #2 and #3) ----
-  std::vector<JournalReplay> journals(num_shards);
-  std::vector<bool> have_journal(num_shards, false);
-  std::vector<ShardStatus> snaps(num_shards);
-  std::vector<bool> have_snap(num_shards, false);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    Outcome<JournalReplay> jr =
-        read_journal(shard_journal_path(run_dir, s));
-    if (jr.ok()) {
-      journals[s] = std::move(jr).value();
-      have_journal[s] = true;
-    }
-    Outcome<ShardStatus> snap =
-        read_status_snapshot(status_snapshot_path(run_dir, s));
-    if (snap.ok()) {
-      snaps[s] = std::move(snap).value();
-      have_snap[s] = true;
-    }
-  }
-
   // ---- the stitched origin: minimum recorded wall time anywhere ----
   std::uint64_t t0 = 0;
   auto fold_min = [&t0](std::uint64_t wall) {
@@ -93,16 +59,12 @@ StitchResult stitch_run(const std::string& run_dir,
   };
   fold_min(first_wall);
   for (const trace::TraceFile& t : parsed) fold_min(t.origin_wall_ns);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (have_journal[s]) {
-      for (const JournalEntry& e : journals[s].entries) {
-        fold_min(e.wall_ns);
-      }
-      for (const std::uint64_t hb : journals[s].heartbeat_walls) {
-        fold_min(hb);
-      }
+  for (const ShardStatusView& shard : run.shards) {
+    for (const JournalEntry& e : shard.journal.entries) fold_min(e.wall_ns);
+    for (const std::uint64_t hb : shard.journal.heartbeat_walls) {
+      fold_min(hb);
     }
-    if (have_snap[s]) fold_min(snaps[s].wall_ns);
+    if (shard.have_snapshot) fold_min(shard.snap.wall_ns);
   }
   result.origin_wall_ns = t0;
   const auto rel = [t0](std::uint64_t wall) { return wall - t0; };
@@ -148,6 +110,8 @@ StitchResult stitch_run(const std::string& run_dir,
   // Shard processes (pid 2 + s).
   result.shards.resize(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
+    const ShardStatusView& shard = run.shards[s];
+    const std::vector<LeaseInterval>& chain = chains.shards[s];
     ShardStitchInfo& info = result.shards[s];
     info.shard = s;
     const std::size_t pid = 2 + s;
@@ -159,12 +123,12 @@ StitchResult stitch_run(const std::string& run_dir,
     // tid 0: one span per lease interval. Open leases (still running, or
     // cut short by a supervisor SIGKILL before any close record) extend
     // to the last wall time the journal recorded.
-    for (const LeaseInterval& iv : intervals[s]) {
+    for (const LeaseInterval& iv : chain) {
       info.epochs_granted = std::max(info.epochs_granted, iv.epoch);
       const std::uint64_t begin = iv.begin_wall_ns;
       if (begin == 0) continue;  // record predates wall= field
       const std::uint64_t end =
-          iv.closed && iv.end_wall_ns >= begin ? iv.end_wall_ns : last_wall;
+          iv.end_wall_ns >= begin ? iv.end_wall_ns : last_wall;
       out.event("lease", 'X', pid, 0)
           .time("ts", rel(begin))
           .time("dur", end >= begin ? end - begin : 0)
@@ -178,9 +142,9 @@ StitchResult stitch_run(const std::string& run_dir,
 
     // tid 1: per-buyer embedding→committed spans plus verified/failed
     // instants, straight from the shard journal's lifecycle records.
-    if (have_journal[s]) {
+    {
       std::map<std::uint64_t, std::uint64_t> open_embed;
-      for (const JournalEntry& e : journals[s].entries) {
+      for (const JournalEntry& e : shard.journal.entries) {
         if (e.wall_ns == 0) continue;
         switch (e.phase) {
           case BuyerPhase::kEmbedding:
@@ -212,24 +176,24 @@ StitchResult stitch_run(const std::string& run_dir,
     }
 
     // tid 2: the last published snapshot as a committed-count counter.
-    if (have_snap[s] && snaps[s].wall_ns != 0) {
+    if (shard.have_snapshot && shard.snap.wall_ns != 0) {
       out.event("committed", 'C', pid, 2)
-          .time("ts", rel(snaps[s].wall_ns))
-          .arg("value", snaps[s].committed);
-      if (snaps[s].done != 0) {
+          .time("ts", rel(shard.snap.wall_ns))
+          .arg("value", shard.snap.committed);
+      if (shard.snap.done != 0) {
         out.event("done", 'i', pid, 2)
             .thread_scope()
-            .time("ts", rel(snaps[s].wall_ns));
+            .time("ts", rel(shard.snap.wall_ns));
       }
     }
 
     // Worker traces, epoch by epoch, tids remapped so epochs never
     // collide: epoch*65536 + 16 + recorder tid (0..15 reserved for the
     // synthesized tracks above).
-    for (std::size_t k = 0; k < intervals[s].size(); ++k) {
-      const trace::TraceFile* t = shard_traces[s][k];
-      const std::uint64_t epoch = intervals[s][k].epoch;
-      if (t == nullptr || !t->parsed || !t->have_anchor) {
+    for (std::size_t k = 0; k < chain.size(); ++k) {
+      const trace::TraceFile* t = &parsed[first_trace[s] + k];
+      const std::uint64_t epoch = chain[k].epoch;
+      if (!t->parsed || !t->have_anchor) {
         ++info.missing_traces;
         ++result.missing_traces;
         continue;

@@ -73,8 +73,9 @@ struct ShardStitchInfo {
 
 struct StitchResult {
   /// kOk whenever a timeline could be produced (even for a crashed or
-  /// still-live run); kMalformedInput when the run dir has no readable
-  /// lease journal to anchor the reconstruction on.
+  /// still-live run); kMalformedInput when the run dir has neither a
+  /// readable lease journal nor, lacking any lease journal, a shard
+  /// journal to anchor the reconstruction on.
   Status status = Status::kOk;
   std::string message;
   /// The stitched Chrome trace JSON. Byte-identical given identical
@@ -91,8 +92,9 @@ struct StitchResult {
   std::vector<ShardStitchInfo> shards;
 };
 
-/// Stitches `run_dir` (live, crashed, or finished). Reads only recorded
-/// data — journals, snapshots, trace files — never a clock.
+/// Stitches `run_dir` (live, crashed, or finished; sharded, or a daemon
+/// request with no lease journal). Reads only recorded data — load_run()
+/// and trace files — never a clock.
 StitchResult stitch_run(const std::string& run_dir,
                         const StitchOptions& options = {});
 

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <thread>
 
-#include "benchgen/benchmarks.hpp"
 #include "common/atomic_io.hpp"
 #include "common/fault.hpp"
 #include "common/log.hpp"
@@ -16,9 +15,8 @@
 #include "common/trace.hpp"
 #include "dist/lease.hpp"
 #include "dist/merge.hpp"
+#include "dist/runner.hpp"
 #include "dist/status.hpp"
-#include "fingerprint/location.hpp"
-#include "netlist/netlist.hpp"
 
 namespace odcfp::dist {
 
@@ -133,36 +131,19 @@ DistResult run_supervised_batch(const RunSpec& spec,
   }
   ScopedRunTrace run_trace(options.capture_traces, options.run_dir, spec);
 
-  // Fail fast on an unknown circuit and reconstruct the inputs the merge
-  // needs — the same deterministic derivation every worker performs.
-  Netlist golden;
+  // Fail fast on an unknown circuit and rebuild the inputs the merge
+  // needs — the same derivation every worker performs — then publish (or
+  // cross-check) run.spec, which workers read their configuration from.
+  std::optional<RunInputs> inputs;
   try {
-    golden = make_benchmark(spec.circuit);
+    inputs.emplace(spec);
   } catch (const std::exception& e) {
     return fail(Status::kMalformedInput,
-                "cannot build golden netlist for circuit '" + spec.circuit +
+                "cannot build the inputs of circuit '" + spec.circuit +
                     "': " + e.what());
   }
-  const std::vector<FingerprintLocation> locs = find_locations(golden);
-  const Codebook book(locs, spec.num_buyers, spec.codebook_seed);
-
-  // Publish (or cross-check) run.spec: workers read their whole
-  // configuration from it, and a run_dir must never mix two specs.
-  const std::string spec_path = run_spec_path(options.run_dir);
-  if (atomic_io::exists(spec_path)) {
-    Outcome<RunSpec> on_disk = read_run_spec(spec_path);
-    if (!on_disk.ok()) {
-      return fail(on_disk.status(), on_disk.message());
-    }
-    if (run_spec_crc(on_disk.value()) != run_spec_crc(spec)) {
-      return fail(Status::kMalformedInput,
-                  "run dir '" + options.run_dir +
-                      "' already holds a different run.spec");
-    }
-  } else {
-    Outcome<bool> wrote = write_run_spec(spec_path, spec);
-    if (!wrote.ok()) return fail(wrote.status(), wrote.message());
-  }
+  const Outcome<bool> pinned = pin_run_spec(options.run_dir, spec);
+  if (!pinned.ok()) return fail(pinned.status(), pinned.message());
 
   const auto ranges = shard_ranges(spec.num_buyers, options.num_shards);
   result.shards = ranges.size();
@@ -453,7 +434,8 @@ DistResult run_supervised_batch(const RunSpec& spec,
   }
 
   // ------------------------------------------------ deterministic merge
-  MergeResult merged = merge_run(options.run_dir, spec, book, ranges);
+  MergeResult merged =
+      merge_run(options.run_dir, spec, *inputs->book, ranges);
   if (merged.status != Status::kOk) {
     return fail(merged.status, "merge failed: " + merged.message);
   }

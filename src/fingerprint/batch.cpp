@@ -206,6 +206,7 @@ ResumableBatchResult batch_fingerprint_resumable(
   rr.journal_path = journal_path;
   const std::size_t n = book.num_buyers();
   rr.artifacts.assign(n, "");
+  rr.artifact_crcs.assign(n, 0);
 
   const auto fail = [&rr](std::string msg) -> ResumableBatchResult& {
     rr.status = Status::kMalformedInput;
@@ -363,6 +364,7 @@ ResumableBatchResult batch_fingerprint_resumable(
           slot.status = Status::kOk;
           slot.code = book.code_of(b);
           rr.artifacts[b] = committed_path[b];
+          rr.artifact_crcs[b] = committed_crc[b];
           recovered_count.fetch_add(1, std::memory_order_relaxed);
           committed_count.fetch_add(1, std::memory_order_relaxed);
           TELEM_COUNT("batch.editions_recovered", 1);
@@ -376,6 +378,7 @@ ResumableBatchResult batch_fingerprint_resumable(
         rp.seed ^= slot.seed;  // per-buyer schedule, scheduling-free
         if (rp.budget == nullptr) rp.budget = bo.budget;
         BuyerEdition edition;
+        std::uint32_t crc = 0;
         std::string permanent_error;
         const RetryStats rs = retry_with_backoff(
             "batch.edition", rp, [&](int) -> Status {
@@ -404,8 +407,8 @@ ResumableBatchResult batch_fingerprint_resumable(
               if (!atomic_io::write_file_atomic(path, blif).ok) {
                 return Status::kExhausted;
               }
-              if (!journal.append(b, BuyerPhase::kCommitted, path,
-                                  atomic_io::crc32(blif))) {
+              crc = atomic_io::crc32(blif);
+              if (!journal.append(b, BuyerPhase::kCommitted, path, crc)) {
                 return Status::kExhausted;
               }
               return Status::kOk;
@@ -415,6 +418,7 @@ ResumableBatchResult batch_fingerprint_resumable(
         if (rs.status == Status::kOk) {
           rr.batch.editions[b] = std::move(edition);
           rr.artifacts[b] = path;
+          rr.artifact_crcs[b] = crc;
           committed_count.fetch_add(1, std::memory_order_relaxed);
           TELEM_COUNT("batch.editions_stamped", 1);
         } else if (rs.status != Status::kExhausted) {

@@ -209,6 +209,9 @@ struct ResumableBatchResult {
   BatchResult batch;
   /// Final artifact path per buyer ("" while not committed).
   std::vector<std::string> artifacts;
+  /// CRC-32 of each committed artifact, as its commit record pins it
+  /// (0 while not committed).
+  std::vector<std::uint32_t> artifact_crcs;
   /// Buyers skipped because the journal proved them committed (artifact
   /// present with the recorded checksum).
   std::size_t recovered = 0;

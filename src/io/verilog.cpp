@@ -53,14 +53,23 @@ bool is(char c, std::uint8_t classes) {
   return (kByteClass[static_cast<unsigned char>(c)] & classes) != 0;
 }
 
+/// The words the reader gives meaning to; a name spelling one is escaped.
+bool is_keyword(std::string_view s) {
+  for (const std::string_view k :
+       {"module", "endmodule", "input", "output", "wire", "assign"}) {
+    if (s == k) return true;
+  }
+  return false;
+}
+
 bool is_plain_identifier(std::string_view s) {
-  if (s.empty() || !is(s[0], kIdStart)) return false;
+  if (s.empty() || !is(s[0], kIdStart) || is_keyword(s)) return false;
   return std::all_of(s.begin(), s.end(),
                      [](char c) { return is(c, kIdChar); });
 }
 
 /// Appends `name`, escaped (\name followed by a space) unless it is a
-/// plain identifier.
+/// plain identifier that is no keyword.
 void append_id(std::string& out, std::string_view name) {
   if (is_plain_identifier(name)) {
     out += name;
@@ -164,7 +173,18 @@ void write_verilog_file(const std::string& path, const Netlist& nl) {
 
 namespace {
 
-/// Tokens over the caller's text, as views into it.
+/// One token, a view into the caller's text.
+struct Token {
+  std::string_view text;
+  /// An escaped identifier: its text is a name, never punctuation or a
+  /// keyword, whatever it spells.
+  bool escaped = false;
+
+  bool is(std::string_view word) const { return !escaped && text == word; }
+  bool empty() const { return text.empty(); }
+};
+
+/// Tokens over the caller's text.
 class Lexer {
  public:
   explicit Lexer(std::string_view text) : text_(text) {}
@@ -172,7 +192,7 @@ class Lexer {
   /// The next token; empty at end of input. ( ) ; , = . and NUL are
   /// one-byte tokens. An escaped identifier (\ up to the next whitespace)
   /// comes back without its backslash.
-  std::string_view next() {
+  Token next() {
     skip_space_and_comments();
     const std::size_t start = pos_;
     if (start >= text_.size()) return {};
@@ -180,11 +200,11 @@ class Lexer {
       ++pos_;
       while (pos_ < text_.size() && !is(text_[pos_], kSpace)) ++pos_;
       ODCFP_CHECK_MSG(pos_ > start + 1, "empty escaped identifier");
-      return text_.substr(start + 1, pos_ - start - 1);
+      return {text_.substr(start + 1, pos_ - start - 1), true};
     }
-    if (is(text_[start], kPunct)) return text_.substr(pos_++, 1);
+    if (is(text_[start], kPunct)) return {text_.substr(pos_++, 1)};
     while (pos_ < text_.size() && !is(text_[pos_], kEndsWord)) ++pos_;
-    return text_.substr(start, pos_ - start);
+    return {text_.substr(start, pos_ - start)};
   }
 
  private:
@@ -242,9 +262,9 @@ constexpr std::size_t kScannedPins = 16;
 ParsedModule parse_module(std::string_view text) {
   Lexer lex(text);
   auto expect = [&lex](std::string_view want) {
-    const std::string_view got = lex.next();
-    ODCFP_CHECK_MSG(got == want,
-                    "expected '" << want << "', got '" << got << "'");
+    const Token got = lex.next();
+    ODCFP_CHECK_MSG(got.is(want),
+                    "expected '" << want << "', got '" << got.text << "'");
   };
   ParsedModule m;
   std::unordered_map<std::string_view, std::uint32_t> ids;
@@ -256,62 +276,62 @@ ParsedModule parse_module(std::string_view text) {
     return it->second;
   };
 
-  std::string_view tok = lex.next();
-  ODCFP_CHECK_MSG(tok == "module", "expected 'module'");
-  m.name = lex.next();
+  Token tok = lex.next();
+  ODCFP_CHECK_MSG(tok.is("module"), "expected 'module'");
+  m.name = lex.next().text;
   // Skip the port list — directions come from the declarations.
   tok = lex.next();
-  if (tok == "(") {
-    while (tok != ")") {
+  if (tok.is("(")) {
+    while (!tok.is(")")) {
       tok = lex.next();
       ODCFP_CHECK_MSG(!tok.empty(), "unterminated port list");
     }
     expect(";");
   } else {
-    ODCFP_CHECK_MSG(tok == ";", "malformed module header");
+    ODCFP_CHECK_MSG(tok.is(";"), "malformed module header");
   }
 
   std::unordered_set<std::string_view> many_pins;
   for (;;) {
     tok = lex.next();
     ODCFP_CHECK_MSG(!tok.empty(), "unexpected end of file (no endmodule)");
-    if (tok == "endmodule") break;
-    if (tok == "input" || tok == "output" || tok == "wire") {
-      std::vector<std::uint32_t>* list = tok == "input"    ? &m.inputs
-                                         : tok == "output" ? &m.outputs
-                                                           : nullptr;
+    if (tok.is("endmodule")) break;
+    if (tok.is("input") || tok.is("output") || tok.is("wire")) {
+      std::vector<std::uint32_t>* list = tok.is("input")    ? &m.inputs
+                                         : tok.is("output") ? &m.outputs
+                                                            : nullptr;
       for (;;) {
-        const std::string_view name = lex.next();
+        const Token name = lex.next();
         ODCFP_CHECK_MSG(!name.empty(), "unterminated declaration");
-        if (list != nullptr) list->push_back(intern(name));
-        const std::string_view sep = lex.next();
-        if (sep == ";") break;
-        ODCFP_CHECK_MSG(sep == ",", "bad declaration separator");
+        if (list != nullptr) list->push_back(intern(name.text));
+        const Token sep = lex.next();
+        if (sep.is(";")) break;
+        ODCFP_CHECK_MSG(sep.is(","), "bad declaration separator");
       }
       continue;
     }
-    if (tok == "assign") {
-      const std::string_view lhs = lex.next();
+    if (tok.is("assign")) {
+      const std::string_view lhs = lex.next().text;
       expect("=");
-      const std::string_view rhs = lex.next();
+      const std::string_view rhs = lex.next().text;
       expect(";");
       m.assigns.emplace_back(intern(lhs), intern(rhs));
       continue;
     }
     // Cell instance.
     ParsedInstance inst;
-    inst.cell = tok;
-    inst.name = lex.next();
+    inst.cell = tok.text;
+    inst.name = lex.next().text;
     inst.first_pin = static_cast<std::uint32_t>(m.pins.size());
     expect("(");
     for (;;) {
       tok = lex.next();
-      if (tok == ")") break;
-      ODCFP_CHECK_MSG(tok == ".", "expected '.pin(' in instance '"
-                                      << inst.name << "'");
-      const std::string_view pin = lex.next();
+      if (tok.is(")")) break;
+      ODCFP_CHECK_MSG(tok.is("."), "expected '.pin(' in instance '"
+                                       << inst.name << "'");
+      const std::string_view pin = lex.next().text;
       expect("(");
-      const std::string_view net = lex.next();
+      const std::string_view net = lex.next().text;
       expect(")");
       const auto first = m.pins.begin() + inst.first_pin;
       const std::size_t have = m.pins.size() - inst.first_pin;
@@ -332,8 +352,8 @@ ParsedModule parse_module(std::string_view text) {
                                                     << inst.name << "'");
       m.pins.push_back({pin, intern(net)});
       tok = lex.next();
-      if (tok == ")") break;
-      ODCFP_CHECK_MSG(tok == ",", "bad pin separator");
+      if (tok.is(")")) break;
+      ODCFP_CHECK_MSG(tok.is(","), "bad pin separator");
     }
     expect(";");
     inst.end_pin = static_cast<std::uint32_t>(m.pins.size());

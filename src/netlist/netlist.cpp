@@ -38,6 +38,8 @@ void Netlist::add_output(NetId net, const std::string& port_name) {
   OutputPort p;
   p.net = net;
   p.name = port_name.empty() ? nets_[net].name : port_name;
+  ODCFP_CHECK_MSG(port_names_.insert(p.name).second,
+                  "duplicate output port '" << p.name << "'");
   pos_.push_back(std::move(p));
   ++nets_[net].num_output_ports;
 }

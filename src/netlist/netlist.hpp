@@ -17,6 +17,7 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "library/cell_library.hpp"
@@ -74,7 +75,8 @@ class Netlist {
   /// Creates a primary input. Name must be unique (empty = auto).
   NetId add_input(const std::string& name = {});
 
-  /// Declares net `net` as (the target of) a primary output port.
+  /// Declares net `net` as (the target of) a primary output port. The
+  /// port name (empty = the net's) must be unused by every other port.
   void add_output(NetId net, const std::string& port_name = {});
 
   /// Creates a gate of cell `cell` with the given fanin nets and a fresh
@@ -186,6 +188,7 @@ class Netlist {
   std::vector<Net> nets_;
   std::vector<NetId> pis_;
   std::vector<OutputPort> pos_;
+  std::unordered_set<std::string> port_names_;
   std::unordered_map<std::string, NetId> net_by_name_;
   std::unordered_map<std::string, GateId> gate_by_name_;
   /// Tombstoned gate ids whose output nets are free for reuse — keeps

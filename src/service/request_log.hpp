@@ -17,12 +17,15 @@
 //       artifact digest for completed runs.
 //
 // Replay contract (restart after SIGKILL): every A without a matching T
-// is re-enqueued. Each request's own batch journal
-// (state_dir/runs/req_<id>/batch.journal) then resumes its per-buyer
-// work byte-identically, so a request interrupted mid-run completes
-// with exactly the artifacts an uninterrupted run would have produced —
-// the soak test's "zero accepted-then-lost, byte-identical artifacts"
-// guarantee is the composition of these two logs.
+// is re-enqueued. Each request's run dir (state_dir/runs/req_<id>, a
+// one-shard run: run.spec, shard_0.journal, editions/) then resumes its
+// per-buyer work byte-identically from the shard journal, so a request
+// interrupted mid-run completes with exactly the artifacts an
+// uninterrupted run would have produced — the soak test's "zero
+// accepted-then-lost, byte-identical artifacts" guarantee is the
+// composition of these two logs. A request dir an older daemon left
+// (its journal under another name, no run.spec) is re-stamped in full
+// under this layout, to the same bytes.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +39,10 @@
 namespace odcfp::service {
 
 /// Everything needed to run one fingerprinting request. All fields ride
-/// the wire and the request log; replay reconstructs inputs from them
-/// alone (golden netlist via make_benchmark(circuit), codewords via
-/// StreamingCodebook(locations, buyers, seed)).
+/// the wire and the request log; replay rebuilds the run's inputs from
+/// them alone (a streaming-codebook dist::RunSpec and dist::RunInputs).
+/// `tenant` and `label` hold no byte below 0x20: the shape gate refuses
+/// one, since a newline would split the logged record.
 struct RequestSpec {
   std::string tenant;
   std::string circuit;       ///< benchgen name (make_benchmark)

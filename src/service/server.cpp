@@ -25,12 +25,8 @@
 #include "common/record_log.hpp"
 #include "common/telemetry.hpp"
 #include "common/trace.hpp"
-#include "fingerprint/batch.hpp"
-#include "fingerprint/location.hpp"
-#include "fingerprint/streaming_codebook.hpp"
-#include "power/power.hpp"
+#include "dist/runner.hpp"
 #include "service/wire.hpp"
-#include "timing/sta.hpp"
 
 namespace odcfp::service {
 
@@ -46,6 +42,33 @@ struct RequestState {
   std::uint64_t enqueue_steady_ns = 0;
   bool replayed = false;
 };
+
+/// The run a request is: a streaming-codebook run whose seed drives both
+/// the codebook and the batch.
+dist::RunSpec run_spec_of(const RequestSpec& spec, double max_delay_overhead) {
+  dist::RunSpec run;
+  run.circuit = spec.circuit;
+  run.num_buyers = spec.buyers;
+  run.codebook_seed = spec.seed;
+  run.batch_seed = spec.seed;
+  run.max_delay_overhead = max_delay_overhead;
+  run.label = spec.label.empty() ? spec.circuit : spec.label;
+  run.codebook = dist::CodebookKind::kStreaming;
+  return run;
+}
+
+/// Digest over the committed artifacts: crc32 of the per-buyer
+/// "buyer:crc\n" lines in buyer order, each crc the one its commit
+/// record pinned. Deterministic because artifact bytes are.
+std::uint32_t artifact_digest(const ResumableBatchResult& rr) {
+  atomic_io::Crc32 digest;
+  for (std::size_t b = 0; b < rr.artifacts.size(); ++b) {
+    if (rr.artifacts[b].empty()) continue;
+    digest.update(std::to_string(b) + ':' +
+                  record_log::hex(rr.artifact_crcs[b], 8) + '\n');
+  }
+  return digest.value();
+}
 
 }  // namespace
 
@@ -99,10 +122,20 @@ struct Server::Impl {
     }
     spec.verify = verify != 0;
 
-    // Gate 1: shape. Cheap, total, and before any accounting.
+    // Gate 1: shape. Cheap, total, and before any accounting. A control
+    // byte in a logged text field would split its request-log record.
+    const auto has_control_byte = [](const std::string& text) {
+      return std::any_of(text.begin(), text.end(), [](char c) {
+        return static_cast<unsigned char>(c) < 0x20;
+      });
+    };
     std::string shape_error;
     if (spec.tenant.empty()) {
       shape_error = "missing tenant=";
+    } else if (has_control_byte(spec.tenant)) {
+      shape_error = "tenant= holds a control byte";
+    } else if (has_control_byte(spec.label)) {
+      shape_error = "label= holds a control byte";
     } else if (spec.circuit.empty()) {
       shape_error = "missing circuit=";
     } else if (bad_number != nullptr) {
@@ -300,7 +333,7 @@ struct Server::Impl {
     std::string error;
     if (!request_log.append_terminal(terminal, &error)) {
       // The outcome is real but not durable: the successor will re-run
-      // the request (idempotent via its batch journal) and re-record.
+      // the request (idempotent via its shard journal) and re-record.
       log::warn("service.terminal_not_durable")
           .field("id", id)
           .field("error", error);
@@ -317,22 +350,6 @@ struct Server::Impl {
       else ++counters.failed;
     }
     state_cv.notify_all();
-  }
-
-  /// Digest over the committed artifacts: crc32 of the per-buyer
-  /// "buyer:crc\n" lines in buyer order. Deterministic because artifact
-  /// bytes are (thread-count-independent) deterministic.
-  std::uint32_t artifact_digest(const std::vector<std::string>& artifacts) {
-    atomic_io::Crc32 digest;
-    for (std::size_t b = 0; b < artifacts.size(); ++b) {
-      if (artifacts[b].empty()) continue;
-      std::string bytes;
-      if (!atomic_io::read_file(artifacts[b], &bytes)) continue;
-      std::ostringstream os;
-      os << b << ':' << record_log::hex(atomic_io::crc32(bytes), 8) << '\n';
-      digest.update(os.str());
-    }
-    return digest.value();
   }
 
   void run_request(std::uint64_t id) {
@@ -382,34 +399,25 @@ struct Server::Impl {
     Budget budget;
     budget.with_deadline_ms(remaining_ms).with_cancel(stop_token);
 
+    // The request is shard 0 of its own run dir, run by the same runner
+    // as a sharded run's workers.
     const std::string run_dir = run_dir_of(config.state_dir, id);
+    const dist::RunSpec run = run_spec_of(spec, config.max_delay_overhead);
     try {
-      const Netlist golden = make_benchmark(spec.circuit);
-      const std::vector<FingerprintLocation> locs = find_locations(golden);
-      if (spec.buyers > StreamingCodebook::capacity(locs)) {
+      const dist::RunInputs inputs(run);
+      const Outcome<bool> pinned = dist::pin_run_spec(run_dir, run);
+      if (!pinned.ok()) {
         TerminalRecord t;
         t.outcome = "failed";
-        t.detail = "buyers exceed codeword capacity of '" + spec.circuit +
-                   "'";
+        t.detail = pinned.message();
         finish(id, std::move(t));
         return;
       }
-      const StreamingCodebook book(locs, spec.buyers, spec.seed);
-      const StaticTimingAnalyzer sta;
-      const PowerAnalyzer power;
-
-      ResumeOptions options;
-      options.artifact_dir = run_dir + "/editions";
-      options.label = spec.label.empty() ? spec.circuit : spec.label;
-      options.batch.seed = spec.seed;
-      options.batch.max_delay_overhead = config.max_delay_overhead;
-      options.batch.pool = pool.get();
-      options.batch.budget = &budget;
-      options.retry.seed = spec.seed;
-      options.retry.budget = &budget;
-
-      const ResumableBatchResult rr = batch_fingerprint_resumable(
-          run_dir + "/batch.journal", golden, book, sta, power, options);
+      dist::ShardOptions shard;
+      shard.pool = pool.get();
+      shard.budget = &budget;
+      const ResumableBatchResult rr =
+          dist::run_shard(run_dir, run, inputs, shard);
 
       if (stopping.load(std::memory_order_relaxed) &&
           rr.status != Status::kOk) {
@@ -428,7 +436,7 @@ struct Server::Impl {
       t.committed = committed;
       if (rr.status == Status::kOk) {
         t.outcome = "completed";
-        t.artifact_crc = artifact_digest(rr.artifacts);
+        t.artifact_crc = artifact_digest(rr);
         if (spec.verify) {
           // Freshly stamped editions get a CEC pass under whatever
           // budget remains (recovered editions were verified by the run
@@ -439,7 +447,7 @@ struct Server::Impl {
           cec.budget = &budget;
           std::size_t checked = 0, proven = 0;
           const auto verdicts = batch_verify_equivalence(
-              golden, rr.batch.editions, cec);
+              inputs.golden, rr.batch.editions, cec);
           for (std::size_t b = 0; b < verdicts.size(); ++b) {
             if (rr.batch.editions[b].netlist.num_gates() == 0) continue;
             ++checked;

@@ -10,10 +10,14 @@
 //
 // Durability: every admitted request is fsynced into the request log
 // (service/request_log.hpp) BEFORE the accepted reply is sent, and each
-// request's per-buyer work is journal-backed (batch_fingerprint_
-// resumable), so a daemon killed at any instant — SIGKILL included —
-// restarts, replays its logs, and finishes every admitted request with
-// byte-identical artifacts. Graceful stop (SIGTERM → stop()) stops
+// request runs as shard 0 of its own run dir, `state_dir/runs/req_<id>`
+// (layout: dist/shard.hpp): a streaming-codebook run.spec, written or
+// cross-checked before the run, then dist::run_shard — the runner a
+// sharded run's workers use — journaling in `shard_0.journal` and
+// publishing `editions/`. A daemon killed at any instant — SIGKILL
+// included — restarts, replays its logs, and finishes every admitted
+// request with byte-identical artifacts; odcfp_status and odcfp_report
+// read a request dir like any other run dir. Graceful stop (SIGTERM → stop()) stops
 // accepting, cancels in-flight budgets, and deliberately leaves the
 // interrupted requests non-terminal: they are the successor's replay
 // work list.
@@ -48,8 +52,9 @@ namespace odcfp::service {
 struct ServiceConfig {
   /// Unix socket the daemon listens on (must fit sockaddr_un).
   std::string socket_path;
-  /// State directory: request log, per-request run dirs. Created if
-  /// missing; an existing request log is replayed.
+  /// State directory: the request log and `runs/req_<id>`, one run dir
+  /// per request. Created if missing; an existing request log is
+  /// replayed.
   std::string state_dir;
   /// Executor threads running requests. 0 = accept-and-queue only
   /// (deterministic admission tests/bench phases; a later daemon on the
@@ -113,7 +118,7 @@ class Server {
   const std::string& socket_path() const;
   const std::string& state_dir() const;
 
-  /// Per-request run directory (artifacts live in <dir>/editions/).
+  /// Per-request run dir: run.spec, shard_0.journal, editions/.
   static std::string run_dir_of(const std::string& state_dir,
                                 std::uint64_t id);
   static std::string request_log_path(const std::string& state_dir);

@@ -176,6 +176,19 @@ TEST(BlifDiagnostics, RejectsInputDeclaredAfterNamesDefinition) {
   EXPECT_NE(msg.find("line 6"), std::string::npos);
 }
 
+TEST(BlifDiagnostics, RejectsDuplicateOutputPort) {
+  const SopNetwork sop = read_blif_string(
+      ".model x\n.inputs a\n.outputs f f\n.names a f\n1 1\n.end\n");
+  try {
+    map_to_cells(sop, default_cell_library());
+    FAIL() << "duplicate output port accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate output port 'f'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(BlifTryRead, SuccessAndMalformedOutcomes) {
   const Outcome<SopNetwork> good = try_read_blif_string(kSmallBlif);
   ASSERT_TRUE(good.ok());

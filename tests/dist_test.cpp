@@ -117,6 +117,39 @@ TEST(Shard, RunSpecRoundTripsBitExactly) {
   EXPECT_EQ(run_spec_crc(back.value()), run_spec_crc(spec));
 }
 
+TEST(Shard, RunSpecRoundTripsTheCodebookKind) {
+  const std::string dir = fresh_dir("spec_kind");
+  const RunSpec materialized = test_spec();
+  RunSpec streaming = test_spec();
+  streaming.codebook = CodebookKind::kStreaming;
+  ASSERT_TRUE(write_run_spec(dir + "/m.spec", materialized).ok());
+  ASSERT_TRUE(write_run_spec(dir + "/s.spec", streaming).ok());
+  std::string m_bytes, s_bytes;
+  ASSERT_TRUE(atomic_io::read_file(dir + "/m.spec", &m_bytes));
+  ASSERT_TRUE(atomic_io::read_file(dir + "/s.spec", &s_bytes));
+  // Only a streaming spec stores its kind.
+  EXPECT_EQ(m_bytes.find("codebook="), std::string::npos) << m_bytes;
+  EXPECT_NE(s_bytes.find(" codebook=streaming label=dist test\n"),
+            std::string::npos)
+      << s_bytes;
+  const Outcome<RunSpec> m_back = read_run_spec(dir + "/m.spec");
+  const Outcome<RunSpec> s_back = read_run_spec(dir + "/s.spec");
+  ASSERT_TRUE(m_back.ok()) << m_back.message();
+  ASSERT_TRUE(s_back.ok()) << s_back.message();
+  EXPECT_EQ(m_back.value().codebook, CodebookKind::kMaterialized);
+  EXPECT_EQ(s_back.value().codebook, CodebookKind::kStreaming);
+  EXPECT_EQ(s_back.value().label, "dist test");
+  EXPECT_EQ(run_spec_crc(s_back.value()), run_spec_crc(streaming));
+  // The two kinds emit different codewords, so a run dir holding one
+  // refuses the other.
+  EXPECT_NE(run_spec_crc(streaming), run_spec_crc(materialized));
+  ASSERT_TRUE(pin_run_spec(dir, materialized).ok());
+  EXPECT_TRUE(pin_run_spec(dir, materialized).ok());
+  const Outcome<bool> mixed = pin_run_spec(dir, streaming);
+  EXPECT_EQ(mixed.status(), Status::kMalformedInput);
+  EXPECT_NE(mixed.message().find("different run.spec"), std::string::npos);
+}
+
 TEST(Shard, DamagedRunSpecIsRejected) {
   const std::string path = fresh_dir("spec_bad") + "/run.spec";
   ASSERT_TRUE(write_run_spec(path, test_spec()).ok());

@@ -289,6 +289,60 @@ TYPED_TEST(RecordLog, ConcurrentAppendsReplayIntact) {
   EXPECT_EQ(TypeParam::records(out.value()), kThreads * kPerThread);
 }
 
+// A payload holding a newline would split its record into two lines,
+// and the second would fail every later replay: each writer refuses it
+// (the request log's append, the journal and lease headers, run.spec),
+// writes nothing, and stays usable.
+TEST(RecordLog, WritersRefuseAPayloadHoldingANewline) {
+  const std::string dir = std::string(::testing::TempDir()) +
+                          "record_log_test_newline";
+  atomic_io::make_dirs(dir);
+
+  const std::string requests = dir + "/requests.odcfp";
+  std::remove(requests.c_str());
+  auto log = service::RequestLog::create(requests);
+  ASSERT_TRUE(log.ok()) << log.message();
+  service::AdmittedRecord admitted;
+  admitted.id = 1;
+  admitted.spec.tenant = "acme";
+  admitted.spec.circuit = "c17";
+  admitted.spec.buyers = 2;
+  admitted.spec.label = "two\nlines";
+  std::string error;
+  EXPECT_FALSE(log.value().append_admitted(admitted, &error));
+  EXPECT_NE(error.find("newline"), std::string::npos) << error;
+  admitted.spec.label = "one line";
+  EXPECT_TRUE(log.value().append_admitted(admitted, &error)) << error;
+  log.value().close();
+  const auto replay = service::read_request_log(requests);
+  ASSERT_TRUE(replay.ok()) << replay.message();
+  ASSERT_EQ(replay.value().admitted.size(), 1u);
+  EXPECT_EQ(replay.value().admitted[0].spec.label, "one line");
+
+  JournalHeader header = run_header();
+  header.label = "two\nlines";
+  const std::string journal = dir + "/shard_0.journal";
+  std::remove(journal.c_str());
+  const Outcome<Journal> created = Journal::create(journal, header);
+  EXPECT_EQ(created.status(), Status::kMalformedInput);
+  EXPECT_NE(created.message().find("newline"), std::string::npos);
+  EXPECT_FALSE(atomic_io::exists(journal));
+  const std::string leases = dir + "/leases.odcfp";
+  std::remove(leases.c_str());
+  EXPECT_EQ(dist::LeaseJournal::create(leases, header).status(),
+            Status::kMalformedInput);
+  EXPECT_FALSE(atomic_io::exists(leases));
+
+  dist::RunSpec spec;
+  spec.circuit = "c17";
+  spec.num_buyers = 2;
+  spec.label = "two\nlines";
+  const std::string spec_path = dir + "/run.spec";
+  std::remove(spec_path.c_str());
+  EXPECT_FALSE(dist::write_run_spec(spec_path, spec).ok());
+  EXPECT_FALSE(atomic_io::exists(spec_path));
+}
+
 // ---- golden lines: one per record kind, as the format has always been
 // written. Each must replay, and re-format to the same bytes.
 
@@ -383,6 +437,26 @@ TEST(RecordLogGolden, RequestLogLinesRoundTrip) {
   ASSERT_TRUE(log.value().append_terminal(out.value().terminal.at(17)));
   log.value().close();
   EXPECT_EQ(read_bytes(rewritten), prologue + a_line + t_line);
+}
+
+// A materialized spec — every sharded run's — keeps the bytes and the
+// run_spec_crc (the lease journal's config checksum) it had before the
+// codebook kind existed; these were written by that older build.
+TEST(RecordLogGolden, MaterializedRunSpecKeepsItsBytes) {
+  dist::RunSpec spec;
+  spec.circuit = "c880";
+  spec.num_buyers = 64;
+  spec.codebook_seed = 23;
+  spec.batch_seed = 5;
+  spec.max_delay_overhead = 0.1;
+  spec.label = "c880 order x64";
+  const std::string path = temp_file("materialized.spec");
+  ASSERT_TRUE(dist::write_run_spec(path, spec).ok());
+  EXPECT_EQ(read_bytes(path),
+            "odcfp-runspec 1\n"
+            "S 7638da9f circuit=c880 buyers=64 cbseed=23 bseed=5 "
+            "overhead=3fb999999999999a label=c880 order x64\n");
+  EXPECT_EQ(dist::run_spec_crc(spec), 0x7638da9fu);
 }
 
 TEST(RecordLogGolden, OneRecordFilesRoundTrip) {

@@ -21,6 +21,10 @@
 #include "common/atomic_io.hpp"
 #include "common/check.hpp"
 #include "common/fault.hpp"
+#include "dist/report.hpp"
+#include "dist/shard.hpp"
+#include "dist/status.hpp"
+#include "dist/stitch.hpp"
 #include "fingerprint/location.hpp"
 #include "fingerprint/streaming_codebook.hpp"
 #include "gtest/gtest.h"
@@ -605,6 +609,106 @@ TEST(ServiceServer, CompletesAndVerifiesARequest) {
   EXPECT_EQ(stats.value().admitted, 1u);
   EXPECT_EQ(stats.value().completed, 1u);
   server.value()->stop();
+}
+
+// A request is shard 0 of its own run dir, so the run-dir readers that
+// serve sharded runs read it like any other: finished, every buyer
+// committed, with a streaming-codebook run.spec.
+TEST(ServiceServer, RequestDirReadsLikeAnyRunDir) {
+  const std::string dir = temp_dir("request_dir");
+  auto server = Server::start(base_config(dir));
+  ASSERT_TRUE(server.ok()) << server.message();
+  Client client(server.value()->socket_path());
+  auto reply = client.submit(c17_spec(7));
+  ASSERT_TRUE(reply.ok()) << reply.message();
+  ASSERT_TRUE(reply.value().accepted);
+  auto status = client.wait(reply.value().id, 120'000);
+  ASSERT_TRUE(status.ok()) << status.message();
+  ASSERT_EQ(status.value().state, "completed");
+  server.value()->stop();
+
+  const std::string run_dir =
+      Server::run_dir_of(server.value()->state_dir(), reply.value().id);
+  const Outcome<dist::RunSpec> spec =
+      dist::read_run_spec(dist::run_spec_path(run_dir));
+  ASSERT_TRUE(spec.ok()) << spec.message();
+  EXPECT_EQ(spec.value().codebook, dist::CodebookKind::kStreaming);
+  EXPECT_EQ(spec.value().num_buyers, 3u);
+
+  const dist::RunStatusView view = dist::inspect_run_dir(run_dir);
+  EXPECT_EQ(view.state, "done");
+  EXPECT_EQ(view.buyers, 3u);
+  EXPECT_EQ(view.committed, 3u);
+  ASSERT_EQ(view.shards.size(), 1u);
+  EXPECT_EQ(view.shards[0].state, dist::ShardState::kDone);
+
+  const dist::RunReport report = dist::analyze_run(run_dir);
+  EXPECT_EQ(report.status, Status::kOk) << report.message;
+  EXPECT_EQ(report.state, "done");
+  EXPECT_EQ(report.buyers, 3u);
+  EXPECT_EQ(report.committed, 3u);
+  EXPECT_EQ(dist::stitch_run(run_dir).status, Status::kOk);
+}
+
+// An order past its circuit's streaming-codeword capacity fails with a
+// plain diagnostic before anything is stamped.
+TEST(ServiceServer, OrderPastCodewordCapacityFails) {
+  const std::string dir = temp_dir("capacity");
+  auto server = Server::start(base_config(dir));
+  ASSERT_TRUE(server.ok()) << server.message();
+  Client client(server.value()->socket_path());
+  const Netlist golden = make_benchmark("c17");
+  RequestSpec spec = c17_spec();
+  spec.buyers = StreamingCodebook::capacity(find_locations(golden)) + 1;
+  auto reply = client.submit(spec);
+  ASSERT_TRUE(reply.ok()) << reply.message();
+  ASSERT_TRUE(reply.value().accepted);
+  auto status = client.wait(reply.value().id, 120'000);
+  ASSERT_TRUE(status.ok()) << status.message();
+  EXPECT_EQ(status.value().state, "failed");
+  EXPECT_EQ(status.value().committed, 0u);
+  EXPECT_EQ(status.value().detail, "buyers exceed codeword capacity of 'c17'");
+  server.value()->stop();
+}
+
+// A control byte in a logged text field would split its request-log
+// record, and a log that does not replay keeps the daemon from ever
+// restarting. The shape gate refuses it; the successor starts and drains.
+TEST(ServiceServer, ControlBytesInTextFieldsAreRefusedAndTheDaemonRestarts) {
+  const std::string dir = temp_dir("control_bytes");
+  const ServiceConfig config = base_config(dir);
+  {
+    auto server = Server::start(config);
+    ASSERT_TRUE(server.ok()) << server.message();
+    Client client(server.value()->socket_path());
+    RequestSpec spec = c17_spec();
+    spec.label = "two\nlines";
+    auto reply = client.submit(spec);
+    ASSERT_TRUE(reply.ok()) << reply.message();
+    EXPECT_FALSE(reply.value().accepted);
+    EXPECT_EQ(reply.value().reason, RejectReason::kMalformed);
+    for (const char* raw :
+         {"submit tenant=ac\nme circuit=c17 buyers=2 seed=1 label=x",
+          "submit tenant=acme circuit=c17 buyers=2 seed=1 label=tab\there"}) {
+      const std::string reply_payload =
+          raw_round_trip(server.value()->socket_path(), raw);
+      EXPECT_EQ(wire::get_field(reply_payload, "reason"),
+                to_string(RejectReason::kMalformed))
+          << reply_payload;
+    }
+    EXPECT_EQ(server.value()->stats().admitted, 0u);
+    server.value()->stop();
+  }
+  auto successor = Server::start(config);
+  ASSERT_TRUE(successor.ok()) << successor.message();
+  Client client(successor.value()->socket_path());
+  auto reply = client.submit(c17_spec());
+  ASSERT_TRUE(reply.ok()) << reply.message();
+  ASSERT_TRUE(reply.value().accepted);
+  auto status = client.wait(reply.value().id, 120'000);
+  ASSERT_TRUE(status.ok()) << status.message();
+  EXPECT_EQ(status.value().state, "completed");
+  successor.value()->stop();
 }
 
 TEST(ServiceServer, RejectsMalformedRequests) {

@@ -72,6 +72,62 @@ TEST(VerilogReader, EscapedIdentifiers) {
   EXPECT_EQ(back.outputs()[0].name, "f[0]");
 }
 
+// An escaped identifier is a name whatever it spells: never the
+// punctuation or keyword of the same text, and the writer escapes names
+// that spell a keyword.
+TEST(VerilogReader, EscapedPunctuationAndKeywordsAreNames) {
+  const CellLibrary& lib = default_cell_library();
+  const Netlist m = read_verilog_string(
+      "module m(\\) , y); input \\) ; output y; "
+      "INV g(.A(\\) ), .Y(y)); endmodule",
+      lib);
+  ASSERT_EQ(m.inputs().size(), 1u);
+  EXPECT_EQ(m.net(m.inputs()[0]).name, ")");
+  EXPECT_EQ(m.num_live_gates(), 1u);
+
+  Netlist nl(&lib, "module");
+  const NetId paren = nl.add_input(")");
+  const NetId semi = nl.add_input(";");
+  const GateId nand = nl.add_gate(lib.find("NAND2"), {paren, semi},
+                                  "endmodule", "input");
+  const GateId inv =
+      nl.add_gate(lib.find("INV"), {nl.gate(nand).output}, "wire", "assign");
+  nl.add_output(nl.gate(nand).output, "endmodule");
+  nl.add_output(nl.gate(inv).output);
+  nl.add_output(semi);
+  const std::string text = to_verilog_string(nl);
+  EXPECT_NE(text.find("wire \\input ;"), std::string::npos) << text;
+  EXPECT_NE(text.find("output \\endmodule ;"), std::string::npos) << text;
+  EXPECT_NE(text.find("output \\assign ;"), std::string::npos) << text;
+  const Netlist back = read_verilog_string(text, lib);
+  EXPECT_EQ(to_blif_string(back), to_blif_string(nl));
+  EXPECT_EQ(to_verilog_string(back), text);
+}
+
+// Two output ports of one name would be written as two `assign`s to it,
+// text the reader refuses; both readers refuse the duplicate up front.
+TEST(VerilogReader, RejectsDuplicateOutputPort) {
+  const CellLibrary& lib = default_cell_library();
+  try {
+    read_verilog_string(
+        "module m (a, y); input a; output y; output y;\n"
+        "INV g (.A(a), .Y(y));\nendmodule",
+        lib);
+    FAIL() << "duplicate output port accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate output port 'y'"),
+              std::string::npos)
+        << e.what();
+  }
+  Netlist nl(&lib, "m");
+  const NetId a = nl.add_input("a");
+  nl.add_output(a, "y");
+  nl.add_output(a);  // a second port on the same net, named after it
+  EXPECT_THROW(nl.add_output(a, "y"), CheckError);
+  EXPECT_THROW(nl.add_output(a), CheckError);
+  EXPECT_EQ(nl.outputs().size(), 2u);
+}
+
 TEST(VerilogReader, HandlesAssignAliases) {
   const Netlist nl = read_verilog_string(kAliasText, default_cell_library());
   EXPECT_EQ(nl.num_live_gates(), 1u);

@@ -1,4 +1,5 @@
-// Causal post-mortem for a sharded fingerprinting run dir (src/dist/).
+// Causal post-mortem for a fingerprinting run dir (src/dist/): a sharded
+// run, or a daemon request's one-shard run.
 //
 //   odcfp_report RUN_DIR                 human table
 //   odcfp_report RUN_DIR --json          deterministic JSON report

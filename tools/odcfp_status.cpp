@@ -1,9 +1,13 @@
-// Run monitor for a sharded fingerprinting run dir (src/dist/).
+// Run monitor for a fingerprinting run dir (src/dist/): a sharded run,
+// or a daemon request's one-shard run.
 //
 //   odcfp_status RUN_DIR            one-shot text table
 //   odcfp_status RUN_DIR --json     one-shot JSON (render_run_status_json)
-//   odcfp_status RUN_DIR --watch    poll until the run's merge record
-//                                   lands (exit 0) — ^C to stop earlier
+//   odcfp_status RUN_DIR --watch    poll until the run is done (its
+//                                   merge record lands, or, with no
+//                                   lease journal, every buyer is
+//                                   committed): exit 0 — ^C to stop
+//                                   earlier
 //   ... --watch --watch-timeout MS  give up after MS milliseconds of
 //                                   watching: exit 3 (distinct from the
 //                                   usage/missing-dir exit 2) with a
@@ -13,8 +17,8 @@
 //                                   hanging until the job timeout.
 //
 // The status is composed from the run dir's primary sources (run.spec,
-// lease journal, shard journals, status snapshots), never from
-// run_status.json, so the monitor works identically on a live run, a
+// lease journal, shard journals, status snapshots: dist::load_run),
+// never from run_status.json, so the monitor works identically on a live run, a
 // crashed one, and a finished one — including a run dir whose
 // supervisor is long dead.
 #include <unistd.h>

@@ -6,11 +6,11 @@
 //                --threads T --heartbeat-ms MS [--trace PATH]
 //                [chaos flags]
 //
-// The worker reads DIR/run.spec, deterministically reconstructs the
-// golden netlist and codebook (make_benchmark + find_locations +
-// Codebook — no netlist bytes cross the process boundary), and runs
-// batch_fingerprint_resumable over buyers [B, E) with the shard's
-// journal DIR/shard_I.journal, publishing editions into DIR/editions/.
+// The worker reads DIR/run.spec, rebuilds the run's inputs
+// (dist::RunInputs — no netlist bytes cross the process boundary),
+// and stamps buyers [B, E) as shard I through dist::run_shard, which
+// journals in DIR/shard_I.journal, publishes editions into DIR/editions/
+// and, heartbeating, status snapshots into DIR/status_I.snap.
 // Exit codes follow dist::kWorkerExit* (supervisor.hpp).
 //
 // --trace PATH arms run-scoped trace capture: the worker records its
@@ -37,28 +37,19 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
-#include "benchgen/benchmarks.hpp"
-#include "common/clock.hpp"
 #include "common/fault.hpp"
-#include "common/log.hpp"
 #include "common/parallel.hpp"
-#include "common/telemetry.hpp"
 #include "common/trace.hpp"
+#include "dist/runner.hpp"
 #include "dist/shard.hpp"
-#include "dist/status.hpp"
 #include "dist/supervisor.hpp"
-#include "fingerprint/batch.hpp"
-#include "fingerprint/codewords.hpp"
-#include "fingerprint/location.hpp"
-#include "power/power.hpp"
-#include "timing/sta.hpp"
 
 namespace {
 
@@ -176,56 +167,17 @@ int main(int argc, char** argv) {
           : nullptr);
 
   try {
-    const Netlist golden = make_benchmark(spec.circuit);
-    const std::vector<FingerprintLocation> locs = find_locations(golden);
-    const Codebook book(locs, spec.num_buyers, spec.codebook_seed);
-    const StaticTimingAnalyzer sta;
-    const PowerAnalyzer power;
+    const dist::RunInputs inputs(spec);
     ThreadPool pool(args.threads);
-
-    ResumeOptions options;
-    options.artifact_dir = dist::editions_dir(args.run_dir);
-    options.label = spec.label;
-    options.batch.seed = spec.batch_seed;
-    options.batch.max_delay_overhead = spec.max_delay_overhead;
-    options.batch.pool = args.threads > 1 ? &pool : nullptr;
-    options.range_begin = args.begin;
-    options.range_end = args.end;
-    options.heartbeat_interval_ms = args.heartbeat_ms;
-    // Status snapshots: one atomic single-record publish per heartbeat
-    // (plus the final report), carrying progress, rate, and the
-    // edition-latency histogram recorded so far by this process.
-    const std::string snap_path =
-        dist::status_snapshot_path(args.run_dir, args.shard);
-    options.progress = [&](const BatchProgress& p) {
-      dist::ShardStatus st;
-      st.shard = args.shard;
-      st.epoch = args.epoch;
-      st.pid = static_cast<std::uint64_t>(::getpid());
-      st.range_begin = p.range_begin;
-      st.range_end = p.range_end;
-      st.committed = p.committed;
-      st.recovered = p.recovered;
-      st.elapsed_ms = static_cast<std::uint64_t>(p.elapsed_ms);
-      const std::uint64_t stamped = p.committed - p.recovered;
-      st.eps_milli = p.elapsed_ms > 0
-                         ? stamped * 1'000'000 /
-                               static_cast<std::uint64_t>(p.elapsed_ms)
-                         : 0;
-      st.done = p.final ? 1 : 0;
-      st.wall_ns = clocks::anchored_wall_now_ns();
-      st.edition_ns =
-          telemetry::snapshot().hist_total("batch.edition_ns");
-      dist::write_status_snapshot(snap_path, st);
-      // Heartbeat-cadence durability for the trace: the progress
-      // callback fires from the heartbeat ticker, so a SIGKILLed worker
-      // loses at most one interval of its timeline.
-      if (trace::armed()) trace::flush();
-    };
-
-    const ResumableBatchResult rr = batch_fingerprint_resumable(
-        dist::shard_journal_path(args.run_dir, args.shard), golden, book,
-        sta, power, options);
+    dist::ShardOptions options;
+    options.shard = args.shard;
+    options.begin = args.begin;
+    options.end = args.end;
+    options.epoch = args.epoch;
+    options.pool = args.threads > 1 ? &pool : nullptr;
+    options.heartbeat_ms = args.heartbeat_ms;
+    const ResumableBatchResult rr =
+        dist::run_shard(args.run_dir, spec, inputs, options);
     switch (rr.status) {
       case Status::kOk:
         return dist::kWorkerExitOk;
