@@ -1,6 +1,7 @@
 // google-benchmark micro-benchmarks of the substrates: simulation
-// throughput, STA, location finding, embedding, SAT-based CEC, and netlist
-// text I/O (one Verilog or BLIF write, one Verilog read).
+// throughput, STA, location finding, embedding, SAT-based CEC, netlist
+// text I/O (one Verilog or BLIF write, one Verilog read), and one netlist
+// copy plus its free (what every buyer edition starts with).
 #include <benchmark/benchmark.h>
 
 #include "benchgen/benchmarks.hpp"
@@ -152,6 +153,14 @@ void BM_ReadVerilog(benchmark::State& state, const std::string& name) {
                           static_cast<std::int64_t>(text.size()));
 }
 
+void BM_CopyNetlist(benchmark::State& state, const std::string& name) {
+  const Netlist& nl = circuit(name);
+  for (auto _ : state) {
+    Netlist copy = nl;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -185,6 +194,11 @@ int main(int argc, char** argv) {
   for (const char* name : {"c432", "c880"}) {
     benchmark::RegisterBenchmark(("sat_cec/" + std::string(name)).c_str(),
                                  BM_SatCec, std::string(name));
+  }
+  for (const char* name : {"c880", "c3540", "i8"}) {
+    benchmark::RegisterBenchmark(
+        ("copy_netlist/" + std::string(name)).c_str(), BM_CopyNetlist,
+        std::string(name));
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

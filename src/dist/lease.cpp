@@ -140,6 +140,7 @@ bool parse_lease_payload(std::string_view payload, LeaseRecord* out) {
 
 Outcome<LeaseReplay> read_lease_journal(const std::string& path) {
   LeaseReplay replay;
+  std::vector<std::size_t> lines;  // of replay.records
   const Outcome<record_log::Scan> scan = record_log::replay(
       path, kFormat,
       [&](char, std::string_view payload, std::size_t line,
@@ -155,9 +156,22 @@ Outcome<LeaseReplay> read_lease_journal(const std::string& path) {
         replay.next_seq = record.seq + 1;
         if (record.event == LeaseEvent::kMerged) replay.merged = true;
         replay.records.push_back(std::move(record));
+        lines.push_back(line);
         return true;
       });
   if (!scan.ok()) return Outcome<LeaseReplay>::malformed(scan.message());
+  // A run has at most one shard per buyer (shard_ranges), so a larger
+  // index is damage; refusing it here keeps every per-shard table sized
+  // by the run, not by a record.
+  const std::uint64_t buyers = scan.value().header.num_buyers;
+  for (std::size_t i = 0; i < replay.records.size(); ++i) {
+    if (replay.records[i].shard >= buyers) {
+      return Outcome<LeaseReplay>::malformed(
+          path + ": shard " + std::to_string(replay.records[i].shard) +
+          " out of range at line " + std::to_string(lines[i]) + " (run of " +
+          std::to_string(buyers) + " buyers)");
+    }
+  }
   replay.has_header = scan.value().has_header;
   replay.header = scan.value().header;
   replay.torn_tail = scan.value().torn_tail;

@@ -92,7 +92,8 @@ struct LeaseReplay {
 };
 
 /// Replays a lease journal under the record_log torn-tail contract. A
-/// sequence regression is kMalformedInput too.
+/// sequence regression, or a record naming a shard at or past the
+/// header's buyer count, is kMalformedInput too.
 Outcome<LeaseReplay> read_lease_journal(const std::string& path);
 
 /// One grant of a shard and the record that closed it, if any.

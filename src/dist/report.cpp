@@ -34,10 +34,14 @@ RunReport analyze_run(const std::string& run_dir,
   RunReport report;
   const RunStatusView run = load_run(run_dir);
   report.buyers = run.buyers;
+  report.lease_error = run.lease_error;
   if (!run.have_spec && !run.have_leases) {
     report.status = Status::kMalformedInput;
     report.message = "report: '" + run_dir +
                      "' has neither a readable run.spec nor a lease journal";
+    if (!run.lease_error.empty()) {
+      report.message += " (" + run.lease_error + ")";
+    }
     return report;
   }
   if (!run.lease_error.empty()) {
@@ -202,6 +206,9 @@ std::string render_report_table(const RunReport& report) {
      << report.buyers << "  makespan: " << ms_text(report.makespan_ns)
      << " ms  regrants: " << report.regrant_events
      << "  redo cost: " << ms_text(report.lost_ns) << " ms\n";
+  if (!report.lease_error.empty()) {
+    os << "lease journal unusable: " << report.lease_error << "\n";
+  }
   if (report.critical_path_shard != SIZE_MAX) {
     os << "critical path: shard " << report.critical_path_shard << " ("
        << ms_text(report.critical_path_ns) << " ms";
@@ -253,8 +260,11 @@ std::string render_report_json(const RunReport& report) {
   os << "{\"odcfp_run_report\":1,\"state\":";
   os << jsonlite::quote(report.state);
   os << ",\"buyers\":" << report.buyers
-     << ",\"committed\":" << report.committed
-     << ",\"makespan_ns\":" << report.makespan_ns
+     << ",\"committed\":" << report.committed;
+  if (!report.lease_error.empty()) {
+    os << ",\"lease_error\":" << jsonlite::quote(report.lease_error);
+  }
+  os << ",\"makespan_ns\":" << report.makespan_ns
      << ",\"critical_path_shard\":";
   if (report.critical_path_shard == SIZE_MAX) {
     os << -1;

@@ -71,6 +71,8 @@ struct RunReport {
   /// neither a readable run.spec nor a readable lease journal.
   Status status = Status::kOk;
   std::string message;
+  /// RunStatusView::lease_error: why the lease journal does not replay.
+  std::string lease_error;
   /// RunStatusView::state: "idle", "running" (in flight — or crashed;
   /// the records cannot tell a live run from an abandoned one), "done".
   std::string state = "idle";
@@ -105,7 +107,8 @@ void fold_stitch(const StitchResult& stitch, RunReport* report);
 std::string render_report_table(const RunReport& report);
 
 /// Deterministic JSON ({"odcfp_run_report":1, ...}); key order fixed,
-/// integers only (nanoseconds stay exact).
+/// integers only (nanoseconds stay exact). A `lease_error` key appears
+/// only when the lease journal does not replay.
 std::string render_report_json(const RunReport& report);
 
 }  // namespace odcfp::dist

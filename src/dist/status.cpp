@@ -148,7 +148,11 @@ std::string render_run_status_json(const RunStatusView& view) {
   std::ostringstream os;
   os << "{\"odcfp_run_status\":1,\"state\":" << jsonlite::quote(view.state)
      << ",\"buyers\":" << view.buyers
-     << ",\"committed\":" << view.committed << ",\"shards\":[";
+     << ",\"committed\":" << view.committed;
+  if (!view.lease_error.empty()) {
+    os << ",\"lease_error\":" << jsonlite::quote(view.lease_error);
+  }
+  os << ",\"shards\":[";
   for (std::size_t i = 0; i < view.shards.size(); ++i) {
     const ShardStatusView& sv = view.shards[i];
     if (i > 0) os << ',';
@@ -192,6 +196,9 @@ std::string render_run_status_table(const RunStatusView& view) {
   std::ostringstream os;
   os << "run: " << view.state << "  committed " << view.committed << "/"
      << view.buyers << " buyer(s)\n";
+  if (!view.lease_error.empty()) {
+    os << "lease journal unusable: " << view.lease_error << "\n";
+  }
   if (view.shards.empty()) return os.str();
   os << "shard  state       epoch  range        committed  eps"
         "      hb_age_ms  flags\n";

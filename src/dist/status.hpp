@@ -144,7 +144,9 @@ struct RunStatusView {
 RunStatusView load_run(const std::string& run_dir);
 
 /// Renders the LIVE aggregate (schedule-dependent: rates, ages, stall
-/// flags). Deterministic serialization of whatever the view holds.
+/// flags). Deterministic serialization of whatever the view holds; a
+/// `lease_error` key appears only when the lease journal does not
+/// replay.
 std::string render_run_status_json(const RunStatusView& view);
 
 /// Renders the FINAL deterministic roll-up: a pure function of the

@@ -1,6 +1,9 @@
 #include "fingerprint/embedder.hpp"
 
 #include <algorithm>
+#include <array>
+#include <string_view>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
@@ -16,15 +19,22 @@ FingerprintCode blank_code(const std::vector<FingerprintLocation>& locs) {
   return code;
 }
 
+SiteGateSet::SiteGateSet(const std::vector<FingerprintLocation>& locs) {
+  for (const FingerprintLocation& loc : locs) {
+    for (const InjectionSite& s : loc.sites) gates_.push_back(s.gate);
+  }
+  std::sort(gates_.begin(), gates_.end());
+  gates_.erase(std::unique(gates_.begin(), gates_.end()), gates_.end());
+}
+
 FingerprintEmbedder::FingerprintEmbedder(
     Netlist& nl, std::vector<FingerprintLocation> locations)
-    : nl_(&nl), locations_(std::move(locations)) {
+    : nl_(&nl), locations_(std::move(locations)), site_gates_(locations_) {
   state_.resize(locations_.size());
   for (std::size_t l = 0; l < locations_.size(); ++l) {
     state_[l].resize(locations_[l].sites.size());
     for (std::size_t s = 0; s < locations_[l].sites.size(); ++s) {
       flat_sites_.push_back({l, s});
-      site_gates_.insert(locations_[l].sites[s].gate);
     }
   }
 #ifndef NDEBUG
@@ -45,14 +55,14 @@ int FingerprintEmbedder::applied_option(std::size_t loc,
 }
 
 NetId find_reusable_inverter(const Netlist& nl, NetId source,
-                             const std::unordered_set<GateId>& site_gates) {
+                             const SiteGateSet& site_gates) {
   // A pre-existing inverter on the source net can serve as the
   // complemented literal for free — exactly what a designer would wire in
   // layout. Fingerprint-added inverters (fp_ prefix) and gates that are
   // themselves injection sites (their cell may change) are not shared so
   // that extraction can predict the reuse from the golden netlist alone.
   for (const FanoutRef& ref : nl.net(source).fanouts) {
-    if (site_gates.count(ref.gate)) continue;
+    if (site_gates.contains(ref.gate)) continue;
     const Gate& g = nl.gate(ref.gate);
     if (g.is_dead()) continue;
     if (nl.cell_of(ref.gate).kind != CellKind::kInv) continue;
@@ -116,7 +126,7 @@ void FingerprintEmbedder::inject_literal(GateId site_gate, InjectClass cls,
     op.kind = Op::Kind::kWiden;
     op.gate = site_gate;
     op.old_cell = nl_->gate(site_gate).cell;
-    std::vector<NetId> fanins = nl_->gate(site_gate).fanins;
+    PinList<NetId> fanins = nl_->gate(site_gate).fanins;
     fanins.push_back(lit);
     ops.push_back(std::move(op));
     nl_->rewire_gate(site_gate, wide, fanins);
@@ -199,10 +209,10 @@ void FingerprintEmbedder::undo_ops(const std::vector<Op>& ops) {
         nl_->remove_gate(it->gate);
         break;
       case Op::Kind::kWiden: {
-        std::vector<NetId> fanins = nl_->gate(it->gate).fanins;
+        const PinList<NetId>& fanins = nl_->gate(it->gate).fanins;
         ODCFP_CHECK(!fanins.empty());
-        fanins.pop_back();
-        nl_->rewire_gate(it->gate, it->old_cell, fanins);
+        nl_->rewire_gate(it->gate, it->old_cell,
+                         std::span(fanins).first(fanins.size() - 1));
         break;
       }
     }
@@ -274,8 +284,34 @@ FingerprintCode FingerprintEmbedder::current_code() const {
 
 namespace {
 
-/// (source net name, inverted) pair describing one injected literal.
-using LiteralDesc = std::pair<std::string, bool>;
+/// (source net name, inverted) pair describing one injected literal; the
+/// name views a net name of the netlist it was read from.
+using LiteralDesc = std::pair<std::string_view, bool>;
+
+/// The literals injected at one site, in sorted order. An option injects
+/// one or two, so only two are kept; a site read with more matches no
+/// option.
+class LiteralSet {
+ public:
+  void add(LiteralDesc lit) {
+    if (count_ < kMax) items_[count_] = lit;
+    ++count_;
+  }
+  bool empty() const { return count_ == 0; }
+  void sort() {
+    if (count_ == 2 && items_[1] < items_[0]) std::swap(items_[0], items_[1]);
+  }
+  bool operator==(const LiteralSet& other) const {
+    return count_ == other.count_ && count_ <= kMax &&
+           std::equal(items_.begin(), items_.begin() + count_,
+                      other.items_.begin());
+  }
+
+ private:
+  static constexpr std::size_t kMax = 2;
+  std::array<LiteralDesc, kMax> items_{};
+  std::size_t count_ = 0;
+};
 
 LiteralDesc decode_literal(const Netlist& fp, NetId lit) {
   const GateId d = fp.net(lit).driver;
@@ -286,9 +322,8 @@ LiteralDesc decode_literal(const Netlist& fp, NetId lit) {
   return {fp.net(lit).name, false};
 }
 
-std::vector<LiteralDesc> expected_literals(
-    const Netlist& golden, const ModOption& o,
-    const std::unordered_set<GateId>& site_gates) {
+LiteralSet expected_literals(const Netlist& golden, const ModOption& o,
+                             const SiteGateSet& site_gates) {
   // Mirrors FingerprintEmbedder::literal_net: an inverted literal reuses a
   // pre-existing inverter when the golden netlist has one.
   auto literal = [&](NetId source, bool invert) -> LiteralDesc {
@@ -299,12 +334,12 @@ std::vector<LiteralDesc> expected_literals(
     }
     return {golden.net(source).name, invert};
   };
-  std::vector<LiteralDesc> lits;
-  lits.push_back(literal(o.source, o.invert));
+  LiteralSet lits;
+  lits.add(literal(o.source, o.invert));
   if (o.source2 != kInvalidNet) {
-    lits.push_back(literal(o.source2, o.invert2));
+    lits.add(literal(o.source2, o.invert2));
   }
-  std::sort(lits.begin(), lits.end());
+  lits.sort();
   return lits;
 }
 
@@ -321,10 +356,7 @@ LenientExtraction extract_impl(const Netlist& fingerprinted,
   LenientExtraction result;
   result.code = blank_code(locs);
   result.status.resize(locs.size());
-  std::unordered_set<GateId> site_gates;
-  for (const FingerprintLocation& loc : locs) {
-    for (const InjectionSite& s : loc.sites) site_gates.insert(s.gate);
-  }
+  const SiteGateSet site_gates(locs);
   for (std::size_t l = 0; l < locs.size(); ++l) {
     result.status[l].assign(locs[l].sites.size(),
                             SiteReadStatus::kRecovered);
@@ -342,12 +374,12 @@ LenientExtraction extract_impl(const Netlist& fingerprinted,
         ++result.damaged;
         continue;
       }
-      std::vector<LiteralDesc> literals;
+      LiteralSet literals;
 
       // Literals added by widening: fanin pins beyond the golden arity.
       const Gate& gf = fingerprinted.gate(g2);
       for (std::size_t i = gg.fanins.size(); i < gf.fanins.size(); ++i) {
-        literals.push_back(decode_literal(fingerprinted, gf.fanins[i]));
+        literals.add(decode_literal(fingerprinted, gf.fanins[i]));
       }
 
       // Literals added by appended gates: follow the chain from the site
@@ -361,7 +393,7 @@ LenientExtraction extract_impl(const Netlist& fingerprinted,
         if (ag.name.rfind(kAddedGatePrefix, 0) != 0 || ag.fanins[0] != n) {
           break;
         }
-        literals.push_back(decode_literal(fingerprinted, ag.fanins[1]));
+        literals.add(decode_literal(fingerprinted, ag.fanins[1]));
         n = ag.output;
       }
 
@@ -369,7 +401,7 @@ LenientExtraction extract_impl(const Netlist& fingerprinted,
         ++result.recovered;  // option 0
         continue;
       }
-      std::sort(literals.begin(), literals.end());
+      literals.sort();
       bool matched = false;
       for (std::size_t o = 0; o < S.options.size(); ++o) {
         if (expected_literals(golden, S.options[o], site_gates) ==

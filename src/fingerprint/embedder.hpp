@@ -18,9 +18,9 @@
 // §III.E) purely structural.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "fingerprint/location.hpp"
@@ -36,6 +36,20 @@ inline constexpr const char* kInverterPrefix = "fp_inv_";
 
 /// An all-zero (blank) code shaped like `locs`.
 FingerprintCode blank_code(const std::vector<FingerprintLocation>& locs);
+
+/// The gates that are injection sites of some location in `locs`: a
+/// sorted id list, so building one allocates once, not once per gate.
+class SiteGateSet {
+ public:
+  explicit SiteGateSet(const std::vector<FingerprintLocation>& locs);
+
+  bool contains(GateId gate) const {
+    return std::binary_search(gates_.begin(), gates_.end(), gate);
+  }
+
+ private:
+  std::vector<GateId> gates_;
+};
 
 class FingerprintEmbedder {
  public:
@@ -115,7 +129,7 @@ class FingerprintEmbedder {
   std::vector<FingerprintLocation> locations_;
   std::vector<std::vector<SiteState>> state_;  // [loc][site]
   std::vector<SiteRef> flat_sites_;
-  std::unordered_set<GateId> site_gates_;
+  SiteGateSet site_gates_;
   std::size_t num_applied_ = 0;
 #ifndef NDEBUG
   /// structural_signature of the netlist at construction; remove_all()
@@ -129,7 +143,7 @@ class FingerprintEmbedder {
 /// embedder (reuse instead of adding an inverter) and the extractor
 /// (predicting that reuse from the golden netlist).
 NetId find_reusable_inverter(const Netlist& nl, NetId source,
-                             const std::unordered_set<GateId>& site_gates);
+                             const SiteGateSet& site_gates);
 
 /// Recovers the embedded code by structurally comparing a fingerprinted
 /// netlist against the golden netlist the locations were computed on.

@@ -19,7 +19,7 @@ void inject_net(Netlist& nl, GateId site_gate, InjectClass cls,
       nl.library().find_kind(target, cur.num_inputs() + 1);
   if (wide != kInvalidCell &&
       (cur.kind == target || cur.num_inputs() == 1)) {
-    std::vector<NetId> fanins = nl.gate(site_gate).fanins;
+    PinList<NetId> fanins = nl.gate(site_gate).fanins;
     fanins.push_back(lit);
     nl.rewire_gate(site_gate, wide, fanins);
     return;

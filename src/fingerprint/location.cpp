@@ -451,10 +451,7 @@ std::vector<FingerprintLocation> find_locations(
   // modification — e.g. the generic injection of X vs rerouting the input
   // of X's INV driver. Such structurally identical options cannot be told
   // apart at extraction; keep only the first of each canonical form.
-  std::unordered_set<GateId> all_sites;
-  for (const FingerprintLocation& loc : locations) {
-    for (const InjectionSite& s : loc.sites) all_sites.insert(s.gate);
-  }
+  const SiteGateSet all_sites(locations);
   using Literal = std::pair<NetId, bool>;
   auto canonical_literal = [&](NetId src, bool inv) -> Literal {
     if (inv) {

@@ -6,13 +6,13 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/atomic_io.hpp"
 #include "common/check.hpp"
+#include "netlist/name_table.hpp"
 
 namespace odcfp {
 
@@ -267,13 +267,13 @@ ParsedModule parse_module(std::string_view text) {
                     "expected '" << want << "', got '" << got.text << "'");
   };
   ParsedModule m;
-  std::unordered_map<std::string_view, std::uint32_t> ids;
-  ids.reserve(text.size() / 32);
+  NameTable ids;  // of m.names
   auto intern = [&](std::string_view name) {
-    const auto [it, fresh] =
-        ids.try_emplace(name, static_cast<std::uint32_t>(m.names.size()));
-    if (fresh) m.names.push_back(name);
-    return it->second;
+    const auto fresh = static_cast<std::uint32_t>(m.names.size());
+    const std::uint32_t id = ids.insert(
+        name, fresh, [&m](std::uint32_t i) { return m.names[i]; });
+    if (id == fresh) m.names.push_back(name);
+    return id;
   };
 
   Token tok = lex.next();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <queue>
+#include <unordered_map>
 #include <utility>
 
 #include "common/check.hpp"
@@ -21,7 +22,7 @@ NetId Netlist::add_net(const std::string& name, GateId driver, bool is_pi) {
   n.name = name.empty() ? fresh_net_name("n") : name;
   n.driver = driver;
   n.is_pi = is_pi;
-  ODCFP_CHECK_MSG(net_by_name_.emplace(n.name, id).second,
+  ODCFP_CHECK_MSG(net_by_name_.insert(n.name, id, net_names()) == id,
                   "duplicate net name '" << n.name << "'");
   nets_.push_back(std::move(n));
   return id;
@@ -38,13 +39,14 @@ void Netlist::add_output(NetId net, const std::string& port_name) {
   OutputPort p;
   p.net = net;
   p.name = port_name.empty() ? nets_[net].name : port_name;
-  ODCFP_CHECK_MSG(port_names_.insert(p.name).second,
+  const auto index = static_cast<std::uint32_t>(pos_.size());
+  ODCFP_CHECK_MSG(port_by_name_.insert(p.name, index, port_names()) == index,
                   "duplicate output port '" << p.name << "'");
   pos_.push_back(std::move(p));
   ++nets_[net].num_output_ports;
 }
 
-GateId Netlist::add_gate(CellId cell, const std::vector<NetId>& fanins,
+GateId Netlist::add_gate(CellId cell, std::span<const NetId> fanins,
                          const std::string& gate_name,
                          const std::string& out_net_name) {
   ODCFP_FAULT_POINT("netlist.add_gate");
@@ -68,35 +70,37 @@ GateId Netlist::add_gate(CellId cell, const std::vector<NetId>& fanins,
 
   const std::string name =
       gate_name.empty() ? fresh_gate_name("g") : gate_name;
+  // `fanins` is copied before gates_ grows: it may view a gate's pins.
   if (id == kInvalidGate) {
     id = static_cast<GateId>(gates_.size());
     Gate g;
     g.cell = cell;
-    g.fanins = fanins;
+    g.fanins.assign(fanins);
     g.name = name;
-    ODCFP_CHECK_MSG(gate_by_name_.emplace(g.name, id).second,
+    ODCFP_CHECK_MSG(gate_by_name_.insert(g.name, id, gate_names()) == id,
                     "duplicate gate name '" << g.name << "'");
     gates_.push_back(std::move(g));
     gates_[id].output = add_net(out_net_name, id, /*is_pi=*/false);
   } else {
     Gate& g = gates_[id];
     g.cell = cell;
-    g.fanins = fanins;
+    g.fanins.assign(fanins);
     g.name = name;
-    ODCFP_CHECK_MSG(gate_by_name_.emplace(g.name, id).second,
+    ODCFP_CHECK_MSG(gate_by_name_.insert(g.name, id, gate_names()) == id,
                     "duplicate gate name '" << g.name << "'");
     rename_net(g.output,
                out_net_name.empty() ? fresh_net_name("n") : out_net_name);
     nets_[g.output].driver = id;
   }
-  for (int pin = 0; pin < static_cast<int>(fanins.size()); ++pin) {
-    attach_pin(id, pin, fanins[static_cast<std::size_t>(pin)]);
+  const Gate& g = gates_[id];
+  for (int pin = 0; pin < static_cast<int>(g.fanins.size()); ++pin) {
+    attach_pin(id, pin, g.fanins[static_cast<std::size_t>(pin)]);
   }
   ++live_gates_;
   return id;
 }
 
-GateId Netlist::add_gate_kind(CellKind kind, const std::vector<NetId>& fanins,
+GateId Netlist::add_gate_kind(CellKind kind, std::span<const NetId> fanins,
                               const std::string& gate_name) {
   const CellId cell = library_->find_kind(kind, static_cast<int>(fanins.size()));
   ODCFP_CHECK_MSG(cell != kInvalidCell,
@@ -120,19 +124,20 @@ void Netlist::detach_pin(GateId gate, int pin) {
 }
 
 void Netlist::rewire_gate(GateId gate, CellId new_cell,
-                          const std::vector<NetId>& new_fanins) {
+                          std::span<const NetId> new_fanins) {
   ODCFP_CHECK(gate < gates_.size() && !gates_[gate].is_dead());
   const Cell& c = library_->cell(new_cell);
   ODCFP_CHECK_MSG(static_cast<int>(new_fanins.size()) == c.num_inputs(),
                   "cell " << c.name << " needs " << c.num_inputs()
                           << " fanins, got " << new_fanins.size());
-  for (int pin = 0; pin < static_cast<int>(gates_[gate].fanins.size()); ++pin) {
+  Gate& g = gates_[gate];
+  for (int pin = 0; pin < static_cast<int>(g.fanins.size()); ++pin) {
     detach_pin(gate, pin);
   }
-  gates_[gate].cell = new_cell;
-  gates_[gate].fanins = new_fanins;
-  for (int pin = 0; pin < static_cast<int>(new_fanins.size()); ++pin) {
-    attach_pin(gate, pin, new_fanins[static_cast<std::size_t>(pin)]);
+  g.cell = new_cell;
+  g.fanins.assign(new_fanins);
+  for (int pin = 0; pin < static_cast<int>(g.fanins.size()); ++pin) {
+    attach_pin(gate, pin, g.fanins[static_cast<std::size_t>(pin)]);
   }
 }
 
@@ -151,7 +156,7 @@ void Netlist::remove_gate(GateId gate) {
     detach_pin(gate, pin);
   }
   gates_[gate].fanins.clear();
-  gate_by_name_.erase(gates_[gate].name);
+  gate_by_name_.erase(gates_[gate].name, gate_names());
   gates_[gate].cell = kInvalidCell;
   if (gates_[gate].output != kInvalidNet) {
     nets_[gates_[gate].output].driver = kInvalidGate;
@@ -168,7 +173,7 @@ void Netlist::transfer_fanouts_except(NetId from, NetId to,
                                       GateId except_gate) {
   ODCFP_CHECK(from < nets_.size() && to < nets_.size() && from != to);
   // Copy: reconnect_pin mutates nets_[from].fanouts as we go.
-  const std::vector<FanoutRef> sinks = nets_[from].fanouts;
+  const PinList<FanoutRef> sinks = nets_[from].fanouts;
   for (const FanoutRef& ref : sinks) {
     if (ref.gate == except_gate) continue;
     reconnect_pin(ref.gate, ref.pin, to);
@@ -200,23 +205,21 @@ const Cell& Netlist::cell_of(GateId id) const {
   return library_->cell(gate(id).cell);
 }
 
-NetId Netlist::find_net(const std::string& name) const {
-  auto it = net_by_name_.find(name);
-  return it == net_by_name_.end() ? kInvalidNet : it->second;
+NetId Netlist::find_net(std::string_view name) const {
+  return net_by_name_.find(name, net_names());
 }
 
-GateId Netlist::find_gate(const std::string& name) const {
-  auto it = gate_by_name_.find(name);
-  return it == gate_by_name_.end() ? kInvalidGate : it->second;
+GateId Netlist::find_gate(std::string_view name) const {
+  return gate_by_name_.find(name, gate_names());
 }
 
 void Netlist::rename_net(NetId id, const std::string& new_name) {
   ODCFP_CHECK(id < nets_.size());
-  ODCFP_CHECK_MSG(net_by_name_.find(new_name) == net_by_name_.end(),
+  ODCFP_CHECK_MSG(find_net(new_name) == kInvalidNet,
                   "duplicate net name '" << new_name << "'");
-  net_by_name_.erase(nets_[id].name);
+  net_by_name_.erase(nets_[id].name, net_names());
   nets_[id].name = new_name;
-  net_by_name_.emplace(new_name, id);
+  net_by_name_.insert(nets_[id].name, id, net_names());
 }
 
 std::vector<GateId> Netlist::topo_order() const {
@@ -402,7 +405,7 @@ std::vector<GateId> Netlist::compact() {
   gates_ = std::move(packed);
   gate_by_name_.clear();
   for (GateId g = 0; g < gates_.size(); ++g) {
-    gate_by_name_.emplace(gates_[g].name, g);
+    gate_by_name_.insert(gates_[g].name, g, gate_names());
   }
   for (Net& n : nets_) {
     if (n.driver != kInvalidGate) n.driver = remap[n.driver];
@@ -414,16 +417,14 @@ std::vector<GateId> Netlist::compact() {
 std::string Netlist::fresh_net_name(const std::string& prefix) {
   for (;;) {
     std::string candidate = prefix + std::to_string(name_counter_++);
-    if (net_by_name_.find(candidate) == net_by_name_.end()) return candidate;
+    if (find_net(candidate) == kInvalidNet) return candidate;
   }
 }
 
 std::string Netlist::fresh_gate_name(const std::string& prefix) {
   for (;;) {
     std::string candidate = prefix + std::to_string(name_counter_++);
-    if (gate_by_name_.find(candidate) == gate_by_name_.end()) {
-      return candidate;
-    }
+    if (find_gate(candidate) == kInvalidGate) return candidate;
   }
 }
 

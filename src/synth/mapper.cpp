@@ -274,7 +274,7 @@ std::size_t strash(Netlist& nl) {
   std::size_t merged = 0;
   for (GateId g : nl.topo_order()) {
     const Gate& gt = nl.gate(g);
-    std::vector<NetId> fanins = gt.fanins;
+    PinList<NetId> fanins = gt.fanins;
     const auto kind_index =
         static_cast<std::size_t>(nl.cell_of(g).kind);
     if (kind_index < std::size(symmetric) && symmetric[kind_index]) {
@@ -322,7 +322,8 @@ std::size_t diversify_gates(Netlist& nl, double fraction,
     if (!rng.next_bool(fraction)) continue;
 
     const int k = nl.cell_of(g).num_inputs();
-    const std::vector<NetId> fanins = nl.gate(g).fanins;
+    // A copy: the gates added below may move the gate's pins.
+    const PinList<NetId> fanins = nl.gate(g).fanins;
     const NetId out = nl.gate(g).output;
     const bool demorgan_style = (k == 2) && rng.next_bool(0.4);
 

@@ -20,6 +20,8 @@
 
 #include "common/atomic_io.hpp"
 #include "common/subprocess.hpp"
+#include "dist/lease.hpp"
+#include "dist/report.hpp"
 #include "dist/shard.hpp"
 #include "dist/supervisor.hpp"
 
@@ -299,6 +301,76 @@ TEST(Status, InspectRunDirComposesFromPrimarySources) {
   EXPECT_FALSE(degraded.shards[0].have_snapshot);
   EXPECT_TRUE(degraded.shards[1].have_snapshot);
   EXPECT_EQ(degraded.committed, spec.num_buyers);
+}
+
+// A lease record naming a shard at or past the run's buyer count is
+// damage. The readers report it as the lease journal's error instead of
+// sizing per-shard tables by it: shard 10^12 used to abort odcfp_status
+// and odcfp_report with bad_alloc, and 2^64-1 wrapped the table size to
+// 0 and wrote past its end.
+TEST(Status, OutOfRangeLeaseShardIsATypedLeaseError) {
+  for (const std::uint64_t shard :
+       {std::uint64_t{1'000'000'000'000}, ~std::uint64_t{0}}) {
+    SCOPED_TRACE(shard);
+    const std::string dir =
+        fresh_dir(shard == ~std::uint64_t{0} ? "lease_shard_max"
+                                             : "lease_shard_huge");
+    ASSERT_TRUE(write_run_spec(run_spec_path(dir), test_spec()).ok());
+    JournalHeader header;
+    header.seed = 1;
+    header.num_buyers = 8;
+    header.label = "damaged";
+    Outcome<LeaseJournal> created =
+        LeaseJournal::create(lease_journal_path(dir), header);
+    ASSERT_TRUE(created.ok()) << created.message();
+    LeaseJournal journal = std::move(created).value();
+    std::string error;
+    ASSERT_TRUE(journal.append(7, 1, LeaseEvent::kGranted, 4242, "", &error))
+        << error;
+    ASSERT_TRUE(
+        journal.append(shard, 1, LeaseEvent::kGranted, 4242, "", &error))
+        << error;
+
+    const std::string why = "shard " + std::to_string(shard) +
+                            " out of range at line 4 (run of 8 buyers)";
+    const Outcome<LeaseReplay> replay =
+        read_lease_journal(lease_journal_path(dir));
+    ASSERT_FALSE(replay.ok());
+    EXPECT_EQ(replay.status(), Status::kMalformedInput);
+    EXPECT_NE(replay.message().find(why), std::string::npos)
+        << replay.message();
+
+    const RunStatusView view = load_run(dir);
+    EXPECT_FALSE(view.have_leases);
+    EXPECT_NE(view.lease_error.find(why), std::string::npos)
+        << view.lease_error;
+    EXPECT_TRUE(view.shards.empty());
+    EXPECT_EQ(view.buyers, 8u);
+    const RunReport report = analyze_run(dir);
+    EXPECT_EQ(report.status, Status::kOk);
+    EXPECT_EQ(report.lease_error, view.lease_error);
+
+    for (const char* tool : {ODCFP_STATUS_BIN, ODCFP_REPORT_BIN}) {
+      SCOPED_TRACE(tool);
+      proc::SpawnOptions options;
+      options.stdout_path = dir + "/tool.out";
+      options.stderr_path = dir + "/tool.err";
+      const pid_t pid = proc::spawn({tool, dir, "--json"}, options, &error);
+      ASSERT_GT(pid, 0) << error;
+      int exit_code = -1, term_signal = -1;
+      proc::WaitResult wr;
+      while ((wr = proc::try_wait(pid, &exit_code, &term_signal)) ==
+             proc::WaitResult::kRunning) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      ASSERT_EQ(wr, proc::WaitResult::kExited) << "signal " << term_signal;
+      EXPECT_EQ(exit_code, 0);
+      std::string out;
+      ASSERT_TRUE(atomic_io::read_file(dir + "/tool.out", &out));
+      EXPECT_NE(out.find("\"lease_error\":"), std::string::npos) << out;
+      EXPECT_NE(out.find(why), std::string::npos) << out;
+    }
+  }
 }
 
 // The real odcfp_status binary watching a run that never finishes:
