@@ -1,26 +1,26 @@
 // Batch edition fan-out: the IP-vendor flow at distribution scale.
 //
 // ip_vendor_flow.cpp stamps buyer copies one at a time; this example uses
-// the crash-safe batch pipeline instead — one call stamps every buyer of
-// a Codebook across a thread pool, records each buyer's lifecycle in a
-// write-ahead journal, publishes every edition atomically (temp+rename),
-// verifies the batch against the golden netlist, and proves that a
-// leaked copy still traces back to its buyer. The results are identical
-// for any pool size; the pool only changes how long the batch takes.
+// the crash-safe runner instead — one call stamps every buyer of a
+// Codebook across a thread pool as the one shard of a run dir, records
+// each buyer's lifecycle in a write-ahead journal, publishes every
+// edition atomically (temp+rename), verifies the batch against the
+// golden netlist, and proves that a leaked copy still traces back to its
+// buyer. The results are identical for any pool size; the pool only
+// changes how long the batch takes.
 //
 // Kill this process at ANY instant (Ctrl-C, SIGKILL, OOM) and rerun the
 // same command: buyers whose editions are already durable are skipped,
 // the rest are stamped bit-identically to an uninterrupted run.
+// `odcfp_status <outdir>` reads the run dir at any point.
 //
 //   ./buyer_batch [circuit] [buyers] [threads] [outdir]
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
-#include "benchgen/benchmarks.hpp"
 #include "common/parallel.hpp"
-#include "fingerprint/batch.hpp"
-#include "fingerprint/codewords.hpp"
+#include "dist/runner.hpp"
 
 using namespace odcfp;
 
@@ -30,30 +30,40 @@ int main(int argc, char** argv) {
       argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 8;
   const int threads = argc > 3 ? std::atoi(argv[3]) : 0;  // 0 = all cores
   const std::string outdir = argc > 4 ? argv[4] : "buyer_batch_out";
-  const std::string journal_path = outdir + "/journal.odcfp";
 
-  const Netlist golden = make_benchmark(circuit);
-  const StaticTimingAnalyzer sta;
-  const PowerAnalyzer power;
-  const auto locations = find_locations(golden);
-  const Codebook book(locations, buyers, /*seed=*/2026);
+  // The order, as a run dir's spec: the run rebuilds the golden netlist,
+  // its locations and the codebook from it.
+  dist::RunSpec spec;
+  spec.circuit = circuit;
+  spec.num_buyers = buyers;
+  spec.codebook_seed = 2026;
+  spec.batch_seed = 42;
+  // The 10% delay constraint keeps editions that exceed it out of the
+  // run (journaled failed); a deadline (ShardOptions::budget) would make
+  // the batch degrade gracefully instead of hanging (skipped editions
+  // come back Status::kExhausted and resume later).
+  spec.max_delay_overhead = 0.10;
+  spec.label = circuit;
+  const dist::RunInputs inputs(spec);
+  const Netlist& golden = inputs.golden;
+  const auto& locations = inputs.locations;
+  // A materialized spec's codebook is a Codebook.
+  const Codebook& book = dynamic_cast<const Codebook&>(*inputs.book);
   std::printf("%s: %zu live gates, %zu locations, %.1f capacity bits\n",
               circuit.c_str(), golden.num_live_gates(), locations.size(),
               total_capacity_bits(locations));
+  const Outcome<bool> pinned = dist::pin_run_spec(outdir, spec);
+  if (!pinned.ok()) {
+    std::printf("run dir rejected: %s\n", pinned.message().c_str());
+    return 1;
+  }
 
-  // Stamp every buyer's edition through the journaled pipeline. The 10%
-  // delay constraint tags (but keeps) editions that exceed it; a
-  // deadline would make the batch degrade gracefully instead of hanging
-  // (skipped editions come back Status::kExhausted and resume later).
+  // Stamp every buyer's edition through the journaled runner.
   ThreadPool pool(threads);
-  ResumeOptions opt;
-  opt.batch.pool = &pool;
-  opt.batch.max_delay_overhead = 0.10;
-  opt.artifact_dir = outdir;
-  opt.label = circuit;
-  const ResumableBatchResult run =
-      batch_fingerprint_resumable(journal_path, golden, book, sta, power,
-                                  opt);
+  dist::ShardOptions options;
+  options.pool = &pool;
+  const dist::ResumableBatchResult run =
+      dist::run_shard(outdir, spec, inputs, options);
   if (run.status == Status::kMalformedInput) {
     std::printf("journal rejected: %s\n", run.message.c_str());
     return 1;
@@ -118,7 +128,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\njournal: %s\n", run.journal_path.c_str());
-  std::printf("artifacts: %s/edition_<buyer>.blif\n", outdir.c_str());
+  std::printf("artifacts: %s/edition_<buyer>.blif\n",
+              dist::editions_dir(outdir).c_str());
   std::printf("kill this process at any point and rerun the same command "
               "to resume.\n");
   return rc;

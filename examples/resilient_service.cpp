@@ -14,18 +14,21 @@
 //      are skipped (checksum-verified), the rest are stamped, and every
 //      artifact is byte-identical to an uninterrupted reference run.
 //
+// `outdir` is a run dir (shard_0.journal, editions/, and run.spec, pinned
+// before the outage), so `odcfp_status outdir` and `odcfp_report outdir`
+// read it like any sharded run.
+//
 //   ./resilient_service [circuit] [buyers] [outdir]
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "benchgen/benchmarks.hpp"
 #include "common/atomic_io.hpp"
 #include "common/fault.hpp"
 #include "common/journal.hpp"
-#include "fingerprint/batch.hpp"
-#include "fingerprint/codewords.hpp"
+#include "common/retry.hpp"
+#include "dist/runner.hpp"
 
 using namespace odcfp;
 
@@ -34,27 +37,35 @@ int main(int argc, char** argv) {
   const std::size_t buyers =
       argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 6;
   const std::string outdir = argc > 3 ? argv[3] : "resilient_service_out";
-  const std::string journal_path = outdir + "/journal.odcfp";
 
-  const Netlist golden = make_benchmark(circuit);
-  const StaticTimingAnalyzer sta;
-  const PowerAnalyzer power;
-  const auto locations = find_locations(golden);
-  const Codebook book(locations, buyers, /*seed=*/2026);
+  dist::RunSpec spec;
+  spec.circuit = circuit;
+  spec.num_buyers = buyers;
+  spec.codebook_seed = 2026;
+  spec.batch_seed = 42;
+  spec.max_delay_overhead = 0;  // keep the status story about I/O
+  spec.label = circuit;
+  const dist::RunInputs inputs(spec);
 
   // Start from scratch so the interruption story replays every run.
-  atomic_io::make_dirs(outdir);
-  std::remove(journal_path.c_str());
-  for (std::size_t b = 0; b < buyers; ++b) {
-    std::remove((outdir + "/edition_" + std::to_string(b) + ".blif")
-                    .c_str());
+  const auto reset_run_dir = [&](const std::string& dir) {
+    std::remove(dist::run_spec_path(dir).c_str());
+    std::remove(dist::shard_journal_path(dir, 0).c_str());
+    for (std::size_t b = 0; b < buyers; ++b) {
+      std::remove((dist::editions_dir(dir) + "/edition_" +
+                   std::to_string(b) + ".blif")
+                      .c_str());
+    }
+  };
+  reset_run_dir(outdir);
+  // Pinned before the outage below, so every failing atomic_io.write is
+  // an edition publish.
+  const Outcome<bool> pinned = dist::pin_run_spec(outdir, spec);
+  if (!pinned.ok()) {
+    std::printf("run dir rejected: %s\n", pinned.message().c_str());
+    return 1;
   }
-
-  ResumeOptions opt;
-  opt.artifact_dir = outdir;
-  opt.label = circuit;
-  opt.batch.max_delay_overhead = 0;  // keep the status story about I/O
-  opt.retry.sleep = false;  // demo: record backoffs, don't wait them out
+  const std::string journal_path = dist::shard_journal_path(outdir, 0);
 
   // ---- 1. the interrupted run -------------------------------------
   // FailNthIo throws at the atomic_io.write fault point for the first
@@ -66,10 +77,10 @@ int main(int argc, char** argv) {
   {
     fault::FailNthIo disk_down(
         1, "atomic_io.write",
-        static_cast<std::uint64_t>(2 * opt.retry.max_attempts));
+        static_cast<std::uint64_t>(2 * RetryPolicy{}.max_attempts));
     fault::ScopedInjector guard(&disk_down);
-    const ResumableBatchResult run = batch_fingerprint_resumable(
-        journal_path, golden, book, sta, power, opt);
+    const dist::ResumableBatchResult run =
+        dist::run_shard(outdir, spec, inputs, {});
     std::printf("    status=%s committed=%zu/%zu retries=%zu\n",
                 to_string(run.status), run.batch.num_ok(), buyers,
                 run.retries);
@@ -99,8 +110,8 @@ int main(int argc, char** argv) {
 
   // ---- 3. resume with a healthy disk ------------------------------
   std::printf("\n[3] resume the same command\n");
-  const ResumableBatchResult resumed = batch_fingerprint_resumable(
-      journal_path, golden, book, sta, power, opt);
+  const dist::ResumableBatchResult resumed =
+      dist::run_shard(outdir, spec, inputs, {});
   std::printf("    status=%s committed=%zu/%zu recovered=%zu\n",
               to_string(resumed.status), resumed.batch.num_ok(), buyers,
               resumed.recovered);
@@ -114,15 +125,9 @@ int main(int argc, char** argv) {
   // the same artifacts bit for bit (seeds re-derive from the journal
   // header, publishes are atomic, commits are idempotent).
   const std::string refdir = outdir + "/reference";
-  std::remove((refdir + "/journal.odcfp").c_str());
-  for (std::size_t b = 0; b < buyers; ++b) {
-    std::remove((refdir + "/edition_" + std::to_string(b) + ".blif")
-                    .c_str());
-  }
-  ResumeOptions ref_opt = opt;
-  ref_opt.artifact_dir = refdir;
-  const ResumableBatchResult reference = batch_fingerprint_resumable(
-      refdir + "/journal.odcfp", golden, book, sta, power, ref_opt);
+  reset_run_dir(refdir);
+  const dist::ResumableBatchResult reference =
+      dist::run_shard(refdir, spec, inputs, {});
   std::size_t identical = 0;
   for (std::size_t b = 0; b < buyers; ++b) {
     std::string got, want;
@@ -137,6 +142,7 @@ int main(int argc, char** argv) {
               identical, buyers);
 
   std::printf("\njournal: %s\n", journal_path.c_str());
-  std::printf("artifacts: %s/edition_<buyer>.blif\n", outdir.c_str());
+  std::printf("artifacts: %s/edition_<buyer>.blif\n",
+              dist::editions_dir(outdir).c_str());
   return identical == buyers ? 0 : 1;
 }

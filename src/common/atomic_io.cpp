@@ -61,8 +61,7 @@ constexpr std::size_t kWriteChunk = 64 * 1024;
 }  // namespace
 
 WriteResult write_file_atomic(const std::string& path,
-                              std::string_view data,
-                              const WriteOptions& options) {
+                              std::string_view data) {
   WriteResult result;
   const std::string tmp = temp_path_for(path);
   int fd = -1;
@@ -101,7 +100,7 @@ WriteResult write_file_atomic(const std::string& path,
       }
       off += static_cast<std::size_t>(n);
     }
-    if (result.error.empty() && options.fsync_file) {
+    if (result.error.empty()) {
       ODCFP_FAULT_POINT("atomic_io.fsync");
       if (::fsync(fd) != 0) result.error = errno_message("fsync", tmp);
     }
@@ -130,7 +129,7 @@ WriteResult write_file_atomic(const std::string& path,
         .field("error", result.error);
     return result;
   }
-  if (options.fsync_dir) fsync_directory(parent_dir(path));
+  fsync_directory(parent_dir(path));
   result.ok = true;
   return result;
 }

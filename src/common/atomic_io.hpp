@@ -27,15 +27,6 @@
 
 namespace odcfp::atomic_io {
 
-struct WriteOptions {
-  /// fsync the temp file before the rename (durability of the bytes).
-  bool fsync_file = true;
-  /// fsync the parent directory after the rename (durability of the
-  /// name). Best-effort: some filesystems reject directory fsync; a
-  /// failure here never fails the write.
-  bool fsync_dir = true;
-};
-
 struct WriteResult {
   bool ok = false;
   /// On failure: which step failed, on what path, and the errno text (or
@@ -43,11 +34,13 @@ struct WriteResult {
   std::string error;
 };
 
-/// Atomically replaces `path` with `data`. On failure the temp file is
-/// unlinked and the final path is untouched (old content, or absent).
+/// Atomically replaces `path` with `data`: the temp file is fsync'd
+/// before the rename, and the parent directory after it (best-effort:
+/// some filesystems reject directory fsync, which never fails the
+/// write). On failure the temp file is unlinked and the final path is
+/// untouched (old content, or absent).
 WriteResult write_file_atomic(const std::string& path,
-                              std::string_view data,
-                              const WriteOptions& options = {});
+                              std::string_view data);
 
 /// Creates `path` holding exactly `prologue` (replacing any old file) and
 /// returns a write-only O_APPEND descriptor on it, or -1 with `*error`

@@ -1,11 +1,13 @@
 // Append-only, checksummed, fsync'd write-ahead journal for resumable
 // batch fingerprinting.
 //
-// A multi-buyer run (src/fingerprint/batch.*) records every buyer's
-// lifecycle transition — queued -> embedding -> verified -> committed —
-// plus a header naming the run's base seed, buyer count, and a config
-// checksum, so that a process killed at ANY instant can be restarted and
-// skip exactly the buyers whose artifacts are already durable. The
+// The crash-safe runner (dist::run_shard, src/dist/runner.*) records
+// every buyer's lifecycle transition of its shard — embedding ->
+// verified -> committed, or failed — plus a header naming the run's
+// base seed, buyer count, and a config checksum, so that a process
+// killed at ANY instant can be restarted and skip exactly the buyers
+// whose artifacts are already durable. A buyer with no record is
+// queued; fresh journals write no queued records. The
 // journal is the recovery log, not a deterministic artifact: record
 // order across buyers depends on worker scheduling; the bit-identical
 // guarantee lives in the artifacts the records point at.
@@ -45,7 +47,9 @@ namespace odcfp {
 /// Per-buyer lifecycle phase recorded in the journal. Transitions only
 /// move forward; the latest record for a buyer wins on replay.
 enum class BuyerPhase : std::uint8_t {
-  kQueued = 0,  ///< No record yet (implicit initial state).
+  kQueued = 0,  ///< No record yet (implicit initial state). Only
+                ///< journals of older writers, which listed every buyer
+                ///< first, hold queued records; they still replay.
   kEmbedding,   ///< A worker started stamping this buyer.
   kVerified,    ///< Embed done; extracted code matched the codeword.
   kCommitted,   ///< Artifact durable at its final path (crc recorded).

@@ -1,9 +1,10 @@
 // Shard geometry and on-disk layout of a fingerprinting run.
 //
 // Every shipped order lives in one `run_dir`, whether a supervisor
-// shards it across worker processes (src/dist/supervisor.*) or the
+// shards it across worker processes (src/dist/supervisor.*), the
 // daemon runs it in-process as a one-shard run (src/service/server.*,
-// `state/runs/req_<n>`):
+// `state/runs/req_<n>`), or a library caller runs it as shard 0
+// (examples/buyer_batch):
 //
 //   run_dir/run.spec          — the run's full configuration (RunSpec),
 //                               written (or cross-checked) once before
@@ -36,9 +37,9 @@
 //                               one timeline by src/dist/stitch.*.
 //
 // Every shard journal carries the GLOBAL buyer count and config checksum
-// in its header (only the [begin, end) roster differs), so any two shard
-// journals of one run are mutually consistent and the merge layer can
-// cross-check them against run.spec.
+// in its header (only the buyers its records name differ), so any two
+// shard journals of one run are mutually consistent and the merge layer
+// can cross-check them against run.spec.
 //
 // Determinism: shard_ranges() is a pure function of (num_buyers,
 // num_shards); per-buyer seeds derive from the global batch seed and the

@@ -5,14 +5,21 @@
 // embarrassingly parallel — each edition is an independent clone + embed +
 // measure — so this module fans the per-buyer work across a ThreadPool:
 //
+//  * make_edition            — the per-buyer stamp. Clones the golden
+//    netlist, embeds the buyer's whole codeword, then times the edition
+//    with one full STA pass, which yields both its critical delay and its
+//    delay overhead.
 //  * batch_fingerprint       — stamp one edition per codeword of a
-//    Codebook. Each worker embeds the whole codeword into its own netlist
-//    clone, then times the edition with one full STA pass, which yields
-//    both its critical delay and its delay overhead.
+//    Codebook, in memory.
 //  * batch_verify_equivalence — fan CEC of all editions against the
 //    golden netlist across the pool in shared-miter
 //    IncrementalCecSessions, escalating a check that exhausts its quota
 //    to verify_equivalence_budgeted.
+//
+// The crash-safe runner every shipped order goes through (dist::run_shard,
+// src/dist/runner.hpp) stamps with the same make_edition and buyer_seed,
+// adding the journal, the atomic publish and the retries this module
+// knows nothing of.
 //
 // Determinism contract: results are byte-identical for any pool size
 // (including none). Editions never share mutable state; any randomness
@@ -24,12 +31,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/budget.hpp"
-#include "common/retry.hpp"
 #include "equiv/cec.hpp"
 #include "fingerprint/codewords.hpp"
 #include "fingerprint/heuristics.hpp"
@@ -100,6 +105,21 @@ struct BatchResult {
   }
 };
 
+/// The seed of `buyer`'s edition (BuyerEdition::seed): a fixed function
+/// of the base seed and the buyer index, never of scheduling order.
+std::uint64_t buyer_seed(std::uint64_t base, std::size_t buyer);
+
+/// Stamps `buyer`'s edition: a clone of `golden` carrying the buyer's
+/// whole codeword of `book`, timed once against `baseline`, and tagged
+/// kInfeasible when it exceeds options.max_delay_overhead (only seed and
+/// max_delay_overhead of `options` are read). A pure function of its
+/// arguments.
+BuyerEdition make_edition(const Netlist& golden, const CodebookSource& book,
+                          std::size_t buyer, const Baseline& baseline,
+                          const StaticTimingAnalyzer& sta,
+                          const PowerAnalyzer& power,
+                          const BatchOptions& options);
+
 /// Stamps one edition per codeword of `book` (whose locations must have
 /// been found on `golden`). See the determinism contract above.
 BatchResult batch_fingerprint(const Netlist& golden, const CodebookSource& book,
@@ -135,111 +155,5 @@ struct BatchCecOptions {
 std::vector<Outcome<CecResult>> batch_verify_equivalence(
     const Netlist& golden, const std::vector<BuyerEdition>& editions,
     const BatchCecOptions& options = {});
-
-// ------------------------------------------------- crash-safe resume
-
-/// Progress of one resumable batch run, as seen at a heartbeat. Counts
-/// are cumulative over the run's buyer range, so committed/total is a
-/// completion fraction and deltas between reports give a rate.
-struct BatchProgress {
-  std::size_t range_begin = 0;
-  std::size_t range_end = 0;
-  /// Buyers of this range whose artifact is committed (including those
-  /// recovered from the journal at startup).
-  std::size_t committed = 0;
-  /// Committed buyers that were recovered rather than stamped here.
-  std::size_t recovered = 0;
-  /// Wall time since batch_fingerprint_resumable was entered.
-  std::int64_t elapsed_ms = 0;
-  /// True exactly once, after the stamping loop joins (the last report).
-  bool final = false;
-};
-
-struct ResumeOptions {
-  /// Seed / pool / budget / delay constraint, exactly as for
-  /// batch_fingerprint. On resume the journal header's seed is
-  /// authoritative (per-buyer seeds re-derive from it), so the editions
-  /// of a resumed run can never diverge from the run that wrote the
-  /// journal; a differing batch.seed is logged and overridden.
-  BatchOptions batch;
-  /// Directory receiving one `edition_<buyer>.blif` per committed buyer
-  /// (created if missing; stale `*.tmp.*` files from crashed writers are
-  /// swept on entry).
-  std::string artifact_dir;
-  /// Transient-failure policy per buyer (alloc faults, injected or real
-  /// I/O faults, a per-buyer sub-budget returning kExhausted). The
-  /// policy's seed is XOR-mixed with the buyer's derived seed, so
-  /// backoff schedules are per-buyer deterministic at any thread count.
-  RetryPolicy retry;
-  /// Human label stored in the journal header (e.g. the circuit name).
-  std::string label;
-
-  // ---- sharded execution (src/dist/) ----
-
-  /// Half-open buyer range this process stamps. range_end == 0 means
-  /// "through the last buyer", so the default {0, 0} covers the whole
-  /// codebook. A sharded run gives each worker process its own range
-  /// (and its own journal file); the journal header still pins the
-  /// GLOBAL buyer count and config checksum, so every shard journal of
-  /// one run is mutually consistent and the merge layer can cross-check
-  /// them. Buyers outside the range are returned as kExhausted slots but
-  /// never counted as pending.
-  std::size_t range_begin = 0;
-  std::size_t range_end = 0;
-  /// When > 0, a sidecar thread appends a liveness heartbeat record to
-  /// the journal every this-many milliseconds (Journal::heartbeat) for
-  /// the duration of the run, so an external supervisor watching the
-  /// journal can distinguish a wedged worker from a slow one. 0 (the
-  /// default) spawns nothing.
-  std::int64_t heartbeat_interval_ms = 0;
-  /// Called from the heartbeat thread once per heartbeat interval with
-  /// the run's cumulative progress, plus exactly once (final = true)
-  /// from the calling thread after the stamping loop joins. The dist
-  /// layer wires this to a status-snapshot publisher; keep the callback
-  /// cheap and non-throwing. Never invoked concurrently with itself.
-  /// With heartbeat_interval_ms <= 0 only the final report fires.
-  std::function<void(const BatchProgress&)> progress;
-};
-
-struct ResumableBatchResult {
-  /// Same shape as batch_fingerprint's result. Buyers recovered from the
-  /// journal (already committed by a previous run) carry status kOk with
-  /// an EMPTY netlist and zero overheads — their bytes live at
-  /// artifacts[buyer]; re-reading them is the caller's choice.
-  BatchResult batch;
-  /// Final artifact path per buyer ("" while not committed).
-  std::vector<std::string> artifacts;
-  /// CRC-32 of each committed artifact, as its commit record pins it
-  /// (0 while not committed).
-  std::vector<std::uint32_t> artifact_crcs;
-  /// Buyers skipped because the journal proved them committed (artifact
-  /// present with the recorded checksum).
-  std::size_t recovered = 0;
-  /// Total transient retries absorbed across all buyers.
-  std::size_t retries = 0;
-  std::string journal_path;
-  /// kOk: every buyer in this process's range committed. kExhausted:
-  /// budget died or transient
-  /// faults outlasted the retry policy — rerun with the same journal to
-  /// continue. kMalformedInput: the journal belongs to a different run
-  /// or is corrupt mid-file (message explains; nothing was stamped).
-  Status status = Status::kOk;
-  std::string message;
-};
-
-/// Crash-safe batch_fingerprint: records per-buyer lifecycle (queued ->
-/// embedding -> verified -> committed) in a write-ahead journal at
-/// `journal_path` and writes every artifact atomically, so the process
-/// can be SIGKILLed at any instant and rerun with the same arguments to
-/// finish the batch — committed buyers are skipped, their artifacts
-/// byte-identical to an uninterrupted run at any thread count. Commit
-/// protocol per buyer: embed + verify the extracted code matches the
-/// codeword, atomically publish the BLIF artifact, then journal
-/// `committed` with the artifact's crc32. A `committed` record whose
-/// artifact is missing or fails its checksum is demoted and re-stamped.
-ResumableBatchResult batch_fingerprint_resumable(
-    const std::string& journal_path, const Netlist& golden,
-    const CodebookSource& book, const StaticTimingAnalyzer& sta,
-    const PowerAnalyzer& power, const ResumeOptions& options);
 
 }  // namespace odcfp

@@ -60,7 +60,7 @@ dist::RunSpec run_spec_of(const RequestSpec& spec, double max_delay_overhead) {
 /// Digest over the committed artifacts: crc32 of the per-buyer
 /// "buyer:crc\n" lines in buyer order, each crc the one its commit
 /// record pinned. Deterministic because artifact bytes are.
-std::uint32_t artifact_digest(const ResumableBatchResult& rr) {
+std::uint32_t artifact_digest(const dist::ResumableBatchResult& rr) {
   atomic_io::Crc32 digest;
   for (std::size_t b = 0; b < rr.artifacts.size(); ++b) {
     if (rr.artifacts[b].empty()) continue;
@@ -416,7 +416,7 @@ struct Server::Impl {
       dist::ShardOptions shard;
       shard.pool = pool.get();
       shard.budget = &budget;
-      const ResumableBatchResult rr =
+      const dist::ResumableBatchResult rr =
           dist::run_shard(run_dir, run, inputs, shard);
 
       if (stopping.load(std::memory_order_relaxed) &&
@@ -439,9 +439,11 @@ struct Server::Impl {
         t.artifact_crc = artifact_digest(rr);
         if (spec.verify) {
           // Freshly stamped editions get a CEC pass under whatever
-          // budget remains (recovered editions were verified by the run
-          // that committed them; their netlists are not materialized
-          // here). Exhaustion mid-verify degrades, it does not fail.
+          // budget remains. Recovered editions are not re-proven: their
+          // netlists are not materialized here, and no commit proves
+          // equivalence (`verified` in the journal means only that the
+          // edition decodes to its codeword; ROADMAP item 2). Exhaustion
+          // mid-verify degrades, it does not fail.
           BatchCecOptions cec;
           cec.pool = pool.get();
           cec.budget = &budget;

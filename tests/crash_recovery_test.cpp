@@ -1,11 +1,13 @@
 // Chaos-recovery harness: SIGKILL the batch at journal-fault-point-driven
 // instants, resume, and diff the artifacts against an uninterrupted run.
 //
-// This is the acceptance gate of the crash-safety tentpole. A child
-// process runs batch_fingerprint_resumable with an injector that raises
-// SIGKILL at the nth hit of a chosen fault site — the process dies with
-// no unwinding, exactly like an OOM kill or a power cut at that instant.
-// The parent then asserts the full recovery contract on the debris:
+// This is the acceptance gate of crash safety. A child process runs one
+// c432 order as shard 0 of a run dir (dist::run_shard) with an injector
+// that raises SIGKILL at the nth hit of a chosen fault site — the process
+// dies with no unwinding, exactly like an OOM kill or a power cut at that
+// instant. The parent pins the dir's run.spec before the child starts, so
+// every atomic_io hit in the child is an artifact publish, then asserts
+// the full recovery contract on the debris:
 //
 //  * the journal replays cleanly (a torn final record at worst — never
 //    mid-file corruption, never an unreadable file when work started);
@@ -14,7 +16,7 @@
 //  * resuming with the same arguments completes the batch, skipping
 //    committed buyers, and every artifact is byte-identical to a run
 //    that was never interrupted — at 1, 2, and 8 resume threads;
-//  * no temp debris survives a resume.
+//  * no temp debris survives a resume, and the run dir reads as done.
 //
 // Set ODCFP_CHAOS_DIR to keep the journals/artifacts of failing
 // scenarios in a known place (the CI chaos job uploads it).
@@ -33,13 +35,12 @@
 #include <string>
 #include <vector>
 
-#include "benchgen/benchmarks.hpp"
 #include "common/atomic_io.hpp"
 #include "common/fault.hpp"
 #include "common/journal.hpp"
 #include "common/parallel.hpp"
-#include "fingerprint/batch.hpp"
-#include "fingerprint/codewords.hpp"
+#include "dist/runner.hpp"
+#include "dist/status.hpp"
 
 namespace odcfp {
 namespace {
@@ -84,43 +85,55 @@ std::vector<std::string> list_dir(const std::string& dir) {
   return names;
 }
 
+/// Empties a run dir: its editions, then its files and the editions dir.
 void wipe_dir(const std::string& dir) {
+  const std::string editions = dist::editions_dir(dir);
+  for (const std::string& name : list_dir(editions)) {
+    std::remove((editions + "/" + name).c_str());
+  }
   for (const std::string& name : list_dir(dir)) {
     std::remove((dir + "/" + name).c_str());
   }
 }
 
+/// Temp files in the run dir and its editions dir.
 std::size_t count_temps(const std::string& dir) {
   std::size_t n = 0;
-  for (const std::string& name : list_dir(dir)) {
-    if (name.find(".tmp.") != std::string::npos) ++n;
+  for (const std::string& d : {dir, dist::editions_dir(dir)}) {
+    for (const std::string& name : list_dir(d)) {
+      if (name.find(".tmp.") != std::string::npos) ++n;
+    }
   }
   return n;
 }
 
+std::string artifact_path(const std::string& dir, std::size_t buyer) {
+  return dist::editions_dir(dir) + "/edition_" + std::to_string(buyer) +
+         ".blif";
+}
+
+/// A materialized c432 order: the codebook seed picks the codewords, and
+/// the batch seed is BatchOptions' default.
+dist::RunSpec chaos_spec(std::uint64_t buyers, std::uint64_t codebook_seed) {
+  dist::RunSpec spec;
+  spec.circuit = "c432";
+  spec.num_buyers = buyers;
+  spec.codebook_seed = codebook_seed;
+  spec.batch_seed = 42;
+  spec.max_delay_overhead = 0;  // exercise crash paths, not delay
+  spec.label = "chaos";
+  return spec;
+}
+
 struct Fixture {
-  Netlist golden = make_benchmark("c432");
-  StaticTimingAnalyzer sta;
-  PowerAnalyzer power;
-  std::vector<FingerprintLocation> locs = find_locations(golden);
-  Codebook book{locs, kBuyers, /*seed=*/2026};
+  dist::RunSpec spec = chaos_spec(kBuyers, /*codebook_seed=*/2026);
+  dist::RunInputs inputs{spec};
 
-  ResumeOptions options(const std::string& dir,
-                        ThreadPool* pool = nullptr) const {
-    ResumeOptions opt;
-    opt.artifact_dir = dir;
-    opt.label = "chaos";
-    opt.batch.max_delay_overhead = 0;  // exercise crash paths, not delay
-    opt.batch.pool = pool;
-    opt.retry.sleep = false;
-    return opt;
-  }
-
-  ResumableBatchResult run(const std::string& dir,
+  dist::ResumableBatchResult run(const std::string& dir,
                            ThreadPool* pool = nullptr) const {
-    return batch_fingerprint_resumable(dir + "/journal.odcfp", golden,
-                                       book, sta, power,
-                                       options(dir, pool));
+    dist::ShardOptions options;
+    options.pool = pool;
+    return dist::run_shard(dir, spec, inputs, options);
   }
 };
 
@@ -137,22 +150,44 @@ const std::vector<std::string>& reference_bytes(const Fixture& f) {
         chaos_base() + "reference_" + std::to_string(::getpid());
     atomic_io::make_dirs(dir);
     wipe_dir(dir);
-    const ResumableBatchResult ref = f.run(dir);
+    const dist::ResumableBatchResult ref = f.run(dir);
     EXPECT_EQ(ref.status, Status::kOk) << ref.message;
     for (std::size_t b = 0; b < kBuyers; ++b) {
       std::string data;
       EXPECT_TRUE(atomic_io::read_file(ref.artifacts[b], &data));
       bytes->push_back(std::move(data));
     }
+    // A fresh journal records each buyer's lifecycle and nothing else:
+    // no roster of queued records precedes the work.
+    const Outcome<JournalReplay> replay = read_journal(ref.journal_path);
+    EXPECT_TRUE(replay.ok()) << replay.message();
+    const std::vector<BuyerPhase> lifecycle = {
+        BuyerPhase::kEmbedding, BuyerPhase::kVerified,
+        BuyerPhase::kCommitted};
+    std::vector<std::vector<BuyerPhase>> recorded(kBuyers);
+    if (replay.ok()) {
+      EXPECT_EQ(replay.value().entries.size(), kBuyers * lifecycle.size());
+      for (const JournalEntry& e : replay.value().entries) {
+        if (e.buyer < kBuyers) recorded[e.buyer].push_back(e.phase);
+      }
+    }
+    for (std::size_t b = 0; b < kBuyers; ++b) {
+      EXPECT_EQ(recorded[b], lifecycle) << "buyer " << b;
+    }
   }
   return *bytes;
 }
 
-/// Forks a child that runs the batch under a SIGKILL injector. Returns
-/// true when the child was killed by the injector, false when the fault
-/// site was never hit `nth` times and the child completed.
+/// Pins the dir's run.spec, then forks a child that runs the shard under
+/// a SIGKILL injector. Returns true when the child was killed by the
+/// injector, false when the fault site was never hit `nth` times and the
+/// child completed.
 bool run_child_killed_at(const Fixture& f, const std::string& dir,
                          const char* site, std::uint64_t nth) {
+  // Pinned here, before any injector exists: the spec's own atomic
+  // publish must not consume the child's atomic_io hits.
+  const Outcome<bool> pinned = dist::pin_run_spec(dir, f.spec);
+  EXPECT_TRUE(pinned.ok()) << pinned.message();
   const pid_t pid = ::fork();
   if (pid == 0) {
     // Child: no gtest assertions, no exit handlers — _exit only. A
@@ -160,7 +195,7 @@ bool run_child_killed_at(const Fixture& f, const std::string& dir,
     // deterministic.
     KillAtNth killer(nth, site);
     fault::ScopedInjector scoped(&killer);
-    const ResumableBatchResult out = f.run(dir);
+    const dist::ResumableBatchResult out = f.run(dir);
     ::_exit(out.status == Status::kOk ? 0 : 2);
   }
   int wstatus = 0;
@@ -183,7 +218,7 @@ void assert_recovers(const Fixture& f, const std::string& dir,
   const std::vector<std::string>& ref = reference_bytes(f);
 
   // 1. The journal, if it exists at all, replays without corruption.
-  const std::string journal_path = dir + "/journal.odcfp";
+  const std::string journal_path = dist::shard_journal_path(dir, 0);
   if (atomic_io::exists(journal_path)) {
     const Outcome<JournalReplay> replay = read_journal(journal_path);
     ASSERT_TRUE(replay.ok()) << replay.message();
@@ -192,8 +227,7 @@ void assert_recovers(const Fixture& f, const std::string& dir,
   // 2. Every artifact at a final path is byte-complete right now —
   // BEFORE any recovery runs. Partial bytes may only live at temp paths.
   for (std::size_t b = 0; b < kBuyers; ++b) {
-    const std::string path =
-        dir + "/edition_" + std::to_string(b) + ".blif";
+    const std::string path = artifact_path(dir, b);
     if (!atomic_io::exists(path)) continue;
     std::string data;
     ASSERT_TRUE(atomic_io::read_file(path, &data));
@@ -201,7 +235,7 @@ void assert_recovers(const Fixture& f, const std::string& dir,
   }
 
   // 3. Resume completes and matches the uninterrupted run bit for bit.
-  const ResumableBatchResult resumed = f.run(dir);
+  const dist::ResumableBatchResult resumed = f.run(dir);
   ASSERT_EQ(resumed.status, Status::kOk) << resumed.message;
   for (std::size_t b = 0; b < kBuyers; ++b) {
     std::string data;
@@ -209,8 +243,8 @@ void assert_recovers(const Fixture& f, const std::string& dir,
     EXPECT_EQ(data, ref[b]) << "buyer " << b;
   }
 
-  // 4. No temp debris after a resume, and the journal now shows every
-  // buyer committed.
+  // 4. No temp debris after a resume, the journal now shows every
+  // buyer committed, and the run-dir loader reads the dir as done.
   EXPECT_EQ(count_temps(dir), 0u);
   const Outcome<JournalReplay> final_replay = read_journal(journal_path);
   ASSERT_TRUE(final_replay.ok());
@@ -219,10 +253,13 @@ void assert_recovers(const Fixture& f, const std::string& dir,
   for (std::size_t b = 0; b < kBuyers; ++b) {
     EXPECT_EQ(phases[b], BuyerPhase::kCommitted) << "buyer " << b;
   }
+  const dist::RunStatusView run = dist::load_run(dir);
+  EXPECT_EQ(run.state, "done");
+  EXPECT_EQ(run.committed, kBuyers);
 }
 
 // SIGKILL swept across every distinct phase of the journal protocol:
-// journal creation, the queued roster, mid-run lifecycle appends, the
+// journal creation, the first append, mid-run lifecycle appends, the
 // commit append (artifact durable, record not), the fsync window, and
 // all three steps of an atomic artifact publish.
 TEST(CrashRecovery, SigkillAtEveryJournalPhaseResumesByteIdentical) {
@@ -232,14 +269,14 @@ TEST(CrashRecovery, SigkillAtEveryJournalPhaseResumesByteIdentical) {
     std::uint64_t nth;
   };
   const Scenario scenarios[] = {
-      // Serial hit order: roster appends are hits 1-4, then each buyer
-      // appends kEmbedding / kVerified / kCommitted (5,6,7 for buyer 0,
-      // 8,9,10 for buyer 1, ...).
+      // Serial hit order: each buyer appends kEmbedding / kVerified /
+      // kCommitted (1,2,3 for buyer 0, 4,5,6 for buyer 1, ...), and each
+      // append is one journal.append and one journal.fsync hit.
       {"journal.create", 1},  // before the header is durable
-      {"journal.append", 2},  // writing the queued roster
-      {"journal.append", 6},  // buyer 0's kVerified record
-      {"journal.append", 7},  // a commit record: artifact already durable
-      {"journal.fsync", 3},   // record written, durability unknown
+      {"journal.append", 1},  // header durable, no record yet
+      {"journal.append", 2},  // buyer 0's kVerified record
+      {"journal.append", 3},  // a commit record: artifact already durable
+      {"journal.fsync", 3},   // commit record written, durability unknown
       {"atomic_io.write", 1}, // partial temp file on disk
       {"atomic_io.fsync", 1}, // full temp, not yet renamed
       {"atomic_io.rename", 2},// second buyer's publish instant
@@ -270,6 +307,27 @@ TEST(CrashRecovery, SigkillDuringResumeStillRecovers) {
   assert_recovers(f, dir, "journal.append", 3);
 }
 
+// A journal written while every fresh journal began with one queued
+// record per buyer (a roster nothing read) resumes like any other.
+TEST(CrashRecovery, RosterJournalResumesByteIdentical) {
+  const Fixture f;
+  const std::string dir = chaos_base() + "roster";
+  atomic_io::make_dirs(dir);
+  wipe_dir(dir);
+  // Header durable, no record yet; then the roster an older run wrote.
+  ASSERT_TRUE(run_child_killed_at(f, dir, "journal.append", 1));
+  const std::string path = dist::shard_journal_path(dir, 0);
+  const Outcome<JournalReplay> replay = read_journal(path);
+  ASSERT_TRUE(replay.ok()) << replay.message();
+  Outcome<Journal> journal = Journal::append_to(path, replay.value());
+  ASSERT_TRUE(journal.ok()) << journal.message();
+  for (std::size_t b = 0; b < kBuyers; ++b) {
+    ASSERT_TRUE(journal.value().append(b, BuyerPhase::kQueued));
+  }
+  journal.value().close();
+  assert_recovers(f, dir, "journal.append", 1);
+}
+
 // The same crashed state resumed at 1, 2, and 8 threads produces the
 // same bytes: per-buyer seeds re-derive from the journal header, never
 // from scheduling.
@@ -279,8 +337,9 @@ TEST(CrashRecovery, ResumeIsThreadCountInvariant) {
   const std::string crash_dir = chaos_base() + "invariance_crash";
   atomic_io::make_dirs(crash_dir);
   wipe_dir(crash_dir);
+  // Killed at buyer 1's kVerified record.
   ASSERT_TRUE(
-      run_child_killed_at(f, crash_dir, "journal.append", 9));
+      run_child_killed_at(f, crash_dir, "journal.append", 5));
 
   for (const int threads : {1, 2, 8}) {
     const std::string dir =
@@ -289,14 +348,19 @@ TEST(CrashRecovery, ResumeIsThreadCountInvariant) {
     wipe_dir(dir);
     // Clone the crashed state so each thread count resumes from the
     // identical debris.
-    for (const std::string& name : list_dir(crash_dir)) {
-      std::string bytes;
-      ASSERT_TRUE(atomic_io::read_file(crash_dir + "/" + name, &bytes));
-      ASSERT_TRUE(
-          atomic_io::write_file_atomic(dir + "/" + name, bytes).ok);
+    for (const std::string& sub : {std::string(), std::string("/editions")}) {
+      ASSERT_TRUE(atomic_io::make_dirs(dir + sub));
+      for (const std::string& name : list_dir(crash_dir + sub)) {
+        if (name == "editions") continue;
+        std::string bytes;
+        ASSERT_TRUE(
+            atomic_io::read_file(crash_dir + sub + "/" + name, &bytes));
+        ASSERT_TRUE(
+            atomic_io::write_file_atomic(dir + sub + "/" + name, bytes).ok);
+      }
     }
     ThreadPool pool(threads);
-    const ResumableBatchResult resumed = f.run(dir, &pool);
+    const dist::ResumableBatchResult resumed = f.run(dir, &pool);
     ASSERT_EQ(resumed.status, Status::kOk)
         << threads << " threads: " << resumed.message;
     for (std::size_t b = 0; b < kBuyers; ++b) {
@@ -311,20 +375,22 @@ TEST(CrashRecovery, ResumeIsThreadCountInvariant) {
 
 // A journal from a DIFFERENT run (other codebook/config) must be
 // rejected before any artifact is touched — resuming someone else's
-// journal would silently stamp the wrong editions.
+// journal would silently stamp the wrong editions. The journal header
+// refuses it on its own: run_shard never consults run.spec.
 TEST(CrashRecovery, ForeignJournalIsRejected) {
   const Fixture f;
   const std::string dir = chaos_base() + "foreign";
   atomic_io::make_dirs(dir);
   wipe_dir(dir);
-  // Complete a 2-buyer run in the same directory first.
-  const Codebook other_book{f.locs, 2, /*seed=*/7};
-  ResumeOptions opt = f.options(dir);
-  const ResumableBatchResult first = batch_fingerprint_resumable(
-      dir + "/journal.odcfp", f.golden, other_book, f.sta, f.power, opt);
+  // Complete a pinned 2-buyer run in the same directory first.
+  const dist::RunSpec other = chaos_spec(2, /*codebook_seed=*/7);
+  ASSERT_TRUE(dist::pin_run_spec(dir, other).ok());
+  const dist::RunInputs other_inputs(other);
+  const dist::ResumableBatchResult first =
+      dist::run_shard(dir, other, other_inputs, {});
   ASSERT_EQ(first.status, Status::kOk) << first.message;
   // Now ask for the 4-buyer run against the leftover journal.
-  const ResumableBatchResult out = f.run(dir);
+  const dist::ResumableBatchResult out = f.run(dir);
   EXPECT_EQ(out.status, Status::kMalformedInput);
   EXPECT_NE(out.message.find("different run"), std::string::npos)
       << out.message;
@@ -341,10 +407,9 @@ TEST(CrashRecovery, MissingOrCorruptArtifactIsRestamped) {
   ASSERT_EQ(f.run(dir).status, Status::kOk);
   // Vandalize buyer 1's artifact and delete buyer 2's outright.
   ASSERT_TRUE(
-      atomic_io::write_file_atomic(dir + "/edition_1.blif", "garbage")
-          .ok);
-  std::remove((dir + "/edition_2.blif").c_str());
-  const ResumableBatchResult resumed = f.run(dir);
+      atomic_io::write_file_atomic(artifact_path(dir, 1), "garbage").ok);
+  std::remove(artifact_path(dir, 2).c_str());
+  const dist::ResumableBatchResult resumed = f.run(dir);
   ASSERT_EQ(resumed.status, Status::kOk) << resumed.message;
   EXPECT_EQ(resumed.recovered, kBuyers - 2);
   for (std::size_t b = 0; b < kBuyers; ++b) {
@@ -363,26 +428,25 @@ TEST(CrashRecovery, InfeasibleEditionIsNeverCommitted) {
   const std::string dir = chaos_base() + "infeasible_gate";
   atomic_io::make_dirs(dir);
   wipe_dir(dir);
-  ResumeOptions opt = f.options(dir);
-  opt.batch.max_delay_overhead = 1e-12;  // "no slowdown allowed"
-  const ResumableBatchResult first = batch_fingerprint_resumable(
-      dir + "/journal.odcfp", f.golden, f.book, f.sta, f.power, opt);
+  dist::RunSpec strict = f.spec;
+  strict.max_delay_overhead = 1e-12;  // "no slowdown allowed"
+  const dist::ResumableBatchResult first =
+      dist::run_shard(dir, strict, f.inputs, {});
   ASSERT_EQ(first.status, Status::kInfeasible) << first.message;
   std::size_t violating = 0;
   for (std::size_t b = 0; b < kBuyers; ++b) {
     if (first.batch.editions[b].status != Status::kInfeasible) continue;
     ++violating;
     EXPECT_TRUE(first.artifacts[b].empty()) << "buyer " << b;
-    EXPECT_FALSE(
-        atomic_io::exists(dir + "/edition_" + std::to_string(b) + ".blif"))
+    EXPECT_FALSE(atomic_io::exists(artifact_path(dir, b)))
         << "buyer " << b << " was published despite violating the "
         << "delay constraint";
   }
   EXPECT_GT(violating, 0u);  // full codewords do slow c432 down
   // Resume agreement: the rerun re-stamps the failed buyers, reaches
   // the same verdict, and still publishes nothing for them.
-  const ResumableBatchResult again = batch_fingerprint_resumable(
-      dir + "/journal.odcfp", f.golden, f.book, f.sta, f.power, opt);
+  const dist::ResumableBatchResult again =
+      dist::run_shard(dir, strict, f.inputs, {});
   EXPECT_EQ(again.status, Status::kInfeasible) << again.message;
 }
 

@@ -17,8 +17,8 @@
 #include "benchgen/benchmarks.hpp"
 #include "common/atomic_io.hpp"
 #include "common/budget.hpp"
+#include "dist/runner.hpp"
 #include "equiv/cec.hpp"
-#include "fingerprint/batch.hpp"
 #include "fingerprint/heuristics.hpp"
 #include "io/blif.hpp"
 #include "odc/window.hpp"
@@ -322,29 +322,41 @@ TEST(WindowDegradation, SdcDegradesToEmptyImpossibleSet) {
 
 // ---- fault class 4: transient I/O faults inside the resumable batch ----
 
+/// A c432 order run as shard 0 of a fresh run dir under
+/// ::testing::TempDir(), through the crash-safe runner.
+struct IoFaultRun {
+  dist::RunSpec spec;
+  std::string dir;
+
+  IoFaultRun(const char* name, std::uint64_t buyers)
+      : dir(std::string(::testing::TempDir()) + name) {
+    spec.circuit = "c432";
+    spec.num_buyers = buyers;
+    spec.codebook_seed = 11;
+    spec.batch_seed = 42;
+    spec.max_delay_overhead = 0;
+    std::remove(dist::shard_journal_path(dir, 0).c_str());
+    for (std::uint64_t b = 0; b < buyers; ++b) {
+      std::remove((dist::editions_dir(dir) + "/edition_" +
+                   std::to_string(b) + ".blif")
+                      .c_str());
+    }
+  }
+};
+
 // A disk that misbehaves a handful of times and recovers: the retry
 // layer absorbs the faults and the batch still commits every buyer,
 // with the retries visible in the result.
 TEST(IoFaults, ResumableBatchAbsorbsTransientIoFaults) {
-  Fixture f("c432");
-  const Codebook book(f.locs, 2, /*seed=*/11);
-  const std::string dir =
-      std::string(::testing::TempDir()) + "io_faults_batch";
-  ResumeOptions opt;
-  opt.artifact_dir = dir;
-  opt.batch.max_delay_overhead = 0;
-  opt.retry.sleep = false;
-  std::remove((dir + "/journal.odcfp").c_str());
-  std::remove((dir + "/edition_0.blif").c_str());
-  std::remove((dir + "/edition_1.blif").c_str());
+  const IoFaultRun run("io_faults_batch", 2);
+  const dist::RunInputs inputs(run.spec);
   // Two isolated faults: fewer than max_attempts per buyer, so both
   // buyers recover within their retry budgets.
   fault::FailNthIo inj(1, "atomic_io.write", 2);
-  ResumableBatchResult out;
+  dist::ResumableBatchResult out;
   {
     fault::ScopedInjector scoped(&inj);
-    out = batch_fingerprint_resumable(dir + "/journal.odcfp", f.golden,
-                                      book, f.sta, f.power, opt);
+    out = dist::run_shard(run.dir, run.spec, inputs, {});
   }
   EXPECT_EQ(inj.fired(), 2u);
   EXPECT_EQ(out.status, Status::kOk) << out.message;
@@ -356,28 +368,19 @@ TEST(IoFaults, ResumableBatchAbsorbsTransientIoFaults) {
 // pending — typed kExhausted with a resume hint, never a throw — and a
 // later healthy run completes them.
 TEST(IoFaults, ResumableBatchReportsExhaustionWhenFaultsPersist) {
-  Fixture f("c432");
-  const Codebook book(f.locs, 2, /*seed=*/11);
-  const std::string dir =
-      std::string(::testing::TempDir()) + "io_faults_exhaust";
-  ResumeOptions opt;
-  opt.artifact_dir = dir;
-  opt.batch.max_delay_overhead = 0;
-  opt.retry.sleep = false;
-  std::remove((dir + "/journal.odcfp").c_str());
-  std::remove((dir + "/edition_0.blif").c_str());
-  std::remove((dir + "/edition_1.blif").c_str());
+  const IoFaultRun run("io_faults_exhaust", 2);
+  const dist::RunInputs inputs(run.spec);
   {
     fault::FailNthIo inj(1, "atomic_io", 1000);  // disk down for good
     fault::ScopedInjector scoped(&inj);
-    const ResumableBatchResult out = batch_fingerprint_resumable(
-        dir + "/journal.odcfp", f.golden, book, f.sta, f.power, opt);
+    const dist::ResumableBatchResult out =
+        dist::run_shard(run.dir, run.spec, inputs, {});
     EXPECT_EQ(out.status, Status::kExhausted);
     EXPECT_NE(out.message.find("resume"), std::string::npos)
         << out.message;
   }
-  const ResumableBatchResult healthy = batch_fingerprint_resumable(
-      dir + "/journal.odcfp", f.golden, book, f.sta, f.power, opt);
+  const dist::ResumableBatchResult healthy =
+      dist::run_shard(run.dir, run.spec, inputs, {});
   EXPECT_EQ(healthy.status, Status::kOk) << healthy.message;
 }
 
@@ -385,22 +388,13 @@ TEST(IoFaults, ResumableBatchReportsExhaustionWhenFaultsPersist) {
 // retry re-clones from the golden netlist, so one poisoned attempt
 // cannot corrupt the committed artifact.
 TEST(IoFaults, ResumableBatchRetriesAllocFaultInEmbedding) {
-  Fixture f("c432");
-  const Codebook book(f.locs, 1, /*seed=*/11);
-  const std::string dir =
-      std::string(::testing::TempDir()) + "io_faults_alloc";
-  ResumeOptions opt;
-  opt.artifact_dir = dir;
-  opt.batch.max_delay_overhead = 0;
-  opt.retry.sleep = false;
-  std::remove((dir + "/journal.odcfp").c_str());
-  std::remove((dir + "/edition_0.blif").c_str());
+  const IoFaultRun run("io_faults_alloc", 1);
+  const dist::RunInputs inputs(run.spec);
   fault::FailNthAlloc inj(3, "netlist.add_gate");
-  ResumableBatchResult out;
+  dist::ResumableBatchResult out;
   {
     fault::ScopedInjector scoped(&inj);
-    out = batch_fingerprint_resumable(dir + "/journal.odcfp", f.golden,
-                                      book, f.sta, f.power, opt);
+    out = dist::run_shard(run.dir, run.spec, inputs, {});
   }
   EXPECT_TRUE(inj.fired());
   EXPECT_EQ(out.status, Status::kOk) << out.message;

@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
     options.epoch = args.epoch;
     options.pool = args.threads > 1 ? &pool : nullptr;
     options.heartbeat_ms = args.heartbeat_ms;
-    const ResumableBatchResult rr =
+    const dist::ResumableBatchResult rr =
         dist::run_shard(args.run_dir, spec, inputs, options);
     switch (rr.status) {
       case Status::kOk:
