@@ -204,8 +204,8 @@ int main() {
   }
 
   // Stitch panel: merge the killed 4-shard run's cross-process debris
-  // (supervisor trace, 5 worker traces, lease journal, shard journals,
-  // snapshots) into one timeline at 1/2/8 stitcher threads. The stitched
+  // (supervisor trace, 5 worker traces, lease journal, shard journals)
+  // into one timeline at 1/2/8 stitcher threads. The stitched
   // bytes, the lease-span count, and the missing-trace count are
   // deterministic — the kill schedule is fixed and the stitcher is pure
   // record math — and hard-gate in CI via telemetry counters; the

@@ -114,6 +114,12 @@ int main(int argc, char** argv) {
     }
   }
   int rc = 0;
+  std::size_t committed = 0, failed = 0;
+  for (std::size_t b = 0; b < batch.editions.size(); ++b) {
+    if (!run.artifacts[b].empty()) ++committed;
+    const Status st = batch.editions[b].status;
+    if (st != Status::kOk && st != Status::kExhausted) ++failed;
+  }
   if (leaked != nullptr) {
     const FingerprintCode recovered_code =
         extract_code(leaked->netlist, golden, locations);
@@ -122,10 +128,15 @@ int main(int argc, char** argv) {
                 "(score %.2f)\n",
                 leaked->buyer, tr.ranked[0], tr.scores[0]);
     rc = tr.ranked[0] == leaked->buyer ? 0 : 1;
-  } else {
+  } else if (run.recovered == batch.editions.size()) {
     std::printf("every edition recovered from the journal; artifacts "
                 "already verified by checksum\n");
+  } else {
+    std::printf("no edition stamped: %zu recovered from the journal, %zu "
+                "of %zu buyer(s) failed\n",
+                run.recovered, failed, batch.editions.size());
   }
+  if (committed == 0) rc = 1;  // nothing shipped
 
   std::printf("\njournal: %s\n", run.journal_path.c_str());
   std::printf("artifacts: %s/edition_<buyer>.blif\n",

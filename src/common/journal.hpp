@@ -23,8 +23,10 @@
 // append time; it is OPTIONAL on parse — journals written before the
 // field existed (and handcrafted test fixtures) replay with wall_ns == 0 —
 // so readers must treat 0 as "unknown", never as the epoch. It exists
-// solely for the cross-process timeline (src/dist/stitch.*): replay and
-// resume decisions ignore it. A file holding only the magic line (no
+// for the run-dir readers — a shard's commit rate and edition latency
+// (src/dist/status.*) and the cross-process timeline
+// (src/dist/stitch.*) — since the journal is the shard's only progress
+// record: replay and resume decisions ignore it. A file holding only the magic line (no
 // header) replays as has_header == false and the caller starts over.
 //
 // Heartbeat records ("B" lines) are a sidecar liveness channel for the

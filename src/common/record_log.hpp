@@ -1,8 +1,8 @@
 // Append-only record logs: the one file format and durability protocol
 // behind the batch journal (common/journal.hpp), the supervisor's lease
 // journal (dist/lease.hpp) and the daemon's request log
-// (service/request_log.hpp), plus the one-record files run.spec and
-// status_<n>.snap (dist/shard.hpp, dist/status.hpp).
+// (service/request_log.hpp), plus the one-record file run.spec
+// (dist/shard.hpp).
 //
 // Framing. A log is a magic line naming its kind and version, then one
 // record per line:
@@ -138,7 +138,7 @@ std::string format_line(char tag, std::string_view payload);
 std::string header_payload(const JournalHeader& header);
 bool parse_header_payload(std::string_view payload, JournalHeader* out);
 
-// ---- one-record files (run.spec, status_<n>.snap) ----
+// ---- one-record files (run.spec) ----
 
 /// Atomically replaces `path` with `magic` and one `tag` record.
 atomic_io::WriteResult write_one(const std::string& path,

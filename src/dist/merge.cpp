@@ -56,8 +56,7 @@ MergeResult merge_run(
   result.buyers = n;
 
   // Pass 1: replay every shard journal, cross-check headers, and collect
-  // the committed artifact record per buyer.
-  std::vector<std::string> artifact(n);
+  // the CRC each buyer's commit record pinned.
   std::vector<std::uint32_t> committed_crc(n, 0);
   bool have_reference_header = false;
   JournalHeader reference;
@@ -98,38 +97,35 @@ MergeResult merge_run(
            << to_string(phases[b]) << ", not committed — nothing to merge";
         return fail(Status::kExhausted, os.str());
       }
-      const JournalEntry* e = replay.committed(b);
-      artifact[b] = e->artifact;
-      committed_crc[b] = e->artifact_crc;
+      committed_crc[b] = replay.committed(b)->artifact_crc;
     }
   }
 
-  // Pass 2: re-read every artifact and hold it to the committed CRC.
+  // Pass 2: re-read every artifact where this run dir keeps it (never at
+  // the path a commit record names: the dir may have moved since) and
+  // hold it to the committed CRC.
   std::ostringstream verification;
   verification << "{\n  \"circuit\": " << jsonlite::quote(spec.circuit)
                << ",\n  \"buyers\": " << n << ",\n  \"editions\": [\n";
   for (std::size_t b = 0; b < n; ++b) {
+    const std::string path = edition_path(run_dir, b);
     std::string bytes;
-    if (!atomic_io::read_file(artifact[b], &bytes)) {
+    if (!atomic_io::read_file(path, &bytes)) {
       return fail(Status::kExhausted, "buyer " + std::to_string(b) +
-                                          ": artifact '" + artifact[b] +
+                                          ": artifact '" + path +
                                           "' is unreadable");
     }
     const std::uint32_t crc = atomic_io::crc32(bytes);
     if (crc != committed_crc[b]) {
       return fail(Status::kMalformedInput,
-                  "buyer " + std::to_string(b) + ": artifact '" +
-                      artifact[b] +
+                  "buyer " + std::to_string(b) + ": artifact '" + path +
                       "' does not match the CRC its commit record pinned");
     }
     result.artifact_bytes += bytes.size();
     result.artifact_sizes.push_back(bytes.size());
     // Record the path relative to run_dir: merged files must compare
     // byte-equal across run directories.
-    std::string rel = artifact[b];
-    if (rel.rfind(run_dir + "/", 0) == 0) {
-      rel = rel.substr(run_dir.size() + 1);
-    }
+    const std::string rel = path.substr(run_dir.size() + 1);
     verification << "    {\"buyer\": " << b
                  << ", \"artifact\": " << jsonlite::quote(rel)
                  << ", \"crc32\": \"" << record_log::hex(crc, 8)

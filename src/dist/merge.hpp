@@ -27,8 +27,10 @@
 //
 // The merge trusts nothing it can cross-check: every shard journal must
 // carry the same (seed, buyers, config) header; every buyer of every
-// range must be committed; every artifact must re-read with exactly the
-// CRC its commit record pinned. Any mismatch fails the merge with a
+// range must be committed; every artifact must re-read, from this run
+// dir's editions/ (never from the path a commit record names, so a
+// moved or copied run dir merges its own bytes), with exactly the CRC
+// its commit record pinned. Any mismatch fails the merge with a
 // diagnostic naming the shard and buyer.
 #pragma once
 

@@ -59,7 +59,7 @@ RunReport analyze_run(const std::string& run_dir,
                            ? chains.last_wall_ns - chains.first_wall_ns
                            : 0;
 
-  // ---- per-shard lease chain, costs, snapshots, heartbeat cadence ----
+  // ---- per-shard lease chain, costs, journal numbers, heartbeats ----
   for (std::size_t s = 0; s < num_shards; ++s) {
     const ShardStatusView& shard = run.shards[s];
     ShardReportRow& row = report.shards[s];
@@ -86,11 +86,14 @@ RunReport analyze_run(const std::string& run_dir,
     report.lost_ns += row.lost_ns;
 
     row.committed = shard.committed;
-    if (shard.have_snapshot && !shard.snap.edition_ns.empty()) {
-      const metrics::HistData& h = shard.snap.edition_ns;
+    metrics::HistData latency;
+    for (const EditionSpan& span : shard.editions) {
+      latency.record(span.end_wall_ns - span.begin_wall_ns);
+    }
+    if (!latency.empty()) {
       row.have_latency = true;
-      row.p50_ns = h.quantile_permille(500);
-      row.p99_ns = h.quantile_permille(990);
+      row.p50_ns = latency.quantile_permille(500);
+      row.p99_ns = latency.quantile_permille(990);
     }
 
     std::vector<std::uint64_t> gaps;

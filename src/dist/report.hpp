@@ -3,14 +3,14 @@
 // Where src/dist/status.* answers "what is the run doing right now",
 // analyze_run answers "why did the run take as long as it did" — from
 // primary sources only (run.spec, the lease journal if any, shard
-// journals, status snapshots: load_run), so it works identically on a
-// live run, a crashed one, and a finished one, sharded or a daemon
-// request. It derives:
+// journals: load_run), so it works identically on a live run, a crashed
+// one, and a finished one, sharded or a daemon request. It derives:
 //
 //  * the critical path: the shard whose lease chain ends last, with the
 //    grant→regrant chain that explains the run's makespan;
-//  * per-shard edition latency (p50/p99 from the snapshot's edition_ns
-//    histogram — integer bucket math, common/metrics.hpp);
+//  * per-shard edition latency (p50/p99 of each commit's time since its
+//    buyer's last `embedding` record in the shard journal, as an
+//    edition_ns histogram — integer bucket math, common/metrics.hpp);
 //  * regrant and wedge cost: wall time burned inside lease intervals
 //    that ended in revocation (work the run had to redo);
 //  * anomaly flags: killed / wedged shards (from revocation details),
@@ -47,13 +47,13 @@ struct ShardReportRow {
   bool killed = false;  ///< A revocation detail names a death signal.
   bool wedged = false;  ///< A revocation detail names a missed heartbeat.
   bool open = false;    ///< Last lease has no close record.
-  /// From the last snapshot, or with none from the shard journal.
+  /// Buyers the shard journal shows committed.
   std::uint64_t committed = 0;
   std::uint64_t lease_ns = 0;   ///< Total wall time under lease.
   std::uint64_t lost_ns = 0;    ///< Lease time ending in revocation.
   std::uint64_t end_wall_ns = 0;  ///< When the shard's chain ended.
   bool have_latency = false;
-  std::uint64_t p50_ns = 0;  ///< Edition latency (snapshot histogram).
+  std::uint64_t p50_ns = 0;  ///< Edition latency (shard journal).
   std::uint64_t p99_ns = 0;
   std::uint64_t heartbeats = 0;
   std::uint64_t max_heartbeat_gap_ns = 0;

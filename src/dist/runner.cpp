@@ -1,7 +1,5 @@
 #include "dist/runner.hpp"
 
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -13,14 +11,12 @@
 #include "benchgen/benchmarks.hpp"
 #include "common/atomic_io.hpp"
 #include "common/check.hpp"
-#include "common/clock.hpp"
 #include "common/journal.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "common/retry.hpp"
 #include "common/telemetry.hpp"
 #include "common/trace.hpp"
-#include "dist/status.hpp"
 #include "fingerprint/embedder.hpp"
 #include "fingerprint/location.hpp"
 #include "fingerprint/streaming_codebook.hpp"
@@ -45,11 +41,6 @@ std::unique_ptr<const CodebookSource> make_codebook(
   }
   return std::make_unique<StreamingCodebook>(locs, spec.num_buyers,
                                              spec.codebook_seed);
-}
-
-std::string edition_artifact_path(const std::string& dir,
-                                  std::size_t buyer) {
-  return dir + "/edition_" + std::to_string(buyer) + ".blif";
 }
 
 /// Checksum of everything that determines the editions' bytes besides
@@ -82,53 +73,20 @@ std::uint32_t run_config_crc(const Netlist& golden, const CodebookSource& book,
   return crc.value();
 }
 
-/// The shard's progress as its status snapshots report it. The counts are
-/// the commit protocol's own, so a snapshot never claims a buyer whose
-/// artifact is not already durable.
-struct Progress {
-  std::string snap_path;
-  ShardStatus identity;  ///< shard, epoch, pid and range
-  std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
-  std::atomic<std::size_t> committed{0};
-  std::atomic<std::size_t> recovered{0};
-
-  /// One atomic single-record publish carrying progress, rate, and this
-  /// process's edition-latency histogram so far.
-  void publish(bool final_report) const {
-    ShardStatus st = identity;
-    st.committed = committed.load(std::memory_order_relaxed);
-    st.recovered = recovered.load(std::memory_order_relaxed);
-    st.elapsed_ms = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    const std::uint64_t stamped = st.committed - st.recovered;
-    st.eps_milli =
-        st.elapsed_ms > 0 ? stamped * 1'000'000 / st.elapsed_ms : 0;
-    st.done = final_report ? 1 : 0;
-    st.wall_ns = clocks::anchored_wall_now_ns();
-    st.edition_ns = telemetry::snapshot().hist_total("batch.edition_ns");
-    write_status_snapshot(snap_path, st);
-    // Heartbeat-cadence durability for an armed trace: a SIGKILLed
-    // process loses at most one interval of its timeline.
-    if (trace::armed()) trace::flush();
-  }
-};
-
 /// Liveness sidecar of a heartbeating shard: every `interval_ms` it
 /// appends a journal heartbeat (serialized with the workers' appends on
-/// the journal's mutex) and publishes a status snapshot, until destroyed.
+/// the journal's mutex) and flushes an armed trace, so a SIGKILLed
+/// process loses at most one interval of its timeline, until destroyed.
 class HeartbeatTicker {
  public:
-  HeartbeatTicker(Journal* journal, const Progress* progress,
-                  std::int64_t interval_ms) {
+  HeartbeatTicker(Journal* journal, std::int64_t interval_ms) {
     if (interval_ms <= 0) return;
-    thread_ = std::thread([this, journal, progress, interval_ms] {
+    thread_ = std::thread([this, journal, interval_ms] {
       std::unique_lock<std::mutex> lock(mu_);
       for (std::uint64_t beat = 1; !stop_; ++beat) {
         lock.unlock();
         journal->heartbeat(beat);
-        progress->publish(/*final_report=*/false);
+        if (trace::armed()) trace::flush();
         lock.lock();
         cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
                      [this] { return stop_; });
@@ -168,7 +126,6 @@ ResumableBatchResult run_shard(const std::string& run_dir,
   // The span keeps its name: gated telemetry trees (bench/baselines)
   // pin it.
   TELEM_SPAN("batch_fingerprint_resumable");
-  Progress progress;
   const Netlist& golden = inputs.golden;
   const CodebookSource& book = *inputs.book;
   const std::string journal_path = shard_journal_path(run_dir, options.shard);
@@ -206,7 +163,6 @@ ResumableBatchResult run_shard(const std::string& run_dir,
   const std::uint32_t config_crc =
       run_config_crc(golden, book, bo.max_delay_overhead);
   std::vector<BuyerPhase> phases(n, BuyerPhase::kQueued);
-  std::vector<std::string> committed_path(n);
   std::vector<std::uint32_t> committed_crc(n, 0);
   Journal journal;
   bool fresh = true;
@@ -234,9 +190,7 @@ ResumableBatchResult run_shard(const std::string& run_dir,
       phases = replay.phase_of(n);
       for (std::size_t b = rb; b < re; ++b) {
         if (phases[b] != BuyerPhase::kCommitted) continue;
-        const JournalEntry* e = replay.committed(b);
-        committed_path[b] = e->artifact;
-        committed_crc[b] = e->artifact_crc;
+        committed_crc[b] = replay.committed(b)->artifact_crc;
       }
       Outcome<Journal> opened = Journal::append_to(journal_path, replay);
       if (!opened.ok()) return fail(opened.message());
@@ -264,20 +218,23 @@ ResumableBatchResult run_shard(const std::string& run_dir,
   atomic_io::remove_stale_temps(artifact_dir);
 
   // Trust no committed record without its artifact: the bytes must be
-  // present at the final path with the checksum recorded at commit time,
-  // else the buyer is demoted and re-stamped (idempotent by design).
+  // present at this run dir's final path (not the path the record names,
+  // which points into wherever the dir lived when it was committed) with
+  // the checksum recorded at commit time, else the buyer is demoted and
+  // re-stamped (idempotent by design).
   std::vector<char> recovered(n, 0);
   for (std::size_t b = rb; b < re; ++b) {
     if (phases[b] != BuyerPhase::kCommitted) continue;
+    const std::string path = edition_path(run_dir, b);
     std::string bytes;
-    if (atomic_io::read_file(committed_path[b], &bytes) &&
+    if (atomic_io::read_file(path, &bytes) &&
         atomic_io::crc32(bytes) == committed_crc[b]) {
       recovered[b] = 1;
     } else {
       phases[b] = BuyerPhase::kQueued;
       log::warn("batch.resume.artifact_demoted")
           .field("buyer", b)
-          .field("artifact", committed_path[b]);
+          .field("artifact", path);
     }
   }
 
@@ -291,36 +248,29 @@ ResumableBatchResult run_shard(const std::string& run_dir,
     rr.batch.editions[b].status = Status::kExhausted;
   }
 
-  progress.snap_path = status_snapshot_path(run_dir, options.shard);
-  progress.identity.shard = options.shard;
-  progress.identity.epoch = options.epoch;
-  progress.identity.pid = static_cast<std::uint64_t>(::getpid());
-  progress.identity.range_begin = rb;
-  progress.identity.range_end = re;
+  std::atomic<std::size_t> total_recovered{0};
   std::atomic<std::size_t> total_retries{0};
   Status loop_status = Status::kOk;
   {
-    // Joined (and thus silent) before the final snapshot and the journal
-    // close.
-    HeartbeatTicker ticker(&journal, &progress, options.heartbeat_ms);
+    // Joined (and thus silent) before the journal closes.
+    HeartbeatTicker ticker(&journal, options.heartbeat_ms);
     loop_status = parallel_for(
       bo.pool, re - rb,
       [&](std::size_t i) {
         const std::size_t b = rb + i;
         TELEM_SPAN("batch_fingerprint.edition");
         BuyerEdition& slot = rr.batch.editions[b];
+        const std::string path = edition_path(run_dir, b);
         if (recovered[b]) {
           slot.status = Status::kOk;
           slot.code = book.code_of(b);
-          rr.artifacts[b] = committed_path[b];
+          rr.artifacts[b] = path;
           rr.artifact_crcs[b] = committed_crc[b];
-          progress.recovered.fetch_add(1, std::memory_order_relaxed);
-          progress.committed.fetch_add(1, std::memory_order_relaxed);
+          total_recovered.fetch_add(1, std::memory_order_relaxed);
           TELEM_COUNT("batch.editions_recovered", 1);
           return;
         }
         TELEM_HIST_TIMER("batch.edition_ns");
-        const std::string path = edition_artifact_path(artifact_dir, b);
         journal.append(b, BuyerPhase::kEmbedding);
         RetryPolicy rp;
         rp.seed ^= slot.seed;  // per-buyer schedule, scheduling-free
@@ -367,13 +317,15 @@ ResumableBatchResult run_shard(const std::string& run_dir,
           rr.batch.editions[b] = std::move(edition);
           rr.artifacts[b] = path;
           rr.artifact_crcs[b] = crc;
-          progress.committed.fetch_add(1, std::memory_order_relaxed);
           TELEM_COUNT("batch.editions_stamped", 1);
         } else if (rs.status != Status::kExhausted) {
           // Permanent failure: recorded so a resume retries it last, and
-          // surfaced on the edition (kExhausted slots stay resumable).
+          // surfaced on the edition with the overheads that refused it
+          // (kExhausted slots stay resumable).
           journal.append(b, BuyerPhase::kFailed);
           slot.status = rs.status;
+          slot.overheads = edition.overheads;
+          slot.critical_delay = edition.critical_delay;
           log::error("batch.edition.failed")
               .field("buyer", b)
               .field("status", to_string(rs.status))
@@ -386,9 +338,7 @@ ResumableBatchResult run_shard(const std::string& run_dir,
       },
       bo.budget);
   }
-  if (options.heartbeat_ms > 0) progress.publish(/*final_report=*/true);
-
-  rr.recovered = progress.recovered.load();
+  rr.recovered = total_recovered.load();
   rr.retries = total_retries.load();
   rr.batch.status = loop_status;
   if (loop_status == Status::kExhausted && bo.budget != nullptr) {

@@ -16,16 +16,18 @@
 // stamp (fingerprint/batch.hpp make_edition), refuse an edition over the
 // delay constraint, require extract_code to give back the codeword,
 // journal `verified`, publish the BLIF, journal `committed` with its
-// crc32. A resume skips a committed buyer only when its artifact still
-// has the recorded crc32, and re-stamps it otherwise; the artifacts are
-// byte-identical to an uninterrupted run at any thread count. No commit
-// proves equivalence: `verified` means the edition decodes to its
-// codeword.
+// crc32. A resume skips a committed buyer only when its artifact, at
+// edition_path(run_dir, buyer), still has the recorded crc32, and
+// re-stamps it otherwise; the artifacts are byte-identical to an
+// uninterrupted run at any thread count. No commit proves equivalence:
+// `verified` means the edition decodes to its codeword.
 //
-// Only a caller that heartbeats gets status snapshots (`status_<i>.snap`);
-// the supervisor watches those and the journal's growth, the daemon
-// neither. run_shard neither reads nor writes run.spec: callers pin it
-// (pin_run_spec) or read it first.
+// The journal is the shard's only progress record: the run-dir readers
+// (dist/status.hpp) take its committed count, rate and edition latency
+// from it. A caller that heartbeats (a worker) also gets journal
+// heartbeats, which the supervisor watches, and a flush of its armed
+// trace at that cadence. run_shard neither reads nor writes run.spec:
+// callers pin it (pin_run_spec) or read it first.
 #pragma once
 
 #include <cstdint>
@@ -58,13 +60,10 @@ struct ShardOptions {
   /// Buyers [begin, end) of the run; end == 0 means through the last.
   std::size_t begin = 0;
   std::size_t end = 0;
-  /// Lease epoch, recorded in the status snapshots.
-  std::uint64_t epoch = 1;
   ThreadPool* pool = nullptr;
   const Budget* budget = nullptr;
-  /// > 0: append a journal heartbeat and publish a status snapshot (and
-  /// flush an armed trace) every this-many ms, plus a final snapshot.
-  /// 0: neither heartbeats nor snapshots.
+  /// > 0: append a journal heartbeat (and flush an armed trace) every
+  /// this-many ms. 0: no heartbeats.
   std::int64_t heartbeat_ms = 0;
 };
 
@@ -72,7 +71,9 @@ struct ResumableBatchResult {
   /// One slot per buyer of the run, index-aligned. A buyer recovered from
   /// the journal (committed by an earlier run) carries status kOk with an
   /// EMPTY netlist and zero overheads: its bytes live at
-  /// artifacts[buyer]. Buyers outside the shard stay kExhausted.
+  /// artifacts[buyer]. A buyer that failed permanently keeps its
+  /// edition's overheads and critical delay but no netlist. Buyers
+  /// outside the shard stay kExhausted.
   BatchResult batch;
   /// Final artifact path per buyer ("" while not committed).
   std::vector<std::string> artifacts;

@@ -130,6 +130,11 @@ std::string editions_dir(const std::string& run_dir) {
   return run_dir + "/editions";
 }
 
+std::string edition_path(const std::string& run_dir, std::size_t buyer) {
+  return editions_dir(run_dir) + "/edition_" + std::to_string(buyer) +
+         ".blif";
+}
+
 std::string merged_dir(const std::string& run_dir) {
   return run_dir + "/merged";
 }

@@ -19,15 +19,16 @@
 //   run_dir/shard_<i>.journal — one write-ahead journal per shard
 //                               (src/common/journal.hpp); whoever stamps
 //                               shard i (src/dist/runner.hpp) appends
-//                               lifecycle and heartbeat records here.
-//   run_dir/status_<i>.snap   — shard i's last self-reported progress,
-//                               published only by a heartbeating runner
-//                               (src/dist/status.hpp).
+//                               lifecycle and heartbeat records here. It
+//                               is the only record of the shard's
+//                               progress (src/dist/status.hpp reads it).
 //   run_dir/editions/         — shared artifact directory; every shard
 //                               publishes `edition_<buyer>.blif` via
 //                               atomic_io into this one directory.
 //   run_dir/merged/           — deterministic merged outputs of a
 //                               supervised run (src/dist/merge.hpp).
+//   run_dir/run_status.json   — a supervised run's final roll-up,
+//                               written once, after the merge.
 //   run_dir/traces/           — Chrome-trace capture of the run (when
 //                               DistOptions::capture_traces):
 //                               `supervisor.json` plus one
@@ -115,6 +116,10 @@ std::string lease_journal_path(const std::string& run_dir);
 std::string shard_journal_path(const std::string& run_dir,
                                std::size_t shard);
 std::string editions_dir(const std::string& run_dir);
+/// `editions/edition_<buyer>.blif`: the one place run_shard publishes a
+/// buyer's edition. Resume and merge look for it there, never at the
+/// path a commit record names, so a run dir can be moved or copied.
+std::string edition_path(const std::string& run_dir, std::size_t buyer);
 std::string merged_dir(const std::string& run_dir);
 std::string traces_dir(const std::string& run_dir);
 std::string supervisor_trace_path(const std::string& run_dir);

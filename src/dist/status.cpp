@@ -2,71 +2,18 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
 #include <cstdio>
+#include <map>
 #include <sstream>
 #include <utility>
 
 #include "common/atomic_io.hpp"
-#include "common/fault.hpp"
 #include "common/json_lite.hpp"
-#include "common/record_log.hpp"
+#include "common/metrics.hpp"
 
 namespace odcfp::dist {
 
 namespace {
-
-constexpr const char* kMagic = "odcfp-status 1";
-
-std::string status_payload(const ShardStatus& st) {
-  std::ostringstream os;
-  os << "shard=" << st.shard << " epoch=" << st.epoch << " pid=" << st.pid
-     << " begin=" << st.range_begin << " end=" << st.range_end
-     << " committed=" << st.committed << " recovered=" << st.recovered
-     << " elapsed_ms=" << st.elapsed_ms << " eps_milli=" << st.eps_milli
-     << " done=" << st.done << " wall=" << st.wall_ns
-     << " hist=" << st.edition_ns.count << ':'
-     << st.edition_ns.sum << ':';
-  for (std::size_t i = 0; i < st.edition_ns.buckets.size(); ++i) {
-    if (i > 0) os << ',';
-    os << st.edition_ns.buckets[i];
-  }
-  return os.str();
-}
-
-/// `<count>:<sum>:<b0>,<b1>,...`
-bool parse_hist(std::string_view text, metrics::HistData* out) {
-  const std::size_t a = text.find(':');
-  const std::size_t b = a == std::string_view::npos ? a : text.find(':', a + 1);
-  if (b == std::string_view::npos ||
-      !record_log::parse_u64(text.substr(0, a), &out->count) ||
-      !record_log::parse_u64(text.substr(a + 1, b - a - 1), &out->sum)) {
-    return false;
-  }
-  for (text.remove_prefix(b + 1); !text.empty();) {
-    const std::size_t comma = text.find(',');
-    std::uint64_t bucket = 0;
-    if (!record_log::parse_u64(text.substr(0, comma), &bucket)) return false;
-    out->buckets.push_back(bucket);
-    text.remove_prefix(comma == std::string_view::npos ? text.size()
-                                                       : comma + 1);
-  }
-  return true;
-}
-
-bool parse_status_payload(std::string_view payload, ShardStatus* out) {
-  record_log::Fields in(payload);
-  std::string hist;
-  return in.u64("shard", &out->shard) && in.u64("epoch", &out->epoch) &&
-         in.u64("pid", &out->pid) && in.u64("begin", &out->range_begin) &&
-         in.u64("end", &out->range_end) &&
-         in.u64("committed", &out->committed) &&
-         in.u64("recovered", &out->recovered) &&
-         in.u64("elapsed_ms", &out->elapsed_ms) &&
-         in.u64("eps_milli", &out->eps_milli) && in.u64("done", &out->done) &&
-         in.optional_u64("wall", &out->wall_ns) && in.tail("hist", &hist) &&
-         parse_hist(hist, &out->edition_ns);
-}
 
 const char* shard_state_name(ShardState s) {
   switch (s) {
@@ -108,40 +55,40 @@ void write_hist_with_quantiles(std::ostringstream& os,
      << ",\"p99\":" << q.p99 << '}';
 }
 
-}  // namespace
-
-std::string status_snapshot_path(const std::string& run_dir,
-                                 std::size_t shard) {
-  std::ostringstream os;
-  os << run_dir << "/status_" << shard << ".snap";
-  return os.str();
+/// The shard's numbers, all read from its journal (ShardStatusView).
+void read_progress(ShardStatusView* shard) {
+  const JournalReplay& journal = shard->journal;
+  for (const BuyerPhase phase : journal.phase_of(journal.header.num_buyers)) {
+    if (phase == BuyerPhase::kCommitted) ++shard->committed;
+  }
+  std::map<std::uint64_t, std::uint64_t> embedding_wall;
+  std::uint64_t first_wall = 0, last_wall = 0, commits = 0;
+  for (const JournalEntry& e : journal.entries) {
+    if (e.wall_ns == 0) continue;
+    if (first_wall == 0) first_wall = e.wall_ns;
+    last_wall = e.wall_ns;
+    if (e.phase == BuyerPhase::kEmbedding) {
+      embedding_wall[e.buyer] = e.wall_ns;
+    } else if (e.phase == BuyerPhase::kCommitted) {
+      ++commits;
+      const auto it = embedding_wall.find(e.buyer);
+      if (it != embedding_wall.end() && e.wall_ns >= it->second) {
+        shard->editions.push_back({e.buyer, it->second, e.wall_ns});
+        embedding_wall.erase(it);
+      }
+    }
+  }
+  if (last_wall > first_wall) {
+    shard->eps_milli = static_cast<std::uint64_t>(
+        static_cast<double>(commits) * 1e12 /
+        static_cast<double>(last_wall - first_wall));
+  }
 }
+
+}  // namespace
 
 std::string run_status_path(const std::string& run_dir) {
   return run_dir + "/run_status.json";
-}
-
-Outcome<bool> write_status_snapshot(const std::string& path,
-                                    const ShardStatus& status) {
-  ODCFP_FAULT_POINT("dist.status.publish");
-  const atomic_io::WriteResult wr =
-      record_log::write_one(path, kMagic, 'S', status_payload(status));
-  if (!wr.ok) {
-    return Outcome<bool>::exhausted("status snapshot write failed: " +
-                                    wr.error);
-  }
-  return Outcome<bool>::success(true);
-}
-
-Outcome<ShardStatus> read_status_snapshot(const std::string& path) {
-  ShardStatus st;
-  const Outcome<bool> read = record_log::read_one(
-      path, kMagic, 'S', "status snapshot",
-      [&](std::string_view payload) {
-        return parse_status_payload(payload, &st);
-      });
-  if (!read.ok()) return Outcome<ShardStatus>::malformed(read.message());
-  return Outcome<ShardStatus>::success(std::move(st));
 }
 
 std::string render_run_status_json(const RunStatusView& view) {
@@ -158,16 +105,9 @@ std::string render_run_status_json(const RunStatusView& view) {
     if (i > 0) os << ',';
     os << "{\"shard\":" << sv.shard << ",\"state\":"
        << jsonlite::quote(shard_state_name(sv.state))
-       << ",\"epoch\":" << sv.epoch;
-    if (sv.have_snapshot) {
-      os << ",\"begin\":" << sv.snap.range_begin
-         << ",\"end\":" << sv.snap.range_end
-         << ",\"committed\":" << sv.snap.committed
-         << ",\"recovered\":" << sv.snap.recovered
-         << ",\"elapsed_ms\":" << sv.snap.elapsed_ms
-         << ",\"eps_milli\":" << sv.snap.eps_milli;
-    }
-    os << ",\"heartbeat_age_ms\":" << sv.heartbeat_age_ms
+       << ",\"epoch\":" << sv.epoch << ",\"committed\":" << sv.committed
+       << ",\"eps_milli\":" << sv.eps_milli
+       << ",\"heartbeat_age_ms\":" << sv.heartbeat_age_ms
        << ",\"stalled\":" << (sv.stalled ? "true" : "false") << '}';
   }
   os << "]}\n";
@@ -200,31 +140,16 @@ std::string render_run_status_table(const RunStatusView& view) {
     os << "lease journal unusable: " << view.lease_error << "\n";
   }
   if (view.shards.empty()) return os.str();
-  os << "shard  state       epoch  range        committed  eps"
-        "      hb_age_ms  flags\n";
+  os << "shard  state       epoch  committed  eps        hb_age_ms  flags\n";
   for (const ShardStatusView& sv : view.shards) {
     char line[160];
-    char range[32] = "?";
-    char progress[32] = "?";
-    char eps[32] = "?";
-    if (sv.have_snapshot) {
-      std::snprintf(range, sizeof(range), "[%llu,%llu)",
-                    static_cast<unsigned long long>(sv.snap.range_begin),
-                    static_cast<unsigned long long>(sv.snap.range_end));
-      std::snprintf(
-          progress, sizeof(progress), "%llu/%llu",
-          static_cast<unsigned long long>(sv.snap.committed),
-          static_cast<unsigned long long>(sv.snap.range_end -
-                                          sv.snap.range_begin));
-      std::snprintf(eps, sizeof(eps), "%.3f",
-                    static_cast<double>(sv.snap.eps_milli) / 1000.0);
-    }
     std::snprintf(line, sizeof(line),
-                  "%-5llu  %-10s  %-5llu  %-11s  %-9s  %-7s  %-9lld  %s\n",
+                  "%-5llu  %-10s  %-5llu  %-9llu  %-9.3f  %-9lld  %s\n",
                   static_cast<unsigned long long>(sv.shard),
                   shard_state_name(sv.state),
-                  static_cast<unsigned long long>(sv.epoch), range,
-                  progress, eps,
+                  static_cast<unsigned long long>(sv.epoch),
+                  static_cast<unsigned long long>(sv.committed),
+                  static_cast<double>(sv.eps_milli) / 1000.0,
                   static_cast<long long>(sv.heartbeat_age_ms),
                   sv.stalled ? "STALLED" : "");
     os << line;
@@ -252,11 +177,10 @@ RunStatusView load_run(const std::string& run_dir) {
     }
   }
 
-  // Probe past the lease journal: a shard can have a journal or a
-  // snapshot before its first lease record is durable.
+  // Probe past the lease journal: a shard can have a journal before its
+  // first lease record is durable.
   std::size_t num_shards = run.chains.shards.size();
-  while (atomic_io::exists(shard_journal_path(run_dir, num_shards)) ||
-         atomic_io::exists(status_snapshot_path(run_dir, num_shards))) {
+  while (atomic_io::exists(shard_journal_path(run_dir, num_shards))) {
     ++num_shards;
   }
   run.chains.shards.resize(num_shards);
@@ -273,18 +197,7 @@ RunStatusView load_run(const std::string& run_dir) {
     if (journal.ok()) {
       any_journal = true;
       shard.journal = std::move(journal).value();
-    }
-    Outcome<ShardStatus> snap =
-        read_status_snapshot(status_snapshot_path(run_dir, s));
-    if (snap.ok()) {
-      shard.have_snapshot = true;
-      shard.snap = std::move(snap).value();
-      shard.committed = shard.snap.committed;
-    } else {
-      for (const BuyerPhase phase :
-           shard.journal.phase_of(shard.journal.header.num_buyers)) {
-        if (phase == BuyerPhase::kCommitted) ++shard.committed;
-      }
+      read_progress(&shard);
     }
     run.committed += shard.committed;
   }
@@ -303,8 +216,7 @@ RunStatusView load_run(const std::string& run_dir) {
       for (ShardStatusView& shard : run.shards) shard.state = ShardState::kDone;
     }
   }
-  // A done run has every buyer committed (a merge re-verified each);
-  // stale snapshots must not make it look partial.
+  // A done run has every buyer committed (a merge re-verified each).
   if (run.state == "done") run.committed = run.buyers;
   return run;
 }

@@ -26,8 +26,8 @@ StitchResult stitch_run(const std::string& run_dir,
     return result;
   }
 
-  // Primary sources, read once by load_run: lease intervals, shard
-  // journals and snapshots.
+  // Primary sources, read once by load_run: lease intervals and shard
+  // journals.
   const LeaseChains& chains = run.chains;
   const std::uint64_t first_wall = chains.first_wall_ns;
   const std::uint64_t last_wall = chains.last_wall_ns;
@@ -64,7 +64,6 @@ StitchResult stitch_run(const std::string& run_dir,
     for (const std::uint64_t hb : shard.journal.heartbeat_walls) {
       fold_min(hb);
     }
-    if (shard.have_snapshot) fold_min(shard.snap.wall_ns);
   }
   result.origin_wall_ns = t0;
   const auto rel = [t0](std::uint64_t wall) { return wall - t0; };
@@ -118,7 +117,6 @@ StitchResult stitch_run(const std::string& run_dir,
     out.name("process_name", pid, 0, "shard-" + std::to_string(s));
     out.name("thread_name", pid, 0, "leases");
     out.name("thread_name", pid, 1, "buyers");
-    out.name("thread_name", pid, 2, "status");
 
     // tid 0: one span per lease interval. Open leases (still running, or
     // cut short by a supervisor SIGKILL before any close record) extend
@@ -140,51 +138,25 @@ StitchResult stitch_run(const std::string& run_dir,
       ++result.lease_spans;
     }
 
-    // tid 1: per-buyer embedding→committed spans plus verified/failed
-    // instants, straight from the shard journal's lifecycle records.
-    {
-      std::map<std::uint64_t, std::uint64_t> open_embed;
-      for (const JournalEntry& e : shard.journal.entries) {
-        if (e.wall_ns == 0) continue;
-        switch (e.phase) {
-          case BuyerPhase::kEmbedding:
-            open_embed[e.buyer] = e.wall_ns;
-            break;
-          case BuyerPhase::kCommitted: {
-            const auto it = open_embed.find(e.buyer);
-            if (it == open_embed.end() || e.wall_ns < it->second) break;
-            out.event("buyer", 'X', pid, 1)
-                .time("ts", rel(it->second))
-                .time("dur", e.wall_ns - it->second)
-                .arg("buyer", e.buyer);
-            open_embed.erase(it);
-            break;
-          }
-          case BuyerPhase::kVerified:
-          case BuyerPhase::kFailed:
-            out.event(e.phase == BuyerPhase::kVerified ? "verified"
-                                                       : "failed",
-                      'i', pid, 1)
-                .thread_scope()
-                .time("ts", rel(e.wall_ns))
-                .arg("buyer", e.buyer);
-            break;
-          case BuyerPhase::kQueued:
-            break;
-        }
-      }
+    // tid 1: per-buyer embedding→committed spans (paired by load_run)
+    // plus verified/failed instants, straight from the shard journal's
+    // lifecycle records.
+    for (const EditionSpan& span : shard.editions) {
+      out.event("buyer", 'X', pid, 1)
+          .time("ts", rel(span.begin_wall_ns))
+          .time("dur", span.end_wall_ns - span.begin_wall_ns)
+          .arg("buyer", span.buyer);
     }
-
-    // tid 2: the last published snapshot as a committed-count counter.
-    if (shard.have_snapshot && shard.snap.wall_ns != 0) {
-      out.event("committed", 'C', pid, 2)
-          .time("ts", rel(shard.snap.wall_ns))
-          .arg("value", shard.snap.committed);
-      if (shard.snap.done != 0) {
-        out.event("done", 'i', pid, 2)
-            .thread_scope()
-            .time("ts", rel(shard.snap.wall_ns));
+    for (const JournalEntry& e : shard.journal.entries) {
+      if (e.wall_ns == 0 || (e.phase != BuyerPhase::kVerified &&
+                             e.phase != BuyerPhase::kFailed)) {
+        continue;
       }
+      out.event(e.phase == BuyerPhase::kVerified ? "verified" : "failed",
+                'i', pid, 1)
+          .thread_scope()
+          .time("ts", rel(e.wall_ns))
+          .arg("buyer", e.buyer);
     }
 
     // Worker traces, epoch by epoch, tids remapped so epochs never

@@ -6,8 +6,8 @@
 // on its own process's steady clock and each carrying its clock anchor
 // (src/common/clock.*) in otherData. stitch_run merges them, together
 // with spans synthesized from the run's PRIMARY sources (lease
-// grant→revoke/done intervals, shard-journal per-buyer transitions,
-// status snapshots), into one Chrome/Perfetto JSON timeline:
+// grant→revoke/done intervals, shard-journal per-buyer transitions),
+// into one Chrome/Perfetto JSON timeline:
 //
 //   pid 1      — the supervisor: a synthesized "run" track (tid 0) from
 //                the lease journal, then the supervisor's own recorded
@@ -15,10 +15,9 @@
 //   pid 2 + s  — shard s: tid 0 "leases" (one X span per grant→close
 //                interval, open leases run to the last recorded wall),
 //                tid 1 "buyers" (embedding→committed spans and
-//                verified/failed instants from the shard journal),
-//                tid 2 "status" (committed-count counter from the last
-//                snapshot), then each epoch's worker trace with tids
-//                remapped to epoch*65536 + 16 + original.
+//                verified/failed instants from the shard journal: every
+//                commit of the shard), then each epoch's worker trace
+//                with tids remapped to epoch*65536 + 16 + original.
 //
 // Timestamp alignment is pure record math: every source timestamp is
 // converted to anchored wall time using the anchor RECORDED in that

@@ -34,7 +34,7 @@ struct ShardSlot {
   /// means the worker stopped appending for heartbeat_timeout_ms.
   std::optional<Budget> deadline;
   /// When the journal last grew (or the lease was granted) — the
-  /// heartbeat age shown in run_status.json and in wedge diagnostics.
+  /// heartbeat age in wedge diagnostics.
   std::chrono::steady_clock::time_point last_growth;
 };
 
@@ -120,8 +120,8 @@ DistResult run_supervised_batch(const RunSpec& spec,
     return fail(Status::kMalformedInput,
                 "cannot create run dir '" + options.run_dir + "'");
   }
-  // Status snapshots and run_status.json publish atomically into the
-  // run dir root; a writer SIGKILLed mid-publish leaves temp debris.
+  // run.spec and run_status.json publish atomically into the run dir
+  // root; a writer SIGKILLed mid-publish leaves temp debris.
   atomic_io::remove_stale_temps(options.run_dir);
 
   if (options.capture_traces &&
@@ -211,58 +211,19 @@ DistResult run_supervised_batch(const RunSpec& spec,
     }
   };
 
-  // Live status aggregation: worker snapshots + lease state + heartbeat
-  // ages folded into run_status.json every status_interval_ms. Purely
-  // advisory — a failed publish never fails the run, and the merge
-  // overwrites the file with the deterministic final roll-up.
-  const auto publish_live_status = [&] {
-    RunStatusView view;
-    view.state = "running";
-    view.buyers = spec.num_buyers;
-    const auto now = std::chrono::steady_clock::now();
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      ShardStatusView sv;
-      sv.shard = s;
-      sv.state = slots[s].state;
-      sv.epoch = slots[s].epoch;
-      Outcome<ShardStatus> snap = read_status_snapshot(
-          status_snapshot_path(options.run_dir, s));
-      if (snap.ok()) {
-        sv.snap = std::move(snap).value();
-        sv.have_snapshot = true;
-        view.committed += sv.snap.committed;
-      }
-      if (slots[s].state == ShardState::kLeased) {
-        sv.heartbeat_age_ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                now - slots[s].last_growth)
-                .count();
-        sv.stalled =
-            sv.heartbeat_age_ms >= options.heartbeat_timeout_ms / 2;
-      }
-      view.shards.push_back(std::move(sv));
-    }
-    atomic_io::write_file_atomic(run_status_path(options.run_dir),
-                                 render_run_status_json(view));
-  };
-  // The first tick always publishes; time_point::min() as a "never"
-  // sentinel would overflow now() - last_status_pub.
-  bool status_published = false;
-  std::chrono::steady_clock::time_point last_status_pub;
+  // The supervisor's own trace is flushed at the workers' heartbeat
+  // cadence: a supervisor SIGKILLed later loses at most one interval of
+  // its timeline (the constructor's flush covers the start).
+  auto last_flush = std::chrono::steady_clock::now();
 
   // ------------------------------------------------ supervision loop
   while (result.shards_done < ranges.size()) {
     ODCFP_FAULT_POINT("dist.tick");
-    if (options.status_interval_ms > 0 &&
-        (!status_published ||
-         std::chrono::steady_clock::now() - last_status_pub >=
-             std::chrono::milliseconds(options.status_interval_ms))) {
-      publish_live_status();
-      // Same cadence for trace durability: a supervisor SIGKILLed later
-      // loses at most one status interval of its own timeline.
-      if (run_trace.active()) trace::flush();
-      status_published = true;
-      last_status_pub = std::chrono::steady_clock::now();
+    if (run_trace.active() &&
+        std::chrono::steady_clock::now() - last_flush >=
+            std::chrono::milliseconds(options.heartbeat_interval_ms)) {
+      trace::flush();
+      last_flush = std::chrono::steady_clock::now();
     }
     if (budget_exhausted(options.budget)) {
       kill_all("supervisor budget exhausted");
@@ -441,10 +402,10 @@ DistResult run_supervised_batch(const RunSpec& spec,
   }
   leases.append(0, 0, LeaseEvent::kMerged, 0);
   trace::instant("dist.merged");
-  // Final roll-up: overwrite the live status with the deterministic
-  // end-of-run form (pure function of buyers + artifact sizes, no shard
-  // geometry), so the file is byte-identical across shard counts,
-  // thread counts, and crash schedules — exactly like merged/.
+  // run_status.json, written once: a pure function of buyers + artifact
+  // sizes (no shard geometry), so the file is byte-identical across
+  // shard counts, thread counts, and crash schedules — exactly like
+  // merged/.
   const std::string status_path = run_status_path(options.run_dir);
   const atomic_io::WriteResult sw = atomic_io::write_file_atomic(
       status_path, render_final_run_status_json(spec.num_buyers,
@@ -459,8 +420,7 @@ DistResult run_supervised_batch(const RunSpec& spec,
   result.merged_outputs = merged.outputs;
   result.artifacts.reserve(spec.num_buyers);
   for (std::size_t b = 0; b < spec.num_buyers; ++b) {
-    result.artifacts.push_back(editions_dir(options.run_dir) +
-                               "/edition_" + std::to_string(b) + ".blif");
+    result.artifacts.push_back(edition_path(options.run_dir, b));
   }
   log::info("dist.supervise.done")
       .field("shards", result.shards)

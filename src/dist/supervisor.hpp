@@ -23,8 +23,9 @@
 //   done     — a worker exiting 0 completes its lease; the merge layer
 //              later re-verifies every buyer of the range anyway.
 //   merge    — once every shard is done, merge_run publishes the
-//              deterministic run-level artifacts and a terminal
-//              `merged` record closes the lease journal.
+//              deterministic run-level artifacts, a terminal `merged`
+//              record closes the lease journal, and run_status.json is
+//              written, once.
 //
 // Supervisor crash-safety: the lease journal is the supervisor's WAL. A
 // supervisor SIGKILLed at any instant can be rerun with the same
@@ -77,11 +78,6 @@ struct DistOptions {
   std::int64_t heartbeat_timeout_ms = 10'000;
   /// Supervision loop poll period.
   std::int64_t poll_interval_ms = 5;
-  /// Period of the live run_status.json aggregation (worker snapshots +
-  /// lease states + heartbeat ages folded into one JSON, atomically
-  /// overwritten). <= 0 disables live publishing; the deterministic
-  /// final roll-up after the merge is written regardless.
-  std::int64_t status_interval_ms = 100;
   /// Total re-grants allowed across the whole run (a crashing worker
   /// burns one per respawn). Exceeding this fails the run kExhausted —
   /// a persistently dying worker is a bug, not bad luck.
@@ -93,8 +89,8 @@ struct DistOptions {
   /// injects --chaos-* flags here).
   std::vector<std::string> extra_worker_args;
   /// Arms run-scoped trace capture: the supervisor records its own
-  /// timeline to `run_dir/traces/supervisor.json` (flushed on every
-  /// status tick) and every worker is granted with
+  /// timeline to `run_dir/traces/supervisor.json` (flushed every
+  /// heartbeat_interval_ms) and every worker is granted with
   /// `--trace traces/shard_<s>_epoch_<e>.json` so each grant leaves an
   /// incrementally flushed, SIGKILL-surviving trace file. Stitch the
   /// results with src/dist/stitch.* / tools/odcfp_report. The
@@ -125,7 +121,7 @@ struct DistResult {
   /// verification.json, telemetry.json.
   std::vector<std::string> merged_outputs;
   /// run_status.json path (set only on kOk, once the deterministic
-  /// final roll-up has been published over the live status).
+  /// roll-up has been published after the merge).
   std::string run_status;
   std::string lease_journal;
 };

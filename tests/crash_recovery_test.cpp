@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -416,6 +417,71 @@ TEST(CrashRecovery, MissingOrCorruptArtifactIsRestamped) {
     std::string data;
     ASSERT_TRUE(atomic_io::read_file(resumed.artifacts[b], &data));
     EXPECT_EQ(data, ref[b]) << "buyer " << b;
+  }
+}
+
+// A run dir is self-contained: moved after it finished, it resumes from
+// its own editions/, never from the absolute paths its commit records
+// name (which now point into a dir that is gone).
+TEST(CrashRecovery, MovedRunDirRecoversItsOwnEditions) {
+  const Fixture f;
+  const std::vector<std::string>& ref = reference_bytes(f);
+  const std::string from = chaos_base() + "moved_from";
+  const std::string to = chaos_base() + "moved_to";
+  for (const std::string& dir : {from, to}) {
+    atomic_io::make_dirs(dir);
+    wipe_dir(dir);
+  }
+  ASSERT_EQ(f.run(from).status, Status::kOk);
+  ASSERT_EQ(::rename(from.c_str(), to.c_str()), 0) << std::strerror(errno);
+
+  const dist::ResumableBatchResult resumed = f.run(to);
+  ASSERT_EQ(resumed.status, Status::kOk) << resumed.message;
+  EXPECT_EQ(resumed.recovered, kBuyers);
+  for (std::size_t b = 0; b < kBuyers; ++b) {
+    EXPECT_EQ(resumed.artifacts[b], artifact_path(to, b));
+    std::string data;
+    ASSERT_TRUE(atomic_io::read_file(resumed.artifacts[b], &data));
+    EXPECT_EQ(data, ref[b]) << "buyer " << b;
+  }
+  // Nothing was re-stamped: the journal holds only the first run's
+  // commits.
+  const Outcome<JournalReplay> replay = read_journal(resumed.journal_path);
+  ASSERT_TRUE(replay.ok()) << replay.message();
+  std::size_t commits = 0;
+  for (const JournalEntry& e : replay.value().entries) {
+    if (e.phase == BuyerPhase::kCommitted) ++commits;
+  }
+  EXPECT_EQ(commits, kBuyers);
+}
+
+// A buyer the delay limit refuses keeps its edition's overheads and
+// critical delay (so a caller can tell by how much it missed), but no
+// netlist, and nothing of it is published or committed. At 10% every
+// edition of this c432 order is over the limit.
+TEST(CrashRecovery, RefusedBuyersKeepTheirOverheads) {
+  const Fixture f;
+  const std::string dir = chaos_base() + "refused";
+  atomic_io::make_dirs(dir);
+  wipe_dir(dir);
+  dist::RunSpec limited = f.spec;
+  limited.max_delay_overhead = 0.10;
+  const dist::ResumableBatchResult rr =
+      dist::run_shard(dir, limited, f.inputs, {});
+  EXPECT_EQ(rr.status, Status::kInfeasible) << rr.message;
+  for (std::size_t b = 0; b < kBuyers; ++b) {
+    const BuyerEdition& e = rr.batch.editions[b];
+    EXPECT_EQ(e.status, Status::kInfeasible) << "buyer " << b;
+    EXPECT_GT(e.overheads.delay_ratio, 0.10) << "buyer " << b;
+    EXPECT_GT(e.critical_delay, 0.0) << "buyer " << b;
+    EXPECT_EQ(e.netlist.num_gates(), 0u) << "buyer " << b;
+    EXPECT_TRUE(rr.artifacts[b].empty()) << "buyer " << b;
+    EXPECT_FALSE(atomic_io::exists(artifact_path(dir, b))) << "buyer " << b;
+  }
+  const Outcome<JournalReplay> replay = read_journal(rr.journal_path);
+  ASSERT_TRUE(replay.ok()) << replay.message();
+  for (const JournalEntry& e : replay.value().entries) {
+    EXPECT_NE(e.phase, BuyerPhase::kCommitted) << "buyer " << e.buyer;
   }
 }
 

@@ -1,9 +1,9 @@
-// Status plane tests: snapshot wire round-trip, torn-snapshot
-// rejection, the primary-source inspector, and the determinism contract
-// of the final run_status.json roll-up — byte-identical across 1/2/4/8
-// shards, worker thread counts, and a SIGKILL landing exactly at the
-// snapshot publish site. Test names contain "Status" so the TSan CI job
-// picks them up alongside the dist suites.
+// Status plane tests: the renderers, the primary-source inspector
+// (every shard's numbers read from its journal), and the determinism
+// contract of run_status.json — byte-identical across 1/2/4/8 shards,
+// worker thread counts, and a worker SIGKILLed mid-range. Test names
+// contain "Status" so the TSan CI job picks them up alongside the dist
+// suites.
 #include "dist/status.hpp"
 
 #include <gtest/gtest.h>
@@ -73,74 +73,10 @@ DistOptions test_options(const std::string& run_dir, std::size_t shards) {
   opt.worker_binary = ODCFP_WORKER_BIN;
   opt.num_shards = shards;
   opt.worker_threads = 1;
-  opt.heartbeat_interval_ms = 10;  // drives the snapshot cadence too
+  opt.heartbeat_interval_ms = 10;
   opt.heartbeat_timeout_ms = 60'000;
   opt.poll_interval_ms = 2;
-  opt.status_interval_ms = 20;
   return opt;
-}
-
-ShardStatus sample_status() {
-  ShardStatus st;
-  st.shard = 3;
-  st.epoch = 2;
-  st.pid = 4242;
-  st.range_begin = 6;
-  st.range_end = 8;
-  st.committed = 2;
-  st.recovered = 1;
-  st.elapsed_ms = 125;
-  st.eps_milli = 8'000;
-  st.done = 1;
-  st.edition_ns.record(1'000'000);
-  st.edition_ns.record(3'500'000);
-  return st;
-}
-
-// ---- snapshot wire format ----
-
-TEST(Status, SnapshotRoundTripsBitExactly) {
-  const std::string path = fresh_dir("snap") + "/status_3.snap";
-  const ShardStatus st = sample_status();
-  ASSERT_TRUE(write_status_snapshot(path, st).ok());
-  const Outcome<ShardStatus> back = read_status_snapshot(path);
-  ASSERT_TRUE(back.ok()) << back.message();
-  EXPECT_EQ(back.value(), st);
-  // Overwrite with a later report: last write wins, no accumulation.
-  ShardStatus later = st;
-  later.committed = 3;
-  later.edition_ns.record(9);
-  ASSERT_TRUE(write_status_snapshot(path, later).ok());
-  EXPECT_EQ(read_status_snapshot(path).value(), later);
-}
-
-TEST(Status, DamagedOrTornSnapshotIsRejected) {
-  const std::string dir = fresh_dir("snap_bad");
-  const std::string path = dir + "/status_0.snap";
-  EXPECT_EQ(read_status_snapshot(path).status(), Status::kMalformedInput);
-
-  ASSERT_TRUE(write_status_snapshot(path, sample_status()).ok());
-  std::string bytes;
-  ASSERT_TRUE(atomic_io::read_file(path, &bytes));
-
-  // Bit flip anywhere in the record: the CRC catches it.
-  std::string flipped = bytes;
-  flipped[flipped.size() / 2] ^= 0x10;
-  ASSERT_TRUE(atomic_io::write_file_atomic(path, flipped).ok);
-  EXPECT_EQ(read_status_snapshot(path).status(), Status::kMalformedInput);
-
-  // Torn tail (the shape a mid-publish SIGKILL would leave if the write
-  // were not atomic): rejected, treated as "no snapshot yet".
-  ASSERT_TRUE(
-      atomic_io::write_file_atomic(path, bytes.substr(0, bytes.size() - 5))
-          .ok);
-  EXPECT_EQ(read_status_snapshot(path).status(), Status::kMalformedInput);
-
-  ASSERT_TRUE(atomic_io::write_file_atomic(path, "").ok);
-  EXPECT_EQ(read_status_snapshot(path).status(), Status::kMalformedInput);
-
-  ASSERT_TRUE(atomic_io::write_file_atomic(path, "not a snapshot\n").ok);
-  EXPECT_EQ(read_status_snapshot(path).status(), Status::kMalformedInput);
 }
 
 // ---- renderers ----
@@ -169,8 +105,8 @@ TEST(Status, RenderersSerializeTheViewDeterministically) {
   row.shard = 0;
   row.state = ShardState::kLeased;
   row.epoch = 2;
-  row.snap = sample_status();
-  row.have_snapshot = true;
+  row.committed = 2;
+  row.eps_milli = 8'000;
   row.heartbeat_age_ms = 12;
   view.shards.push_back(row);
   ShardStatusView silent;
@@ -184,11 +120,15 @@ TEST(Status, RenderersSerializeTheViewDeterministically) {
   const std::string json = render_run_status_json(view);
   EXPECT_EQ(json, render_run_status_json(view));
   EXPECT_NE(json.find("\"state\":\"running\""), std::string::npos);
+  EXPECT_NE(json.find("\"committed\":2,\"eps_milli\":8000"),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"stalled\":true"), std::string::npos);
 
   const std::string table = render_run_status_table(view);
   EXPECT_NE(table.find("STALLED"), std::string::npos) << table;
   EXPECT_NE(table.find("leased"), std::string::npos) << table;
+  EXPECT_NE(table.find("8.000"), std::string::npos) << table;
 }
 
 // ---- end-to-end determinism ----
@@ -230,7 +170,7 @@ TEST(Status, RunStatusByteIdenticalAcrossShardAndThreadCounts) {
   }
 }
 
-TEST(StatusChaos, KillAtSnapshotPublishNeverCorruptsRunStatus) {
+TEST(StatusChaos, WorkerKillMidRangeNeverCorruptsRunStatus) {
   const RunSpec spec = test_spec();
   const std::string ref_dir = fresh_dir("chaos_ref");
   const DistResult ref = run_supervised_batch(spec, test_options(ref_dir, 1));
@@ -238,13 +178,14 @@ TEST(StatusChaos, KillAtSnapshotPublishNeverCorruptsRunStatus) {
   std::string want;
   ASSERT_TRUE(read_run_status(ref_dir, &want));
 
-  // Shard 0's epoch-1 worker SIGKILLs itself exactly when it first
-  // reaches the snapshot publish site; the supervisor must revoke,
-  // re-grant, and still converge to the byte-identical final roll-up.
+  // Shard 0's epoch-1 worker SIGKILLs itself at its fifth journal append
+  // (buyer 1's `verified` record: buyer 0 is committed, the rest of its
+  // range is not); the supervisor must revoke, re-grant, and still
+  // converge to the byte-identical roll-up.
   DistOptions chaos = test_options(fresh_dir("chaos_kill"), 2);
   chaos.extra_worker_args = {"--chaos-signal", "kill",
-                             "--chaos-site",   "dist.status.publish",
-                             "--chaos-nth",    "1",
+                             "--chaos-site",   "journal.append",
+                             "--chaos-nth",    "5",
                              "--chaos-epoch",  "1",
                              "--chaos-shard",  "0"};
   const DistResult r = run_supervised_batch(spec, chaos);
@@ -254,11 +195,16 @@ TEST(StatusChaos, KillAtSnapshotPublishNeverCorruptsRunStatus) {
   ASSERT_TRUE(read_run_status(chaos.run_dir, &got));
   EXPECT_EQ(got, want);
 
-  // Whatever snapshot debris the kill left behind is either readable or
-  // rejected — and the inspector shrugs it off either way.
+  // The killed epoch's records and the resumed epoch's replay as one
+  // journal per shard, every buyer of the range committed.
   const RunStatusView view = inspect_run_dir(chaos.run_dir);
   EXPECT_EQ(view.state, "done");
   EXPECT_EQ(view.committed, spec.num_buyers);
+  ASSERT_EQ(view.shards.size(), 2u);
+  for (const ShardStatusView& shard : view.shards) {
+    EXPECT_EQ(shard.committed, spec.num_buyers / 2) << shard.shard;
+  }
+  EXPECT_EQ(view.shards[0].epoch, 2u);
 }
 
 TEST(Status, InspectRunDirComposesFromPrimarySources) {
@@ -282,25 +228,9 @@ TEST(Status, InspectRunDirComposesFromPrimarySources) {
   for (const ShardStatusView& shard : done.shards) {
     EXPECT_EQ(shard.state, ShardState::kDone);
     EXPECT_FALSE(shard.stalled);
-    // Workers published their final self-report before exiting 0.
-    ASSERT_TRUE(shard.have_snapshot);
-    EXPECT_EQ(shard.snap.done, 1u);
-    EXPECT_EQ(shard.snap.committed,
-              shard.snap.range_end - shard.snap.range_begin);
+    // Each shard's journal shows its range's 4 buyers committed.
+    EXPECT_EQ(shard.committed, spec.num_buyers / 2) << shard.shard;
   }
-
-  // Corrupt one snapshot in place: the inspector degrades that shard to
-  // "no snapshot", and the view stays consistent — a torn snap can
-  // never poison the aggregate.
-  ASSERT_TRUE(
-      atomic_io::write_file_atomic(status_snapshot_path(dir, 0), "garbage")
-          .ok);
-  const RunStatusView degraded = inspect_run_dir(dir);
-  EXPECT_EQ(degraded.state, "done");
-  ASSERT_EQ(degraded.shards.size(), 2u);
-  EXPECT_FALSE(degraded.shards[0].have_snapshot);
-  EXPECT_TRUE(degraded.shards[1].have_snapshot);
-  EXPECT_EQ(degraded.committed, spec.num_buyers);
 }
 
 // A lease record naming a shard at or past the run's buyer count is

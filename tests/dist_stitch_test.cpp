@@ -22,12 +22,10 @@
 #include "common/atomic_io.hpp"
 #include "common/journal.hpp"
 #include "common/json_lite.hpp"
-#include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "dist/lease.hpp"
 #include "dist/report.hpp"
 #include "dist/shard.hpp"
-#include "dist/status.hpp"
 #include "dist/stitch.hpp"
 #include "dist/supervisor.hpp"
 
@@ -89,7 +87,7 @@ std::uint64_t count_events_named(const jsonlite::Value& doc,
 // The tentpole's end-to-end shape: 4 shards, shard 0's epoch-1 worker
 // SIGKILLs itself at its first artifact rename, the supervisor
 // re-grants, and the debris — 5 lease intervals, 5 worker traces, the
-// supervisor trace, journals, snapshots — stitches deterministically.
+// supervisor trace, journals — stitches deterministically.
 TEST(DistStitch, KilledRunStitchesByteIdenticalAndAccountsEveryLease) {
   const std::string dir = fresh_dir("killed_run");
   DistOptions opt;
@@ -191,7 +189,7 @@ TEST(DistStitch, KilledRunStitchesByteIdenticalAndAccountsEveryLease) {
   EXPECT_GE(count_events_named(doc, "buyer"), 1u);
 
   // The analyzer on the real run: names the killed shard, attributes
-  // the regrant, and sees the full commit count from the snapshots.
+  // the regrant, and sees the full commit count from the journals.
   RunReport report = analyze_run(dir);
   ASSERT_EQ(report.status, Status::kOk) << report.message;
   EXPECT_EQ(report.state, "done");
@@ -221,6 +219,16 @@ std::string lease_line(std::uint64_t seq, std::uint64_t shard,
                         " wall=" + std::to_string(wall) +
                         " detail=" + detail;
   return record_log::format_line('L', payload);
+}
+
+std::string journal_line(std::uint64_t seq, std::uint64_t buyer,
+                         BuyerPhase phase, std::uint64_t wall) {
+  JournalEntry entry;
+  entry.seq = seq;
+  entry.buyer = buyer;
+  entry.phase = phase;
+  entry.wall_ns = wall;
+  return record_log::format_line('R', entry_payload(entry));
 }
 
 // A skewed workload whose wall timestamps are CHOSEN: shard 1 is killed
@@ -255,21 +263,35 @@ TEST(DistStitch, ReportNamesKilledAndCriticalPathShardOnSkewedWorkload) {
   ASSERT_TRUE(
       atomic_io::write_file_atomic(lease_journal_path(dir), journal).ok);
 
-  // Snapshots: shards 0/1 stamp ~1ms editions, shard 2 ~128ms — an
+  // Shard journals, inside each shard's leases: shards 0/1 commit ~1ms
+  // editions (buyers 0-2, 3-5), shard 2 ~100ms ones (buyers 6-7) — an
   // outlier far past 3x the run's median p99.
+  const auto ranges = shard_ranges(kBuyers, 3);
+  ASSERT_EQ(ranges.size(), 3u);
+  const std::uint64_t first_embed_ms[] = {10, 60, 100};
+  const std::uint64_t embed_gap_ms[] = {10, 10, 150};
+  const std::uint64_t edition_ms[] = {1, 1, 100};
   for (std::size_t s = 0; s < 3; ++s) {
-    ShardStatus st;
-    st.shard = s;
-    st.epoch = s == 1 ? 2 : 1;
-    st.pid = 101 + s;
-    st.committed = s == 2 ? 2 : 3;
-    st.done = 1;
-    st.wall_ns = kBase + (300 + s) * kMs;
-    for (int i = 0; i < 5; ++i) {
-      st.edition_ns.record(s == 2 ? 100'000'000 : 1'000'000);
+    std::string shard_journal = "odcfp-journal 1\n";
+    shard_journal += record_log::format_line(
+        'H', record_log::header_payload(header));
+    std::uint64_t seq = 0;
+    for (std::size_t b = ranges[s].first; b < ranges[s].second; ++b) {
+      const std::uint64_t embed =
+          kBase +
+          (first_embed_ms[s] + (b - ranges[s].first) * embed_gap_ms[s]) *
+              kMs;
+      const std::uint64_t commit = embed + edition_ms[s] * kMs;
+      shard_journal +=
+          journal_line(seq++, b, BuyerPhase::kEmbedding, embed);
+      shard_journal += journal_line(seq++, b, BuyerPhase::kVerified,
+                                    (embed + commit) / 2);
+      shard_journal +=
+          journal_line(seq++, b, BuyerPhase::kCommitted, commit);
     }
-    ASSERT_TRUE(
-        write_status_snapshot(status_snapshot_path(dir, s), st).ok());
+    ASSERT_TRUE(atomic_io::write_file_atomic(shard_journal_path(dir, s),
+                                             shard_journal)
+                    .ok);
   }
 
   ReportOptions options;
@@ -292,6 +314,9 @@ TEST(DistStitch, ReportNamesKilledAndCriticalPathShardOnSkewedWorkload) {
   EXPECT_EQ(report.regrant_events, 1u);
   EXPECT_EQ(report.shards[1].lost_ns, 49 * kMs);
   EXPECT_EQ(report.lost_ns, 49 * kMs);
+  EXPECT_EQ(report.shards[0].committed, 3u);
+  EXPECT_EQ(report.shards[1].committed, 3u);
+  EXPECT_EQ(report.shards[2].committed, 2u);
   EXPECT_TRUE(report.shards[2].have_latency);
   EXPECT_GT(report.shards[2].p99_ns, report.shards[0].p99_ns);
 

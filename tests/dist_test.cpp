@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/atomic_io.hpp"
 #include "dist/lease.hpp"
 #include "dist/merge.hpp"
+#include "dist/runner.hpp"
 #include "dist/shard.hpp"
 #include "dist/supervisor.hpp"
 
@@ -333,6 +335,38 @@ TEST(Supervisor, RerunAfterCompletionIsIdempotent) {
   EXPECT_EQ(got.codebook, want.codebook);
   EXPECT_EQ(got.verification, want.verification);
   EXPECT_EQ(got.telemetry, want.telemetry);
+}
+
+// A finished run dir copied elsewhere merges from its own editions/:
+// the merge never follows the paths the commit records name, which
+// point into the original, deleted here.
+TEST(Supervisor, CopiedRunDirMergesItsOwnEditions) {
+  const RunSpec spec = test_spec();
+  const std::string original = fresh_dir("run_original");
+  const DistResult r = run_supervised_batch(spec, test_options(original, 2));
+  ASSERT_EQ(r.status, Status::kOk) << r.message;
+  const RunArtifacts want = collect(original, r);
+  const std::string copy = fresh_dir("run_copy");
+  std::filesystem::copy(original, copy,
+                        std::filesystem::copy_options::recursive |
+                            std::filesystem::copy_options::overwrite_existing);
+  std::filesystem::remove_all(original);
+  std::filesystem::remove_all(merged_dir(copy));
+
+  const RunInputs inputs(spec);
+  const MergeResult merged = merge_run(
+      copy, spec, *inputs.book, shard_ranges(spec.num_buyers, 2));
+  ASSERT_EQ(merged.status, Status::kOk) << merged.message;
+  std::string codebook, verification, telemetry;
+  ASSERT_TRUE(
+      atomic_io::read_file(merged_dir(copy) + "/codebook.txt", &codebook));
+  ASSERT_TRUE(atomic_io::read_file(merged_dir(copy) + "/verification.json",
+                                   &verification));
+  ASSERT_TRUE(atomic_io::read_file(merged_dir(copy) + "/telemetry.json",
+                                   &telemetry));
+  EXPECT_EQ(codebook, want.codebook);
+  EXPECT_EQ(verification, want.verification);
+  EXPECT_EQ(telemetry, want.telemetry);
 }
 
 TEST(Supervisor, RejectsMismatchedSpecInUsedRunDir) {

@@ -19,7 +19,6 @@
 #include "common/journal.hpp"
 #include "dist/lease.hpp"
 #include "dist/shard.hpp"
-#include "dist/status.hpp"
 #include "service/request_log.hpp"
 
 namespace odcfp {
@@ -464,11 +463,6 @@ TEST(RecordLogGolden, OneRecordFilesRoundTrip) {
       "odcfp-runspec 1\n"
       "S 68d18c89 circuit=c432 buyers=8 cbseed=11 bseed=12 "
       "overhead=3fa999999999999a label=c432 x8\n";
-  const std::string status_file =
-      "odcfp-status 1\n"
-      "S f6ce704a shard=1 epoch=2 pid=999 begin=4 end=8 committed=3 "
-      "recovered=1 elapsed_ms=250 eps_milli=8000 done=0 "
-      "wall=1700000000987654321 hist=2:3000:0,1,1\n";
   const std::string spec_path = temp_file("run.spec");
   ASSERT_TRUE(atomic_io::write_file_atomic(spec_path, spec_file).ok);
   const Outcome<dist::RunSpec> spec = dist::read_run_spec(spec_path);
@@ -476,16 +470,6 @@ TEST(RecordLogGolden, OneRecordFilesRoundTrip) {
   EXPECT_EQ(spec.value().max_delay_overhead, 0.05);
   ASSERT_TRUE(dist::write_run_spec(spec_path, spec.value()).ok());
   EXPECT_EQ(read_bytes(spec_path), spec_file);
-
-  const std::string status_path = temp_file("status_1.snap");
-  ASSERT_TRUE(atomic_io::write_file_atomic(status_path, status_file).ok);
-  const Outcome<dist::ShardStatus> status =
-      dist::read_status_snapshot(status_path);
-  ASSERT_TRUE(status.ok()) << status.message();
-  EXPECT_EQ(status.value().edition_ns.buckets,
-            (std::vector<std::uint64_t>{0, 1, 1}));
-  ASSERT_TRUE(dist::write_status_snapshot(status_path, status.value()).ok());
-  EXPECT_EQ(read_bytes(status_path), status_file);
 }
 
 }  // namespace

@@ -613,7 +613,8 @@ TEST(ServiceServer, CompletesAndVerifiesARequest) {
 
 // A request is shard 0 of its own run dir, so the run-dir readers that
 // serve sharded runs read it like any other: finished, every buyer
-// committed, with a streaming-codebook run.spec.
+// committed, with a streaming-codebook run.spec, and the shard's
+// committed count and edition latency read from its journal.
 TEST(ServiceServer, RequestDirReadsLikeAnyRunDir) {
   const std::string dir = temp_dir("request_dir");
   auto server = Server::start(base_config(dir));
@@ -641,12 +642,16 @@ TEST(ServiceServer, RequestDirReadsLikeAnyRunDir) {
   EXPECT_EQ(view.committed, 3u);
   ASSERT_EQ(view.shards.size(), 1u);
   EXPECT_EQ(view.shards[0].state, dist::ShardState::kDone);
+  EXPECT_EQ(view.shards[0].committed, 3u);
 
   const dist::RunReport report = dist::analyze_run(run_dir);
   EXPECT_EQ(report.status, Status::kOk) << report.message;
   EXPECT_EQ(report.state, "done");
   EXPECT_EQ(report.buyers, 3u);
   EXPECT_EQ(report.committed, 3u);
+  ASSERT_EQ(report.shards.size(), 1u);
+  EXPECT_TRUE(report.shards[0].have_latency);
+  EXPECT_GT(report.shards[0].p50_ns, 0u);
   EXPECT_EQ(dist::stitch_run(run_dir).status, Status::kOk);
 }
 

@@ -12,7 +12,7 @@
 //
 // Works on live, crashed, and finished runs alike — the report is a
 // pure function of the run dir's primary sources (lease journal, shard
-// journals, snapshots, trace files), so a debris dir left by a chaos
+// journals, trace files), so a debris dir left by a chaos
 // kill analyzes exactly like a healthy one. Exit 0 whenever a report
 // could be produced (crashed runs included: their anomalies are the
 // point), 1 when the dir holds nothing analyzable, 2 on usage errors.

@@ -17,10 +17,12 @@
 //                                   hanging until the job timeout.
 //
 // The status is composed from the run dir's primary sources (run.spec,
-// lease journal, shard journals, status snapshots: dist::load_run),
-// never from run_status.json, so the monitor works identically on a live run, a
+// lease journal, shard journals: dist::load_run), never from
+// run_status.json, so the monitor works identically on a live run, a
 // crashed one, and a finished one — including a run dir whose
-// supervisor is long dead.
+// supervisor is long dead. Each shard's committed count and rate come
+// from its journal, so a one-shard run (a daemon request, a library
+// run) shows them like a sharded one.
 #include <unistd.h>
 
 #include <chrono>

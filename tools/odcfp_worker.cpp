@@ -9,9 +9,11 @@
 // The worker reads DIR/run.spec, rebuilds the run's inputs
 // (dist::RunInputs — no netlist bytes cross the process boundary),
 // and stamps buyers [B, E) as shard I through dist::run_shard, which
-// journals in DIR/shard_I.journal, publishes editions into DIR/editions/
-// and, heartbeating, status snapshots into DIR/status_I.snap.
-// Exit codes follow dist::kWorkerExit* (supervisor.hpp).
+// journals in DIR/shard_I.journal (lifecycle records and, every MS
+// milliseconds, a heartbeat) and publishes editions into DIR/editions/.
+// The journal is the shard's only progress record. The epoch N names
+// the lease in the trace metadata and gates the chaos flags. Exit codes
+// follow dist::kWorkerExit* (supervisor.hpp).
 //
 // --trace PATH arms run-scoped trace capture: the worker records its
 // timeline (with shard/epoch identity and its clock anchor in the
@@ -173,7 +175,6 @@ int main(int argc, char** argv) {
     options.shard = args.shard;
     options.begin = args.begin;
     options.end = args.end;
-    options.epoch = args.epoch;
     options.pool = args.threads > 1 ? &pool : nullptr;
     options.heartbeat_ms = args.heartbeat_ms;
     const dist::ResumableBatchResult rr =
