@@ -1,12 +1,21 @@
 // google-benchmark micro-benchmarks of the substrates: simulation
 // throughput, STA, location finding, embedding, SAT-based CEC, netlist
-// text I/O (one Verilog or BLIF write, one Verilog read), and one netlist
-// copy plus its free (what every buyer edition starts with).
+// text I/O (one Verilog or BLIF write, one Verilog read), one netlist
+// copy plus its free (what every buyer edition starts with), the calls
+// every edition goes through (make_edition, a check in a 16-edition
+// IncrementalCecSession, extract_code), and topo_order, including a
+// 100,000-gate chain whose ready ids alternate between the two ends.
 #include <benchmark/benchmark.h>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "benchgen/benchmarks.hpp"
 #include "common/rng.hpp"
 #include "equiv/cec.hpp"
+#include "fingerprint/batch.hpp"
+#include "fingerprint/codewords.hpp"
 #include "fingerprint/embedder.hpp"
 #include "fingerprint/heuristics.hpp"
 #include "fingerprint/location.hpp"
@@ -161,9 +170,117 @@ void BM_CopyNetlist(benchmark::State& state, const std::string& name) {
   }
 }
 
+/// Editions per IncrementalCecSession, as batch_verify_equivalence
+/// chunks them.
+constexpr std::size_t kSessionEditions = 16;
+
+/// One order on `name`: its sites, a codebook of kSessionEditions
+/// buyers, and what stamping an edition reads.
+struct EditionOrder {
+  const Netlist& golden;
+  std::vector<FingerprintLocation> locs;
+  Codebook book;
+  StaticTimingAnalyzer sta;
+  PowerAnalyzer power;
+  Baseline baseline;
+
+  explicit EditionOrder(const std::string& name)
+      : golden(circuit(name)),
+        locs(find_locations(golden)),
+        book(locs, kSessionEditions, 29),
+        baseline(Baseline::measure(golden, sta, power)) {}
+
+  BuyerEdition edition(std::size_t buyer) const {
+    return make_edition(golden, book, buyer, baseline, sta, power, {});
+  }
+};
+
+void BM_MakeEdition(benchmark::State& state, const std::string& name) {
+  const EditionOrder order(name);
+  std::size_t buyer = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(order.edition(buyer++ % kSessionEditions));
+  }
+}
+
+void BM_CecCheck(benchmark::State& state, const std::string& name) {
+  // One iteration is one session: encode the golden, then check 16
+  // editions; items are editions.
+  const EditionOrder order(name);
+  std::vector<BuyerEdition> editions;
+  for (std::size_t b = 0; b < kSessionEditions; ++b) {
+    editions.push_back(order.edition(b));
+  }
+  for (auto _ : state) {
+    IncrementalCecSession session(order.golden);
+    for (const BuyerEdition& e : editions) {
+      if (!session.check(e.netlist).equivalent()) {
+        state.SkipWithError("NOT EQUIVALENT");
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSessionEditions));
+}
+
+void BM_ExtractCode(benchmark::State& state, const std::string& name) {
+  const EditionOrder order(name);
+  const BuyerEdition e = order.edition(0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(extract_code(e.netlist, order.golden,
+                                          order.locs));
+  }
+}
+
+void BM_TopoOrder(benchmark::State& state, const std::string& name) {
+  const Netlist& nl = circuit(name);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nl.topo_order());
+  }
+}
+
+/// `n` buffers chained so that the one ready gate's id alternates
+/// between the two ends of the id range (0, n-1, 1, n-2, ...): the case
+/// a scan of a flat ready bitmap would make quadratic.
+Netlist alternating_chain(std::size_t n) {
+  Netlist nl;
+  for (std::size_t i = 0; i < n; ++i) {
+    nl.add_gate_kind(CellKind::kBuf, {nl.add_input()});
+  }
+  GateId prev = 0;
+  std::size_t low = 1, high = n - 1;
+  for (std::size_t i = 1; i < n; ++i) {
+    const auto g = static_cast<GateId>(i % 2 == 1 ? high-- : low++);
+    nl.reconnect_pin(g, 0, nl.gate(prev).output);
+    prev = g;
+  }
+  nl.add_output(nl.gate(prev).output, "out");
+  return nl;
+}
+
+void BM_TopoOrderAlternating(benchmark::State& state) {
+  const Netlist nl = alternating_chain(100'000);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nl.topo_order());
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+#ifdef __GLIBC__
+  // Fixed allocator thresholds, so what a row measures does not depend on
+  // which rows ran before it. glibc otherwise starts by returning the top
+  // of its heap to the system on every free that leaves more than 128 KB
+  // there, and raises that limit only once a large mapped block is freed.
+  // Until some earlier row has done so, each i8 copy (~300 KB) is handed
+  // back on its free and faulted in again by the next copy, so
+  // copy_netlist/i8 read about 3x slower alone than after the other
+  // rows. One untimed copy first does not help: the threshold it leaves
+  // is still below an i8 copy.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
   for (const char* name : {"c432", "c880", "c1908", "c3540"}) {
     benchmark::RegisterBenchmark(("sim/" + std::string(name)).c_str(),
                                  BM_Simulation, std::string(name));
@@ -199,7 +316,19 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(
         ("copy_netlist/" + std::string(name)).c_str(), BM_CopyNetlist,
         std::string(name));
+    benchmark::RegisterBenchmark(
+        ("make_edition/" + std::string(name)).c_str(), BM_MakeEdition,
+        std::string(name));
+    benchmark::RegisterBenchmark(("cec_check/" + std::string(name)).c_str(),
+                                 BM_CecCheck, std::string(name));
+    benchmark::RegisterBenchmark(
+        ("extract_code/" + std::string(name)).c_str(), BM_ExtractCode,
+        std::string(name));
+    benchmark::RegisterBenchmark(("topo_order/" + std::string(name)).c_str(),
+                                 BM_TopoOrder, std::string(name));
   }
+  benchmark::RegisterBenchmark("topo_order/alternating_100k",
+                               BM_TopoOrderAlternating);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

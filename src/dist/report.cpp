@@ -55,9 +55,23 @@ RunReport analyze_run(const std::string& run_dir,
   const LeaseChains& chains = run.chains;
   const std::size_t num_shards = run.shards.size();
   report.shards.resize(num_shards);
-  report.makespan_ns = chains.last_wall_ns >= chains.first_wall_ns
-                           ? chains.last_wall_ns - chains.first_wall_ns
-                           : 0;
+  if (run.have_leases) {
+    report.makespan_ns = chains.last_wall_ns >= chains.first_wall_ns
+                             ? chains.last_wall_ns - chains.first_wall_ns
+                             : 0;
+  } else {
+    // Without a lease journal the shard journals bound the run: from the
+    // first wall-stamped lifecycle record of any shard to the last.
+    std::uint64_t first = 0, last = 0;
+    for (const ShardStatusView& shard : run.shards) {
+      if (shard.first_wall_ns == 0) continue;
+      if (first == 0 || shard.first_wall_ns < first) {
+        first = shard.first_wall_ns;
+      }
+      last = std::max(last, shard.last_wall_ns);
+    }
+    report.makespan_ns = last > first ? last - first : 0;
+  }
 
   // ---- per-shard lease chain, costs, journal numbers, heartbeats ----
   for (std::size_t s = 0; s < num_shards; ++s) {
@@ -79,6 +93,8 @@ RunReport analyze_run(const std::string& run_dir,
                                    lease.begin_wall_ns + lease.duration_ns());
       }
     }
+    // Without leases a shard's chain is its journal's records.
+    if (!run.have_leases) row.end_wall_ns = shard.last_wall_ns;
     row.regrants = row.chain.size() > 1
                        ? static_cast<std::uint64_t>(row.chain.size()) - 1
                        : 0;
@@ -111,7 +127,7 @@ RunReport analyze_run(const std::string& run_dir,
     }
   }
 
-  // ---- critical path: the chain that ends last ----
+  // ---- critical path: the chain that ends last, from its start ----
   for (std::size_t s = 0; s < num_shards; ++s) {
     const ShardReportRow& row = report.shards[s];
     if (row.end_wall_ns == 0) continue;
@@ -123,15 +139,19 @@ RunReport analyze_run(const std::string& run_dir,
   }
   if (report.critical_path_shard != SIZE_MAX) {
     const ShardReportRow& cp = report.shards[report.critical_path_shard];
-    std::uint64_t first_grant = 0;
+    // Its first grant, or without leases its journal's first record.
+    std::uint64_t start = run.have_leases
+                              ? 0
+                              : run.shards[report.critical_path_shard]
+                                    .first_wall_ns;
     for (const LeaseInterval& iv : cp.chain) {
       if (iv.begin_wall_ns != 0 &&
-          (first_grant == 0 || iv.begin_wall_ns < first_grant)) {
-        first_grant = iv.begin_wall_ns;
+          (start == 0 || iv.begin_wall_ns < start)) {
+        start = iv.begin_wall_ns;
       }
     }
-    if (first_grant != 0 && cp.end_wall_ns >= first_grant) {
-      report.critical_path_ns = cp.end_wall_ns - first_grant;
+    if (start != 0 && cp.end_wall_ns >= start) {
+      report.critical_path_ns = cp.end_wall_ns - start;
     }
   }
 

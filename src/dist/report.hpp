@@ -7,7 +7,10 @@
 // one, and a finished one, sharded or a daemon request. It derives:
 //
 //  * the critical path: the shard whose lease chain ends last, with the
-//    grant→regrant chain that explains the run's makespan;
+//    grant→regrant chain that explains the run's makespan (in a run
+//    without a lease journal, such as a daemon request or a library run,
+//    the shard whose journal ends last, and the makespan spans the shard
+//    journals' wall-stamped records);
 //  * per-shard edition latency (p50/p99 of each commit's time since its
 //    buyer's last `embedding` record in the shard journal, as an
 //    edition_ns histogram — integer bucket math, common/metrics.hpp);
@@ -80,10 +83,12 @@ struct RunReport {
   /// The shards' committed counts summed; every buyer once done.
   std::uint64_t committed = 0;
   std::uint64_t makespan_ns = 0;  ///< First to last recorded wall time.
-  /// The shard whose lease chain ends last — the one the run's makespan
-  /// waited on. SIZE_MAX when no shard had a timestamped lease.
+  /// The shard whose lease chain (without a lease journal: whose shard
+  /// journal) ends last — the one the run's makespan waited on. SIZE_MAX
+  /// when no shard had a timestamped lease or journal record.
   std::size_t critical_path_shard = SIZE_MAX;
-  std::uint64_t critical_path_ns = 0;  ///< That chain's first-grant→end.
+  /// That chain's first grant (or first journal record) to its end.
+  std::uint64_t critical_path_ns = 0;
   std::uint64_t regrant_events = 0;
   std::uint64_t lost_ns = 0;  ///< Total revoked-lease (redo) cost.
   std::vector<ShardReportRow> shards;

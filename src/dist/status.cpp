@@ -78,6 +78,8 @@ void read_progress(ShardStatusView* shard) {
       }
     }
   }
+  shard->first_wall_ns = first_wall;
+  shard->last_wall_ns = last_wall;
   if (last_wall > first_wall) {
     shard->eps_milli = static_cast<std::uint64_t>(
         static_cast<double>(commits) * 1e12 /

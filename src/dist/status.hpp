@@ -63,6 +63,10 @@ struct ShardStatusView {
   /// first and the last wall-stamped lifecycle record; 0 without two
   /// distinct wall times.
   std::uint64_t eps_milli = 0;
+  /// Wall times of the first and the last wall-stamped lifecycle record
+  /// (0 without one): a run without leases takes its makespan from them.
+  std::uint64_t first_wall_ns = 0;
+  std::uint64_t last_wall_ns = 0;
   /// Every commit in journal order; the report's edition latency and
   /// the stitcher's per-buyer spans.
   std::vector<EditionSpan> editions;

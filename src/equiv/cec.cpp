@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
@@ -22,6 +21,8 @@ struct InterfaceMap {
   std::vector<std::size_t> b_po_for_a_po;  // index into b.outputs()
 };
 
+/// Looks each name of `a` up in `b`'s own name tables, so a match
+/// allocates the two index vectors and nothing per name.
 InterfaceMap match_interfaces(const Netlist& a, const Netlist& b) {
   ODCFP_CHECK_MSG(a.inputs().size() == b.inputs().size(),
                   "PI count mismatch: " << a.inputs().size() << " vs "
@@ -29,25 +30,28 @@ InterfaceMap match_interfaces(const Netlist& a, const Netlist& b) {
   ODCFP_CHECK_MSG(a.outputs().size() == b.outputs().size(),
                   "PO count mismatch: " << a.outputs().size() << " vs "
                                         << b.outputs().size());
-  std::unordered_map<std::string, std::size_t> b_pi_index, b_po_index;
-  for (std::size_t i = 0; i < b.inputs().size(); ++i) {
-    b_pi_index.emplace(b.net(b.inputs()[i]).name, i);
-  }
-  for (std::size_t i = 0; i < b.outputs().size(); ++i) {
-    b_po_index.emplace(b.outputs()[i].name, i);
-  }
   InterfaceMap map;
-  for (NetId pi : a.inputs()) {
-    auto it = b_pi_index.find(a.net(pi).name);
-    ODCFP_CHECK_MSG(it != b_pi_index.end(),
-                    "PI '" << a.net(pi).name << "' missing in second netlist");
-    map.b_pi_for_a_pi.push_back(it->second);
+  map.b_pi_for_a_pi.reserve(a.inputs().size());
+  map.b_po_for_a_po.reserve(a.outputs().size());
+  const std::vector<NetId>& b_pis = b.inputs();
+  for (std::size_t i = 0; i < a.inputs().size(); ++i) {
+    const std::string& name = a.net(a.inputs()[i]).name;
+    const NetId net = b.find_net(name);
+    ODCFP_CHECK_MSG(net != kInvalidNet && b.net(net).is_pi,
+                    "PI '" << name << "' missing in second netlist");
+    // Clones list their PIs in the same order; anything else is searched.
+    const std::size_t j =
+        b_pis[i] == net ? i
+                        : static_cast<std::size_t>(
+                              std::find(b_pis.begin(), b_pis.end(), net) -
+                              b_pis.begin());
+    map.b_pi_for_a_pi.push_back(j);
   }
   for (const OutputPort& po : a.outputs()) {
-    auto it = b_po_index.find(po.name);
-    ODCFP_CHECK_MSG(it != b_po_index.end(),
+    const std::uint32_t j = b.find_output(po.name);
+    ODCFP_CHECK_MSG(j != kInvalidPort,
                     "PO '" << po.name << "' missing in second netlist");
-    map.b_po_for_a_po.push_back(it->second);
+    map.b_po_for_a_po.push_back(j);
   }
   return map;
 }
@@ -440,7 +444,6 @@ bool IncrementalCecSession::window_proves(sat::Var fresh, sat::Var twin,
     win_leaves_.push_back(twin);
   }
 
-  std::vector<const std::uint64_t*> ins;
   const auto tables_equal = [&] {
     // Ascending variable order is topological: the encoders allocate
     // golden and fresh variables gate by gate in topological order.
@@ -463,10 +466,10 @@ bool IncrementalCecSession::window_proves(sat::Var fresh, sat::Var twin,
       const sat::Var v = win_nodes_[j];
       win_slot_[static_cast<std::size_t>(v)] =
           static_cast<std::uint32_t>(leaves + j);
-      ins.clear();
-      for (const sat::Var in : fanins(v)) ins.push_back(table(in));
+      eval_ins_.clear();
+      for (const sat::Var in : fanins(v)) eval_ins_.push_back(table(in));
       const auto [gates, slot] = gate_of(v, act);
-      eval_signature(*gates->function[slot], ins, table(v), words);
+      eval_signature(*gates->function[slot], eval_ins_, table(v), words);
     }
     return std::equal(table(fresh), table(fresh) + words, table(twin));
   };
@@ -573,16 +576,17 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
   // fresh one has the id of the memo node its gate was keyed to.
   const auto golden_vars =
       static_cast<sat::Var>(golden_sigs_.size() / kSigWords);
-  std::vector<std::uint64_t> fresh_sigs;
-  std::vector<sat::Var> fresh_ids;
+  fresh_sigs_.clear();
+  fresh_ids_.clear();
   const auto signature = [&](sat::Var v) -> std::uint64_t* {
     if (v < golden_vars) {
       return &golden_sigs_[static_cast<std::size_t>(v) * kSigWords];
     }
-    return &fresh_sigs[static_cast<std::size_t>(v - act) * kSigWords];
+    return &fresh_sigs_[static_cast<std::size_t>(v - act) * kSigWords];
   };
   const auto memo_id = [&](sat::Var v) {
-    return v < golden_vars ? v : fresh_ids[static_cast<std::size_t>(v - act)];
+    return v < golden_vars ? v
+                           : fresh_ids_[static_cast<std::size_t>(v - act)];
   };
 
   // Sweep: every fresh gate gets its memo node and, unless the memo
@@ -592,7 +596,6 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
   // or budget death stops the sweep (the rest encodes fresh) and ends the
   // check kUnknown.
   bool exhausted = false;
-  std::vector<const std::uint64_t*> ins;
   sat::TseitinOptions topts;
   topts.on_fresh_gate = [&](GateId g, sat::Var fresh,
                             const std::vector<sat::Var>& fanins) {
@@ -600,8 +603,8 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
     const TruthTable& function = edition.cell_of(g).function;
     fresh_gates_.set(slot, function, fanins);
     if (exhausted) return fresh;
-    fresh_sigs.resize((slot + 1) * kSigWords);
-    fresh_ids.resize(slot + 1, sat::kUndefVar);
+    fresh_sigs_.resize((slot + 1) * kSigWords);
+    fresh_ids_.resize(slot + 1, sat::kUndefVar);
     MemoKey key{function, {}};
     key.fanins.fill(sat::kUndefVar);
     std::transform(fanins.begin(), fanins.end(), key.fanins.begin(),
@@ -611,16 +614,16 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
     if (inserted) {
       node.id = golden_vars + static_cast<sat::Var>(memo_.size() - 1);
     }
-    fresh_ids[slot] = node.id;
+    fresh_ids_[slot] = node.id;
     if (node.merged_into != sat::kUndefVar) {
       ++memo_hits_;
       return node.merged_into;
     }
 
     std::uint64_t* sig = signature(fresh);
-    ins.clear();
-    for (const sat::Var in : fanins) ins.push_back(signature(in));
-    eval_signature(function, ins, sig, kSigWords);
+    eval_ins_.clear();
+    for (const sat::Var in : fanins) eval_ins_.push_back(signature(in));
+    eval_signature(function, eval_ins_, sig, kSigWords);
     const sat::Var twin = golden_enc_->var_or_undef(edition.gate(g).output);
     if (twin == sat::kUndefVar ||
         !std::equal(sig, sig + kSigWords, signature(twin))) {
@@ -664,11 +667,11 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
   // order by the name-matched map (identity for the clone editions batch
   // verification produces, but a name-permuted same-interface netlist
   // must not be wired positionally).
-  std::vector<sat::Var> b_inputs(edition.inputs().size(), sat::kUndefVar);
+  shared_inputs_.assign(edition.inputs().size(), sat::kUndefVar);
   for (std::size_t i = 0; i < golden_.inputs().size(); ++i) {
-    b_inputs[map.b_pi_for_a_pi[i]] = golden_enc_->input_vars()[i];
+    shared_inputs_[map.b_pi_for_a_pi[i]] = golden_enc_->input_vars()[i];
   }
-  topts.share_inputs = &b_inputs;
+  topts.share_inputs = &shared_inputs_;
   topts.skip_clauses = true;
   topts.base = &golden_;
   topts.base_encoding = &*golden_enc_;

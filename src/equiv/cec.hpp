@@ -257,6 +257,16 @@ class IncrementalCecSession {
   std::vector<sat::Var> win_nodes_;
   std::vector<sat::Var> win_leaves_;
   std::vector<std::uint64_t> win_tables_;
+  /// Per-check working storage, kept with its capacity so a check
+  /// allocates per check, not per gate: the fresh variables' signatures
+  /// (kSigWords each) and memo ids, both indexed by variable minus the
+  /// activation variable; the input tables of the gate being evaluated
+  /// (a sweep signature or a window table); and the golden PI variables
+  /// in the edition's PI order.
+  std::vector<std::uint64_t> fresh_sigs_;
+  std::vector<sat::Var> fresh_ids_;
+  std::vector<const std::uint64_t*> eval_ins_;
+  std::vector<sat::Var> shared_inputs_;
   std::unordered_map<MemoKey, MemoNode, MemoKeyHash> memo_;
   bool healthy_ = true;
   std::size_t checks_ = 0;

@@ -13,6 +13,14 @@
 
 namespace odcfp {
 
+namespace {
+
+/// Gates (and so nets) one applied site adds at most: an inverter and an
+/// appended gate for each of its at most two literals.
+constexpr std::size_t kMaxAddedPerSite = 4;
+
+}  // namespace
+
 std::uint64_t buyer_seed(std::uint64_t base, std::size_t buyer) {
   // The multiplier keeps buyer 0 from collapsing onto the base seed.
   Rng mix(base ^ (0x9e3779b97f4a7c15ull *
@@ -29,6 +37,16 @@ BuyerEdition make_edition(const Netlist& golden, const CodebookSource& book,
   edition.buyer = buyer;
   edition.seed = buyer_seed(options.seed, buyer);
   edition.code = book.code_of(buyer);
+  // Room for the code's worst case (kMaxAddedPerSite gates and nets per
+  // applied site), reserved before the copy lands so the first added
+  // gate does not move the whole netlist.
+  std::size_t applied = 0;
+  for (const std::vector<std::uint8_t>& sites : edition.code) {
+    applied += sites.size() - static_cast<std::size_t>(
+                                  std::count(sites.begin(), sites.end(), 0));
+  }
+  edition.netlist.reserve(golden.num_gates() + kMaxAddedPerSite * applied,
+                          golden.num_nets() + kMaxAddedPerSite * applied);
   edition.netlist = golden;  // private clone: workers never share state
 
   FingerprintEmbedder embedder(edition.netlist, book.locations());

@@ -20,6 +20,7 @@ FingerprintCode blank_code(const std::vector<FingerprintLocation>& locs) {
 }
 
 SiteGateSet::SiteGateSet(const std::vector<FingerprintLocation>& locs) {
+  gates_.reserve(total_sites(locs));
   for (const FingerprintLocation& loc : locs) {
     for (const InjectionSite& s : loc.sites) gates_.push_back(s.gate);
   }
@@ -28,13 +29,14 @@ SiteGateSet::SiteGateSet(const std::vector<FingerprintLocation>& locs) {
 }
 
 FingerprintEmbedder::FingerprintEmbedder(
-    Netlist& nl, std::vector<FingerprintLocation> locations)
-    : nl_(&nl), locations_(std::move(locations)), site_gates_(locations_) {
-  state_.resize(locations_.size());
-  for (std::size_t l = 0; l < locations_.size(); ++l) {
-    state_[l].resize(locations_[l].sites.size());
-    for (std::size_t s = 0; s < locations_[l].sites.size(); ++s) {
-      flat_sites_.push_back({l, s});
+    Netlist& nl, const std::vector<FingerprintLocation>& locations)
+    : nl_(&nl), locations_(&locations), site_gates_(locations) {
+  loc_offset_.reserve(locations.size());
+  sites_.reserve(total_sites(locations));
+  for (std::size_t l = 0; l < locations.size(); ++l) {
+    loc_offset_.push_back(static_cast<std::uint32_t>(sites_.size()));
+    for (std::size_t s = 0; s < locations[l].sites.size(); ++s) {
+      sites_.emplace_back().ref = {l, s};
     }
   }
 #ifndef NDEBUG
@@ -42,16 +44,29 @@ FingerprintEmbedder::FingerprintEmbedder(
 #endif
 }
 
+std::size_t FingerprintEmbedder::index_of(std::size_t loc,
+                                          std::size_t site) const {
+  ODCFP_CHECK(loc < loc_offset_.size());
+  const std::size_t i = loc_offset_[loc] + site;
+  ODCFP_CHECK(i < sites_.size() && sites_[i].ref.loc == loc &&
+              sites_[i].ref.site == site);
+  return i;
+}
+
+void FingerprintEmbedder::record(SiteState& st, const Op& op) {
+  ODCFP_CHECK(st.num_ops < kMaxOps);
+  st.ops[st.num_ops++] = op;
+}
+
 FingerprintEmbedder::SiteRef FingerprintEmbedder::site_ref(
     std::size_t flat_index) const {
-  ODCFP_CHECK(flat_index < flat_sites_.size());
-  return flat_sites_[flat_index];
+  ODCFP_CHECK(flat_index < sites_.size());
+  return sites_[flat_index].ref;
 }
 
 int FingerprintEmbedder::applied_option(std::size_t loc,
                                         std::size_t site) const {
-  ODCFP_CHECK(loc < state_.size() && site < state_[loc].size());
-  return state_[loc][site].option;
+  return sites_[index_of(loc, site)].option;
 }
 
 NetId find_reusable_inverter(const Netlist& nl, NetId source,
@@ -73,17 +88,14 @@ NetId find_reusable_inverter(const Netlist& nl, NetId source,
 }
 
 NetId FingerprintEmbedder::literal_net(NetId source, bool invert,
-                                       std::vector<Op>& ops) {
+                                       SiteState& st) {
   if (!invert) return source;
   const NetId reusable =
       find_reusable_inverter(*nl_, source, site_gates_);
   if (reusable != kInvalidNet) return reusable;
   const GateId inv = nl_->add_gate_kind(
       CellKind::kInv, {source}, nl_->fresh_gate_name(kInverterPrefix));
-  Op op;
-  op.kind = Op::Kind::kAddGate;
-  op.gate = inv;
-  ops.push_back(std::move(op));
+  record(st, {.kind = Op::Kind::kAddGate, .gate = inv});
   return nl_->gate(inv).output;
 }
 
@@ -110,7 +122,7 @@ CellKind append_kind(InjectClass cls) {
 }  // namespace
 
 void FingerprintEmbedder::inject_literal(GateId site_gate, InjectClass cls,
-                                         NetId lit, std::vector<Op>& ops) {
+                                         NetId lit, SiteState& st) {
   const Cell& cur = nl_->cell_of(site_gate);
   const CellKind target = widen_target_kind(cur.kind);
   const CellId wide =
@@ -122,13 +134,12 @@ void FingerprintEmbedder::inject_literal(GateId site_gate, InjectClass cls,
     // original pins at undo time — another location's append may have
     // legitimately re-routed one of them in the meantime, and restoring a
     // stale snapshot would resurrect dangling fingerprint nets.
-    Op op;
-    op.kind = Op::Kind::kWiden;
-    op.gate = site_gate;
-    op.old_cell = nl_->gate(site_gate).cell;
+    const CellId old_cell = nl_->gate(site_gate).cell;
     PinList<NetId> fanins = nl_->gate(site_gate).fanins;
     fanins.push_back(lit);
-    ops.push_back(std::move(op));
+    record(st, {.kind = Op::Kind::kWiden,
+                .gate = site_gate,
+                .old_cell = old_cell});
     nl_->rewire_gate(site_gate, wide, fanins);
     return;
   }
@@ -137,16 +148,9 @@ void FingerprintEmbedder::inject_literal(GateId site_gate, InjectClass cls,
   const GateId app = nl_->add_gate_kind(
       append_kind(cls), {tail, lit}, nl_->fresh_gate_name(kAddedGatePrefix));
   const NetId app_out = nl_->gate(app).output;
-  Op add;
-  add.kind = Op::Kind::kAddGate;
-  add.gate = app;
-  ops.push_back(std::move(add));
+  record(st, {.kind = Op::Kind::kAddGate, .gate = app});
   nl_->transfer_fanouts_except(tail, app_out, app);
-  Op tr;
-  tr.kind = Op::Kind::kTransfer;
-  tr.from = tail;
-  tr.to = app_out;
-  ops.push_back(std::move(tr));
+  record(st, {.kind = Op::Kind::kTransfer, .from = tail, .to = app_out});
 }
 
 NetId FingerprintEmbedder::chain_output(GateId site_gate) const {
@@ -166,14 +170,11 @@ NetId FingerprintEmbedder::chain_output(GateId site_gate) const {
 
 void FingerprintEmbedder::apply(std::size_t loc, std::size_t site,
                                 int option) {
-  ODCFP_CHECK(loc < locations_.size());
-  const FingerprintLocation& L = locations_[loc];
-  ODCFP_CHECK(site < L.sites.size());
-  const InjectionSite& S = L.sites[site];
+  SiteState& st = sites_[index_of(loc, site)];
+  const InjectionSite& S = (*locations_)[loc].sites[site];
   ODCFP_CHECK_MSG(option >= 1 &&
                       option <= static_cast<int>(S.options.size()),
                   "option " << option << " out of range");
-  SiteState& st = state_[loc][site];
   ODCFP_CHECK_MSG(st.option == 0, "site already modified");
 
   const ModOption& O = S.options[static_cast<std::size_t>(option - 1)];
@@ -181,59 +182,58 @@ void FingerprintEmbedder::apply(std::size_t loc, std::size_t site,
   // Strong exception safety: a failure mid-injection (e.g. an allocation
   // fault inside add_gate) unwinds the ops already recorded, so the
   // netlist is back in its pre-apply state when the exception escapes.
-  std::vector<Op> ops;
   try {
-    const NetId lit1 = literal_net(O.source, O.invert, ops);
-    inject_literal(S.gate, S.inject_class, lit1, ops);
+    const NetId lit1 = literal_net(O.source, O.invert, st);
+    inject_literal(S.gate, S.inject_class, lit1, st);
     if (O.source2 != kInvalidNet) {
-      const NetId lit2 = literal_net(O.source2, O.invert2, ops);
-      inject_literal(S.gate, S.inject_class, lit2, ops);
+      const NetId lit2 = literal_net(O.source2, O.invert2, st);
+      inject_literal(S.gate, S.inject_class, lit2, st);
     }
   } catch (...) {
-    undo_ops(ops);
+    undo_ops(st);
     throw;
   }
   st.option = option;
-  st.ops = std::move(ops);
   ++num_applied_;
   TELEM_COUNT("embed.applies", 1);
 }
 
-void FingerprintEmbedder::undo_ops(const std::vector<Op>& ops) {
-  for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-    switch (it->kind) {
+void FingerprintEmbedder::undo_ops(SiteState& st) {
+  for (std::size_t i = st.num_ops; i-- > 0;) {
+    const Op& op = st.ops[i];
+    switch (op.kind) {
       case Op::Kind::kTransfer:
-        nl_->transfer_fanouts(it->to, it->from);
+        nl_->transfer_fanouts(op.to, op.from);
         break;
       case Op::Kind::kAddGate:
-        nl_->remove_gate(it->gate);
+        nl_->remove_gate(op.gate);
         break;
       case Op::Kind::kWiden: {
-        const PinList<NetId>& fanins = nl_->gate(it->gate).fanins;
+        const PinList<NetId>& fanins = nl_->gate(op.gate).fanins;
         ODCFP_CHECK(!fanins.empty());
-        nl_->rewire_gate(it->gate, it->old_cell,
+        nl_->rewire_gate(op.gate, op.old_cell,
                          std::span(fanins).first(fanins.size() - 1));
         break;
       }
     }
   }
+  st.num_ops = 0;
 }
 
 void FingerprintEmbedder::remove(std::size_t loc, std::size_t site) {
-  ODCFP_CHECK(loc < state_.size() && site < state_[loc].size());
-  SiteState& st = state_[loc][site];
+  SiteState& st = sites_[index_of(loc, site)];
   if (st.option == 0) return;
-  undo_ops(st.ops);
-  st = SiteState{};
+  undo_ops(st);
+  st.option = 0;
   --num_applied_;
   TELEM_COUNT("embed.removes", 1);
 }
 
 void FingerprintEmbedder::apply_code(const FingerprintCode& code) {
-  ODCFP_CHECK(code.size() == locations_.size());
+  ODCFP_CHECK(code.size() == locations_->size());
   remove_all();
   for (std::size_t l = 0; l < code.size(); ++l) {
-    ODCFP_CHECK(code[l].size() == locations_[l].sites.size());
+    ODCFP_CHECK(code[l].size() == (*locations_)[l].sites.size());
     for (std::size_t s = 0; s < code[l].size(); ++s) {
       if (code[l][s] != 0) apply(l, s, code[l][s]);
     }
@@ -241,19 +241,13 @@ void FingerprintEmbedder::apply_code(const FingerprintCode& code) {
 }
 
 void FingerprintEmbedder::apply_all_generic() {
-  for (std::size_t l = 0; l < locations_.size(); ++l) {
-    for (std::size_t s = 0; s < locations_[l].sites.size(); ++s) {
-      if (state_[l][s].option == 0) apply(l, s, 1);
-    }
+  for (const SiteState& st : sites_) {
+    if (st.option == 0) apply(st.ref.loc, st.ref.site, 1);
   }
 }
 
 void FingerprintEmbedder::remove_all() {
-  for (std::size_t l = 0; l < state_.size(); ++l) {
-    for (std::size_t s = 0; s < state_[l].size(); ++s) {
-      remove(l, s);
-    }
-  }
+  for (const SiteState& st : sites_) remove(st.ref.loc, st.ref.site);
   // Undoing every site must restore the pre-embedding structure exactly
   // (name-wise gate/net compare) — a silent mismatch here would corrupt
   // every later baseline measurement and extraction.
@@ -262,22 +256,19 @@ void FingerprintEmbedder::remove_all() {
 
 std::vector<GateId> FingerprintEmbedder::touched_gates(
     std::size_t loc, std::size_t site) const {
-  ODCFP_CHECK(loc < state_.size() && site < state_[loc].size());
-  const SiteState& st = state_[loc][site];
+  const SiteState& st = sites_[index_of(loc, site)];
   if (st.option == 0) return {};
-  std::vector<GateId> gates{locations_[loc].sites[site].gate};
-  for (const Op& op : st.ops) {
-    if (op.kind == Op::Kind::kAddGate) gates.push_back(op.gate);
+  std::vector<GateId> gates{(*locations_)[loc].sites[site].gate};
+  for (std::size_t i = 0; i < st.num_ops; ++i) {
+    if (st.ops[i].kind == Op::Kind::kAddGate) gates.push_back(st.ops[i].gate);
   }
   return gates;
 }
 
 FingerprintCode FingerprintEmbedder::current_code() const {
-  FingerprintCode code = blank_code(locations_);
-  for (std::size_t l = 0; l < state_.size(); ++l) {
-    for (std::size_t s = 0; s < state_[l].size(); ++s) {
-      code[l][s] = static_cast<std::uint8_t>(state_[l][s].option);
-    }
+  FingerprintCode code = blank_code(*locations_);
+  for (const SiteState& st : sites_) {
+    code[st.ref.loc][st.ref.site] = static_cast<std::uint8_t>(st.option);
   }
   return code;
 }
@@ -348,18 +339,22 @@ LiteralSet expected_literals(const Netlist& golden, const ModOption& o,
 namespace {
 
 /// Shared extraction core; `strict` throws on unreadable sites instead of
-/// recording a damage status.
+/// recording a damage status, so it leaves `status` empty.
 LenientExtraction extract_impl(const Netlist& fingerprinted,
                                const Netlist& golden,
                                const std::vector<FingerprintLocation>& locs,
                                bool strict) {
   LenientExtraction result;
   result.code = blank_code(locs);
-  result.status.resize(locs.size());
+  if (!strict) {
+    result.status.resize(locs.size());
+    for (std::size_t l = 0; l < locs.size(); ++l) {
+      result.status[l].assign(locs[l].sites.size(),
+                              SiteReadStatus::kRecovered);
+    }
+  }
   const SiteGateSet site_gates(locs);
   for (std::size_t l = 0; l < locs.size(); ++l) {
-    result.status[l].assign(locs[l].sites.size(),
-                            SiteReadStatus::kRecovered);
     for (std::size_t s = 0; s < locs[l].sites.size(); ++s) {
       const InjectionSite& S = locs[l].sites[s];
       const Gate& gg = golden.gate(S.gate);

@@ -6,6 +6,13 @@
 // site, so individual modifications can be removed in any order — the
 // reactive overhead heuristic (paper §IV.B) depends on this.
 //
+// Lifetime: an embedder borrows both the netlist it edits and the
+// location list it reads; neither is copied, and both must outlive it.
+// Binding a temporary location list does not compile. Its per-site state
+// is one flat array, and each site's undo log is held inline (at most six
+// edits), so applying and removing a site allocates nothing beyond what
+// the netlist edit itself needs.
+//
 // Mechanics of one injection (site gate f, literal L):
 //  * if the library has a same-kind cell one input wider, f is *widened*
 //    (INV becomes NAND2, BUF becomes AND2);
@@ -19,6 +26,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,16 +61,18 @@ class SiteGateSet {
 
 class FingerprintEmbedder {
  public:
-  /// The embedder keeps a reference to `nl` and mutates it in place.
+  /// The embedder mutates `nl` in place and reads `locations`; it keeps
+  /// references to both, so both must outlive it.
   FingerprintEmbedder(Netlist& nl,
-                      std::vector<FingerprintLocation> locations);
+                      const std::vector<FingerprintLocation>& locations);
+  FingerprintEmbedder(Netlist&, std::vector<FingerprintLocation>&&) = delete;
 
   const std::vector<FingerprintLocation>& locations() const {
-    return locations_;
+    return *locations_;
   }
   const Netlist& netlist() const { return *nl_; }
 
-  std::size_t num_sites() const { return flat_sites_.size(); }
+  std::size_t num_sites() const { return sites_.size(); }
 
   /// Flat site index -> (location, site) pair.
   struct SiteRef {
@@ -102,33 +112,48 @@ class FingerprintEmbedder {
   std::vector<GateId> touched_gates(std::size_t loc, std::size_t site) const;
 
  private:
+  /// Netlist edits one apply can make: an option injects at most two
+  /// literals, and each costs at most an inverter plus either a widen or
+  /// an appended gate with its fanout transfer.
+  static constexpr std::size_t kMaxOps = 6;
+
   struct Op {
     enum class Kind : std::uint8_t { kWiden, kAddGate, kTransfer };
-    Kind kind;
+    Kind kind = Kind::kAddGate;
     GateId gate = kInvalidGate;       // kWiden / kAddGate
     CellId old_cell = kInvalidCell;   // kWiden
     NetId from = kInvalidNet;         // kTransfer
     NetId to = kInvalidNet;           // kTransfer
   };
+  /// One site: where it is, what is applied, and the undo log of the
+  /// applied option (ops[0, num_ops), oldest first).
   struct SiteState {
+    SiteRef ref;
     int option = 0;
-    std::vector<Op> ops;
+    std::uint8_t num_ops = 0;
+    std::array<Op, kMaxOps> ops;
   };
 
-  NetId literal_net(NetId source, bool invert, std::vector<Op>& ops);
+  /// sites_ index of (loc, site); throws CheckError when out of range.
+  std::size_t index_of(std::size_t loc, std::size_t site) const;
+  static void record(SiteState& st, const Op& op);
+
+  NetId literal_net(NetId source, bool invert, SiteState& st);
   void inject_literal(GateId site_gate, InjectClass cls, NetId lit,
-                      std::vector<Op>& ops);
-  /// Reverts `ops` (newest first); shared by remove() and the
-  /// exception-unwind path of apply().
-  void undo_ops(const std::vector<Op>& ops);
+                      SiteState& st);
+  /// Reverts the site's undo log (newest first) and empties it; shared by
+  /// remove() and the exception-unwind path of apply().
+  void undo_ops(SiteState& st);
   /// The current output net of the site gate's modification chain (after
   /// appends, the appended gate's output).
   NetId chain_output(GateId site_gate) const;
 
   Netlist* nl_;
-  std::vector<FingerprintLocation> locations_;
-  std::vector<std::vector<SiteState>> state_;  // [loc][site]
-  std::vector<SiteRef> flat_sites_;
+  const std::vector<FingerprintLocation>* locations_;
+  /// sites_ index of each location's first site.
+  std::vector<std::uint32_t> loc_offset_;
+  /// Every site in flat order (locations in order, then their sites).
+  std::vector<SiteState> sites_;
   SiteGateSet site_gates_;
   std::size_t num_applied_ = 0;
 #ifndef NDEBUG

@@ -1,8 +1,6 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <queue>
 #include <unordered_map>
 #include <utility>
 
@@ -14,6 +12,11 @@ namespace odcfp {
 Netlist::Netlist(const CellLibrary* library, std::string name)
     : library_(library), name_(std::move(name)) {
   ODCFP_CHECK(library_ != nullptr);
+}
+
+void Netlist::reserve(std::size_t gates, std::size_t nets) {
+  gates_.reserve(gates);
+  nets_.reserve(nets);
 }
 
 NetId Netlist::add_net(const std::string& name, GateId driver, bool is_pi) {
@@ -172,10 +175,14 @@ void Netlist::transfer_fanouts(NetId from, NetId to) {
 void Netlist::transfer_fanouts_except(NetId from, NetId to,
                                       GateId except_gate) {
   ODCFP_CHECK(from < nets_.size() && to < nets_.size() && from != to);
-  // Copy: reconnect_pin mutates nets_[from].fanouts as we go.
-  const PinList<FanoutRef> sinks = nets_[from].fanouts;
-  for (const FanoutRef& ref : sinks) {
-    if (ref.gate == except_gate) continue;
+  // In list order: reconnecting entry i erases it from `from`'s list, so
+  // the next entry moves into slot i; skipped entries stay before it.
+  for (std::size_t i = 0; i < nets_[from].fanouts.size();) {
+    const FanoutRef ref = nets_[from].fanouts[i];
+    if (ref.gate == except_gate) {
+      ++i;
+      continue;
+    }
     reconnect_pin(ref.gate, ref.pin, to);
   }
   repoint_output_ports(from, to);
@@ -213,6 +220,10 @@ GateId Netlist::find_gate(std::string_view name) const {
   return gate_by_name_.find(name, gate_names());
 }
 
+std::uint32_t Netlist::find_output(std::string_view name) const {
+  return port_by_name_.find(name, port_names());
+}
+
 void Netlist::rename_net(NetId id, const std::string& new_name) {
   ODCFP_CHECK(id < nets_.size());
   ODCFP_CHECK_MSG(find_net(new_name) == kInvalidNet,
@@ -223,33 +234,55 @@ void Netlist::rename_net(NetId id, const std::string& new_name) {
 }
 
 std::vector<GateId> Netlist::topo_order() const {
-  // Kahn's algorithm over gate->gate edges. The ready set is a min-heap on
-  // GateId so the order is deterministic regardless of fanout-list order —
-  // undoing a modification restores byte-identical serializations.
-  std::vector<int> pending(gates_.size(), 0);
-  std::priority_queue<GateId, std::vector<GateId>, std::greater<GateId>>
-      ready;
+  // Kahn's algorithm over gate->gate edges, always taking the smallest
+  // ready id, so the order is deterministic regardless of fanout-list
+  // order — undoing a modification restores byte-identical
+  // serializations. The ready set is a bitmap over gate ids under a
+  // summary with one bit per nonzero 64-id word. A pop scans summary
+  // words up from the lowest one that can be nonzero, so no pop reads
+  // more than n/4096 of them, while a scan of the bitmap itself would go
+  // quadratic when ready ids alternate between the two ends.
+  const std::size_t words = (gates_.size() + 63) / 64;
+  const std::size_t summary_words = (words + 63) / 64;
+  std::vector<std::uint64_t> bits(words + summary_words, 0);
+  std::uint64_t* const ready = bits.data();
+  std::uint64_t* const summary = ready + words;
+  std::size_t low = summary_words;  // no summary word below is nonzero
+  const auto push = [&](GateId g) {
+    const std::size_t w = g >> 6;
+    ready[w] |= std::uint64_t{1} << (g & 63);
+    summary[w >> 6] |= std::uint64_t{1} << (w & 63);
+    low = std::min(low, w >> 6);
+  };
+
+  std::vector<std::uint32_t> pending(gates_.size(), 0);
   std::size_t live = 0;
   for (GateId g = 0; g < gates_.size(); ++g) {
     if (gates_[g].is_dead()) continue;
     ++live;
-    int deps = 0;
+    std::uint32_t deps = 0;
     for (NetId in : gates_[g].fanins) {
       if (nets_[in].driver != kInvalidGate) ++deps;
     }
     pending[g] = deps;
-    if (deps == 0) ready.push(g);
+    if (deps == 0) push(g);
   }
   std::vector<GateId> order;
   order.reserve(live);
-  while (!ready.empty()) {
-    const GateId g = ready.top();
-    ready.pop();
+  for (;;) {
+    while (low < summary_words && summary[low] == 0) ++low;
+    if (low == summary_words) break;
+    const std::size_t w =
+        (low << 6) + static_cast<std::size_t>(__builtin_ctzll(summary[low]));
+    const auto g = static_cast<GateId>(
+        (w << 6) + static_cast<std::size_t>(__builtin_ctzll(ready[w])));
+    ready[w] &= ready[w] - 1;
+    if (ready[w] == 0) summary[low] &= summary[low] - 1;
     order.push_back(g);
     // A gate reading the same net on several pins must be decremented
     // once per pin; the fanout list has one entry per pin, so this works.
     for (const FanoutRef& ref : nets_[gates_[g].output].fanouts) {
-      if (--pending[ref.gate] == 0) ready.push(ref.gate);
+      if (--pending[ref.gate] == 0) push(ref.gate);
     }
   }
   ODCFP_CHECK_MSG(order.size() == live,

@@ -49,6 +49,8 @@ using GateId = std::uint32_t;
 using NetId = std::uint32_t;
 inline constexpr GateId kInvalidGate = ~GateId{0};
 inline constexpr NetId kInvalidNet = ~NetId{0};
+/// What Netlist::find_output returns for an unknown port name.
+inline constexpr std::uint32_t kInvalidPort = ~std::uint32_t{0};
 
 /// One sink pin of a net: input pin `pin` of gate `gate`.
 struct FanoutRef {
@@ -92,6 +94,11 @@ class Netlist {
   void set_name(std::string n) { name_ = std::move(n); }
 
   // ---- construction ----
+
+  /// Reserves room for `gates` gates and `nets` nets, so adding gates up
+  /// to those counts moves no Gate or Net. Called on an empty netlist
+  /// before it is assigned a copy, the capacity survives the assignment.
+  void reserve(std::size_t gates, std::size_t nets);
 
   /// Creates a primary input. Name must be unique (empty = auto).
   NetId add_input(const std::string& name = {});
@@ -168,6 +175,8 @@ class Netlist {
   /// kInvalidNet / kInvalidGate when no net / live gate has the name.
   NetId find_net(std::string_view name) const;
   GateId find_gate(std::string_view name) const;
+  /// Index in outputs() of the port named `name`; kInvalidPort if none.
+  std::uint32_t find_output(std::string_view name) const;
 
   /// Renames a net; the new name must be unique.
   void rename_net(NetId id, const std::string& name);
@@ -175,9 +184,10 @@ class Netlist {
   // ---- global queries ----
 
   /// Live gates in topological (fanin-before-fanout) order, deterministic
-  /// regardless of fanout-list order (min-id first). Use this wherever
-  /// the order is observable (serialization, iteration that must be
-  /// reproducible). Throws CheckError on a combinational cycle.
+  /// regardless of fanout-list order: Kahn's algorithm that always takes
+  /// the smallest ready gate id. Use this wherever the order is
+  /// observable (serialization, iteration that must be reproducible).
+  /// Throws CheckError on a combinational cycle.
   std::vector<GateId> topo_order() const;
 
   /// Fast topological order (plain Kahn queue, order depends on fanout

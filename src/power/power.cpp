@@ -1,5 +1,7 @@
 #include "power/power.hpp"
 
+#include <array>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "sim/simulator.hpp"
@@ -8,15 +10,18 @@ namespace odcfp {
 
 namespace {
 
-/// P(out == 1) for a cell given independent pin probabilities.
-double output_probability(const TruthTable& tt,
-                          const std::vector<double>& pin_prob) {
+/// P(out == 1) for a cell given independent pin probabilities: over the
+/// on-set rows in ascending order, the sum of each row's product of pin
+/// terms in pin order. The rows are the set bits of the table (a table
+/// keeps no bit past its last row).
+double output_probability(const TruthTable& tt, const double* pin_prob) {
+  const int k = tt.num_inputs();
   double p = 0;
-  for (unsigned row = 0; row < tt.num_rows(); ++row) {
-    if (!tt.eval(row)) continue;
+  for (std::uint64_t on = tt.bits(); on != 0; on &= on - 1) {
+    const auto row = static_cast<unsigned>(__builtin_ctzll(on));
     double term = 1;
-    for (int i = 0; i < tt.num_inputs(); ++i) {
-      const double pi = pin_prob[static_cast<std::size_t>(i)];
+    for (int i = 0; i < k; ++i) {
+      const double pi = pin_prob[i];
       term *= ((row >> i) & 1) ? pi : (1 - pi);
     }
     p += term;
@@ -59,13 +64,15 @@ PowerReport PowerAnalyzer::analyze(const Netlist& nl) const {
   for (NetId pi : nl.inputs()) {
     rep.probability[pi] = options_.input_one_probability;
   }
-  std::vector<double> pins;
+  std::array<double, TruthTable::kMaxInputs> pins{};
   for (GateId g : nl.topo_order_fast()) {
     const Gate& gt = nl.gate(g);
-    pins.clear();
-    for (NetId in : gt.fanins) pins.push_back(rep.probability[in]);
+    ODCFP_CHECK(gt.fanins.size() <= pins.size());
+    for (std::size_t i = 0; i < gt.fanins.size(); ++i) {
+      pins[i] = rep.probability[gt.fanins[i]];
+    }
     rep.probability[gt.output] =
-        output_probability(nl.library().cell(gt.cell).function, pins);
+        output_probability(nl.library().cell(gt.cell).function, pins.data());
   }
   rep.dynamic_power = accumulate(nl, rep);
   return rep;

@@ -52,6 +52,7 @@ TseitinEncoding::TseitinEncoding(Solver& solver, const Netlist& nl,
   if (options.share_inputs != nullptr) {
     ODCFP_CHECK(options.share_inputs->size() == nl.inputs().size());
   }
+  input_vars_.reserve(nl.inputs().size());
   for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
     const Var v = (options.share_inputs != nullptr)
                       ? (*options.share_inputs)[i]
@@ -59,6 +60,7 @@ TseitinEncoding::TseitinEncoding(Solver& solver, const Netlist& nl,
     var_of_[nl.inputs()[i]] = v;
     input_vars_.push_back(v);
   }
+  std::vector<Var> in_vars;  // the gate's fanin variables, reused
   for (GateId g : nl.topo_order()) {
     const Gate& gt = nl.gate(g);
     if (gate_reusable(nl, g, gt, var_of_, options)) {
@@ -70,8 +72,7 @@ TseitinEncoding::TseitinEncoding(Solver& solver, const Netlist& nl,
     const Var out = solver.new_var();
     var_of_[gt.output] = out;
     ++encoded_gates_;
-    std::vector<Var> in_vars;
-    in_vars.reserve(gt.fanins.size());
+    in_vars.clear();
     for (NetId in : gt.fanins) {
       ODCFP_CHECK_MSG(var_of_[in] != kUndefVar,
                       "net used before being driven");

@@ -40,6 +40,7 @@
 #include "common/fault.hpp"
 #include "common/journal.hpp"
 #include "common/parallel.hpp"
+#include "dist/report.hpp"
 #include "dist/runner.hpp"
 #include "dist/status.hpp"
 
@@ -378,6 +379,27 @@ TEST(CrashRecovery, ResumeIsThreadCountInvariant) {
 // rejected before any artifact is touched — resuming someone else's
 // journal would silently stamp the wrong editions. The journal header
 // refuses it on its own: run_shard never consults run.spec.
+// A library run (examples/buyer_batch's shape: one shard, no lease
+// journal) reports a makespan and its one shard as the critical path,
+// timed by the shard journal's own records.
+TEST(CrashRecovery, LibraryRunDirReportsItsMakespan) {
+  const Fixture f;
+  const std::string dir = chaos_base() + "report";
+  atomic_io::make_dirs(dir);
+  wipe_dir(dir);
+  ASSERT_TRUE(dist::pin_run_spec(dir, f.spec).ok());
+  const dist::ResumableBatchResult r = f.run(dir);
+  ASSERT_EQ(r.batch.status, Status::kOk);
+  const dist::RunReport report = dist::analyze_run(dir);
+  ASSERT_EQ(report.status, Status::kOk) << report.message;
+  EXPECT_EQ(report.state, "done");
+  EXPECT_EQ(report.committed, kBuyers);
+  EXPECT_GT(report.makespan_ns, 0u);
+  EXPECT_EQ(report.critical_path_shard, 0u);
+  EXPECT_GT(report.critical_path_ns, 0u);
+  EXPECT_LE(report.critical_path_ns, report.makespan_ns);
+}
+
 TEST(CrashRecovery, ForeignJournalIsRejected) {
   const Fixture f;
   const std::string dir = chaos_base() + "foreign";

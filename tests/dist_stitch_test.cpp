@@ -405,6 +405,74 @@ TEST(DistStitch, ReportNamesKilledAndCriticalPathShardOnSkewedWorkload) {
   EXPECT_TRUE(saw_missing);
 }
 
+// A run without a lease journal (a daemon request, or a library run like
+// examples/buyer_batch) has its shard journals for shards. Their chosen
+// wall times bound it: the makespan runs from the first wall-stamped
+// record of any shard to the last, and the critical path is the shard
+// whose journal ends last, measured from its own first record.
+TEST(DistStitch, RunWithoutLeasesTakesMakespanFromShardJournals) {
+  const std::string dir = fresh_dir("no_leases");
+  const RunSpec spec = stitch_spec();
+  ASSERT_TRUE(write_run_spec(run_spec_path(dir), spec).ok());
+  constexpr std::uint64_t kMs = 1'000'000;
+  constexpr std::uint64_t kBase = 2'000'000'000'000;  // chosen, not read
+  JournalHeader header;
+  header.seed = spec.batch_seed;
+  header.num_buyers = spec.num_buyers;
+  header.config_crc = run_spec_crc(spec);
+  header.label = spec.label;
+  // Shard `s` stamps `buyers` starting `start_ms` in, one per 10 ms; a
+  // record without a wall time carries none.
+  const auto write_shard = [&](std::size_t s, std::uint64_t first_buyer,
+                               std::uint64_t buyers, std::uint64_t start_ms) {
+    std::string journal = "odcfp-journal 1\n";
+    journal += record_log::format_line(
+        'H', record_log::header_payload(header));
+    std::uint64_t seq = 0;
+    journal += journal_line(seq++, first_buyer, BuyerPhase::kEmbedding, 0);
+    for (std::uint64_t b = first_buyer; b < first_buyer + buyers; ++b) {
+      const std::uint64_t embed =
+          kBase + (start_ms + (b - first_buyer) * 10) * kMs;
+      journal += journal_line(seq++, b, BuyerPhase::kEmbedding, embed);
+      journal +=
+          journal_line(seq++, b, BuyerPhase::kVerified, embed + 2 * kMs);
+      journal +=
+          journal_line(seq++, b, BuyerPhase::kCommitted, embed + 4 * kMs);
+    }
+    ASSERT_TRUE(
+        atomic_io::write_file_atomic(shard_journal_path(dir, s), journal)
+            .ok);
+  };
+
+  // One shard with every buyer: the shape of a buyer_batch dir.
+  write_shard(0, 0, kBuyers, 5);
+  RunReport report = analyze_run(dir);
+  ASSERT_EQ(report.status, Status::kOk) << report.message;
+  EXPECT_EQ(report.state, "done");
+  ASSERT_EQ(report.shards.size(), 1u);
+  // From buyer 0's embedding at 5 ms to buyer 7's commit at 79 ms.
+  EXPECT_EQ(report.makespan_ns, 74 * kMs);
+  EXPECT_EQ(report.critical_path_shard, 0u);
+  EXPECT_EQ(report.critical_path_ns, 74 * kMs);
+  const jsonlite::Value one = jsonlite::parse(render_report_json(report));
+  EXPECT_EQ(one.at("makespan_ns").raw, std::to_string(74 * kMs));
+  EXPECT_EQ(one.at("critical_path_shard").raw, "0");
+  EXPECT_NE(render_report_table(report).find("critical path: shard 0 (74."),
+            std::string::npos)
+      << render_report_table(report);
+
+  // Two shards: shard 1 starts later but ends last, so it is the
+  // critical path, measured from its own first record.
+  write_shard(0, 0, 4, 5);
+  write_shard(1, 4, 4, 20);
+  report = analyze_run(dir);
+  ASSERT_EQ(report.shards.size(), 2u);
+  // Shard 0 spans 5..39 ms, shard 1 20..54 ms.
+  EXPECT_EQ(report.makespan_ns, 49 * kMs);
+  EXPECT_EQ(report.critical_path_shard, 1u);
+  EXPECT_EQ(report.critical_path_ns, 34 * kMs);
+}
+
 // Degraded inputs: a run dir before any grant reports as idle (exit-0
 // territory for tools/odcfp_report), and a dir with nothing analyzable
 // is the one hard error.

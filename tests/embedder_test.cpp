@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <vector>
+
 #include "benchgen/benchmarks.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -10,6 +13,13 @@
 
 namespace odcfp {
 namespace {
+
+// The embedder borrows its location list: a named list binds, a temporary
+// one (which would dangle after the constructor) does not compile.
+static_assert(std::is_constructible_v<FingerprintEmbedder, Netlist&,
+                                      const std::vector<FingerprintLocation>&>);
+static_assert(!std::is_constructible_v<FingerprintEmbedder, Netlist&,
+                                       std::vector<FingerprintLocation>&&>);
 
 /// Every single-site modification option, applied alone, must preserve the
 /// circuit function — checked exhaustively per option on a small circuit.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -185,6 +187,92 @@ TEST(Cones, MffcStopsAtSharedFanout) {
   EXPECT_EQ(mffc(nl, u1).size(), 1u);
 }
 
+// ---- topo_order: the smallest-ready-id Kahn order ----
+
+/// Kahn's algorithm with a min-heap ready set: the order topo_order()
+/// must produce. Returns fewer gates than are live on a cycle.
+std::vector<GateId> reference_topo_order(const Netlist& nl) {
+  std::vector<int> pending(nl.num_gates(), 0);
+  std::priority_queue<GateId, std::vector<GateId>, std::greater<GateId>>
+      ready;
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    if (nl.gate(g).is_dead()) continue;
+    for (const NetId in : nl.gate(g).fanins) {
+      if (nl.net(in).driver != kInvalidGate) ++pending[g];
+    }
+    if (pending[g] == 0) ready.push(g);
+  }
+  std::vector<GateId> order;
+  while (!ready.empty()) {
+    const GateId g = ready.top();
+    ready.pop();
+    order.push_back(g);
+    for (const FanoutRef& ref : nl.net(nl.gate(g).output).fanouts) {
+      if (--pending[ref.gate] == 0) ready.push(ref.gate);
+    }
+  }
+  return order;
+}
+
+/// `n` buffers chained so that the ready set holds one gate at a time
+/// and its id alternates between the two ends of the id range: 0, n-1,
+/// 1, n-2, ... Each buffer starts on a PI of its own, so rewiring it
+/// onto its chain predecessor detaches from a one-entry list.
+Netlist alternating_chain(std::size_t n) {
+  Netlist nl;
+  for (std::size_t i = 0; i < n; ++i) {
+    nl.add_gate_kind(CellKind::kBuf, {nl.add_input()});
+  }
+  GateId prev = 0;
+  std::size_t low = 1, high = n - 1;
+  for (std::size_t i = 1; i < n; ++i) {
+    const auto g = static_cast<GateId>(i % 2 == 1 ? high-- : low++);
+    nl.reconnect_pin(g, 0, nl.gate(prev).output);
+    prev = g;
+  }
+  nl.add_output(nl.gate(prev).output, "out");
+  return nl;
+}
+
+TEST(TopoOrder, MatchesAMinHeapKahnOnEveryBenchmark) {
+  for (const std::string& name : benchmark_names()) {
+    SCOPED_TRACE(name);
+    const Netlist nl = make_benchmark(name);
+    const std::vector<GateId> order = nl.topo_order();
+    EXPECT_EQ(order.size(), nl.num_live_gates());
+    EXPECT_EQ(order, reference_topo_order(nl));
+  }
+}
+
+TEST(TopoOrder, AlternatingReadyIdsKeepTheKahnOrder) {
+  constexpr std::size_t kGates = 20'000;
+  const Netlist nl = alternating_chain(kGates);
+  const std::vector<GateId> order = nl.topo_order();
+  ASSERT_EQ(order.size(), kGates);
+  EXPECT_EQ(order, reference_topo_order(nl));
+  EXPECT_EQ(order[0], 0u);
+  EXPECT_EQ(order[1], kGates - 1);
+  EXPECT_EQ(order[2], 1u);
+  EXPECT_EQ(order[3], kGates - 2);
+}
+
+TEST(TopoOrder, CycleThrowsTheSameCheckError) {
+  SmallCircuit s;
+  // a & b now reads the inverter's output: and -> or -> inv -> and.
+  s.nl.reconnect_pin(s.g_and, 0, s.nl.gate(s.g_inv).output);
+  EXPECT_LT(reference_topo_order(s.nl).size(), s.nl.num_live_gates());
+  try {
+    s.nl.topo_order();
+    ADD_FAILURE() << "a cycle must throw";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "netlist contains a combinational cycle"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(s.nl.validate(), CheckError);
+}
+
 // ---- NetlistStore: the pin-list and name-table storage ----
 
 /// `prefix` followed by `n` in decimal.
@@ -285,6 +373,8 @@ void expect_matches(const Netlist& nl, const StoreModel& m,
   ASSERT_EQ(nl.find_net("never_a_name"), kInvalidNet);
   ASSERT_EQ(nl.find_gate(""), kInvalidGate);
   nl.validate(/*allow_dangling=*/true);
+  // The edits leave tombstones and ids out of topological order.
+  ASSERT_EQ(nl.topo_order(), reference_topo_order(nl));
 }
 
 /// Seeded add / remove / rewire / reconnect / transfer / rename / port

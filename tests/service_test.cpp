@@ -652,6 +652,11 @@ TEST(ServiceServer, RequestDirReadsLikeAnyRunDir) {
   ASSERT_EQ(report.shards.size(), 1u);
   EXPECT_TRUE(report.shards[0].have_latency);
   EXPECT_GT(report.shards[0].p50_ns, 0u);
+  // No lease journal: the shard journal's records time the run.
+  EXPECT_GT(report.makespan_ns, 0u);
+  EXPECT_EQ(report.critical_path_shard, 0u);
+  EXPECT_GT(report.critical_path_ns, 0u);
+  EXPECT_LE(report.critical_path_ns, report.makespan_ns);
   EXPECT_EQ(dist::stitch_run(run_dir).status, Status::kOk);
 }
 
