@@ -87,11 +87,11 @@ int main() {
     reactive_reduce(embedder, base, sta, power, opt);
   }
   for (const std::int64_t conflicts : {-1, 2}) {
-    Budget budget;
-    budget.with_conflicts(conflicts);
-    const Outcome<CecResult> cec =
-        verify_equivalence_budgeted(golden, shipped, &budget);
-    std::printf("\nCEC (conflict budget %lld): %s via %s, confidence %.3f\n",
+    BudgetedCecOptions cec_options;
+    cec_options.sat_conflict_limit = conflicts;
+    const Outcome<CecResult> cec = verify_equivalence_budgeted(
+        golden, shipped, /*budget=*/nullptr, cec_options);
+    std::printf("\nCEC (conflict limit %lld): %s via %s, confidence %.3f\n",
                 static_cast<long long>(conflicts),
                 to_string(cec.status()),
                 cec.has_value() ? cec.value().method.c_str() : "-",
@@ -104,7 +104,7 @@ int main() {
       std::printf("  budget died in '%s'\n", cec.exhausted_at());
     }
     log::info("service.verify.done")
-        .field("conflict_budget", static_cast<std::int64_t>(conflicts))
+        .field("conflict_limit", static_cast<std::int64_t>(conflicts))
         .field("status", to_string(cec.status()))
         .field("confidence", cec.confidence());
   }

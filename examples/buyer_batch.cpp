@@ -12,7 +12,7 @@
 // Kill this process at ANY instant (Ctrl-C, SIGKILL, OOM) and rerun the
 // same command: buyers whose editions are already durable are skipped,
 // the rest are stamped bit-identically to an uninterrupted run.
-// `odcfp_status <outdir>` reads the run dir at any point.
+// `odcfp_report <outdir>` reads the run dir at any point.
 //
 //   ./buyer_batch [circuit] [buyers] [threads] [outdir]
 #include <cstdio>

@@ -15,8 +15,8 @@
 //      artifact is byte-identical to an uninterrupted reference run.
 //
 // `outdir` is a run dir (shard_0.journal, editions/, and run.spec, pinned
-// before the outage), so `odcfp_status outdir` and `odcfp_report outdir`
-// read it like any sharded run.
+// before the outage), so `odcfp_report outdir` reads it like any sharded
+// run.
 //
 //   ./resilient_service [circuit] [buyers] [outdir]
 #include <cstdio>

@@ -16,9 +16,6 @@
 //     (charge() / exhausted());
 //   * a cooperative cancellation token shared with the caller, so a
 //     serving layer can abandon a request from another thread.
-// A conflict quota for the SAT solver rides along as plain data (the
-// solver already counts conflicts itself).
-//
 // Budgets are intentionally non-copyable: one Budget describes one
 // request, and all layers working on that request share it by reference
 // (options structs hold a `const Budget*`, nullptr meaning unlimited).
@@ -76,7 +73,6 @@ class Budget {
         has_deadline_(other.has_deadline_),
         has_steps_(other.has_steps_),
         has_cancel_(other.has_cancel_),
-        conflicts_(other.conflicts_),
         cancel_(std::move(other.cancel_)),
         steps_left_(other.steps_left_.load(std::memory_order_relaxed)),
         clock_phase_(other.clock_phase_.load(std::memory_order_relaxed)),
@@ -107,11 +103,6 @@ class Budget {
     steps_left_.store(static_cast<std::int64_t>(n),
                       std::memory_order_relaxed);
     has_steps_ = true;
-    return *this;
-  }
-  /// Conflict quota consumed by sat::Solver::solve (< 0 = unlimited).
-  Budget& with_conflicts(std::int64_t n) {
-    conflicts_ = n;
     return *this;
   }
   Budget& with_cancel(CancelToken token) {
@@ -169,7 +160,6 @@ class Budget {
   std::int64_t steps_left() const {
     return steps_left_.load(std::memory_order_relaxed);
   }
-  std::int64_t conflicts() const { return conflicts_; }
 
   /// Seconds until the deadline (negative once past; a large positive
   /// constant when no deadline is set).
@@ -207,7 +197,6 @@ class Budget {
   bool has_deadline_ = false;
   bool has_steps_ = false;
   bool has_cancel_ = false;
-  std::int64_t conflicts_ = -1;
   CancelToken cancel_;
   mutable std::atomic<std::int64_t> steps_left_{-1};
   mutable std::atomic<std::uint64_t> clock_phase_{0};

@@ -6,10 +6,13 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <exception>
 #include <limits>
 #include <mutex>
+#include <system_error>
 
 #include "common/fault.hpp"
 #include "common/log.hpp"
@@ -85,6 +88,15 @@ bool parse_u64(std::string_view text, std::uint64_t* out) {
     if (v > (kMax - digit) / 10) return false;
     v = v * 10 + digit;
   }
+  *out = v;
+  return true;
+}
+
+bool parse_double(std::string_view text, double* out) {
+  double v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }

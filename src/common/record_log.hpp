@@ -72,11 +72,17 @@ struct JournalHeader {
 
 namespace record_log {
 
-// ---- field primitives (every payload parser and service::wire) ----
+// ---- field primitives (every payload parser, service::wire, tools/) ----
 
 /// Decimal u64: one or more ASCII digits and nothing else. False, with
 /// *out untouched, on any other text or a value above 2^64-1.
 bool parse_u64(std::string_view text, std::uint64_t* out);
+
+/// Decimal floating-point number ("0.1", "-2", "1e3"), the whole text,
+/// and finite: no sign prefix '+', no spaces, no "nan" or "inf". False,
+/// with *out untouched, otherwise. The tools parse every non-u64 flag
+/// value with it.
+bool parse_double(std::string_view text, double* out);
 
 /// Exactly `width` (<= 16) lowercase hex digits. False, with *out
 /// untouched, otherwise.

@@ -1,7 +1,10 @@
 #include "dist/report.hpp"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <ctime>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +30,15 @@ bool contains(const std::string& haystack, const char* needle) {
   return haystack.find(needle) != std::string::npos;
 }
 
+const char* shard_state_name(ShardState s) {
+  switch (s) {
+    case ShardState::kUnassigned: return "unassigned";
+    case ShardState::kLeased: return "leased";
+    case ShardState::kDone: return "done";
+  }
+  return "unassigned";
+}
+
 }  // namespace
 
 RunReport analyze_run(const std::string& run_dir,
@@ -42,11 +54,6 @@ RunReport analyze_run(const std::string& run_dir,
     if (!run.lease_error.empty()) {
       report.message += " (" + run.lease_error + ")";
     }
-    return report;
-  }
-  if (!run.lease_error.empty()) {
-    // A lease journal that does not replay: reportable, empty.
-    report.message = "no usable lease journal (" + run.lease_error + ")";
     return report;
   }
   report.state = run.state;
@@ -78,6 +85,7 @@ RunReport analyze_run(const std::string& run_dir,
     const ShardStatusView& shard = run.shards[s];
     ShardReportRow& row = report.shards[s];
     row.shard = s;
+    row.state = shard.state;
     row.chain = chains.shards[s];
     for (const LeaseInterval& lease : row.chain) {
       row.epochs = std::max(row.epochs, lease.epoch);
@@ -102,6 +110,7 @@ RunReport analyze_run(const std::string& run_dir,
     report.lost_ns += row.lost_ns;
 
     row.committed = shard.committed;
+    row.eps_milli = shard.eps_milli;
     metrics::HistData latency;
     for (const EditionSpan& span : shard.editions) {
       latency.record(span.end_wall_ns - span.begin_wall_ns);
@@ -202,6 +211,28 @@ RunReport analyze_run(const std::string& run_dir,
   return report;
 }
 
+void read_liveness(const std::string& run_dir, std::int64_t stall_ms,
+                   RunReport* report) {
+  struct timespec now;
+  if (::clock_gettime(CLOCK_REALTIME, &now) != 0) return;
+  const std::int64_t now_ms = static_cast<std::int64_t>(now.tv_sec) * 1000 +
+                              now.tv_nsec / 1'000'000;
+  for (ShardReportRow& row : report->shards) {
+    // Every journal record is an fsync'd append that bumps the mtime:
+    // the growth the supervisor's watcher sees, read from the disk.
+    struct stat st;
+    if (::stat(shard_journal_path(run_dir, row.shard).c_str(), &st) != 0) {
+      continue;
+    }
+    const std::int64_t mtime_ms =
+        static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000 +
+        st.st_mtim.tv_nsec / 1'000'000;
+    row.heartbeat_age_ms = std::max<std::int64_t>(now_ms - mtime_ms, 0);
+    row.stalled = row.state == ShardState::kLeased &&
+                  row.heartbeat_age_ms >= stall_ms;
+  }
+}
+
 void fold_stitch(const StitchResult& stitch, RunReport* report) {
   for (const ShardStitchInfo& info : stitch.shards) {
     if (info.shard >= report->shards.size()) continue;
@@ -242,10 +273,13 @@ std::string render_report_table(const RunReport& report) {
     }
     os << ")\n";
   }
-  char line[160];
-  std::snprintf(line, sizeof(line), "%-6s %-6s %-8s %-9s %-12s %-12s %-12s %-12s %s\n",
-                "shard", "epochs", "flags", "committed", "lease_ms",
-                "lost_ms", "p50_ms", "p99_ms", "traces");
+  char line[224];
+  std::snprintf(line, sizeof(line),
+                "%-6s %-10s %-6s %-8s %-9s %-9s %-12s %-12s %-12s %-12s "
+                "%-9s %s\n",
+                "shard", "state", "epochs", "flags", "committed", "eps",
+                "lease_ms", "lost_ms", "p50_ms", "p99_ms", "hb_age_ms",
+                "traces");
   os << line;
   for (const ShardReportRow& row : report.shards) {
     std::string flags;
@@ -257,13 +291,21 @@ std::string render_report_table(const RunReport& report) {
     if (row.trace_dropped != 0) {
       traces += ", " + std::to_string(row.trace_dropped) + " dropped";
     }
+    if (row.stalled) traces += "  STALLED";
     std::snprintf(
-        line, sizeof(line), "%-6zu %-6llu %-8s %-9llu %-12s %-12s %-12s %-12s %s\n",
-        row.shard, static_cast<unsigned long long>(row.epochs),
-        flags.c_str(), static_cast<unsigned long long>(row.committed),
+        line, sizeof(line),
+        "%-6zu %-10s %-6llu %-8s %-9llu %-9.3f %-12s %-12s %-12s %-12s "
+        "%-9s %s\n",
+        row.shard, shard_state_name(row.state),
+        static_cast<unsigned long long>(row.epochs), flags.c_str(),
+        static_cast<unsigned long long>(row.committed),
+        static_cast<double>(row.eps_milli) / 1000.0,
         ms_text(row.lease_ns).c_str(), ms_text(row.lost_ns).c_str(),
         (row.have_latency ? ms_text(row.p50_ns) : std::string("-")).c_str(),
         (row.have_latency ? ms_text(row.p99_ns) : std::string("-")).c_str(),
+        (row.heartbeat_age_ms < 0 ? std::string("-")
+                                  : std::to_string(row.heartbeat_age_ms))
+            .c_str(),
         traces.c_str());
     os << line;
   }
@@ -300,17 +342,22 @@ std::string render_report_json(const RunReport& report) {
   for (std::size_t s = 0; s < report.shards.size(); ++s) {
     const ShardReportRow& row = report.shards[s];
     if (s != 0) os << ',';
-    os << "{\"shard\":" << row.shard << ",\"epochs\":" << row.epochs
+    os << "{\"shard\":" << row.shard << ",\"state\":"
+       << jsonlite::quote(shard_state_name(row.state))
+       << ",\"epochs\":" << row.epochs
        << ",\"regrants\":" << row.regrants
        << ",\"killed\":" << (row.killed ? "true" : "false")
        << ",\"wedged\":" << (row.wedged ? "true" : "false")
        << ",\"open\":" << (row.open ? "true" : "false")
        << ",\"committed\":" << row.committed
+       << ",\"eps_milli\":" << row.eps_milli
        << ",\"lease_ns\":" << row.lease_ns
        << ",\"lost_ns\":" << row.lost_ns
        << ",\"p50_ns\":" << row.p50_ns << ",\"p99_ns\":" << row.p99_ns
        << ",\"heartbeats\":" << row.heartbeats
        << ",\"max_heartbeat_gap_ns\":" << row.max_heartbeat_gap_ns
+       << ",\"heartbeat_age_ms\":" << row.heartbeat_age_ms
+       << ",\"stalled\":" << (row.stalled ? "true" : "false")
        << ",\"trace_dropped\":" << row.trace_dropped
        << ",\"missing_traces\":" << row.missing_traces << ",\"chain\":[";
     for (std::size_t k = 0; k < row.chain.size(); ++k) {

@@ -1,11 +1,14 @@
-// Causal post-mortem analyzer for run dirs (tools/odcfp_report).
+// Causal report for run dirs (tools/odcfp_report): the one rendered
+// view of a run.
 //
-// Where src/dist/status.* answers "what is the run doing right now",
-// analyze_run answers "why did the run take as long as it did" — from
-// primary sources only (run.spec, the lease journal if any, shard
-// journals: load_run), so it works identically on a live run, a crashed
-// one, and a finished one, sharded or a daemon request. It derives:
+// analyze_run answers both "what is the run doing right now" and "why
+// did the run take as long as it did" — from primary sources only
+// (run.spec, the lease journal if any, shard journals: load_run), so it
+// works identically on a live run, a crashed one, and a finished one,
+// sharded or a daemon request. It derives:
 //
+//  * per-shard progress: lease state, epochs, committed buyers and the
+//    commit rate, each read from the lease and shard journals;
 //  * the critical path: the shard whose lease chain ends last, with the
 //    grant→regrant chain that explains the run's makespan (in a run
 //    without a lease journal, such as a daemon request or a library run,
@@ -21,9 +24,12 @@
 //    gaps (max gap > 5x the shard's median gap), and — when a stitch
 //    result is folded in — trace drops and missing trace files.
 //
-// Everything here is a pure function of the recorded bytes; wall-clock
-// derived numbers (makespan, lease costs) are schedule-dependent by
-// nature and are rendered for humans, never gated.
+// Everything analyze_run derives is a pure function of the recorded
+// bytes; wall-clock derived numbers (makespan, lease costs) are
+// schedule-dependent by nature and are rendered for humans, never
+// gated. Liveness — each shard journal's heartbeat age and the stall
+// flag — needs a clock, so only read_liveness() fills it, and only the
+// tool calls that; analyze_run leaves it unknown.
 #pragma once
 
 #include <cstddef>
@@ -45,6 +51,8 @@ struct ReportOptions {
 
 struct ShardReportRow {
   std::size_t shard = 0;
+  /// Lease state (done once a run without a lease journal is done).
+  ShardState state = ShardState::kUnassigned;
   std::uint64_t epochs = 0;    ///< Highest epoch granted.
   std::uint64_t regrants = 0;  ///< Grants beyond the first.
   bool killed = false;  ///< A revocation detail names a death signal.
@@ -52,6 +60,8 @@ struct ShardReportRow {
   bool open = false;    ///< Last lease has no close record.
   /// Buyers the shard journal shows committed.
   std::uint64_t committed = 0;
+  /// Commit rate from the shard journal (ShardStatusView::eps_milli).
+  std::uint64_t eps_milli = 0;
   std::uint64_t lease_ns = 0;   ///< Total wall time under lease.
   std::uint64_t lost_ns = 0;    ///< Lease time ending in revocation.
   std::uint64_t end_wall_ns = 0;  ///< When the shard's chain ended.
@@ -61,6 +71,11 @@ struct ShardReportRow {
   std::uint64_t heartbeats = 0;
   std::uint64_t max_heartbeat_gap_ns = 0;
   std::uint64_t median_heartbeat_gap_ns = 0;
+  /// Milliseconds since the shard journal last grew (proof of life); -1
+  /// when unknown (no journal yet, or read_liveness not called).
+  std::int64_t heartbeat_age_ms = -1;
+  /// Leased and silent for at least the stall threshold (read_liveness).
+  bool stalled = false;
   /// Folded from a StitchResult (fold_stitch); 0 until then.
   std::uint64_t trace_dropped = 0;
   std::uint64_t missing_traces = 0;
@@ -71,10 +86,12 @@ struct ShardReportRow {
 struct RunReport {
   /// kOk whenever anything could be analyzed (idle, live, crashed, or
   /// finished dirs alike); kMalformedInput only when `run_dir` holds
-  /// neither a readable run.spec nor a readable lease journal.
+  /// neither a readable run.spec nor a readable lease journal. The state
+  /// of such a report is "idle".
   Status status = Status::kOk;
   std::string message;
   /// RunStatusView::lease_error: why the lease journal does not replay.
+  /// The shard rows still come from the shard journals.
   std::string lease_error;
   /// RunStatusView::state: "idle", "running" (in flight — or crashed;
   /// the records cannot tell a live run from an abandoned one), "done".
@@ -103,12 +120,18 @@ struct RunReport {
 RunReport analyze_run(const std::string& run_dir,
                       const ReportOptions& options = {});
 
+/// Fills each row's heartbeat_age_ms from its shard journal's mtime
+/// against the wall clock now, and flags a leased shard silent for
+/// >= stall_ms as stalled: the only clock-derived values of a report.
+void read_liveness(const std::string& run_dir, std::int64_t stall_ms,
+                   RunReport* report);
+
 /// Folds a stitch's loss accounting (recorder drops, missing trace
 /// files) into the report rows and anomaly list.
 void fold_stitch(const StitchResult& stitch, RunReport* report);
 
-/// Fixed-width human table: run summary, per-shard rows, the critical
-/// path chain, and the anomaly list.
+/// Fixed-width human table: run summary, per-shard rows (a stalled one
+/// flagged STALLED), the critical path chain, and the anomaly list.
 std::string render_report_table(const RunReport& report);
 
 /// Deterministic JSON ({"odcfp_run_report":1, ...}); key order fixed,

@@ -1,46 +1,15 @@
 #include "dist/status.hpp"
 
-#include <sys/stat.h>
-
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <utility>
 
 #include "common/atomic_io.hpp"
-#include "common/json_lite.hpp"
 #include "common/metrics.hpp"
 
 namespace odcfp::dist {
 
 namespace {
-
-const char* shard_state_name(ShardState s) {
-  switch (s) {
-    case ShardState::kUnassigned: return "unassigned";
-    case ShardState::kLeased: return "leased";
-    case ShardState::kDone: return "done";
-  }
-  return "unassigned";
-}
-
-/// Milliseconds since `path` was last modified; -1 when it is absent.
-/// Journal appends bump mtime, so this is the heartbeat age the
-/// supervisor's growth watcher sees — just derived from the filesystem,
-/// which is what lets a post-mortem inspector compute it too.
-std::int64_t mtime_age_ms(const std::string& path) {
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) return -1;
-  struct timespec now;
-  if (::clock_gettime(CLOCK_REALTIME, &now) != 0) return -1;
-  const std::int64_t mtime_ms =
-      static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000 +
-      st.st_mtim.tv_nsec / 1'000'000;
-  const std::int64_t now_ms =
-      static_cast<std::int64_t>(now.tv_sec) * 1000 +
-      now.tv_nsec / 1'000'000;
-  return now_ms >= mtime_ms ? now_ms - mtime_ms : 0;
-}
 
 void write_hist_with_quantiles(std::ostringstream& os,
                                const metrics::HistData& h) {
@@ -93,29 +62,6 @@ std::string run_status_path(const std::string& run_dir) {
   return run_dir + "/run_status.json";
 }
 
-std::string render_run_status_json(const RunStatusView& view) {
-  std::ostringstream os;
-  os << "{\"odcfp_run_status\":1,\"state\":" << jsonlite::quote(view.state)
-     << ",\"buyers\":" << view.buyers
-     << ",\"committed\":" << view.committed;
-  if (!view.lease_error.empty()) {
-    os << ",\"lease_error\":" << jsonlite::quote(view.lease_error);
-  }
-  os << ",\"shards\":[";
-  for (std::size_t i = 0; i < view.shards.size(); ++i) {
-    const ShardStatusView& sv = view.shards[i];
-    if (i > 0) os << ',';
-    os << "{\"shard\":" << sv.shard << ",\"state\":"
-       << jsonlite::quote(shard_state_name(sv.state))
-       << ",\"epoch\":" << sv.epoch << ",\"committed\":" << sv.committed
-       << ",\"eps_milli\":" << sv.eps_milli
-       << ",\"heartbeat_age_ms\":" << sv.heartbeat_age_ms
-       << ",\"stalled\":" << (sv.stalled ? "true" : "false") << '}';
-  }
-  os << "]}\n";
-  return os.str();
-}
-
 std::string render_final_run_status_json(
     std::uint64_t buyers,
     const std::vector<std::uint64_t>& artifact_sizes) {
@@ -131,31 +77,6 @@ std::string render_final_run_status_json(
      << ",\"hists\":{\"artifact_bytes\":";
   write_hist_with_quantiles(os, h);
   os << "}}\n";
-  return os.str();
-}
-
-std::string render_run_status_table(const RunStatusView& view) {
-  std::ostringstream os;
-  os << "run: " << view.state << "  committed " << view.committed << "/"
-     << view.buyers << " buyer(s)\n";
-  if (!view.lease_error.empty()) {
-    os << "lease journal unusable: " << view.lease_error << "\n";
-  }
-  if (view.shards.empty()) return os.str();
-  os << "shard  state       epoch  committed  eps        hb_age_ms  flags\n";
-  for (const ShardStatusView& sv : view.shards) {
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "%-5llu  %-10s  %-5llu  %-9llu  %-9.3f  %-9lld  %s\n",
-                  static_cast<unsigned long long>(sv.shard),
-                  shard_state_name(sv.state),
-                  static_cast<unsigned long long>(sv.epoch),
-                  static_cast<unsigned long long>(sv.committed),
-                  static_cast<double>(sv.eps_milli) / 1000.0,
-                  static_cast<long long>(sv.heartbeat_age_ms),
-                  sv.stalled ? "STALLED" : "");
-    os << line;
-  }
   return os.str();
 }
 
@@ -193,7 +114,6 @@ RunStatusView load_run(const std::string& run_dir) {
     ShardStatusView& shard = run.shards[s];
     shard.shard = s;
     shard.state = states[s].state;
-    shard.epoch = states[s].epoch;
     Outcome<JournalReplay> journal =
         read_journal(shard_journal_path(run_dir, s));
     if (journal.ok()) {
@@ -221,17 +141,6 @@ RunStatusView load_run(const std::string& run_dir) {
   // A done run has every buyer committed (a merge re-verified each).
   if (run.state == "done") run.committed = run.buyers;
   return run;
-}
-
-RunStatusView inspect_run_dir(const std::string& run_dir,
-                              std::int64_t stall_threshold_ms) {
-  RunStatusView view = load_run(run_dir);
-  for (ShardStatusView& sv : view.shards) {
-    sv.heartbeat_age_ms = mtime_age_ms(shard_journal_path(run_dir, sv.shard));
-    sv.stalled = sv.state == ShardState::kLeased &&
-                 sv.heartbeat_age_ms >= stall_threshold_ms;
-  }
-  return view;
 }
 
 }  // namespace odcfp::dist

@@ -1,19 +1,18 @@
-// Status plane of a run: the run-dir loader behind tools/odcfp_status
-// and tools/odcfp_report, its renderers, and the final run_status.json
-// of a supervised run.
+// Status plane of a run: the run-dir loader behind tools/odcfp_report,
+// and the final run_status.json of a supervised run.
 //
 // A shard's journal is the only record of its progress. load_run()
 // reads a run dir's records once — run.spec, the lease journal if any,
 // and every shard journal on disk — and takes each per-shard number
 // from the journal's replay: the buyers whose latest phase is
 // `committed`, the commit rate, and each commit's edition latency. It
-// is the one reader behind inspect_run_dir(), analyze_run()
-// (dist/report.*) and stitch_run() (dist/stitch.*). A run without a
-// lease journal, such as a daemon request or a library run, has as its
-// shards the shard journals on disk, so all three read such a dir like
-// any other run dir. inspect_run_dir() adds only the clock-derived
-// heartbeat ages, so it works identically on a live run, a crashed one,
-// and a finished one.
+// is the one reader behind analyze_run() (dist/report.*) and
+// stitch_run() (dist/stitch.*), and it renders nothing: RunReport is
+// the one rendered view of a run. A run without a lease journal, such
+// as a daemon request or a library run, has as its shards the shard
+// journals on disk, so both read such a dir like any other run dir.
+// load_run() reads no clock, so it reads a live run, a crashed one and
+// a finished one alike.
 //
 // run_status.json is written once, by the supervisor after its merge: a
 // roll-up that is a pure function of (buyer count, artifact bytes) — no
@@ -47,13 +46,10 @@ struct EditionSpan {
   std::uint64_t end_wall_ns = 0;
 };
 
-/// One shard of a run as its run dir records it, plus its heartbeat age
-/// and stall flag, which only a clock tells (inspect_run_dir fills
-/// those; load_run leaves them unknown).
+/// One shard of a run as its run dir records it.
 struct ShardStatusView {
   std::size_t shard = 0;
   ShardState state = ShardState::kUnassigned;
-  std::uint64_t epoch = 0;
   /// Its journal replayed (empty when absent or unreadable). The numbers
   /// below are read from it; records with wall 0 carry no time.
   JournalReplay journal;
@@ -70,18 +66,13 @@ struct ShardStatusView {
   /// Every commit in journal order; the report's edition latency and
   /// the stitcher's per-buyer spans.
   std::vector<EditionSpan> editions;
-  /// Milliseconds since the shard journal last grew (proof of life);
-  /// -1 when unknown (no journal yet).
-  std::int64_t heartbeat_age_ms = -1;
-  /// Leased but silent for longer than the stall threshold.
-  bool stalled = false;
 };
 
 struct RunStatusView {
   /// "done": the merge record landed or, in a run without a lease
   /// journal, every buyer of the spec is committed. "running": the lease
   /// journal holds records or, without one, a shard journal exists.
-  /// "idle": neither.
+  /// "idle": neither, or a lease journal exists but does not replay.
   std::string state = "idle";
   std::uint64_t buyers = 0;     ///< Global buyer count (run.spec).
   /// The shards' committed counts summed; every buyer once done.
@@ -105,13 +96,6 @@ struct RunStatusView {
 /// "absent", never to an error, and no clock is read.
 RunStatusView load_run(const std::string& run_dir);
 
-/// Renders the view (tools/odcfp_status --json): per shard its lease
-/// state, epoch, committed count, rate, heartbeat age and stall flag.
-/// Deterministic serialization of whatever the view holds; a
-/// `lease_error` key appears only when the lease journal does not
-/// replay.
-std::string render_run_status_json(const RunStatusView& view);
-
 /// Renders run_status.json, the supervisor's roll-up after its merge: a
 /// pure function of the buyer count and the per-buyer artifact sizes
 /// (merge pass 2), with an
@@ -120,14 +104,5 @@ std::string render_run_status_json(const RunStatusView& view);
 /// sharding, threading, and crash schedules.
 std::string render_final_run_status_json(
     std::uint64_t buyers, const std::vector<std::uint64_t>& artifact_sizes);
-
-/// Renders the view as a fixed-width text table (tools/odcfp_status).
-std::string render_run_status_table(const RunStatusView& view);
-
-/// load_run() plus shard-journal mtimes (heartbeat age): it works on a
-/// live, a crashed and a finished run alike. A leased shard silent for
-/// >= stall_threshold_ms is flagged stalled.
-RunStatusView inspect_run_dir(const std::string& run_dir,
-                              std::int64_t stall_threshold_ms = 5'000);
 
 }  // namespace odcfp::dist

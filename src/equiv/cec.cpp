@@ -534,15 +534,11 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
   }
   const InterfaceMap map = match_interfaces(golden_, edition);
 
-  // One conflict quota for every query of this check: the session's own,
-  // tightened by the budget's. A query that finds it spent answers
-  // kUnknown without running, and a sweep candidate that finds it spent
-  // gets no window either, so a zero quota can never yield a verdict.
+  // One conflict quota for every query of this check: the session's.
+  // A query that finds it spent answers kUnknown without running, and a
+  // sweep candidate that finds it spent gets no window either, so a zero
+  // quota can never yield a verdict.
   std::int64_t remaining = options_.conflict_limit;
-  if (budget != nullptr && budget->conflicts() >= 0 &&
-      (remaining < 0 || budget->conflicts() < remaining)) {
-    remaining = budget->conflicts();
-  }
   const bool limited = remaining >= 0;
 
   // Everything this check adds sits behind a fresh activation literal.

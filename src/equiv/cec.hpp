@@ -130,9 +130,8 @@ class IncrementalCecSession {
  public:
   struct Options {
     /// Per-check conflict quota (< 0 = unlimited), shared by the sweep
-    /// queries and the per-output queries together with the Budget's own
-    /// conflict quota. A check that blows it returns kUnknown; the batch
-    /// layer escalates to verify_equivalence_budgeted.
+    /// queries and the per-output queries. A check that blows it returns
+    /// kUnknown; the batch layer escalates to verify_equivalence_budgeted.
     std::int64_t conflict_limit = -1;
   };
 

@@ -391,13 +391,9 @@ Solver::Result Solver::solve_internal(const std::vector<Lit>& assumptions,
   // would have, so logically independent queries cannot influence each
   // other's search through leaked activities or saved phases.
   reset_heuristics(decision_vars);
-  // Fold the budget's conflict quota into the explicit limit (tighter
-  // wins); the deadline / cancellation axes are checked per conflict. A
-  // spent quota answers before the search reaches its first conflict.
-  if (budget != nullptr && budget->conflicts() >= 0 &&
-      (conflict_limit < 0 || budget->conflicts() < conflict_limit)) {
-    conflict_limit = budget->conflicts();
-  }
+  // The budget's deadline / step / cancellation axes are checked per
+  // conflict. A zero limit answers before the search reaches its first
+  // conflict.
   if (conflict_limit == 0 || budget_exhausted(budget)) {
     return Result::kUnknown;
   }

@@ -159,11 +159,9 @@ class Solver {
 
   /// Solves under optional assumptions. conflict_limit < 0 means no limit.
   /// `budget` (optional) adds a wall-clock deadline / step quota /
-  /// cancellation token checked alongside the conflict limit; its own
-  /// conflict quota (Budget::conflicts()) combines with `conflict_limit`
-  /// by taking the tighter of the two. kUnknown is only returned when a
-  /// limit or the budget is hit; an effective limit of 0 returns it
-  /// before any search.
+  /// cancellation token checked alongside the conflict limit. kUnknown is
+  /// only returned when the limit or the budget is hit; a limit of 0
+  /// returns it before any search.
   ///
   /// `decision_vars` (optional) restricts branching to the listed
   /// variables; kSat is then returned once every one of them is assigned

@@ -373,8 +373,7 @@ struct Server::Impl {
     // nothing of this request has ever run — shed it explicitly instead
     // of running it with a dead budget. Replayed requests are exempt:
     // they may hold committed work that replay must surface.
-    if (!snapshot.replayed && config.queue_timeout_sheds &&
-        now_wall >= deadline_wall) {
+    if (!snapshot.replayed && now_wall >= deadline_wall) {
       TELEM_COUNT("service.shed_total", 1);
       trace::instant("service.shed",
                      to_string(RejectReason::kQueueTimeout));

@@ -16,8 +16,8 @@
 // sharded run's workers use — journaling in `shard_0.journal` and
 // publishing `editions/`. A daemon killed at any instant — SIGKILL
 // included — restarts, replays its logs, and finishes every admitted
-// request with byte-identical artifacts; odcfp_status and odcfp_report
-// read a request dir like any other run dir. Graceful stop (SIGTERM → stop()) stops
+// request with byte-identical artifacts; odcfp_report reads a request
+// dir like any other run dir. Graceful stop (SIGTERM → stop()) stops
 // accepting, cancels in-flight budgets, and deliberately leaves the
 // interrupted requests non-terminal: they are the successor's replay
 // work list.
@@ -31,7 +31,8 @@
 //      request terminates "degraded" with an exact committed count;
 //   3. deadline passed before the request ever ran → shed with a
 //      durable kQueueTimeout terminal record (never run-with-dead-
-//      budget, never silently dropped).
+//      budget, never silently dropped); replayed requests are exempt,
+//      since they may hold committed work to recover.
 //
 // Requests beyond the queue bound are rejected kOverloaded at submit;
 // per-tenant token buckets reject kQuotaExceeded. Both are explicit
@@ -68,9 +69,6 @@ struct ServiceConfig {
   std::uint64_t default_deadline_ms = 60'000;
   /// BatchOptions::max_delay_overhead for every request.
   double max_delay_overhead = 0.10;
-  /// Shed still-queued requests whose whole deadline passed (replayed
-  /// requests are exempt: they may hold committed work to recover).
-  bool queue_timeout_sheds = true;
   /// Per-tenant quotas; tenants not listed get default_quota.
   std::map<std::string, TenantQuota> tenants;
   TenantQuota default_quota;

@@ -1,5 +1,5 @@
 // Unit tests for the resource-budget / graceful-degradation primitives:
-// Budget axes (deadline, step quota, cancellation, conflict quota),
+// Budget axes (deadline, step quota, cancellation),
 // Outcome taxonomy invariants, and the budgeted SAT solver entry point.
 #include "common/budget.hpp"
 
@@ -18,7 +18,6 @@ TEST(Budget, UnlimitedByDefault) {
   EXPECT_FALSE(b.exhausted());
   EXPECT_FALSE(b.has_deadline());
   EXPECT_FALSE(b.has_step_quota());
-  EXPECT_EQ(b.conflicts(), -1);
   for (int i = 0; i < 10000; ++i) {
     EXPECT_TRUE(b.charge());
   }
@@ -143,24 +142,6 @@ void encode_pigeonhole(sat::Solver& solver, int holes) {
       }
     }
   }
-}
-
-TEST(SolverBudget, ConflictQuotaReturnsUnknown) {
-  sat::Solver solver;
-  encode_pigeonhole(solver, 8);
-  Budget b;
-  b.with_conflicts(10);
-  EXPECT_EQ(solver.solve({}, -1, &b), sat::Solver::Result::kUnknown);
-  EXPECT_LE(solver.stats().conflicts, 10u);
-}
-
-TEST(SolverBudget, TighterOfBudgetAndExplicitLimitWins) {
-  sat::Solver solver;
-  encode_pigeonhole(solver, 8);
-  Budget b;
-  b.with_conflicts(1000000);
-  EXPECT_EQ(solver.solve({}, 5, &b), sat::Solver::Result::kUnknown);
-  EXPECT_LE(solver.stats().conflicts, 5u);
 }
 
 TEST(SolverBudget, StepQuotaStopsTheSearch) {

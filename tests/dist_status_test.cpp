@@ -1,5 +1,6 @@
-// Status plane tests: the renderers, the primary-source inspector
-// (every shard's numbers read from its journal), and the determinism
+// Status plane tests: the report renderers, the report's reading of a
+// run dir (every shard's numbers read from its journal, a damaged lease
+// journal included), the real odcfp_report binary, and the determinism
 // contract of run_status.json — byte-identical across 1/2/4/8 shards,
 // worker thread counts, and a worker SIGKILLed mid-range. Test names
 // contain "Status" so the TSan CI job picks them up alongside the dist
@@ -19,9 +20,11 @@
 #include <vector>
 
 #include "common/atomic_io.hpp"
+#include "common/json_lite.hpp"
 #include "common/subprocess.hpp"
 #include "dist/lease.hpp"
 #include "dist/report.hpp"
+#include "dist/runner.hpp"
 #include "dist/shard.hpp"
 #include "dist/supervisor.hpp"
 
@@ -79,6 +82,39 @@ DistOptions test_options(const std::string& run_dir, std::size_t shards) {
   return opt;
 }
 
+/// Runs a tool to its exit with stdout and stderr in `dir`/tool.{out,err}
+/// and returns its exit code; a tool still running after 60 s is killed
+/// and fails the test, so a regression cannot hang the suite.
+int run_tool(const std::vector<std::string>& argv, const std::string& dir,
+             std::string* out = nullptr, std::string* err = nullptr) {
+  proc::SpawnOptions options;
+  options.stdout_path = dir + "/tool.out";
+  options.stderr_path = dir + "/tool.err";
+  std::remove(options.stdout_path.c_str());
+  std::remove(options.stderr_path.c_str());
+  std::string error;
+  const pid_t pid = proc::spawn(argv, options, &error);
+  EXPECT_GT(pid, 0) << error;
+  if (pid <= 0) return -1;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  int exit_code = -1, term_signal = -1;
+  proc::WaitResult wr;
+  while ((wr = proc::try_wait(pid, &exit_code, &term_signal)) ==
+         proc::WaitResult::kRunning) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      proc::kill_hard(pid);
+      ADD_FAILURE() << argv[0] << " still running after 60 s";
+      return -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(wr, proc::WaitResult::kExited) << "signal " << term_signal;
+  if (out != nullptr) atomic_io::read_file(options.stdout_path, out);
+  if (err != nullptr) atomic_io::read_file(options.stderr_path, err);
+  return wr == proc::WaitResult::kExited ? exit_code : -1;
+}
+
 // ---- renderers ----
 
 TEST(Status, FinalRollupIsAPureFunctionOfBuyersAndSizes) {
@@ -97,38 +133,51 @@ TEST(Status, FinalRollupIsAPureFunctionOfBuyersAndSizes) {
 }
 
 TEST(Status, RenderersSerializeTheViewDeterministically) {
-  RunStatusView view;
-  view.state = "running";
-  view.buyers = 8;
-  view.committed = 3;
-  ShardStatusView row;
+  RunReport report;
+  report.state = "running";
+  report.buyers = 8;
+  report.committed = 3;
+  ShardReportRow row;
   row.shard = 0;
   row.state = ShardState::kLeased;
-  row.epoch = 2;
+  row.epochs = 2;
   row.committed = 2;
   row.eps_milli = 8'000;
   row.heartbeat_age_ms = 12;
-  view.shards.push_back(row);
-  ShardStatusView silent;
+  report.shards.push_back(row);
+  ShardReportRow silent;
   silent.shard = 1;
   silent.state = ShardState::kLeased;
-  silent.epoch = 1;
+  silent.epochs = 1;
   silent.heartbeat_age_ms = 9'000;
   silent.stalled = true;
-  view.shards.push_back(silent);
+  report.shards.push_back(silent);
 
-  const std::string json = render_run_status_json(view);
-  EXPECT_EQ(json, render_run_status_json(view));
+  const std::string json = render_report_json(report);
+  EXPECT_EQ(json, render_report_json(report));
   EXPECT_NE(json.find("\"state\":\"running\""), std::string::npos);
+  EXPECT_NE(json.find("{\"shard\":0,\"state\":\"leased\",\"epochs\":2"),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"committed\":2,\"eps_milli\":8000"),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"stalled\":true"), std::string::npos);
+  EXPECT_NE(json.find("\"heartbeat_age_ms\":9000,\"stalled\":true"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"heartbeat_age_ms\":12,\"stalled\":false"),
+            std::string::npos)
+      << json;
 
-  const std::string table = render_run_status_table(view);
-  EXPECT_NE(table.find("STALLED"), std::string::npos) << table;
+  const std::string table = render_report_table(report);
+  EXPECT_EQ(table, render_report_table(report));
+  // Only the silent shard is flagged.
+  const std::size_t stalled = table.find("STALLED");
+  ASSERT_NE(stalled, std::string::npos) << table;
+  EXPECT_EQ(table.find("STALLED", stalled + 1), std::string::npos) << table;
   EXPECT_NE(table.find("leased"), std::string::npos) << table;
   EXPECT_NE(table.find("8.000"), std::string::npos) << table;
+  EXPECT_NE(table.find("9000"), std::string::npos) << table;
 }
 
 // ---- end-to-end determinism ----
@@ -197,20 +246,24 @@ TEST(StatusChaos, WorkerKillMidRangeNeverCorruptsRunStatus) {
 
   // The killed epoch's records and the resumed epoch's replay as one
   // journal per shard, every buyer of the range committed.
-  const RunStatusView view = inspect_run_dir(chaos.run_dir);
-  EXPECT_EQ(view.state, "done");
-  EXPECT_EQ(view.committed, spec.num_buyers);
-  ASSERT_EQ(view.shards.size(), 2u);
-  for (const ShardStatusView& shard : view.shards) {
+  RunReport report = analyze_run(chaos.run_dir);
+  read_liveness(chaos.run_dir, 5'000, &report);
+  EXPECT_EQ(report.state, "done");
+  EXPECT_EQ(report.committed, spec.num_buyers);
+  ASSERT_EQ(report.shards.size(), 2u);
+  for (const ShardReportRow& shard : report.shards) {
     EXPECT_EQ(shard.committed, spec.num_buyers / 2) << shard.shard;
+    EXPECT_FALSE(shard.stalled) << shard.shard;
   }
-  EXPECT_EQ(view.shards[0].epoch, 2u);
+  EXPECT_EQ(report.shards[0].epochs, 2u);
 }
 
-TEST(Status, InspectRunDirComposesFromPrimarySources) {
-  // An empty run dir is idle, not an error.
+TEST(Status, ReportComposesFromPrimarySources) {
+  // An empty run dir has nothing to analyze yet: idle, which --watch
+  // keeps polling and a one-shot report refuses.
   const std::string empty = fresh_dir("inspect_empty");
-  const RunStatusView idle = inspect_run_dir(empty);
+  const RunReport idle = analyze_run(empty);
+  EXPECT_EQ(idle.status, Status::kMalformedInput);
   EXPECT_EQ(idle.state, "idle");
   EXPECT_EQ(idle.buyers, 0u);
   EXPECT_TRUE(idle.shards.empty());
@@ -220,24 +273,95 @@ TEST(Status, InspectRunDirComposesFromPrimarySources) {
   const DistResult r = run_supervised_batch(spec, test_options(dir, 2));
   ASSERT_EQ(r.status, Status::kOk) << r.message;
 
-  const RunStatusView done = inspect_run_dir(dir);
+  RunReport done = analyze_run(dir);
+  ASSERT_EQ(done.status, Status::kOk) << done.message;
+  read_liveness(dir, 5'000, &done);
   EXPECT_EQ(done.state, "done");
   EXPECT_EQ(done.buyers, spec.num_buyers);
   EXPECT_EQ(done.committed, spec.num_buyers);
   ASSERT_EQ(done.shards.size(), 2u);
-  for (const ShardStatusView& shard : done.shards) {
+  for (const ShardReportRow& shard : done.shards) {
     EXPECT_EQ(shard.state, ShardState::kDone);
+    EXPECT_EQ(shard.epochs, 1u);
+    EXPECT_GE(shard.heartbeat_age_ms, 0);
     EXPECT_FALSE(shard.stalled);
     // Each shard's journal shows its range's 4 buyers committed.
     EXPECT_EQ(shard.committed, spec.num_buyers / 2) << shard.shard;
+    EXPECT_GT(shard.eps_milli, 0u) << shard.shard;
   }
 }
 
+/// A finished one-shard run without a lease journal, stamped by the
+/// runner a daemon request and examples/buyer_batch use.
+void stamp_library_run(const std::string& dir, const RunSpec& spec) {
+  ASSERT_TRUE(pin_run_spec(dir, spec).ok());
+  const RunInputs inputs(spec);
+  const ResumableBatchResult r = run_shard(dir, spec, inputs, {});
+  ASSERT_EQ(r.batch.status, Status::kOk) << r.message;
+}
+
+// A lease journal that does not replay loses only what it recorded: the
+// report still reads every shard journal on disk (committed count, rate,
+// latency) and names the lease journal's error next to them.
+TEST(Status, DamagedLeaseJournalStillReadsEveryShardJournal) {
+  const RunSpec spec = test_spec();
+  const std::string dir = fresh_dir("damaged_leases");
+  ASSERT_NO_FATAL_FAILURE(stamp_library_run(dir, spec));
+  ASSERT_TRUE(
+      atomic_io::write_file_atomic(lease_journal_path(dir), "garbage\n").ok);
+
+  const RunReport report = analyze_run(dir);
+  ASSERT_EQ(report.status, Status::kOk) << report.message;
+  EXPECT_NE(report.lease_error.find("bad magic line"), std::string::npos)
+      << report.lease_error;
+  EXPECT_EQ(report.buyers, spec.num_buyers);
+  EXPECT_EQ(report.committed, spec.num_buyers);
+  ASSERT_EQ(report.shards.size(), 1u);
+  EXPECT_EQ(report.shards[0].committed, spec.num_buyers);
+  EXPECT_GT(report.shards[0].eps_milli, 0u);
+  EXPECT_TRUE(report.shards[0].have_latency);
+  EXPECT_GT(report.shards[0].p50_ns, 0u);
+  EXPECT_GT(report.makespan_ns, 0u);
+  EXPECT_EQ(report.critical_path_shard, 0u);
+
+  // The real tool reads the same, with the shard journal's heartbeat age.
+  std::string out;
+  ASSERT_EQ(run_tool({ODCFP_REPORT_BIN, dir, "--json"}, dir, &out), 0);
+  const jsonlite::Value doc = jsonlite::parse(out);
+  EXPECT_EQ(doc.at("committed").raw, std::to_string(spec.num_buyers));
+  EXPECT_NE(doc.at("lease_error").str.find("bad magic line"),
+            std::string::npos);
+  const jsonlite::Value& shard = doc.at("shards").items.at(0);
+  EXPECT_TRUE(shard.has("state"));
+  EXPECT_TRUE(shard.has("epochs"));
+  EXPECT_EQ(shard.at("committed").raw, std::to_string(spec.num_buyers));
+  EXPECT_NE(shard.at("eps_milli").raw, "0");
+  EXPECT_NE(shard.at("p50_ns").raw, "0");
+  EXPECT_GE(std::stoll(shard.at("heartbeat_age_ms").raw), 0);
+  EXPECT_FALSE(shard.at("stalled").boolean);
+}
+
+// analyze_run reads no clock: one dir analyzed twice renders the same
+// bytes, as JSON and as a table.
+TEST(Status, ReportOfOneDirRendersIdenticalBytes) {
+  const std::string dir = fresh_dir("render_twice");
+  ASSERT_NO_FATAL_FAILURE(stamp_library_run(dir, test_spec()));
+  const RunReport first = analyze_run(dir);
+  ASSERT_EQ(first.status, Status::kOk) << first.message;
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const RunReport second = analyze_run(dir);
+  EXPECT_EQ(render_report_json(first), render_report_json(second));
+  EXPECT_EQ(render_report_table(first), render_report_table(second));
+  ASSERT_EQ(first.shards.size(), 1u);
+  EXPECT_EQ(first.shards[0].heartbeat_age_ms, -1);
+  EXPECT_FALSE(first.shards[0].stalled);
+}
+
 // A lease record naming a shard at or past the run's buyer count is
-// damage. The readers report it as the lease journal's error instead of
-// sizing per-shard tables by it: shard 10^12 used to abort odcfp_status
-// and odcfp_report with bad_alloc, and 2^64-1 wrapped the table size to
-// 0 and wrote past its end.
+// damage. The reader reports it as the lease journal's error instead of
+// sizing per-shard tables by it: shard 10^12 used to abort the run-dir
+// tools with bad_alloc, and 2^64-1 wrapped the table size to 0 and
+// wrote past its end.
 TEST(Status, OutOfRangeLeaseShardIsATypedLeaseError) {
   for (const std::uint64_t shard :
        {std::uint64_t{1'000'000'000'000}, ~std::uint64_t{0}}) {
@@ -280,73 +404,43 @@ TEST(Status, OutOfRangeLeaseShardIsATypedLeaseError) {
     EXPECT_EQ(report.status, Status::kOk);
     EXPECT_EQ(report.lease_error, view.lease_error);
 
-    for (const char* tool : {ODCFP_STATUS_BIN, ODCFP_REPORT_BIN}) {
-      SCOPED_TRACE(tool);
-      proc::SpawnOptions options;
-      options.stdout_path = dir + "/tool.out";
-      options.stderr_path = dir + "/tool.err";
-      const pid_t pid = proc::spawn({tool, dir, "--json"}, options, &error);
-      ASSERT_GT(pid, 0) << error;
-      int exit_code = -1, term_signal = -1;
-      proc::WaitResult wr;
-      while ((wr = proc::try_wait(pid, &exit_code, &term_signal)) ==
-             proc::WaitResult::kRunning) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-      ASSERT_EQ(wr, proc::WaitResult::kExited) << "signal " << term_signal;
-      EXPECT_EQ(exit_code, 0);
-      std::string out;
-      ASSERT_TRUE(atomic_io::read_file(dir + "/tool.out", &out));
-      EXPECT_NE(out.find("\"lease_error\":"), std::string::npos) << out;
-      EXPECT_NE(out.find(why), std::string::npos) << out;
-    }
+    std::string out;
+    EXPECT_EQ(run_tool({ODCFP_REPORT_BIN, dir, "--json"}, dir, &out), 0);
+    EXPECT_NE(out.find("\"lease_error\":"), std::string::npos) << out;
+    EXPECT_NE(out.find(why), std::string::npos) << out;
   }
 }
 
-// The real odcfp_status binary watching a run that never finishes:
+// The real odcfp_report binary watching a run that never finishes:
 // --watch-timeout must convert the would-be hang into the distinct exit
 // code 3 (not 2 = usage, not 0 = done) with a diagnostic naming the last
-// observed state, so CI jobs watching a wedged run fail loudly.
+// observed state, so CI jobs watching a wedged run fail loudly. An empty
+// dir has nothing to analyze yet, which a watch reads as idle.
 TEST(Status, WatchTimeoutExitsDistinctlyOnAnIdleRun) {
   const std::string dir = fresh_dir("watch_timeout");
-  proc::SpawnOptions options;
-  options.stdout_path = dir + "/watch.out";
-  options.stderr_path = dir + "/watch.err";
-  std::string error;
-  const pid_t pid = proc::spawn(
-      {ODCFP_STATUS_BIN, dir, "--watch", "--json", "--interval-ms", "20",
-       "--watch-timeout", "200"},
-      options, &error);
-  ASSERT_GT(pid, 0) << error;
-  int exit_code = -1, term_signal = -1;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(30);
-  proc::WaitResult wr = proc::WaitResult::kRunning;
-  while (std::chrono::steady_clock::now() < deadline) {
-    wr = proc::try_wait(pid, &exit_code, &term_signal);
-    if (wr != proc::WaitResult::kRunning) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_EQ(wr, proc::WaitResult::kExited);
-  EXPECT_EQ(exit_code, 3);
   std::string diagnostic;
-  ASSERT_TRUE(atomic_io::read_file(dir + "/watch.err", &diagnostic));
+  EXPECT_EQ(run_tool({ODCFP_REPORT_BIN, dir, "--watch", "--json",
+                      "--interval-ms", "20", "--watch-timeout", "200"},
+                     dir, nullptr, &diagnostic),
+            3);
   EXPECT_NE(diagnostic.find("watch timed out"), std::string::npos)
       << diagnostic;
   EXPECT_NE(diagnostic.find("'idle'"), std::string::npos) << diagnostic;
 
   // Contrast cases: a missing run dir is a usage-class error (2), and a
   // finished run exits 0 well before the timeout.
-  const pid_t missing = proc::spawn(
-      {ODCFP_STATUS_BIN, dir + "/no-such-dir", "--watch",
-       "--watch-timeout", "200"},
-      options, &error);
-  ASSERT_GT(missing, 0) << error;
-  while (proc::try_wait(missing, &exit_code, &term_signal) ==
-         proc::WaitResult::kRunning) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(exit_code, 2);
+  EXPECT_EQ(run_tool({ODCFP_REPORT_BIN, dir + "/no-such-dir", "--watch",
+                      "--watch-timeout", "200"},
+                     dir),
+            2);
+  const std::string done = fresh_dir("watch_done");
+  ASSERT_NO_FATAL_FAILURE(stamp_library_run(done, test_spec()));
+  std::string out;
+  EXPECT_EQ(run_tool({ODCFP_REPORT_BIN, done, "--watch", "--json",
+                      "--watch-timeout", "60000"},
+                     dir, &out),
+            0);
+  EXPECT_NE(out.find("\"state\":\"done\""), std::string::npos) << out;
 }
 
 }  // namespace

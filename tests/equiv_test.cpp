@@ -161,10 +161,10 @@ TEST(BudgetedCec, ProvesWithinGenerousBudget) {
 TEST(BudgetedCec, DifferenceIsExactEvenUnderTinyBudget) {
   // Refutation comes from simulation, which a small budget still affords;
   // a found difference is an exact verdict, not a degraded one.
-  Budget budget;
-  budget.with_conflicts(1);
-  const Outcome<CecResult> out =
-      verify_equivalence_budgeted(and3_flat(), and3_wrong(), &budget);
+  BudgetedCecOptions options;
+  options.sat_conflict_limit = 1;
+  const Outcome<CecResult> out = verify_equivalence_budgeted(
+      and3_flat(), and3_wrong(), /*budget=*/nullptr, options);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.value().status, CecResult::Status::kDifferent);
   EXPECT_EQ(out.value().counterexample.size(), 3u);
@@ -172,7 +172,7 @@ TEST(BudgetedCec, DifferenceIsExactEvenUnderTinyBudget) {
 
 TEST(BudgetedCec, SatExhaustionFallsBackToSimulationVerdict) {
   // A real miter (c880, 60 PIs — too wide for the exhaustive checker)
-  // under a conflict budget far too small for the UNSAT proof: the checker
+  // under a conflict limit far too small for the UNSAT proof: the checker
   // must return kExhausted with simulation evidence — not throw, and not
   // run the proof to completion.
   const SopNetwork sop = make_benchmark_sop("c880");
@@ -183,10 +183,10 @@ TEST(BudgetedCec, SatExhaustionFallsBackToSimulationVerdict) {
   const Netlist a = map_to_cells(sop, default_cell_library(), o1);
   const Netlist b = map_to_cells(sop, default_cell_library(), o2);
 
-  Budget budget;
-  budget.with_conflicts(2);
+  BudgetedCecOptions options;
+  options.sat_conflict_limit = 2;
   const Outcome<CecResult> out =
-      verify_equivalence_budgeted(a, b, &budget);
+      verify_equivalence_budgeted(a, b, /*budget=*/nullptr, options);
   EXPECT_EQ(out.status(), Status::kExhausted);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out.value().status, CecResult::Status::kUnknown);

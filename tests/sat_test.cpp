@@ -169,15 +169,8 @@ TEST(Solver, ConflictLimitReturnsUnknown) {
   add_php(s, 9, 8, p);  // hard enough to exceed one conflict
   EXPECT_EQ(s.solve({}, /*conflict_limit=*/1), Solver::Result::kUnknown);
 
-  // A limit of 0 answers before the search reaches its first conflict,
-  // whether it comes from the argument or from the budget's quota.
+  // A limit of 0 answers before the search reaches its first conflict.
   EXPECT_EQ(s.solve({}, /*conflict_limit=*/0), Solver::Result::kUnknown);
-  EXPECT_EQ(s.last_call_stats().conflicts, 0u);
-  EXPECT_EQ(s.last_call_stats().learned_clauses, 0u);
-  Budget budget;
-  budget.with_conflicts(0);
-  EXPECT_EQ(s.solve({}, /*conflict_limit=*/-1, &budget),
-            Solver::Result::kUnknown);
   EXPECT_EQ(s.last_call_stats().conflicts, 0u);
   EXPECT_EQ(s.last_call_stats().learned_clauses, 0u);
 }

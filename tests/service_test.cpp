@@ -23,7 +23,6 @@
 #include "common/fault.hpp"
 #include "dist/report.hpp"
 #include "dist/shard.hpp"
-#include "dist/status.hpp"
 #include "dist/stitch.hpp"
 #include "fingerprint/location.hpp"
 #include "fingerprint/streaming_codebook.hpp"
@@ -636,20 +635,17 @@ TEST(ServiceServer, RequestDirReadsLikeAnyRunDir) {
   EXPECT_EQ(spec.value().codebook, dist::CodebookKind::kStreaming);
   EXPECT_EQ(spec.value().num_buyers, 3u);
 
-  const dist::RunStatusView view = dist::inspect_run_dir(run_dir);
-  EXPECT_EQ(view.state, "done");
-  EXPECT_EQ(view.buyers, 3u);
-  EXPECT_EQ(view.committed, 3u);
-  ASSERT_EQ(view.shards.size(), 1u);
-  EXPECT_EQ(view.shards[0].state, dist::ShardState::kDone);
-  EXPECT_EQ(view.shards[0].committed, 3u);
-
-  const dist::RunReport report = dist::analyze_run(run_dir);
+  dist::RunReport report = dist::analyze_run(run_dir);
   EXPECT_EQ(report.status, Status::kOk) << report.message;
+  dist::read_liveness(run_dir, 5'000, &report);
   EXPECT_EQ(report.state, "done");
   EXPECT_EQ(report.buyers, 3u);
   EXPECT_EQ(report.committed, 3u);
   ASSERT_EQ(report.shards.size(), 1u);
+  EXPECT_EQ(report.shards[0].state, dist::ShardState::kDone);
+  EXPECT_EQ(report.shards[0].committed, 3u);
+  EXPECT_GE(report.shards[0].heartbeat_age_ms, 0);
+  EXPECT_FALSE(report.shards[0].stalled);
   EXPECT_TRUE(report.shards[0].have_latency);
   EXPECT_GT(report.shards[0].p50_ns, 0u);
   // No lease journal: the shard journal's records time the run.

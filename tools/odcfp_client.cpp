@@ -8,14 +8,17 @@
 //   wait --id N [--timeout-ms MS]
 //   stats
 //
-// Exit codes: 0 success; 1 transport/daemon error; 2 usage;
-// 4 request rejected by admission control (reason on stdout).
+// Exit codes: 0 success; 1 transport/daemon error; 2 usage (including a
+// numeric flag that is not a whole decimal number in range, refused
+// before any socket is opened); 4 request rejected by admission control
+// (reason on stdout).
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/record_log.hpp"
 #include "service/client.hpp"
 
 namespace {
@@ -60,6 +63,18 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A whole decimal u64 (record_log::parse_u64) of at most `max`.
+    auto number = [&](const char* flag,
+                      std::uint64_t max = UINT64_MAX) -> std::uint64_t {
+      const char* text = next(flag);
+      std::uint64_t n = 0;
+      if (!odcfp::record_log::parse_u64(text, &n) || n > max) {
+        std::fprintf(stderr, "odcfp_client: bad %s value '%s'\n", flag,
+                     text);
+        std::exit(2);
+      }
+      return n;
+    };
     if (arg == "--socket") {
       socket_path = next("--socket");
     } else if (arg == "--tenant") {
@@ -67,22 +82,20 @@ int main(int argc, char** argv) {
     } else if (arg == "--circuit") {
       spec.circuit = next("--circuit");
     } else if (arg == "--buyers") {
-      spec.buyers =
-          static_cast<std::uint64_t>(std::atoll(next("--buyers")));
+      spec.buyers = number("--buyers");
     } else if (arg == "--seed") {
-      spec.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
+      spec.seed = number("--seed");
     } else if (arg == "--deadline-ms") {
-      spec.deadline_ms =
-          static_cast<std::uint64_t>(std::atoll(next("--deadline-ms")));
+      spec.deadline_ms = number("--deadline-ms");
     } else if (arg == "--verify") {
       spec.verify = true;
     } else if (arg == "--label") {
       spec.label = next("--label");
     } else if (arg == "--id") {
-      id = static_cast<std::uint64_t>(std::atoll(next("--id")));
+      id = number("--id");
       have_id = true;
     } else if (arg == "--timeout-ms") {
-      timeout_ms = std::atoll(next("--timeout-ms"));
+      timeout_ms = static_cast<std::int64_t>(number("--timeout-ms", INT64_MAX));
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;

@@ -10,11 +10,15 @@
 // Tenant quotas are passed as repeatable flags:
 //   --tenant NAME:CAPACITY:REFILL_PER_SEC:PRIORITY
 // Tenants not listed fall back to --default-capacity/--default-refill.
+// Every numeric value must parse whole (counts as decimal u64, rates and
+// capacities as finite decimals, a priority as a whole number); a
+// malformed one exits 2 before the daemon opens its socket.
 #include <signal.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -23,9 +27,13 @@
 #include <thread>
 #include <vector>
 
+#include "common/record_log.hpp"
 #include "service/server.hpp"
 
 namespace {
+
+using odcfp::record_log::parse_double;
+using odcfp::record_log::parse_u64;
 
 std::atomic<bool> g_stop{false};
 
@@ -41,8 +49,6 @@ void usage(const char* argv0) {
       "  --queue-capacity N       bounded queue size (default 64)\n"
       "  --default-deadline-ms MS deadline for requests without one\n"
       "  --max-delay-overhead R  per-edition delay constraint (0 = off)\n"
-      "  --no-queue-timeout-shed  run late queued requests instead of "
-      "shedding\n"
       "  --tenant NAME:CAP:REFILL:PRIO   per-tenant quota (repeatable)\n"
       "  --default-capacity N     token capacity for unlisted tenants\n"
       "  --default-refill R      tokens/sec for unlisted tenants\n",
@@ -62,13 +68,14 @@ bool parse_tenant(const std::string& text,
   }
   if (parts.size() != 4 || parts[0].empty()) return false;
   odcfp::service::TenantQuota quota;
-  try {
-    quota.bucket.capacity = std::stod(parts[1]);
-    quota.bucket.refill_per_sec = std::stod(parts[2]);
-    quota.priority = std::stoi(parts[3]);
-  } catch (const std::exception&) {
+  double priority = 0;
+  if (!parse_double(parts[1], &quota.bucket.capacity) ||
+      !parse_double(parts[2], &quota.bucket.refill_per_sec) ||
+      !parse_double(parts[3], &priority) || priority != std::trunc(priority) ||
+      priority < INT32_MIN || priority > INT32_MAX) {
     return false;
   }
+  quota.priority = static_cast<int>(priority);
   (*out)[parts[0]] = quota;
   return true;
 }
@@ -86,24 +93,41 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric values parse whole, before any socket or pool exists.
+    auto bad_value = [](const char* flag, const char* text) {
+      std::fprintf(stderr, "odcfp_serviced: bad %s value '%s'\n", flag,
+                   text);
+      std::exit(2);
+    };
+    auto number = [&](const char* flag,
+                      std::uint64_t max = UINT64_MAX) -> std::uint64_t {
+      const char* text = next(flag);
+      std::uint64_t n = 0;
+      if (!parse_u64(text, &n) || n > max) bad_value(flag, text);
+      return n;
+    };
+    auto real = [&](const char* flag) -> double {
+      const char* text = next(flag);
+      double v = 0;
+      if (!parse_double(text, &v)) bad_value(flag, text);
+      return v;
+    };
     if (arg == "--socket") {
       config.socket_path = next("--socket");
     } else if (arg == "--state-dir") {
       config.state_dir = next("--state-dir");
     } else if (arg == "--executors") {
-      config.num_executors = std::atoi(next("--executors"));
+      config.num_executors =
+          static_cast<int>(number("--executors", INT32_MAX));
     } else if (arg == "--pool-threads") {
-      config.pool_threads = std::atoi(next("--pool-threads"));
+      config.pool_threads =
+          static_cast<int>(number("--pool-threads", INT32_MAX));
     } else if (arg == "--queue-capacity") {
-      config.queue_capacity =
-          static_cast<std::size_t>(std::atoll(next("--queue-capacity")));
+      config.queue_capacity = number("--queue-capacity");
     } else if (arg == "--default-deadline-ms") {
-      config.default_deadline_ms = static_cast<std::uint64_t>(
-          std::atoll(next("--default-deadline-ms")));
+      config.default_deadline_ms = number("--default-deadline-ms");
     } else if (arg == "--max-delay-overhead") {
-      config.max_delay_overhead = std::atof(next("--max-delay-overhead"));
-    } else if (arg == "--no-queue-timeout-shed") {
-      config.queue_timeout_sheds = false;
+      config.max_delay_overhead = real("--max-delay-overhead");
     } else if (arg == "--tenant") {
       if (!parse_tenant(next("--tenant"), &config.tenants)) {
         std::fprintf(stderr,
@@ -112,11 +136,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--default-capacity") {
-      config.default_quota.bucket.capacity =
-          std::atof(next("--default-capacity"));
+      config.default_quota.bucket.capacity = real("--default-capacity");
     } else if (arg == "--default-refill") {
-      config.default_quota.bucket.refill_per_sec =
-          std::atof(next("--default-refill"));
+      config.default_quota.bucket.refill_per_sec = real("--default-refill");
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;

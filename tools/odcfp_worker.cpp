@@ -48,6 +48,7 @@
 
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
+#include "common/record_log.hpp"
 #include "common/trace.hpp"
 #include "dist/runner.hpp"
 #include "dist/shard.hpp"
@@ -73,6 +74,9 @@ struct Args {
   std::uint64_t chaos_shard = UINT64_MAX;  // any shard
 };
 
+/// Every numeric flag is a whole decimal u64 (record_log::parse_u64),
+/// range-checked where its field is narrower; anything else is refused
+/// before the run dir is touched.
 bool parse_args(int argc, char** argv, Args* args) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -82,21 +86,31 @@ bool parse_args(int argc, char** argv, Args* args) {
       return false;
     }
     const std::string value = argv[++i];
+    std::uint64_t n = 0;
+    const bool u64 = record_log::parse_u64(value, &n);
+    bool ok = true;
     if (flag == "--run-dir") args->run_dir = value;
-    else if (flag == "--shard") args->shard = std::stoull(value);
-    else if (flag == "--begin") args->begin = std::stoull(value);
-    else if (flag == "--end") args->end = std::stoull(value);
-    else if (flag == "--epoch") args->epoch = std::stoull(value);
-    else if (flag == "--threads") args->threads = std::stoi(value);
-    else if (flag == "--heartbeat-ms") args->heartbeat_ms = std::stoll(value);
     else if (flag == "--trace") args->trace_path = value;
     else if (flag == "--chaos-signal") args->chaos_signal = value;
     else if (flag == "--chaos-site") args->chaos_site = value;
-    else if (flag == "--chaos-nth") args->chaos_nth = std::stoull(value);
-    else if (flag == "--chaos-epoch") args->chaos_epoch = std::stoull(value);
-    else if (flag == "--chaos-shard") args->chaos_shard = std::stoull(value);
-    else {
-      std::fprintf(stderr, "odcfp_worker: unknown flag %s\n", flag.c_str());
+    else if (!u64) ok = false;
+    else if (flag == "--shard") args->shard = n;
+    else if (flag == "--begin") args->begin = n;
+    else if (flag == "--end") args->end = n;
+    else if (flag == "--epoch") args->epoch = n;
+    else if (flag == "--chaos-nth") args->chaos_nth = n;
+    else if (flag == "--chaos-epoch") args->chaos_epoch = n;
+    else if (flag == "--chaos-shard") args->chaos_shard = n;
+    else if (flag == "--threads" && n <= INT32_MAX) {
+      args->threads = static_cast<int>(n);
+    } else if (flag == "--heartbeat-ms" && n <= INT64_MAX) {
+      args->heartbeat_ms = static_cast<std::int64_t>(n);
+    } else {
+      ok = false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "odcfp_worker: bad flag or value: %s %s\n",
+                   flag.c_str(), value.c_str());
       return false;
     }
   }
