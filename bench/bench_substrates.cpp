@@ -3,8 +3,9 @@
 // text I/O (one Verilog or BLIF write, one Verilog read), one netlist
 // copy plus its free (what every buyer edition starts with), the calls
 // every edition goes through (make_edition, a check in a 16-edition
-// IncrementalCecSession, extract_code), and topo_order, including a
-// 100,000-gate chain whose ready ids alternate between the two ends.
+// IncrementalCecSession, extract_code), topo_order, including a
+// 100,000-gate chain whose ready ids alternate between the two ends, and
+// one reactive_reduce restart.
 #include <benchmark/benchmark.h>
 
 #ifdef __GLIBC__
@@ -95,16 +96,20 @@ void BM_IncrementalSta(benchmark::State& state, const std::string& name) {
   FingerprintEmbedder e(work, locations);
   const StaticTimingAnalyzer sta;
   ArrivalTracker tracker(work, sta);
+  std::vector<GateId> touched;
+  std::vector<GateId> seeds;
   std::size_t which = 0;
   for (auto _ : state) {
     const std::size_t f = which++ % e.num_sites();
     const auto ref = e.site_ref(f);
     e.apply(ref.loc, ref.site, 1);
-    tracker.update(timing_seeds(work, e.touched_gates(ref.loc, ref.site)));
+    e.touched_gates(ref.loc, ref.site, touched);
+    seeds.clear();
+    timing_seeds(work, touched, seeds);
+    tracker.update(seeds);
     benchmark::DoNotOptimize(tracker.critical_delay());
-    const auto pre = timing_seeds(work, e.touched_gates(ref.loc, ref.site));
     e.remove(ref.loc, ref.site);
-    tracker.update(pre);
+    tracker.update(seeds);
     benchmark::DoNotOptimize(tracker.critical_delay());
   }
 }
@@ -232,6 +237,26 @@ void BM_ExtractCode(benchmark::State& state, const std::string& name) {
   }
 }
 
+/// One reactive_reduce restart from the all-generic embedding, under
+/// `limit` with at most `candidates` trials per iteration.
+void BM_ReactiveReduce(benchmark::State& state, const std::string& name,
+                       double limit, int candidates) {
+  const Netlist& golden = circuit(name);
+  const auto locations = find_locations(golden);
+  const StaticTimingAnalyzer sta;
+  const PowerAnalyzer power;
+  const Baseline base = Baseline::measure(golden, sta, power);
+  Netlist work = golden;
+  FingerprintEmbedder e(work, locations);
+  ReactiveOptions options;
+  options.max_delay_overhead = limit;
+  options.restarts = 1;
+  options.max_candidates_per_iteration = candidates;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reactive_reduce(e, base, sta, power, options));
+  }
+}
+
 void BM_TopoOrder(benchmark::State& state, const std::string& name) {
   const Netlist& nl = circuit(name);
   for (auto _ : state) {
@@ -327,6 +352,16 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(("topo_order/" + std::string(name)).c_str(),
                                  BM_TopoOrder, std::string(name));
   }
+  // An order's site selection (5% limit, 32 candidates), and des as the
+  // delay_budget workload runs it at 10% (4 candidates).
+  for (const char* name : {"c432", "c3540", "i8"}) {
+    benchmark::RegisterBenchmark(
+        ("reactive_reduce/" + std::string(name)).c_str(), BM_ReactiveReduce,
+        std::string(name), 0.05, 32);
+  }
+  benchmark::RegisterBenchmark("reactive_reduce/des_budget",
+                               BM_ReactiveReduce, std::string("des"), 0.10,
+                               4);
   benchmark::RegisterBenchmark("topo_order/alternating_100k",
                                BM_TopoOrderAlternating);
   benchmark::Initialize(&argc, argv);

@@ -15,20 +15,30 @@
 // `odcfp_report <outdir>` reads the run dir at any point.
 //
 //   ./buyer_batch [circuit] [buyers] [threads] [outdir]
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/parallel.hpp"
+#include "common/record_log.hpp"
 #include "dist/runner.hpp"
 
 using namespace odcfp;
 
 int main(int argc, char** argv) {
   const std::string circuit = argc > 1 ? argv[1] : "c880";
-  const std::size_t buyers =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 8;
-  const int threads = argc > 3 ? std::atoi(argv[3]) : 0;  // 0 = all cores
+  std::uint64_t buyers = 8;
+  std::uint64_t threads = 0;  // 0 = all cores
+  // Numbers are parsed whole, before the run dir is touched.
+  if ((argc > 2 && !record_log::parse_u64(argv[2], &buyers)) ||
+      (argc > 3 &&
+       (!record_log::parse_u64(argv[3], &threads) || threads > INT_MAX))) {
+    std::fprintf(stderr,
+                 "usage: buyer_batch [circuit] [buyers] [threads] "
+                 "[outdir]\n");
+    return 2;
+  }
   const std::string outdir = argc > 4 ? argv[4] : "buyer_batch_out";
 
   // The order, as a run dir's spec: the run rebuilds the golden netlist,
@@ -59,7 +69,7 @@ int main(int argc, char** argv) {
   }
 
   // Stamp every buyer's edition through the journaled runner.
-  ThreadPool pool(threads);
+  ThreadPool pool(static_cast<int>(threads));
   dist::ShardOptions options;
   options.pool = &pool;
   const dist::ResumableBatchResult run =

@@ -21,8 +21,9 @@
 // every span below appears as a duration event on its thread's track
 // (pool workers are named pool-worker-N), joined to this report's span
 // tree by the span-name strings.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -30,6 +31,7 @@
 
 #include "benchgen/benchmarks.hpp"
 #include "common/parallel.hpp"
+#include "common/record_log.hpp"
 #include "common/telemetry.hpp"
 #include "common/trace.hpp"
 #include "fingerprint/batch.hpp"
@@ -95,8 +97,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       as_json = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
+      std::uint64_t n = 0;
+      if (i + 1 == argc || !record_log::parse_u64(argv[++i], &n) ||
+          n > INT_MAX) {
+        std::fprintf(stderr,
+                     "usage: pipeline_report [circuit] [--json] "
+                     "[--threads N]\n");
+        return 2;
+      }
+      threads = static_cast<int>(n);
     } else {
       circuit = argv[i];
     }

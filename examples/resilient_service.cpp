@@ -19,14 +19,15 @@
 // run.
 //
 //   ./resilient_service [circuit] [buyers] [outdir]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/atomic_io.hpp"
 #include "common/fault.hpp"
 #include "common/journal.hpp"
+#include "common/record_log.hpp"
 #include "common/retry.hpp"
 #include "dist/runner.hpp"
 
@@ -34,8 +35,13 @@ using namespace odcfp;
 
 int main(int argc, char** argv) {
   const std::string circuit = argc > 1 ? argv[1] : "c432";
-  const std::size_t buyers =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 6;
+  std::uint64_t buyers = 6;
+  // Numbers are parsed whole, before the run dir is touched.
+  if (argc > 2 && !record_log::parse_u64(argv[2], &buyers)) {
+    std::fprintf(stderr,
+                 "usage: resilient_service [circuit] [buyers] [outdir]\n");
+    return 2;
+  }
   const std::string outdir = argc > 3 ? argv[3] : "resilient_service_out";
 
   dist::RunSpec spec;

@@ -16,10 +16,11 @@
 // and converges.
 //
 //   ./sharded_batch [circuit] [buyers] [shards] [outdir]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/record_log.hpp"
 #include "dist/shard.hpp"
 #include "dist/supervisor.hpp"
 
@@ -28,10 +29,16 @@ using namespace odcfp;
 int main(int argc, char** argv) {
   dist::RunSpec spec;
   spec.circuit = argc > 1 ? argv[1] : "c880";
-  spec.num_buyers =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 8;
-  const std::size_t shards =
-      argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3])) : 4;
+  spec.num_buyers = 8;
+  std::uint64_t shards = 4;
+  // Numbers are parsed whole, before the run dir is touched.
+  if ((argc > 2 && !record_log::parse_u64(argv[2], &spec.num_buyers)) ||
+      (argc > 3 && !record_log::parse_u64(argv[3], &shards))) {
+    std::fprintf(stderr,
+                 "usage: sharded_batch [circuit] [buyers] [shards] "
+                 "[outdir]\n");
+    return 2;
+  }
   spec.codebook_seed = 2026;
   spec.batch_seed = 7;
   spec.max_delay_overhead = 0.10;

@@ -74,6 +74,10 @@ Outcome<RunSpec> read_run_spec(const std::string& path) {
 }
 
 Outcome<bool> pin_run_spec(const std::string& run_dir, const RunSpec& spec) {
+  // A run without buyers never finishes: nothing could commit.
+  if (spec.num_buyers == 0) {
+    return Outcome<bool>::malformed("RunSpec::num_buyers must be > 0");
+  }
   const std::string path = run_spec_path(run_dir);
   if (!atomic_io::exists(path)) {
     if (!atomic_io::make_dirs(run_dir)) {

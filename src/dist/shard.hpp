@@ -93,7 +93,8 @@ Outcome<RunSpec> read_run_spec(const std::string& path);
 
 /// Writes `spec` as `run_dir`'s run.spec (making the dir), or, when one
 /// is already there, requires it to be the same spec: a run dir never
-/// mixes two runs.
+/// mixes two runs. A spec with no buyers is kMalformedInput, and nothing
+/// is written.
 Outcome<bool> pin_run_spec(const std::string& run_dir, const RunSpec& spec);
 
 /// CRC-32 of the spec's canonical wire payload. Stored in the lease

@@ -254,15 +254,15 @@ void FingerprintEmbedder::remove_all() {
   ODCFP_DCHECK(structural_signature(*nl_) == pristine_signature_);
 }
 
-std::vector<GateId> FingerprintEmbedder::touched_gates(
-    std::size_t loc, std::size_t site) const {
+void FingerprintEmbedder::touched_gates(std::size_t loc, std::size_t site,
+                                        std::vector<GateId>& gates) const {
   const SiteState& st = sites_[index_of(loc, site)];
-  if (st.option == 0) return {};
-  std::vector<GateId> gates{(*locations_)[loc].sites[site].gate};
+  gates.clear();
+  if (st.option == 0) return;
+  gates.push_back((*locations_)[loc].sites[site].gate);
   for (std::size_t i = 0; i < st.num_ops; ++i) {
     if (st.ops[i].kind == Op::Kind::kAddGate) gates.push_back(st.ops[i].gate);
   }
-  return gates;
 }
 
 FingerprintCode FingerprintEmbedder::current_code() const {

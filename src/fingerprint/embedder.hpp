@@ -105,11 +105,14 @@ class FingerprintEmbedder {
   /// The currently applied code.
   FingerprintCode current_code() const;
 
-  /// Gates whose structure/loading the applied modification at this site
-  /// touches: the site gate plus any added inverter/append gates. Empty if
-  /// the site is unmodified. Used by the heuristics to restrict trial
-  /// removals to modifications that can affect the critical path.
-  std::vector<GateId> touched_gates(std::size_t loc, std::size_t site) const;
+  /// Replaces `gates` with the gates whose structure/loading the applied
+  /// modification at this site touches: the site gate plus any added
+  /// inverter/append gates. Empty if the site is unmodified. Used by the
+  /// heuristics to restrict trial removals to modifications that can
+  /// affect the critical path; a reused buffer makes the call allocate
+  /// nothing.
+  void touched_gates(std::size_t loc, std::size_t site,
+                     std::vector<GateId>& gates) const;
 
  private:
   /// Netlist edits one apply can make: an option injects at most two

@@ -74,9 +74,8 @@ double applied_bits(const FingerprintEmbedder& e) {
 
 }  // namespace
 
-std::vector<GateId> timing_seeds(const Netlist& nl,
-                                 const std::vector<GateId>& gates) {
-  std::vector<GateId> seeds;
+void timing_seeds(const Netlist& nl, std::span<const GateId> gates,
+                  std::vector<GateId>& seeds) {
   for (GateId g : gates) {
     if (g >= nl.num_gates() || nl.gate(g).is_dead()) continue;
     seeds.push_back(g);
@@ -88,7 +87,6 @@ std::vector<GateId> timing_seeds(const Netlist& nl,
       seeds.push_back(ref.gate);
     }
   }
-  return seeds;
 }
 
 namespace {
@@ -128,6 +126,9 @@ ReactiveRun reactive_once(FingerprintEmbedder& e,
   e.remove_all();
   e.apply_all_generic();
   Rng rng(seed);
+  // From here on the run only removes modifications, and a trial
+  // re-applies the one it removed on the gate ids it freed, so the order
+  // the tracker takes now serves every iteration.
   ArrivalTracker tracker(nl, sta);
   ++evals;
   double cur = tracker.critical_delay();
@@ -140,6 +141,20 @@ ReactiveRun reactive_once(FingerprintEmbedder& e,
   std::size_t total_kicks = 0;
   std::size_t max_streak = 0;
   bool truncated = false;
+  // Buffers every iteration reuses, so that trials allocate nothing.
+  std::vector<std::pair<double, std::size_t>> scored;  // (slack, site)
+  std::vector<std::size_t> applied;
+  std::vector<GateId> touched;
+  std::vector<GateId> seeds;
+  // Removes the site for good and re-times what the removal changed.
+  const auto remove_site = [&](FingerprintEmbedder::SiteRef ref) {
+    e.touched_gates(ref.loc, ref.site, touched);
+    seeds.clear();
+    timing_seeds(nl, touched, seeds);
+    e.remove(ref.loc, ref.site);
+    tracker.update(seeds);
+    cur = tracker.critical_delay();
+  };
 
   while (cur > budget && e.num_applied() > 0) {
     ODCFP_FAULT_POINT("heuristic.reactive.iter");
@@ -153,14 +168,15 @@ ReactiveRun reactive_once(FingerprintEmbedder& e,
     // Applied sites whose touched gates (or the drivers feeding them) are
     // timing-critical: only their removal can shorten the critical path.
     // The tracker's slacks are a full STA's, without re-timing forward.
-    const std::vector<double> slacks = tracker.gate_slack();
+    const std::vector<double>& slacks = tracker.gate_slack();
     ++evals;
-    std::vector<std::pair<double, std::size_t>> scored;  // (slack, site)
+    scored.clear();
     for (std::size_t f = 0; f < e.num_sites(); ++f) {
       const auto ref = e.site_ref(f);
       if (e.applied_option(ref.loc, ref.site) == 0) continue;
       double min_slack = std::numeric_limits<double>::infinity();
-      for (GateId g : e.touched_gates(ref.loc, ref.site)) {
+      e.touched_gates(ref.loc, ref.site, touched);
+      for (GateId g : touched) {
         min_slack = std::min(min_slack, slacks[g]);
         for (NetId in : nl.gate(g).fanins) {
           const GateId d = nl.net(in).driver;
@@ -179,16 +195,13 @@ ReactiveRun reactive_once(FingerprintEmbedder& e,
       scored.resize(
           static_cast<std::size_t>(opt.max_candidates_per_iteration));
     }
-    std::vector<std::size_t> candidates;
-    candidates.reserve(scored.size());
-    for (const auto& [slack, f] : scored) candidates.push_back(f);
 
-    // Trial-remove each candidate, keep the single best removal. Trials
-    // use incremental arrival tracking: only the modification's fanout
-    // cone is re-timed.
+    // Trial-remove each candidate, keep the single best removal. A trial
+    // re-times only the removal's fanout cone, reads the delay, and rolls
+    // the tracker back to the timing before the removal.
     std::size_t best = static_cast<std::size_t>(-1);
     double best_delay = cur;
-    for (std::size_t f : candidates) {
+    for (const auto& [slack, f] : scored) {
       // A deadline can die mid-iteration; trials are remove+re-apply
       // pairs, so breaking between them keeps the netlist consistent.
       if (budget_exhausted(opt.budget)) {
@@ -198,13 +211,24 @@ ReactiveRun reactive_once(FingerprintEmbedder& e,
       TELEM_COUNT("heur.trials", 1);
       const auto ref = e.site_ref(f);
       const int option = e.applied_option(ref.loc, ref.site);
-      const std::vector<GateId> pre =
-          timing_seeds(nl, e.touched_gates(ref.loc, ref.site));
+      e.touched_gates(ref.loc, ref.site, touched);
+      seeds.clear();
+      timing_seeds(nl, touched, seeds);
+      tracker.checkpoint();
       e.remove(ref.loc, ref.site);
-      tracker.update(pre);
+      tracker.update(seeds);
       const double d = tracker.critical_delay();
+      tracker.rollback();
       e.apply(ref.loc, ref.site, option);
-      tracker.update(timing_seeds(nl, e.touched_gates(ref.loc, ref.site)));
+      // The tracker holds the pre-trial timing again. The re-apply
+      // appends its pins to fanout lists, which can move a load in its
+      // last bits, so re-time from the seeds of both sides of the edit:
+      // between them they name every gate whose delay or fanins can
+      // differ from the pre-trial netlist. Only a gate whose delay or
+      // inputs really changed passes a change on.
+      e.touched_gates(ref.loc, ref.site, touched);
+      timing_seeds(nl, touched, seeds);
+      tracker.update(seeds);
       if (d < best_delay - 1e-12) {
         best = f;
         best_delay = d;
@@ -214,12 +238,7 @@ ReactiveRun reactive_once(FingerprintEmbedder& e,
 
     if (best != static_cast<std::size_t>(-1)) {
       TELEM_COUNT("heur.greedy_removals", 1);
-      const auto ref = e.site_ref(best);
-      const std::vector<GateId> pre =
-          timing_seeds(nl, e.touched_gates(ref.loc, ref.site));
-      e.remove(ref.loc, ref.site);
-      tracker.update(pre);
-      cur = tracker.critical_delay();
+      remove_site(e.site_ref(best));
       kicks = 0;  // greedy progress: the escape budget starts over
       continue;
     }
@@ -230,19 +249,14 @@ ReactiveRun reactive_once(FingerprintEmbedder& e,
     TELEM_COUNT("heur.random_kicks", 1);
     ++total_kicks;
     max_streak = std::max(max_streak, static_cast<std::size_t>(kicks));
-    std::vector<std::size_t> applied;
+    applied.clear();
     for (std::size_t f = 0; f < e.num_sites(); ++f) {
       const auto ref = e.site_ref(f);
       if (e.applied_option(ref.loc, ref.site) != 0) applied.push_back(f);
     }
     if (applied.empty()) break;
-    const auto ref = e.site_ref(
-        applied[static_cast<std::size_t>(rng.next_below(applied.size()))]);
-    const std::vector<GateId> pre =
-        timing_seeds(nl, e.touched_gates(ref.loc, ref.site));
-    e.remove(ref.loc, ref.site);
-    tracker.update(pre);
-    cur = tracker.critical_delay();
+    remove_site(e.site_ref(
+        applied[static_cast<std::size_t>(rng.next_below(applied.size()))]));
   }
 
   ReactiveRun run;
@@ -374,6 +388,8 @@ HeuristicOutcome proactive_insert(FingerprintEmbedder& embedder,
             [&](std::size_t a, std::size_t b) { return cost[a] < cost[b]; });
 
   bool truncated = false;
+  std::vector<GateId> touched;
+  std::vector<GateId> seeds;
   for (std::size_t f : order) {
     ODCFP_FAULT_POINT("heuristic.proactive.site");
     // Every kept site was individually verified against the delay
@@ -400,13 +416,14 @@ HeuristicOutcome proactive_insert(FingerprintEmbedder& embedder,
     for (int opt : opts) {
       TELEM_COUNT("heur.trials", 1);
       embedder.apply(ref.loc, ref.site, opt);
-      tracker.update(
-          timing_seeds(nl, embedder.touched_gates(ref.loc, ref.site)));
+      embedder.touched_gates(ref.loc, ref.site, touched);
+      seeds.clear();
+      timing_seeds(nl, touched, seeds);
+      tracker.update(seeds);
       if (tracker.critical_delay() <= budget) break;
-      const std::vector<GateId> pre =
-          timing_seeds(nl, embedder.touched_gates(ref.loc, ref.site));
+      // Nothing changed since the apply: its seeds are the remove's.
       embedder.remove(ref.loc, ref.site);
-      tracker.update(pre);
+      tracker.update(seeds);
     }
   }
   HeuristicOutcome out = make_outcome(embedder, baseline, sta, power, evals);

@@ -18,6 +18,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "common/budget.hpp"
 #include "fingerprint/embedder.hpp"
@@ -114,14 +116,15 @@ struct ProactiveOptions {
   const Budget* budget = nullptr;
 };
 
-/// Seed set for ArrivalTracker::update after structurally modifying
-/// `gates`: the gates themselves, the drivers of their fanins (whose
-/// output loads changed), and the sinks of their outputs (which may now
-/// read different nets). The one seed rule of every tracker user: call it
-/// on touched_gates() after an apply, and before a remove. Dead /
-/// out-of-range gates are skipped.
-std::vector<GateId> timing_seeds(const Netlist& nl,
-                                 const std::vector<GateId>& gates);
+/// Appends to `seeds` the seed set for ArrivalTracker::update after
+/// structurally modifying `gates`: the gates themselves, the drivers of
+/// their fanins (whose output loads changed), and the sinks of their
+/// outputs (which may now read different nets). The one seed rule of
+/// every tracker user: call it on touched_gates() after an apply, and
+/// before a remove; after a rolled-back trial, the seeds of both sides of
+/// the edit. Dead / out-of-range gates are skipped.
+void timing_seeds(const Netlist& nl, std::span<const GateId> gates,
+                  std::vector<GateId>& seeds);
 
 /// Runs the reactive heuristic. The embedder's netlist is left in the
 /// returned configuration.

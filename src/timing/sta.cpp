@@ -1,7 +1,9 @@
 #include "timing/sta.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <span>
 
 #include "common/check.hpp"
 
@@ -42,32 +44,55 @@ void time_forward(const Netlist& nl, const StaticTimingAnalyzer& sta,
   }
 }
 
+/// Rank of a gate missing from a tracker's order.
+constexpr std::uint32_t kNoRank = ~std::uint32_t{0};
+
 /// Backward pass: required times from the latest output back through a
-/// topological `order`, then each gate's slack (dead gates: +inf). Every
-/// required time is a min over the same differences in any topological
-/// order, so the result depends only on `arrival` and `delay`.
-void required_and_slack(const Netlist& nl, const std::vector<GateId>& order,
+/// topological `order`, then each gate's slack (dead gates: +inf; dead
+/// gates in `order` are skipped). Every required time is a min over the
+/// same differences in any topological order, so the result depends only
+/// on `arrival` and `delay`. Given `rank` (each gate's position in
+/// `order`, kNoRank when absent), the pass also checks that `order` is
+/// topological for the live gates: it returns false, with `required` and
+/// `gate_slack` unspecified, when a live gate's fanin driver does not
+/// rank below it or a live gate is not in `order`.
+bool required_and_slack(const Netlist& nl, std::span<const GateId> order,
+                        std::span<const std::uint32_t> rank,
                         const std::vector<double>& arrival,
                         const std::vector<double>& delay,
                         double critical_delay, std::vector<double>& required,
                         std::vector<double>& gate_slack) {
   const double inf = std::numeric_limits<double>::infinity();
+  const bool check = !rank.empty();
   required.assign(nl.num_nets(), inf);
   for (const OutputPort& p : nl.outputs()) {
     required[p.net] = std::min(required[p.net], critical_delay);
   }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const Gate& gt = nl.gate(*it);
-    const double in_required = required[gt.output] - delay[*it];
+  std::size_t live = 0;
+  for (std::size_t r = order.size(); r-- > 0;) {
+    const GateId g = order[r];
+    const Gate& gt = nl.gate(g);
+    if (gt.is_dead()) continue;
+    ++live;
+    const double in_required = required[gt.output] - delay[g];
     for (NetId in : gt.fanins) {
+      if (check) {
+        const GateId d = nl.net(in).driver;
+        if (d != kInvalidGate && (d >= rank.size() || rank[d] >= r)) {
+          return false;
+        }
+      }
       required[in] = std::min(required[in], in_required);
     }
   }
+  if (check && live != nl.num_live_gates()) return false;
   gate_slack.assign(nl.num_gates(), inf);
   for (GateId g : order) {
+    if (nl.gate(g).is_dead()) continue;
     const NetId out = nl.gate(g).output;
     gate_slack[g] = required[out] - arrival[out];
   }
+  return true;
 }
 
 }  // namespace
@@ -104,7 +129,7 @@ TimingReport StaticTimingAnalyzer::analyze(const Netlist& nl) const {
   std::vector<double> delay;
   time_forward(nl, *this, order, delay, rep.arrival);
   rep.critical_delay = latest_output(nl, rep.arrival);
-  required_and_slack(nl, order, rep.arrival, delay, rep.critical_delay,
+  required_and_slack(nl, order, {}, rep.arrival, delay, rep.critical_delay,
                      rep.required, rep.gate_slack);
 
   // One critical path: walk back from the latest output.
@@ -139,54 +164,128 @@ ArrivalTracker::ArrivalTracker(const Netlist& nl,
   full_recompute();
 }
 
-void ArrivalTracker::full_recompute() {
-  time_forward(*nl_, *sta_, nl_->topo_order_fast(), delay_, arrival_);
-  queued_.assign(nl_->num_gates(), false);
+void ArrivalTracker::take_order() {
+  order_ = nl_->topo_order_fast();
+  rank_.assign(nl_->num_gates(), kNoRank);
+  for (std::size_t r = 0; r < order_.size(); ++r) {
+    rank_[order_[r]] = static_cast<std::uint32_t>(r);
+  }
+  pending_words_ = (order_.size() + 63) / 64;
+  pending_.assign(pending_words_ + (pending_words_ + 63) / 64, 0);
+  pending_low_ = pending_.size() - pending_words_;
+  ++orders_taken_;
 }
 
-void ArrivalTracker::recompute_gate(GateId g, std::vector<GateId>& queue) {
-  const Gate& gt = nl_->gate(g);
+void ArrivalTracker::full_recompute() {
+  take_order();
+  time_forward(*nl_, *sta_, order_, delay_, arrival_);
+  queued_.assign(nl_->num_gates(), 0);
+  log_.clear();
+  logging_ = false;
+}
+
+void ArrivalTracker::checkpoint() {
+  log_.clear();
+  logging_ = true;
+}
+
+void ArrivalTracker::rollback() {
+  ODCFP_CHECK_MSG(logging_, "rollback without a checkpoint");
+  for (auto it = log_.rbegin(); it != log_.rend(); ++it) {
+    (it->is_delay ? delay_ : arrival_)[it->index] = it->value;
+  }
+  log_.clear();
+  logging_ = false;
+}
+
+void ArrivalTracker::set_delay(GateId g, double value) {
+  if (logging_) log_.push_back({true, g, delay_[g]});
+  delay_[g] = value;
+}
+
+void ArrivalTracker::set_arrival(NetId n, double value) {
+  if (logging_) log_.push_back({false, n, arrival_[n]});
+  arrival_[n] = value;
+}
+
+void ArrivalTracker::enqueue(GateId g) {
+  if (queued_[g]) return;
+  queued_[g] = 1;
+  const std::uint32_t r = g < rank_.size() ? rank_[g] : kNoRank;
+  if (r == kNoRank) {
+    unranked_.push_back(g);
+    return;
+  }
+  const std::size_t w = r >> 6;
+  pending_[w] |= std::uint64_t{1} << (r & 63);
+  pending_[pending_words_ + (w >> 6)] |= std::uint64_t{1} << (w & 63);
+  pending_low_ = std::min(pending_low_, w >> 6);
+}
+
+bool ArrivalTracker::pop_ranked(GateId* g) {
+  std::uint64_t* const summary = pending_.data() + pending_words_;
+  const std::size_t summary_words = pending_.size() - pending_words_;
+  while (pending_low_ < summary_words && summary[pending_low_] == 0) {
+    ++pending_low_;
+  }
+  if (pending_low_ == summary_words) return false;
+  std::uint64_t& sum = summary[pending_low_];
+  const std::size_t w = (pending_low_ << 6) +
+                        static_cast<std::size_t>(__builtin_ctzll(sum));
+  const std::size_t r =
+      (w << 6) + static_cast<std::size_t>(__builtin_ctzll(pending_[w]));
+  pending_[w] &= pending_[w] - 1;
+  if (pending_[w] == 0) sum &= sum - 1;
+  *g = order_[r];
+  return true;
+}
+
+void ArrivalTracker::recompute_gate(GateId g, const Gate& gt) {
   const double new_arrival =
       input_arrival(gt, arrival_, sta_->options().pi_arrival) + delay_[g];
   if (new_arrival != arrival_[gt.output]) {
-    arrival_[gt.output] = new_arrival;
+    set_arrival(gt.output, new_arrival);
     for (const FanoutRef& ref : nl_->net(gt.output).fanouts) {
-      if (!queued_[ref.gate]) {
-        queued_[ref.gate] = true;
-        queue.push_back(ref.gate);
-      }
+      enqueue(ref.gate);
     }
   }
 }
 
-void ArrivalTracker::update(const std::vector<GateId>& seeds) {
+void ArrivalTracker::update(std::span<const GateId> seeds) {
   // Structures may have grown (new nets/gates) since the last pass; a new
   // gate is always a seed, so its delay is filled below.
   if (arrival_.size() < nl_->num_nets()) {
     arrival_.resize(nl_->num_nets(), sta_->options().pi_arrival);
   }
   if (queued_.size() < nl_->num_gates()) {
-    queued_.resize(nl_->num_gates(), false);
+    queued_.resize(nl_->num_gates(), 0);
     delay_.resize(nl_->num_gates(), 0);
   }
   // Only a seed's delay can have changed; every other gate keeps the
   // delay stored when it was last timed.
-  std::vector<GateId> queue;
   for (GateId g : seeds) {
     if (g < nl_->num_gates() && !nl_->gate(g).is_dead() && !queued_[g]) {
-      queued_[g] = true;
-      delay_[g] = sta_->gate_delay(*nl_, g);
-      queue.push_back(g);
+      set_delay(g, sta_->gate_delay(*nl_, g));
+      enqueue(g);
     }
   }
-  // Worklist relaxation; the arrival system on a DAG has a unique
-  // fixpoint, and each pop recomputes a gate exactly from its fanins.
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const GateId g = queue[head];
-    queued_[g] = false;
-    if (nl_->gate(g).is_dead()) continue;
-    recompute_gate(g, queue);
+  // Ranked gates pop lowest rank first: every driver that can still
+  // change a gate's inputs ranks below it, so no gate is re-timed twice.
+  // Unranked gates wait in FIFO order until no ranked gate is pending;
+  // one re-timed late is re-timed again, which the unique fixpoint
+  // allows.
+  std::size_t head = 0;
+  for (;;) {
+    GateId g;
+    if (!pop_ranked(&g)) {
+      if (head == unranked_.size()) break;
+      g = unranked_[head++];
+    }
+    queued_[g] = 0;
+    const Gate& gt = nl_->gate(g);
+    if (!gt.is_dead()) recompute_gate(g, gt);
   }
+  unranked_.clear();
 }
 
 double ArrivalTracker::critical_delay() const {
@@ -198,12 +297,21 @@ double ArrivalTracker::arrival(NetId net) const {
   return arrival_[net];
 }
 
-std::vector<double> ArrivalTracker::gate_slack() const {
-  std::vector<double> required;
-  std::vector<double> slack;
-  required_and_slack(*nl_, nl_->topo_order_fast(), arrival_, delay_,
-                     critical_delay(), required, slack);
-  return slack;
+double ArrivalTracker::delay(GateId gate) const {
+  ODCFP_CHECK(gate < delay_.size());
+  return delay_[gate];
+}
+
+const std::vector<double>& ArrivalTracker::gate_slack() {
+  const double critical = critical_delay();
+  if (!required_and_slack(*nl_, order_, rank_, arrival_, delay_, critical,
+                          required_, slack_)) {
+    take_order();
+    const bool fresh_order_holds = required_and_slack(
+        *nl_, order_, rank_, arrival_, delay_, critical, required_, slack_);
+    ODCFP_CHECK(fresh_order_holds);
+  }
+  return slack_;
 }
 
 }  // namespace odcfp

@@ -152,6 +152,20 @@ TEST(Shard, RunSpecRoundTripsTheCodebookKind) {
   EXPECT_NE(mixed.message().find("different run.spec"), std::string::npos);
 }
 
+TEST(Shard, PinRunSpecRefusesZeroBuyersAndWritesNothing) {
+  // A run without buyers could never finish, so it never gets a run dir.
+  const std::string dir = fresh_dir("spec_zero") + "/run";
+  RunSpec spec = test_spec();
+  spec.num_buyers = 0;
+  const Outcome<bool> pinned = pin_run_spec(dir, spec);
+  EXPECT_EQ(pinned.status(), Status::kMalformedInput);
+  EXPECT_NE(pinned.message().find("num_buyers must be > 0"),
+            std::string::npos)
+      << pinned.message();
+  EXPECT_FALSE(atomic_io::exists(run_spec_path(dir)));
+  EXPECT_FALSE(atomic_io::exists(dir));
+}
+
 TEST(Shard, DamagedRunSpecIsRejected) {
   const std::string path = fresh_dir("spec_bad") + "/run.spec";
   ASSERT_TRUE(write_run_spec(path, test_spec()).ok());

@@ -94,10 +94,15 @@ TEST(Embedder, AppliedOptionBookkeeping) {
   e.apply(0, 0, 1);
   EXPECT_EQ(e.applied_option(0, 0), 1);
   EXPECT_EQ(e.num_applied(), 1u);
-  EXPECT_FALSE(e.touched_gates(0, 0).empty());
+  std::vector<GateId> touched{kInvalidGate};
+  e.touched_gates(0, 0, touched);
+  ASSERT_FALSE(touched.empty());
+  EXPECT_EQ(touched[0], locs[0].sites[0].gate);  // replaced, not appended
   EXPECT_THROW(e.apply(0, 0, 1), CheckError);  // double apply
   e.remove(0, 0);
   EXPECT_EQ(e.applied_option(0, 0), 0);
+  e.touched_gates(0, 0, touched);
+  EXPECT_TRUE(touched.empty());
   e.remove(0, 0);  // no-op
   EXPECT_EQ(e.num_applied(), 0u);
   EXPECT_THROW(e.apply(0, 0, 99), CheckError);  // bad option

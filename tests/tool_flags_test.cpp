@@ -1,5 +1,6 @@
-// Every tool parses each numeric flag whole: a value that is not a whole
-// decimal number in range (or, for rates and factors, a finite decimal)
+// Every tool, and the buyer_batch example, parses each numeric flag
+// whole: a value that is not a whole decimal number in range (or, for
+// rates and factors, a finite decimal)
 // is a usage error — the tool's usage exit code, before any socket, pool
 // or run is opened — never an abort, a silent wrap, or a value with its
 // trailing bytes dropped. Each case drives the real binary; a spawn that
@@ -23,6 +24,9 @@
 
 #ifndef ODCFP_WORKER_BIN
 #error "build must define ODCFP_WORKER_BIN"
+#endif
+#ifndef ODCFP_BUYER_BATCH_BIN
+#error "build must define ODCFP_BUYER_BATCH_BIN"
 #endif
 
 namespace odcfp {
@@ -180,6 +184,30 @@ TEST(ToolFlags, ReportRefusesMalformedNumbers) {
     EXPECT_EQ(run_tool({ODCFP_REPORT_BIN, dir, flag, value}, dir), 2);
   }
   EXPECT_EQ(run_tool({ODCFP_REPORT_BIN, dir, "--k", "2.5"}, dir), 1);
+}
+
+TEST(ToolFlags, BuyerBatchRefusesMalformedNumbersBeforeTheRunDir) {
+  // A value that got past parsing would pin a run.spec in `run`; a usage
+  // error exits 2 first, and a 0-buyer order is refused by the run dir.
+  const std::string dir = fresh_dir("buyer_batch");
+  const std::string run = dir + "/run";
+  for (const auto& [buyers, threads] :
+       std::vector<std::pair<const char*, const char*>>{
+           {"abc", "1"},
+           {"8x", "1"},
+           {"-1", "1"},
+           {"", "1"},
+           {"8", "1.5"},
+           {"8", "2147483648"}}) {
+    SCOPED_TRACE(std::string("buyers '") + buyers + "' threads '" + threads +
+                 "'");
+    EXPECT_EQ(
+        run_tool({ODCFP_BUYER_BATCH_BIN, "c880", buyers, threads, run}, dir),
+        2);
+    EXPECT_FALSE(fs::exists(run));
+  }
+  EXPECT_EQ(run_tool({ODCFP_BUYER_BATCH_BIN, "c880", "0", "1", run}, dir), 1);
+  EXPECT_FALSE(fs::exists(run));
 }
 
 }  // namespace
