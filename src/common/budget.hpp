@@ -8,19 +8,23 @@
 // feasible code found so far) tagged with Status::kExhausted, instead of
 // running to completion or being killed from outside.
 //
-// A Budget combines three independent caps, any subset of which may be
+// A Budget combines two independent caps, either or both of which may be
 // active:
 //   * a wall-clock deadline (steady_clock; reads are amortized so that
 //     exhausted() is cheap enough for inner loops);
-//   * a step quota, charged cooperatively by the running algorithm
-//     (charge() / exhausted());
 //   * a cooperative cancellation token shared with the caller, so a
 //     serving layer can abandon a request from another thread.
+// Each layer polls exhausted() at its own unit of progress: the SAT
+// solver once per conflict, the window analyses once per cone gate, the
+// reduction heuristics once per iteration or site. Effort caps in a
+// layer's own unit (a SAT conflict limit, a BDD node cap) are that
+// layer's options, not budget axes.
 // Budgets are intentionally non-copyable: one Budget describes one
 // request, and all layers working on that request share it by reference
 // (options structs hold a `const Budget*`, nullptr meaning unlimited).
-// The mutable state (spent steps, clock-check phase) is atomic so a const
-// reference can be threaded through const-taking analysis code.
+// The mutable state (clock-check phase, deadline hit, death site) is
+// atomic so a const reference can be threaded through const-taking
+// analysis code.
 #pragma once
 
 #include <atomic>
@@ -71,10 +75,8 @@ class Budget {
   Budget(Budget&& other) noexcept
       : deadline_(other.deadline_),
         has_deadline_(other.has_deadline_),
-        has_steps_(other.has_steps_),
         has_cancel_(other.has_cancel_),
         cancel_(std::move(other.cancel_)),
-        steps_left_(other.steps_left_.load(std::memory_order_relaxed)),
         clock_phase_(other.clock_phase_.load(std::memory_order_relaxed)),
         deadline_hit_(
             other.deadline_hit_.load(std::memory_order_relaxed)),
@@ -87,22 +89,11 @@ class Budget {
     b.with_deadline_ms(ms);
     return b;
   }
-  static Budget steps(std::uint64_t n) {
-    Budget b;
-    b.with_steps(n);
-    return b;
-  }
 
   Budget& with_deadline_ms(std::int64_t ms) {
     deadline_ = std::chrono::steady_clock::now() +
                 std::chrono::milliseconds(ms);
     has_deadline_ = true;
-    return *this;
-  }
-  Budget& with_steps(std::uint64_t n) {
-    steps_left_.store(static_cast<std::int64_t>(n),
-                      std::memory_order_relaxed);
-    has_steps_ = true;
     return *this;
   }
   Budget& with_cancel(CancelToken token) {
@@ -113,15 +104,10 @@ class Budget {
 
   // ---- cooperative checks ----
 
-  /// True once any axis of the budget is spent. Reads the wall clock only
-  /// every kClockPeriod calls; callers place this in inner loops.
+  /// True once either axis of the budget is spent. Reads the wall clock
+  /// only every kClockPeriod calls; callers place this in inner loops.
   bool exhausted() const {
     if (has_cancel_ && cancel_.cancelled()) {
-      note_death();
-      return true;
-    }
-    if (has_steps_ &&
-        steps_left_.load(std::memory_order_relaxed) <= 0) {
       note_death();
       return true;
     }
@@ -132,16 +118,6 @@ class Budget {
       return false;
     }
     return expired_now();
-  }
-
-  /// Charges `n` steps and reports whether the budget still stands. Also
-  /// performs the exhausted() deadline/cancel check.
-  bool charge(std::uint64_t n = 1) const {
-    if (has_steps_) {
-      steps_left_.fetch_sub(static_cast<std::int64_t>(n),
-                            std::memory_order_relaxed);
-    }
-    return !exhausted();
   }
 
   /// Unamortized deadline check (one clock read).
@@ -156,10 +132,6 @@ class Budget {
   }
 
   bool has_deadline() const { return has_deadline_; }
-  bool has_step_quota() const { return has_steps_; }
-  std::int64_t steps_left() const {
-    return steps_left_.load(std::memory_order_relaxed);
-  }
 
   /// Seconds until the deadline (negative once past; a large positive
   /// constant when no deadline is set).
@@ -195,10 +167,8 @@ class Budget {
 
   std::chrono::steady_clock::time_point deadline_{};
   bool has_deadline_ = false;
-  bool has_steps_ = false;
   bool has_cancel_ = false;
   CancelToken cancel_;
-  mutable std::atomic<std::int64_t> steps_left_{-1};
   mutable std::atomic<std::uint64_t> clock_phase_{0};
   mutable std::atomic<bool> deadline_hit_{false};
   mutable std::atomic<const char*> died_in_{nullptr};
@@ -207,9 +177,6 @@ class Budget {
 /// Convenience for the `const Budget*` convention in options structs.
 inline bool budget_exhausted(const Budget* b) {
   return b != nullptr && b->exhausted();
-}
-inline bool budget_charge(const Budget* b, std::uint64_t n = 1) {
-  return b == nullptr || b->charge(n);
 }
 
 /// Result-or-degradation wrapper. Invariants:

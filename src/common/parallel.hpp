@@ -18,10 +18,10 @@
 // every unexecuted item keeps whatever "skipped" default the caller
 // pre-filled (the batch layer tags those Status::kExhausted).
 //
-// Cancellation: parallel_for polls the Budget (deadline, step quota, and
-// the shared CancelToken from PR 1) between items, so a serving layer can
-// abandon a whole fan-out from another thread; the loop then joins and
-// returns Status::kExhausted instead of killing threads mid-item.
+// Cancellation: parallel_for polls the Budget (deadline and the shared
+// CancelToken) between items, so a serving layer can abandon a whole
+// fan-out from another thread; the loop then joins and returns
+// Status::kExhausted instead of killing threads mid-item.
 //
 // Exceptions: the first exception thrown by any item aborts the issue of
 // new indices, the loop joins, and the exception is rethrown on the

@@ -3,7 +3,7 @@
 // The crash-safety layer classifies failures into two kinds: permanent
 // (malformed input, infeasible constraints, logic bugs — retrying cannot
 // help) and transient (allocation failure under memory pressure, a
-// per-buyer sub-budget that ran out of steps, an injected or real I/O
+// per-buyer sub-budget that ran out, an injected or real I/O
 // fault on an artifact write). retry_with_backoff re-runs an operation
 // across transient failures with exponentially growing, jitter-spread
 // delays, and gives up cleanly — Status::kExhausted, never an unbounded

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -46,9 +47,13 @@ std::unique_ptr<const CodebookSource> make_codebook(
 /// Checksum of everything that determines the editions' bytes besides
 /// the base seed: golden structure, codebook contents, delay constraint.
 /// A resumed run whose config checksum differs would silently produce
-/// different artifacts, so the journal header pins it.
-std::uint32_t run_config_crc(const Netlist& golden, const CodebookSource& book,
-                             double max_delay_overhead) {
+/// different artifacts, so the journal header pins it. Walking a large
+/// order takes seconds, so the walk polls `budget` once per codeword:
+/// nullopt when the budget died first.
+std::optional<std::uint32_t> run_config_crc(const Netlist& golden,
+                                            const CodebookSource& book,
+                                            double max_delay_overhead,
+                                            const Budget* budget) {
   // Streaming digest: one codeword in flight at a time, so a
   // million-buyer StreamingCodebook never materializes here either.
   atomic_io::Crc32 crc;
@@ -60,6 +65,7 @@ std::uint32_t run_config_crc(const Netlist& golden, const CodebookSource& book,
     crc.update(os.str());
   }
   for (std::size_t b = 0; b < book.num_buyers(); ++b) {
+    if (budget_exhausted(budget)) return std::nullopt;
     std::ostringstream os;
     for (const auto& per_loc : book.code_of(b)) {
       for (const std::uint8_t v : per_loc) {
@@ -71,6 +77,18 @@ std::uint32_t run_config_crc(const Netlist& golden, const CodebookSource& book,
     crc.update(os.str());
   }
   return crc.value();
+}
+
+/// One pending (kExhausted) slot per buyer of the run, carrying the
+/// buyer's seed under `seed`.
+void prefill_pending(std::vector<BuyerEdition>& editions, std::size_t n,
+                     std::uint64_t seed) {
+  editions.resize(n);
+  for (std::size_t b = 0; b < n; ++b) {
+    editions[b].buyer = b;
+    editions[b].seed = buyer_seed(seed, b);
+    editions[b].status = Status::kExhausted;
+  }
 }
 
 /// Liveness sidecar of a heartbeating shard: every `interval_ms` it
@@ -151,17 +169,29 @@ ResumableBatchResult run_shard(const std::string& run_dir,
        << " buyer(s)";
     return fail(os.str());
   }
-  if (!atomic_io::make_dirs(artifact_dir)) {
-    return fail("cannot create artifact dir '" + artifact_dir + "'");
-  }
 
   BatchOptions bo;
   bo.seed = spec.batch_seed;
   bo.max_delay_overhead = spec.max_delay_overhead;
   bo.pool = options.pool;
   bo.budget = options.budget;
-  const std::uint32_t config_crc =
-      run_config_crc(golden, book, bo.max_delay_overhead);
+  const std::optional<std::uint32_t> config_crc =
+      run_config_crc(golden, book, bo.max_delay_overhead, bo.budget);
+  if (!config_crc) {
+    // Nothing on disk was touched yet: every buyer of the shard stays
+    // pending, and a rerun starts as this run would have.
+    prefill_pending(rr.batch.editions, n, bo.seed);
+    rr.status = Status::kExhausted;
+    rr.batch.status = Status::kExhausted;
+    rr.batch.exhausted_at = bo.budget->died_in();
+    rr.message = std::to_string(re - rb) +
+                 " buyer(s) pending; the budget died before the journal "
+                 "was opened, rerun to resume";
+    return rr;
+  }
+  if (!atomic_io::make_dirs(artifact_dir)) {
+    return fail("cannot create artifact dir '" + artifact_dir + "'");
+  }
   std::vector<BuyerPhase> phases(n, BuyerPhase::kQueued);
   std::vector<std::uint32_t> committed_crc(n, 0);
   Journal journal;
@@ -173,7 +203,7 @@ ResumableBatchResult run_shard(const std::string& run_dir,
     const JournalReplay& replay = replayed.value();
     if (replay.has_header) {
       if (replay.header.num_buyers != n ||
-          replay.header.config_crc != config_crc) {
+          replay.header.config_crc != *config_crc) {
         return fail("journal '" + journal_path +
                     "' belongs to a different run (codebook, golden "
                     "netlist, or delay constraint mismatch)");
@@ -208,7 +238,7 @@ ResumableBatchResult run_shard(const std::string& run_dir,
     JournalHeader header;
     header.seed = bo.seed;
     header.num_buyers = n;
-    header.config_crc = config_crc;
+    header.config_crc = *config_crc;
     header.label = spec.label;
     Outcome<Journal> created = Journal::create(journal_path, header);
     if (!created.ok()) return fail(created.message());
@@ -241,12 +271,7 @@ ResumableBatchResult run_shard(const std::string& run_dir,
   const StaticTimingAnalyzer sta;
   const PowerAnalyzer power;
   rr.batch.baseline = Baseline::measure(golden, sta, power);
-  rr.batch.editions.resize(n);
-  for (std::size_t b = 0; b < n; ++b) {
-    rr.batch.editions[b].buyer = b;
-    rr.batch.editions[b].seed = buyer_seed(bo.seed, b);
-    rr.batch.editions[b].status = Status::kExhausted;
-  }
+  prefill_pending(rr.batch.editions, n, bo.seed);
 
   std::atomic<std::size_t> total_recovered{0};
   std::atomic<std::size_t> total_retries{0};

@@ -747,6 +747,16 @@ CecResult verify_equivalence(const Netlist& a, const Netlist& b,
   return check_equivalence_sat(a, b, sat_conflict_limit);
 }
 
+namespace {
+
+/// Random-simulation words (64 patterns each) of the budgeted checker:
+/// the cheap refutation filter before the proof, and the cap on the
+/// fallback simulation once the proof has exhausted its budget.
+constexpr std::size_t kFilterSimWords = 256;
+constexpr std::size_t kFallbackSimWords = 4096;
+
+}  // namespace
+
 Outcome<CecResult> verify_equivalence_budgeted(
     const Netlist& a, const Netlist& b, const Budget* budget,
     const BudgetedCecOptions& options) {
@@ -766,10 +776,10 @@ Outcome<CecResult> verify_equivalence_budgeted(
   std::size_t filter_words = 0;
   {
     TELEM_SPAN("cec.sim_filter");
-    for (std::size_t done = 0; done < options.sim_words;) {
+    for (std::size_t done = 0; done < kFilterSimWords;) {
       if (budget_exhausted(budget)) break;
-      const std::size_t chunk = std::min<std::size_t>(
-          64, options.sim_words - done);
+      const std::size_t chunk =
+          std::min<std::size_t>(64, kFilterSimWords - done);
       std::vector<bool> cex;
       if (!random_sim_equal(a, b, chunk, options.seed + done, &cex)) {
         result.status = CecResult::Status::kDifferent;
@@ -779,7 +789,6 @@ Outcome<CecResult> verify_equivalence_budgeted(
       }
       done += chunk;
       filter_words += chunk;
-      budget_charge(budget, chunk);
     }
     TELEM_COUNT("cec.filter_words",
                 static_cast<std::int64_t>(filter_words));
@@ -803,8 +812,8 @@ Outcome<CecResult> verify_equivalence_budgeted(
   std::size_t fallback_words = 0;
   {
     TELEM_SPAN("cec.sim_fallback");
-    while (fallback_words < options.fallback_sim_words &&
-           budget_charge(budget, 64)) {
+    while (fallback_words < kFallbackSimWords &&
+           !budget_exhausted(budget)) {
       std::vector<bool> cex;
       if (!random_sim_equal(a, b, 64,
                             options.seed + 0x9e3779b9ull + fallback_words,

@@ -67,7 +67,7 @@ bool exhaustive_equal(const Netlist& a, const Netlist& b,
                       std::vector<bool>* counterexample = nullptr);
 
 /// SAT CEC on a miter with shared PIs. conflict_limit < 0 = no limit.
-/// `budget` adds deadline / step / cancellation caps to the proof search.
+/// `budget` adds deadline / cancellation caps to the proof search.
 /// Degenerate miters (no outputs to compare) are reported as trivially
 /// equivalent with method "trivial-no-outputs" without touching a solver.
 CecResult check_equivalence_sat(const Netlist& a, const Netlist& b,
@@ -285,12 +285,8 @@ CecResult verify_equivalence(const Netlist& a, const Netlist& b,
                              std::int64_t sat_conflict_limit = -1);
 
 struct BudgetedCecOptions {
-  std::size_t sim_words = 256;       ///< Cheap up-front refutation filter.
   std::uint64_t seed = 42;
   std::int64_t sat_conflict_limit = -1;
-  /// Cap on the extra refutation simulation run when the SAT proof
-  /// exhausts its budget (64 patterns per word).
-  std::size_t fallback_sim_words = 4096;
 };
 
 /// The degradation-aware checker the serving layers use. Differences from

@@ -60,7 +60,7 @@ struct BatchOptions {
   /// Pool to fan editions across (nullptr = serial, same results).
   ThreadPool* pool = nullptr;
 
-  /// Shared deadline / step / cancellation caps for the whole batch,
+  /// Shared deadline / cancellation caps for the whole batch,
   /// checked between editions (one edition is the cancellation
   /// granularity). On exhaustion the remaining editions are skipped and
   /// returned with Status::kExhausted and an empty netlist.

@@ -107,6 +107,9 @@ HeuristicOutcome make_outcome(FingerprintEmbedder& e,
   return out;
 }
 
+/// Gates with slack at or below this are "critical" for trial filtering.
+constexpr double kCriticalSlack = 1e-9;
+
 struct ReactiveRun {
   FingerprintCode code;
   std::size_t sites_kept = 0;
@@ -159,9 +162,10 @@ ReactiveRun reactive_once(FingerprintEmbedder& e,
   while (cur > budget && e.num_applied() > 0) {
     ODCFP_FAULT_POINT("heuristic.reactive.iter");
     TELEM_COUNT("heur.iterations", 1);
-    // Checkpoint: one iteration per charge. Every modification is applied
-    // or removed atomically, so stopping here leaves a valid netlist.
-    if (!budget_charge(opt.budget)) {
+    // Checkpoint: one budget poll per iteration. Every modification is
+    // applied or removed atomically, so stopping here leaves a valid
+    // netlist.
+    if (budget_exhausted(opt.budget)) {
       truncated = true;
       break;
     }
@@ -185,7 +189,7 @@ ReactiveRun reactive_once(FingerprintEmbedder& e,
           }
         }
       }
-      if (min_slack <= opt.slack_epsilon) scored.emplace_back(min_slack, f);
+      if (min_slack <= kCriticalSlack) scored.emplace_back(min_slack, f);
     }
     // Most critical first; bound the per-iteration trial count.
     std::sort(scored.begin(), scored.end());
@@ -395,7 +399,7 @@ HeuristicOutcome proactive_insert(FingerprintEmbedder& embedder,
     // Every kept site was individually verified against the delay
     // constraint, so stopping between sites degrades capacity, never
     // feasibility.
-    if (!budget_charge(options.budget)) {
+    if (budget_exhausted(options.budget)) {
       truncated = true;
       break;
     }
@@ -406,12 +410,10 @@ HeuristicOutcome proactive_insert(FingerprintEmbedder& embedder,
     for (std::size_t i = 0; i < opts.size(); ++i) {
       opts[i] = static_cast<int>(i) + 1;
     }
-    if (options.prefer_reroute) {
-      std::sort(opts.begin(), opts.end(), [&](int a, int b) {
-        return source_arrival(s.options[static_cast<std::size_t>(a - 1)]) <
-               source_arrival(s.options[static_cast<std::size_t>(b - 1)]);
-      });
-    }
+    std::sort(opts.begin(), opts.end(), [&](int a, int b) {
+      return source_arrival(s.options[static_cast<std::size_t>(a - 1)]) <
+             source_arrival(s.options[static_cast<std::size_t>(b - 1)]);
+    });
     TELEM_COUNT("heur.iterations", 1);
     for (int opt : opts) {
       TELEM_COUNT("heur.trials", 1);

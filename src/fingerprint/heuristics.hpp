@@ -93,25 +93,20 @@ struct ReactiveOptions {
   /// phases of healthy greedy progress.)
   int max_random_kicks = 500;
   std::uint64_t seed = 99;
-  /// Gates with slack below this are "critical" for trial filtering.
-  double slack_epsilon = 1e-9;
   /// Trial-remove at most this many candidates per iteration (the most
   /// critical ones); bounds the O(sites^2) worst case on large circuits.
   int max_candidates_per_iteration = 32;
-  /// Deadline / step / cancellation caps. When the budget dies
-  /// mid-restart the heuristic stops at the next checkpoint and returns
-  /// the best feasible code seen so far (HeuristicOutcome::status ==
-  /// kExhausted) instead of running to completion.
+  /// Deadline / cancellation caps. When the budget dies mid-restart the
+  /// heuristic stops at the next checkpoint and returns the best feasible
+  /// code seen so far (HeuristicOutcome::status == kExhausted) instead of
+  /// running to completion.
   const Budget* budget = nullptr;
 };
 
 struct ProactiveOptions {
   double max_delay_overhead = 0.10;
-  /// Try reroute options (earlier-arriving sources) before the generic
-  /// trigger injection at each site.
-  bool prefer_reroute = true;
-  /// Deadline / step / cancellation caps; on exhaustion the sites kept so
-  /// far (each individually verified feasible) are returned with
+  /// Deadline / cancellation caps; on exhaustion the sites kept so far
+  /// (each individually verified feasible) are returned with
   /// HeuristicOutcome::status == kExhausted.
   const Budget* budget = nullptr;
 };

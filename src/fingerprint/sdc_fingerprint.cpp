@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "odc/window.hpp"
 
 namespace odcfp {
 
@@ -16,21 +17,17 @@ double total_sdc_capacity_bits(const std::vector<SdcLocation>& locs) {
   return bits;
 }
 
-std::vector<SdcLocation> find_sdc_locations(
-    const Netlist& nl, const SdcFinderOptions& options) {
+std::vector<SdcLocation> find_sdc_locations(const Netlist& nl) {
   std::vector<SdcLocation> result;
   const CellLibrary& lib = nl.library();
   for (GateId g : nl.topo_order()) {
     const Gate& gt = nl.gate(g);
-    if (options.skip_fingerprint_gates &&
-        gt.name.rfind("fp_", 0) == 0) {
-      continue;
-    }
+    if (gt.name.rfind("fp_", 0) == 0) continue;
     const Cell& cell = lib.cell(gt.cell);
     const int k = cell.num_inputs();
     if (k < 2 || k > 4) continue;
 
-    const WindowSdcResult sdc = window_sdc(nl, g, options.window);
+    const WindowSdcResult sdc = window_sdc(nl, g);
     if (!sdc.computed || sdc.impossible_patterns == 0) continue;
 
     SdcLocation loc;

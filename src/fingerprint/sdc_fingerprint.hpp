@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "odc/window.hpp"
 
 namespace odcfp {
 
@@ -37,15 +36,10 @@ struct SdcLocation {
   double capacity_bits() const;
 };
 
-struct SdcFinderOptions {
-  WindowOptions window;        ///< Depth/size of the exact SDC analysis.
-  bool skip_fingerprint_gates = true;  ///< Ignore fp_* gates.
-};
-
-/// Scans all gates, computes their window SDCs, and returns the gates
+/// Scans all gates except ODC fingerprint gates (fp_*), computes their
+/// window SDCs under the default WindowOptions, and returns the gates
 /// with at least one alternative cell.
-std::vector<SdcLocation> find_sdc_locations(
-    const Netlist& nl, const SdcFinderOptions& options = {});
+std::vector<SdcLocation> find_sdc_locations(const Netlist& nl);
 
 double total_sdc_capacity_bits(const std::vector<SdcLocation>& locs);
 

@@ -47,28 +47,6 @@ class StreamingCodebook : public CodebookSource {
   }
   FingerprintCode code_of(std::size_t buyer) const override;
 
-  /// Input-iterator walk over [0, num_buyers) deriving one codeword per
-  /// step — the shape batch-style consumers use to stream a huge order.
-  class Iterator {
-   public:
-    Iterator(const StreamingCodebook* book, std::size_t buyer)
-        : book_(book), buyer_(buyer) {}
-    FingerprintCode operator*() const { return book_->code_of(buyer_); }
-    Iterator& operator++() {
-      ++buyer_;
-      return *this;
-    }
-    bool operator==(const Iterator&) const = default;
-    std::size_t buyer() const { return buyer_; }
-
-   private:
-    const StreamingCodebook* book_;
-    std::size_t buyer_;
-  };
-
-  Iterator begin() const { return Iterator(this, 0); }
-  Iterator end() const { return Iterator(this, num_buyers_); }
-
  private:
   const std::vector<FingerprintLocation>* locs_;
   std::size_t num_buyers_ = 0;

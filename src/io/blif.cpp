@@ -59,8 +59,6 @@ class LineReader {
   int lineno_ = 0;
 };
 
-}  // namespace
-
 SopNetwork read_blif(std::istream& is) {
   SopNetwork sop;
   LineReader reader(is);
@@ -235,6 +233,8 @@ Outcome<SopNetwork> try_read_blif(std::istream& is) {
   }
 }
 
+}  // namespace
+
 Outcome<SopNetwork> try_read_blif_string(const std::string& text) {
   std::istringstream is(text);
   return try_read_blif(is);
@@ -250,12 +250,6 @@ Outcome<SopNetwork> try_read_blif_file(const std::string& path) {
 
 SopNetwork read_blif_string(const std::string& text) {
   std::istringstream is(text);
-  return read_blif(is);
-}
-
-SopNetwork read_blif_file(const std::string& path) {
-  std::ifstream is(path);
-  ODCFP_CHECK_MSG(is.good(), "cannot open '" << path << "'");
   return read_blif(is);
 }
 

@@ -9,8 +9,8 @@
 // The Netlist API is string-only: to_blif_string formats a mapped netlist
 // into one string, one .names block per gate, so that mapped and
 // fingerprinted circuits can round-trip through other tools, and
-// write_blif_file publishes that string. The SopNetwork reader and writer
-// also work on streams.
+// write_blif_file publishes that string. The SopNetwork writer also works
+// on streams.
 #pragma once
 
 #include <iosfwd>
@@ -22,17 +22,14 @@
 
 namespace odcfp {
 
-/// Parses BLIF from a stream. Throws CheckError on malformed input; every
+/// Parses BLIF text. Throws CheckError on malformed input; every
 /// diagnostic names the offending source line. Duplicate .names outputs
 /// and .names blocks redefining a declared primary input are rejected.
-SopNetwork read_blif(std::istream& is);
 SopNetwork read_blif_string(const std::string& text);
-SopNetwork read_blif_file(const std::string& path);
 
 /// Non-throwing variants for serving paths handling untrusted bytes:
 /// malformed input (including an unopenable file) becomes
 /// Status::kMalformedInput with the parser's diagnostic as message.
-Outcome<SopNetwork> try_read_blif(std::istream& is);
 Outcome<SopNetwork> try_read_blif_string(const std::string& text);
 Outcome<SopNetwork> try_read_blif_file(const std::string& path);
 

@@ -153,14 +153,4 @@ TruthTable TruthTable::extended_to(int new_num_inputs) const {
   return out;
 }
 
-std::string TruthTable::to_hex() const {
-  static const char* digits = "0123456789abcdef";
-  const unsigned nibbles = (num_rows() + 3) / 4;
-  std::string s;
-  for (unsigned i = nibbles; i-- > 0;) {
-    s.push_back(digits[(bits_ >> (4 * i)) & 0xf]);
-  }
-  return s;
-}
-
 }  // namespace odcfp

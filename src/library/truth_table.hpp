@@ -70,13 +70,6 @@ class TruthTable {
   /// the high positions).
   TruthTable extended_to(int new_num_inputs) const;
 
-  /// Builds the function of the same gate "kind" with an extra AND/OR-style
-  /// composition: result(pattern, x) = combine(this(pattern), x).
-  /// Used when widening a gate during fingerprint embedding.
-
-  /// Hex string, most significant row first (e.g. AND2 -> "8").
-  std::string to_hex() const;
-
  private:
   int num_inputs_;
   std::uint64_t bits_;

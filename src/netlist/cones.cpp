@@ -46,11 +46,6 @@ std::vector<GateId> transitive_fanout(const Netlist& nl, NetId net) {
   return result;
 }
 
-bool in_transitive_fanin(const Netlist& nl, NetId net, GateId g) {
-  const std::vector<GateId> cone = transitive_fanin(nl, net);
-  return std::find(cone.begin(), cone.end(), g) != cone.end();
-}
-
 std::vector<GateId> mffc(const Netlist& nl, GateId root) {
   ODCFP_CHECK(!nl.gate(root).is_dead());
   std::unordered_set<GateId> inside;

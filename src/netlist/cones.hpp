@@ -20,9 +20,6 @@ std::vector<GateId> transitive_fanin(const Netlist& nl, NetId net);
 /// Gates in the transitive fanout cone of `net`, unordered.
 std::vector<GateId> transitive_fanout(const Netlist& nl, NetId net);
 
-/// True if gate `g` lies in the transitive fanin cone of `net`.
-bool in_transitive_fanin(const Netlist& nl, NetId net, GateId g);
-
 /// The maximum fanout-free cone rooted at gate `root`: the set of gates
 /// (including `root`) all of whose fanout paths pass through `root`'s
 /// output. Computed by the standard iterative containment rule: a gate g

@@ -53,11 +53,8 @@ void write_dot(std::ostream& os, const Netlist& nl,
     if (nl.gate(g).is_dead()) continue;
     for (NetId in : nl.gate(g).fanins) {
       os << "  " << quoted(source_id(in)) << " -> "
-         << quoted(nl.gate(g).name);
-      if (options.show_net_names) {
-        os << " [label=" << quoted(nl.net(in).name) << ", fontsize=8]";
-      }
-      os << ";\n";
+         << quoted(nl.gate(g).name) << " [label=" << quoted(nl.net(in).name)
+         << ", fontsize=8];\n";
     }
   }
   for (const OutputPort& po : nl.outputs()) {

@@ -13,7 +13,6 @@ namespace odcfp {
 struct DotOptions {
   /// Extra per-gate attributes, e.g. {"g12", "fillcolor=red,style=filled"}.
   std::unordered_map<std::string, std::string> gate_attributes;
-  bool show_net_names = true;
 };
 
 /// Writes a `digraph` with one node per PI/PO/gate and one edge per pin.

@@ -198,16 +198,6 @@ void Netlist::repoint_output_ports(NetId from, NetId to) {
       std::exchange(nets_[from].num_output_ports, 0);
 }
 
-const Gate& Netlist::gate(GateId id) const {
-  ODCFP_CHECK(id < gates_.size());
-  return gates_[id];
-}
-
-const Net& Netlist::net(NetId id) const {
-  ODCFP_CHECK(id < nets_.size());
-  return nets_[id];
-}
-
 const Cell& Netlist::cell_of(GateId id) const {
   return library_->cell(gate(id).cell);
 }

@@ -39,6 +39,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/check.hpp"
 #include "library/cell_library.hpp"
 #include "netlist/name_table.hpp"
 #include "netlist/pin_list.hpp"
@@ -165,8 +166,15 @@ class Netlist {
   std::size_t num_live_gates() const { return live_gates_; }
   std::size_t num_nets() const { return nets_.size(); }
 
-  const Gate& gate(GateId id) const;
-  const Net& net(NetId id) const;
+  // Defined here, not out of line: every layer's inner loop reads them.
+  const Gate& gate(GateId id) const {
+    ODCFP_CHECK(id < gates_.size());
+    return gates_[id];
+  }
+  const Net& net(NetId id) const {
+    ODCFP_CHECK(id < nets_.size());
+    return nets_[id];
+  }
   const Cell& cell_of(GateId id) const;
 
   const std::vector<NetId>& inputs() const { return pis_; }

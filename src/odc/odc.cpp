@@ -21,13 +21,6 @@ bool has_nonzero_odc(const TruthTable& tt, int pin) {
   return odc.bits() != 0;
 }
 
-bool cell_has_any_odc(const Cell& cell) {
-  for (int pin = 0; pin < cell.num_inputs(); ++pin) {
-    if (has_nonzero_odc(cell.function, pin)) return true;
-  }
-  return false;
-}
-
 std::vector<int> controlling_values(const TruthTable& tt, int pin) {
   std::vector<int> vals;
   for (int v = 0; v <= 1; ++v) {

@@ -37,9 +37,6 @@ TruthTable pin_odc(const TruthTable& tt, int pin);
 /// XOR/XNOR.
 bool has_nonzero_odc(const TruthTable& tt, int pin);
 
-/// True if any pin of the cell has a non-zero ODC.
-bool cell_has_any_odc(const Cell& cell);
-
 /// Values v in {0,1} of `pin` that force the output to a constant
 /// (e.g. 0 for AND, 1 for OR, both none for XOR).
 std::vector<int> controlling_values(const TruthTable& tt, int pin);

@@ -149,7 +149,7 @@ WindowOdcResult window_odc(const Netlist& nl, NetId net,
     // Degradation point: BDD blow-up or budget expiry mid-window falls
     // back to the sound local Eq. 1 estimate instead of churning on.
     if (mgr.size() > options.max_bdd_nodes ||
-        !budget_charge(options.budget)) {
+        budget_exhausted(options.budget)) {
       TELEM_COUNT("odc.exhaustions", 1);
       if (log::enabled(log::Level::kDebug)) {
         log::debug("odc.window.degraded")
@@ -264,7 +264,7 @@ WindowSdcResult window_sdc(const Netlist& nl, GateId gate,
     // merely claims nothing about reachability), so a blown node cap or
     // budget reports "no patterns proved impossible" rather than failing.
     if (mgr.size() > options.max_bdd_nodes ||
-        !budget_charge(options.budget)) {
+        budget_exhausted(options.budget)) {
       TELEM_COUNT("odc.exhaustions", 1);
       result.computed = true;
       result.degraded = true;

@@ -38,7 +38,7 @@ struct WindowOptions {
   /// degrade to the local Eq. 1 estimate (window_odc) / the sound partial
   /// result (window_sdc). Caps the worst-case memory per window.
   std::size_t max_bdd_nodes = 1u << 20;
-  /// Optional deadline / step / cancellation caps (nullptr = unlimited).
+  /// Optional deadline / cancellation caps (nullptr = unlimited).
   const Budget* budget = nullptr;
 };
 

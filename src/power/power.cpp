@@ -10,6 +10,13 @@ namespace odcfp {
 
 namespace {
 
+/// The model's constants (power.hpp): P(PI == 1), the fraction of a net's
+/// load counted toward dynamic power, and the frequency/voltage lump
+/// factor.
+constexpr double kInputOneProbability = 0.5;
+constexpr double kLoadWeight = 0.4;
+constexpr double kScale = 7.0;
+
 /// P(out == 1) for a cell given independent pin probabilities: over the
 /// on-set rows in ascending order, the sum of each row's product of pin
 /// terms in pin order. The rows are the set bits of the table (a table
@@ -37,32 +44,27 @@ double PowerAnalyzer::accumulate(const Netlist& nl, PowerReport& rep) const {
     const double p = rep.probability[n];
     rep.activity[n] = 2 * p * (1 - p);
   }
-  // Net loads under the same model as the STA.
-  TimingOptions topt;
-  topt.wire_cap_per_fanout = options_.wire_cap_per_fanout;
-  topt.po_load = options_.po_load;
-  const StaticTimingAnalyzer sta(topt);
-
   double power = 0;
   for (GateId g = 0; g < nl.num_gates(); ++g) {
     if (nl.gate(g).is_dead()) continue;
     const NetId out = nl.gate(g).output;
     const double alpha = rep.activity[out];
-    power += alpha * options_.load_weight * sta.net_load(nl, out);
+    power += alpha * kLoadWeight * StaticTimingAnalyzer::net_load(nl, out);
     power += alpha * nl.cell_of(g).switch_energy;
   }
   // PI nets also toggle and drive loads.
   for (NetId pi : nl.inputs()) {
-    power += rep.activity[pi] * options_.load_weight * sta.net_load(nl, pi);
+    power += rep.activity[pi] * kLoadWeight *
+             StaticTimingAnalyzer::net_load(nl, pi);
   }
-  return options_.scale * power;
+  return kScale * power;
 }
 
 PowerReport PowerAnalyzer::analyze(const Netlist& nl) const {
   PowerReport rep;
   rep.probability.assign(nl.num_nets(), 0);
   for (NetId pi : nl.inputs()) {
-    rep.probability[pi] = options_.input_one_probability;
+    rep.probability[pi] = kInputOneProbability;
   }
   std::array<double, TruthTable::kMaxInputs> pins{};
   for (GateId g : nl.topo_order_fast()) {

@@ -1,11 +1,17 @@
 // Switching-activity-based dynamic power estimation.
 //
 // Supplies the paper's "power" metric. Signal probabilities are propagated
-// from the primary inputs through each cell's truth table assuming spatial
-// independence (the classic zero-delay model); switching activity of a net
-// is alpha = 2 p (1-p), and dynamic power accumulates
-//   P = scale * sum_nets alpha(net) * C_load(net)
-//     + scale * sum_gates alpha(out) * switch_energy(cell).
+// from the primary inputs (each 1 with probability 0.5) through each
+// cell's truth table assuming spatial independence (the classic
+// zero-delay model); switching activity of a net is alpha = 2 p (1-p),
+// and dynamic power accumulates
+//   P = 7 * sum_nets alpha(net) * 0.4 * C_load(net)
+//     + 7 * sum_gates alpha(out) * switch_energy(cell),
+// where C_load is StaticTimingAnalyzer::net_load (the STA's load model),
+// 0.4 the fraction of that pin/wire load counted toward dynamic power
+// (the "effective capacitance"; cell-internal switch energy counts
+// fully) and 7 a frequency/voltage lump factor. The constants are fixed,
+// like the STA's.
 //
 // An optional simulation-based mode measures toggle counts from random
 // patterns instead (used in tests to validate the analytic model).
@@ -19,16 +25,6 @@
 
 namespace odcfp {
 
-struct PowerOptions {
-  double input_one_probability = 0.5;
-  double scale = 7.0;                  ///< Frequency/voltage lump factor.
-  double wire_cap_per_fanout = 0.35;   ///< Matches TimingOptions default.
-  double po_load = 2.0;
-  /// Fraction of the pin/wire load counted toward dynamic power (the
-  /// "effective capacitance"); cell-internal switch energy counts fully.
-  double load_weight = 0.4;
-};
-
 struct PowerReport {
   double dynamic_power = 0.0;
   std::vector<double> probability;  ///< P(net == 1), indexed by NetId.
@@ -37,9 +33,8 @@ struct PowerReport {
 
 class PowerAnalyzer {
  public:
-  explicit PowerAnalyzer(PowerOptions options = {}) : options_(options) {}
-
-  const PowerOptions& options() const { return options_; }
+  /// User-provided, so a const analyzer member needs no initializer.
+  PowerAnalyzer() {}
 
   /// Analytic (probability-propagation) estimate.
   PowerReport analyze(const Netlist& nl) const;
@@ -53,8 +48,6 @@ class PowerAnalyzer {
 
  private:
   double accumulate(const Netlist& nl, PowerReport& rep) const;
-
-  PowerOptions options_;
 };
 
 }  // namespace odcfp

@@ -391,9 +391,8 @@ Solver::Result Solver::solve_internal(const std::vector<Lit>& assumptions,
   // would have, so logically independent queries cannot influence each
   // other's search through leaked activities or saved phases.
   reset_heuristics(decision_vars);
-  // The budget's deadline / step / cancellation axes are checked per
-  // conflict. A zero limit answers before the search reaches its first
-  // conflict.
+  // The budget's deadline / cancellation axes are checked per conflict.
+  // A zero limit answers before the search reaches its first conflict.
   if (conflict_limit == 0 || budget_exhausted(budget)) {
     return Result::kUnknown;
   }
@@ -442,10 +441,10 @@ Solver::Result Solver::solve_internal(const std::vector<Lit>& assumptions,
         backtrack(0);
         return Result::kUnknown;
       }
-      // Conflicts are the solver's unit of progress: charging one step
-      // per conflict makes a Budget step quota a portable effort cap, and
-      // exhausted() amortizes its own clock reads for the deadline axis.
-      if (budget != nullptr && !budget->charge()) {
+      // Conflicts are the solver's unit of progress: one budget poll per
+      // conflict, and exhausted() amortizes its own clock reads for the
+      // deadline axis.
+      if (budget != nullptr && budget->exhausted()) {
         backtrack(0);
         return Result::kUnknown;
       }

@@ -145,21 +145,9 @@ class Solver {
   /// are swept too — retraction is sound.
   void pop_activation(Var act);
 
-  /// pop_activation without the clause-database sweep: asserts
-  /// neg_lit(act) at level 0 and propagates. Callers retiring several
-  /// scopes at once chain retire_activation calls and finish with one
-  /// simplify() instead of paying a watch-list rebuild per scope.
-  void retire_activation(Var act);
-
-  /// Level-0 clause database cleanup: drops clauses satisfied at level 0,
-  /// strips falsified literals, and rebuilds the watch lists. Returns the
-  /// number of clauses removed. Called by pop_activation; also useful
-  /// after asserting many units into a long-lived solver.
-  std::size_t simplify();
-
   /// Solves under optional assumptions. conflict_limit < 0 means no limit.
-  /// `budget` (optional) adds a wall-clock deadline / step quota /
-  /// cancellation token checked alongside the conflict limit. kUnknown is
+  /// `budget` (optional) adds a wall-clock deadline / cancellation token
+  /// checked alongside the conflict limit, once per conflict. kUnknown is
   /// only returned when the limit or the budget is hit; a limit of 0
   /// returns it before any search.
   ///
@@ -219,6 +207,15 @@ class Solver {
     ClauseRef clause;
     Lit blocker;
   };
+
+  /// pop_activation's first half, without the clause-database sweep:
+  /// asserts neg_lit(act) at level 0 and propagates.
+  void retire_activation(Var act);
+
+  /// pop_activation's sweep: drops clauses satisfied at level 0, strips
+  /// falsified literals, and rebuilds the watch lists. Returns the number
+  /// of clauses removed.
+  std::size_t simplify();
 
   // --- core operations ---
   Result solve_internal(const std::vector<Lit>& assumptions,

@@ -10,6 +10,10 @@ namespace odcfp {
 
 namespace {
 
+/// Widest AND/OR/NAND/NOR used when building trees (clamped to what the
+/// library offers).
+constexpr int kMaxTreeArity = 4;
+
 /// Per-run mapping state.
 class NodeMapper {
  public:
@@ -17,7 +21,7 @@ class NodeMapper {
              const MapperOptions& opt)
       : sop_(sop), lib_(lib), nl_(nl), opt_(opt),
         net_of_(sop.num_signals(), kInvalidNet) {
-    arity_ = std::min(opt.max_arity, 4);
+    arity_ = kMaxTreeArity;
     for (CellKind k : {CellKind::kAnd, CellKind::kOr}) {
       arity_ = std::min(arity_, lib_.max_arity(k));
     }

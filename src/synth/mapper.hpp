@@ -25,10 +25,6 @@
 namespace odcfp {
 
 struct MapperOptions {
-  /// Widest AND/OR/NAND/NOR used when building trees (clamped to what the
-  /// library offers).
-  int max_arity = 4;
-
   /// Fraction of AND/OR gates rewritten into NAND/NOR style by the
   /// diversification pass. 0 disables the pass.
   double nand_nor_fraction = 0.55;

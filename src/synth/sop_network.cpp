@@ -57,8 +57,6 @@ void SopNetwork::set_node(SignalId id, SopNode node) {
   nodes_.emplace(id, std::move(node));
 }
 
-bool SopNetwork::has_node(SignalId id) const { return nodes_.count(id) > 0; }
-
 const SopNode& SopNetwork::node(SignalId id) const {
   auto it = nodes_.find(id);
   ODCFP_CHECK_MSG(it != nodes_.end(),

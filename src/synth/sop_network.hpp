@@ -57,7 +57,6 @@ class SopNetwork {
   /// Installs the defining node for `id`. Each non-PI signal must be
   /// defined exactly once.
   void set_node(SignalId id, SopNode node);
-  bool has_node(SignalId id) const;
   const SopNode& node(SignalId id) const;
 
   /// Signals in fanin-before-fanout order (PIs excluded). Throws on cycles

@@ -11,11 +11,13 @@ namespace odcfp {
 
 namespace {
 
+/// Arrival time at the primary inputs.
+constexpr double kPiArrival = 0.0;
+
 /// Latest arrival over the fanins of `gt`, never earlier than the PI
 /// arrival.
-double input_arrival(const Gate& gt, const std::vector<double>& arrival,
-                     double pi_arrival) {
-  double at = pi_arrival;
+double input_arrival(const Gate& gt, const std::vector<double>& arrival) {
+  double at = kPiArrival;
   for (NetId in : gt.fanins) at = std::max(at, arrival[in]);
   return at;
 }
@@ -34,13 +36,12 @@ double latest_output(const Netlist& nl, const std::vector<double>& arrival) {
 void time_forward(const Netlist& nl, const StaticTimingAnalyzer& sta,
                   const std::vector<GateId>& order,
                   std::vector<double>& delay, std::vector<double>& arrival) {
-  const double pi_arrival = sta.options().pi_arrival;
   delay.assign(nl.num_gates(), 0);
-  arrival.assign(nl.num_nets(), pi_arrival);
+  arrival.assign(nl.num_nets(), kPiArrival);
   for (GateId g : order) {
     const Gate& gt = nl.gate(g);
     delay[g] = sta.gate_delay(nl, g);
-    arrival[gt.output] = input_arrival(gt, arrival, pi_arrival) + delay[g];
+    arrival[gt.output] = input_arrival(gt, arrival) + delay[g];
   }
 }
 
@@ -97,15 +98,15 @@ bool required_and_slack(const Netlist& nl, std::span<const GateId> order,
 
 }  // namespace
 
-double StaticTimingAnalyzer::net_load(const Netlist& nl, NetId net) const {
+double StaticTimingAnalyzer::net_load(const Netlist& nl, NetId net) {
   const Net& n = nl.net(net);
   double load = 0;
   for (const FanoutRef& ref : n.fanouts) {
     load += nl.cell_of(ref.gate).input_cap;
-    load += options_.wire_cap_per_fanout;
+    load += kWireCapPerFanout;
   }
   for (std::uint32_t p = 0; p < n.num_output_ports; ++p) {
-    load += options_.po_load;
+    load += kPoLoad;
   }
   return load;
 }
@@ -241,8 +242,7 @@ bool ArrivalTracker::pop_ranked(GateId* g) {
 }
 
 void ArrivalTracker::recompute_gate(GateId g, const Gate& gt) {
-  const double new_arrival =
-      input_arrival(gt, arrival_, sta_->options().pi_arrival) + delay_[g];
+  const double new_arrival = input_arrival(gt, arrival_) + delay_[g];
   if (new_arrival != arrival_[gt.output]) {
     set_arrival(gt.output, new_arrival);
     for (const FanoutRef& ref : nl_->net(gt.output).fanouts) {
@@ -255,7 +255,7 @@ void ArrivalTracker::update(std::span<const GateId> seeds) {
   // Structures may have grown (new nets/gates) since the last pass; a new
   // gate is always a seed, so its delay is filled below.
   if (arrival_.size() < nl_->num_nets()) {
-    arrival_.resize(nl_->num_nets(), sta_->options().pi_arrival);
+    arrival_.resize(nl_->num_nets(), kPiArrival);
   }
   if (queued_.size() < nl_->num_gates()) {
     queued_.resize(nl_->num_gates(), 0);

@@ -7,9 +7,12 @@
 // made").
 //
 // Model: delay(gate) = intrinsic + load_coeff * load(output net), where
-// load = sum of sink input pin capacitances + wire_cap_per_fanout per sink
-// + po_load for output ports. Arrival times propagate in topological
-// order; required times propagate backwards from the latest output.
+// load = sum of sink input pin capacitances + kWireCapPerFanout per sink
+// + kPoLoad per output port. Primary inputs arrive at time 0; arrival
+// times propagate in topological order, and required times propagate
+// backwards from the latest output. The power model (power/power.hpp)
+// reads the same net loads. The constants are fixed: every overhead
+// figure is measured under this one model.
 // A net's load is O(its fanout): the port term reads the net's own port
 // count.
 #pragma once
@@ -22,12 +25,6 @@
 
 namespace odcfp {
 
-struct TimingOptions {
-  double wire_cap_per_fanout = 0.35;  ///< Net wiring load per sink pin.
-  double po_load = 2.0;               ///< Load presented by an output pad.
-  double pi_arrival = 0.0;            ///< Arrival time at primary inputs.
-};
-
 struct TimingReport {
   double critical_delay = 0.0;
   std::vector<double> arrival;     ///< Indexed by NetId.
@@ -38,13 +35,16 @@ struct TimingReport {
 
 class StaticTimingAnalyzer {
  public:
-  explicit StaticTimingAnalyzer(TimingOptions options = {})
-      : options_(options) {}
+  /// User-provided, so a const analyzer member needs no initializer.
+  StaticTimingAnalyzer() {}
 
-  const TimingOptions& options() const { return options_; }
+  /// Net wiring load per sink pin.
+  static constexpr double kWireCapPerFanout = 0.35;
+  /// Load presented by an output pad.
+  static constexpr double kPoLoad = 2.0;
 
   /// Capacitive load on a net under the model above.
-  double net_load(const Netlist& nl, NetId net) const;
+  static double net_load(const Netlist& nl, NetId net);
 
   /// Delay through `gate` for its current output load.
   double gate_delay(const Netlist& nl, GateId gate) const;
@@ -54,9 +54,6 @@ class StaticTimingAnalyzer {
 
   /// Just the critical delay (cheaper: no required times / path).
   double critical_delay(const Netlist& nl) const;
-
- private:
-  TimingOptions options_;
 };
 
 /// Incremental arrival-time maintenance under local netlist edits.

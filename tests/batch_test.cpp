@@ -83,7 +83,10 @@ TEST(ParallelFor, RethrowsItemExceptionOnCaller) {
 
 TEST(ParallelFor, SpentBudgetSkipsEveryItem) {
   ThreadPool pool(4);
-  const Budget budget = Budget::steps(0);
+  CancelToken token;
+  token.cancel();
+  Budget budget;
+  budget.with_cancel(token);
   std::atomic<int> ran{0};
   EXPECT_EQ(pool.parallel_for(50, [&](std::size_t) { ++ran; }, &budget),
             Status::kExhausted);
@@ -373,7 +376,10 @@ TEST(BatchFingerprint, DelayConstraintTagsEditionsConsistently) {
 
 TEST(BatchFingerprint, SpentBudgetSkipsEditionsGracefully) {
   BatchFixture f;
-  const Budget dead = Budget::steps(0);
+  CancelToken token;
+  token.cancel();
+  Budget dead;
+  dead.with_cancel(token);
   ThreadPool pool(2);
   BatchOptions opt;
   opt.pool = &pool;

@@ -1,5 +1,5 @@
 // Unit tests for the resource-budget / graceful-degradation primitives:
-// Budget axes (deadline, step quota, cancellation),
+// Budget axes (deadline, cancellation),
 // Outcome taxonomy invariants, and the budgeted SAT solver entry point.
 #include "common/budget.hpp"
 
@@ -15,28 +15,10 @@ namespace {
 
 TEST(Budget, UnlimitedByDefault) {
   Budget b;
-  EXPECT_FALSE(b.exhausted());
   EXPECT_FALSE(b.has_deadline());
-  EXPECT_FALSE(b.has_step_quota());
   for (int i = 0; i < 10000; ++i) {
-    EXPECT_TRUE(b.charge());
+    EXPECT_FALSE(b.exhausted());
   }
-}
-
-TEST(Budget, StepQuotaExhausts) {
-  Budget b = Budget::steps(3);
-  EXPECT_TRUE(b.charge());   // 2 left
-  EXPECT_TRUE(b.charge());   // 1 left
-  EXPECT_FALSE(b.charge());  // 0 left
-  EXPECT_TRUE(b.exhausted());
-  EXPECT_LE(b.steps_left(), 0);
-}
-
-TEST(Budget, BulkChargeExhausts) {
-  Budget b = Budget::steps(100);
-  EXPECT_TRUE(b.charge(50));
-  EXPECT_FALSE(b.charge(50));
-  EXPECT_TRUE(b.exhausted());
 }
 
 TEST(Budget, DeadlineExpires) {
@@ -76,9 +58,10 @@ TEST(Budget, CancellationTokenSharedAcrossCopies) {
 
 TEST(Budget, NullPointerHelpersMeanUnlimited) {
   EXPECT_FALSE(budget_exhausted(nullptr));
-  EXPECT_TRUE(budget_charge(nullptr, 1u << 30));
-  Budget b = Budget::steps(1);
-  EXPECT_FALSE(budget_charge(&b));
+  CancelToken token;
+  token.cancel();
+  Budget b;
+  b.with_cancel(token);
   EXPECT_TRUE(budget_exhausted(&b));
 }
 
@@ -142,13 +125,6 @@ void encode_pigeonhole(sat::Solver& solver, int holes) {
       }
     }
   }
-}
-
-TEST(SolverBudget, StepQuotaStopsTheSearch) {
-  sat::Solver solver;
-  encode_pigeonhole(solver, 8);
-  Budget b = Budget::steps(20);
-  EXPECT_EQ(solver.solve({}, -1, &b), sat::Solver::Result::kUnknown);
 }
 
 TEST(SolverBudget, ExpiredDeadlineStopsImmediately) {

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/atomic_io.hpp"
+#include "common/budget.hpp"
 #include "common/fault.hpp"
 #include "common/journal.hpp"
 #include "common/parallel.hpp"
@@ -536,6 +537,71 @@ TEST(CrashRecovery, InfeasibleEditionIsNeverCommitted) {
   const dist::ResumableBatchResult again =
       dist::run_shard(dir, strict, f.inputs, {});
   EXPECT_EQ(again.status, Status::kInfeasible) << again.message;
+}
+
+/// Runs shard 0 of `spec` in `dir` under a budget that is already dead.
+dist::ResumableBatchResult run_with_spent_budget(
+    const std::string& dir, const dist::RunSpec& spec,
+    const dist::RunInputs& inputs) {
+  CancelToken token;
+  token.cancel();
+  Budget spent;
+  spent.with_cancel(token);
+  dist::ShardOptions options;
+  options.budget = &spent;
+  return dist::run_shard(dir, spec, inputs, options);
+}
+
+// Before its journal exists, run_shard checksums every codeword of the
+// order, seconds of work on a large streaming order. A dead budget stops
+// it there: every buyer stays pending and no journal is written.
+TEST(CrashRecovery, SpentBudgetStopsBeforeTheJournal) {
+  dist::RunSpec spec;
+  spec.circuit = "c880";
+  spec.num_buyers = 100'000;
+  spec.codebook_seed = 2026;
+  spec.batch_seed = 42;
+  spec.label = "spent";
+  spec.codebook = dist::CodebookKind::kStreaming;
+  const dist::RunInputs inputs(spec);
+  const std::string dir = chaos_base() + "spent_budget";
+  atomic_io::make_dirs(dir);
+  wipe_dir(dir);
+  const dist::ResumableBatchResult rr =
+      run_with_spent_budget(dir, spec, inputs);
+  EXPECT_EQ(rr.status, Status::kExhausted) << rr.message;
+  EXPECT_EQ(rr.batch.status, Status::kExhausted);
+  EXPECT_FALSE(atomic_io::exists(dist::shard_journal_path(dir, 0)));
+  ASSERT_EQ(rr.batch.editions.size(), spec.num_buyers);
+  EXPECT_EQ(rr.batch.num_ok(), 0u);
+}
+
+// A run stopped that way resumes like any other: rerun without a budget,
+// it publishes the bytes of an uninterrupted run.
+TEST(CrashRecovery, SpentBudgetRunResumesByteIdentical) {
+  const dist::RunSpec spec = chaos_spec(8, /*codebook_seed=*/2026);
+  const dist::RunInputs inputs(spec);
+  const std::string ref_dir = chaos_base() + "spent_reference";
+  const std::string dir = chaos_base() + "spent_resume";
+  for (const std::string& d : {ref_dir, dir}) {
+    atomic_io::make_dirs(d);
+    wipe_dir(d);
+  }
+  const dist::ResumableBatchResult ref =
+      dist::run_shard(ref_dir, spec, inputs, {});
+  ASSERT_EQ(ref.status, Status::kOk) << ref.message;
+  const dist::ResumableBatchResult stopped =
+      run_with_spent_budget(dir, spec, inputs);
+  ASSERT_EQ(stopped.status, Status::kExhausted) << stopped.message;
+  const dist::ResumableBatchResult resumed =
+      dist::run_shard(dir, spec, inputs, {});
+  ASSERT_EQ(resumed.status, Status::kOk) << resumed.message;
+  for (std::size_t b = 0; b < spec.num_buyers; ++b) {
+    std::string want, got;
+    ASSERT_TRUE(atomic_io::read_file(ref.artifacts[b], &want));
+    ASSERT_TRUE(atomic_io::read_file(resumed.artifacts[b], &got));
+    EXPECT_EQ(got, want) << "buyer " << b;
+  }
 }
 
 }  // namespace

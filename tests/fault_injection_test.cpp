@@ -285,7 +285,10 @@ TEST(WindowDegradation, OdcStepBudgetExhausts) {
     }
   }
   ASSERT_NE(victim, kInvalidNet);
-  Budget budget = Budget::steps(1);
+  CancelToken token;
+  token.cancel();
+  Budget budget;
+  budget.with_cancel(token);
   WindowOptions opt;
   opt.budget = &budget;
   const WindowOdcResult out = window_odc(nl, victim, opt);

@@ -30,19 +30,6 @@ TEST(Power, ProbabilityPropagationHandChecked) {
   EXPECT_GT(rep.dynamic_power, 0);
 }
 
-TEST(Power, BiasedInputProbability) {
-  Netlist nl;
-  const NetId a = nl.add_input("a");
-  const NetId b = nl.add_input("b");
-  const GateId g = nl.add_gate_kind(CellKind::kAnd, {a, b});
-  nl.add_output(nl.gate(g).output, "f");
-  PowerOptions opt;
-  opt.input_one_probability = 0.9;
-  const PowerAnalyzer power(opt);
-  EXPECT_NEAR(power.analyze(nl).probability[nl.gate(g).output], 0.81,
-              1e-12);
-}
-
 TEST(Power, SimulationAgreesWithAnalyticOnTrees) {
   // On fanout-free (tree) circuits the independence assumption is exact,
   // so Monte-Carlo must converge to the analytic value.

@@ -1,6 +1,9 @@
 // Pins what reactive_reduce keeps on every benchmark circuit: a CRC-32 of
 // the kept code, the sites kept, the STA evaluations and random kicks it
-// took, and the exact bits of the three overhead ratios it reports.
+// took, and the exact bits of the three overhead ratios it reports. Each
+// circuit's unfingerprinted area, delay and power (Baseline::measure) are
+// pinned too: a model constant that scales every value alike leaves the
+// ratios unchanged.
 //
 // The heuristic reads nothing but arrival times and slacks, so these pins
 // hold any change to incremental timing to the bits a full STA of every
@@ -131,6 +134,35 @@ const Pins& pinned() {
   return p;
 }
 
+/// Bit patterns of Baseline::measure's area, delay and power.
+struct BaselinePin {
+  std::uint64_t area_bits = 0;
+  std::uint64_t delay_bits = 0;
+  std::uint64_t power_bits = 0;
+  bool operator==(const BaselinePin&) const = default;
+};
+
+const std::map<std::string, BaselinePin>& pinned_baselines() {
+  static const std::map<std::string, BaselinePin> p = {
+      {"c17", {0x40b5c00000000000ull, 0x3fee04189374bc6cull, 0x404a393a3d70a3d7ull}},
+      {"c432", {0x410aad8000000000ull, 0x4018c20c49ba5e35ull, 0x409103c6a274c263ull}},
+      {"c499", {0x411a480000000000ull, 0x401c4e5604189374ull, 0x40a580e122b33316ull}},
+      {"c880", {0x410a398000000000ull, 0x40243c28f5c28f5cull, 0x40977f7e1f5d8b82ull}},
+      {"c1355", {0x4119090000000000ull, 0x401b5d2f1a9fbe77ull, 0x40a4a4cb86051e8full}},
+      {"c1908", {0x4120622000000000ull, 0x4025b604189374bcull, 0x40adc2bdde3d70b6ull}},
+      {"c3540", {0x4125948000000000ull, 0x4037b645a1cac088ull, 0x40b21afcb2e9bb30ull}},
+      {"c6288", {0x4140bcc000000000ull, 0x404b6b126e978d47ull, 0x40c9ab5a11cf3840ull}},
+      {"k2", {0x413331b000000000ull, 0x4032389374bc6a7dull, 0x40b5e5c141791b81ull}},
+      {"t481", {0x412c38a000000000ull, 0x40359083126e978eull, 0x40a6dd11d67ba1c7ull}},
+      {"i10", {0x413879d000000000ull, 0x403023126e978d52ull, 0x40bd4c095ae27f3dull}},
+      {"i8", {0x413369e000000000ull, 0x4027be353f7ced90ull, 0x40b68e21c61b6d97ull}},
+      {"dalu", {0x412aeec000000000ull, 0x4030bb4395810625ull, 0x40acc186d6bb7513ull}},
+      {"vda", {0x4123dde000000000ull, 0x402a1fbe76c8b439ull, 0x40a5d44faf644736ull}},
+      {"des", {0x4151435400000000ull, 0x4033f9fbe76c8b46ull, 0x40d2e7edabefd243ull}},
+  };
+  return p;
+}
+
 std::string pin_line(const std::string& key, const Pin& pin) {
   char line[256];
   std::snprintf(line, sizeof line,
@@ -155,6 +187,42 @@ void expect_pinned(const std::string& key, const Pin& got) {
   }
 }
 
+std::string baseline_line(const std::string& circuit,
+                          const BaselinePin& pin) {
+  char line[160];
+  std::snprintf(line, sizeof line,
+                "{\"%s\", {0x%016llxull, 0x%016llxull, 0x%016llxull}},",
+                circuit.c_str(),
+                static_cast<unsigned long long>(pin.area_bits),
+                static_cast<unsigned long long>(pin.delay_bits),
+                static_cast<unsigned long long>(pin.power_bits));
+  return line;
+}
+
+/// The circuit's golden netlist and its Baseline::measure, checked
+/// against the pinned bit patterns.
+struct Golden {
+  explicit Golden(const std::string& circuit)
+      : netlist(make_benchmark(circuit)),
+        base(Baseline::measure(netlist, StaticTimingAnalyzer(),
+                               PowerAnalyzer())) {
+    const BaselinePin got{std::bit_cast<std::uint64_t>(base.area),
+                          std::bit_cast<std::uint64_t>(base.delay),
+                          std::bit_cast<std::uint64_t>(base.power)};
+    const auto it = pinned_baselines().find(circuit);
+    if (it == pinned_baselines().end()) {
+      ADD_FAILURE() << "no pinned baseline: " << baseline_line(circuit, got);
+    } else {
+      EXPECT_TRUE(it->second == got)
+          << "baseline changed: " << baseline_line(circuit, got)
+          << "\n  pinned: " << baseline_line(circuit, it->second);
+    }
+  }
+
+  const Netlist netlist;
+  const Baseline base;
+};
+
 /// CRC-32 of the code, one location per row ending in 0xff (no option
 /// index reaches 0xff).
 std::uint32_t code_crc(const FingerprintCode& code) {
@@ -166,21 +234,20 @@ std::uint32_t code_crc(const FingerprintCode& code) {
   return atomic_io::crc32(bytes);
 }
 
-Pin reduce(const std::string& circuit, int sites_per_location,
+Pin reduce(const Golden& golden, int sites_per_location,
            const ReactiveOptions& options) {
-  const Netlist golden = make_benchmark(circuit);
   LocationFinderOptions lopts;
   lopts.max_sites_per_location = sites_per_location;
-  const std::vector<FingerprintLocation> locs = find_locations(golden, lopts);
+  const std::vector<FingerprintLocation> locs =
+      find_locations(golden.netlist, lopts);
   const StaticTimingAnalyzer sta;
   const PowerAnalyzer power;
-  const Baseline base = Baseline::measure(golden, sta, power);
-  Netlist work = golden;
+  Netlist work = golden.netlist;
   FingerprintEmbedder embedder(work, locs);
   embedder.apply_all_generic();
   const HeuristicOutcome out =
-      reactive_reduce(embedder, base, sta, power, options);
-  EXPECT_EQ(out.status, Status::kOk) << circuit;
+      reactive_reduce(embedder, golden.base, sta, power, options);
+  EXPECT_EQ(out.status, Status::kOk);
   Pin pin;
   pin.code_crc = code_crc(out.code);
   pin.sites_kept = out.sites_kept;
@@ -206,6 +273,8 @@ TEST(ReduceDigest, EveryCircuitKeepsThePinnedCode) {
   // Table III's four, whose appended gates chain on one output.
   for (const std::string& circuit : benchmark_names()) {
     if (circuit == "des") continue;
+    SCOPED_TRACE(circuit);
+    const Golden golden(circuit);
     for (int sites : {1, 4}) {
       for (double limit : kLimits) {
         const std::string key = key_of(circuit, sites, limit);
@@ -213,7 +282,7 @@ TEST(ReduceDigest, EveryCircuitKeepsThePinnedCode) {
         ReactiveOptions options;
         options.max_delay_overhead = limit;
         options.restarts = 1;
-        expect_pinned(key, reduce(circuit, sites, options));
+        expect_pinned(key, reduce(golden, sites, options));
       }
     }
   }
@@ -222,6 +291,7 @@ TEST(ReduceDigest, EveryCircuitKeepsThePinnedCode) {
 TEST(ReduceDigest, DesUnderTheDelayBudgetSettingsKeepsThePinnedCode) {
   // des with 4 candidates per iteration and one seed per limit, as the
   // delay_budget workload runs it.
+  const Golden golden("des");
   std::uint64_t seed = 11;
   for (double limit : kLimits) {
     const std::string key = key_of("des", 1, limit);
@@ -231,7 +301,7 @@ TEST(ReduceDigest, DesUnderTheDelayBudgetSettingsKeepsThePinnedCode) {
     options.restarts = 1;
     options.max_candidates_per_iteration = 4;
     options.seed = seed++;
-    expect_pinned(key, reduce("des", 1, options));
+    expect_pinned(key, reduce(golden, 1, options));
   }
 }
 

@@ -250,24 +250,6 @@ TEST(Solver, BacktrackToRootReopensClauseAdditionAfterSolve) {
   EXPECT_TRUE(s.model_value(x));
 }
 
-TEST(Solver, RetireActivationBatchesIntoOneSimplify) {
-  Solver s;
-  const Var x = s.new_var();
-  std::vector<Var> scopes;
-  for (int i = 0; i < 4; ++i) {
-    const Var act = s.push_activation();
-    s.add_clause(neg_lit(act), (i % 2) ? pos_lit(x) : neg_lit(x));
-    scopes.push_back(act);
-  }
-  // Chained retirement defers the sweep; one simplify pays for all four.
-  for (const Var act : scopes) s.retire_activation(act);
-  s.simplify();
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(s.num_clauses(), 0u);
-  EXPECT_EQ(s.solve({pos_lit(x)}), Solver::Result::kSat);
-  EXPECT_EQ(s.solve({neg_lit(x)}), Solver::Result::kSat);
-}
-
 /// Guarded pigeonhole instance on a fresh variable block, selected by its
 /// activation literal — the shape incremental CEC sessions use.
 Var add_guarded_php(Solver& s, int pigeons, int holes) {

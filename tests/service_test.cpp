@@ -272,15 +272,6 @@ TEST_F(StreamingCodebookTest, CodewordsAreDistinct) {
   }
 }
 
-TEST_F(StreamingCodebookTest, IteratorMatchesCodeOf) {
-  StreamingCodebook book(locations_, 8, /*seed=*/7);
-  std::size_t count = 0;
-  for (auto it = book.begin(); it != book.end(); ++it, ++count) {
-    EXPECT_EQ(*it, book.code_of(it.buyer()));
-  }
-  EXPECT_EQ(count, 8u);
-}
-
 TEST(StreamingCodebookCapacity, RejectsOrdersBeyondCapacity) {
   // c17 has a handful of sites, so its capacity is small enough to
   // exceed in a test: one buyer past it must be a loud refusal.

@@ -258,11 +258,14 @@ TEST_F(TelemetryTest, ParseJsonRejectsMalformedInput) {
 }
 
 TEST_F(TelemetryTest, BudgetDeathIsAttributedToInnermostSpan) {
-  const Budget budget = Budget::steps(3);
+  CancelToken token;
+  Budget budget;
+  budget.with_cancel(token);
   EXPECT_EQ(budget.died_in(), nullptr);
   {
     TELEM_SPAN("hot_loop");
-    while (budget_charge(&budget)) {
+    for (int poll = 1; !budget.exhausted(); ++poll) {
+      if (poll == 3) token.cancel();
     }
   }
   ASSERT_NE(budget.died_in(), nullptr);
@@ -275,9 +278,11 @@ TEST_F(TelemetryTest, BudgetDeathIsAttributedToInnermostSpan) {
 }
 
 TEST_F(TelemetryTest, BudgetDeathOutsideSpansRecordsEmptyName) {
-  const Budget budget = Budget::steps(1);
-  while (budget_charge(&budget)) {
-  }
+  CancelToken token;
+  token.cancel();
+  Budget budget;
+  budget.with_cancel(token);
+  EXPECT_TRUE(budget.exhausted());
   ASSERT_NE(budget.died_in(), nullptr);
   EXPECT_STREQ(budget.died_in(), "");
 }

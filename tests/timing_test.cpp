@@ -31,7 +31,8 @@ TEST(Sta, HandComputedChain) {
   nl.add_output(inner, "t1");
   nl.add_output(inner, "t2");
   EXPECT_NEAR(sta.net_load(nl, inner),
-              inv.input_cap + 0.35 + 2 * sta.options().po_load, 1e-12);
+              inv.input_cap + 0.35 + 2 * StaticTimingAnalyzer::kPoLoad,
+              1e-12);
 }
 
 TEST(Sta, ArrivalTakesMaxOverFanins) {

@@ -271,8 +271,11 @@ TEST_F(TraceTest, BudgetExhaustionEmitsInstantWithSpanDetail) {
     trace::start(std::size_t{1} << 12);
     {
       TELEM_SPAN("hot_loop");
-      const Budget budget = Budget::steps(3);
-      while (budget_charge(&budget)) {
+      CancelToken token;
+      Budget budget;
+      budget.with_cancel(token);
+      for (int poll = 1; !budget.exhausted(); ++poll) {
+        if (poll == 3) token.cancel();
       }
       EXPECT_STREQ(budget.died_in(), "hot_loop");
     }
