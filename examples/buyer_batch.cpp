@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   dist::ShardOptions options;
   options.pool = &pool;
   const dist::ResumableBatchResult run =
-      dist::run_shard(outdir, spec, inputs, options);
+      dist::run_shard(outdir, spec, options);
   if (run.status == Status::kMalformedInput) {
     std::printf("journal rejected: %s\n", run.message.c_str());
     return 1;

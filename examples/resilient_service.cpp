@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
   spec.batch_seed = 42;
   spec.max_delay_overhead = 0;  // keep the status story about I/O
   spec.label = circuit;
-  const dist::RunInputs inputs(spec);
 
   // Start from scratch so the interruption story replays every run.
   const auto reset_run_dir = [&](const std::string& dir) {
@@ -86,7 +85,7 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(2 * RetryPolicy{}.max_attempts));
     fault::ScopedInjector guard(&disk_down);
     const dist::ResumableBatchResult run =
-        dist::run_shard(outdir, spec, inputs, {});
+        dist::run_shard(outdir, spec, {});
     std::printf("    status=%s committed=%zu/%zu retries=%zu\n",
                 to_string(run.status), run.batch.num_ok(), buyers,
                 run.retries);
@@ -117,7 +116,7 @@ int main(int argc, char** argv) {
   // ---- 3. resume with a healthy disk ------------------------------
   std::printf("\n[3] resume the same command\n");
   const dist::ResumableBatchResult resumed =
-      dist::run_shard(outdir, spec, inputs, {});
+      dist::run_shard(outdir, spec, {});
   std::printf("    status=%s committed=%zu/%zu recovered=%zu\n",
               to_string(resumed.status), resumed.batch.num_ok(), buyers,
               resumed.recovered);
@@ -128,12 +127,12 @@ int main(int argc, char** argv) {
   }
 
   // Byte-identity: a reference run that was never interrupted produces
-  // the same artifacts bit for bit (seeds re-derive from the journal
-  // header, publishes are atomic, commits are idempotent).
+  // the same artifacts bit for bit (seeds derive from the spec the
+  // journal header pins, publishes are atomic, commits are idempotent).
   const std::string refdir = outdir + "/reference";
   reset_run_dir(refdir);
   const dist::ResumableBatchResult reference =
-      dist::run_shard(refdir, spec, inputs, {});
+      dist::run_shard(refdir, spec, {});
   std::size_t identical = 0;
   for (std::size_t b = 0; b < buyers; ++b) {
     std::string got, want;

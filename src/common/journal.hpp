@@ -3,10 +3,11 @@
 //
 // The crash-safe runner (dist::run_shard, src/dist/runner.*) records
 // every buyer's lifecycle transition of its shard — embedding ->
-// verified -> committed, or failed — plus a header naming the run's
-// base seed, buyer count, and a config checksum, so that a process
-// killed at ANY instant can be restarted and skip exactly the buyers
-// whose artifacts are already durable. A buyer with no record is
+// verified -> committed, or failed — plus a header naming its run
+// (dist::run_header: the spec's batch seed, buyer count, run_spec_crc and
+// label; a journal with any other header is another run's), so that a
+// process killed at ANY instant can be restarted and skip exactly the
+// buyers whose artifacts are already durable. A buyer with no record is
 // queued; fresh journals write no queued records. The
 // journal is the recovery log, not a deterministic artifact: record
 // order across buyers depends on worker scheduling; the bit-identical
@@ -18,6 +19,10 @@
 //   H <crc32-hex8> seed=<u64> buyers=<u64> config=<hex8> label=<text>
 //   R <crc32-hex8> seq=<u64> buyer=<u64> phase=<name> crc=<hex8> wall=<u64> artifact=<path>
 //   B <crc32-hex8> pid=<u64> beat=<u64> wall=<u64>
+//
+// A committed record's `artifact=` is the edition's path relative to
+// the run dir (journals written before name an absolute path); replay
+// keeps it but decides nothing by it.
 //
 // `wall=` is the writer's anchored wall clock (src/common/clock.*) at
 // append time; it is OPTIONAL on parse — journals written before the
@@ -68,7 +73,7 @@ struct JournalEntry {
   std::uint32_t artifact_crc = 0;  ///< crc32 of artifact bytes (committed).
   std::uint64_t wall_ns = 0;  ///< Anchored wall time of the append
                               ///< (0 = record predates the field).
-  std::string artifact;            ///< Final artifact path ("" until commit).
+  std::string artifact;            ///< Artifact path ("" until commit).
 };
 
 struct JournalReplay {

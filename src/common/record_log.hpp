@@ -62,12 +62,16 @@
 namespace odcfp {
 
 /// Run identity in the `H` header record of the batch journal and the
-/// lease journal: a log replayed against a different run is refused.
+/// lease journal. Every journal of a run dir carries the same one,
+/// dist::run_header(spec), and a log whose header differs belongs to a
+/// different run and is refused.
 struct JournalHeader {
-  std::uint64_t seed = 0;        ///< Base seed; per-buyer seeds re-derive.
+  std::uint64_t seed = 0;        ///< Base seed; per-buyer seeds derive.
   std::uint64_t num_buyers = 0;
-  std::uint32_t config_crc = 0;  ///< Checksum of run config + golden netlist.
+  std::uint32_t config_crc = 0;  ///< run_spec_crc of the run's spec.
   std::string label;             ///< Human label (circuit name).
+
+  bool operator==(const JournalHeader&) const = default;
 };
 
 namespace record_log {

@@ -14,8 +14,8 @@
 // before the field replay with wall_ns == 0, meaning "unknown"); replay
 // state derivation ignores it entirely.
 //
-// The header pins the run (global buyer count + config checksum, same
-// values as every shard journal), so a lease journal can never be
+// The header is run_header(spec) (dist/shard.hpp), the header of every
+// shard journal of the run too, so a lease journal can never be
 // replayed against the wrong run. Lease records carry:
 //
 //   * shard — which contiguous buyer range (index into shard_ranges);

@@ -55,11 +55,10 @@ MergeResult merge_run(
   const std::size_t n = spec.num_buyers;
   result.buyers = n;
 
-  // Pass 1: replay every shard journal, cross-check headers, and collect
-  // the CRC each buyer's commit record pinned.
+  // Pass 1: replay every shard journal, hold its header to the run's,
+  // and collect the CRC each buyer's commit record pinned.
   std::vector<std::uint32_t> committed_crc(n, 0);
-  bool have_reference_header = false;
-  JournalHeader reference;
+  const JournalHeader header = run_header(spec);
   for (std::size_t s = 0; s < ranges.size(); ++s) {
     const std::string jpath = shard_journal_path(run_dir, s);
     Outcome<JournalReplay> replayed = read_journal(jpath);
@@ -73,21 +72,11 @@ MergeResult merge_run(
                   "shard " + std::to_string(s) +
                       " journal has no durable header yet");
     }
-    if (replay.header.num_buyers != n ||
-        replay.header.seed != spec.batch_seed) {
+    if (replay.header != header) {
       return fail(Status::kMalformedInput,
                   "shard " + std::to_string(s) +
-                      " journal belongs to a different run (buyers/seed "
-                      "mismatch with run.spec)");
-    }
-    if (!have_reference_header) {
-      reference = replay.header;
-      have_reference_header = true;
-    } else if (replay.header.config_crc != reference.config_crc) {
-      return fail(Status::kMalformedInput,
-                  "shard " + std::to_string(s) +
-                      " journal config checksum disagrees with shard 0 — "
-                      "the shards did not run the same configuration");
+                      " journal belongs to a different run (its header is "
+                      "not this run.spec's)");
     }
     const std::vector<BuyerPhase> phases = replay.phase_of(n);
     for (std::size_t b = ranges[s].first; b < ranges[s].second; ++b) {
@@ -123,11 +112,10 @@ MergeResult merge_run(
     }
     result.artifact_bytes += bytes.size();
     result.artifact_sizes.push_back(bytes.size());
-    // Record the path relative to run_dir: merged files must compare
-    // byte-equal across run directories.
-    const std::string rel = path.substr(run_dir.size() + 1);
-    verification << "    {\"buyer\": " << b
-                 << ", \"artifact\": " << jsonlite::quote(rel)
+    // The path relative to run_dir: merged files must compare byte-equal
+    // across run directories.
+    verification << "    {\"buyer\": " << b << ", \"artifact\": "
+                 << jsonlite::quote(edition_relpath(b))
                  << ", \"crc32\": \"" << record_log::hex(crc, 8)
                  << "\", \"bytes\": " << bytes.size()
                  << ", \"status\": \"committed\"}"

@@ -26,8 +26,8 @@
 // produce byte-equal merged files).
 //
 // The merge trusts nothing it can cross-check: every shard journal must
-// carry the same (seed, buyers, config) header; every buyer of every
-// range must be committed; every artifact must re-read, from this run
+// carry the run's header, run_header(spec) (dist/shard.hpp); every buyer
+// of every range must be committed; every artifact must re-read, from this run
 // dir's editions/ (never from the path a commit record names, so a
 // moved or copied run dir merges its own bytes), with exactly the CRC
 // its commit record pinned. Any mismatch fails the merge with a

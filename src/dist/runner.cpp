@@ -44,41 +44,6 @@ std::unique_ptr<const CodebookSource> make_codebook(
                                              spec.codebook_seed);
 }
 
-/// Checksum of everything that determines the editions' bytes besides
-/// the base seed: golden structure, codebook contents, delay constraint.
-/// A resumed run whose config checksum differs would silently produce
-/// different artifacts, so the journal header pins it. Walking a large
-/// order takes seconds, so the walk polls `budget` once per codeword:
-/// nullopt when the budget died first.
-std::optional<std::uint32_t> run_config_crc(const Netlist& golden,
-                                            const CodebookSource& book,
-                                            double max_delay_overhead,
-                                            const Budget* budget) {
-  // Streaming digest: one codeword in flight at a time, so a
-  // million-buyer StreamingCodebook never materializes here either.
-  atomic_io::Crc32 crc;
-  {
-    std::ostringstream os;
-    os << structural_signature(golden)
-       << "|buyers=" << book.num_buyers()
-       << "|delay=" << max_delay_overhead << "|codes=";
-    crc.update(os.str());
-  }
-  for (std::size_t b = 0; b < book.num_buyers(); ++b) {
-    if (budget_exhausted(budget)) return std::nullopt;
-    std::ostringstream os;
-    for (const auto& per_loc : book.code_of(b)) {
-      for (const std::uint8_t v : per_loc) {
-        os << static_cast<int>(v) << ',';
-      }
-      os << ';';
-    }
-    os << '/';
-    crc.update(os.str());
-  }
-  return crc.value();
-}
-
 /// One pending (kExhausted) slot per buyer of the run, carrying the
 /// buyer's seed under `seed`.
 void prefill_pending(std::vector<BuyerEdition>& editions, std::size_t n,
@@ -139,18 +104,16 @@ RunInputs::RunInputs(const RunSpec& spec)
       book(make_codebook(spec, locations)) {}
 
 ResumableBatchResult run_shard(const std::string& run_dir,
-                               const RunSpec& spec, const RunInputs& inputs,
+                               const RunSpec& spec,
                                const ShardOptions& options) {
   // The span keeps its name: gated telemetry trees (bench/baselines)
   // pin it.
   TELEM_SPAN("batch_fingerprint_resumable");
-  const Netlist& golden = inputs.golden;
-  const CodebookSource& book = *inputs.book;
   const std::string journal_path = shard_journal_path(run_dir, options.shard);
   const std::string artifact_dir = editions_dir(run_dir);
   ResumableBatchResult rr;
   rr.journal_path = journal_path;
-  const std::size_t n = book.num_buyers();
+  const std::size_t n = spec.num_buyers;
   rr.artifacts.assign(n, "");
   rr.artifact_crcs.assign(n, 0);
 
@@ -175,9 +138,7 @@ ResumableBatchResult run_shard(const std::string& run_dir,
   bo.max_delay_overhead = spec.max_delay_overhead;
   bo.pool = options.pool;
   bo.budget = options.budget;
-  const std::optional<std::uint32_t> config_crc =
-      run_config_crc(golden, book, bo.max_delay_overhead, bo.budget);
-  if (!config_crc) {
+  if (budget_exhausted(bo.budget)) {
     // Nothing on disk was touched yet: every buyer of the shard stays
     // pending, and a rerun starts as this run would have.
     prefill_pending(rr.batch.editions, n, bo.seed);
@@ -194,6 +155,7 @@ ResumableBatchResult run_shard(const std::string& run_dir,
   }
   std::vector<BuyerPhase> phases(n, BuyerPhase::kQueued);
   std::vector<std::uint32_t> committed_crc(n, 0);
+  const JournalHeader header = run_header(spec);
   Journal journal;
   bool fresh = true;
 
@@ -202,20 +164,10 @@ ResumableBatchResult run_shard(const std::string& run_dir,
     if (!replayed.ok()) return fail(replayed.message());
     const JournalReplay& replay = replayed.value();
     if (replay.has_header) {
-      if (replay.header.num_buyers != n ||
-          replay.header.config_crc != *config_crc) {
+      if (replay.header != header) {
         return fail("journal '" + journal_path +
-                    "' belongs to a different run (codebook, golden "
-                    "netlist, or delay constraint mismatch)");
-      }
-      if (replay.header.seed != bo.seed) {
-        // The journal is authoritative: per-buyer seeds re-derive from
-        // its header so resumed editions can never diverge from the
-        // artifacts already committed.
-        log::warn("batch.resume.seed_override")
-            .field("journal_seed", replay.header.seed)
-            .field("requested_seed", bo.seed);
-        bo.seed = replay.header.seed;
+                    "' belongs to a different run (its header is not "
+                    "this run.spec's)");
       }
       phases = replay.phase_of(n);
       for (std::size_t b = rb; b < re; ++b) {
@@ -235,23 +187,29 @@ ResumableBatchResult run_shard(const std::string& run_dir,
     // recreate the journal from scratch below.
   }
   if (fresh) {
-    JournalHeader header;
-    header.seed = bo.seed;
-    header.num_buyers = n;
-    header.config_crc = *config_crc;
-    header.label = spec.label;
     Outcome<Journal> created = Journal::create(journal_path, header);
     if (!created.ok()) return fail(created.message());
     journal = std::move(created).value();
   }
+  // Beats from here on, before anything that grows with the order is
+  // built; joined (and thus silent) before the journal closes.
+  const HeartbeatTicker ticker(&journal, options.heartbeat_ms);
+
+  std::optional<RunInputs> inputs;
+  try {
+    inputs.emplace(spec);
+  } catch (const CheckError& e) {
+    return fail(e.what());
+  }
+  const Netlist& golden = inputs->golden;
+  const CodebookSource& book = *inputs->book;
 
   atomic_io::remove_stale_temps(artifact_dir);
 
   // Trust no committed record without its artifact: the bytes must be
-  // present at this run dir's final path (not the path the record names,
-  // which points into wherever the dir lived when it was committed) with
-  // the checksum recorded at commit time, else the buyer is demoted and
-  // re-stamped (idempotent by design).
+  // present at this run dir's final path with the checksum recorded at
+  // commit time, else the buyer is demoted and re-stamped (idempotent by
+  // design).
   std::vector<char> recovered(n, 0);
   for (std::size_t b = rb; b < re; ++b) {
     if (phases[b] != BuyerPhase::kCommitted) continue;
@@ -275,11 +233,7 @@ ResumableBatchResult run_shard(const std::string& run_dir,
 
   std::atomic<std::size_t> total_recovered{0};
   std::atomic<std::size_t> total_retries{0};
-  Status loop_status = Status::kOk;
-  {
-    // Joined (and thus silent) before the journal closes.
-    HeartbeatTicker ticker(&journal, options.heartbeat_ms);
-    loop_status = parallel_for(
+  const Status loop_status = parallel_for(
       bo.pool, re - rb,
       [&](std::size_t i) {
         const std::size_t b = rb + i;
@@ -331,7 +285,8 @@ ResumableBatchResult run_shard(const std::string& run_dir,
                 return Status::kExhausted;
               }
               crc = atomic_io::crc32(blif);
-              if (!journal.append(b, BuyerPhase::kCommitted, path, crc)) {
+              if (!journal.append(b, BuyerPhase::kCommitted,
+                                  edition_relpath(b), crc)) {
                 return Status::kExhausted;
               }
               return Status::kOk;
@@ -362,7 +317,6 @@ ResumableBatchResult run_shard(const std::string& run_dir,
         // picks this buyer up again.
       },
       bo.budget);
-  }
   rr.recovered = total_recovered.load();
   rr.retries = total_retries.load();
   rr.batch.status = loop_status;

@@ -1,12 +1,13 @@
 // The one runner behind every shipped order.
 //
 // A run dir's run.spec (dist/shard.hpp) determines its inputs, and
-// RunInputs is the one rebuild of them: the worker process stamping a
-// shard of a supervised run (tools/odcfp_worker), the supervisor before
-// its merge (dist/supervisor.*), and the daemon running a request as
-// shard 0 of `state/runs/req_<n>` (service/server.*) all build one.
+// RunInputs is the one rebuild of them: run_shard builds one for the
+// shard it stamps (a worker process of a supervised run, tools/
+// odcfp_worker; a daemon request run as shard 0 of `state/runs/req_<n>`,
+// service/server.*; a library caller), and the supervisor builds one
+// before its merge (dist/supervisor.*).
 //
-// run_shard then stamps one shard, buyers [begin, end) of the spec's
+// run_shard stamps one shard, buyers [begin, end) of the spec's
 // codebook, crash-safely: it records each buyer's lifecycle (embedding ->
 // verified -> committed, or failed) in the write-ahead journal
 // `shard_<i>.journal` (common/journal.hpp) and publishes each edition
@@ -16,11 +17,18 @@
 // stamp (fingerprint/batch.hpp make_edition), refuse an edition over the
 // delay constraint, require extract_code to give back the codeword,
 // journal `verified`, publish the BLIF, journal `committed` with its
-// crc32. A resume skips a committed buyer only when its artifact, at
-// edition_path(run_dir, buyer), still has the recorded crc32, and
-// re-stamps it otherwise; the artifacts are byte-identical to an
-// uninterrupted run at any thread count. No commit proves equivalence:
-// `verified` means the edition decodes to its codeword.
+// crc32 and the edition's run-dir-relative path. A resume skips a
+// committed buyer only when its artifact, at edition_path(run_dir,
+// buyer), still has the recorded crc32, and re-stamps it otherwise; the
+// artifacts are byte-identical to an uninterrupted run at any thread
+// count. No commit proves equivalence: `verified` means the edition
+// decodes to its codeword.
+//
+// The journal's header is run_header(spec): a journal belongs to the
+// run whose spec gives that header, and any other is refused. Because
+// the header needs nothing but the spec, run_shard opens the journal
+// and starts its heartbeat before it builds the inputs, so nothing that
+// grows with the order runs before a worker shows it is alive.
 //
 // The journal is the shard's only progress record: the run-dir readers
 // (dist/status.hpp) take its committed count, rate and edition latency
@@ -91,18 +99,19 @@ struct ResumableBatchResult {
   /// (journaled `failed`; a rerun retries it). kExhausted: the budget
   /// died or transient faults outlasted the retry policy; rerun to
   /// continue. kMalformedInput: the journal belongs to a different run
-  /// or is corrupt mid-file (message explains; nothing was stamped).
+  /// or is corrupt mid-file, or RunInputs refuses the spec (message
+  /// explains; nothing was stamped).
   Status status = Status::kOk;
   std::string message;
 };
 
-/// Stamps one shard of the run in `run_dir`, whose run.spec is `spec`
-/// and whose inputs are `inputs`. Rerunning with the same arguments
-/// resumes from the shard journal. On resume the journal header's seed
-/// is authoritative: a differing spec.batch_seed is logged and
-/// overridden, so resumed editions never diverge from committed ones.
+/// Stamps one shard of the run in `run_dir`, whose run.spec is `spec`.
+/// Rerunning with the same arguments resumes from the shard journal; a
+/// journal whose header is not run_header(spec) is another run's, and
+/// is refused before anything is stamped. A budget already dead on
+/// entry returns kExhausted with every buyer pending and no journal.
 ResumableBatchResult run_shard(const std::string& run_dir,
-                               const RunSpec& spec, const RunInputs& inputs,
+                               const RunSpec& spec,
                                const ShardOptions& options);
 
 }  // namespace odcfp::dist

@@ -99,6 +99,15 @@ std::uint32_t run_spec_crc(const RunSpec& spec) {
   return atomic_io::crc32(spec_payload(spec));
 }
 
+JournalHeader run_header(const RunSpec& spec) {
+  JournalHeader header;
+  header.seed = spec.batch_seed;
+  header.num_buyers = spec.num_buyers;
+  header.config_crc = run_spec_crc(spec);
+  header.label = spec.label;
+  return header;
+}
+
 std::vector<std::pair<std::size_t, std::size_t>> shard_ranges(
     std::size_t num_buyers, std::size_t num_shards) {
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
@@ -134,9 +143,12 @@ std::string editions_dir(const std::string& run_dir) {
   return run_dir + "/editions";
 }
 
+std::string edition_relpath(std::size_t buyer) {
+  return "editions/edition_" + std::to_string(buyer) + ".blif";
+}
+
 std::string edition_path(const std::string& run_dir, std::size_t buyer) {
-  return editions_dir(run_dir) + "/edition_" + std::to_string(buyer) +
-         ".blif";
+  return run_dir + "/" + edition_relpath(buyer);
 }
 
 std::string merged_dir(const std::string& run_dir) {

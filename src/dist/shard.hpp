@@ -37,10 +37,11 @@
 //                               loses at most the tail. Stitched into
 //                               one timeline by src/dist/stitch.*.
 //
-// Every shard journal carries the GLOBAL buyer count and config checksum
-// in its header (only the buyers its records name differ), so any two
-// shard journals of one run are mutually consistent and the merge layer
-// can cross-check them against run.spec.
+// run.spec is the one identity of a run. Every journal in a run dir —
+// the lease journal and each shard journal — carries the same header,
+// run_header(spec) (the GLOBAL buyer count, not the shard's), and a
+// journal belongs to the run exactly when its header equals that: the
+// runner, the supervisor and the merge each compare against it.
 //
 // Determinism: shard_ranges() is a pure function of (num_buyers,
 // num_shards); per-buyer seeds derive from the global batch seed and the
@@ -54,6 +55,7 @@
 #include <vector>
 
 #include "common/budget.hpp"
+#include "common/record_log.hpp"
 
 namespace odcfp::dist {
 
@@ -97,10 +99,13 @@ Outcome<RunSpec> read_run_spec(const std::string& path);
 /// is written.
 Outcome<bool> pin_run_spec(const std::string& run_dir, const RunSpec& spec);
 
-/// CRC-32 of the spec's canonical wire payload. Stored in the lease
-/// journal header as its config checksum, so a lease journal replayed
-/// against a different run.spec is rejected.
+/// CRC-32 of the spec's canonical wire payload: every field, so two
+/// specs that differ anywhere (both seeds included) are two runs.
 std::uint32_t run_spec_crc(const RunSpec& spec);
+
+/// The header of every journal of the run: batch seed, buyers,
+/// run_spec_crc(spec) as its config checksum, and the label.
+JournalHeader run_header(const RunSpec& spec);
 
 /// Partitions [0, num_buyers) into at most `num_shards` contiguous
 /// half-open ranges, near-even (first `num_buyers % shards` ranges get
@@ -117,9 +122,12 @@ std::string lease_journal_path(const std::string& run_dir);
 std::string shard_journal_path(const std::string& run_dir,
                                std::size_t shard);
 std::string editions_dir(const std::string& run_dir);
-/// `editions/edition_<buyer>.blif`: the one place run_shard publishes a
-/// buyer's edition. Resume and merge look for it there, never at the
-/// path a commit record names, so a run dir can be moved or copied.
+/// `editions/edition_<buyer>.blif`, relative to the run dir: the name a
+/// commit record and merged/verification.json give the edition.
+std::string edition_relpath(std::size_t buyer);
+/// run_dir + "/" + edition_relpath(buyer): the one place run_shard
+/// publishes a buyer's edition. Resume and merge look for it there, so a
+/// run dir can be moved or copied.
 std::string edition_path(const std::string& run_dir, std::size_t buyer);
 std::string merged_dir(const std::string& run_dir);
 std::string traces_dir(const std::string& run_dir);

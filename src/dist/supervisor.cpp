@@ -44,15 +44,6 @@ std::uint64_t file_size(const std::string& path) {
   return static_cast<std::uint64_t>(st.st_size);
 }
 
-JournalHeader lease_header_for(const RunSpec& spec) {
-  JournalHeader header;
-  header.seed = spec.batch_seed;
-  header.num_buyers = spec.num_buyers;
-  header.config_crc = run_spec_crc(spec);
-  header.label = spec.label;
-  return header;
-}
-
 /// RAII owner of the supervisor's own run-scoped trace. Activates only
 /// when capture was requested AND no trace is already live or armed in
 /// this process (ODCFP_TRACE, or an embedding test recording its own) —
@@ -158,9 +149,7 @@ DistResult run_supervised_batch(const RunSpec& spec,
     Outcome<LeaseReplay> replayed = read_lease_journal(lease_path);
     if (!replayed.ok()) return fail(replayed.status(), replayed.message());
     const LeaseReplay& replay = replayed.value();
-    const JournalHeader want = lease_header_for(spec);
-    if (replay.has_header && (replay.header.num_buyers != want.num_buyers ||
-                              replay.header.config_crc != want.config_crc)) {
+    if (replay.has_header && replay.header != run_header(spec)) {
       return fail(Status::kMalformedInput,
                   "lease journal '" + lease_path +
                       "' belongs to a different run");
@@ -194,7 +183,7 @@ DistResult run_supervised_batch(const RunSpec& spec,
         .field("shards_done", result.shards_done);
   } else {
     Outcome<LeaseJournal> created =
-        LeaseJournal::create(lease_path, lease_header_for(spec));
+        LeaseJournal::create(lease_path, run_header(spec));
     if (!created.ok()) return fail(created.status(), created.message());
     leases = std::move(created).value();
   }

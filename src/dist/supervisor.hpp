@@ -10,9 +10,11 @@
 //              grant of a shard, so a record from a stale holder is
 //              recognizable.
 //   monitor  — each worker appends lifecycle + heartbeat records to its
-//              shard journal; the supervisor watches the FILE SIZE grow.
-//              Any durable append is proof of life, so a slow worker
-//              making progress is never confused with a wedged one.
+//              shard journal, heartbeats from the moment the journal
+//              opens (before the worker builds the order); the
+//              supervisor watches the FILE SIZE grow. Any durable append
+//              is proof of life, so a slow worker making progress is
+//              never confused with a wedged one.
 //   revoke   — a worker that exits non-zero, dies by signal, or misses
 //              the heartbeat deadline (no journal growth for
 //              heartbeat_timeout_ms) has its lease revoked: the
@@ -26,6 +28,10 @@
 //              deterministic run-level artifacts, a terminal `merged`
 //              record closes the lease journal, and run_status.json is
 //              written, once.
+//
+// One identity: the lease journal and every shard journal carry
+// run_header(spec) (dist/shard.hpp), and the supervisor, each worker and
+// the merge refuse a journal whose header differs.
 //
 // Supervisor crash-safety: the lease journal is the supervisor's WAL. A
 // supervisor SIGKILLed at any instant can be rerun with the same

@@ -403,7 +403,6 @@ struct Server::Impl {
     const std::string run_dir = run_dir_of(config.state_dir, id);
     const dist::RunSpec run = run_spec_of(spec, config.max_delay_overhead);
     try {
-      const dist::RunInputs inputs(run);
       const Outcome<bool> pinned = dist::pin_run_spec(run_dir, run);
       if (!pinned.ok()) {
         TerminalRecord t;
@@ -416,7 +415,7 @@ struct Server::Impl {
       shard.pool = pool.get();
       shard.budget = &budget;
       const dist::ResumableBatchResult rr =
-          dist::run_shard(run_dir, run, inputs, shard);
+          dist::run_shard(run_dir, run, shard);
 
       if (stopping.load(std::memory_order_relaxed) &&
           rr.status != Status::kOk) {
@@ -448,7 +447,7 @@ struct Server::Impl {
           cec.budget = &budget;
           std::size_t checked = 0, proven = 0;
           const auto verdicts = batch_verify_equivalence(
-              inputs.golden, rr.batch.editions, cec);
+              make_benchmark(run.circuit), rr.batch.editions, cec);
           for (std::size_t b = 0; b < verdicts.size(); ++b) {
             if (rr.batch.editions[b].netlist.num_gates() == 0) continue;
             ++checked;

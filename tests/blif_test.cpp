@@ -160,6 +160,20 @@ TEST(BlifDiagnostics, RejectsNamesRedefiningPrimaryInput) {
   EXPECT_NE(msg.find("line 4"), std::string::npos);
 }
 
+// A CheckError names its source from the repo root, so one malformed
+// input gives one message whatever directory the build was made in.
+TEST(BlifDiagnostics, CheckErrorsNameSourcesFromTheRepoRoot) {
+  const Outcome<SopNetwork> bad = try_read_blif_string(
+      ".model x\n.inputs a b\n.outputs f\n"
+      ".names b a\n1 1\n"
+      ".names a f\n1 1\n.end\n");
+  ASSERT_EQ(bad.status(), Status::kMalformedInput);
+  EXPECT_NE(bad.message().find("primary input 'a' redefined"),
+            std::string::npos);
+  EXPECT_NE(bad.message().find(" at src/io/blif.cpp:"), std::string::npos)
+      << bad.message();
+}
+
 TEST(BlifDiagnostics, RejectsRedeclaredInput) {
   const std::string msg = parse_error(
       ".model x\n.inputs a b\n.inputs a\n.outputs f\n"

@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -130,13 +131,12 @@ dist::RunSpec chaos_spec(std::uint64_t buyers, std::uint64_t codebook_seed) {
 
 struct Fixture {
   dist::RunSpec spec = chaos_spec(kBuyers, /*codebook_seed=*/2026);
-  dist::RunInputs inputs{spec};
 
   dist::ResumableBatchResult run(const std::string& dir,
                            ThreadPool* pool = nullptr) const {
     dist::ShardOptions options;
     options.pool = pool;
-    return dist::run_shard(dir, spec, inputs, options);
+    return dist::run_shard(dir, spec, options);
   }
 };
 
@@ -332,8 +332,8 @@ TEST(CrashRecovery, RosterJournalResumesByteIdentical) {
 }
 
 // The same crashed state resumed at 1, 2, and 8 threads produces the
-// same bytes: per-buyer seeds re-derive from the journal header, never
-// from scheduling.
+// same bytes: per-buyer seeds derive from the seed the journal header
+// pins, never from scheduling.
 TEST(CrashRecovery, ResumeIsThreadCountInvariant) {
   const Fixture f;
   const std::vector<std::string>& ref = reference_bytes(f);
@@ -376,10 +376,6 @@ TEST(CrashRecovery, ResumeIsThreadCountInvariant) {
   }
 }
 
-// A journal from a DIFFERENT run (other codebook/config) must be
-// rejected before any artifact is touched — resuming someone else's
-// journal would silently stamp the wrong editions. The journal header
-// refuses it on its own: run_shard never consults run.spec.
 // A library run (examples/buyer_batch's shape: one shard, no lease
 // journal) reports a makespan and its one shard as the critical path,
 // timed by the shard journal's own records.
@@ -401,6 +397,10 @@ TEST(CrashRecovery, LibraryRunDirReportsItsMakespan) {
   EXPECT_LE(report.critical_path_ns, report.makespan_ns);
 }
 
+// A journal from a DIFFERENT run (other codebook/config) must be
+// rejected before any artifact is touched — resuming someone else's
+// journal would silently stamp the wrong editions. The journal header
+// refuses it on its own: run_shard never consults run.spec.
 TEST(CrashRecovery, ForeignJournalIsRejected) {
   const Fixture f;
   const std::string dir = chaos_base() + "foreign";
@@ -409,15 +409,104 @@ TEST(CrashRecovery, ForeignJournalIsRejected) {
   // Complete a pinned 2-buyer run in the same directory first.
   const dist::RunSpec other = chaos_spec(2, /*codebook_seed=*/7);
   ASSERT_TRUE(dist::pin_run_spec(dir, other).ok());
-  const dist::RunInputs other_inputs(other);
-  const dist::ResumableBatchResult first =
-      dist::run_shard(dir, other, other_inputs, {});
+  const dist::ResumableBatchResult first = dist::run_shard(dir, other, {});
   ASSERT_EQ(first.status, Status::kOk) << first.message;
   // Now ask for the 4-buyer run against the leftover journal.
   const dist::ResumableBatchResult out = f.run(dir);
   EXPECT_EQ(out.status, Status::kMalformedInput);
   EXPECT_NE(out.message.find("different run"), std::string::npos)
       << out.message;
+}
+
+// run.spec is a run's identity, both seeds included: to a spec with
+// batch seed 43, a journal written under seed 42 is another run's. It is
+// refused before anything is stamped, and the committed editions and the
+// journal keep their bytes.
+TEST(CrashRecovery, JournalOfAnotherSeedIsAnotherRun) {
+  const Fixture f;
+  const std::vector<std::string>& ref = reference_bytes(f);
+  const std::string dir = chaos_base() + "another_seed";
+  atomic_io::make_dirs(dir);
+  wipe_dir(dir);
+  ASSERT_EQ(f.spec.batch_seed, 42u);
+  const dist::ResumableBatchResult first = f.run(dir);
+  ASSERT_EQ(first.status, Status::kOk) << first.message;
+  std::string journal_before;
+  ASSERT_TRUE(atomic_io::read_file(first.journal_path, &journal_before));
+
+  dist::RunSpec reseeded = f.spec;
+  reseeded.batch_seed = 43;
+  const dist::ResumableBatchResult out = dist::run_shard(dir, reseeded, {});
+  EXPECT_EQ(out.status, Status::kMalformedInput);
+  EXPECT_NE(out.message.find("different run"), std::string::npos)
+      << out.message;
+  for (std::size_t b = 0; b < kBuyers; ++b) {
+    EXPECT_TRUE(out.artifacts[b].empty()) << "buyer " << b;
+    std::string data;
+    ASSERT_TRUE(atomic_io::read_file(artifact_path(dir, b), &data));
+    EXPECT_EQ(data, ref[b]) << "buyer " << b;
+  }
+  std::string journal_after;
+  ASSERT_TRUE(atomic_io::read_file(first.journal_path, &journal_after));
+  EXPECT_EQ(journal_after, journal_before);
+}
+
+// A commit record names its edition relative to the run dir, as
+// merged/verification.json does, so a moved run dir's journal still
+// names editions inside it. The result keeps full paths.
+TEST(CrashRecovery, CommitRecordsNameEditionsInsideTheRunDir) {
+  const Fixture f;
+  const std::string dir = chaos_base() + "relative_commits";
+  atomic_io::make_dirs(dir);
+  wipe_dir(dir);
+  const dist::ResumableBatchResult r = f.run(dir);
+  ASSERT_EQ(r.status, Status::kOk) << r.message;
+  const Outcome<JournalReplay> replay = read_journal(r.journal_path);
+  ASSERT_TRUE(replay.ok()) << replay.message();
+  std::size_t commits = 0;
+  for (const JournalEntry& e : replay.value().entries) {
+    if (e.phase != BuyerPhase::kCommitted) continue;
+    ++commits;
+    EXPECT_EQ(e.artifact,
+              "editions/edition_" + std::to_string(e.buyer) + ".blif");
+  }
+  EXPECT_EQ(commits, kBuyers);
+  for (std::size_t b = 0; b < kBuyers; ++b) {
+    EXPECT_EQ(r.artifacts[b], artifact_path(dir, b));
+  }
+}
+
+// run_shard opens its journal and starts its heartbeat before it builds
+// the order's inputs, so a worker shows it is alive while a large order
+// is still being built: a 100,000-buyer materialized c880 codebook takes
+// most of a second, and the journal holds heartbeats long before buyer
+// 0's first lifecycle record.
+TEST(CrashRecovery, HeartbeatsStartBeforeTheOrderIsBuilt) {
+  dist::RunSpec spec = chaos_spec(100'000, /*codebook_seed=*/2026);
+  spec.circuit = "c880";
+  const std::string dir = chaos_base() + "early_heartbeats";
+  atomic_io::make_dirs(dir);
+  wipe_dir(dir);
+  dist::ShardOptions options;
+  options.begin = 0;
+  options.end = 1;
+  options.heartbeat_ms = 5;
+  const dist::ResumableBatchResult r = dist::run_shard(dir, spec, options);
+  ASSERT_EQ(r.status, Status::kOk) << r.message;
+  std::string text;
+  ASSERT_TRUE(atomic_io::read_file(r.journal_path, &text));
+  std::size_t beats = 0;
+  bool lifecycle = false;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("R ", 0) == 0) {
+      lifecycle = true;
+      break;
+    }
+    if (line.rfind("B ", 0) == 0) ++beats;
+  }
+  EXPECT_TRUE(lifecycle);
+  EXPECT_GE(beats, 5u);
 }
 
 // Deleting or corrupting a committed artifact demotes that buyer: the
@@ -490,7 +579,7 @@ TEST(CrashRecovery, RefusedBuyersKeepTheirOverheads) {
   dist::RunSpec limited = f.spec;
   limited.max_delay_overhead = 0.10;
   const dist::ResumableBatchResult rr =
-      dist::run_shard(dir, limited, f.inputs, {});
+      dist::run_shard(dir, limited, {});
   EXPECT_EQ(rr.status, Status::kInfeasible) << rr.message;
   for (std::size_t b = 0; b < kBuyers; ++b) {
     const BuyerEdition& e = rr.batch.editions[b];
@@ -520,7 +609,7 @@ TEST(CrashRecovery, InfeasibleEditionIsNeverCommitted) {
   dist::RunSpec strict = f.spec;
   strict.max_delay_overhead = 1e-12;  // "no slowdown allowed"
   const dist::ResumableBatchResult first =
-      dist::run_shard(dir, strict, f.inputs, {});
+      dist::run_shard(dir, strict, {});
   ASSERT_EQ(first.status, Status::kInfeasible) << first.message;
   std::size_t violating = 0;
   for (std::size_t b = 0; b < kBuyers; ++b) {
@@ -535,26 +624,25 @@ TEST(CrashRecovery, InfeasibleEditionIsNeverCommitted) {
   // Resume agreement: the rerun re-stamps the failed buyers, reaches
   // the same verdict, and still publishes nothing for them.
   const dist::ResumableBatchResult again =
-      dist::run_shard(dir, strict, f.inputs, {});
+      dist::run_shard(dir, strict, {});
   EXPECT_EQ(again.status, Status::kInfeasible) << again.message;
 }
 
 /// Runs shard 0 of `spec` in `dir` under a budget that is already dead.
 dist::ResumableBatchResult run_with_spent_budget(
-    const std::string& dir, const dist::RunSpec& spec,
-    const dist::RunInputs& inputs) {
+    const std::string& dir, const dist::RunSpec& spec) {
   CancelToken token;
   token.cancel();
   Budget spent;
   spent.with_cancel(token);
   dist::ShardOptions options;
   options.budget = &spent;
-  return dist::run_shard(dir, spec, inputs, options);
+  return dist::run_shard(dir, spec, options);
 }
 
-// Before its journal exists, run_shard checksums every codeword of the
-// order, seconds of work on a large streaming order. A dead budget stops
-// it there: every buyer stays pending and no journal is written.
+// A budget already dead when run_shard starts stops it before anything
+// touches disk: every buyer stays pending and no journal is written, so
+// a cancelled request leaves nothing behind.
 TEST(CrashRecovery, SpentBudgetStopsBeforeTheJournal) {
   dist::RunSpec spec;
   spec.circuit = "c880";
@@ -563,12 +651,11 @@ TEST(CrashRecovery, SpentBudgetStopsBeforeTheJournal) {
   spec.batch_seed = 42;
   spec.label = "spent";
   spec.codebook = dist::CodebookKind::kStreaming;
-  const dist::RunInputs inputs(spec);
   const std::string dir = chaos_base() + "spent_budget";
   atomic_io::make_dirs(dir);
   wipe_dir(dir);
   const dist::ResumableBatchResult rr =
-      run_with_spent_budget(dir, spec, inputs);
+      run_with_spent_budget(dir, spec);
   EXPECT_EQ(rr.status, Status::kExhausted) << rr.message;
   EXPECT_EQ(rr.batch.status, Status::kExhausted);
   EXPECT_FALSE(atomic_io::exists(dist::shard_journal_path(dir, 0)));
@@ -580,7 +667,6 @@ TEST(CrashRecovery, SpentBudgetStopsBeforeTheJournal) {
 // it publishes the bytes of an uninterrupted run.
 TEST(CrashRecovery, SpentBudgetRunResumesByteIdentical) {
   const dist::RunSpec spec = chaos_spec(8, /*codebook_seed=*/2026);
-  const dist::RunInputs inputs(spec);
   const std::string ref_dir = chaos_base() + "spent_reference";
   const std::string dir = chaos_base() + "spent_resume";
   for (const std::string& d : {ref_dir, dir}) {
@@ -588,13 +674,13 @@ TEST(CrashRecovery, SpentBudgetRunResumesByteIdentical) {
     wipe_dir(d);
   }
   const dist::ResumableBatchResult ref =
-      dist::run_shard(ref_dir, spec, inputs, {});
+      dist::run_shard(ref_dir, spec, {});
   ASSERT_EQ(ref.status, Status::kOk) << ref.message;
   const dist::ResumableBatchResult stopped =
-      run_with_spent_budget(dir, spec, inputs);
+      run_with_spent_budget(dir, spec);
   ASSERT_EQ(stopped.status, Status::kExhausted) << stopped.message;
   const dist::ResumableBatchResult resumed =
-      dist::run_shard(dir, spec, inputs, {});
+      dist::run_shard(dir, spec, {});
   ASSERT_EQ(resumed.status, Status::kOk) << resumed.message;
   for (std::size_t b = 0; b < spec.num_buyers; ++b) {
     std::string want, got;

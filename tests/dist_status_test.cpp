@@ -295,8 +295,7 @@ TEST(Status, ReportComposesFromPrimarySources) {
 /// runner a daemon request and examples/buyer_batch use.
 void stamp_library_run(const std::string& dir, const RunSpec& spec) {
   ASSERT_TRUE(pin_run_spec(dir, spec).ok());
-  const RunInputs inputs(spec);
-  const ResumableBatchResult r = run_shard(dir, spec, inputs, {});
+  const ResumableBatchResult r = run_shard(dir, spec, {});
   ASSERT_EQ(r.batch.status, Status::kOk) << r.message;
 }
 

@@ -242,11 +242,7 @@ TEST(DistStitch, ReportNamesKilledAndCriticalPathShardOnSkewedWorkload) {
 
   constexpr std::uint64_t kMs = 1'000'000;
   constexpr std::uint64_t kBase = 1'000'000'000'000;  // chosen, not read
-  JournalHeader header;
-  header.seed = spec.batch_seed;
-  header.num_buyers = spec.num_buyers;
-  header.config_crc = run_spec_crc(spec);
-  header.label = spec.label;
+  const JournalHeader header = run_header(spec);
   std::string journal = "odcfp-leases 1\n";
   journal += record_log::format_line(
       'H', record_log::header_payload(header));
@@ -416,11 +412,7 @@ TEST(DistStitch, RunWithoutLeasesTakesMakespanFromShardJournals) {
   ASSERT_TRUE(write_run_spec(run_spec_path(dir), spec).ok());
   constexpr std::uint64_t kMs = 1'000'000;
   constexpr std::uint64_t kBase = 2'000'000'000'000;  // chosen, not read
-  JournalHeader header;
-  header.seed = spec.batch_seed;
-  header.num_buyers = spec.num_buyers;
-  header.config_crc = run_spec_crc(spec);
-  header.label = spec.label;
+  const JournalHeader header = run_header(spec);
   // Shard `s` stamps `buyers` starting `start_ms` in, one per 10 ms; a
   // record without a wall time carries none.
   const auto write_shard = [&](std::size_t s, std::uint64_t first_buyer,

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/atomic_io.hpp"
+#include "common/journal.hpp"
 #include "dist/lease.hpp"
 #include "dist/merge.hpp"
 #include "dist/runner.hpp"
@@ -381,6 +382,48 @@ TEST(Supervisor, CopiedRunDirMergesItsOwnEditions) {
   EXPECT_EQ(codebook, want.codebook);
   EXPECT_EQ(verification, want.verification);
   EXPECT_EQ(telemetry, want.telemetry);
+}
+
+// run.spec is the one identity of a run: the lease journal and every
+// shard journal carry the same header, run_header(spec).
+TEST(Supervisor, EveryJournalOfARunCarriesItsSpecHeader) {
+  const RunSpec spec = test_spec();
+  const std::string dir = fresh_dir("run_headers");
+  const DistResult r = run_supervised_batch(spec, test_options(dir, 2));
+  ASSERT_EQ(r.status, Status::kOk) << r.message;
+  const Outcome<LeaseReplay> leases =
+      read_lease_journal(lease_journal_path(dir));
+  ASSERT_TRUE(leases.ok()) << leases.message();
+  ASSERT_TRUE(leases.value().has_header);
+  EXPECT_TRUE(leases.value().header == run_header(spec));
+  for (std::size_t s = 0; s < r.shards; ++s) {
+    const Outcome<JournalReplay> shard =
+        read_journal(shard_journal_path(dir, s));
+    ASSERT_TRUE(shard.ok()) << shard.message();
+    ASSERT_TRUE(shard.value().has_header) << "shard " << s;
+    EXPECT_TRUE(shard.value().header == leases.value().header)
+        << "shard " << s;
+  }
+  EXPECT_EQ(r.shards, 2u);
+}
+
+// merge_run holds every shard journal to run_header(spec), a run's only
+// shard journal too: one stamped under another codebook seed is not this
+// run's, though its buyer count and batch seed match.
+TEST(Supervisor, MergeRefusesAShardJournalOfAnotherRun) {
+  const RunSpec spec = test_spec();
+  const std::string dir = fresh_dir("merge_other_run");
+  const ResumableBatchResult stamped = run_shard(dir, spec, {});
+  ASSERT_EQ(stamped.status, Status::kOk) << stamped.message;
+  RunSpec other = spec;
+  other.codebook_seed = spec.codebook_seed + 1;
+  const RunInputs inputs(other);
+  const MergeResult merged = merge_run(
+      dir, other, *inputs.book, shard_ranges(other.num_buyers, 1));
+  EXPECT_EQ(merged.status, Status::kMalformedInput);
+  EXPECT_NE(merged.message.find("different run"), std::string::npos)
+      << merged.message;
+  EXPECT_FALSE(atomic_io::exists(merged_dir(dir)));
 }
 
 TEST(Supervisor, RejectsMismatchedSpecInUsedRunDir) {

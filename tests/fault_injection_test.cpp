@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <new>
 #include <string>
@@ -352,14 +353,13 @@ struct IoFaultRun {
 // with the retries visible in the result.
 TEST(IoFaults, ResumableBatchAbsorbsTransientIoFaults) {
   const IoFaultRun run("io_faults_batch", 2);
-  const dist::RunInputs inputs(run.spec);
   // Two isolated faults: fewer than max_attempts per buyer, so both
   // buyers recover within their retry budgets.
   fault::FailNthIo inj(1, "atomic_io.write", 2);
   dist::ResumableBatchResult out;
   {
     fault::ScopedInjector scoped(&inj);
-    out = dist::run_shard(run.dir, run.spec, inputs, {});
+    out = dist::run_shard(run.dir, run.spec, {});
   }
   EXPECT_EQ(inj.fired(), 2u);
   EXPECT_EQ(out.status, Status::kOk) << out.message;
@@ -372,18 +372,17 @@ TEST(IoFaults, ResumableBatchAbsorbsTransientIoFaults) {
 // later healthy run completes them.
 TEST(IoFaults, ResumableBatchReportsExhaustionWhenFaultsPersist) {
   const IoFaultRun run("io_faults_exhaust", 2);
-  const dist::RunInputs inputs(run.spec);
   {
     fault::FailNthIo inj(1, "atomic_io", 1000);  // disk down for good
     fault::ScopedInjector scoped(&inj);
     const dist::ResumableBatchResult out =
-        dist::run_shard(run.dir, run.spec, inputs, {});
+        dist::run_shard(run.dir, run.spec, {});
     EXPECT_EQ(out.status, Status::kExhausted);
     EXPECT_NE(out.message.find("resume"), std::string::npos)
         << out.message;
   }
   const dist::ResumableBatchResult healthy =
-      dist::run_shard(run.dir, run.spec, inputs, {});
+      dist::run_shard(run.dir, run.spec, {});
   EXPECT_EQ(healthy.status, Status::kOk) << healthy.message;
 }
 
@@ -392,12 +391,18 @@ TEST(IoFaults, ResumableBatchReportsExhaustionWhenFaultsPersist) {
 // cannot corrupt the committed artifact.
 TEST(IoFaults, ResumableBatchRetriesAllocFaultInEmbedding) {
   const IoFaultRun run("io_faults_alloc", 1);
-  const dist::RunInputs inputs(run.spec);
-  fault::FailNthAlloc inj(3, "netlist.add_gate");
+  // run_shard builds the golden before it stamps: skip the gates that
+  // build adds, so the fault lands on the embedding's third gate.
+  fault::FailNthAlloc build(UINT64_MAX, "netlist.add_gate");
+  {
+    fault::ScopedInjector scoped(&build);
+    const dist::RunInputs inputs(run.spec);
+  }
+  fault::FailNthAlloc inj(build.hits() + 3, "netlist.add_gate");
   dist::ResumableBatchResult out;
   {
     fault::ScopedInjector scoped(&inj);
-    out = dist::run_shard(run.dir, run.spec, inputs, {});
+    out = dist::run_shard(run.dir, run.spec, {});
   }
   EXPECT_TRUE(inj.fired());
   EXPECT_EQ(out.status, Status::kOk) << out.message;

@@ -6,12 +6,13 @@
 //                --threads T --heartbeat-ms MS [--trace PATH]
 //                [chaos flags]
 //
-// The worker reads DIR/run.spec, rebuilds the run's inputs
-// (dist::RunInputs — no netlist bytes cross the process boundary),
-// and stamps buyers [B, E) as shard I through dist::run_shard, which
-// journals in DIR/shard_I.journal (lifecycle records and, every MS
-// milliseconds, a heartbeat) and publishes editions into DIR/editions/.
-// The journal is the shard's only progress record. The epoch N names
+// The worker reads DIR/run.spec and stamps buyers [B, E) as shard I
+// through dist::run_shard, which opens DIR/shard_I.journal and starts
+// its heartbeat (every MS milliseconds) first, then rebuilds the run's
+// inputs from the spec (dist::RunInputs — no netlist bytes cross the
+// process boundary), journals each buyer's lifecycle and publishes
+// editions into DIR/editions/. The journal is the shard's only progress
+// record, and it grows from the start. The epoch N names
 // the lease in the trace metadata and gates the chaos flags. Exit codes
 // follow dist::kWorkerExit* (supervisor.hpp).
 //
@@ -183,7 +184,6 @@ int main(int argc, char** argv) {
           : nullptr);
 
   try {
-    const dist::RunInputs inputs(spec);
     ThreadPool pool(args.threads);
     dist::ShardOptions options;
     options.shard = args.shard;
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
     options.pool = args.threads > 1 ? &pool : nullptr;
     options.heartbeat_ms = args.heartbeat_ms;
     const dist::ResumableBatchResult rr =
-        dist::run_shard(args.run_dir, spec, inputs, options);
+        dist::run_shard(args.run_dir, spec, options);
     switch (rr.status) {
       case Status::kOk:
         return dist::kWorkerExitOk;
