@@ -2,11 +2,11 @@
 // ODC (Eq. 1) — how much extra hiding capacity do deeper windows expose?
 //
 // For sampled internal nets we compute the exact window-ODC fraction at
-// depths 1..3 (BDD-based; side inputs free). Depth 1 corresponds to the
-// paper's local analysis; the growth at depth 2-3 quantifies "ODCs can be
-// several layers deep" (§III.A). The SDC panel measures how many gates
-// have provably-unreachable input patterns (the companion SDC
-// fingerprinting technique, paper ref. [9]).
+// depths 1..3 (truth tables over the free side inputs). Depth 1
+// corresponds to the paper's local analysis; the growth at depth 2-3
+// quantifies "ODCs can be several layers deep" (§III.A). The SDC panel
+// measures how many gates have provably-unreachable input patterns (the
+// companion SDC fingerprinting technique, paper ref. [9]).
 #include <algorithm>
 #include <cstdio>
 
@@ -21,7 +21,7 @@ using namespace odcfp::bench;
 int main() {
   ThreadPool pool;  // hardware concurrency; windows are independent
   BenchReport report("ablation_window");
-  std::printf("WINDOW DON'T-CARE ABLATION (exact, BDD-based)\n\n");
+  std::printf("WINDOW DON'T-CARE ABLATION (exact, truth tables)\n\n");
   std::printf("%-7s | %21s | %21s | %21s\n", "", "depth 1", "depth 2",
               "depth 3");
   std::printf("%-7s | %10s %10s | %10s %10s | %10s %10s\n", "circuit",
@@ -49,7 +49,6 @@ int main() {
     for (int depth = 1; depth <= 3; ++depth) {
       WindowOptions opt;
       opt.depth = depth;
-      opt.max_window_inputs = 16;
       std::size_t computed = 0, hidden = 0;
       double sum_frac = 0;
       const std::vector<NetId> nets(internal.begin(),
@@ -88,7 +87,6 @@ int main() {
     const Netlist nl = make_benchmark(name);
     WindowOptions opt;
     opt.depth = 3;
-    opt.max_window_inputs = 16;
     const auto order = nl.topo_order();
     std::size_t computed = 0, with_sdc = 0;
     double sum_impossible = 0;

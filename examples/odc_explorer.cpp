@@ -2,7 +2,7 @@
 //
 // Walks a generated c432-class controller and reports, for a sample of
 // nets: the gate-local ODC verdict (the paper's Eq. 1 criterion), the
-// exact window-ODC fraction at increasing depths (BDD-based), and the
+// exact window-ODC fraction at increasing depths (truth tables), and the
 // Monte-Carlo observability — then prints the first fingerprint location
 // in Graphviz DOT form with the primary/site/trigger gates highlighted.
 #include <algorithm>

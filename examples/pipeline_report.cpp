@@ -136,7 +136,6 @@ int main(int argc, char** argv) {
     }
     WindowOptions wopts;
     wopts.depth = 2;
-    wopts.max_window_inputs = 14;
     window_odc_batch(golden, nets, wopts, &pool);
   }
 

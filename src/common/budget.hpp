@@ -1,10 +1,10 @@
 // Cross-cutting resource budgets and the graceful-degradation taxonomy.
 //
 // Every potentially unbounded computation in the pipeline — SAT CEC,
-// BDD-based window don't-care analysis, the O(sites^2) reactive reduction
+// window don't-care analysis, the O(sites^2) reactive reduction
 // heuristic — accepts a Budget and answers within it: on exhaustion the
 // layer returns its best sound fallback (simulation evidence instead of a
-// SAT proof, the local Eq. 1 ODC instead of the window BDD, the best
+// SAT proof, the local Eq. 1 ODC instead of the exact window, the best
 // feasible code found so far) tagged with Status::kExhausted, instead of
 // running to completion or being killed from outside.
 //
@@ -17,8 +17,8 @@
 // Each layer polls exhausted() at its own unit of progress: the SAT
 // solver once per conflict, the window analyses once per cone gate, the
 // reduction heuristics once per iteration or site. Effort caps in a
-// layer's own unit (a SAT conflict limit, a BDD node cap) are that
-// layer's options, not budget axes.
+// layer's own unit (a SAT conflict limit) are that layer's options, not
+// budget axes.
 // Budgets are intentionally non-copyable: one Budget describes one
 // request, and all layers working on that request share it by reference
 // (options structs hold a `const Budget*`, nullptr meaning unlimited).

@@ -227,45 +227,11 @@ constexpr std::uint64_t kSigSeed = 0x0dc5'1ee9'5eed'0001ull;
 /// of golden gates and is abandoned once it holds more than
 /// kWindowMaxNodes nodes or kWindowMaxLeaves free leaves; it is evaluated
 /// after every level with at most kWindowEvalLeaves leaves, whose
-/// 2^kWindowEvalLeaves patterns fill kWindowWords words.
+/// 2^kWindowEvalLeaves patterns fill 64 words, one evaluator block.
 constexpr int kWindowLevels = 4;
 constexpr std::size_t kWindowMaxNodes = 128;
 constexpr std::size_t kWindowMaxLeaves = 20;
 constexpr std::size_t kWindowEvalLeaves = 12;
-constexpr std::size_t kWindowWords = std::size_t{1}
-                                     << (kWindowEvalLeaves - 6);
-
-/// Evaluates one gate over whole tables of `words` words (a signature or
-/// a window truth table): out[w] = f(ins[0][w], ..., ins[k-1][w]) for
-/// every word w. Row-major so the word loops vectorize.
-void eval_signature(const TruthTable& tt,
-                    const std::vector<const std::uint64_t*>& ins,
-                    std::uint64_t* out, std::size_t words) {
-  constexpr std::size_t kMaxWords = std::max(kSigWords, kWindowWords);
-  ODCFP_DCHECK(words <= kMaxWords);
-  std::fill(out, out + words, 0);
-  std::uint64_t term[kMaxWords];
-  for (unsigned p = 0; p < tt.num_rows(); ++p) {
-    if (!tt.eval(p)) continue;
-    std::fill(term, term + words, ~0ull);
-    for (std::size_t i = 0; i < ins.size(); ++i) {
-      const std::uint64_t flip = ((p >> i) & 1) ? 0 : ~0ull;
-      for (std::size_t w = 0; w < words; ++w) term[w] &= ins[i][w] ^ flip;
-    }
-    for (std::size_t w = 0; w < words; ++w) out[w] |= term[w];
-  }
-}
-
-/// Word `w` of the truth table of free leaf `i`: pattern 64 * w + bit
-/// gives leaf i the value of the pattern's bit i.
-std::uint64_t projection_word(std::size_t i, std::size_t w) {
-  static constexpr std::uint64_t kLow[6] = {
-      0xAAAA'AAAA'AAAA'AAAAull, 0xCCCC'CCCC'CCCC'CCCCull,
-      0xF0F0'F0F0'F0F0'F0F0ull, 0xFF00'FF00'FF00'FF00ull,
-      0xFFFF'0000'FFFF'0000ull, 0xFFFF'FFFF'0000'0000ull};
-  if (i < 6) return kLow[i];
-  return ((w >> (i - 6)) & 1) ? ~0ull : 0;
-}
 
 }  // namespace
 

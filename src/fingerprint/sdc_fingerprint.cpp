@@ -33,8 +33,6 @@ std::vector<SdcLocation> find_sdc_locations(const Netlist& nl) {
     SdcLocation loc;
     loc.gate = g;
     loc.impossible_mask = sdc.impossible_mask;
-    const unsigned mask = sdc.impossible_mask;
-    if (mask == 0) continue;
 
     // Alternatives: same-arity cells equal on every reachable pattern,
     // different somewhere on the impossible ones.
@@ -47,7 +45,7 @@ std::vector<SdcLocation> find_sdc_locations(const Netlist& nl) {
       if (diff == 0) continue;
       bool ok = true;
       for (unsigned p = 0; p < (1u << k); ++p) {
-        if (((diff >> p) & 1) && !((mask >> p) & 1)) {
+        if (((diff >> p) & 1) && !((loc.impossible_mask >> p) & 1)) {
           ok = false;
           break;
         }

@@ -28,7 +28,7 @@ namespace odcfp {
 struct SdcLocation {
   GateId gate = kInvalidGate;
   /// Bit p set = gate-input pattern p is provably unreachable.
-  unsigned impossible_mask = 0;
+  std::uint64_t impossible_mask = 0;
   /// Cells interchangeable with the current one under that mask (the
   /// current cell itself is not listed).
   std::vector<CellId> alternatives;

@@ -59,16 +59,16 @@ double simulated_observability(const Netlist& nl, NetId net,
     std::vector<std::uint64_t> alt(nl.num_nets());
     for (NetId n = 0; n < nl.num_nets(); ++n) alt[n] = sim.value(n);
     alt[net] = ~alt[net];
-    std::vector<std::uint64_t> ins;
+    std::vector<const std::uint64_t*> ins;
     for (GateId g : order) {
       if (!tfo.count(g)) continue;
       const Gate& gt = nl.gate(g);
       ins.clear();
-      for (NetId in : gt.fanins) ins.push_back(alt[in]);
+      for (NetId in : gt.fanins) ins.push_back(&alt[in]);
       // If some gate both feeds and is fed by `net` we would have a cycle;
       // topo order plus DAG-ness guarantees inputs are final here.
-      alt[gt.output] = eval_tt_words(
-          nl.library().cell(gt.cell).function, ins);
+      eval_signature(nl.library().cell(gt.cell).function, ins,
+                     &alt[gt.output], 1);
       if (gt.output == net) alt[gt.output] = ~alt[gt.output];
     }
 

@@ -1,7 +1,7 @@
 #include "odc/window.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -11,51 +11,77 @@
 #include "common/parallel.hpp"
 #include "common/telemetry.hpp"
 #include "odc/odc.hpp"
+#include "sim/simulator.hpp"
 
 namespace odcfp {
 
 namespace {
 
-/// Builds the BDD of one gate output from its fanin BDDs (sum of the
-/// truth table's on-set minterms).
-BddRef build_gate_bdd(BddManager& mgr, const TruthTable& tt,
-                      const std::vector<BddRef>& fanins) {
-  BddRef acc = mgr.zero();
-  for (unsigned p = 0; p < tt.num_rows(); ++p) {
-    if (!tt.eval(p)) continue;
-    BddRef term = mgr.one();
-    for (int i = 0; i < tt.num_inputs(); ++i) {
-      const BddRef f = fanins[static_cast<std::size_t>(i)];
-      term = mgr.and_(term, ((p >> i) & 1) ? f : mgr.not_(f));
+/// One truth table per window net over the window's free leaves, each
+/// words() words long, in one buffer sized up front for `nets` tables.
+class WindowTables {
+ public:
+  WindowTables(int leaves, std::size_t nets)
+      : words_(leaves <= 6 ? 1 : std::size_t{1} << (leaves - 6)),
+        data_(nets * words_) {}
+
+  std::size_t words() const { return words_; }
+
+  /// The table of `net`, which must have one.
+  const std::uint64_t* of(NetId net) const {
+    const auto it = slot_.find(net);
+    ODCFP_CHECK(it != slot_.end());
+    return &data_[it->second];
+  }
+
+  /// `net` is free leaf `i`.
+  void add_leaf(NetId net, std::size_t i) {
+    std::uint64_t* table = add(net);
+    for (std::size_t w = 0; w < words_; ++w) {
+      table[w] = projection_word(i, w);
     }
-    acc = mgr.or_(acc, term);
   }
-  if (tt.num_inputs() == 0) {
-    return (tt.is_constant() && tt.constant_value()) ? mgr.one()
-                                                     : mgr.zero();
+
+  /// `net` is held at `value`.
+  void add_constant(NetId net, bool value) {
+    std::fill_n(add(net), words_, value ? ~0ull : 0);
   }
-  return acc;
-}
+
+  /// The output of gate `g`, from its fanins' tables.
+  void add_gate(const Netlist& nl, GateId g) {
+    ins_.clear();
+    for (NetId in : nl.gate(g).fanins) ins_.push_back(of(in));
+    eval_signature(nl.cell_of(g).function, ins_, add(nl.gate(g).output),
+                   words_);
+  }
+
+ private:
+  std::uint64_t* add(NetId net) {
+    const std::size_t at = slot_.size() * words_;
+    ODCFP_CHECK(at < data_.size());
+    slot_.emplace(net, at);
+    return &data_[at];
+  }
+
+  std::size_t words_;
+  std::vector<std::uint64_t> data_;
+  std::unordered_map<NetId, std::size_t> slot_;
+  std::vector<const std::uint64_t*> ins_;
+};
 
 }  // namespace
 
 double local_odc_fraction(const Netlist& nl, NetId net) {
+  // An output-port net is directly observable: no ODC through that path.
+  if (nl.net(net).num_output_ports > 0) return 0.0;
   double fraction = 1.0;
   for (const FanoutRef& ref : nl.net(net).fanouts) {
     const TruthTable& tt =
         nl.library().cell(nl.gate(ref.gate).cell).function;
     const TruthTable odc = pin_odc(tt, ref.pin);
-    unsigned hidden = 0;
-    for (unsigned p = 0; p < odc.num_rows(); ++p) {
-      if (odc.eval(p)) ++hidden;
-    }
-    fraction *= static_cast<double>(hidden) /
+    fraction *= static_cast<double>(std::popcount(odc.bits())) /
                 static_cast<double>(odc.num_rows());
     if (fraction == 0.0) break;
-  }
-  // An output-port net is directly observable: no ODC through that path.
-  for (const OutputPort& po : nl.outputs()) {
-    if (po.net == net) return 0.0;
   }
   return fraction;
 }
@@ -65,6 +91,12 @@ WindowOdcResult window_odc(const Netlist& nl, NetId net,
   TELEM_SPAN("odc.window");
   TELEM_COUNT("odc.windows", 1);
   WindowOdcResult result;
+  if (nl.net(net).num_output_ports > 0) {
+    // Observed at its port whatever the window does: 0 is exact.
+    result.computed = true;
+    result.output_closed = true;
+    return result;
+  }
 
   // 1. Window gates: bounded-depth BFS through the fanout of `net`.
   std::unordered_set<GateId> window;
@@ -91,14 +123,11 @@ WindowOdcResult window_odc(const Netlist& nl, NetId net,
   }
 
   // 2. Window outputs (nets observed outside) and side inputs.
-  std::unordered_set<NetId> po_nets;
-  for (const OutputPort& p : nl.outputs()) po_nets.insert(p.net);
-
   std::vector<NetId> window_outputs;
   bool any_outside_gate = false;
   for (GateId g : window) {
     const NetId out = nl.gate(g).output;
-    bool observed = po_nets.count(out) > 0;
+    bool observed = nl.net(out).num_output_ports > 0;
     for (const FanoutRef& ref : nl.net(out).fanouts) {
       if (!window.count(ref.gate)) {
         observed = true;
@@ -126,35 +155,34 @@ WindowOdcResult window_odc(const Netlist& nl, NetId net,
   TELEM_HIST("odc.window_cone_gates",
              static_cast<std::uint64_t>(result.window_gates));
   TELEM_COUNT("odc.window_inputs", result.window_inputs);
-  if (result.window_inputs > options.max_window_inputs) {
+  if (result.window_inputs > kMaxWindowInputs) {
     TELEM_COUNT("odc.refused_input_cap", 1);
     result.status = Status::kInfeasible;  // refused by the input cap
     return result;                        // computed == false
   }
 
-  // 3. Evaluate the window twice (net = 0 and net = 1) over BDDs.
-  BddManager mgr(result.window_inputs);
-  std::unordered_map<NetId, BddRef> val0, val1;
+  // 3. Evaluate the window twice (net = 0 and net = 1): one truth table
+  // per window net over the side inputs.
+  const std::size_t nets = side_inputs.size() + 1 + window.size();
+  WindowTables at0(result.window_inputs, nets);
+  WindowTables at1(result.window_inputs, nets);
   for (std::size_t i = 0; i < side_inputs.size(); ++i) {
-    const BddRef v = mgr.var(static_cast<int>(i));
-    val0[side_inputs[i]] = v;
-    val1[side_inputs[i]] = v;
+    at0.add_leaf(side_inputs[i], i);
+    at1.add_leaf(side_inputs[i], i);
   }
-  val0[net] = mgr.zero();
-  val1[net] = mgr.one();
+  at0.add_constant(net, false);
+  at1.add_constant(net, true);
 
   for (GateId g : nl.topo_order()) {
     if (!window.count(g)) continue;
     ODCFP_FAULT_POINT("odc.window.gate");
-    // Degradation point: BDD blow-up or budget expiry mid-window falls
-    // back to the sound local Eq. 1 estimate instead of churning on.
-    if (mgr.size() > options.max_bdd_nodes ||
-        budget_exhausted(options.budget)) {
+    // Degradation point: budget expiry mid-window falls back to the
+    // sound local Eq. 1 estimate instead of churning on.
+    if (budget_exhausted(options.budget)) {
       TELEM_COUNT("odc.exhaustions", 1);
       if (log::enabled(log::Level::kDebug)) {
         log::debug("odc.window.degraded")
             .field("net", static_cast<std::int64_t>(net))
-            .field("bdd_nodes", static_cast<std::int64_t>(mgr.size()))
             .field("window_inputs", result.window_inputs);
       }
       result.computed = true;
@@ -164,26 +192,24 @@ WindowOdcResult window_odc(const Netlist& nl, NetId net,
       result.odc_fraction = local_odc_fraction(nl, net);
       return result;
     }
-    const TruthTable& tt = nl.library().cell(nl.gate(g).cell).function;
-    std::vector<BddRef> in0, in1;
-    for (NetId in : nl.gate(g).fanins) {
-      ODCFP_CHECK(val0.count(in) && val1.count(in));
-      in0.push_back(val0[in]);
-      in1.push_back(val1[in]);
-    }
-    val0[nl.gate(g).output] = build_gate_bdd(mgr, tt, in0);
-    val1[nl.gate(g).output] = build_gate_bdd(mgr, tt, in1);
+    at0.add_gate(nl, g);
+    at1.add_gate(nl, g);
   }
 
   // 4. ODC condition: every observed net agrees under net=0 and net=1.
-  BddRef odc = mgr.one();
+  // Its fraction is its popcount over its bits; with fewer than 6 side
+  // inputs the one-word table repeats with period 2^n.
+  std::vector<std::uint64_t> odc(at0.words(), ~0ull);
   for (NetId out : window_outputs) {
-    odc = mgr.and_(odc, mgr.xnor_(val0[out], val1[out]));
+    const std::uint64_t* v0 = at0.of(out);
+    const std::uint64_t* v1 = at1.of(out);
+    for (std::size_t w = 0; w < odc.size(); ++w) odc[w] &= ~(v0[w] ^ v1[w]);
   }
+  std::uint64_t hidden = 0;
+  for (const std::uint64_t word : odc) hidden += std::popcount(word);
   result.computed = true;
-  result.odc_fraction =
-      mgr.count_minterms(odc) /
-      std::pow(2.0, static_cast<double>(result.window_inputs));
+  result.odc_fraction = static_cast<double>(hidden) /
+                        static_cast<double>(64 * odc.size());
   return result;
 }
 
@@ -246,53 +272,51 @@ WindowSdcResult window_sdc(const Netlist& nl, GateId gate,
   for (NetId in : gt.fanins) add_boundary(in);
   std::sort(boundary.begin(), boundary.end());
   result.cone_inputs = static_cast<int>(boundary.size());
-  if (result.cone_inputs > options.max_window_inputs) {
+  if (result.cone_inputs > kMaxWindowInputs) {
     result.status = Status::kInfeasible;
     return result;
   }
 
-  // 3. BDDs of the gate's fanin signals over the boundary variables.
-  BddManager mgr(result.cone_inputs);
-  std::unordered_map<NetId, BddRef> val;
+  // 3. Truth tables of the gate's fanin signals over the boundary
+  // variables.
+  WindowTables tables(result.cone_inputs, boundary.size() + cone.size());
   for (std::size_t i = 0; i < boundary.size(); ++i) {
-    val[boundary[i]] = mgr.var(static_cast<int>(i));
+    tables.add_leaf(boundary[i], i);
   }
   for (GateId g : nl.topo_order()) {
     if (!cone.count(g)) continue;
     ODCFP_FAULT_POINT("odc.sdc.gate");
     // Degradation point: an empty impossible set is always sound (it
-    // merely claims nothing about reachability), so a blown node cap or
-    // budget reports "no patterns proved impossible" rather than failing.
-    if (mgr.size() > options.max_bdd_nodes ||
-        budget_exhausted(options.budget)) {
+    // merely claims nothing about reachability), so an expired budget
+    // reports "no patterns proved impossible" rather than failing.
+    if (budget_exhausted(options.budget)) {
       TELEM_COUNT("odc.exhaustions", 1);
       result.computed = true;
       result.degraded = true;
       result.status = Status::kExhausted;
       return result;
     }
-    const TruthTable& tt = nl.library().cell(nl.gate(g).cell).function;
-    std::vector<BddRef> ins;
-    for (NetId in : nl.gate(g).fanins) {
-      ODCFP_CHECK(val.count(in));
-      ins.push_back(val[in]);
-    }
-    val[nl.gate(g).output] = build_gate_bdd(mgr, tt, ins);
+    tables.add_gate(nl, g);
   }
 
-  // 4. A gate-input pattern is impossible iff its characteristic
-  // condition over the boundary variables is unsatisfiable.
+  // 4. A gate-input pattern is impossible iff no boundary assignment
+  // produces it: its characteristic condition's table is all zero.
+  std::vector<const std::uint64_t*> fanin;
+  for (NetId in : gt.fanins) fanin.push_back(tables.of(in));
   for (unsigned p = 0; p < static_cast<unsigned>(result.num_patterns);
        ++p) {
-    BddRef cond = mgr.one();
-    for (int i = 0; i < k; ++i) {
-      const BddRef f = val[gt.fanins[static_cast<std::size_t>(i)]];
-      cond = mgr.and_(cond, ((p >> i) & 1) ? f : mgr.not_(f));
-      if (cond == mgr.zero()) break;
+    bool reachable = false;
+    for (std::size_t w = 0; w < tables.words() && !reachable; ++w) {
+      std::uint64_t cond = ~0ull;
+      for (int i = 0; i < k; ++i) {
+        const std::uint64_t f = fanin[static_cast<std::size_t>(i)][w];
+        cond &= ((p >> i) & 1) ? f : ~f;
+      }
+      reachable = cond != 0;
     }
-    if (cond == mgr.zero()) {
+    if (!reachable) {
       ++result.impossible_patterns;
-      result.impossible_mask |= 1u << p;
+      result.impossible_mask |= std::uint64_t{1} << p;
     }
   }
   result.computed = true;

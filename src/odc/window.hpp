@@ -1,4 +1,4 @@
-// Exact don't-care analysis over bounded circuit windows, using BDDs.
+// Exact don't-care analysis over bounded circuit windows, on truth tables.
 //
 // The paper computes ODCs gate-locally (Eq. 1) and notes that "ODCs can be
 // several layers deep". This module quantifies that headroom exactly:
@@ -10,7 +10,8 @@
 //    unobservability at the primary outputs only when the window is
 //    output-closed, the reported condition is a sound *lower bound* on
 //    the true global ODC when the window is truncated, and exact when the
-//    window reaches the POs.
+//    window reaches the POs. A net that drives an output port is observed
+//    there directly and is never hidden.
 //
 //  * window_sdc — for a gate g, build the bounded fanin cone of its input
 //    signals and compute exactly which input patterns of g can never
@@ -19,9 +20,14 @@
 //    reported-impossible pattern is guaranteed impossible. SDC-based
 //    fingerprinting is the authors' companion technique (ASP-DAC'15,
 //    ref. [9] of the paper).
+//
+// A window has at most kMaxWindowInputs free variables, so every net in it
+// gets its full truth table over them (at most 1,024 words), evaluated
+// gate by gate with the simulator's word-parallel eval_signature.
 #pragma once
 
-#include "bdd/bdd.hpp"
+#include <cstdint>
+
 #include "common/budget.hpp"
 #include "netlist/netlist.hpp"
 
@@ -29,15 +35,13 @@ namespace odcfp {
 
 class ThreadPool;
 
+/// Windows with more free variables than this are refused. It also sizes
+/// the truth tables: 2^16 patterns fill 1,024 words per window net.
+inline constexpr int kMaxWindowInputs = 16;
+
 struct WindowOptions {
   /// Levels of transitive fanout (ODC) / fanin (SDC) included.
   int depth = 3;
-  /// Skip windows with more free variables than this (BDD size guard).
-  int max_window_inputs = 16;
-  /// Abort the window once the BDD manager holds this many nodes and
-  /// degrade to the local Eq. 1 estimate (window_odc) / the sound partial
-  /// result (window_sdc). Caps the worst-case memory per window.
-  std::size_t max_bdd_nodes = 1u << 20;
   /// Optional deadline / cancellation caps (nullptr = unlimited).
   const Budget* budget = nullptr;
 };
@@ -48,9 +52,9 @@ struct WindowOdcResult {
                                ///< hiding the net (0 = always observable
                                ///< through the window).
   bool output_closed = false;  ///< window reached only POs (result exact).
-  /// True when the BDD build hit the node cap or the budget and the
-  /// reported fraction is the local one-level Eq. 1 estimate instead of
-  /// the exact window condition. status is kExhausted in that case.
+  /// True when the budget died mid-window and the reported fraction is
+  /// the local one-level Eq. 1 estimate instead of the exact window
+  /// condition. status is kExhausted in that case.
   bool degraded = false;
   Status status = Status::kOk;
   int window_inputs = 0;
@@ -68,8 +72,8 @@ WindowOdcResult window_odc(const Netlist& nl, NetId net,
                            const WindowOptions& options = {});
 
 /// window_odc over many nets at once, fanned across `pool` (nullptr =
-/// serial). Each window builds its own BddManager, so the items are fully
-/// independent; the returned vector is index-aligned with `nets` and
+/// serial). Each window builds its own truth tables, so the items are
+/// fully independent; the returned vector is index-aligned with `nets` and
 /// byte-identical for any pool size. A shared options.budget cancels the
 /// whole batch cooperatively: nets whose window never ran come back as
 /// {computed = false, status = kExhausted}.
@@ -79,13 +83,14 @@ std::vector<WindowOdcResult> window_odc_batch(
 
 struct WindowSdcResult {
   bool computed = false;
-  /// True when the cone build hit the node cap or budget; the reported
-  /// impossible set is then a sound subset (possibly empty) of the truth.
+  /// True when the budget died mid-cone; the reported impossible set is
+  /// then the sound empty subset of the truth.
   bool degraded = false;
   Status status = Status::kOk;
   int num_patterns = 0;         ///< 2^k for a k-input gate.
   int impossible_patterns = 0;  ///< provably unreachable input patterns.
-  unsigned impossible_mask = 0; ///< bit p set = pattern p unreachable.
+  /// Bit p set = pattern p unreachable; 64 bits cover a 6-input cell.
+  std::uint64_t impossible_mask = 0;
   int cone_inputs = 0;
 };
 

@@ -4,25 +4,6 @@
 
 namespace odcfp {
 
-std::uint64_t eval_tt_words(const TruthTable& tt,
-                            const std::vector<std::uint64_t>& input_words) {
-  ODCFP_DCHECK(static_cast<int>(input_words.size()) == tt.num_inputs());
-  if (tt.num_inputs() == 0) {
-    return tt.is_constant() && tt.constant_value() ? ~0ull : 0ull;
-  }
-  std::uint64_t out = 0;
-  for (unsigned p = 0; p < tt.num_rows(); ++p) {
-    if (!tt.eval(p)) continue;
-    std::uint64_t term = ~0ull;
-    for (int i = 0; i < tt.num_inputs(); ++i) {
-      const std::uint64_t w = input_words[static_cast<std::size_t>(i)];
-      term &= ((p >> i) & 1) ? w : ~w;
-    }
-    out |= term;
-  }
-  return out;
-}
-
 Simulator::Simulator(const Netlist& nl)
     : nl_(&nl), order_(nl.topo_order()), words_(nl.num_nets(), 0) {}
 
@@ -47,13 +28,13 @@ void Simulator::load_counting_patterns(std::uint64_t base) {
 }
 
 void Simulator::run() {
-  std::vector<std::uint64_t> ins;
+  std::vector<const std::uint64_t*> ins;
   for (GateId g : order_) {
     const Gate& gt = nl_->gate(g);
     const TruthTable& tt = nl_->library().cell(gt.cell).function;
     ins.clear();
-    for (NetId in : gt.fanins) ins.push_back(words_[in]);
-    words_[gt.output] = eval_tt_words(tt, ins);
+    for (NetId in : gt.fanins) ins.push_back(&words_[in]);
+    eval_signature(tt, ins, &words_[gt.output], 1);
   }
 }
 

@@ -249,31 +249,6 @@ TEST(BudgetFaults, ProactiveSurvivesCancellationMidInsertion) {
 
 // ---- degraded don't-care analysis ----
 
-TEST(WindowDegradation, OdcFallsBackToLocalEstimate) {
-  const Netlist nl = make_benchmark("c432");
-  // Find a net whose window actually computes with default options.
-  NetId victim = kInvalidNet;
-  for (NetId n = 0; n < nl.num_nets(); ++n) {
-    if (nl.net(n).fanouts.empty()) continue;
-    const WindowOdcResult full = window_odc(nl, n);
-    if (full.computed && !full.degraded && full.window_gates > 0) {
-      victim = n;
-      break;
-    }
-  }
-  ASSERT_NE(victim, kInvalidNet);
-  WindowOptions tiny;
-  tiny.max_bdd_nodes = 1;  // the manager's terminals already exceed this
-  const WindowOdcResult out = window_odc(nl, victim, tiny);
-  EXPECT_TRUE(out.computed);
-  EXPECT_TRUE(out.degraded);
-  EXPECT_EQ(out.status, Status::kExhausted);
-  EXPECT_FALSE(out.output_closed);
-  EXPECT_GE(out.odc_fraction, 0.0);
-  EXPECT_LE(out.odc_fraction, 1.0);
-  EXPECT_DOUBLE_EQ(out.odc_fraction, local_odc_fraction(nl, victim));
-}
-
 TEST(WindowDegradation, OdcStepBudgetExhausts) {
   const Netlist nl = make_benchmark("c432");
   NetId victim = kInvalidNet;
@@ -293,8 +268,13 @@ TEST(WindowDegradation, OdcStepBudgetExhausts) {
   WindowOptions opt;
   opt.budget = &budget;
   const WindowOdcResult out = window_odc(nl, victim, opt);
+  EXPECT_TRUE(out.computed);
   EXPECT_TRUE(out.degraded);
   EXPECT_EQ(out.status, Status::kExhausted);
+  EXPECT_FALSE(out.output_closed);
+  EXPECT_GE(out.odc_fraction, 0.0);
+  EXPECT_LE(out.odc_fraction, 1.0);
+  EXPECT_DOUBLE_EQ(out.odc_fraction, local_odc_fraction(nl, victim));
 }
 
 TEST(WindowDegradation, SdcDegradesToEmptyImpossibleSet) {
@@ -303,8 +283,8 @@ TEST(WindowDegradation, SdcDegradesToEmptyImpossibleSet) {
   GateId victim = kInvalidGate;
   for (GateId g = 0; g < nl.num_gates(); ++g) {
     if (nl.gate(g).is_dead()) continue;
-    // Deep gates have a non-empty fanin cone, so the budgeted BDD build
-    // actually runs (level-1 gates read PIs only and build no cone BDDs).
+    // Deep gates have a non-empty fanin cone, so the budgeted evaluation
+    // actually runs (level-1 gates read PIs only and evaluate no gate).
     if (levels[g] < 2) continue;
     const WindowSdcResult full = window_sdc(nl, g);
     if (full.computed && !full.degraded) {
@@ -313,9 +293,13 @@ TEST(WindowDegradation, SdcDegradesToEmptyImpossibleSet) {
     }
   }
   ASSERT_NE(victim, kInvalidGate);
-  WindowOptions tiny;
-  tiny.max_bdd_nodes = 1;
-  const WindowSdcResult out = window_sdc(nl, victim, tiny);
+  CancelToken token;
+  token.cancel();
+  Budget budget;
+  budget.with_cancel(token);
+  WindowOptions opt;
+  opt.budget = &budget;
+  const WindowSdcResult out = window_sdc(nl, victim, opt);
   EXPECT_TRUE(out.computed);
   EXPECT_TRUE(out.degraded);
   EXPECT_EQ(out.status, Status::kExhausted);

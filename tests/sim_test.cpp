@@ -6,25 +6,38 @@ namespace odcfp {
 namespace {
 
 TEST(EvalTtWords, MatchesTruthTableBitwise) {
-  // For every default-library cell, word evaluation must agree with the
-  // truth table on counting patterns.
+  // For every default-library cell, eval_signature must agree with the
+  // truth table on every pattern of a 1-word table and of a 1,024-word
+  // one (16 blocks). Input i is leaf i of the short table and leaf 3i of
+  // the long one, so its inputs mix in-word and across-block leaves.
   const CellLibrary& lib = default_cell_library();
-  for (CellId c = 0; c < lib.size(); ++c) {
-    const TruthTable& tt = lib.cell(c).function;
-    const int k = tt.num_inputs();
-    std::vector<std::uint64_t> ins(static_cast<std::size_t>(k), 0);
-    for (int i = 0; i < k; ++i) {
-      std::uint64_t w = 0;
-      for (unsigned b = 0; b < 64; ++b) {
-        if ((b >> i) & 1) w |= 1ull << b;
+  for (const std::size_t words : {std::size_t{1}, std::size_t{1024}}) {
+    const std::size_t stride = words == 1 ? 1 : 3;
+    for (CellId c = 0; c < lib.size(); ++c) {
+      const TruthTable& tt = lib.cell(c).function;
+      const auto k = static_cast<std::size_t>(tt.num_inputs());
+      std::vector<std::vector<std::uint64_t>> tables(
+          k, std::vector<std::uint64_t>(words));
+      std::vector<const std::uint64_t*> ins;
+      for (std::size_t i = 0; i < k; ++i) {
+        for (std::size_t w = 0; w < words; ++w) {
+          tables[i][w] = projection_word(stride * i, w);
+        }
+        ins.push_back(tables[i].data());
       }
-      ins[static_cast<std::size_t>(i)] = w;
-    }
-    const std::uint64_t out = eval_tt_words(tt, ins);
-    for (unsigned b = 0; b < 64; ++b) {
-      const unsigned pattern = b & ((1u << k) - 1);
-      EXPECT_EQ((out >> b) & 1, tt.eval(k == 0 ? 0 : pattern) ? 1u : 0u)
-          << lib.cell(c).name << " pattern " << pattern;
+      std::vector<std::uint64_t> out(words);
+      eval_signature(tt, ins, out.data(), words);
+      std::size_t wrong = 0;
+      for (std::size_t pattern = 0; pattern < 64 * words; ++pattern) {
+        unsigned row = 0;
+        for (std::size_t i = 0; i < k; ++i) {
+          row |= static_cast<unsigned>((pattern >> (stride * i)) & 1) << i;
+        }
+        const bool bit = (out[pattern / 64] >> (pattern % 64)) & 1;
+        if (bit != tt.eval(row)) ++wrong;
+      }
+      EXPECT_EQ(wrong, 0u) << lib.cell(c).name << " over " << words
+                           << " words";
     }
   }
 }

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <cstring>
+#include <map>
+#include <string>
+#include <unordered_set>
+
 #include "benchgen/benchmarks.hpp"
+#include "common/atomic_io.hpp"
 #include "odc/odc.hpp"
 
 namespace odcfp {
@@ -100,12 +108,35 @@ TEST(WindowOdc, UnreadNetIsFullyHidden) {
   EXPECT_DOUBLE_EQ(r.odc_fraction, 1.0);
 }
 
+TEST(WindowOdc, OutputPortNetIsNeverHidden) {
+  // y = AND(a, b) drives port y and z = AND(y, c) drives port z: each is
+  // observed at its own port, so neither is ever hidden, at any depth.
+  Netlist nl;
+  const NetId a = nl.add_input("a");
+  const NetId b = nl.add_input("b");
+  const NetId c = nl.add_input("c");
+  const NetId y = nl.gate(nl.add_gate_kind(CellKind::kAnd, {a, b})).output;
+  const NetId z = nl.gate(nl.add_gate_kind(CellKind::kAnd, {y, c})).output;
+  nl.add_output(y, "y");
+  nl.add_output(z, "z");
+  for (int depth = 1; depth <= 3; ++depth) {
+    for (const NetId net : {y, z}) {
+      const WindowOdcResult r = window_odc(nl, net, {.depth = depth});
+      ASSERT_TRUE(r.computed);
+      EXPECT_TRUE(r.output_closed);
+      EXPECT_DOUBLE_EQ(r.odc_fraction, 0.0)
+          << "net " << net << " depth " << depth;
+      EXPECT_DOUBLE_EQ(1.0 - r.odc_fraction,
+                       simulated_observability(nl, net, 8, 1));
+    }
+  }
+}
+
 TEST(WindowOdc, GivesUpGracefullyOnWideWindows) {
   const Netlist nl = make_benchmark("c880");
-  // Depth 6 windows in an ALU usually exceed a tiny input cap.
+  // Some depth-6 windows in an ALU exceed kMaxWindowInputs.
   WindowOptions opt;
   opt.depth = 6;
-  opt.max_window_inputs = 2;
   std::size_t computed = 0, skipped = 0;
   for (NetId n = 0; n < nl.num_nets() && n < 60; ++n) {
     const WindowOdcResult r = window_odc(nl, n, opt);
@@ -153,6 +184,31 @@ TEST(WindowSdc, ReconvergentAndTree) {
   EXPECT_EQ(r.impossible_patterns, 1);
 }
 
+TEST(WindowSdc, SixInputGateMasksAllPatterns) {
+  // AND6(i0, i1, i2, i3, i4, INV(i0)): pins 0 and 5 always differ, so the
+  // 32 patterns with bit 0 == bit 5 are impossible, half of them at
+  // p >= 32.
+  static const CellLibrary lib = [] {
+    CellLibrary l = default_cell_library();
+    l.add(Cell{"AND6", CellKind::kAnd, make_kind_function(CellKind::kAnd, 6),
+               1.0, 0.1, 0.1, 1.0, 1.0});
+    return l;
+  }();
+  Netlist nl(&lib);
+  std::vector<NetId> pins;
+  for (const char* name : {"i0", "i1", "i2", "i3", "i4"}) {
+    pins.push_back(nl.add_input(name));
+  }
+  pins.push_back(nl.gate(nl.add_gate_kind(CellKind::kInv, {pins[0]})).output);
+  const GateId g = nl.add_gate(lib.find("AND6"), pins);
+  nl.add_output(nl.gate(g).output, "f");
+  const WindowSdcResult r = window_sdc(nl, g, {.depth = 1});
+  ASSERT_TRUE(r.computed);
+  EXPECT_EQ(r.num_patterns, 64);
+  EXPECT_EQ(r.impossible_patterns, 32);
+  EXPECT_EQ(r.impossible_mask, 0xAAAA'AAAA'5555'5555ull);
+}
+
 TEST(WindowSdc, BenchmarksHaveSomeSdcGates) {
   const Netlist nl = make_benchmark("c432");
   WindowOptions opt;
@@ -168,6 +224,85 @@ TEST(WindowSdc, BenchmarksHaveSomeSdcGates) {
   }
   EXPECT_GT(computed, 10u);
   EXPECT_GT(with_sdc, 0u);
+}
+
+// Pins every field window_odc reports for every net, and every field
+// window_sdc reports for every live gate, as per-circuit CRC-32s over
+// depths 1-3. Nets that drive an output port fold into a CRC of their
+// own. A missing or wrong entry fails with the line to paste.
+using Digests = std::map<std::string, std::uint32_t>;
+
+const Digests& pinned_window_digests() {
+  static const Digests d = {
+      {"odc/c1908", 0x3a60f33bu},
+      {"odc/c432", 0xc5d87b29u},
+      {"odc/c880", 0x1f778c50u},
+      {"odc/vda", 0x902be043u},
+      {"port/c1908", 0x6122ba5bu},
+      {"port/c432", 0xe9a4a7bau},
+      {"port/c880", 0x9cc38346u},
+      {"port/vda", 0xf605337au},
+      {"sdc/c1908", 0x1cd546fbu},
+      {"sdc/c432", 0x5ff0c155u},
+      {"sdc/c880", 0x49b09a72u},
+      {"sdc/vda", 0x31599798u},
+  };
+  return d;
+}
+
+template <typename T>
+void fold(atomic_io::Crc32& crc, T value) {
+  char bytes[sizeof value];
+  std::memcpy(bytes, &value, sizeof value);
+  crc.update(std::string_view(bytes, sizeof bytes));
+}
+
+TEST(WindowDigest, EveryFieldOfEveryWindowIsPinned) {
+  for (const char* circuit : {"c432", "c880", "c1908", "vda"}) {
+    const Netlist nl = make_benchmark(circuit);
+    std::unordered_set<NetId> port_nets;
+    for (const OutputPort& po : nl.outputs()) port_nets.insert(po.net);
+    atomic_io::Crc32 odc, port, sdc;
+    for (int depth = 1; depth <= 3; ++depth) {
+      const WindowOptions options{.depth = depth};
+      for (NetId n = 0; n < nl.num_nets(); ++n) {
+        const WindowOdcResult r = window_odc(nl, n, options);
+        atomic_io::Crc32& crc = port_nets.count(n) ? port : odc;
+        fold(crc, static_cast<std::uint8_t>(r.computed));
+        fold(crc, std::bit_cast<std::uint64_t>(r.odc_fraction));
+        fold(crc, static_cast<std::uint8_t>(r.output_closed));
+        fold(crc, static_cast<std::uint8_t>(r.degraded));
+        fold(crc, static_cast<std::int32_t>(r.status));
+        fold(crc, static_cast<std::int32_t>(r.window_inputs));
+        fold(crc, static_cast<std::uint64_t>(r.window_gates));
+      }
+      for (GateId g = 0; g < nl.num_gates(); ++g) {
+        if (nl.gate(g).is_dead()) continue;
+        const WindowSdcResult r = window_sdc(nl, g, options);
+        fold(sdc, static_cast<std::uint8_t>(r.computed));
+        fold(sdc, static_cast<std::uint8_t>(r.degraded));
+        fold(sdc, static_cast<std::int32_t>(r.status));
+        fold(sdc, static_cast<std::int32_t>(r.num_patterns));
+        fold(sdc, static_cast<std::int32_t>(r.impossible_patterns));
+        fold(sdc, static_cast<std::uint64_t>(r.impossible_mask));
+        fold(sdc, static_cast<std::int32_t>(r.cone_inputs));
+      }
+    }
+    const std::pair<const char*, std::uint32_t> got[] = {
+        {"odc", odc.value()}, {"port", port.value()}, {"sdc", sdc.value()}};
+    for (const auto& [kind, value] : got) {
+      const std::string key = std::string(kind) + "/" + circuit;
+      char line[64];
+      std::snprintf(line, sizeof line, "{\"%s\", 0x%08xu},", key.c_str(),
+                    static_cast<unsigned>(value));
+      const auto it = pinned_window_digests().find(key);
+      if (it == pinned_window_digests().end()) {
+        ADD_FAILURE() << "no pinned digest: " << line;
+      } else {
+        EXPECT_EQ(it->second, value) << "digest changed: " << line;
+      }
+    }
+  }
 }
 
 }  // namespace

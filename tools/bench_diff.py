@@ -17,10 +17,10 @@ What gates and what doesn't
 ---------------------------
 The point of this tool is a perf-regression *trajectory* gate that is
 not flaky. Wall-clock numbers vary run to run and machine to machine,
-so they can never hard-fail. Telemetry counters (SAT conflicts, BDD
-node counts, window sizes, editions stamped, ...) are deterministic
-functions of the input in the single-threaded smoke benches, so a
-counter that moves is a real behavioural change — that is what gates.
+so they can never hard-fail. Telemetry counters (SAT conflicts, window
+sizes, editions stamped, ...) are deterministic functions of the input
+in the single-threaded smoke benches, so a counter that moves is a
+real behavioural change — that is what gates.
 
   * telemetry counters and span hit-counts: HARD gate. An increase
     beyond --counter-tolerance (relative, default 0.10) fails the run.
